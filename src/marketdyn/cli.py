@@ -11,11 +11,11 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import competition, feedback, scenario, tables
+from . import scenario, tables
 from .errors import (
     CalibrationInfeasibleError,
     MarketDynError,
@@ -61,50 +61,27 @@ def _delimiter(fmt: str) -> str:
     return "\t" if fmt == "tsv" else ","
 
 
-def _apply_samples(s: scenario.Scenario, samples: int | None) -> scenario.Scenario:
-    if samples is None:
-        return s
-    return scenario.Scenario(kind=s.kind, model=s.model, horizon=s.horizon,
-                             samples=samples, outputs=s.outputs,
-                             time_unit=s.time_unit, name=s.name)
-
-
-def _run_many(scenarios, jobs: int):
-    if jobs <= 1 or len(scenarios) == 1:
-        return [scenario.run_scenario(s) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(scenario.run_scenario, scenarios))
+def _run_batch(args, render) -> int:
+    """Run every scenario of the file in order; label blocks when there are several."""
+    scenarios = _load_scenarios(args.file)
+    if args.samples is not None:
+        scenarios = [dataclasses.replace(s, samples=args.samples) for s in scenarios]
+    reports = [scenario.run_scenario(s) for s in scenarios]
+    blocks = [render(report, _delimiter(args.format)) for report in reports]
+    if len(reports) > 1:
+        blocks = [f"# {report.scenario.name or f'scenario {idx + 1}'}\n{block}"
+                  for idx, (report, block) in enumerate(zip(reports, blocks))]
+    _write(args.out, "".join(blocks))
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    scenarios = [_apply_samples(s, args.samples) for s in _load_scenarios(args.file)]
-    reports = _run_many(scenarios, args.jobs)
-    blocks = []
-    for idx, report in enumerate(reports):
-        csv_text = scenario.render_csv(report.trajectory, report.scenario.outputs,
-                                       _delimiter(args.format))
-        if len(reports) > 1:
-            label = report.scenario.name or f"scenario {idx + 1}"
-            blocks.append(f"# {label}\n{csv_text}")
-        else:
-            blocks.append(csv_text)
-    _write(args.out, "".join(blocks))
-    return EXIT_OK
+    return _run_batch(args, lambda report, delimiter: scenario.render_csv(
+        report.trajectory, report.scenario.outputs, delimiter))
 
 
 def cmd_metrics(args) -> int:
-    scenarios = [_apply_samples(s, args.samples) for s in _load_scenarios(args.file)]
-    reports = _run_many(scenarios, args.jobs)
-    blocks = []
-    for idx, report in enumerate(reports):
-        text = scenario.render_metrics(report, _delimiter(args.format))
-        if len(reports) > 1:
-            label = report.scenario.name or f"scenario {idx + 1}"
-            blocks.append(f"# {label}\n{text}")
-        else:
-            blocks.append(text)
-    _write(args.out, "".join(blocks))
-    return EXIT_OK
+    return _run_batch(args, scenario.render_metrics)
 
 
 def cmd_tables(args) -> int:
@@ -116,54 +93,15 @@ def cmd_tables(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    doc = _read_document(args.file)
-    results = scenario.calibrate(doc)
-    delim = _delimiter(args.format)
-    lines = ["parameter" + delim + "value"]
-    lines += [f"{name}{delim}{scenario.format_value(value)}" for name, value in results]
-    _write(args.out, "\n".join(lines) + "\n")
+    results = scenario.calibrate(_read_document(args.file))
+    _write(args.out, scenario.render_table("parameter", results, _delimiter(args.format)))
     return EXIT_OK
 
 
 def cmd_equilibrium(args) -> int:
-    scenarios = _load_scenarios(args.file)
-    delim = _delimiter(args.format)
-    blocks = []
-    for s in scenarios:
-        lines = ["quantity" + delim + "value"]
-        if s.kind == "feedback":
-            for point in feedback.classify_equilibria(s.model.kernel):
-                lines.append(f"u={scenario.format_value(point.u)}{delim}{point.kind}")
-        elif s.kind == "bass_competition" and s.model.churn is None:
-            for i, v in enumerate(competition.fixed_point_no_churn(s.model.market)):
-                lines.append(f"u{i + 1}{delim}{scenario.format_value(v)}")
-        elif (s.kind == "bass_competition"
-              and isinstance(s.model.churn, competition.ChurnMatrix)):
-            for i, v in enumerate(competition.spontaneous_equilibrium(s.model.churn)):
-                lines.append(f"u{i + 1}{delim}{scenario.format_value(v)}")
-        elif (s.kind == "bass_competition"
-              and isinstance(s.model.churn, competition.StimulatedChurnSpec)):
-            fp = competition.stimulated_fixed_point(s.model.churn)
-            lines.append(f"classification{delim}{fp.classification}")
-            for i, v in enumerate(fp.u):
-                lines.append(f"u{i + 1}{delim}{scenario.format_value(v)}")
-        elif s.kind == "spontaneous_churn":
-            for i, v in enumerate(competition.spontaneous_equilibrium(s.model.churn)):
-                lines.append(f"u{i + 1}{delim}{scenario.format_value(v)}")
-        elif s.kind == "stimulated_churn":
-            fp = competition.stimulated_fixed_point(s.model.spec, u0=s.model.u0)
-            lines.append(f"classification{delim}{fp.classification}")
-            for i, v in enumerate(fp.u):
-                lines.append(f"u{i + 1}{delim}{scenario.format_value(v)}")
-        elif s.kind == "periodic_churn":
-            a0 = s.model.spec.a0
-            mean = a0.a[1][0] / (a0.a[0][1] + a0.a[1][0])
-            lines.append(f"u1_mean{delim}{scenario.format_value(mean)}")
-            lines.append(f"u2_mean{delim}{scenario.format_value(1.0 - mean)}")
-        else:
-            raise ParameterError(
-                f"no equilibrium analysis for model kind {s.kind!r}")
-        blocks.append("\n".join(lines) + "\n")
+    delimiter = _delimiter(args.format)
+    blocks = [scenario.render_table("quantity", scenario.equilibrium(s), delimiter)
+              for s in _load_scenarios(args.file)]
     _write(args.out, "".join(blocks))
     return EXIT_OK
 
@@ -180,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None,
                        help="override the sample count (default from file, else 1000)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel evaluation of batch scenarios (order preserved)")
+                       help="accepted for compatibility; batch scenarios always run "
+                            "one after another, in input order")
 
     p_sim = sub.add_parser("simulate", help="run a scenario file, emit the time series")
     p_sim.add_argument("file")

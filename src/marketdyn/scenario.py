@@ -3,14 +3,21 @@
 A scenario is a JSON document with a discriminated ``model`` object, a
 time horizon and a sample count. Everything is deterministic: no seeds,
 no clocks, and CSV output is byte-identical across runs.
+
+Each model kind has one entry in ``_KINDS``: how to parse its model
+object, how to run it, and (where the paper gives one) its asymptotic
+state. The wire format lives in the parsers alone: the reader records
+every value it accepts, defaults included, and that record is what
+:func:`scenario_to_dict` writes back.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import competition, feedback, games, monopoly, numerics
 from .errors import (
@@ -19,12 +26,7 @@ from .errors import (
     ParameterError,
     ScenarioValidationError,
 )
-from .trajectory import Trajectory, time_grid
-
-MODEL_KINDS = ("simple", "scheduled", "segmented", "hesitation", "birth_death",
-               "feedback", "innovators_only", "bass_competition",
-               "spontaneous_churn", "periodic_churn", "stimulated_churn",
-               "bpq", "complementary")
+from .trajectory import Trajectory, argmax_channel, time_grid
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,11 @@ class ValidationIssue:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated model plus run settings."""
+    """A validated model plus run settings.
+
+    ``model_doc`` is the model object as parsed, with defaults filled in
+    and derived values resolved; :func:`scenario_to_dict` writes it back.
+    """
 
     kind: str
     model: Any
@@ -49,6 +55,7 @@ class Scenario:
     outputs: tuple[str, ...] | None = None
     time_unit: str = "year"
     name: str | None = None
+    model_doc: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -61,100 +68,138 @@ class RunReport:
     discrepancies: tuple[str, ...] = field(default=())
 
 
-class _Reader:
-    """Cursor over a JSON object collecting field-level issues."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    def __init__(self, data: dict, path: str, issues: list[ValidationIssue]):
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+class _Reader:
+    """Cursor over a JSON object collecting field-level issues.
+
+    Every value it accepts is recorded in ``doc`` (defaults too, unless
+    the default is None); sub-readers and list entries nest their own.
+    """
+
+    def __init__(self, data, path: str, issues: list[ValidationIssue]):
         self.data = data
         self.path = path
         self.issues = issues
+        self.doc: dict = {}
 
     def sub(self, key: str) -> "_Reader":
-        return _Reader(self.data.get(key), f"{self.path}.{key}", self.issues)
+        r = _Reader(self.data.get(key) if isinstance(self.data, dict) else None,
+                    f"{self.path}.{key}", self.issues)
+        self.doc[key] = r.doc
+        return r
+
+    def entries(self, key: str, what: str):
+        """Readers over the ``what`` objects of a list field (absent or null: none).
+
+        Entries that are not objects are reported and skipped.
+        """
+        items = self.data.get(key)
+        if items is None:
+            items = []
+        if not isinstance(items, list):
+            self._issue("bad_type", key, f"a list of {what}s", repr(items))
+            return
+        docs = self.doc[key] = []
+        for idx, item in enumerate(items):
+            path = f"{self.path}.{key}[{idx}]"
+            if not isinstance(item, dict):
+                self.issues.append(ValidationIssue("bad_type", path, f"a {what} object",
+                                                   repr(item)))
+                continue
+            sub = _Reader(item, path, self.issues)
+            docs.append(sub.doc)
+            yield sub
 
     def has(self, key: str) -> bool:
         return isinstance(self.data, dict) and key in self.data
 
+    def _issue(self, code: str, key: str, expected: str, found: str) -> None:
+        self.issues.append(ValidationIssue(code, f"{self.path}.{key}", expected, found))
+
+    def _present(self, key: str, required: bool, expected: str) -> bool:
+        if not self.has(key) and required:
+            self._issue("missing_field", key, expected, "nothing")
+        return self.has(key)
+
+    def _record(self, key: str, value):
+        if value is not None:
+            self.doc[key] = value
+        return value
+
     def number(self, key: str, required: bool = True, default: float = 0.0,
                minimum: float | None = None) -> float:
-        if not self.has(key):
-            if required:
-                self.issues.append(ValidationIssue(
-                    "missing_field", f"{self.path}.{key}", "a number", "nothing"))
-            return default
+        if not self._present(key, required, "a number"):
+            return self._record(key, default)
         value = self.data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.issues.append(ValidationIssue(
-                "bad_type", f"{self.path}.{key}", "a number", repr(value)))
+        if not _is_number(value):
+            self._issue("bad_type", key, "a number", repr(value))
+            return default
+        if not _is_finite(value):
+            self._issue("bad_type", key, "a finite number", repr(value))
             return default
         value = float(value)
         if minimum is not None and value < minimum:
-            self.issues.append(ValidationIssue(
-                "invariant", f"{self.path}.{key}", f"a number >= {minimum:g}", repr(value)))
+            self._issue("invariant", key, f"a number >= {minimum:g}", repr(value))
             return default
-        return value
+        return self._record(key, value)
 
     def integer(self, key: str, required: bool = True, default: int = 0,
                 minimum: int | None = None) -> int:
-        if not self.has(key):
-            if required:
-                self.issues.append(ValidationIssue(
-                    "missing_field", f"{self.path}.{key}", "an integer", "nothing"))
-            return default
+        if not self._present(key, required, "an integer"):
+            return self._record(key, default)
         value = self.data[key]
         if isinstance(value, bool) or not isinstance(value, int):
-            self.issues.append(ValidationIssue(
-                "bad_type", f"{self.path}.{key}", "an integer", repr(value)))
+            self._issue("bad_type", key, "an integer", repr(value))
             return default
         if minimum is not None and value < minimum:
-            self.issues.append(ValidationIssue(
-                "invariant", f"{self.path}.{key}", f"an integer >= {minimum}", repr(value)))
+            self._issue("invariant", key, f"an integer >= {minimum}", repr(value))
             return default
-        return value
+        return self._record(key, value)
 
     def string(self, key: str, required: bool = True, default: str = "") -> str:
-        if not self.has(key):
-            if required:
-                self.issues.append(ValidationIssue(
-                    "missing_field", f"{self.path}.{key}", "a string", "nothing"))
-            return default
+        if not self._present(key, required, "a string"):
+            return self._record(key, default)
         value = self.data[key]
         if not isinstance(value, str):
-            self.issues.append(ValidationIssue(
-                "bad_type", f"{self.path}.{key}", "a string", repr(value)))
+            self._issue("bad_type", key, "a string", repr(value))
             return default
-        return value
+        return self._record(key, value)
 
     def number_list(self, key: str, required: bool = True) -> list[float]:
-        if not self.has(key):
-            if required:
-                self.issues.append(ValidationIssue(
-                    "missing_field", f"{self.path}.{key}", "a list of numbers", "nothing"))
+        if not self._present(key, required, "a list of numbers"):
             return []
         value = self.data[key]
-        if (not isinstance(value, list)
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-            self.issues.append(ValidationIssue(
-                "bad_type", f"{self.path}.{key}", "a list of numbers", repr(value)))
+        if not isinstance(value, list) or not all(_is_number(v) for v in value):
+            self._issue("bad_type", key, "a list of numbers", repr(value))
             return []
-        return [float(v) for v in value]
+        if not all(_is_finite(v) for v in value):
+            self._issue("bad_type", key, "a list of finite numbers", repr(value))
+            return []
+        return self._record(key, [float(v) for v in value])
 
     def matrix(self, key: str, required: bool = True) -> list[list[float]]:
-        if not self.has(key):
-            if required:
-                self.issues.append(ValidationIssue(
-                    "missing_field", f"{self.path}.{key}", "a matrix", "nothing"))
+        if not self._present(key, required, "a matrix"):
             return []
         value = self.data[key]
-        ok = isinstance(value, list) and all(
-            isinstance(row, list) and all(
-                not isinstance(v, bool) and isinstance(v, (int, float)) for v in row)
-            for row in value)
-        if not ok:
-            self.issues.append(ValidationIssue(
-                "bad_type", f"{self.path}.{key}", "a matrix of numbers", repr(value)))
+        if not (isinstance(value, list)
+                and all(isinstance(row, list) and all(_is_number(v) for v in row)
+                        for row in value)):
+            self._issue("bad_type", key, "a matrix of numbers", repr(value))
             return []
-        return [[float(v) for v in row] for row in value]
+        if not all(_is_finite(v) for row in value for v in row):
+            self._issue("bad_type", key, "a matrix of finite numbers", repr(value))
+            return []
+        return self._record(key, [[float(v) for v in row] for row in value])
 
     def invariant(self, message: str, found: str) -> None:
         self.issues.append(ValidationIssue("invariant", self.path, message, found))
@@ -193,20 +238,6 @@ def _parse_schedule(r: _Reader) -> monopoly.RateSchedule | None:
     return None
 
 
-def _schedule_to_dict(s: monopoly.RateSchedule) -> dict:
-    if isinstance(s, monopoly.ConstantRate):
-        return {"kind": "constant", "a": s.a}
-    if isinstance(s, monopoly.LinearRate):
-        return {"kind": "linear", "a0": s.a0, "a1": s.a1}
-    if isinstance(s, monopoly.ExpDecayRate):
-        return {"kind": "exp_decay", "a0": s.a0, "beta": s.beta}
-    if isinstance(s, monopoly.CutoffRate):
-        return {"kind": "cutoff", "a": s.a, "T": s.T}
-    if isinstance(s, monopoly.TabulatedRate):
-        return {"kind": "tabulated", "points": [[t, v] for t, v in s.points]}
-    raise TypeError(f"unknown schedule {type(s).__name__}")
-
-
 def _parse_kernel(r: _Reader) -> feedback.FeedbackKernel | None:
     if not isinstance(r.data, dict):
         r.issues.append(ValidationIssue("bad_type", r.path, "a kernel object", repr(r.data)))
@@ -218,39 +249,16 @@ def _parse_kernel(r: _Reader) -> feedback.FeedbackKernel | None:
             "one of " + "|".join(feedback.KERNEL_KINDS), repr(kind)))
         return None
     try:
-        return feedback.kernel(
-            kind,
-            ratio=r.number("ratio", required=False, default=None) if r.has("ratio") else None,
-            n=r.number("n", required=False, default=None) if r.has("n") else None,
-            u1=r.number("u1", required=False, default=None) if r.has("u1") else None)
+        return feedback.kernel(kind, **{key: r.number(key, required=False, default=None)
+                                        for key in ("ratio", "n", "u1")})
     except ParameterError as exc:
         r.invariant(str(exc), "the values above")
         return None
 
 
-def _kernel_to_dict(k: feedback.FeedbackKernel) -> dict:
-    out: dict[str, Any] = {"kind": k.kind}
-    if k.ratio is not None:
-        out["ratio"] = k.ratio
-    if k.n is not None:
-        out["n"] = k.n
-    if k.u1 is not None:
-        out["u1"] = k.u1
-    return out
-
-
-def _parse_sinusoids(r: _Reader) -> tuple[competition.Sinusoid, ...]:
-    if r.data is None:
-        return ()
-    if not isinstance(r.data, list):
-        r.issues.append(ValidationIssue("bad_type", r.path, "a list of sinusoids", repr(r.data)))
-        return ()
+def _parse_sinusoids(r: _Reader, key: str) -> tuple[competition.Sinusoid, ...]:
     terms = []
-    for idx, item in enumerate(r.data):
-        sub = _Reader(item, f"{r.path}[{idx}]", r.issues)
-        if not isinstance(item, dict):
-            r.issues.append(ValidationIssue("bad_type", sub.path, "a sinusoid object", repr(item)))
-            continue
+    for sub in r.entries(key, "sinusoid"):
         try:
             terms.append(competition.Sinusoid(
                 amplitude=sub.number("amplitude", minimum=0.0),
@@ -259,6 +267,15 @@ def _parse_sinusoids(r: _Reader) -> tuple[competition.Sinusoid, ...]:
         except ParameterError as exc:
             sub.invariant(str(exc), "the values above")
     return tuple(terms)
+
+
+def _parse_stimulated_spec(r: _Reader) -> competition.StimulatedChurnSpec:
+    spec = competition.StimulatedChurnSpec(
+        churn=competition.ChurnMatrix.from_rows(r.matrix("a")),
+        b=tuple(r.number_list("b")),
+        eps=tuple(int(v) for v in r.number_list("eps")))
+    r.doc["eps"] = list(spec.eps)
+    return spec
 
 
 def _parse_churn(r: _Reader):
@@ -270,23 +287,12 @@ def _parse_churn(r: _Reader):
         if kind == "spontaneous":
             return competition.ChurnMatrix.from_rows(r.matrix("a"))
         if kind == "stimulated":
-            return competition.StimulatedChurnSpec(
-                churn=competition.ChurnMatrix.from_rows(r.matrix("a")),
-                b=tuple(r.number_list("b")),
-                eps=tuple(int(v) for v in r.number_list("eps")))
+            return _parse_stimulated_spec(r)
         if kind == "periodic":
             a0 = competition.ChurnMatrix.from_rows(r.matrix("a0"))
-            mods = []
-            eps_items = r.data.get("eps", [])
-            if not isinstance(eps_items, list):
-                r.issues.append(ValidationIssue(
-                    "bad_type", f"{r.path}.eps", "a list of modulations", repr(eps_items)))
-                eps_items = []
-            for idx, item in enumerate(eps_items):
-                sub = _Reader(item, f"{r.path}.eps[{idx}]", r.issues)
-                mods.append(competition.PairModulation(
-                    i=sub.integer("i", minimum=0), j=sub.integer("j", minimum=0),
-                    terms=_parse_sinusoids(sub.sub("terms"))))
+            mods = [competition.PairModulation(
+                i=sub.integer("i", minimum=0), j=sub.integer("j", minimum=0),
+                terms=_parse_sinusoids(sub, "terms")) for sub in r.entries("eps", "modulation")]
             return competition.PeriodicChurnSpec(a0=a0, eps=tuple(mods))
     except ParameterError as exc:
         r.invariant(str(exc), "the values above")
@@ -297,229 +303,370 @@ def _parse_churn(r: _Reader):
     return None
 
 
-def _churn_to_dict(c) -> dict:
-    if isinstance(c, competition.ChurnMatrix):
-        return {"kind": "spontaneous", "a": [list(row) for row in c.a]}
-    if isinstance(c, competition.StimulatedChurnSpec):
-        return {"kind": "stimulated", "a": [list(row) for row in c.churn.a],
-                "b": list(c.b), "eps": list(c.eps)}
-    if isinstance(c, competition.PeriodicChurnSpec):
-        return {"kind": "periodic", "a0": [list(row) for row in c.a0.a],
-                "eps": [{"i": m.i, "j": m.j,
-                         "terms": [{"amplitude": s.amplitude, "period": s.period,
-                                    "phase": s.phase} for s in m.terms]}
-                        for m in c.eps]}
-    raise TypeError(f"unknown churn spec {type(c).__name__}")
+# ---------------------------------------------------------------------------
+# Shared metric helpers
+# ---------------------------------------------------------------------------
+
+def _crossing_time(times: Sequence[float], values: Sequence[float],
+                   level: float) -> float | None:
+    """First grid crossing of a level, linearly interpolated."""
+    for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
+        if (v0 - level) * (v1 - level) <= 0.0 and v0 != v1:
+            if min(v0, v1) <= level <= max(v0, v1):
+                return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
+    if values and values[0] == level:
+        return times[0]
+    return None
+
+
+def _latencies(traj: Trajectory) -> list[tuple[str, float]]:
+    """T10 and T50 where the share u first crosses 10% and 50% on the grid."""
+    u = traj.channel("u")
+    return [(label, t) for label, level in (("T10", 0.1), ("T50", 0.5))
+            if (t := _crossing_time(traj.times, u, level)) is not None]
+
+
+def _shares(values: Sequence[float], suffix: str = "") -> list[tuple[str, float]]:
+    """One ``u{i}{suffix}`` row per supplier."""
+    return [(f"u{i + 1}{suffix}", v) for i, v in enumerate(values)]
+
+
+def _spontaneous_equilibrium(churn: competition.ChurnMatrix) -> list[tuple[str, object]]:
+    return _shares(competition.spontaneous_equilibrium(churn))
+
+
+def _stimulated_equilibrium(spec: competition.StimulatedChurnSpec, u0=None,
+                            suffix: str = "") -> list[tuple[str, object]]:
+    fp = competition.stimulated_fixed_point(spec, u0=u0)
+    return [("classification", fp.classification)] + _shares(fp.u, suffix)
+
+
+def _mean_share_u1(spec: competition.PeriodicChurnSpec) -> float:
+    a = spec.a0.a
+    if a[0][1] + a[1][0] == 0.0:
+        raise ParameterError("baseline churn rates must not both vanish")
+    return a[1][0] / (a[0][1] + a[1][0])
 
 
 # ---------------------------------------------------------------------------
-# Models
+# Model kinds: parse, run and equilibrium side by side
 # ---------------------------------------------------------------------------
 
-def _build_model(kind: str, r: _Reader):
-    try:
-        if kind == "simple":
-            return monopoly.SimpleAdoption(
-                a=r.number("a"), u0=r.number("u0", required=False, default=0.0),
-                N=r.number("N", required=False, default=1.0))
-        if kind == "scheduled":
-            sched = _parse_schedule(r.sub("schedule"))
-            if sched is None:
-                return None
-            return _Scheduled(sched, r.number("u0", required=False, default=0.0),
-                              r.number("N", required=False, default=1.0))
-        if kind == "segmented":
-            segs = []
-            items = r.data.get("segments")
-            if not isinstance(items, list) or not items:
-                r.issues.append(ValidationIssue(
-                    "missing_field", f"{r.path}.segments", "a nonempty list", repr(items)))
-                return None
-            for idx, item in enumerate(items):
-                sub = _Reader(item, f"{r.path}.segments[{idx}]", r.issues)
-                sched = _parse_schedule(sub.sub("schedule"))
-                if sched is None:
-                    return None
-                segs.append(monopoly.Segment(n=sub.number("n", minimum=0.0), schedule=sched))
-            total = math.fsum(s.n for s in segs)
-            if abs(total - 1.0) > 1e-12:
-                r.invariant("segment sizes summing to 1", f"{total!r}")
-                return None
-            return _Segmented(tuple(segs), r.number("N", required=False, default=1.0))
-        if kind == "hesitation":
-            variant = r.data.get("variant", "absorbing_hesitation")
-            if variant in (1, "1", "absorbing"):
-                variant = "absorbing_hesitation"
-            if variant in (2, "2", "returning"):
-                variant = "returning_hesitation"
-            return _Hesitation(monopoly.HesitationParams(
-                a=r.number("a"), b=r.number("b"), c=r.number("c"), variant=variant),
-                N=r.number("N", required=False, default=1.0))
-        if kind == "birth_death":
-            return _BirthDeath(monopoly.BirthDeathParams(
-                a=r.number("a"), d=r.number("d"), f=r.number("f"), g=r.number("g")),
-                N=r.number("N", required=False, default=1.0))
-        if kind == "feedback":
-            kern = _parse_kernel(r.sub("kernel"))
-            if kern is None:
-                return None
-            u0 = r.number("u0", required=False, default=0.0)
-            if r.has("rate") == r.has("T50"):
-                r.invariant("exactly one of rate or T50", "both" if r.has("rate") else "neither")
-                return None
-            if r.has("T50"):
-                rate = feedback.calibrate_rate(kern, r.number("T50"), u0)
-            else:
-                rate = r.number("rate")
-            if kern.needs_positive_start and u0 == 0.0:
-                r.invariant("u0 > 0 for a kernel with no innovators", repr(u0))
-                return None
-            return feedback.FeedbackModel(kernel=kern, rate=rate, u0=u0,
-                                          N=r.number("N", required=False, default=1.0))
-        if kind == "innovators_only":
-            return _Innovators(tuple(r.number_list("m")))
-        if kind == "bass_competition":
-            churn = None
-            if r.has("churn"):
-                churn = _parse_churn(r.sub("churn"))
-                if churn is None:
-                    return None
-            market = competition.BassCompetition(
-                m=tuple(r.number_list("m")), r=tuple(r.number_list("r")),
-                u0=tuple(r.number_list("u0")))
-            return _Competition(market, churn)
-        if kind == "spontaneous_churn":
-            return _Spontaneous(tuple(r.number_list("m")),
-                                competition.ChurnMatrix.from_rows(r.matrix("a")))
-        if kind == "periodic_churn":
-            a12 = r.number("a12_0", minimum=0.0)
-            a21 = r.number("a21_0", minimum=0.0)
-            mods = []
-            eps12 = _parse_sinusoids(r.sub("eps12"))
-            eps21 = _parse_sinusoids(r.sub("eps21"))
-            if eps12:
-                mods.append(competition.PairModulation(0, 1, eps12))
-            if eps21:
-                mods.append(competition.PairModulation(1, 0, eps21))
-            spec = competition.PeriodicChurnSpec(
-                a0=competition.ChurnMatrix.from_rows([[0.0, a12], [a21, 0.0]]),
-                eps=tuple(mods))
-            return _Periodic(spec, r.number("u1_0", minimum=0.0))
-        if kind == "stimulated_churn":
-            spec = competition.StimulatedChurnSpec(
-                churn=competition.ChurnMatrix.from_rows(r.matrix("a")),
-                b=tuple(r.number_list("b")),
-                eps=tuple(int(v) for v in r.number_list("eps")))
-            u0 = tuple(r.number_list("u0")) if r.has("u0") else None
-            return _Stimulated(spec, u0)
-        if kind == "bpq":
-            return _parse_bpq(r)
-        if kind == "complementary":
-            return games.ComplementarySpec(
-                g=r.number("g"), b=r.number("b"), a_c=r.number("a_c"),
-                b_c=r.number("b_c"), tau=r.number("tau", required=False, default=0.0),
-                N=r.number("N", required=False, default=1.0),
-                N_c=r.number("N_c", required=False, default=None) if r.has("N_c") else None)
-    except (ParameterError, MarketDynError) as exc:
-        r.invariant(str(exc), "the values above")
+def _parse_simple(r):
+    return monopoly.SimpleAdoption(
+        a=r.number("a"), u0=r.number("u0", required=False, default=0.0),
+        N=r.number("N", required=False, default=1.0))
+
+
+def _run_simple(model, grid):
+    traj = monopoly.simple_path(model, grid)
+    lat = monopoly.simple_latency(model)
+    return traj, [("a", model.a), ("T50", lat.t50), ("T10", lat.t10)]
+
+
+def _parse_scheduled(r):
+    sched = _parse_schedule(r.sub("schedule"))
+    if sched is None:
         return None
-    raise AssertionError(kind)
+    return (sched, r.number("u0", required=False, default=0.0),
+            r.number("N", required=False, default=1.0))
 
 
-def _parse_bpq(r: _Reader):
+def _run_scheduled(model, grid):
+    schedule, u0, n = model
+    traj = monopoly.scheduled_path(schedule, u0, grid, N=n)
+    metrics = [("u_end", traj.channel("u")[-1])] + _latencies(traj)
+    if isinstance(schedule, monopoly.ExpDecayRate):
+        metrics.append(("u_asymptote", schedule.asymptotic_share(u0)))
+    return traj, metrics
+
+
+def _parse_segmented(r):
+    items = r.data.get("segments")
+    if not isinstance(items, list) or not items:
+        r.issues.append(ValidationIssue(
+            "missing_field", f"{r.path}.segments", "a nonempty list", repr(items)))
+        return None
+    segs = []
+    for sub in r.entries("segments", "segment"):
+        sched = _parse_schedule(sub.sub("schedule"))
+        if sched is None:
+            return None
+        segs.append(monopoly.Segment(n=sub.number("n", minimum=0.0), schedule=sched))
+    if len(segs) < len(items):
+        return None
+    total = math.fsum(s.n for s in segs)
+    if abs(total - 1.0) > 1e-12:
+        r.invariant("segment sizes summing to 1", f"{total!r}")
+        return None
+    return tuple(segs), r.number("N", required=False, default=1.0)
+
+
+def _run_segmented(model, grid):
+    segments, n = model
+    traj = monopoly.segmented_path(segments, n, grid)
+    return traj, [("u_end", traj.channel("u")[-1])] + _latencies(traj)
+
+
+def _parse_hesitation(r):
+    variant = r.data.get("variant", "absorbing_hesitation")
+    if variant in (1, "1", "absorbing"):
+        variant = "absorbing_hesitation"
+    if variant in (2, "2", "returning"):
+        variant = "returning_hesitation"
+    r.doc["variant"] = variant
+    return (monopoly.HesitationParams(a=r.number("a"), b=r.number("b"), c=r.number("c"),
+                                      variant=variant),
+            r.number("N", required=False, default=1.0))
+
+
+def _run_hesitation(model, grid):
+    params, n = model
+    traj = monopoly.hesitation_path(params, grid, N=n)
+    metrics = _latencies(traj)
+    if params.variant == "returning_hesitation":
+        lam1, lam2, rate = params.eigenvalues()
+        metrics += [("lambda1", lam1), ("lambda2", lam2), ("r", rate)]
+    return traj, metrics
+
+
+def _parse_birth_death(r):
+    return (monopoly.BirthDeathParams(a=r.number("a"), d=r.number("d"),
+                                      f=r.number("f"), g=r.number("g")),
+            r.number("N", required=False, default=1.0))
+
+
+def _run_birth_death(model, grid):
+    params, n = model
+    traj = monopoly.birth_death_path(params, grid, N=n)
+    _, t_peak, u_peak = argmax_channel(traj, "u")
+    return traj, [("u_peak", u_peak), ("t_peak", t_peak)]
+
+
+def _parse_feedback(r):
+    kern = _parse_kernel(r.sub("kernel"))
+    if kern is None:
+        return None
+    u0 = r.number("u0", required=False, default=0.0)
+    if r.has("rate") == r.has("T50"):
+        r.invariant("exactly one of rate or T50", "both" if r.has("rate") else "neither")
+        return None
+    if r.has("T50"):
+        rate = r.doc["rate"] = feedback.calibrate_rate(kern, r.number("T50"), u0)
+        r.doc.pop("T50", None)
+    else:
+        rate = r.number("rate")
+    if kern.needs_positive_start and u0 == 0.0:
+        r.invariant("u0 > 0 for a kernel with no innovators", repr(u0))
+        return None
+    return feedback.FeedbackModel(kernel=kern, rate=rate, u0=u0,
+                                  N=r.number("N", required=False, default=1.0))
+
+
+def _run_feedback(model, grid):
+    traj = feedback.feedback_path(model, grid)
+    m = feedback.latency_metrics(model)
+    metrics = [("rate", model.rate), ("T50", m.t50), ("T10", m.t10),
+               ("T60_minus_T50", m.t60_minus_t50)]
+    if m.u_infl is not None:
+        metrics += [("u_inflection", m.u_infl), ("t_inflection", m.t_infl),
+                    ("gradient_at_inflection", m.gradient_at_infl)]
+    if model.kernel.kind == "quadratic":
+        from .tables import _quadratic_catalog_ratio
+        metrics += [("T10_over_T50", m.t10 / m.t50),
+                    ("T10_over_T50_catalog_variant", _quadratic_catalog_ratio(model.u0))]
+    return traj, metrics
+
+
+def _feedback_equilibrium(model):
+    return [(f"u={format_value(p.u)}", p.kind)
+            for p in feedback.classify_equilibria(model.kernel)]
+
+
+def _parse_innovators(r):
+    return tuple(r.number_list("m"))
+
+
+def _run_innovators(m, grid):
+    total = math.fsum(m)
+    return (competition.innovators_only_path(m, grid),
+            _shares([mi / total for mi in m], "_asymptote"))
+
+
+def _parse_bass_competition(r):
+    churn = None
+    if r.has("churn"):
+        churn = _parse_churn(r.sub("churn"))
+        if churn is None:
+            return None
+    return competition.BassCompetition(
+        m=tuple(r.number_list("m")), r=tuple(r.number_list("r")),
+        u0=tuple(r.number_list("u0"))), churn
+
+
+def _run_bass_competition(model, grid):
+    market, churn = model
+    traj = competition.competitive_path_numeric(market, churn, grid)
+    metrics = _shares([traj.channel(f"u{i + 1}")[-1] for i in range(market.n)], "_end")
+    if churn is None:
+        try:
+            metrics += _shares(competition.fixed_point_no_churn(market), "_fixed_point")
+        except MarketDynError:
+            pass
+    return traj, metrics
+
+
+def _bass_competition_equilibrium(model):
+    market, churn = model
+    if churn is None:
+        return _shares(competition.fixed_point_no_churn(market))
+    if isinstance(churn, competition.ChurnMatrix):
+        return _spontaneous_equilibrium(churn)
+    if isinstance(churn, competition.StimulatedChurnSpec):
+        return _stimulated_equilibrium(churn)
+    return None
+
+
+def _parse_spontaneous(r):
+    return tuple(r.number_list("m")), competition.ChurnMatrix.from_rows(r.matrix("a"))
+
+
+def _run_spontaneous(model, grid):
+    m, churn = model
+    traj = competition.spontaneous_path(m, churn, grid)
+    metrics = _shares(competition.spontaneous_equilibrium(churn), "_equilibrium")
+    if churn.n == 2 and churn.a[0][1] == 0.0:
+        metrics.append(("T_m_supplier2",
+                        competition.two_supplier_peak_time(m[0], m[1], churn.a[1][0])))
+    return traj, metrics
+
+
+def _parse_periodic(r):
+    a12 = r.number("a12_0", minimum=0.0)
+    a21 = r.number("a21_0", minimum=0.0)
+    mods = []
+    for i, j, key in ((0, 1, "eps12"), (1, 0, "eps21")):
+        terms = _parse_sinusoids(r, key)
+        if terms:
+            mods.append(competition.PairModulation(i, j, terms))
+    spec = competition.PeriodicChurnSpec(
+        a0=competition.ChurnMatrix.from_rows([[0.0, a12], [a21, 0.0]]), eps=tuple(mods))
+    return spec, r.number("u1_0", minimum=0.0)
+
+
+def _run_periodic(model, grid):
+    spec, u1_0 = model
+    return (competition.periodic_two_supplier_path(spec, u1_0, grid),
+            [("mean_share_u1", _mean_share_u1(spec))])
+
+
+def _periodic_equilibrium(model):
+    mean = _mean_share_u1(model[0])
+    return [("u1_mean", mean), ("u2_mean", 1.0 - mean)]
+
+
+def _parse_stimulated(r):
+    spec = _parse_stimulated_spec(r)
+    return spec, (tuple(r.number_list("u0")) if r.has("u0") else None)
+
+
+def _run_stimulated(model, grid):
+    spec, u0 = model
+    n = spec.n
+    u0 = u0 if u0 is not None else tuple(1.0 / n for _ in range(n))
+    market = competition.BassCompetition(
+        m=tuple(0.0 for _ in range(n)), r=tuple(1.0 for _ in range(n)), u0=u0)
+    traj = competition.competitive_path_numeric(market, spec, grid)
+    return traj, _stimulated_equilibrium(spec, u0, "_fixed_point")
+
+
+def _parse_bpq(r):
     case_kind = r.string("case")
     n = r.number("N", required=False, default=1.0)
-    try:
-        if case_kind == "case1":
-            def sched_of(key: str):
-                raw = r.data.get(key, 0.0)
-                if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                    return monopoly.ConstantRate(float(raw))
-                return _parse_schedule(r.sub(key))
-
-            a, b, c = sched_of("a"), sched_of("b"), sched_of("c")
-            if a is None or b is None or c is None:
-                return None
-            return games.Case1(a=a, b=b, c=c, N=n)
-        if case_kind == "case2":
-            return games.Case2(beta=r.number("beta"), b=r.number("b"), N=n,
-                               P0=r.number("P0"),
-                               Q0=r.number("Q0", required=False, default=0.0))
-        if case_kind == "case3":
-            return games.Case3(a=r.number("a"), beta=r.number("beta"),
-                               b=r.number("b"), N=n)
-        if case_kind == "case4":
-            return games.Case4(beta=r.number("beta"), gamma=r.number("gamma"),
-                               N=n, P0=r.number("P0"), Q0=r.number("Q0"))
-        if case_kind == "case5":
-            return games.Case5(a=r.number("a"), gamma=r.number("gamma"), N=n,
-                               Q0=r.number("Q0"),
-                               P0=r.number("P0", required=False, default=0.0))
-        if case_kind == "case6":
-            return games.Case6(a=r.number("a"), b=r.number("b"),
-                               gamma=r.number("gamma"), N=n)
-    except (ParameterError, MarketDynError) as exc:
-        r.invariant(str(exc), "the values above")
-        return None
+    if case_kind == "case1":
+        a, b, c = _case1_rate(r, "a"), _case1_rate(r, "b"), _case1_rate(r, "c")
+        if a is None or b is None or c is None:
+            return None
+        return games.Case1(a=a, b=b, c=c, N=n)
+    if case_kind == "case2":
+        return games.Case2(beta=r.number("beta"), b=r.number("b"), N=n, P0=r.number("P0"),
+                           Q0=r.number("Q0", required=False, default=0.0))
+    if case_kind == "case3":
+        return games.Case3(a=r.number("a"), beta=r.number("beta"), b=r.number("b"), N=n)
+    if case_kind == "case4":
+        return games.Case4(beta=r.number("beta"), gamma=r.number("gamma"), N=n,
+                           P0=r.number("P0"), Q0=r.number("Q0"))
+    if case_kind == "case5":
+        return games.Case5(a=r.number("a"), gamma=r.number("gamma"), N=n, Q0=r.number("Q0"),
+                           P0=r.number("P0", required=False, default=0.0))
+    if case_kind == "case6":
+        return games.Case6(a=r.number("a"), b=r.number("b"), gamma=r.number("gamma"), N=n)
     r.issues.append(ValidationIssue(
         "unknown_kind", f"{r.path}.case", "one of case1..case6", repr(case_kind)))
     return None
 
 
-# Small wrappers pairing module-level parameter sets with run context.
-
-@dataclass(frozen=True)
-class _Scheduled:
-    schedule: monopoly.RateSchedule
-    u0: float
-    N: float
-
-
-@dataclass(frozen=True)
-class _Segmented:
-    segments: tuple[monopoly.Segment, ...]
-    N: float
+def _case1_rate(r, key):
+    """A schedule object, or a number (absent: 0) as shorthand for a constant rate."""
+    if not _is_number(r.data.get(key, 0.0)):
+        return _parse_schedule(r.sub(key))
+    r.doc[key] = {"kind": "constant", "a": r.number(key, required=False)}
+    return monopoly.ConstantRate(r.doc[key]["a"])
 
 
-@dataclass(frozen=True)
-class _Hesitation:
-    params: monopoly.HesitationParams
-    N: float
+def _run_bpq(case, grid):
+    traj = games.bpq_path(case, grid)
+    peak = games.peak_metrics(case, grid)
+    metrics = [("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
+    if isinstance(case, games.Case2):
+        rel = games.sir_relations(case)
+        metrics += [("B_inf", rel.B_inf), ("B_at_peak", rel.B_Tm), ("P_at_peak", rel.P_Tm)]
+    return traj, metrics
 
 
-@dataclass(frozen=True)
-class _BirthDeath:
-    params: monopoly.BirthDeathParams
-    N: float
+def _parse_complementary(r):
+    return games.ComplementarySpec(
+        g=r.number("g"), b=r.number("b"), a_c=r.number("a_c"), b_c=r.number("b_c"),
+        tau=r.number("tau", required=False, default=0.0),
+        N=r.number("N", required=False, default=1.0),
+        N_c=r.number("N_c", required=False, default=None))
 
 
-@dataclass(frozen=True)
-class _Innovators:
-    m: tuple[float, ...]
+def _run_complementary(spec, grid):
+    traj = games.complementary_path(spec, grid)
+    _, t_m, p_m = argmax_channel(traj, "P")
+    _, t_c, p_c = argmax_channel(traj, "P_c")
+    return traj, [("T_m", t_m), ("P_m", p_m), ("T_m_companion", t_c), ("P_m_companion", p_c)]
 
 
-@dataclass(frozen=True)
-class _Competition:
-    market: competition.BassCompetition
-    churn: object | None
+class _Kind(NamedTuple):
+    parse: Callable        # reader -> model, or None with the issues recorded
+    run: Callable          # (model, grid) -> (trajectory, metrics)
+    equilibrium: Callable | None = None   # model -> [(quantity, value)]; None: no analysis
+    notes: Callable | None = None         # model -> ledger notes shown with the metrics
 
 
-@dataclass(frozen=True)
-class _Spontaneous:
-    m: tuple[float, ...]
-    churn: competition.ChurnMatrix
+_KINDS = {
+    "simple": _Kind(_parse_simple, _run_simple),
+    "scheduled": _Kind(_parse_scheduled, _run_scheduled),
+    "segmented": _Kind(_parse_segmented, _run_segmented),
+    "hesitation": _Kind(_parse_hesitation, _run_hesitation),
+    "birth_death": _Kind(_parse_birth_death, _run_birth_death),
+    "feedback": _Kind(_parse_feedback, _run_feedback, _feedback_equilibrium,
+                      lambda model: feedback.discrepancy_notes(model.kernel)),
+    "innovators_only": _Kind(_parse_innovators, _run_innovators),
+    "bass_competition": _Kind(_parse_bass_competition, _run_bass_competition,
+                              _bass_competition_equilibrium),
+    "spontaneous_churn": _Kind(_parse_spontaneous, _run_spontaneous,
+                               lambda model: _spontaneous_equilibrium(model[1])),
+    "periodic_churn": _Kind(_parse_periodic, _run_periodic, _periodic_equilibrium),
+    "stimulated_churn": _Kind(_parse_stimulated, _run_stimulated,
+                              lambda model: _stimulated_equilibrium(*model)),
+    "bpq": _Kind(_parse_bpq, _run_bpq),
+    "complementary": _Kind(_parse_complementary, _run_complementary),
+}
 
-
-@dataclass(frozen=True)
-class _Periodic:
-    spec: competition.PeriodicChurnSpec
-    u1_0: float
-
-
-@dataclass(frozen=True)
-class _Stimulated:
-    spec: competition.StimulatedChurnSpec
-    u0: tuple[float, ...] | None
+MODEL_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +692,7 @@ def parse_scenario(data: dict) -> Scenario:
         else:
             outputs = tuple(raw)
     time_unit = root.string("time_unit", required=False, default="year")
-    name = root.string("name", required=False, default=None) if root.has("name") else None
+    name = root.string("name", required=False, default=None)
 
     model_reader = root.sub("model")
     model = None
@@ -556,17 +703,21 @@ def parse_scenario(data: dict) -> Scenario:
             "$.model", "a model object", repr(model_reader.data)))
     else:
         kind = model_reader.string("kind")
-        if kind and kind not in MODEL_KINDS:
+        if kind and kind not in _KINDS:
             issues.append(ValidationIssue(
                 "unknown_kind", "$.model.kind",
                 "one of " + "|".join(MODEL_KINDS), repr(kind)))
         elif kind:
-            model = _build_model(kind, model_reader)
+            try:
+                model = _KINDS[kind].parse(model_reader)
+            except MarketDynError as exc:
+                model_reader.invariant(str(exc), "the values above")
     if issues:
         raise ScenarioValidationError(issues)
     assert model is not None
     return Scenario(kind=kind, model=model, horizon=horizon, samples=samples,
-                    outputs=outputs, time_unit=time_unit, name=name)
+                    outputs=outputs, time_unit=time_unit, name=name,
+                    model_doc=model_reader.doc)
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -578,85 +729,10 @@ def parse_scenario_text(text: str) -> Scenario:
     return parse_scenario(data)
 
 
-def _model_to_dict(kind: str, model) -> dict:
-    if kind == "simple":
-        return {"kind": kind, "a": model.a, "u0": model.u0, "N": model.N}
-    if kind == "scheduled":
-        return {"kind": kind, "schedule": _schedule_to_dict(model.schedule),
-                "u0": model.u0, "N": model.N}
-    if kind == "segmented":
-        return {"kind": kind, "N": model.N,
-                "segments": [{"n": s.n, "schedule": _schedule_to_dict(s.schedule)}
-                             for s in model.segments]}
-    if kind == "hesitation":
-        p = model.params
-        return {"kind": kind, "a": p.a, "b": p.b, "c": p.c,
-                "variant": p.variant, "N": model.N}
-    if kind == "birth_death":
-        p = model.params
-        return {"kind": kind, "a": p.a, "d": p.d, "f": p.f, "g": p.g, "N": model.N}
-    if kind == "feedback":
-        return {"kind": kind, "kernel": _kernel_to_dict(model.kernel),
-                "rate": model.rate, "u0": model.u0, "N": model.N}
-    if kind == "innovators_only":
-        return {"kind": kind, "m": list(model.m)}
-    if kind == "bass_competition":
-        out = {"kind": kind, "m": list(model.market.m), "r": list(model.market.r),
-               "u0": list(model.market.u0)}
-        if model.churn is not None:
-            out["churn"] = _churn_to_dict(model.churn)
-        return out
-    if kind == "spontaneous_churn":
-        return {"kind": kind, "m": list(model.m),
-                "a": [list(row) for row in model.churn.a]}
-    if kind == "periodic_churn":
-        spec = model.spec
-
-        def terms(i, j):
-            return [{"amplitude": s.amplitude, "period": s.period, "phase": s.phase}
-                    for m in spec.eps if (m.i, m.j) == (i, j) for s in m.terms]
-
-        return {"kind": kind, "a12_0": spec.a0.a[0][1], "a21_0": spec.a0.a[1][0],
-                "eps12": terms(0, 1), "eps21": terms(1, 0), "u1_0": model.u1_0}
-    if kind == "stimulated_churn":
-        out = {"kind": kind, "a": [list(row) for row in model.spec.churn.a],
-               "b": list(model.spec.b), "eps": list(model.spec.eps)}
-        if model.u0 is not None:
-            out["u0"] = list(model.u0)
-        return out
-    if kind == "bpq":
-        case = model
-        if isinstance(case, games.Case1):
-            return {"kind": kind, "case": "case1", "N": case.N,
-                    "a": _schedule_to_dict(case.a), "b": _schedule_to_dict(case.b),
-                    "c": _schedule_to_dict(case.c)}
-        if isinstance(case, games.Case2):
-            return {"kind": kind, "case": "case2", "N": case.N, "beta": case.beta,
-                    "b": case.b, "P0": case.P0, "Q0": case.Q0}
-        if isinstance(case, games.Case3):
-            return {"kind": kind, "case": "case3", "N": case.N, "a": case.a,
-                    "beta": case.beta, "b": case.b}
-        if isinstance(case, games.Case4):
-            return {"kind": kind, "case": "case4", "N": case.N, "beta": case.beta,
-                    "gamma": case.gamma, "P0": case.P0, "Q0": case.Q0}
-        if isinstance(case, games.Case5):
-            return {"kind": kind, "case": "case5", "N": case.N, "a": case.a,
-                    "gamma": case.gamma, "Q0": case.Q0, "P0": case.P0}
-        if isinstance(case, games.Case6):
-            return {"kind": kind, "case": "case6", "N": case.N, "a": case.a,
-                    "b": case.b, "gamma": case.gamma}
-    if kind == "complementary":
-        out = {"kind": kind, "g": model.g, "b": model.b, "a_c": model.a_c,
-               "b_c": model.b_c, "tau": model.tau, "N": model.N}
-        if model.N_c is not None:
-            out["N_c"] = model.N_c
-        return out
-    raise TypeError(f"cannot serialize model kind {kind!r}")
-
-
 def scenario_to_dict(s: Scenario) -> dict:
+    """The scenario as a document that parses back to an equal scenario."""
     out: dict[str, Any] = {
-        "model": _model_to_dict(s.kind, s.model),
+        "model": copy.deepcopy(s.model_doc),
         "horizon": s.horizon,
         "samples": s.samples,
         "time_unit": s.time_unit,
@@ -676,136 +752,22 @@ def scenario_to_text(s: Scenario) -> str:
 # Running
 # ---------------------------------------------------------------------------
 
-def _crossing_time(times: Sequence[float], values: Sequence[float],
-                   level: float) -> float | None:
-    """First grid crossing of a level, linearly interpolated."""
-    for (t0, v0), (t1, v1) in zip(zip(times, values), zip(times[1:], values[1:])):
-        if (v0 - level) * (v1 - level) <= 0.0 and v0 != v1:
-            if min(v0, v1) <= level <= max(v0, v1):
-                return t0 + (level - v0) * (t1 - t0) / (v1 - v0)
-    if values and values[0] == level:
-        return times[0]
-    return None
-
-
 def run_scenario(s: Scenario) -> RunReport:
     """Execute a scenario: trajectory plus model-appropriate metrics."""
-    grid = time_grid(0.0, s.horizon, s.samples)
-    kind, model = s.kind, s.model
-    metrics: list[tuple[str, object]] = []
-    discrepancies: tuple[str, ...] = ()
-
-    if kind == "simple":
-        traj = monopoly.simple_path(model, grid)
-        lat = monopoly.simple_latency(model)
-        metrics += [("a", model.a), ("T50", lat.t50), ("T10", lat.t10)]
-    elif kind == "scheduled":
-        traj = monopoly.scheduled_path(model.schedule, model.u0, grid, N=model.N)
-        u = traj.channel("u")
-        metrics.append(("u_end", u[-1]))
-        for label, level in (("T10", 0.1), ("T50", 0.5)):
-            t_hit = _crossing_time(grid, u, level)
-            if t_hit is not None:
-                metrics.append((label, t_hit))
-        if isinstance(model.schedule, monopoly.ExpDecayRate):
-            metrics.append(("u_asymptote", model.schedule.asymptotic_share(model.u0)))
-    elif kind == "segmented":
-        traj = monopoly.segmented_path(model.segments, model.N, grid)
-        u = traj.channel("u")
-        metrics.append(("u_end", u[-1]))
-        for label, level in (("T10", 0.1), ("T50", 0.5)):
-            t_hit = _crossing_time(grid, u, level)
-            if t_hit is not None:
-                metrics.append((label, t_hit))
-    elif kind == "hesitation":
-        traj = monopoly.hesitation_path(model.params, grid, N=model.N)
-        u = traj.channel("u")
-        for label, level in (("T10", 0.1), ("T50", 0.5)):
-            t_hit = _crossing_time(grid, u, level)
-            if t_hit is not None:
-                metrics.append((label, t_hit))
-        if model.params.variant == "returning_hesitation":
-            lam1, lam2, r = model.params.eigenvalues()
-            metrics += [("lambda1", lam1), ("lambda2", lam2), ("r", r)]
-    elif kind == "birth_death":
-        traj = monopoly.birth_death_path(model.params, grid, N=model.N)
-        u = traj.channel("u")
-        k = max(range(len(u)), key=lambda i: u[i])
-        metrics += [("u_peak", u[k]), ("t_peak", grid[k])]
-    elif kind == "feedback":
-        traj = feedback.feedback_path(model, grid)
-        m = feedback.latency_metrics(model)
-        metrics += [("rate", model.rate), ("T50", m.t50), ("T10", m.t10),
-                    ("T60_minus_T50", m.t60_minus_t50)]
-        if m.u_infl is not None:
-            metrics += [("u_inflection", m.u_infl), ("t_inflection", m.t_infl),
-                        ("gradient_at_inflection", m.gradient_at_infl)]
-        if model.kernel.kind == "quadratic":
-            from .tables import _quadratic_catalog_ratio
-            metrics += [("T10_over_T50", m.t10 / m.t50),
-                        ("T10_over_T50_catalog_variant",
-                         _quadratic_catalog_ratio(model.u0))]
-        discrepancies = feedback.discrepancy_notes(model.kernel)
-    elif kind == "innovators_only":
-        traj = competition.innovators_only_path(model.m, grid)
-        total = math.fsum(model.m)
-        for i, mi in enumerate(model.m):
-            metrics.append((f"u{i + 1}_asymptote", mi / total))
-    elif kind == "bass_competition":
-        traj = competition.competitive_path_numeric(model.market, model.churn, grid)
-        for i in range(model.market.n):
-            metrics.append((f"u{i + 1}_end", traj.channel(f"u{i + 1}")[-1]))
-        if model.churn is None:
-            try:
-                fp = competition.fixed_point_no_churn(model.market)
-                for i, v in enumerate(fp):
-                    metrics.append((f"u{i + 1}_fixed_point", v))
-            except (ParameterError, MarketDynError):
-                pass
-    elif kind == "spontaneous_churn":
-        traj = competition.spontaneous_path(model.m, model.churn, grid)
-        eq = competition.spontaneous_equilibrium(model.churn)
-        for i, v in enumerate(eq):
-            metrics.append((f"u{i + 1}_equilibrium", v))
-        if model.churn.n == 2 and model.churn.a[0][1] == 0.0:
-            metrics.append(("T_m_supplier2", competition.two_supplier_peak_time(
-                model.m[0], model.m[1], model.churn.a[1][0])))
-    elif kind == "periodic_churn":
-        traj = competition.periodic_two_supplier_path(model.spec, model.u1_0, grid)
-        a0 = model.spec.a0
-        metrics.append(("mean_share_u1", a0.a[1][0] / (a0.a[0][1] + a0.a[1][0])))
-    elif kind == "stimulated_churn":
-        n = model.spec.n
-        u0 = model.u0 if model.u0 is not None else tuple(1.0 / n for _ in range(n))
-        market = competition.BassCompetition(
-            m=tuple(0.0 for _ in range(n)), r=tuple(1.0 for _ in range(n)), u0=u0)
-        traj = competition.competitive_path_numeric(market, model.spec, grid)
-        fp = competition.stimulated_fixed_point(model.spec, u0=u0)
-        metrics.append(("classification", fp.classification))
-        for i, v in enumerate(fp.u):
-            metrics.append((f"u{i + 1}_fixed_point", v))
-    elif kind == "bpq":
-        traj = games.bpq_path(model, grid)
-        peak = games.peak_metrics(model, grid)
-        metrics += [("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
-        if isinstance(model, games.Case2):
-            rel = games.sir_relations(model)
-            metrics += [("B_inf", rel.B_inf), ("B_at_peak", rel.B_Tm),
-                        ("P_at_peak", rel.P_Tm)]
-    elif kind == "complementary":
-        traj = games.complementary_path(model, grid)
-        p = traj.channel("P")
-        k = max(range(len(p)), key=lambda i: p[i])
-        pc = traj.channel("P_c")
-        kc = max(range(len(pc)), key=lambda i: pc[i])
-        metrics += [("T_m", grid[k]), ("P_m", p[k]),
-                    ("T_m_companion", grid[kc]), ("P_m_companion", pc[kc])]
-    else:
-        raise ParameterError(f"cannot run model kind {kind!r}")
-
+    kind = _KINDS[s.kind]
+    traj, metrics = kind.run(s.model, time_grid(0.0, s.horizon, s.samples))
+    notes = kind.notes(s.model) if kind.notes else ()
     return RunReport(scenario=s, trajectory=traj, metrics=tuple(metrics),
-                     discrepancies=discrepancies + traj.notes)
+                     discrepancies=notes + traj.notes)
 
+
+def equilibrium(s: Scenario) -> list[tuple[str, object]]:
+    """Asymptotic market state as (quantity, value) rows."""
+    analyse = _KINDS[s.kind].equilibrium
+    rows = analyse(s.model) if analyse else None
+    if rows is None:
+        raise ParameterError(f"no equilibrium analysis for model kind {s.kind!r}")
+    return rows
 
 # ---------------------------------------------------------------------------
 # CSV / metrics serialization
@@ -831,14 +793,18 @@ def render_csv(traj: Trajectory, outputs: Sequence[str] | None = None,
     return "\n".join(lines) + "\n"
 
 
-def render_metrics(report: RunReport, delimiter: str = ",") -> str:
-    lines = ["metric" + delimiter + "value"]
-    for name, value in report.metrics:
+def render_table(header: str, rows, delimiter: str = ",") -> str:
+    """A ``header,value`` line, then one line per (name, value) row."""
+    lines = [header + delimiter + "value"]
+    for name, value in rows:
         rendered = value if isinstance(value, str) else format_value(value)
         lines.append(f"{name}{delimiter}{rendered}")
-    for note in report.discrepancies:
-        lines.append(f"note{delimiter}\"{note}\"")
     return "\n".join(lines) + "\n"
+
+
+def render_metrics(report: RunReport, delimiter: str = ",") -> str:
+    notes = "".join(f"note{delimiter}\"{note}\"\n" for note in report.discrepancies)
+    return render_table("metric", report.metrics, delimiter) + notes
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -84,17 +83,3 @@ def argmax_channel(traj: Trajectory, label: str) -> tuple[int, float, float]:
     k = max(range(len(series)), key=lambda i: series[i])
     return k, traj.times[k], series[k]
 
-
-def max_abs_difference(a: Trajectory, b: Trajectory, label: str) -> float:
-    """Largest pointwise gap between the same channel of two trajectories.
-
-    Both trajectories must share their time grid.
-    """
-    if a.times != b.times:
-        raise ValueError("trajectories are sampled on different grids")
-    xa, xb = a.channel(label), b.channel(label)
-    return max(abs(p - q) for p, q in zip(xa, xb))
-
-
-def is_finite_state(row: Sequence[float]) -> bool:
-    return all(math.isfinite(v) for v in row)

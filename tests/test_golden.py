@@ -1,0 +1,186 @@
+"""Golden stdout of the CLI on the sample scenarios and round-trip documents.
+
+Each entry is the sha256 of what ``marketdyn COMMAND FILE`` prints on
+success. The digests were recorded before the scenario dispatch was
+rewritten as one per-kind table; any change to parsing, dispatch,
+metrics or rendering that moves a byte shows up here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from test_scenario_cli import ROUND_TRIP_DOCS, ROUND_TRIP_IDS
+
+from marketdyn import cli, scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def stdout_digest(argv, capsys) -> str:
+    assert cli.main(argv) == cli.EXIT_OK
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+GOLDEN = {
+    ("calibrate", "calibrate_game_peak.json"):
+        "fa9d6eec31f1e03d4f9bb7bb85c110ad4f78c8839eb89c0fccff6ed94b0c4d35",
+    ("simulate", "complementary_games.json"):
+        "1969164996de4543afcd069aebdb84c15a3411a99705b351c9a7be837dec345f",
+    ("metrics", "complementary_games.json"):
+        "a477b5f81f2c25ad62aae98bcf4369996087043b349beb2efe30fc567529db9a",
+    ("simulate", "game_lifecycle_sir.json"):
+        "1ceb7fb1601101ec4c4f09735d52ff9de869fa1534cd1aaa3f5a7c30388ed511",
+    ("metrics", "game_lifecycle_sir.json"):
+        "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
+    ("simulate", "messaging_network_effect.json"):
+        "a13441256b9a18708d8321091e25c405f0bd8acb1ca1e07a44196436998eb6ff",
+    ("metrics", "messaging_network_effect.json"):
+        "23a6ed231bb43c95805c679daadefaa7fee19031a2f02835ee4c82c4796c6192",
+    ("equilibrium", "messaging_network_effect.json"):
+        "8f619a161bc98dd6fb91a924b7d0fcb7911c704c531275e6121ff157cc6e1a34",
+    ("simulate", "smartphone_adoption.json"):
+        "0f72246a2d1241ee11cbc9aab13cf9d3fa9c831661645b6964ae6c341269afff",
+    ("metrics", "smartphone_adoption.json"):
+        "71618479ef3c28d36b5a268470c200929e3359de8438f7ac904251b3717f8f8f",
+    ("simulate", "two_supplier_churn.json"):
+        "250f6182fa41401ca9032c9aacee16cf64113462a5267a9c2140812c3e6b0462",
+    ("metrics", "two_supplier_churn.json"):
+        "9ae6e411ed1d79413f1489c727b7c344b45fd156098a6bf011dc812bcb78062b",
+    ("equilibrium", "two_supplier_churn.json"):
+        "322613e53b82ef00cd95a4a91bb8bf1f0c45f72832e7eecae5de8a68c3ec1680",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(GOLDEN),
+                         ids=[f"{c}-{n.removesuffix('.json')}" for c, n in sorted(GOLDEN)])
+def test_cli_stdout_matches_golden_digest(command, name, capsys):
+    assert stdout_digest([command, str(SCENARIOS / name)], capsys) == GOLDEN[(command, name)]
+
+
+def test_golden_covers_every_sample_scenario():
+    assert {name for _, name in GOLDEN} == {p.name for p in SCENARIOS.glob("*.json")}
+
+
+#: ``COMMAND --samples 40`` on each document of the scenario round-trip
+#: tests, which cover every model kind, bpq case and churn variant.
+ROUND_TRIP_GOLDEN = {
+    ("simulate", "simple"):
+        "722f439fa088298f4549fad0c43f7738897d4891c9ae7f335ad49e3c958551fe",
+    ("metrics", "simple"):
+        "71618479ef3c28d36b5a268470c200929e3359de8438f7ac904251b3717f8f8f",
+    ("simulate", "scheduled"):
+        "9330bb134a30cbf74bd037b19f0bb99cb785e3b43a8b435360d0e91d6596b6ac",
+    ("metrics", "scheduled"):
+        "dbc4d7f362cee17fbda2362d39e5d93f2ee6bd9a8fe53af976cb7d52210212a0",
+    ("simulate", "segmented"):
+        "d49b557e62bbfa7993661aa3fec041e42784617ebf96cac5e0f5f2ff72f7a72c",
+    ("metrics", "segmented"):
+        "92022004446e73cb69d041cbdcfae46204cbf2625e6ea8ad2bdd4fbde8064192",
+    ("simulate", "hesitation"):
+        "a9b90b0924d2618085178f9325d3f9ec9376bb2d21bb96ccbf6a5818fc597604",
+    ("metrics", "hesitation"):
+        "2c9e622554a077e9346248c7aecf56515ddb407b628d14282141cf8e0f4e1551",
+    ("simulate", "birth_death"):
+        "b6c694345c8f69be1bde2a611e080dd7d2633a639018958e4efe8a485432ef7f",
+    ("metrics", "birth_death"):
+        "68698fcc6e3f0cba86847f6d98a5c6023652417dec592ce7bc3f8b54209f0c04",
+    ("simulate", "feedback"):
+        "d0cc69275448349eedb449add773a6c6957243fd335a4f56d0e01b4d4a454917",
+    ("metrics", "feedback"):
+        "100c25093cdd2a6c6ece3e436b91dc3e9412e840318a600497a631d562fc256e",
+    ("equilibrium", "feedback"):
+        "bfa815de10476b07a03940df803d22edc283517a60d37b3f129c95bb98471f8f",
+    ("simulate", "innovators_only"):
+        "d989098bb05fcde5b82c618f49b32215979f8ea22e9063ee754a5f9152d33ca9",
+    ("metrics", "innovators_only"):
+        "1350dd836a6d11e92bd129da127b538d2d44cb298ae0adee93a1e2659fd11a11",
+    ("simulate", "bass_competition"):
+        "8762038326770edbafd610824f139cf7912ef7510c5a265978041cb598209263",
+    ("metrics", "bass_competition"):
+        "7e51e71d955a0f8de2584c8009b0ed379013c1061638e5834ce0014b17c9e44e",
+    ("equilibrium", "bass_competition"):
+        "e97c81d0acbacb12aaeb3a635e8bcd4c9d908358da24f3a6cf1dce1f4cd42c83",
+    ("simulate", "spontaneous_churn"):
+        "03d85144fadeea70e919da73f44937c377d6ebddda8d3575b080596031169c47",
+    ("metrics", "spontaneous_churn"):
+        "9ae6e411ed1d79413f1489c727b7c344b45fd156098a6bf011dc812bcb78062b",
+    ("equilibrium", "spontaneous_churn"):
+        "322613e53b82ef00cd95a4a91bb8bf1f0c45f72832e7eecae5de8a68c3ec1680",
+    ("simulate", "periodic_churn"):
+        "bf66bdfb3da04087599c04ee63e1c7b041748dccfc89b00ba471e54607d4d5b7",
+    ("metrics", "periodic_churn"):
+        "6fc39d32cbf8072bc17d2c642a23d9a691fa5d588901038172307bd7c32fae5a",
+    ("equilibrium", "periodic_churn"):
+        "f0d8be4943299239658f5eec1ba115718081153f96940646d6cbf58e7f735175",
+    ("simulate", "stimulated_churn"):
+        "b73851d3bfef4775ac05ef2f6d8fdedded18b645cb286652fab94f1d654387be",
+    ("metrics", "stimulated_churn"):
+        "c71ccfaa46341e30ec42873a2d6cf71651b3f3f789a6c77489e91efe085b8cf6",
+    ("equilibrium", "stimulated_churn"):
+        "e97c81d0acbacb12aaeb3a635e8bcd4c9d908358da24f3a6cf1dce1f4cd42c83",
+    ("simulate", "bpq"):
+        "f76f1d0737bd3ad39a9f40e4f7c442ac97f6d4fc727a8a2fa3621a7cb62fcd34",
+    ("metrics", "bpq"):
+        "741e1f88eed6672dedf4ed4cb24778d2ac1db060097be594093efc709a40f0a4",
+    ("simulate", "complementary"):
+        "c2531675fed985a2e27a3b8b204cfabf60468fff4b8996a22d22b57b18250cfc",
+    ("metrics", "complementary"):
+        "cffb0addc733f5f34dc9800ff4925dbabf791576290465f04f9b9ca39f2059a8",
+    ("simulate", "feedback_T50"):
+        "d9b6b215430b3a9f6e87b26cfb7bea93c94002d4613fa0e32ede3cd049f0847d",
+    ("metrics", "feedback_T50"):
+        "1c2c06d3697e3c1641c8b364e6d920c2823a76e885774faa4779db4814779e03",
+    ("equilibrium", "feedback_T50"):
+        "0ecd8ae74931dc7dfa4342bcb41d874414905428ec2cb569ad376d9305b556d9",
+    ("simulate", "hesitation_variant_2"):
+        "a9b90b0924d2618085178f9325d3f9ec9376bb2d21bb96ccbf6a5818fc597604",
+    ("metrics", "hesitation_variant_2"):
+        "2c9e622554a077e9346248c7aecf56515ddb407b628d14282141cf8e0f4e1551",
+    ("simulate", "bpq_case1_shorthand"):
+        "e5db03cb987cc406e69ef09d21b0a826ff56a842ce310e3a9ae19b7a5e392155",
+    ("metrics", "bpq_case1_shorthand"):
+        "e4f5e6a055a39db0b0109373e6a89b6c453eaa4062e03a3ab65ffb1a761c8104",
+    ("simulate", "bpq_case2"):
+        "f92871c851dcc40389e8e4a16a5276de949b140d1c1d37f1cea98caff7cd0801",
+    ("metrics", "bpq_case2"):
+        "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
+    ("simulate", "bpq_case3"):
+        "6dda88240726cf42605a8a5d8b0bde0b05c6af5d30c2f2ea56d603b1b2a00677",
+    ("metrics", "bpq_case3"):
+        "2c1d603ee4e8ccbd39943e35ff6b0018f40440ee302bd3ca8c4bca9410964dad",
+    ("simulate", "bpq_case5"):
+        "72f0a674d0c7121e0756b4ae0abee5e6edffaeeaaaad809f270489b1a80b7b0a",
+    ("metrics", "bpq_case5"):
+        "b460ee432aaac5d1bb740388d97891a8bf5293abbf88e9a3a37ffe6901398d8c",
+    ("simulate", "bpq_case6"):
+        "539d1c81fe6578ef6f7b1ea27a09b428d1835b5aa069e37b5d98a147360c5e41",
+    ("metrics", "bpq_case6"):
+        "4396db0b6c2f139b49383323b5a883627ee028904a915a8de4bd52ff88ca9a76",
+    ("simulate", "bass_competition_periodic_churn"):
+        "155178f84cc8e6dc59a83d37c2f5a323d2fa60685f6f927c94fdfa67bbf9fd24",
+    ("metrics", "bass_competition_periodic_churn"):
+        "475861006b12641a988661736de4539499ebe2aeaa13273199ac5ee014b9016d",
+    ("simulate", "periodic_churn_no_eps21"):
+        "bf66bdfb3da04087599c04ee63e1c7b041748dccfc89b00ba471e54607d4d5b7",
+    ("metrics", "periodic_churn_no_eps21"):
+        "6fc39d32cbf8072bc17d2c642a23d9a691fa5d588901038172307bd7c32fae5a",
+    ("equilibrium", "periodic_churn_no_eps21"):
+        "f0d8be4943299239658f5eec1ba115718081153f96940646d6cbf58e7f735175",
+}
+
+
+@pytest.mark.parametrize("command,ident", sorted(ROUND_TRIP_GOLDEN),
+                         ids=[f"{c}-{i}" for c, i in sorted(ROUND_TRIP_GOLDEN)])
+def test_round_trip_documents_match_golden_digest(command, ident, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index(ident)]))
+    digest = stdout_digest([command, str(path), "--samples", "40"], capsys)
+    assert digest == ROUND_TRIP_GOLDEN[(command, ident)]
+
+
+def test_every_model_kind_has_round_trip_golden_metrics():
+    kinds = {ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index(i)]["model"]["kind"]
+             for c, i in ROUND_TRIP_GOLDEN if c == "metrics"}
+    assert kinds == set(scenario.MODEL_KINDS)

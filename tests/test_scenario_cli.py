@@ -113,14 +113,63 @@ ROUND_TRIP_DOCS = [
     {"model": {"kind": "complementary", "g": 0.0005, "b": 0.5, "a_c": 0.4,
                "b_c": 0.9, "tau": 1.0, "N": 1000.0, "N_c": 500.0}, "horizon": 20.0},
 ]
+ROUND_TRIP_IDS = [d["model"]["kind"] for d in ROUND_TRIP_DOCS]
+
+# Documents whose written form differs from the input: derived values,
+# shorthands and defaults the reader fills in; plus every remaining bpq case.
+MORE_ROUND_TRIPS = {
+    "feedback_T50": {"model": {"kind": "feedback", "kernel": {"kind": "bass", "ratio": 3.0},
+                               "T50": 5.0, "u0": 0.01}, "horizon": 20.0},
+    "hesitation_variant_2": {"model": {"kind": "hesitation", "a": 1.0, "b": 2.0, "c": 0.5,
+                                       "variant": 2}, "horizon": 10.0},
+    "bpq_case1_shorthand": {"model": {"kind": "bpq", "case": "case1", "N": 1000.0, "a": 0.5,
+                                      "b": {"kind": "exp_decay", "a0": 1.0, "beta": 0.3}},
+                            "horizon": 20.0},
+    "bpq_case2": {"model": {"kind": "bpq", "case": "case2", "N": 1000.0, "beta": 0.002,
+                            "b": 0.5, "P0": 10.0}, "horizon": 30.0},
+    "bpq_case3": {"model": {"kind": "bpq", "case": "case3", "N": 1000.0, "a": 0.1,
+                            "beta": 0.002, "b": 0.5}, "horizon": 30.0},
+    "bpq_case5": {"model": {"kind": "bpq", "case": "case5", "N": 1000.0, "a": 0.3,
+                            "gamma": 0.002, "Q0": 10.0}, "horizon": 30.0},
+    "bpq_case6": {"model": {"kind": "bpq", "case": "case6", "N": 1000.0, "a": 0.3,
+                            "b": 0.5, "gamma": 0.002}, "horizon": 30.0},
+    "bass_competition_periodic_churn": {
+        "model": {"kind": "bass_competition", "m": [0.5, 0.2], "r": [0.8, 1.5],
+                  "u0": [0.02, 0.05],
+                  "churn": {"kind": "periodic", "a0": [[0.0, 0.8], [1.2, 0.0]],
+                            "eps": [{"i": 0, "j": 1, "terms": [
+                                {"amplitude": 0.1, "period": 1.0, "phase": 0.5}]}]}},
+        "horizon": 10.0},
+    "periodic_churn_no_eps21": {"model": {"kind": "periodic_churn", "a12_0": 0.8,
+                                          "a21_0": 1.2, "u1_0": 0.2,
+                                          "eps12": [{"amplitude": 0.1, "period": 1.0}]},
+                                "horizon": 15.0},
+}
+ROUND_TRIP_DOCS += MORE_ROUND_TRIPS.values()
+ROUND_TRIP_IDS += MORE_ROUND_TRIPS
 
 
-@pytest.mark.parametrize("doc", ROUND_TRIP_DOCS,
-                         ids=[d["model"]["kind"] for d in ROUND_TRIP_DOCS])
+@pytest.mark.parametrize("doc", ROUND_TRIP_DOCS, ids=ROUND_TRIP_IDS)
 def test_parse_serialize_parse_identity(doc):
     s1 = scenario.parse_scenario(doc)
-    s2 = scenario.parse_scenario(json.loads(scenario.scenario_to_text(s1)))
+    text = scenario.scenario_to_text(s1)
+    s2 = scenario.parse_scenario(json.loads(text))
     assert s1 == s2
+    assert scenario.scenario_to_text(s2) == text
+
+
+def test_written_form_resolves_shorthands():
+    def written(name):
+        return scenario.scenario_to_dict(scenario.parse_scenario(MORE_ROUND_TRIPS[name]))["model"]
+
+    fb = written("feedback_T50")
+    rate = scenario.parse_scenario(MORE_ROUND_TRIPS["feedback_T50"]).model.rate
+    assert "T50" not in fb and fb["rate"] == rate
+    assert written("hesitation_variant_2")["variant"] == "returning_hesitation"
+    case1 = written("bpq_case1_shorthand")
+    assert case1["a"] == {"kind": "constant", "a": 0.5}
+    assert case1["c"] == {"kind": "constant", "a": 0.0}
+    assert written("periodic_churn_no_eps21")["eps21"] == []
 
 
 @pytest.mark.parametrize("doc", [
@@ -153,6 +202,41 @@ def test_malformed_documents_fail_structurally(doc):
     with pytest.raises(ScenarioValidationError) as exc:
         scenario.parse_scenario(doc)
     assert exc.value.issues
+
+
+@pytest.mark.parametrize("doc,path", [
+    ({"model": {"kind": "simple", "a": 0.5}, "horizon": math.inf}, "$.horizon"),
+    ({"model": {"kind": "innovators_only", "m": [1.0, math.inf]}, "horizon": 5.0},
+     "$.model.m"),
+    ({"model": {"kind": "spontaneous_churn", "m": [1.0, 1.0],
+                "a": [[0.0, math.nan], [0.5, 0.0]]}, "horizon": 5.0}, "$.model.a"),
+    ({"model": {"kind": "simple", "a": 10 ** 400}, "horizon": 5.0}, "$.model.a"),
+], ids=["horizon", "number_list", "matrix", "integer_beyond_float"])
+def test_cli_rejects_non_finite_numbers(doc, path, tmp_path):
+    # json reads NaN and Infinity; they must end as validation errors.
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    proc = run_cli("simulate", str(file))
+    assert proc.returncode == 2
+    assert f"error [bad_type] at {path}: expected ".encode() in proc.stderr
+    assert b"finite" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("doc,path", [
+    ({"model": {"kind": "segmented", "segments": [5]}, "horizon": 5.0},
+     "$.model.segments[0]"),
+    ({"model": {"kind": "bass_competition", "m": [0.5, 0.2], "r": [0.8, 1.5],
+                "u0": [0.02, 0.05],
+                "churn": {"kind": "periodic", "a0": [[0.0, 0.8], [1.2, 0.0]], "eps": [5]}},
+      "horizon": 5.0}, "$.model.churn.eps[0]"),
+], ids=["segment", "modulation"])
+def test_cli_rejects_list_entries_that_are_not_objects(doc, path, tmp_path):
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    proc = run_cli("simulate", str(file))
+    assert proc.returncode == 2
+    assert f"error [bad_type] at {path}: expected ".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +375,12 @@ def test_calibrate_feedback_infeasible_start():
                             "targets": {"T50": 5.0}})
 
 
+def test_calibrate_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario.calibrate([])
+    assert [i.path for i in exc.value.issues] == ["$.model", "$.targets"]
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 # ---------------------------------------------------------------------------
@@ -369,6 +459,15 @@ def test_cli_equilibrium_with_attached_churn(tmp_path):
     proc = run_cli("equilibrium", str(path))
     assert proc.returncode == 0
     assert b"0.625" in proc.stdout
+
+
+def test_cli_equilibrium_without_baseline_churn_is_a_validation_error(tmp_path):
+    path = tmp_path / "still.json"
+    path.write_text(json.dumps({"model": {"kind": "periodic_churn", "a12_0": 0.0,
+                                          "a21_0": 0.0, "u1_0": 0.2}, "horizon": 5.0}))
+    proc = run_cli("equilibrium", str(path))
+    assert proc.returncode == 2
+    assert b"must not both vanish" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_cli_tsv_format(tmp_path):

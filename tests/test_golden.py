@@ -2,8 +2,10 @@
 
 Each entry is the sha256 of what ``marketdyn COMMAND FILE`` prints on
 success. The digests were recorded before the scenario dispatch was
-rewritten as one per-kind table; any change to parsing, dispatch,
-metrics or rendering that moves a byte shows up here.
+rewritten as one per-kind table, and the long-run digests before the
+ODE fallback routes (churn flows, the matrix exponential, the bpq peak
+refinement) were rewritten; any change to parsing, dispatch, metrics,
+solving or rendering that moves a byte shows up here.
 """
 
 import hashlib
@@ -184,3 +186,91 @@ def test_every_model_kind_has_round_trip_golden_metrics():
     kinds = {ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index(i)]["model"]["kind"]
              for c, i in ROUND_TRIP_GOLDEN if c == "metrics"}
     assert kinds == set(scenario.MODEL_KINDS)
+
+
+#: Documents run at the default 1000 samples on the routes without a closed
+#: form: the matrix exponential (five suppliers), RK4 with stimulated and
+#: periodic churn (three suppliers, two modulations of one pair), the
+#: winner-take-all run, and the bpq cases solved by quadrature inversion
+#: (2, 5) or RK4 (3, 6). The round-trip pins above run at 40 samples only.
+LONG_RUN_DOCS = {
+    "spontaneous_churn_5": {"model": {
+        "kind": "spontaneous_churn", "m": [0.4, 0.3, 0.2, 0.6, 0.1],
+        "a": [[0.0, 0.3, 0.1, 0.0, 0.2], [0.5, 0.0, 0.2, 0.1, 0.0],
+              [0.1, 0.4, 0.0, 0.3, 0.2], [0.0, 0.2, 0.1, 0.0, 0.6],
+              [0.3, 0.0, 0.5, 0.2, 0.0]]}, "horizon": 25.0},
+    "bass_competition_stimulated_3": {"model": {
+        "kind": "bass_competition", "m": [0.3, 0.2, 0.1], "r": [0.8, 1.2, 0.5],
+        "u0": [0.01, 0.02, 0.0],
+        "churn": {"kind": "stimulated", "a": [[0.0, 0.4, 0.2], [0.3, 0.0, 0.5],
+                                              [0.1, 0.6, 0.0]],
+                  "b": [1.0, 0.5, 0.0], "eps": [1, 1, 1]}}, "horizon": 20.0},
+    "bass_competition_periodic_3": {"model": {
+        "kind": "bass_competition", "m": [0.3, 0.2, 0.1], "r": [0.8, 1.2, 0.5],
+        "u0": [0.01, 0.02, 0.0],
+        "churn": {"kind": "periodic", "a0": [[0.0, 0.8, 0.3], [0.5, 0.0, 0.4],
+                                             [0.6, 0.2, 0.0]],
+                  "eps": [{"i": 0, "j": 1, "terms": [
+                              {"amplitude": 0.2, "period": 1.0, "phase": 0.5}]},
+                          {"i": 2, "j": 0, "terms": [
+                              {"amplitude": 0.1, "period": 2.0},
+                              {"amplitude": 0.3, "period": 0.7, "phase": 1.0}]},
+                          {"i": 0, "j": 1, "terms": [
+                              {"amplitude": 0.4, "period": 3.0, "phase": 2.0}]}]}},
+        "horizon": 20.0},
+    "stimulated_churn_winner_take_all": {"model": {
+        "kind": "stimulated_churn", "a": [[0.0, 0.5, 0.3], [0.4, 0.0, 0.6],
+                                          [0.2, 0.7, 0.0]],
+        "b": [1.0, 1.5, 0.8], "eps": [0, 0, 0], "u0": [0.35, 0.3, 0.35]},
+        "horizon": 15.0},
+}
+LONG_RUN_DOCS.update({ident: ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index(ident)]
+                      for ident in ("bpq_case2", "bpq_case3", "bpq_case5", "bpq_case6")})
+
+LONG_RUN_GOLDEN = {
+    ("simulate", "spontaneous_churn_5"):
+        "ae24d72f7fbf87b432d4dd26858981aa85720ae47d6385312903af924a0bae67",
+    ("metrics", "spontaneous_churn_5"):
+        "5d78f737f3d03ea85af0a8434e08efb2eab97b85ac36bcef6d50efc9565f0391",
+    ("simulate", "bass_competition_stimulated_3"):
+        "69410a2050398ebc4a308b733dd960003c4610713146c618ac9ce44493690950",
+    ("metrics", "bass_competition_stimulated_3"):
+        "0a084d9f0b640d616ab4db697d8db0be3a19e5f596125fee604ffcbd000e1fb3",
+    ("equilibrium", "bass_competition_stimulated_3"):
+        "68317809831acb9aa76413b491af3b5411aaa998276cf466d75e05e0cb3fe726",
+    ("simulate", "bass_competition_periodic_3"):
+        "65b1936efa0b7dfddd9011871191ed485a360b4d1cda81d245f3973aa5ca34ee",
+    ("metrics", "bass_competition_periodic_3"):
+        "8399ff64b84b1f56d7a2679b387161115746ff996eeafe0c1a3c55ef3d3694c3",
+    ("simulate", "stimulated_churn_winner_take_all"):
+        "3af70bff9a7ef8c13c2c8377add71dbf2a6ce27107f96d8800f9e7b6673264e1",
+    ("metrics", "stimulated_churn_winner_take_all"):
+        "87061e38c3147b5adb3d4569f5eba79b4546d0d286e3dc9418f8b5458952246e",
+    ("equilibrium", "stimulated_churn_winner_take_all"):
+        "559b7dec36494d96e601e709647bd2538dedf0fe820cba62b2a7262d4eec6f9d",
+    ("simulate", "bpq_case2"):
+        "1ceb7fb1601101ec4c4f09735d52ff9de869fa1534cd1aaa3f5a7c30388ed511",
+    ("metrics", "bpq_case2"):
+        "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
+    ("simulate", "bpq_case3"):
+        "a71c4876f0673ae6bef5ae5c12584feb6f21f184f7d8fd5e8c094897f8f46ebb",
+    ("metrics", "bpq_case3"):
+        "2c1d603ee4e8ccbd39943e35ff6b0018f40440ee302bd3ca8c4bca9410964dad",
+    ("simulate", "bpq_case5"):
+        "1e232e31a64d6639049beae6369f80e0c0e7a131c3095157ac741aa2fa838524",
+    ("metrics", "bpq_case5"):
+        "b460ee432aaac5d1bb740388d97891a8bf5293abbf88e9a3a37ffe6901398d8c",
+    ("simulate", "bpq_case6"):
+        "e1769a379a97c46e67d68f9262eff754aa6ac9c978392d275bf6e524b47546c7",
+    ("metrics", "bpq_case6"):
+        "4396db0b6c2f139b49383323b5a883627ee028904a915a8de4bd52ff88ca9a76",
+}
+
+
+@pytest.mark.parametrize("command,ident", sorted(LONG_RUN_GOLDEN),
+                         ids=[f"{c}-{i}" for c, i in sorted(LONG_RUN_GOLDEN)])
+def test_long_runs_match_golden_digest(command, ident, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(LONG_RUN_DOCS[ident]))
+    digest = stdout_digest([command, str(path), "--samples", "1000"], capsys)
+    assert digest == LONG_RUN_GOLDEN[(command, ident)]

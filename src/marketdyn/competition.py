@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import numerics
 from .errors import (
@@ -197,6 +197,7 @@ class StimulatedChurnSpec:
 
 
 ChurnSpec = Union[ChurnMatrix, StimulatedChurnSpec, PeriodicChurnSpec]
+ChurnFlows = Callable[[float, Sequence[float]], list[float]]
 
 
 @dataclass(frozen=True)
@@ -210,39 +211,75 @@ class StimulatedFixedPoint:
 # Churn flow functions
 # ---------------------------------------------------------------------------
 
-def churn_flows(churn: Optional[ChurnSpec], t: float,
-                u: Sequence[float]) -> list[float]:
-    """Net churn flow C_i for each supplier; sums to zero identically."""
+def resolve_churn_flows(churn: Optional[ChurnSpec]) -> ChurnFlows:
+    """The net churn flows of a spec as one function ``flows(t, u) -> [C_i]``.
+
+    The spec is interpreted once: each supplier's row becomes a list of
+    ``(a_ji, j, a_ij)`` triples over the other suppliers, and periodic
+    modulations are grouped per pair, so a call only evaluates the
+    time-dependent rates and the sums. Every C_i is the ``fsum`` of
+    a_ji u_j f_i - a_ij u_i f_j over j != i in ascending j (f = 1 for
+    spontaneous and periodic churn, f_k = b_k u_k + eps_k for stimulated
+    churn), with the rate a_ij(t) = a0_ij + fsum of the pair's
+    modulations for periodic churn.
+    """
     if churn is None:
-        return [0.0] * len(u)
+        return lambda t, u: [0.0] * len(u)
     if isinstance(churn, ChurnMatrix):
-        a = churn.a
-        n = churn.n
-        return [
-            math.fsum(a[j][i] * u[j] - a[i][j] * u[i] for j in range(n) if j != i)
-            for i in range(n)
-        ]
-    if isinstance(churn, PeriodicChurnSpec):
-        n = churn.n
-        return [
-            math.fsum(churn.rate(j, i, t) * u[j] - churn.rate(i, j, t) * u[i]
-                      for j in range(n) if j != i)
-            for i in range(n)
+        rows = _pair_rows(churn.a)
+        return lambda t, u: [
+            math.fsum(a_ji * u[j] - a_ij * u[i] for a_ji, j, a_ij in row)
+            for i, row in enumerate(rows)
         ]
     if isinstance(churn, StimulatedChurnSpec):
-        a = churn.churn.a
+        rows = _pair_rows(churn.churn.a)
         b, eps = churn.b, churn.eps
+
+        def stimulated(t: float, u: Sequence[float]) -> list[float]:
+            f = [bk * uk + ek for bk, uk, ek in zip(b, u, eps)]
+            return [
+                math.fsum(a_ji * u[j] * f[i] - a_ij * u[i] * f[j] for a_ji, j, a_ij in row)
+                for i, row in enumerate(rows)
+            ]
+
+        return stimulated
+    if isinstance(churn, PeriodicChurnSpec):
         n = churn.n
+        a0 = churn.a0.a
+        groups: dict[tuple[int, int], list[PairModulation]] = {}
+        for mod in churn.eps:
+            groups.setdefault((mod.i, mod.j), []).append(mod)
+        # Unmodulated pairs keep their baseline rate at every t.
+        steady = [[churn.rate(i, j, 0.0) for j in range(n)] for i in range(n)]
+        others = [[j for j in range(n) if j != i] for i in range(n)]
 
-        def f(i: int, ui: float) -> float:
-            return b[i] * ui + eps[i]
+        def periodic(t: float, u: Sequence[float]) -> list[float]:
+            rate = [list(row) for row in steady]
+            for (i, j), mods in groups.items():
+                rate[i][j] = a0[i][j] + math.fsum(m.value(t) for m in mods)
+            return [
+                math.fsum(rate[j][i] * u[j] - rate[i][j] * u[i] for j in others[i])
+                for i in range(n)
+            ]
 
-        return [
-            math.fsum(a[j][i] * u[j] * f(i, u[i]) - a[i][j] * u[i] * f(j, u[j])
-                      for j in range(n) if j != i)
-            for i in range(n)
-        ]
+        return periodic
     raise ParameterError(f"unsupported churn specification {type(churn).__name__}")
+
+
+def _pair_rows(a: Sequence[Sequence[float]]) -> list[list[tuple[float, int, float]]]:
+    """Row i: the (a_ji, j, a_ij) triples over j != i in ascending j."""
+    n = len(a)
+    return [[(a[j][i], j, a[i][j]) for j in range(n) if j != i] for i in range(n)]
+
+
+def churn_flows(churn: Optional[ChurnSpec], t: float,
+                u: Sequence[float]) -> list[float]:
+    """Net churn flow C_i for each supplier; sums to zero identically.
+
+    One-shot form of :func:`resolve_churn_flows`; resolve the spec once
+    where the flows are evaluated repeatedly.
+    """
+    return resolve_churn_flows(churn)(t, u)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +422,18 @@ def spontaneous_path(m: Sequence[float], c: ChurnMatrix,
                      grid: Sequence[float]) -> Trajectory:
     """Shares of an innovators-only market with spontaneous churn, from zero.
 
-    Evaluates u(t) = (I - e^{-Qt}) Q^{-1} m through the matrix
+    Evaluates u(t) = (I - e^{-Qt}) v with v = Q^{-1} m through the matrix
     exponential; if Q is singular the path falls back to direct
     integration (noted on the trajectory).
+
+    The decay e^{-Qt} v is computed at the first grid time and then
+    propagated sample to sample with E = e^{-Q h}: decay(t + h) =
+    E decay(t). One E serves every step it fits: it is reused while the
+    time it has propagated to, anchor + k h, agrees with the next grid
+    time to 1e-14 relative (the steps of :func:`time_grid` differ only
+    in the last bits of t), and recomputed for the step to the next
+    grid time otherwise, so a non-uniform grid costs one exponential
+    per sample and the propagated time never drifts off the grid.
     """
     n = c.n
     if len(m) != n:
@@ -397,9 +443,15 @@ def spontaneous_path(m: Sequence[float], c: ChurnMatrix,
     try:
         v = numerics.linear_solve(q, list(m))
         neg_q = q.scaled(-1.0)
-        rows = []
-        for t in grid:
-            decay = numerics.mat_exp_apply(neg_q, t, v)
+        decay = numerics.mat_exp_apply(neg_q, grid[0], v)
+        rows = [tuple(vi - di for vi, di in zip(v, decay))]
+        step_exp, h, anchor, k = None, 0.0, grid[0], 0
+        for prev, t in zip(grid, grid[1:]):
+            k += 1
+            if step_exp is None or abs(anchor + k * h - t) > 1e-14 * abs(t):
+                h, anchor, k = t - prev, prev, 1
+                step_exp = numerics.mat_exp(neg_q, h)
+            decay = step_exp.apply(decay)
             rows.append(tuple(vi - di for vi, di in zip(v, decay)))
     except SingularMatrixError:
         field_ = VectorField(n, lambda t, y: [
@@ -564,7 +616,7 @@ def stimulated_fixed_point(spec: StimulatedChurnSpec,
         rates = [x for row in spec.churn.a for x in row if x > 0] + [b for b in spec.b if b > 0]
         slowest = min(rates) if rates else 1.0
         t_end = horizon if horizon is not None else 60.0 / slowest
-        field_ = VectorField(n, lambda t, y: churn_flows(spec, t, y))
+        field_ = VectorField(n, resolve_churn_flows(spec))
         final = numerics.sample_ivp(field_, list(start), [0.0, t_end])[-1]
         winner = max(range(n), key=lambda i: final[i])
         vertex = tuple(1.0 if i == winner else 0.0 for i in range(n))
@@ -630,14 +682,14 @@ def market_field(market: BassCompetition,
     """du_i/dt = (1 - sum u)(m_i + r_i u_i) + C_i(u)."""
     n = market.n
     m, r = market.m, market.r
+    flows = None if churn is None else resolve_churn_flows(churn)
 
     def rhs(t: float, u: Sequence[float]) -> list[float]:
         vacancy = 1.0 - math.fsum(u)
         growth = [vacancy * (m[i] + r[i] * u[i]) for i in range(n)]
-        if churn is None:
+        if flows is None:
             return growth
-        flows = churn_flows(churn, t, u)
-        return [g + c for g, c in zip(growth, flows)]
+        return [g + c for g, c in zip(growth, flows(t, u))]
 
     return VectorField(n, rhs)
 

@@ -865,15 +865,18 @@ def bpq_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
     raise ParameterError(f"unknown case {type(case).__name__}")
 
 
-def refined_peak(case: BpqCase, grid: Sequence[float]) -> tuple[float, tuple[float, float, float]]:
+def refined_peak(case: BpqCase, grid: Sequence[float],
+                 traj: Trajectory | None = None) -> tuple[float, tuple[float, float, float]]:
     """Peak time and state, sharpened beyond the grid resolution.
 
     At the peak the inflow a(t, P) B balances the outflow b(t, Q) P;
     the sign change of that imbalance is bracketed by the grid argmax
     and located by root finding, with the state advanced from the
-    bracket's left grid sample by short integrations.
+    bracket's left grid sample by short integrations. ``traj`` is
+    ``bpq_path(case, grid)`` when the caller already has it.
     """
-    traj = bpq_path(case, grid)
+    if traj is None:
+        traj = bpq_path(case, grid)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
     if k == 0 or k == len(p) - 1:
@@ -906,11 +909,14 @@ def refined_peak(case: BpqCase, grid: Sequence[float]) -> tuple[float, tuple[flo
     return t_m, (s[0], s[1], s[2])
 
 
-def peak_metrics(case: BpqCase, grid: Sequence[float]) -> PeakMetrics:
+def peak_metrics(case: BpqCase, grid: Sequence[float],
+                 traj: Trajectory | None = None) -> PeakMetrics:
     """Peak summary of a case along the given grid.
 
     Uses the closed peak expressions where a case has them and the
-    balance-refined grid peak otherwise.
+    balance-refined grid peak otherwise. ``traj`` is
+    ``bpq_path(case, grid)`` when the caller already has it; the path
+    is computed at most once either way.
     """
     from .monopoly import ConstantRate as _CR
     if isinstance(case, Case1) and all(isinstance(s, _CR) for s in (case.a, case.b, case.c)):
@@ -918,7 +924,9 @@ def peak_metrics(case: BpqCase, grid: Sequence[float]) -> PeakMetrics:
     if isinstance(case, Case4):
         return case4_peak(case)
 
-    t_m, state = refined_peak(case, grid)
+    if traj is None:
+        traj = bpq_path(case, grid)
+    t_m, state = refined_peak(case, grid, traj)
     if isinstance(case, Case2):
         c_inf = case.B0 - sir_relations(case).B_inf
     elif isinstance(case, (Case3, Case6)):
@@ -926,7 +934,7 @@ def peak_metrics(case: BpqCase, grid: Sequence[float]) -> PeakMetrics:
     elif isinstance(case, Case5):
         c_inf = case.B0
     else:
-        c_inf = bpq_path(case, grid).channel("C")[-1]
+        c_inf = traj.channel("C")[-1]
     return PeakMetrics(T_m=t_m, P_m=state[1], C_inf=c_inf)
 
 

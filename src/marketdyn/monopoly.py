@@ -169,6 +169,8 @@ class SimpleAdoption:
     def __post_init__(self):
         if not self.a > 0:
             raise ParameterError("adoption rate a must be positive")
+        if math.isinf(1.0 / self.a):
+            raise ParameterError("adoption rate a is too small: the mean wait 1/a overflows")
         if not 0.0 <= self.u0 <= 1.0:
             raise ParameterError("initial share u0 must lie in [0, 1]")
         if not self.N > 0:

@@ -3,7 +3,8 @@
 Provides everything the model modules need and nothing more: a fixed-step
 classical Runge-Kutta integrator, adaptive Simpson quadrature, a hybrid
 bisection/Newton root finder, the error function, and small dense linear
-algebra (determinant, cofactors, linear solve, matrix exponential action).
+algebra (determinant, cofactors, linear solve, one matrix exponential,
+returned as a matrix or applied to a vector).
 
 All routines are pure functions of their inputs. Fixed-step integration
 was chosen over adaptive stepping deliberately: every model in this
@@ -358,15 +359,15 @@ def cofactor(a: SquareMatrix, i: int, j: int) -> float:
     return (-1.0 if (i + j) % 2 else 1.0) * det(minor)
 
 
-def mat_exp_apply(m: SquareMatrix, t: float, v: Sequence[float]) -> list[float]:
-    """exp(M t) v by scaling and squaring of the truncated series.
+def mat_exp(m: SquareMatrix, t: float) -> SquareMatrix:
+    """exp(M t) by scaling and squaring of the truncated series.
 
     The series route avoids the distinct-eigenvalue restriction of a
     diagonalization and is plenty accurate for the small systems used
-    here (relative error well below 1e-9 for ||M t|| up to 50).
+    here (relative error well below 1e-9 for ||M t|| up to 50). Callers
+    that need exp(M t) v on a grid of times compute the matrix for one
+    step once and propagate with it, rather than calling this per time.
     """
-    if len(v) != m.n:
-        raise ValueError("vector has wrong length")
     b = m.scaled(t)
     norm = b.inf_norm()
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
@@ -384,4 +385,11 @@ def mat_exp_apply(m: SquareMatrix, t: float, v: Sequence[float]) -> list[float]:
             for i in range(n)))
     for _ in range(squarings):
         result = result.matmul(result)
-    return result.apply(v)
+    return result
+
+
+def mat_exp_apply(m: SquareMatrix, t: float, v: Sequence[float]) -> list[float]:
+    """exp(M t) v: the matrix of :func:`mat_exp` applied to v."""
+    if len(v) != m.n:
+        raise ValueError("vector has wrong length")
+    return mat_exp(m, t).apply(v)

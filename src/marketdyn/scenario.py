@@ -187,18 +187,19 @@ class _Reader:
             return []
         return self._record(key, [float(v) for v in value])
 
-    def matrix(self, key: str, required: bool = True) -> list[list[float]]:
+    def matrix(self, key: str, required: bool = True) -> list[list[float]] | None:
+        """The matrix under ``key``; None when it is absent or rejected."""
         if not self._present(key, required, "a matrix"):
-            return []
+            return None
         value = self.data[key]
         if not (isinstance(value, list)
                 and all(isinstance(row, list) and all(_is_number(v) for v in row)
                         for row in value)):
             self._issue("bad_type", key, "a matrix of numbers", repr(value))
-            return []
+            return None
         if not all(_is_finite(v) for row in value for v in row):
             self._issue("bad_type", key, "a matrix of finite numbers", repr(value))
-            return []
+            return None
         return self._record(key, [[float(v) for v in row] for row in value])
 
     def invariant(self, message: str, found: str) -> None:
@@ -225,6 +226,8 @@ def _parse_schedule(r: _Reader) -> monopoly.RateSchedule | None:
             return monopoly.CutoffRate(r.number("a", minimum=0.0), r.number("T", minimum=0.0))
         if kind == "tabulated":
             pts = r.matrix("points")
+            if pts is None:
+                return None
             if any(len(p) != 2 for p in pts):
                 r.invariant("points as [time, rate] pairs", repr(pts))
                 return None
@@ -269,11 +272,19 @@ def _parse_sinusoids(r: _Reader, key: str) -> tuple[competition.Sinusoid, ...]:
     return tuple(terms)
 
 
-def _parse_stimulated_spec(r: _Reader) -> competition.StimulatedChurnSpec:
-    spec = competition.StimulatedChurnSpec(
-        churn=competition.ChurnMatrix.from_rows(r.matrix("a")),
-        b=tuple(r.number_list("b")),
-        eps=tuple(int(v) for v in r.number_list("eps")))
+def _churn_matrix(r: _Reader, key: str) -> competition.ChurnMatrix | None:
+    """The churn matrix under ``key``; None when the reader rejected it."""
+    rows = r.matrix(key)
+    return None if rows is None else competition.ChurnMatrix.from_rows(rows)
+
+
+def _parse_stimulated_spec(r: _Reader) -> competition.StimulatedChurnSpec | None:
+    churn = _churn_matrix(r, "a")
+    b = tuple(r.number_list("b"))
+    eps = tuple(int(v) for v in r.number_list("eps"))
+    if churn is None:
+        return None
+    spec = competition.StimulatedChurnSpec(churn=churn, b=b, eps=eps)
     r.doc["eps"] = list(spec.eps)
     return spec
 
@@ -285,15 +296,15 @@ def _parse_churn(r: _Reader):
     kind = r.string("kind")
     try:
         if kind == "spontaneous":
-            return competition.ChurnMatrix.from_rows(r.matrix("a"))
+            return _churn_matrix(r, "a")
         if kind == "stimulated":
             return _parse_stimulated_spec(r)
         if kind == "periodic":
-            a0 = competition.ChurnMatrix.from_rows(r.matrix("a0"))
+            a0 = _churn_matrix(r, "a0")
             mods = [competition.PairModulation(
                 i=sub.integer("i", minimum=0), j=sub.integer("j", minimum=0),
                 terms=_parse_sinusoids(sub, "terms")) for sub in r.entries("eps", "modulation")]
-            return competition.PeriodicChurnSpec(a0=a0, eps=tuple(mods))
+            return None if a0 is None else competition.PeriodicChurnSpec(a0=a0, eps=tuple(mods))
     except ParameterError as exc:
         r.invariant(str(exc), "the values above")
         return None
@@ -528,7 +539,9 @@ def _bass_competition_equilibrium(model):
 
 
 def _parse_spontaneous(r):
-    return tuple(r.number_list("m")), competition.ChurnMatrix.from_rows(r.matrix("a"))
+    m = tuple(r.number_list("m"))
+    churn = _churn_matrix(r, "a")
+    return None if churn is None else (m, churn)
 
 
 def _run_spontaneous(model, grid):
@@ -567,7 +580,8 @@ def _periodic_equilibrium(model):
 
 def _parse_stimulated(r):
     spec = _parse_stimulated_spec(r)
-    return spec, (tuple(r.number_list("u0")) if r.has("u0") else None)
+    u0 = tuple(r.number_list("u0")) if r.has("u0") else None
+    return None if spec is None else (spec, u0)
 
 
 def _run_stimulated(model, grid):
@@ -616,7 +630,7 @@ def _case1_rate(r, key):
 
 def _run_bpq(case, grid):
     traj = games.bpq_path(case, grid)
-    peak = games.peak_metrics(case, grid)
+    peak = games.peak_metrics(case, grid, traj)
     metrics = [("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
     if isinstance(case, games.Case2):
         rel = games.sir_relations(case)
@@ -679,8 +693,8 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioValidationError([ValidationIssue(
             "bad_type", "$", "a scenario object", repr(data))])
-    horizon = root.number("horizon", minimum=0.0)
-    if horizon <= 0 and root.has("horizon"):
+    horizon = root.number("horizon", default=None, minimum=0.0)
+    if horizon is not None and horizon <= 0:
         root.invariant("horizon > 0", repr(horizon))
     samples = root.integer("samples", required=False, default=1000, minimum=2)
     outputs = None

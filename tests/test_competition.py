@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from marketdyn import competition as comp, numerics
 from marketdyn.errors import (
@@ -159,6 +159,64 @@ def test_churn_flows_sum_to_zero(seed):
     assert abs(math.fsum(flows)) <= 1e-12 * max(1.0, math.fsum(abs(f) for f in flows))
 
 
+def reference_flows(churn, t, u):
+    """C_i written out from the definitions, one fsum per supplier in ascending j."""
+    n = churn.n
+    if isinstance(churn, comp.ChurnMatrix):
+        a = churn.a
+        return [math.fsum(a[j][i] * u[j] - a[i][j] * u[i] for j in range(n) if j != i)
+                for i in range(n)]
+    if isinstance(churn, comp.StimulatedChurnSpec):
+        a, b, eps = churn.churn.a, churn.b, churn.eps
+        return [math.fsum(a[j][i] * u[j] * (b[i] * u[i] + eps[i])
+                          - a[i][j] * u[i] * (b[j] * u[j] + eps[j])
+                          for j in range(n) if j != i)
+                for i in range(n)]
+
+    def rate(i, j):
+        return churn.a0.a[i][j] + math.fsum(
+            m.value(t) for m in churn.eps if m.i == i and m.j == j)
+
+    return [math.fsum(rate(j, i) * u[j] - rate(i, j) * u[i] for j in range(n) if j != i)
+            for i in range(n)]
+
+
+@st.composite
+def churn_specs(draw):
+    n = draw(st.integers(2, 4))
+    a = [[0.0 if i == j else draw(st.floats(0.0, 3.0)) for j in range(n)] for i in range(n)]
+    matrix = comp.ChurnMatrix.from_rows(a)
+    kind = draw(st.sampled_from(("spontaneous", "stimulated", "periodic")))
+    if kind == "spontaneous":
+        return matrix
+    if kind == "stimulated":
+        b = tuple(draw(st.floats(0.0, 2.0)) for _ in range(n))
+        eps = tuple(draw(st.sampled_from((0, 1))) for _ in range(n))
+        assume(any(b) or any(eps))
+        return comp.StimulatedChurnSpec(churn=matrix, b=b, eps=eps)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    mods = []
+    for _ in range(draw(st.integers(0, 4))):  # one pair may carry several modulations
+        i, j = draw(st.sampled_from(pairs))
+        k = draw(st.integers(1, 3))
+        mods.append(comp.PairModulation(i, j, tuple(
+            comp.Sinusoid(draw(st.floats(0.0, 1.0)) * a[i][j] / k, draw(st.floats(0.1, 5.0)),
+                          draw(st.floats(0.0, 6.3)))
+            for _ in range(k))))
+    return comp.PeriodicChurnSpec(a0=matrix, eps=tuple(mods))
+
+
+@given(churn_specs(), st.data())
+def test_resolved_flows_match_the_definition_bit_for_bit(churn, data):
+    flows = comp.resolve_churn_flows(churn)
+    for _ in range(3):
+        t = data.draw(st.floats(0.0, 50.0))
+        u = data.draw(st.lists(st.floats(0.0, 1.0), min_size=churn.n, max_size=churn.n))
+        expected = [v.hex() for v in reference_flows(churn, t, u)]
+        assert [v.hex() for v in flows(t, u)] == expected
+        assert [v.hex() for v in comp.churn_flows(churn, t, u)] == expected
+
+
 # ---------------------------------------------------------------------------
 # spontaneous churning: dynamics
 # ---------------------------------------------------------------------------
@@ -188,6 +246,38 @@ def test_matrix_exponential_path_matches_direct_integration(seed):
         ch = f"u{i + 1}"
         worst = max(abs(a - b) for a, b in zip(path.channel(ch), direct.channel(ch)))
         assert worst <= 1e-7
+
+
+NON_UNIFORM_GRID = tuple([0.05 * k for k in range(40)]
+                         + [2.0 * 1.1 ** k for k in range(30)]
+                         + [35.0 + 0.5 * k for k in range(1, 21)])
+
+
+@pytest.mark.parametrize("grid,most_exponentials", [
+    (time_grid(0.0, 25.0, 1000), 2),  # the first sample, then one E for every step
+    (NON_UNIFORM_GRID, len(NON_UNIFORM_GRID)),
+    (time_grid(1.5, 11.5, 300), 2),
+], ids=["time_grid", "non_uniform", "late_start"])
+def test_propagated_path_matches_per_sample_exponential(grid, most_exponentials,
+                                                        monkeypatch):
+    rng = random.Random(11)
+    m = tuple(rng.uniform(0.1, 1.0) for _ in range(5))
+    c = random_churn(rng, 5)
+    q = comp._innovator_churn_matrix(m, c)
+    v = numerics.linear_solve(q, list(m))
+    neg_q = q.scaled(-1.0)
+    reference = [[vi - di for vi, di in zip(v, numerics.mat_exp_apply(neg_q, t, v))]
+                 for t in grid]
+
+    exponentials = []
+    real_mat_exp = numerics.mat_exp
+    monkeypatch.setattr(numerics, "mat_exp",
+                        lambda mat, t: exponentials.append(t) or real_mat_exp(mat, t))
+    path = comp.spontaneous_path(m, c, grid)
+    worst = max(abs(a - b) for row, ref in zip(path.states, reference)
+                for a, b in zip(row, ref))
+    assert worst <= 1e-13
+    assert len(exponentials) <= most_exponentials
 
 
 def test_path_converges_to_equilibrium():

@@ -553,6 +553,22 @@ def test_constant_proxy_at_companion_peak_overestimates_early_adoption():
 # peak metrics dispatcher
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("case", [
+    CASE2, CASE3, CASE5, CASE6,
+    games.Case1(a=LinearRate(0.2, 0.05), b=ExpDecayRate(1.0, 0.3), c=0.0, N=N),
+], ids=["case2", "case3", "case5", "case6", "case1_schedules"])
+def test_peak_metrics_use_the_path_they_are_given(case, monkeypatch):
+    grid = time_grid(0.0, 30.0, 401)
+    expected = games.peak_metrics(case, grid)
+    traj = games.bpq_path(case, grid)
+
+    def no_second_path(*args):
+        raise AssertionError("the path was computed again")
+
+    monkeypatch.setattr(games, "bpq_path", no_second_path)
+    assert games.peak_metrics(case, grid, traj) == expected
+
+
 def test_peak_metrics_catalog():
     grid = time_grid(0.0, 30.0, 2001)
     m1 = games.peak_metrics(games.Case1(a=1.0, b=0.5, c=0.0, N=N), grid)

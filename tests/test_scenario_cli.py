@@ -239,6 +239,46 @@ def test_cli_rejects_list_entries_that_are_not_objects(doc, path, tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+_SIMPLE = {"kind": "simple", "a": 0.5}
+_MARKET = {"kind": "bass_competition", "m": [0.5, 0.2], "r": [0.8, 1.5], "u0": [0.02, 0.05]}
+
+
+@pytest.mark.parametrize("doc,code,path", [
+    ({"model": _SIMPLE, "horizon": math.inf}, "bad_type", "$.horizon"),
+    ({"model": _SIMPLE, "horizon": "x"}, "bad_type", "$.horizon"),
+    ({"model": _SIMPLE, "horizon": -1}, "invariant", "$.horizon"),
+    ({"model": _SIMPLE, "horizon": 0}, "invariant", "$"),
+    ({"model": {"kind": "spontaneous_churn", "m": [1.0, 1.0], "a": "x"}, "horizon": 5.0},
+     "bad_type", "$.model.a"),
+    ({"model": {"kind": "stimulated_churn", "a": [[0.0, math.nan], [1.0, 0.0]],
+                "b": [1.0, 1.0], "eps": [0, 0]}, "horizon": 5.0}, "bad_type", "$.model.a"),
+    ({"model": {**_MARKET, "churn": {"kind": "spontaneous"}}, "horizon": 5.0},
+     "missing_field", "$.model.churn.a"),
+    ({"model": {**_MARKET, "churn": {"kind": "periodic", "a0": [[0.0, "x"], [1.0, 0.0]]}},
+      "horizon": 5.0}, "bad_type", "$.model.churn.a0"),
+    ({"model": {"kind": "scheduled", "schedule": {"kind": "tabulated", "points": 3}},
+      "horizon": 5.0}, "bad_type", "$.model.schedule.points"),
+], ids=["horizon_infinite", "horizon_string", "horizon_negative", "horizon_zero",
+        "spontaneous_matrix", "stimulated_matrix", "churn_matrix_missing", "periodic_matrix",
+        "tabulated_points"])
+def test_a_rejected_value_is_reported_once(doc, code, path):
+    # Checks that build on a value run only once the reader accepted it,
+    # so a rejected horizon or matrix adds no follow-on issue.
+    with pytest.raises(ScenarioValidationError) as exc:
+        scenario.parse_scenario(doc)
+    assert [(issue.code, issue.path) for issue in exc.value.issues] == [(code, path)]
+
+
+def test_cli_rejects_a_rate_whose_mean_wait_overflows(tmp_path):
+    # 1/a of a subnormal rate is infinite, and so were T50 and T10.
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps({"model": {"kind": "simple", "a": 1e-320}, "horizon": 10.0}))
+    proc = run_cli("metrics", str(file))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"error [invariant] at $.model: expected adoption rate a is too small" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------

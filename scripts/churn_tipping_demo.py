@@ -29,8 +29,7 @@ def main() -> None:
     for k in range(1, 10):
         u1 = k / 10.0
         market = comp.BassCompetition(m=(0.0, 0.0), r=(1.0, 1.0), u0=(u1, 1.0 - u1))
-        traj = comp.competitive_path_numeric(
-            market, pure, time_grid(0.0, args.horizon, 11), step=args.horizon / 4000)
+        traj = comp.competitive_path_numeric(market, pure, time_grid(0.0, args.horizon, 11))
         final = traj.final()
         winner = "supplier1" if final[0] > final[1] else "supplier2"
         print(f"{format_value(u1)},{format_value(final[0])},{winner}")

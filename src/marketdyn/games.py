@@ -890,12 +890,11 @@ def refined_peak(case: BpqCase, grid: Sequence[float],
     t_hi = traj.times[k + 1]
     field = ode_field(case)
     a_int, b_int, _ = intensities(case)
-    step = (t_hi - t_lo) / 200.0
 
     def state_at(t: float) -> list[float]:
         if t == t_lo:
             return list(anchor)
-        return list(numerics.sample_ivp(field, anchor, [t_lo, t], step=step)[-1])
+        return list(numerics.sample_ivp(field, anchor, [t_lo, t])[-1])
 
     def imbalance(t: float) -> float:
         s = state_at(t)

@@ -281,7 +281,10 @@ def simple_latency(m: SimpleAdoption) -> LatencyTimes:
         return LatencyTimes(t50=math.log(2.0) / m.a, t10=math.log(10.0 / 9.0) / m.a)
     if m.u0 >= 0.5:
         return LatencyTimes(t50=0.0, t10=0.0, t10_already_reached=True)
+    # Where 10 ln 2 / a overflows, ln 2 / a still bounds both roots (u0 > 0).
     horizon = 10.0 * math.log(2.0) / m.a
+    if math.isinf(horizon):
+        horizon = math.log(2.0) / m.a
 
     def time_to(share: float) -> float:
         return numerics.solve_root(

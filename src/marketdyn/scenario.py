@@ -175,17 +175,18 @@ class _Reader:
             return default
         return self._record(key, value)
 
-    def number_list(self, key: str, required: bool = True) -> list[float]:
+    def number_list(self, key: str, required: bool = True) -> tuple[float, ...] | None:
+        """The number list under ``key``; None when it is absent or rejected."""
         if not self._present(key, required, "a list of numbers"):
-            return []
+            return None
         value = self.data[key]
         if not isinstance(value, list) or not all(_is_number(v) for v in value):
             self._issue("bad_type", key, "a list of numbers", repr(value))
-            return []
+            return None
         if not all(_is_finite(v) for v in value):
             self._issue("bad_type", key, "a list of finite numbers", repr(value))
-            return []
-        return self._record(key, [float(v) for v in value])
+            return None
+        return tuple(self._record(key, [float(v) for v in value]))
 
     def matrix(self, key: str, required: bool = True) -> list[list[float]] | None:
         """The matrix under ``key``; None when it is absent or rejected."""
@@ -280,11 +281,10 @@ def _churn_matrix(r: _Reader, key: str) -> competition.ChurnMatrix | None:
 
 def _parse_stimulated_spec(r: _Reader) -> competition.StimulatedChurnSpec | None:
     churn = _churn_matrix(r, "a")
-    b = tuple(r.number_list("b"))
-    eps = tuple(int(v) for v in r.number_list("eps"))
-    if churn is None:
+    b, eps = r.number_list("b"), r.number_list("eps")
+    if churn is None or b is None or eps is None:
         return None
-    spec = competition.StimulatedChurnSpec(churn=churn, b=b, eps=eps)
+    spec = competition.StimulatedChurnSpec(churn=churn, b=b, eps=tuple(int(v) for v in eps))
     r.doc["eps"] = list(spec.eps)
     return spec
 
@@ -495,7 +495,7 @@ def _feedback_equilibrium(model):
 
 
 def _parse_innovators(r):
-    return tuple(r.number_list("m"))
+    return r.number_list("m")
 
 
 def _run_innovators(m, grid):
@@ -510,9 +510,10 @@ def _parse_bass_competition(r):
         churn = _parse_churn(r.sub("churn"))
         if churn is None:
             return None
-    return competition.BassCompetition(
-        m=tuple(r.number_list("m")), r=tuple(r.number_list("r")),
-        u0=tuple(r.number_list("u0"))), churn
+    m, rates, u0 = r.number_list("m"), r.number_list("r"), r.number_list("u0")
+    if m is None or rates is None or u0 is None:
+        return None
+    return competition.BassCompetition(m=m, r=rates, u0=u0), churn
 
 
 def _run_bass_competition(model, grid):
@@ -539,9 +540,9 @@ def _bass_competition_equilibrium(model):
 
 
 def _parse_spontaneous(r):
-    m = tuple(r.number_list("m"))
+    m = r.number_list("m")
     churn = _churn_matrix(r, "a")
-    return None if churn is None else (m, churn)
+    return None if m is None or churn is None else (m, churn)
 
 
 def _run_spontaneous(model, grid):
@@ -580,7 +581,7 @@ def _periodic_equilibrium(model):
 
 def _parse_stimulated(r):
     spec = _parse_stimulated_spec(r)
-    u0 = tuple(r.number_list("u0")) if r.has("u0") else None
+    u0 = r.number_list("u0") if r.has("u0") else None
     return None if spec is None else (spec, u0)
 
 

@@ -190,7 +190,7 @@ def test_criterion_05_inflection_argmax(ratio):
 
 def share_gap(kind, params, y0, index, grid, series):
     field = mono.ode_field(kind, params)
-    rows = numerics.sample_ivp(field, y0, grid, step=(grid[-1] - grid[0]) / 20000)
+    rows = numerics.sample_ivp(field, y0, grid)
     return max(abs(a - r[index]) for a, r in zip(series, rows))
 
 
@@ -218,7 +218,7 @@ def test_criterion_06_monopoly_closed_forms():
     segs = [mono.Segment(0.5, mono.ConstantRate(1.0)), mono.Segment(0.5, mono.ConstantRate(2.0))]
     seg_series = mono.segmented_path(segs, 1.0, grid).channel("u")
     field = mono.ode_field("segmented", segs)
-    rows = numerics.sample_ivp(field, [0.0, 0.0], grid, step=25.0 / 20000)
+    rows = numerics.sample_ivp(field, [0.0, 0.0], grid)
     gaps["segmented"] = max(abs(a - (r[0] + r[1])) for a, r in zip(seg_series, rows))
 
     for name, params in (("hesitation-absorbing",
@@ -259,13 +259,11 @@ def test_criterion_06_feedback_kernels():
             # curve at u = 0.01 and verify the rest of the horizon.
             t1 = fb.t_of_u(m, 0.01)
             anchored = [t1] + [t for t in grid if t > t1]
-            rows = numerics.sample_ivp(fb.ode_field(m), [0.01], anchored,
-                                       step=5 * T50 / 40000)
+            rows = numerics.sample_ivp(fb.ode_field(m), [0.01], anchored)
             gaps[kind] = max(abs(fb.u_of_t(m, t) - r[0])
                              for t, r in zip(anchored[1:], rows[1:]))
         else:
-            rows = numerics.sample_ivp(fb.ode_field(m), [u0], grid,
-                                       step=5 * T50 / 40000)
+            rows = numerics.sample_ivp(fb.ode_field(m), [u0], grid)
             gaps[kind] = max(abs(fb.u_of_t(m, t) - r[0])
                              for t, r in zip(grid, rows))
     worst = max(gaps.values())
@@ -277,8 +275,7 @@ def test_criterion_06_feedback_kernels():
 def game_rk4_gap(case, grid, channels=("B", "P", "Q")):
     traj = games.bpq_path(case, grid)
     init = case.initial
-    rows = numerics.sample_ivp(games.ode_field(case), [init.B, init.P, init.Q],
-                               grid, step=(grid[-1] - grid[0]) / 20000)
+    rows = numerics.sample_ivp(games.ode_field(case), [init.B, init.P, init.Q], grid)
     worst = 0.0
     for ch, idx in zip(("B", "P", "Q"), range(3)):
         if ch in channels:
@@ -309,8 +306,7 @@ def test_criterion_06_game_closed_forms():
     bc0 = nc * math.exp(-spec.a_c * spec.tau)
     pc0 = games.companion_players(spec, 0.0)
     rows = numerics.sample_ivp(games.complementary_field(spec),
-                               [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0],
-                               grid20, step=20.0 / 40000)
+                               [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0], grid20)
     loose["complementary"] = max(
         max(abs(a - r[i]) for a, r in zip(traj.channel(ch), rows))
         for i, ch in enumerate(("B", "P", "Q")))
@@ -460,8 +456,7 @@ def test_criterion_10_winner_take_all_basin():
         norm = sum(u0)
         u0 = tuple(v / norm for v in u0)
         market = comp.BassCompetition(m=(0.0, 0.0, 0.0), r=(1.0, 1.0, 1.0), u0=u0)
-        traj = comp.competitive_path_numeric(market, spec, [0.0, 30.0],
-                                             step=30.0 / 6000)
+        traj = comp.competitive_path_numeric(market, spec, [0.0, 30.0])
         worst_off = max(worst_off, 1.0 - max(traj.final()))
     ok = worst_off <= 1e-4
     report("10[basin]", ok,
@@ -493,7 +488,7 @@ def test_criterion_11_sir():
 
     long_rows = numerics.sample_ivp(games.ode_field(case),
                                     [case.B0, case.P0, case.Q0],
-                                    [0.0, 50.0 / case.b], step=(50.0 / case.b) / 40000)
+                                    [0.0, 50.0 / case.b])
     gap_binf = abs(long_rows[-1][0] - rel.B_inf)
     gap_ptm = abs(max(p) - rel.P_Tm)
     ok = ok_peak and gap_binf <= 1e-4 * N and gap_ptm <= 1e-5 * N

@@ -353,7 +353,7 @@ def test_periodic_path_matches_direct_integration():
              comp.PairModulation(1, 0, (comp.Sinusoid(0.15, 1.0, 0.5),))))
     grid = time_grid(0.0, 15.0, 151)
     traj = comp.periodic_two_supplier_path(spec, 0.2, grid)
-    rows = numerics.sample_ivp(two_supplier_field(spec), [0.2], grid, step=15.0 / 60000)
+    rows = numerics.sample_ivp(two_supplier_field(spec), [0.2], grid)
     worst = max(abs(a - b[0]) for a, b in zip(traj.channel("u1"), rows))
     assert worst <= 1e-8
 
@@ -393,7 +393,7 @@ def test_periodic_late_average_matches_long_run_integration():
              comp.PairModulation(1, 0, (comp.Sinusoid(0.5, 1.0, 0.7),))))
     grid = time_grid(0.0, 11.0, 2201)
     traj = comp.periodic_two_supplier_path(spec, 0.2, grid)
-    rows = numerics.sample_ivp(two_supplier_field(spec), [0.2], grid, step=11.0 / 44000)
+    rows = numerics.sample_ivp(two_supplier_field(spec), [0.2], grid)
     idx = [i for i, t in enumerate(grid) if t >= 10.0]
 
     def late_avg(series):
@@ -414,7 +414,7 @@ def test_periodic_numeric_path_agrees_with_analytic():
     grid = time_grid(0.0, 12.0, 61)
     analytic = comp.periodic_two_supplier_path(spec, 0.35, grid)
     market = comp.BassCompetition(m=(0.0, 0.0), r=(1.0, 1.0), u0=(0.35, 0.65))
-    numeric = comp.competitive_path_numeric(market, spec, grid, step=12.0 / 48000)
+    numeric = comp.competitive_path_numeric(market, spec, grid)
     for ch in ("u1", "u2"):
         worst = max(abs(a - b) for a, b in zip(analytic.channel(ch),
                                                numeric.channel(ch)))
@@ -434,7 +434,7 @@ def test_periodic_three_suppliers_numeric_structure():
     market = comp.BassCompetition(m=(0.0, 0.0, 0.0), r=(1.0, 1.0, 1.0),
                                   u0=(0.5, 0.3, 0.2))
     grid = time_grid(0.0, 40.0, 801)
-    traj = comp.competitive_path_numeric(market, spec, grid, step=40.0 / 20000)
+    traj = comp.competitive_path_numeric(market, spec, grid)
     eq = comp.spontaneous_equilibrium(a0)
     idx = [i for i, t in enumerate(grid) if t >= 39.0]
     for k in range(3):
@@ -545,8 +545,7 @@ def test_stimulated_path_reaches_vertex():
         churn=comp.ChurnMatrix.from_rows([[0.0, 1.0], [1.0, 0.0]]),
         b=(3.0, 1.0), eps=(0, 0))
     market = comp.BassCompetition(m=(0.0, 0.0), r=(1.0, 1.0), u0=(0.6, 0.4))
-    traj = comp.competitive_path_numeric(market, spec, time_grid(0.0, 30.0, 31),
-                                         step=30.0 / 6000)
+    traj = comp.competitive_path_numeric(market, spec, time_grid(0.0, 30.0, 31))
     final = traj.final()
     assert 1.0 - max(final) <= 1e-6
 

@@ -121,7 +121,7 @@ def test_seeded_innovator_imitator_mix():
     m = fb.FeedbackModel.calibrated(fb.kernel("bass", ratio=4.0), T50, u0=0.05)
     assert fb.u_of_t(m, T50) == pytest.approx(0.5, abs=1e-10)
     grid = time_grid(0.0, 3 * T50, 61)
-    rows = numerics.sample_ivp(fb.ode_field(m), [0.05], grid, step=3 * T50 / 30000)
+    rows = numerics.sample_ivp(fb.ode_field(m), [0.05], grid)
     worst = max(abs(fb.u_of_t(m, t) - r[0]) for t, r in zip(grid, rows))
     assert worst <= 1e-9
 
@@ -155,7 +155,7 @@ def test_growth_curves_match_rk4(kind, u0):
     kw = {"ratio": 3.0} if kind == "bass" else {}
     m = fb.FeedbackModel.calibrated(fb.kernel(kind, **kw), T50, u0)
     grid = time_grid(0.0, 5 * T50, 101)
-    rows = numerics.sample_ivp(fb.ode_field(m), [u0], grid, step=5 * T50 / 40000)
+    rows = numerics.sample_ivp(fb.ode_field(m), [u0], grid)
     worst = max(abs(fb.u_of_t(m, t) - r[0]) for t, r in zip(grid, rows))
     assert worst <= 1e-6
 
@@ -168,7 +168,7 @@ def test_singular_start_curves_match_rk4_from_anchor(kind):
     anchor = 0.01
     t1 = fb.t_of_u(m, anchor)
     grid = [t1] + [t for t in time_grid(0.0, 5 * T50, 101) if t > t1]
-    rows = numerics.sample_ivp(fb.ode_field(m), [anchor], grid, step=5 * T50 / 40000)
+    rows = numerics.sample_ivp(fb.ode_field(m), [anchor], grid)
     worst = max(abs(fb.u_of_t(m, t) - r[0]) for t, r in zip(grid[1:], rows[1:]))
     assert worst <= 1e-6
 

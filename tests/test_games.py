@@ -12,12 +12,10 @@ from marketdyn.trajectory import time_grid
 N = 1000.0
 
 
-def rk4_oracle(case, grid, step=None):
+def rk4_oracle(case, grid):
     field = games.ode_field(case)
     init = case.initial
-    span = grid[-1] - grid[0]
-    return numerics.sample_ivp(field, [init.B, init.P, init.Q], grid,
-                               step=step or span / 20000)
+    return numerics.sample_ivp(field, [init.B, init.P, init.Q], grid)
 
 
 def max_channel_gap(traj, rows, channel, index):
@@ -194,8 +192,7 @@ def test_case1_linear_branches_with_never_buy_rate():
             return [-(a + c_int(t)) * s[0], demand - b_int(t, s) * s[1],
                     b_int(t, s) * s[1] + c_int(t) * s[0], demand]
 
-        rows = numerics.sample_ivp(numerics.VectorField(4, rhs),
-                                   [N, 0.0, 0.0, 0.0], grid, step=10.0 / 20000)
+        rows = numerics.sample_ivp(numerics.VectorField(4, rhs), [N, 0.0, 0.0, 0.0], grid)
         assert max(abs(x - r[1]) for x, r in zip(traj.channel("P"), rows)) <= 1e-5 * N
         assert max(abs(x - r[3]) for x, r in zip(traj.channel("C"), rows)) <= 1e-5 * N
 
@@ -252,7 +249,7 @@ def test_case2_state_relations():
 def test_case2_final_size_matches_long_run():
     rel = games.sir_relations(CASE2)
     grid = time_grid(0.0, 50.0 / CASE2.b, 51)
-    rows = rk4_oracle(CASE2, grid, step=(50.0 / CASE2.b) / 40000)
+    rows = rk4_oracle(CASE2, grid)
     assert rows[-1][0] == pytest.approx(rel.B_inf, abs=1e-4 * N)
     # Self-consistency of the transcendental equation.
     assert rel.B_inf == pytest.approx(
@@ -466,8 +463,7 @@ def test_complementary_against_full_system():
     bc0 = nc * math.exp(-SPEC.a_c * SPEC.tau)
     pc0 = games.companion_players(SPEC, 0.0)
     init = [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0]
-    rows = numerics.sample_ivp(games.complementary_field(SPEC), init, grid,
-                               step=20.0 / 40000)
+    rows = numerics.sample_ivp(games.complementary_field(SPEC), init, grid)
     for ch, idx in (("B", 0), ("P", 1), ("Q", 2), ("B_c", 3), ("P_c", 4), ("Q_c", 5)):
         worst = max(abs(a - r[idx]) for a, r in zip(traj.channel(ch), rows))
         assert worst <= 1e-5 * N
@@ -499,8 +495,7 @@ def test_late_companion_launch_idles_game_one():
     # Oracle from the companion launch onward.
     sub = [t for t in grid if t >= 2.0]
     init = [N, 0.0, 0.0, spec.companion_population, 0.0, 0.0]
-    rows = numerics.sample_ivp(games.complementary_field(spec), init, sub,
-                               step=18.0 / 40000)
+    rows = numerics.sample_ivp(games.complementary_field(spec), init, sub)
     got_p = [p for t, p in zip(grid, traj.channel("P")) if t >= 2.0]
     worst = max(abs(a - r[1]) for a, r in zip(got_p, rows))
     assert worst <= 1e-5 * N
@@ -515,8 +510,7 @@ def test_companion_confluent_rates():
     bc0 = nc * math.exp(-0.6 * s0)
     pc0 = games.companion_players(spec, 0.0)
     rows = numerics.sample_ivp(games.complementary_field(spec),
-                               [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0], grid,
-                               step=15.0 / 40000)
+                               [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0], grid)
     worst = max(abs(a - r[1]) for a, r in zip(traj.channel("P"), rows))
     assert worst <= 1e-5 * N
 

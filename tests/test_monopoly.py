@@ -10,10 +10,9 @@ from marketdyn.errors import ParameterError
 from marketdyn.trajectory import time_grid
 
 
-def rk4_channel(kind, params, y0, grid, index, step=None):
+def rk4_channel(kind, params, y0, grid, index):
     field = mono.ode_field(kind, params)
-    span = grid[-1] - grid[0]
-    rows = numerics.sample_ivp(field, y0, grid, step=step or span / 20000)
+    rows = numerics.sample_ivp(field, y0, grid)
     return [r[index] for r in rows]
 
 

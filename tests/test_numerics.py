@@ -1,12 +1,13 @@
 """Numerical kernel: integrator, quadrature, roots, erf, linear algebra."""
 
+import json
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from marketdyn import numerics
+from marketdyn import cli, numerics
 from marketdyn.errors import (
     AccuracyNotReachedError,
     BracketInvalidError,
@@ -14,59 +15,176 @@ from marketdyn.errors import (
     SingularMatrixError,
 )
 from marketdyn.numerics import SquareMatrix, VectorField
+from marketdyn.trajectory import time_grid
 
 
 # ---------------------------------------------------------------------------
-# integrate_ivp
+# sample_ivp (adaptive Dormand-Prince 5(4); the test_rk4_* names are kept
+# from the fixed-step scheme it replaced)
 # ---------------------------------------------------------------------------
 
 def exp_decay_field():
     return VectorField(1, lambda t, y: [-y[0]])
 
 
+def logistic_field(gamma):
+    return VectorField(1, lambda t, y: [gamma * y[0] * (1.0 - y[0])])
+
+
+def logistic(gamma, u0, t):
+    return u0 / (u0 + (1.0 - u0) * math.exp(-gamma * t))
+
+
 def test_rk4_exponential_decay():
-    traj = numerics.integrate_ivp(exp_decay_field(), [1.0], 0.0, 1.0, 1e-3)
-    assert traj.times[-1] == 1.0
-    assert traj.channel("y0")[-1] == pytest.approx(math.exp(-1.0), abs=1e-9)
+    rows = numerics.sample_ivp(exp_decay_field(), [1.0], [0.0, 1.0])
+    assert len(rows) == 2
+    assert rows[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
 
 def test_rk4_constant_field_stays_constant():
-    traj = numerics.integrate_ivp(VectorField(1, lambda t, y: [0.0]),
-                                  [3.5], 0.0, 2.0, 0.1)
-    assert all(v == 3.5 for v in traj.channel("y0"))
+    rows = numerics.sample_ivp(VectorField(1, lambda t, y: [0.0]),
+                               [3.5], time_grid(0.0, 2.0, 21))
+    assert all(r[0] == 3.5 for r in rows)
 
 
 def test_rk4_logistic_matches_closed_form():
     # Closed form of the share equation with linear feedback is the oracle.
     gamma, u0 = 0.919, 0.01
-    traj = numerics.integrate_ivp(
-        VectorField(1, lambda t, y: [gamma * y[0] * (1.0 - y[0])]),
-        [u0], 0.0, 5.0, 1e-3)
-    exact = [u0 / (u0 + (1.0 - u0) * math.exp(-gamma * t)) for t in traj.times]
-    worst = max(abs(a - b) for a, b in zip(traj.channel("y0"), exact))
+    grid = time_grid(0.0, 5.0, 5001)
+    rows = numerics.sample_ivp(logistic_field(gamma), [u0], grid)
+    exact = [logistic(gamma, u0, t) for t in grid]
+    worst = max(abs(r[0] - b) for r, b in zip(rows, exact))
     assert worst <= 1e-8
-
-
-def test_rk4_order_four_error_scaling():
-    def err(step):
-        traj = numerics.integrate_ivp(exp_decay_field(), [1.0], 0.0, 1.0, step)
-        return abs(traj.channel("y0")[-1] - math.exp(-1.0))
-
-    ratio = err(0.2) / err(0.1)
-    assert 14.0 <= ratio <= 18.0
 
 
 def test_rk4_divergence_reports_last_valid_time():
     blowup = VectorField(1, lambda t, y: [y[0] * y[0]])
     with pytest.raises(IntegrationDivergedError) as exc:
-        numerics.integrate_ivp(blowup, [1.0], 0.0, 5.0, 0.01)
+        numerics.sample_ivp(blowup, [1.0], [0.0, 5.0])
     assert 0.0 <= exc.value.last_valid_time < 5.0
 
 
 def test_rk4_final_point_clamped():
-    traj = numerics.integrate_ivp(exp_decay_field(), [1.0], 0.0, 1.0, 0.3)
-    assert traj.times[-1] == 1.0
-    assert traj.times[1] == pytest.approx(0.3)
+    seen = []
+
+    def rhs(t, y):
+        seen.append(t)
+        return [-y[0]]
+
+    rows = numerics.sample_ivp(VectorField(1, rhs), [1.0], [0.0, 0.3, 1.0], step=0.3)
+    assert max(seen) == 1.0
+    assert rows[1][0] == pytest.approx(math.exp(-0.3), abs=1e-9)
+    assert rows[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
+
+
+def test_sample_ivp_blowup_ends_before_the_pole():
+    # y' = y^2, y(0) = 1 has y = 1/(1 - t): the step shrinks toward the
+    # pole at t = 1 until it underflows, which ends the run.
+    blowup = VectorField(1, lambda t, y: [y[0] * y[0]])
+    with pytest.raises(IntegrationDivergedError) as exc:
+        numerics.sample_ivp(blowup, [1.0], [0.0, 2.0])
+    assert 0.0 <= exc.value.last_valid_time < 1.0
+
+
+def test_sample_ivp_step_collapse_ends_the_run():
+    # y' = -1/(2y) from 1 is sqrt(1 - t), whose slope is unbounded at
+    # t = 1: the step falls below 16 ulp of t there, which ends the run
+    # after a few thousand right-hand sides instead of the step budget.
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return [-0.5 / y[0]]
+
+    with pytest.raises(IntegrationDivergedError) as exc:
+        numerics.sample_ivp(VectorField(1, rhs), [1.0], [0.0, 2.0])
+    assert exc.value.last_valid_time == pytest.approx(1.0, abs=1e-9)
+    assert calls[0] < 10_000
+
+
+def test_sample_ivp_closes_a_span_narrower_than_the_step_guard():
+    # A root search probes times a few ulp past its bracket's left end.
+    t0 = 10.0
+    t1 = t0 + 2 * math.ulp(t0)
+    rows = numerics.sample_ivp(exp_decay_field(), [1.0], [t0, t1])
+    assert rows[-1][0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_sample_ivp_gives_up_on_a_stiff_problem(monkeypatch):
+    # Explicit steps on y' = -1e8 y stay near the stability limit 3e-8,
+    # so [0, 1] would take some 3e7 of them.
+    monkeypatch.setattr(numerics, "MAX_STEPS", 1000)
+    stiff = VectorField(1, lambda t, y: [-1e8 * y[0]])
+    with pytest.raises(IntegrationDivergedError) as exc:
+        numerics.sample_ivp(stiff, [1.0], [0.0, 1.0])
+    assert 0.0 <= exc.value.last_valid_time < 1e-3
+
+
+def test_sample_ivp_non_finite_state_reports_last_valid_time():
+    field = VectorField(1, lambda t, y: [math.inf if t > 0.5 else 1.0])
+    with pytest.raises(IntegrationDivergedError) as exc:
+        numerics.sample_ivp(field, [0.0], [0.0, 1.0])
+    assert 0.0 <= exc.value.last_valid_time <= 0.5
+
+
+def test_sample_ivp_dense_output_matches_logistic():
+    gamma, u0 = 0.919, 0.01
+    grid = time_grid(0.0, 5.0, 1000)
+    rows = numerics.sample_ivp(logistic_field(gamma), [u0], grid)
+    assert len(rows) == len(grid)
+    assert max(abs(r[0] - logistic(gamma, u0, t)) for r, t in zip(rows, grid)) <= 1e-10
+
+
+def test_sample_ivp_last_row_is_the_state_at_the_end():
+    # Interior grid times are read off the dense output and do not move
+    # the steps, so the last row is the state the last step lands on at
+    # exactly grid[-1], whatever the grid in between.
+    gamma, u0 = 0.919, 0.01
+    seen = []
+
+    def rhs(t, y):
+        seen.append((t, y[0]))
+        return [gamma * y[0] * (1.0 - y[0])]
+
+    dense = numerics.sample_ivp(VectorField(1, rhs), [u0], time_grid(0.0, 5.0, 1000))
+    assert seen[-1] == (5.0, dense[-1][0])
+    ends = numerics.sample_ivp(logistic_field(gamma), [u0], [0.0, 5.0])
+    assert dense[-1][0].hex() == ends[-1][0].hex()
+    assert dense[-1][0] == pytest.approx(logistic(gamma, u0, 5.0), abs=1e-10)
+
+
+def test_sample_ivp_is_bit_reproducible():
+    grid = time_grid(0.0, 5.0, 1000)
+    runs = [numerics.sample_ivp(logistic_field(0.919), [0.01], grid) for _ in range(2)]
+    assert [r[0].hex() for r in runs[0]] == [r[0].hex() for r in runs[1]]
+
+
+def test_sample_ivp_rejects_a_grid_that_does_not_increase():
+    with pytest.raises(ValueError):
+        numerics.sample_ivp(exp_decay_field(), [1.0], [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        numerics.sample_ivp(exp_decay_field(), [1.0], [])
+
+
+def test_ode_fallback_rhs_budget(tmp_path, monkeypatch, capsys):
+    # The winner-take-all long run took 40,000 right-hand sides with
+    # fixed-step RK4 (10,000 steps); the adaptive pair needs a quarter.
+    from test_golden import LONG_RUN_DOCS
+    calls = [0]
+    sample_ivp = numerics.sample_ivp
+
+    def counted(field, y0, grid, step=None):
+        def rhs(t, y):
+            calls[0] += 1
+            return field(t, y)
+        return sample_ivp(rhs, y0, grid, step)
+
+    monkeypatch.setattr(numerics, "sample_ivp", counted)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(LONG_RUN_DOCS["stimulated_churn_winner_take_all"]))
+    assert cli.main(["simulate", str(path), "--samples", "1000"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert 0 < calls[0] <= 40_000 // 4
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +216,15 @@ def test_quadrature_sir_band_matches_rk4_time_difference():
     from marketdyn import games
     case = games.Case2(beta=0.002, b=0.5, N=1000.0, P0=10.0)
     field = games.ode_field(case)
-    traj = numerics.integrate_ivp(field, [case.B0, case.P0, case.Q0], 0.0, 12.0, 12.0 / 40000)
-    q = traj.channel("y2")
+    times = time_grid(0.0, 12.0, 40001)
+    rows = numerics.sample_ivp(field, [case.B0, case.P0, case.Q0], times)
+    q = [r[2] for r in rows]
 
     def crossing(level):
         for i in range(len(q) - 1):
             if q[i] <= level <= q[i + 1]:
                 w = (level - q[i]) / (q[i + 1] - q[i])
-                return traj.times[i] + w * (traj.times[i + 1] - traj.times[i])
+                return times[i] + w * (times[i + 1] - times[i])
         raise AssertionError("level not reached")
 
     q_lo, q_hi = 5.0, 40.0
@@ -343,7 +462,7 @@ def test_mat_exp_large_argument_accuracy():
 def test_vector_field_dimension_checked():
     bad = VectorField(2, lambda t, y: [0.0])
     with pytest.raises(ValueError):
-        numerics.integrate_ivp(bad, [0.0, 0.0], 0.0, 1.0, 0.5)
+        numerics.sample_ivp(bad, [0.0, 0.0], [0.0, 1.0], step=0.5)
 
 
 def test_trajectory_validation():

@@ -258,15 +258,37 @@ _MARKET = {"kind": "bass_competition", "m": [0.5, 0.2], "r": [0.8, 1.5], "u0": [
       "horizon": 5.0}, "bad_type", "$.model.churn.a0"),
     ({"model": {"kind": "scheduled", "schedule": {"kind": "tabulated", "points": 3}},
       "horizon": 5.0}, "bad_type", "$.model.schedule.points"),
+    ({"model": {"kind": "stimulated_churn", "a": [[0.0, 1.0], [1.0, 0.0]], "b": "x",
+                "eps": [0, 0]}, "horizon": 5.0}, "bad_type", "$.model.b"),
+    ({"model": {"kind": "stimulated_churn", "a": [[0.0, 1.0], [1.0, 0.0]], "b": [1.0, 1.0],
+                "eps": [0, math.inf]}, "horizon": 5.0}, "bad_type", "$.model.eps"),
+    ({"model": {**_MARKET, "m": [0.5, "x"]}, "horizon": 5.0}, "bad_type", "$.model.m"),
+    ({"model": {**_MARKET, "u0": None}, "horizon": 5.0}, "bad_type", "$.model.u0"),
+    ({"model": {"kind": "spontaneous_churn", "m": [1.0, "x"], "a": [[0.0, 1.0], [1.0, 0.0]]},
+      "horizon": 5.0}, "bad_type", "$.model.m"),
 ], ids=["horizon_infinite", "horizon_string", "horizon_negative", "horizon_zero",
         "spontaneous_matrix", "stimulated_matrix", "churn_matrix_missing", "periodic_matrix",
-        "tabulated_points"])
+        "tabulated_points", "stimulated_list", "stimulated_eps", "market_list",
+        "market_null_list", "spontaneous_list"])
 def test_a_rejected_value_is_reported_once(doc, code, path):
     # Checks that build on a value run only once the reader accepted it,
-    # so a rejected horizon or matrix adds no follow-on issue.
+    # so a rejected horizon, matrix or number list adds no follow-on issue.
     with pytest.raises(ScenarioValidationError) as exc:
         scenario.parse_scenario(doc)
     assert [(issue.code, issue.path) for issue in exc.value.issues] == [(code, path)]
+
+
+def test_cli_metrics_stay_finite_for_a_rate_near_the_float_floor(tmp_path):
+    # 10 ln 2 / a overflowed as the root bracket of the latency times, so
+    # T50 printed as inf although ln(2 (1 - u0)) / a is finite.
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps({"model": {"kind": "simple", "a": 1e-308, "u0": 0.1},
+                                "horizon": 10.0}))
+    proc = run_cli("metrics", str(file))
+    assert proc.returncode == 0
+    rows = dict(line.split(",", 1) for line in proc.stdout.decode().splitlines()[1:])
+    assert float(rows["T50"]) == pytest.approx(math.log(2.0 * 0.9) / 1e-308, rel=1e-8)
+    assert b"inf" not in proc.stdout
 
 
 def test_cli_rejects_a_rate_whose_mean_wait_overflows(tmp_path):

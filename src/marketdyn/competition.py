@@ -109,14 +109,22 @@ class Sinusoid:
     def __post_init__(self):
         if self.amplitude < 0 or not self.period > 0:
             raise ParameterError("sinusoid needs amplitude >= 0 and period > 0")
+        if not math.isfinite(2.0 * math.pi / self.period):
+            raise ParameterError("sinusoid period with a finite angular frequency 2 pi / period")
 
     def value(self, t: float) -> float:
         return self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
 
     def integral(self, t: float) -> float:
-        """Exact integral from 0 to t (kept as a test oracle)."""
+        """Exact integral from 0 to t.
+
+        Whole periods integrate to zero, so only t mod period enters, and
+        cos(phase) - cos(w t + phase) is written as a product of sines: no
+        horizon overflows the angle and a slow sinusoid loses no digits.
+        """
         w = 2.0 * math.pi / self.period
-        return (self.amplitude / w) * (math.cos(self.phase) - math.cos(w * t + self.phase))
+        half = 0.5 * w * math.fmod(t, self.period)
+        return 2.0 * self.amplitude * (math.sin(half) / w) * math.sin(half + self.phase)
 
 
 @dataclass(frozen=True)
@@ -158,10 +166,6 @@ class PeriodicChurnSpec:
 
     def rate(self, i: int, j: int, t: float) -> float:
         return self.a0.a[i][j] + self.epsilon(i, j, t)
-
-    def shortest_period(self) -> float:
-        periods = [s.period for m in self.eps for s in m.terms]
-        return min(periods) if periods else math.inf
 
 
 @dataclass(frozen=True)
@@ -507,9 +511,11 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
 
     Returns u1 and u2 together with the three solution components: the
     constant mean share a21/(a12 + a21), a periodic zero-mean part, and
-    a decaying transient from the initial share. The accumulated
-    modulation integral and the driven convolution are evaluated by
-    composite quadrature on a refined copy of the grid.
+    a decaying transient from the initial share. The modulation integral
+    E(t) of eps12 + eps21 is exact. The driven convolution
+    sigma(t) = int_0^t d(x) exp(-s0 (t - x)) dx, with
+    d = a21_0 alpha + eps21 (1 + alpha) and alpha = exp(E) - 1, is carried
+    from grid time to grid time with one quadrature per segment.
     """
     if spec.n != 2:
         raise ParameterError("the analytic periodic path covers two suppliers")
@@ -520,57 +526,42 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
     if not s0 > 0:
         raise ParameterError("baseline churn rates must not both vanish")
     mean_share = a21_0 / s0
+    # With two suppliers every modulation addresses a12 or a21.
+    terms = [s for m in spec.eps for s in m.terms]
+    amplitude = math.fsum(s.amplitude for s in terms)
 
-    def eps_sum(t: float) -> float:
-        return spec.epsilon(0, 1, t) + spec.epsilon(1, 0, t)
+    def alpha(t: float) -> float:
+        return math.expm1(math.fsum(s.integral(t) for s in terms))
 
-    def eps21(t: float) -> float:
-        return spec.epsilon(1, 0, t)
+    def driven(x: float) -> float:
+        a = alpha(x)
+        return a21_0 * a + spec.epsilon(1, 0, x) * (1.0 + a)
 
-    p_min = spec.shortest_period()
-    target = min(p_min / 128.0 if math.isfinite(p_min) else math.inf, 0.2 / s0)
-
-    e_acc = 0.0       # integral of eps12 + eps21 since t = 0
-    sigma_acc = 0.0   # driven convolution integral
     times = list(grid)
+    if times[0] != 0.0:
+        raise ParameterError("grid must start at t = 0 (initial share is given there)")
+    sigma = 0.0
     u1, mean_ch, periodic_ch, decaying_ch = [], [], [], []
-
-    def emit(t: float, e_val: float, sigma_val: float) -> None:
-        alpha = math.exp(e_val) - 1.0
-        periodic = (-alpha * mean_share + sigma_val) / (1.0 + alpha)
-        decaying = (u1_0 - mean_share) / (1.0 + alpha) * math.exp(-s0 * t)
+    for t0, t in zip([0.0] + times, times):
+        if t > t0:
+            # sigma(t) = sigma(t0) e^(-s0 (t - t0)) + int d(t + y) e^(s0 y) dy
+            # over y in [t0 - t, 0]. Below y = -40/s0 the weight is under e^-40
+            # and that stretch is dropped: a fast churn would otherwise hide
+            # the whole weight between the quadrature nodes, and the offset y
+            # keeps the nodes exact however narrow the window. d is of the
+            # size of the modulation amplitudes but crosses zero, so the
+            # increment is measured against that size, not its own.
+            y0 = max(t0 - t, -40.0 / s0)
+            sigma = numerics.shifted_integral_step(
+                sigma * math.exp(-s0 * (t - t0 + y0)), lambda y: driven(t + y),
+                lambda y: s0 * y, y0, 0.0, scale=amplitude * min(-y0, 1.0 / s0))
+        a = alpha(t)
+        periodic = (-a * mean_share + sigma) / (1.0 + a)
+        decaying = (u1_0 - mean_share) / (1.0 + a) * math.exp(-s0 * t)
         mean_ch.append(mean_share)
         periodic_ch.append(periodic)
         decaying_ch.append(decaying)
         u1.append(mean_share + periodic + decaying)
-
-    emit(times[0], 0.0, 0.0)
-    if times[0] != 0.0:
-        raise ParameterError("grid must start at t = 0 (initial share is given there)")
-
-    def driven(x: float, e_val: float) -> float:
-        alpha = math.exp(e_val) - 1.0
-        return a21_0 * alpha + eps21(x) * (1.0 + alpha)
-
-    for t0, t1 in zip(times, times[1:]):
-        seg = t1 - t0
-        nsub = max(4, min(20_000, math.ceil(seg / target))) if math.isfinite(target) else 4
-        h = seg / nsub
-        for k in range(nsub):
-            x0 = t0 + k * h
-            xm = x0 + 0.5 * h
-            x1 = x0 + h
-            e0 = e_acc
-            em = e0 + (h / 12.0) * (eps_sum(x0) + 4.0 * eps_sum(x0 + 0.25 * h) + eps_sum(xm))
-            e1 = em + (h / 12.0) * (eps_sum(xm) + 4.0 * eps_sum(x0 + 0.75 * h) + eps_sum(x1))
-            decay_h = math.exp(-s0 * h)
-            decay_half = math.exp(-0.5 * s0 * h)
-            sigma_acc = sigma_acc * decay_h + (h / 6.0) * (
-                driven(x0, e0) * decay_h
-                + 4.0 * driven(xm, em) * decay_half
-                + driven(x1, e1))
-            e_acc = e1
-        emit(t1, e_acc, sigma_acc)
 
     u2 = [1.0 - v for v in u1]
     return from_channels(times, {

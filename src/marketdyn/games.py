@@ -307,8 +307,8 @@ def _package(grid, B, P, Q, D, C, notes=()) -> Trajectory:
     return from_channels(grid, {"B": B, "P": P, "Q": Q, "D": D, "C": C}, notes=notes)
 
 
-def _rk4_case_path(case: BpqCase, grid: Sequence[float],
-                   notes: tuple[str, ...] = ()) -> Trajectory:
+def _integrated_case_path(case: BpqCase, grid: Sequence[float],
+                          notes: tuple[str, ...] = ()) -> Trajectory:
     """Direct integration; the cumulative-sales channel rides along as a state."""
     a_int, b_int, c_int = intensities(case)
 
@@ -429,6 +429,7 @@ def _case1_b_linear(a: float, b0: float, b1: float, c: float, N: float,
     accumulated by quadrature, shifted segment by segment so no
     intermediate exponential overflows: P(t) = N J(t) exp(-(a+c) t) with
     J the shifted integral of a exp(g(u) - g(t)), g(u) = -(a+c-b0) u + b1 u^2/2.
+    Sales are elementary: C(t) = a N / (a + c) (1 - exp(-(a+c) t)).
     """
 
     def g(u: float) -> float:
@@ -437,27 +438,19 @@ def _case1_b_linear(a: float, b0: float, b1: float, c: float, N: float,
     B, P, Q, D, C = [], [], [], [], []
     j_acc = 0.0
     prev_t = None
-    c_acc = 0.0
     for t in grid:
         if prev_t is not None:
-            shift = math.exp(g(prev_t) - g(t))
-            j_acc = j_acc * shift + a * numerics.quadrature(
-                lambda u: math.exp(g(u) - g(t)), prev_t, t, tol=1e-11)
+            g_t = g(t)
+            j_acc = numerics.shifted_integral_step(
+                j_acc, lambda u: a, lambda u: g(u) - g_t, prev_t, t)
         Bt = N * math.exp(-(a + c) * t)
         Pt = N * j_acc * math.exp(-(a + c) * t)
-        if c == 0.0:
-            Ct = N - Bt
-        else:
-            if prev_t is not None:
-                c_acc += numerics.quadrature(
-                    lambda u: a * N * math.exp(-(a + c) * u), prev_t, t, tol=1e-11)
-            Ct = c_acc
         prev_t = t
         B.append(Bt)
         P.append(Pt)
         Q.append(N - Bt - Pt)
         D.append(a * Bt)
-        C.append(Ct)
+        C.append(N - Bt if c == 0.0 else (a * N / (a + c)) * (1.0 - math.exp(-(a + c) * t)))
     return _package(grid, B, P, Q, D, C)
 
 
@@ -484,9 +477,9 @@ def _case1_general(case: Case1, grid: Sequence[float]) -> Trajectory:
 
     for t in grid:
         if prev_t is not None:
-            shift = math.exp(h(prev_t) - h(t))
-            j_acc = j_acc * shift + numerics.quadrature(
-                lambda u: a_s.rate(u) * math.exp(h(u) - h(t)), prev_t, t, tol=1e-11)
+            h_t = h(t)
+            j_acc = numerics.shifted_integral_step(
+                j_acc, a_s.rate, lambda u: h(u) - h_t, prev_t, t)
             if not c_is_zero:
                 c_acc += numerics.quadrature(demand, prev_t, t, tol=1e-11)
         Bt = N * math.exp(-(a_s.cumulative(t) + c_s.cumulative(t)))
@@ -528,7 +521,7 @@ def case1_closed_form(case: Case1, grid: Sequence[float]) -> Trajectory:
     routed = _case1_route(case, grid, allow_general=False)
     if routed is not None:
         return routed
-    return _rk4_case_path(case, grid, notes=(
+    return _integrated_case_path(case, grid, notes=(
         "no closed form for this schedule combination; integrated numerically",))
 
 
@@ -571,26 +564,13 @@ def _q_ladder(q0: float, q_inf: float, integrand: Callable[[float], float],
     return qs, ts
 
 
-_GL5_NODES = (-0.906179845938664, -0.5384693101056831, 0.0,
-              0.5384693101056831, 0.906179845938664)
-_GL5_WEIGHTS = (0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
-                0.47862867049936647, 0.23692688505618908)
-
-
-def _gl5(f: Callable[[float], float], a: float, b: float) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * math.fsum(w * f(mid + half * x)
-                            for x, w in zip(_GL5_NODES, _GL5_WEIGHTS))
-
-
 def _q_at_times(grid: Sequence[float], qs: list[float], ts: list[float],
                 integrand: Callable[[float], float]) -> list[float]:
     """Invert the cumulative time map node by node.
 
     Within a ladder segment the time integral is short and smooth, so a
-    Newton iteration with the exact derivative dt/dQ = integrand and a
-    fixed Gauss-Legendre panel for the local increment converges in a
-    few steps.
+    Newton iteration with the exact derivative dt/dQ = integrand and one
+    Gauss-Kronrod panel for the local increment converges in a few steps.
     """
     out = []
     for t in grid:
@@ -607,7 +587,7 @@ def _q_at_times(grid: Sequence[float], qs: list[float], ts: list[float],
         frac = (t - ts[j]) / (ts[j + 1] - ts[j])
         q = lo + frac * (hi - lo)
         for _ in range(8):
-            err = ts[j] + _gl5(integrand, lo, q) - t
+            err = ts[j] + numerics.kronrod_panel(integrand, lo, q)[0] - t
             if abs(err) <= 1e-13 * max(1.0, t):
                 break
             q -= err / integrand(q)
@@ -788,9 +768,9 @@ def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
     prev_t = None
     for t in grid:
         if prev_t is not None:
-            shift = math.exp(psi(prev_t) - psi(t))
-            w = w * shift + gamma * numerics.quadrature(
-                lambda x: math.exp(psi(x) - psi(t)), prev_t, t, tol=1e-11)
+            psi_t = psi(t)
+            w = numerics.shifted_integral_step(
+                w, lambda x: gamma, lambda x: psi(x) - psi_t, prev_t, t)
         Bt = B0 * math.exp(-a * t)
         Qt = 1.0 / w
         Pt = N - Bt - Qt
@@ -855,7 +835,7 @@ def bpq_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
     if isinstance(case, Case2):
         return _case2_path(case, grid)
     if isinstance(case, Case3):
-        return _rk4_case_path(case, grid)
+        return _integrated_case_path(case, grid)
     if isinstance(case, Case4):
         return _case4_path(case, grid)
     if isinstance(case, Case5):
@@ -1001,8 +981,8 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
             prev_t = None
             continue
         lo = prev_t if prev_t is not None else t_live
-        k_acc = k_acc * math.exp(-b * (t - lo)) + numerics.quadrature(
-            lambda u: math.exp(-delta_a(u) + b * (u - t)), lo, t, tol=1e-11)
+        k_acc = numerics.shifted_integral_step(
+            k_acc, lambda u: math.exp(-delta_a(u)), lambda u: b * (u - t), lo, t)
         bt = n * math.exp(-delta_a(t))
         pt = n * (math.exp(-b * (t - t_live)) - math.exp(-delta_a(t))) + n * b * k_acc
         prev_t = t

@@ -136,19 +136,13 @@ class TabulatedRate:
         raise AssertionError("unreachable")
 
     def cumulative(self, t: float) -> float:
-        # The integrand is piecewise linear, so per-segment quadrature is exact.
-        knots = [p[0] for p in self.points]
-        total = 0.0
-        prev = 0.0
-        for knot in knots:
-            if knot >= t:
-                break
-            if knot > prev:
-                total += numerics.quadrature(self.rate, prev, knot, tol=1e-12)
-                prev = knot
-        if t > prev:
-            total += numerics.quadrature(self.rate, prev, t, tol=1e-12)
-        return total
+        # The rate is linear between knots and constant outside the table,
+        # so the trapezoid rule is exact on each piece.
+        if not t > 0.0:
+            return 0.0
+        cuts = [0.0] + [k for k, _ in self.points if 0.0 < k < t] + [t]
+        return math.fsum(0.5 * (x1 - x0) * (self.rate(x0) + self.rate(x1))
+                         for x0, x1 in zip(cuts, cuts[1:]))
 
 
 RateSchedule = Union[ConstantRate, LinearRate, ExpDecayRate, CutoffRate, TabulatedRate]

@@ -1,10 +1,11 @@
 """Self-contained numerical kernel.
 
 Provides everything the model modules need and nothing more: an adaptive
-Dormand-Prince 5(4) integrator with dense output, adaptive Simpson
-quadrature, a hybrid bisection/Newton root finder, the error function,
-and small dense linear algebra (determinant, cofactors, linear solve, one
-matrix exponential, returned as a matrix or applied to a vector).
+Dormand-Prince 5(4) integrator with dense output, globally adaptive
+Gauss-Kronrod quadrature, a hybrid bisection/Newton root finder, the
+error function, and small dense linear algebra (determinant, cofactors,
+linear solve, one matrix exponential, returned as a matrix or applied
+to a vector).
 
 All routines are pure functions of their inputs. The integrator's error
 tolerances are fixed module constants, not arguments, and its step-size
@@ -18,6 +19,7 @@ II.4-II.6).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -207,58 +209,85 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
         rejected = False
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
+# Gauss-Kronrod 7-15 rule on [-1, 1] (Piessens et al., QUADPACK, 1983):
+# the nonnegative Kronrod abscissae, their weights, and the weights of the
+# 7-point Gauss rule on the odd-indexed abscissae 1, 3, 5 and 7.
+_KRONROD_NODES = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                  0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                  0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                  0.207784955007898467600689403773245, 0.0)
+_KRONROD_WEIGHTS = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                    0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_GAUSS_WEIGHTS = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                  0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+#: Bisections after which :func:`quadrature` gives up.
+QUAD_MAX_SPLITS = 1000
+
+
+def kronrod_panel(g: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod panel: the 15-point Kronrod estimate of the
+    integral of g over [a, b] and its distance from the 7-point Gauss one."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    centre = g(mid)
+    kronrod = _KRONROD_WEIGHTS[7] * centre
+    gauss = _GAUSS_WEIGHTS[3] * centre
+    for i in range(7):
+        dx = half * _KRONROD_NODES[i]
+        pair = g(mid - dx) + g(mid + dx)
+        kronrod += _KRONROD_WEIGHTS[i] * pair
+        if i % 2:
+            gauss += _GAUSS_WEIGHTS[i // 2] * pair
+    return half * kronrod, abs(half * (kronrod - gauss))
 
 
 def quadrature(g: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Adaptive Simpson integral of g over [a, b].
+               tol: float = 1e-10, scale: float = 1e-12) -> float:
+    """Integral of g over [a, b] by globally adaptive Gauss-Kronrod 7-15.
 
-    The subdivision stops once the local Richardson error estimate drops
-    below the share of ``tol`` (relative to the magnitude of the whole
-    integral) allotted to the subinterval.
+    The subinterval with the largest error estimate |K15 - G7| is bisected
+    until the summed estimate is at most ``tol`` times the magnitude of the
+    integral (QUADPACK's QAG scheme). ``scale`` floors that magnitude: it
+    keeps an integral that cancels to nearly zero from demanding accuracy
+    below the rounding of its integrand.
 
     Raises:
-        AccuracyNotReachedError: If the depth limit is hit before the
-            requested accuracy; the best estimate is attached.
+        AccuracyNotReachedError: If :data:`QUAD_MAX_SPLITS` bisections do
+            not reach the requested accuracy; the best estimate is attached.
     """
     if a > b:
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0
+    value, err = kronrod_panel(g, a, b)
+    pieces = [(-err, a, b, value)]
+    for _ in range(QUAD_MAX_SPLITS):
+        if sum(-p[0] for p in pieces) <= tol * max(abs(sum(p[3] for p in pieces)), scale):
+            return math.fsum(p[3] for p in pieces)
+        _, lo, hi, _ = heapq.heappop(pieces)
+        mid = 0.5 * (lo + hi)
+        for x0, x1 in ((lo, mid), (mid, hi)):
+            value, err = kronrod_panel(g, x0, x1)
+            heapq.heappush(pieces, (-err, x0, x1, value))
+    raise AccuracyNotReachedError(
+        f"quadrature on [{a:.6g}, {b:.6g}] hit the subdivision limit",
+        best_estimate=sum(p[3] for p in pieces))
 
-    fa, fb = g(a), g(b)
-    m = 0.5 * (a + b)
-    fm = g(m)
-    whole = _simpson(fa, fm, fb, b - a)
-    # Relative tolerance is anchored to the first whole-interval estimate;
-    # the tiny floor keeps zero-mean integrands from demanding the impossible.
-    scale = max(abs(whole), 1e-12)
-    failed = [False]
 
-    def recurse(x0: float, x2: float, f0: float, f1: float, f2: float,
-                s: float, eps: float, depth: int) -> float:
-        x1 = 0.5 * (x0 + x2)
-        lm, rm = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        flm, frm = g(lm), g(rm)
-        s_left = _simpson(f0, flm, f1, x1 - x0)
-        s_right = _simpson(f1, frm, f2, x2 - x1)
-        err = (s_left + s_right - s) / 15.0
-        if abs(err) <= eps:
-            return s_left + s_right + err
-        if depth >= max_depth:
-            failed[0] = True
-            return s_left + s_right + err
-        return (recurse(x0, x1, f0, flm, f1, s_left, eps / 2.0, depth + 1)
-                + recurse(x1, x2, f1, frm, f2, s_right, eps / 2.0, depth + 1))
+def shifted_integral_step(acc: float, f: Callable[[float], float],
+                          log_weight: Callable[[float], float], lo: float, hi: float,
+                          tol: float = 1e-11, scale: float = 1e-12) -> float:
+    """acc e^w(lo) plus the integral of f(u) e^w(u) over [lo, hi].
 
-    result = recurse(a, b, fa, fm, fb, whole, tol * scale, 0)
-    if failed[0]:
-        raise AccuracyNotReachedError(
-            f"quadrature on [{a:.6g}, {b:.6g}] hit the subdivision limit",
-            best_estimate=result)
-    return result
+    One step of a running integrating-factor integral
+    J(t) = int^t f(u) e^(k(u) - k(t)) du from t = lo to t = hi, with the
+    log-weight w(u) = k(u) - k(hi) shifted to vanish at hi: for an
+    increasing k every exponent stays nonpositive, so nothing overflows.
+    ``tol`` and ``scale`` are those of :func:`quadrature`.
+    """
+    return acc * math.exp(log_weight(lo)) + quadrature(
+        lambda u: f(u) * math.exp(log_weight(u)), lo, hi, tol, scale)
 
 
 def solve_root(g: Callable[[float], float], lo: float, hi: float,

@@ -446,6 +446,25 @@ def test_periodic_three_suppliers_numeric_structure():
         assert max(late) - min(late) <= 0.2 * max(a for row in a0.a for a in row)
 
 
+@pytest.mark.parametrize("a12_0", [1e6, 1e12])
+def test_periodic_fast_churn_follows_the_quasi_static_share(a12_0):
+    # For a fast churn s = a12 + a21, u1 tracks q = a21 / s up to -q'/s: the
+    # weight exp(-s (t - x)) of the driven convolution is then far narrower
+    # than a grid segment.
+    spec = comp.PeriodicChurnSpec(
+        a0=comp.ChurnMatrix.from_rows([[0.0, a12_0], [1.2, 0.0]]),
+        eps=(comp.PairModulation(0, 1, (comp.Sinusoid(0.1, 1.0),)),
+             comp.PairModulation(1, 0, (comp.Sinusoid(0.2, 0.5),))))
+    grid = time_grid(0.0, 15.0, 200)
+    traj = comp.periodic_two_supplier_path(spec, 0.2, grid)
+    w12, w21 = 2.0 * math.pi, 4.0 * math.pi
+    for t, u in zip(grid[1:], traj.channel("u1")[1:]):
+        a21, da21 = 1.2 + 0.2 * math.sin(w21 * t), 0.2 * w21 * math.cos(w21 * t)
+        s, ds = a12_0 + 0.1 * math.sin(w12 * t) + a21, 0.1 * w12 * math.cos(w12 * t) + da21
+        q = a21 / s
+        assert u == pytest.approx(q - (da21 * s - a21 * ds) / s ** 3, rel=1e-9, abs=0.0)
+
+
 def test_periodic_rejects_negative_rates():
     with pytest.raises(ParameterError):
         comp.PeriodicChurnSpec(

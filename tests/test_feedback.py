@@ -146,6 +146,24 @@ def test_power_matches_quadratic_special_case():
         assert fb.u_of_t(mp, t) == pytest.approx(fb.u_of_t(mq, t), abs=1e-8)
 
 
+def mpmath_power_time(n, u0, u):
+    """int dv / (v^n (1 - v)) from u0 to u at 30 digits, the pole taken exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        n, u0, u = mpmath.mpf(n), mpmath.mpf(u0), mpmath.mpf(u)
+        regular = mpmath.quad(lambda v: (1 - v ** n) / (v ** n * (1 - v)), [u0, 0.5, u])
+        return float(regular + mpmath.log((1 - u0) / (1 - u)))
+
+
+@pytest.mark.parametrize("n,u0", [
+    (n, u0) for n in (0.5, 1.5, 2.0, 2.5, 3.0, 7.3)
+    for u0 in (0.0, 0.001, 0.01, 0.3) if u0 > 0.0 or n < 1.0])
+def test_power_time_matches_mpmath_up_to_saturation(n, u0):
+    m = fb.FeedbackModel(fb.kernel("power", n=n), 1.0, u0)
+    for u in (0.4, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+        assert fb.t_of_u(m, u) == pytest.approx(mpmath_power_time(n, u0, u), rel=1e-12)
+
+
 @pytest.mark.parametrize("kind,u0", [
     ("none", 0.0), ("bass", 0.0), ("linear", 0.01), ("sqrt", 0.01),
     ("quadratic", 0.01), ("one_minus_u", 0.0), ("inverse_u", 0.01),

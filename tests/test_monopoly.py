@@ -111,6 +111,11 @@ def test_tabulated_holds_edges():
     assert sched.rate(0.0) == 0.2
     assert sched.rate(10.0) == 0.6
     assert sched.rate(2.0) == pytest.approx(0.4)
+    # The integral holds the edge values too and is exact on every piece.
+    assert sched.cumulative(0.0) == 0.0
+    assert sched.cumulative(0.5) == pytest.approx(0.1, rel=1e-15)
+    assert sched.cumulative(2.0) == pytest.approx(0.5, rel=1e-15)
+    assert sched.cumulative(4.0) == pytest.approx(1.6, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

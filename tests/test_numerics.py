@@ -238,8 +238,7 @@ def test_quadrature_sir_band_matches_rk4_time_difference():
 
 def test_quadrature_subdivision_limit():
     with pytest.raises(AccuracyNotReachedError) as exc:
-        numerics.quadrature(lambda x: math.sin(1.0 / (x + 1e-9)), 0.0, 1.0,
-                            1e-14, max_depth=6)
+        numerics.quadrature(lambda x: math.sin(1.0 / (x + 1e-9)), 0.0, 1.0, 1e-14)
     assert math.isfinite(exc.value.best_estimate)
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from marketdyn import games, scenario, tables
+from marketdyn import cli, competition, games, scenario, tables
 from marketdyn.errors import (
     CalibrationInfeasibleError,
     ScenarioValidationError,
@@ -299,6 +299,56 @@ def test_cli_rejects_a_rate_whose_mean_wait_overflows(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"error [invariant] at $.model: expected adoption rate a is too small" in proc.stderr
+
+
+def test_cli_power_kernel_reaches_saturation(tmp_path, capsys):
+    # The growth integral must converge for shares within rounding of u = 1.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback", "kernel": {"kind": "power", "n": 1.5},
+                                          "T50": 5, "u0": 0.01}, "horizon": 20}))
+    assert cli.main(["simulate", str(path), "--samples", "20"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 20
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+@pytest.mark.parametrize("rates", [{"a12_0": 1e300, "a21_0": 1.2}, {"a12_0": 0.8, "a21_0": 1.7e308}],
+                         ids=["a12_huge", "a21_huge"])
+def test_cli_periodic_churn_with_an_extreme_rate(rates, tmp_path, capsys, monkeypatch):
+    # The work per grid segment must not grow with the churn rate: a few
+    # quadrature panels, however narrow the weight exp(-s0 (t - x)).
+    calls = [0]
+    for name in ("value", "integral"):
+        method = getattr(competition.Sinusoid, name)
+
+        def counted(self, t, method=method):
+            calls[0] += 1
+            return method(self, t)
+
+        monkeypatch.setattr(competition.Sinusoid, name, counted)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "periodic_churn", **rates, "u1_0": 0.2,
+                                          "eps12": [{"amplitude": 0.1, "period": 1.0}],
+                                          "eps21": [{"amplitude": 0.2, "period": 0.5}]},
+                                "horizon": 15.0}))
+    assert cli.main(["simulate", str(path), "--samples", "50"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 50
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    assert calls[0] <= 100_000
+
+
+def test_cli_rejects_a_period_without_a_finite_angular_frequency(tmp_path, capsys):
+    # 2 pi / 5e-324 overflows, so no sinusoid of that period can be evaluated.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "periodic_churn", "a12_0": 0.8, "a21_0": 1.2,
+                                          "u1_0": 0.2,
+                                          "eps12": [{"amplitude": 0.1, "period": 5e-324}]},
+                                "horizon": 15.0}))
+    assert cli.main(["simulate", str(path), "--samples", "50"]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "at $.model.eps12[0]: expected sinusoid period with a finite angular" in out.err
 
 
 # ---------------------------------------------------------------------------

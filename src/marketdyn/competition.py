@@ -549,12 +549,14 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
             # and that stretch is dropped: a fast churn would otherwise hide
             # the whole weight between the quadrature nodes, and the offset y
             # keeps the nodes exact however narrow the window. d is of the
-            # size of the modulation amplitudes but crosses zero, so the
-            # increment is measured against that size, not its own.
+            # size of the modulation amplitudes but crosses zero, and its
+            # rounding at that size would keep a tolerance relative to the
+            # increment itself out of reach near a crossing, so the
+            # increment is measured against the amplitudes instead.
             y0 = max(t0 - t, -40.0 / s0)
-            sigma = numerics.shifted_integral_step(
-                sigma * math.exp(-s0 * (t - t0 + y0)), lambda y: driven(t + y),
-                lambda y: s0 * y, y0, 0.0, scale=amplitude * min(-y0, 1.0 / s0))
+            sigma = sigma * math.exp(-s0 * (t - t0)) + numerics.quadrature(
+                lambda y: driven(t + y) * math.exp(s0 * y), y0, 0.0, 1e-11,
+                amplitude * min(-y0, 1.0 / s0))
         a = alpha(t)
         periodic = (-a * mean_share + sigma) / (1.0 + a)
         decaying = (u1_0 - mean_share) / (1.0 + a) * math.exp(-s0 * t)

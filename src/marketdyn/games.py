@@ -440,9 +440,7 @@ def _case1_b_linear(a: float, b0: float, b1: float, c: float, N: float,
     prev_t = None
     for t in grid:
         if prev_t is not None:
-            g_t = g(t)
-            j_acc = numerics.shifted_integral_step(
-                j_acc, lambda u: a, lambda u: g(u) - g_t, prev_t, t)
+            j_acc = numerics.shifted_integral_step(j_acc, lambda u: a, g, prev_t, t)
         Bt = N * math.exp(-(a + c) * t)
         Pt = N * j_acc * math.exp(-(a + c) * t)
         prev_t = t
@@ -450,7 +448,7 @@ def _case1_b_linear(a: float, b0: float, b1: float, c: float, N: float,
         P.append(Pt)
         Q.append(N - Bt - Pt)
         D.append(a * Bt)
-        C.append(N - Bt if c == 0.0 else (a * N / (a + c)) * (1.0 - math.exp(-(a + c) * t)))
+        C.append(N - Bt if c == 0.0 else (a * N / (a + c)) * -math.expm1(-(a + c) * t))
     return _package(grid, B, P, Q, D, C)
 
 
@@ -477,9 +475,7 @@ def _case1_general(case: Case1, grid: Sequence[float]) -> Trajectory:
 
     for t in grid:
         if prev_t is not None:
-            h_t = h(t)
-            j_acc = numerics.shifted_integral_step(
-                j_acc, a_s.rate, lambda u: h(u) - h_t, prev_t, t)
+            j_acc = numerics.shifted_integral_step(j_acc, a_s.rate, h, prev_t, t)
             if not c_is_zero:
                 c_acc += numerics.quadrature(demand, prev_t, t, tol=1e-11)
         Bt = N * math.exp(-(a_s.cumulative(t) + c_s.cumulative(t)))
@@ -768,9 +764,7 @@ def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
     prev_t = None
     for t in grid:
         if prev_t is not None:
-            psi_t = psi(t)
-            w = numerics.shifted_integral_step(
-                w, lambda x: gamma, lambda x: psi(x) - psi_t, prev_t, t)
+            w = numerics.shifted_integral_step(w, lambda x: gamma, psi, prev_t, t)
         Bt = B0 * math.exp(-a * t)
         Qt = 1.0 / w
         Pt = N - Bt - Qt

@@ -248,9 +248,9 @@ def quadrature(g: Callable[[float], float], a: float, b: float,
 
     The subinterval with the largest error estimate |K15 - G7| is bisected
     until the summed estimate is at most ``tol`` times the magnitude of the
-    integral (QUADPACK's QAG scheme). ``scale`` floors that magnitude: it
-    keeps an integral that cancels to nearly zero from demanding accuracy
-    below the rounding of its integrand.
+    integral (QUADPACK's QAG scheme). ``scale`` floors that magnitude for
+    an integrand whose terms cancel: their rounding, not the integral's
+    own size, then bounds the accuracy that can be reached.
 
     Raises:
         AccuracyNotReachedError: If :data:`QUAD_MAX_SPLITS` bisections do
@@ -276,18 +276,16 @@ def quadrature(g: Callable[[float], float], a: float, b: float,
 
 
 def shifted_integral_step(acc: float, f: Callable[[float], float],
-                          log_weight: Callable[[float], float], lo: float, hi: float,
-                          tol: float = 1e-11, scale: float = 1e-12) -> float:
-    """acc e^w(lo) plus the integral of f(u) e^w(u) over [lo, hi].
+                          k: Callable[[float], float], lo: float, hi: float) -> float:
+    """J(hi) from J(lo) = acc for J(t) = int^t f(u) e^(k(u) - k(t)) du.
 
-    One step of a running integrating-factor integral
-    J(t) = int^t f(u) e^(k(u) - k(t)) du from t = lo to t = hi, with the
-    log-weight w(u) = k(u) - k(hi) shifted to vanish at hi: for an
-    increasing k every exponent stays nonpositive, so nothing overflows.
-    ``tol`` and ``scale`` are those of :func:`quadrature`.
+    Every exponent is shifted by k(hi), so for an increasing k none is
+    positive and nothing overflows: the result is acc e^(k(lo) - k(hi))
+    plus the integral of f(u) e^(k(u) - k(hi)) over [lo, hi].
     """
-    return acc * math.exp(log_weight(lo)) + quadrature(
-        lambda u: f(u) * math.exp(log_weight(u)), lo, hi, tol, scale)
+    k_hi = k(hi)
+    return acc * math.exp(k(lo) - k_hi) + quadrature(
+        lambda u: f(u) * math.exp(k(u) - k_hi), lo, hi, 1e-11)
 
 
 def solve_root(g: Callable[[float], float], lo: float, hi: float,

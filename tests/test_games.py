@@ -177,9 +177,9 @@ def test_case1_linear_quit_rate_against_rk4():
 
 
 def test_case1_linear_branches_with_never_buy_rate():
-    # A nonzero never-buy drain exercises the quadrature-based sales
-    # channel of both linear branches; the 4-state integration carries
-    # the exact cumulative sales for comparison.
+    # A nonzero never-buy drain exercises the sales channel of both
+    # linear branches; the 4-state integration carries the exact
+    # cumulative sales for comparison.
     for case in (games.Case1(a=LinearRate(0.5, 0.2), b=1.0, c=0.2, N=N),
                  games.Case1(a=0.4, b=LinearRate(0.2, 0.15), c=0.2, N=N)):
         grid = time_grid(0.0, 10.0, 51)
@@ -195,6 +195,21 @@ def test_case1_linear_branches_with_never_buy_rate():
         rows = numerics.sample_ivp(numerics.VectorField(4, rhs), [N, 0.0, 0.0, 0.0], grid)
         assert max(abs(x - r[1]) for x, r in zip(traj.channel("P"), rows)) <= 1e-5 * N
         assert max(abs(x - r[3]) for x, r in zip(traj.channel("C"), rows)) <= 1e-5 * N
+
+
+def test_case1_linear_quit_rate_sales_keep_digits_at_small_rates():
+    # C(t) = a N / (a + c) (1 - exp(-(a + c) t)) cancels when (a + c) t is
+    # small; the sales must still match the exact value to full precision.
+    mpmath = pytest.importorskip("mpmath")
+    a = c = 1e-9
+    case = games.Case1(a=a, b=LinearRate(0.2, 0.15), c=c, N=N)
+    grid = time_grid(0.0, 1.0, 11)
+    sales = games.bpq_path(case, grid).channel("C")
+    with mpmath.workdps(30):
+        for t, got in zip(grid[1:], sales[1:]):
+            rate = mpmath.mpf(a) + mpmath.mpf(c)
+            exact = mpmath.mpf(a) * N / rate * -mpmath.expm1(-rate * mpmath.mpf(t))
+            assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_case1_general_schedules_against_rk4():

@@ -211,8 +211,9 @@ def test_every_model_kind_has_round_trip_golden_metrics():
 #: Documents run at the default 1000 samples on the routes without a closed
 #: form: the matrix exponential (five suppliers), the Dormand-Prince
 #: integrator with stimulated and periodic churn (three suppliers, two
-#: modulations of one pair), the winner-take-all run, and the bpq cases
-#: solved by quadrature (2, 5) or by the Dormand-Prince integrator (3, 6).
+#: modulations of one pair), the winner-take-all run, the bpq cases
+#: solved by quadrature (2, 5) or by the Dormand-Prince integrator (3, 6),
+#: and every feedback kernel whose u(t) inverts t(u) sample by sample.
 #: The round-trip pins above run at 40 samples only.
 LONG_RUN_DOCS = {
     "spontaneous_churn_5": {"model": {
@@ -247,6 +248,23 @@ LONG_RUN_DOCS = {
 }
 LONG_RUN_DOCS.update({ident: ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index(ident)]
                       for ident in ("bpq_case2", "bpq_case3", "bpq_case5", "bpq_case6")})
+
+
+def feedback_doc(kernel: dict, u0: float, horizon: float) -> dict:
+    return {"model": {"kind": "feedback", "kernel": kernel, "T50": 5.0, "u0": u0},
+            "horizon": horizon}
+
+
+LONG_RUN_DOCS.update({
+    "feedback_quadratic": feedback_doc({"kind": "quadratic"}, 0.01, 10.0),
+    "feedback_inverse_u": feedback_doc({"kind": "inverse_u"}, 0.0, 10.0),
+    "feedback_inverse_u_cutoff": feedback_doc(
+        {"kind": "inverse_u_cutoff", "u1": 0.8}, 0.05, 10.0),
+    "feedback_trend_linear_zero": feedback_doc({"kind": "trend_linear_zero"}, 0.0, 10.0),
+    "feedback_power_0.5": feedback_doc({"kind": "power", "n": 0.5}, 0.0, 10.0),
+    "feedback_power_1.5": feedback_doc({"kind": "power", "n": 1.5}, 0.01, 20.0),
+    "feedback_power_2": feedback_doc({"kind": "power", "n": 2}, 0.01, 10.0),
+})
 
 LONG_RUN_GOLDEN = {
     ("simulate", "spontaneous_churn_5"):
@@ -293,6 +311,34 @@ LONG_RUN_GOLDEN = {
         "e1769a379a97c46e67d68f9262eff754aa6ac9c978392d275bf6e524b47546c7",
     ("metrics", "bpq_case6"):
         "4396db0b6c2f139b49383323b5a883627ee028904a915a8de4bd52ff88ca9a76",
+    ("simulate", "feedback_quadratic"):
+        "8464ebe4133c5738524e318d90106a7d8f28241a920e4bbbe8986129876fc5c9",
+    ("metrics", "feedback_quadratic"):
+        "40bb51a13733192b34e4ce7afeb99a50afa5121272906cbb6451e548430718ef",
+    ("simulate", "feedback_inverse_u"):
+        "ab5f71aeaef152bf37af5a367a97b7608fed38b809ba9dabc3aa61c078851ecb",
+    ("metrics", "feedback_inverse_u"):
+        "82a6b44fd1835623c61fee8f31a47e84d7f3ae2c6de248d5c2ec5fbc99d28155",
+    ("simulate", "feedback_inverse_u_cutoff"):
+        "d9ad51aca3a810481d4aacc07e5ceaad39373c67fec471ce2653e75b5e4fc2d2",
+    ("metrics", "feedback_inverse_u_cutoff"):
+        "11464b51283ab549d5c981c8cb6f6706c1d8c841335aef3d88b929a4d2f3f52b",
+    ("simulate", "feedback_trend_linear_zero"):
+        "db54977ef7a380a94b0d14d8c65751f8c7dd750607c77d96911e2d5babd191a6",
+    ("metrics", "feedback_trend_linear_zero"):
+        "e2bd220597e26a4acd5cd892c96055df11095ddd3c0dadbf8624b0bfa0936374",
+    ("simulate", "feedback_power_0.5"):
+        "a6fff86c95018dab90cd77ea5702c747ec271ea33482b097b60b49da4969b590",
+    ("metrics", "feedback_power_0.5"):
+        "a3052caa92aa70c91f3a22536b458dc0b8c4be72ab8c937d1bf097c1fadcc28f",
+    ("simulate", "feedback_power_1.5"):
+        "9cd88462685d6123d49d6958d412cdd07db1c6566d82220a332aa16103f964e1",
+    ("metrics", "feedback_power_1.5"):
+        "c0b22ef6e7b557d3625cc647dd4f6917332637736ef62bd2d0234621d48a34e9",
+    ("simulate", "feedback_power_2"):
+        "8464ebe4133c5738524e318d90106a7d8f28241a920e4bbbe8986129876fc5c9",
+    ("metrics", "feedback_power_2"):
+        "56186ce86527b9356fdb5446ccad2e66ff292a0a235ce8e6b971cf00a5a1edba",
 }
 
 

@@ -6,14 +6,21 @@ several strengths (sqrt(u), u, u^2, u^n), and trend-style kernels whose
 attractiveness decays as the product spreads (1-u, 1/u, (1-u)/u, and
 1/u with a hard cutoff share).
 
-Where the separable integral has an elementary antiderivative the exact
-t(u) and u(t) are used; the remaining kernels invert t(u) numerically.
+Time and share are linked by t = phi(u; u0) / rate, where phi is the
+integral of dv / ((1 - v) F(v)) from u0 to u. It is elementary for
+every kernel but u^n; for u^n it is the incomplete beta function
+B(u; 1 - n, 0) (DLMF 8.17), summed exactly as two power series split at
+v = 1/2. The none, bass, linear, sqrt and 1-u kernels also have a
+closed-form u(t). The others invert phi by safeguarded Newton iteration
+with the exact derivative dphi/du = 1 / ((1 - u) F(u)); along a path
+each sample starts from the previous one, since u increases with t.
 All models are calibrated by the time T50 to reach half the market,
 which makes their latency times directly comparable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,8 +32,12 @@ from .trajectory import Trajectory, from_channels
 KERNEL_KINDS = ("none", "bass", "linear", "sqrt", "quadratic", "power",
                 "one_minus_u", "inverse_u", "inverse_u_cutoff", "trend_linear_zero")
 
-#: Offset used when a growth integral starts at an integrable singularity.
-SINGULAR_EPS = 1e-9
+#: Kernels whose u(t) inverts the growth integral phi.
+INVERTED_KINDS = ("quadratic", "power", "inverse_u", "inverse_u_cutoff", "trend_linear_zero")
+#: Newton iterations after which :func:`_invert_phi` keeps its last iterate.
+MAX_NEWTON_STEPS = 200
+#: Unit roundoff of a double.
+_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -189,34 +200,103 @@ def _phi(kern: FeedbackKernel, u: float, u0: float) -> float:
 
 
 def _phi_power(n: float, u: float, u0: float) -> float:
-    """Growth integral of dv / (v^n (1 - v)) from u0 to u.
+    """Growth integral of dv / (v^n (1 - v)) from u0 to u, summed exactly.
 
-    The 1/(1 - v) pole is integrated analytically; the quadrature only
-    sees the remainder (1 - v^n)/(v^n (1 - v)), which stays bounded near
-    v = 1, so shares arbitrarily close to saturation are handled. A zero
-    start is admissible for n < 1 (integrable singularity): the lower
-    limit is shifted by a small offset whose contribution is added back
-    from the leading series terms.
+    This is the incomplete beta function B(u; 1 - n, 0) (DLMF 8.17).
+    Below v = 1/2 it is summed as a power series in v, above as one in
+    1 - v with the 1/(1 - v) pole integrated in closed form. Every term
+    of either series is positive and they shrink at least like 2^-k, so
+    shares arbitrarily close to saturation keep full precision. A zero
+    start is admissible for n < 1, where the singularity is integrable.
+
+    Raises:
+        NeverReachedError: If u0 = 0 and n >= 1.
+        ParameterError: If the integral overflows (n too large for u0).
     """
-    lo = u0
-    head = 0.0
-    if u0 == 0.0:
-        if n >= 1.0:
-            raise NeverReachedError("u^n feedback with n >= 1 never leaves u = 0")
-        lo = min(SINGULAR_EPS, 0.5 * u)
-        # int_0^lo v^-n (1 + v + O(v^2)) dv, truncated after two terms.
-        head = lo ** (1.0 - n) / (1.0 - n) + lo ** (2.0 - n) / (2.0 - n)
-    if u <= lo:
-        return 0.0
+    if u0 == 0.0 and n >= 1.0:
+        raise NeverReachedError("u^n feedback with n >= 1 never leaves u = 0")
+    try:
+        if u <= 0.5:
+            total = _power_series_below_half(n, u0, u)
+        elif u0 >= 0.5:
+            total = _power_series_above_half(n, u0, u)
+        else:
+            total = _power_series_to_half(n, u0) + _power_series_above_half(n, 0.5, u)
+    except OverflowError:
+        total = math.inf
+    if not total < math.inf:
+        raise ParameterError(
+            f"u^n feedback with n = {n:g} from u0 = {u0:g}: the growth integral overflows")
+    return total
 
-    def regular_part(v: float) -> float:
-        if v >= 1.0:
-            return float(n)
-        vn = v ** n
-        return (1.0 - vn) / (vn * (1.0 - v))
 
-    tail = math.log((1.0 - lo) / (1.0 - u))
-    return head + tail + numerics.quadrature(regular_part, lo, u, tol=1e-11)
+def _power_series_below_half(n: float, a: float, b: float) -> float:
+    """Sum over k >= 0 of the integral of v^(k - n) over [a, b], 0 <= a < b <= 1/2.
+
+    With m = k + 1 - n, term k is (b^m - a^m) / m; where b^m and a^m are
+    close it is taken as a^m expm1(m log(b/a)) / m (log(b/a) for m = 0),
+    so it keeps its digits. The terms after term k sum to at most
+    b / (1 - b) times it.
+    """
+    log_ratio = math.log1p((b - a) / a) if a > 0.0 else math.inf
+    # a^(1 - n) overflows before the sum does: carry the powers scaled by
+    # 2^-shift, from halves that do not overflow, and undo it at the end.
+    shift = 600 if a > 0.0 and (1.0 - n) * math.log(a) > 700.0 else 0
+    ha, hb = a ** (0.5 - 0.5 * n), b ** (0.5 - 0.5 * n)
+    pa, pb = ha * math.ldexp(ha, -shift), hb * math.ldexp(hb, -shift)
+    tail_factor = b / (1.0 - b)
+    total = 0.0
+    k = 0
+    while True:
+        m = k + 1.0 - n
+        if m == 0.0:
+            term = log_ratio
+        elif abs(m * log_ratio) < 1.0:
+            term = pa * math.expm1(m * log_ratio) / m
+        else:
+            term = (pb - pa) / m
+        total += term
+        if term * tail_factor <= _ROUNDOFF * total:
+            return math.ldexp(total, shift)
+        pa *= a
+        pb *= b
+        k += 1
+
+
+@functools.lru_cache(maxsize=64)
+def _power_series_to_half(n: float, u0: float) -> float:
+    """The part of the growth integral below v = 1/2, the same for every u above it."""
+    return _power_series_below_half(n, u0, 0.5)
+
+
+def _power_series_above_half(n: float, a: float, b: float) -> float:
+    """Integral of dv / (v^n (1 - v)) over [a, b], 1/2 <= a < b < 1.
+
+    With w = 1 - v, v^-n = sum (n)_k / k! w^k (rising factorial), so the
+    integral is log(wa / wb) plus the sum over k >= 1 of
+    (n)_k / k! (wa^k - wb^k) / k. The ratio of successive terms is at
+    most (n + k) / (k + 1) wa, which bounds the remainder once it is
+    below 1.
+    """
+    wa, wb = 1.0 - a, 1.0 - b
+    log_ratio = math.log1p((b - a) / wb)
+    total = log_ratio
+    ca, cb = 1.0, 1.0  # (n)_k / k! times wa^k and wb^k
+    k = 1
+    while True:
+        ca *= (n + k - 1.0) / k * wa
+        cb *= (n + k - 1.0) / k * wb
+        if k * log_ratio < 1.0:
+            term = -ca * math.expm1(-k * log_ratio) / k
+        else:
+            term = (ca - cb) / k
+        total += term
+        ratio = max(1.0, (n + k) / (k + 1.0)) * wa
+        if ratio < 1.0 and term * ratio <= _ROUNDOFF * (1.0 - ratio) * total:
+            return total
+        if not total < math.inf:
+            return total
+        k += 1
 
 
 def _check_share_args(m: FeedbackModel, u: float) -> None:
@@ -241,9 +321,9 @@ def t_of_u(m: FeedbackModel, u: float) -> float:
 def u_of_t(m: FeedbackModel, t: float) -> float:
     """Share at time t.
 
-    Closed forms cover the none, bass, linear, sqrt and 1-u kernels (and
-    the cutoff kernel piecewise); the rest invert t(u) on a monotone
-    bracket.
+    Closed forms cover the none, bass, linear, sqrt and 1-u kernels; the
+    rest invert t(u) by safeguarded Newton iteration from u0 (see
+    :func:`_invert_phi`).
     """
     if t < 0:
         raise DomainError("time must be nonnegative")
@@ -271,46 +351,119 @@ def u_of_t(m: FeedbackModel, t: float) -> float:
         return v * v
     if kind == "one_minus_u":
         return 1.0 - (1.0 - u0) / (1.0 + (1.0 - u0) * m.rate * t)
-    if kind == "inverse_u_cutoff":
-        u1 = m.kernel.u1
-        if t >= cutoff_time(m):
-            return u1
-        return _invert_phi(m, t, hi_limit=u1)
-    if m.kernel.needs_positive_start and u0 == 0.0:
+    return _invert_phi(m, [t])[0][0]
+
+
+def _shares(m: FeedbackModel, times: Sequence[float]) -> tuple[list[float], list[float]]:
+    """u(t) and 1 - u(t) at each time.
+
+    The inverted kernels start each root at the last and carry 1 - u to
+    full relative precision, which u rounded to a double lacks near
+    saturation.
+    """
+    if m.kernel.kind not in INVERTED_KINDS:
+        u = [u_of_t(m, t) for t in times]
+        return u, [1.0 - v for v in u]
+    if any(t < 0 for t in times):
+        raise DomainError("time must be nonnegative")
+    return _invert_phi(m, times)
+
+
+def _invert_phi(m: FeedbackModel,
+                times: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Roots u of phi(u) = rate * t, with 1 - u, by safeguarded Newton iteration.
+
+    Each root starts from the last share evaluated for the previous
+    time, so a path in increasing time needs a few evaluations of phi
+    per sample. Shares are reported saturated at L - (L - u0) 2^-50, where
+    L is 1 (the cutoff share u1 for the cutoff kernel); the cutoff kernel
+    stays at u1 from cutoff_time(m) on.
+    """
+    kern, u0 = m.kernel, m.u0
+    if kern.needs_positive_start and u0 == 0.0:
         raise NeverReachedError(
             "market share stays 0 forever without an initial customer base")
-    return _invert_phi(m, t)
+    if kern.kind == "inverse_u_cutoff":
+        limit, t_freeze = kern.u1, cutoff_time(m)
+    else:
+        limit, t_freeze = 1.0, math.inf
+    cap = limit - (limit - u0) * 0.5 ** 50
+    if cap >= limit:
+        cap = math.nextafter(limit, 0.0)
+    cap = max(cap, u0)
+    phi_cap = _phi(kern, cap, u0) if cap > u0 else 0.0
+    x, phi_x = u0, 0.0
+    shares, rests = [], []
+    for t in times:
+        target = m.rate * t
+        if t == 0.0:
+            u, rest = u0, 1.0 - u0
+        elif t >= t_freeze:
+            u, rest = limit, 1.0 - limit
+        elif not phi_cap >= target:
+            u, rest = cap, 1.0 - cap
+        else:
+            u, rest, x, phi_x = _newton_share(kern, u0, target, x, phi_x, cap)
+        shares.append(u)
+        rests.append(rest)
+    return shares, rests
 
 
-def _invert_phi(m: FeedbackModel, t: float, hi_limit: float = 1.0) -> float:
-    # Expand the upper end geometrically toward the limit share; the
-    # exponent stops where 1 - u would fall below double resolution, so
-    # shares are reported saturated at that point.
-    target = m.rate * t
-    lo = m.u0
-    hi = None
-    for k in range(1, 51):
-        cand = hi_limit - (hi_limit - m.u0) * 0.5 ** k
-        if cand <= lo or cand >= hi_limit:
-            continue
-        if _phi(m.kernel, cand, m.u0) >= target:
-            hi = cand
+def _newton_share(kern: FeedbackKernel, u0: float, target: float, x: float, phi_x: float,
+                  hi: float) -> tuple[float, float, float, float]:
+    """Root u of phi(u) = target in [u0, hi] from x, where phi(hi) >= target.
+
+    Steps are taken in s = -log(1 - u), where dphi/ds = 1 / F(u) and phi
+    is nearly linear close to saturation; a step that leaves the bracket
+    is replaced by the bracket's midpoint in s. The iteration stops once
+    the error left after a step, estimated from the last two steps as
+    step^3 / previous^2, is below a quarter ulp of both u and 1 - u.
+
+    Returns u, 1 - u, and the last share evaluated with its phi.
+    """
+    lo, prev = u0, None
+    for _ in range(MAX_NEWTON_STEPS):
+        g = phi_x - target
+        if g == 0.0:
             break
-        lo = cand
-    if hi is None:
-        return lo
-    return numerics.solve_root(
-        lambda u: _phi(m.kernel, u, m.u0) - target, lo, hi, tol=1e-14)
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        f = kern.F(x)
+        step = min(g * f, 700.0)  # -ds
+        nxt = x - (1.0 - x) * math.expm1(step)
+        rest = (1.0 - x) * math.exp(step)
+        if lo < nxt < hi:
+            tol = 0.5 * _ROUNDOFF * min(1.0, nxt / rest)
+            if prev is not None and abs(step) ** 3 <= tol * prev * prev:
+                return nxt, rest, x, phi_x
+            prev = abs(step)
+        elif lo <= nxt <= hi and f > 0.0:
+            # The step rounds onto the bracket: u is resolved as a double,
+            # and the step still gives 1 - u to full relative precision.
+            return nxt, rest, x, phi_x
+        else:
+            d_hi = 1.0 - hi
+            nxt = hi - d_hi * math.expm1(0.5 * math.log1p((hi - lo) / d_hi))
+            if not lo < nxt < hi:
+                break
+            prev = None
+        x, phi_x = nxt, _phi(kern, nxt, u0)
+    return x, 1.0 - x, x, phi_x
 
 
 def calibrate_rate(kern: FeedbackKernel, t50: float, u0: float = 0.0) -> float:
     """Growth rate that puts the model at half the market after t50.
 
-    Closed per kernel since t(u) scales as 1 / rate throughout; for the
-    u^n kernel the growth integral is evaluated numerically.
+    Closed per kernel since t(u) scales as 1 / rate throughout: the rate
+    is phi(1/2; u0) / t50, with phi summed as an exact series for the u^n
+    kernel.
     """
     if not t50 > 0:
         raise ParameterError("T50 must be positive")
+    if not 0.0 <= u0 < 1.0:
+        raise ParameterError("initial share u0 must lie in [0, 1)")
     if u0 >= 0.5:
         raise ParameterError("calibration impossible: u0 already at or above 50%")
     if u0 == 0.0 and kern.needs_positive_start:
@@ -318,7 +471,10 @@ def calibrate_rate(kern: FeedbackKernel, t50: float, u0: float = 0.0) -> float:
             "market share stays 0 forever without an initial customer base")
     if kern.kind == "inverse_u_cutoff" and kern.u1 < 0.5:
         raise ParameterError("calibration impossible: cutoff u1 below 50%")
-    return _phi(kern, 0.5, u0) / t50
+    rate = _phi(kern, 0.5, u0) / t50
+    if not rate < math.inf:
+        raise ParameterError(f"growth rate {rate!r} for T50 = {t50!r} is not finite")
+    return rate
 
 
 def latency_metrics(m: FeedbackModel) -> MarketMetrics:
@@ -408,18 +564,15 @@ def demand_curve(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
             one_minus = (1.0 - u0) / (1.0 + (1.0 - u0) * rate * t)
             out.append(N * rate * one_minus * one_minus)
     else:
-        for t in grid:
-            u = u_of_t(m, t)
-            out.append(N * rate * m.kernel.growth(u))
+        for u, rest in zip(*_shares(m, grid)):
+            out.append(N * rate * rest * m.kernel.F(u))
     return from_channels(grid, {"D": out})
 
 
 def feedback_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
     """Share and demand along the grid."""
-    u = [u_of_t(m, t) for t in grid]
-    d = []
-    for ui in u:
-        d.append(m.N * m.rate * m.kernel.growth(ui))
+    u, rests = _shares(m, grid)
+    d = [m.N * m.rate * rest * m.kernel.F(ui) for ui, rest in zip(u, rests)]
     return from_channels(grid, {"u": u, "D": d})
 
 

@@ -209,7 +209,10 @@ class HesitationParams:
             raise ParameterError(f"unknown hesitation variant {self.variant!r}")
         if self.variant == "returning_hesitation":
             lam1, lam2, _ = self.eigenvalues()
-            assert lam2 < lam1 < 0.0, "transition eigenvalues must be negative"
+            if not lam2 < lam1 < 0.0:
+                raise ParameterError(
+                    f"returning hesitation needs distinct negative transition eigenvalues, "
+                    f"got {lam1!r} and {lam2!r} (a * c too small)")
 
     def eigenvalues(self) -> tuple[float, float, float]:
         """(lambda1, lambda2, r) of the (p, h) transition matrix.

@@ -454,11 +454,20 @@ def _run_birth_death(model, grid):
     return traj, [("u_peak", u_peak), ("t_peak", t_peak)]
 
 
+def _initial_share(r: _Reader) -> float | None:
+    """The initial share u0 (default 0); None, with an issue, outside [0, 1)."""
+    u0 = r.number("u0", required=False, default=0.0)
+    if not 0.0 <= u0 < 1.0:
+        r._issue("invariant", "u0", "a share in [0, 1)", repr(u0))
+        return None
+    return u0
+
+
 def _parse_feedback(r):
     kern = _parse_kernel(r.sub("kernel"))
-    if kern is None:
+    u0 = _initial_share(r)
+    if kern is None or u0 is None:
         return None
-    u0 = r.number("u0", required=False, default=0.0)
     if r.has("rate") == r.has("T50"):
         r.invariant("exactly one of rate or T50", "both" if r.has("rate") else "neither")
         return None
@@ -858,10 +867,10 @@ def calibrate(doc: dict) -> list[tuple[str, float]]:
         return [("a", a)]
     if kind == "feedback":
         kern = _parse_kernel(model_r.sub("kernel"))
+        u0 = _initial_share(model_r)
         t50 = targets_r.number("T50", minimum=0.0)
         if issues or kern is None:
             raise ScenarioValidationError(issues)
-        u0 = model_r.number("u0", required=False, default=0.0)
         try:
             rate = feedback.calibrate_rate(kern, t50, u0)
         except (ParameterError, MarketDynError) as exc:

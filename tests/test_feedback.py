@@ -1,11 +1,12 @@
 """Feedback kernels: growth curves, calibration, latency, equilibria."""
 
+import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from marketdyn import feedback as fb, numerics
+from marketdyn import cli, feedback as fb, numerics
 from marketdyn.errors import DomainError, NeverReachedError, ParameterError
 from marketdyn.trajectory import time_grid
 
@@ -162,6 +163,133 @@ def test_power_time_matches_mpmath_up_to_saturation(n, u0):
     m = fb.FeedbackModel(fb.kernel("power", n=n), 1.0, u0)
     for u in (0.4, 0.9, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
         assert fb.t_of_u(m, u) == pytest.approx(mpmath_power_time(n, u0, u), rel=1e-12)
+
+
+def mpmath_power_integral(n, u0, u):
+    """int dv / (v^n (1 - v)) from u0 to u at 30 digits.
+
+    1 / (v^n (1 - v)) = v^-n + 1 / (1 - v) + (v^(1-n) - 1) / (1 - v): the
+    first two parts are integrated in closed form, the bounded rest by
+    quadrature on panels that shrink toward v = 0 and v = 1.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        n, u0, u = mpmath.mpf(n), mpmath.mpf(u0), mpmath.mpf(u)
+        if n == 1:
+            head = mpmath.log(u / u0)
+        else:
+            head = (u ** (1 - n) - u0 ** (1 - n)) / (1 - n)
+        cuts = [mpmath.mpf(2) ** -j for j in range(1, 12)]
+        cuts += [1 - c for c in cuts]
+        points = [u0] + sorted(c for c in cuts if u0 < c < u) + [u]
+        rest = mpmath.quad(lambda v: (v ** (1 - n) - 1) / (1 - v), points)
+        return head + mpmath.log1p((u - u0) / (1 - u)) + rest
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.1, 12.0, exclude_min=True, exclude_max=True),
+       st.one_of(st.just(0.0), st.floats(0.001, 0.45)),
+       st.floats(0.0, 1.0 - 1e-12, exclude_min=True))
+def test_power_series_matches_mpmath(n, u0, u):
+    assume(u > u0 and (u0 > 0.0 or n < 1.0))
+    expected = mpmath_power_integral(n, u0, u)
+    assert fb._phi_power(n, u, u0) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+
+
+def test_power_series_needs_no_quadrature(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the growth integral must not call the numerics kernels")
+
+    monkeypatch.setattr(numerics, "quadrature", forbidden)
+    monkeypatch.setattr(numerics, "solve_root", forbidden)
+    for n, u0 in ((0.5, 0.0), (1.0, 0.01), (2.0, 0.01), (7.3, 0.3)):
+        m = fb.FeedbackModel.calibrated(fb.kernel("power", n=n), T50, u0)
+        traj = fb.feedback_path(m, time_grid(0.0, 4 * T50, 200))
+        assert all(math.isfinite(v) for v in traj.channel("D"))
+        assert fb.latency_metrics(m).t50 == pytest.approx(T50, rel=1e-14)
+
+
+@pytest.mark.parametrize("ident,budget", [("feedback_power_1.5", 2000),
+                                          ("feedback_quadratic", 2000)])
+def test_inversion_phi_budget(ident, budget, tmp_path, monkeypatch, capsys):
+    # The bracket search and the finite-difference root finder took about
+    # 50 evaluations of phi per sample; the warm-started Newton iteration
+    # takes fewer than two, and no quadrature or generic root finder.
+    from test_golden import LONG_RUN_DOCS
+    calls = {"phi": 0, "quadrature": 0, "solve_root": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fb, "_phi", counted("phi", fb._phi))
+    for name in ("quadrature", "solve_root"):
+        monkeypatch.setattr(numerics, name, counted(name, getattr(numerics, name)))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(LONG_RUN_DOCS[ident]))
+    assert cli.main(["simulate", str(path), "--samples", "1000"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert 0 < calls["phi"] <= budget
+    assert calls["quadrature"] == calls["solve_root"] == 0
+
+
+def test_demand_near_saturation_keeps_its_digits():
+    # D is proportional to 1 - u; from u rounded to a double it keeps only
+    # about 1e-16 / (1 - u) of relative accuracy, so 1 - u is carried along.
+    mpmath = pytest.importorskip("mpmath")
+    m = fb.FeedbackModel.calibrated(fb.kernel("quadratic"), T50, 0.01)
+    grid = [6.0, 6.2, 6.4]
+    traj = fb.feedback_path(m, grid)
+    with mpmath.workdps(40):
+        u0 = mpmath.mpf(0.01)
+
+        def phi(u):
+            return mpmath.log(u * (1 - u0) / (u0 * (1 - u))) + 1 / u0 - 1 / u
+
+        rate = phi(mpmath.mpf(0.5)) / T50
+        for t, d in zip(grid, traj.channel("D")):
+            # Solve in y = -log(1 - u), where phi is nearly linear.
+            y = mpmath.findroot(lambda y: phi(1 - mpmath.exp(-y)) - rate * t, 20)
+            rest = mpmath.exp(-y)
+            assert rest < 1e-8
+            assert d == pytest.approx(float(rate * rest * (1 - rest) ** 2), rel=1e-12, abs=0.0)
+
+
+def test_power_overflow_is_a_parameter_error():
+    # phi(1/2) from u0 = 0.01 exceeds the largest double between these two
+    # exponents (mpmath: 1.7976931348621462e308 and 1.7976931348623812e308).
+    below, above = 156.22063588244995, 156.22063588244998
+    assert math.isfinite(fb.calibrate_rate(fb.kernel("power", n=below), T50, 0.01))
+    for n in (above, 1e300):
+        with pytest.raises(ParameterError, match="overflows"):
+            fb.calibrate_rate(fb.kernel("power", n=n), T50, 0.01)
+    with pytest.raises(ParameterError, match="overflows"):
+        fb.t_of_u(fb.FeedbackModel(fb.kernel("power", n=1e300), 1.0, 0.6), 0.7)
+
+
+def test_calibration_rejects_an_infinite_rate():
+    with pytest.raises(ParameterError, match="not finite"):
+        fb.calibrate_rate(fb.kernel("power", n=0.5), 5e-324, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["bass", "power"])
+def test_calibration_rejects_a_negative_start(kind):
+    kern = fb.kernel(kind, **({"ratio": 2.0} if kind == "bass" else {"n": 2.0}))
+    with pytest.raises(ParameterError, match="u0"):
+        fb.calibrate_rate(kern, T50, -1.0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "power", "inverse_u", "inverse_u_cutoff",
+                                  "trend_linear_zero"])
+def test_path_agrees_with_single_inversions(kind):
+    # The warm start must not change where each root lands beyond rounding.
+    kw = {"n": 1.5} if kind == "power" else ({"u1": 0.8} if kind == "inverse_u_cutoff" else {})
+    m = fb.FeedbackModel.calibrated(fb.kernel(kind, **kw), T50, 0.01)
+    grid = time_grid(0.0, 3 * T50, 61)
+    for t, u in zip(grid, fb.feedback_path(m, grid).channel("u")):
+        assert u == pytest.approx(fb.u_of_t(m, t), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind,u0", [

@@ -183,6 +183,11 @@ def test_hesitation_matches_rk4(variant):
     assert max(abs(a - b) for a, b in zip(traj.channel("u"), oracle)) <= 1e-7
 
 
+def test_returning_hesitation_rejects_a_vanishing_eigenvalue():
+    with pytest.raises(ParameterError, match="negative transition eigenvalues"):
+        mono.HesitationParams(a=1.0, b=1.0, c=5e-324, variant="returning_hesitation")
+
+
 def test_hesitation_confluent_limit():
     # c = a + b collapses the generic denominators; the limit form must
     # still satisfy the system.

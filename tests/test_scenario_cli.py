@@ -351,6 +351,68 @@ def test_cli_rejects_a_period_without_a_finite_angular_frequency(tmp_path, capsy
     assert "at $.model.eps12[0]: expected sinusoid period with a finite angular" in out.err
 
 
+@pytest.mark.parametrize("command", ["simulate", "equilibrium"])
+@pytest.mark.parametrize("kernel", [{"kind": "bass", "ratio": 2.0}, {"kind": "power", "n": 2}],
+                         ids=["bass", "power"])
+def test_cli_rejects_a_negative_feedback_start_before_calibrating(command, kernel, tmp_path,
+                                                                  capsys):
+    # Calibration used to evaluate phi from u0 = -1: a math domain error
+    # (exit 1) for bass, a quadrature failure on [-1, 0.5] for power.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback", "kernel": kernel, "T50": 5.0,
+                                          "u0": -1.0}, "horizon": 10.0}))
+    assert cli.main([command, str(path), "--samples", "20"]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error [invariant] at $.model.u0: expected a share in "
+                                    "[0, 1), found -1.0"]
+
+
+def test_cli_rejects_a_negative_start_in_feedback_calibration(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback", "kernel": {"kind": "bass",
+                                                                         "ratio": 2.0},
+                                          "u0": -1.0}, "targets": {"T50": 5.0}}))
+    assert cli.main(["calibrate", str(path)]) == cli.EXIT_VALIDATION
+    assert "at $.model.u0: expected a share in [0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "equilibrium"])
+@pytest.mark.parametrize("n", [1e300, 156.22063588244998])
+def test_cli_rejects_a_power_exponent_whose_growth_integral_overflows(command, n, tmp_path,
+                                                                      capsys):
+    # n = 1e300 raised ZeroDivisionError (exit 1); from n = 156.22063588244998
+    # on, phi(1/2) from u0 = 0.01 exceeds the largest double.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback", "kernel": {"kind": "power", "n": n},
+                                          "T50": 5.0, "u0": 0.01}, "horizon": 10.0}))
+    assert cli.main([command, str(path), "--samples", "20"]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "the growth integral overflows" in out.err
+
+
+def test_cli_runs_the_largest_power_exponent_with_a_finite_growth_integral(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback",
+                                          "kernel": {"kind": "power", "n": 156.22063588244995},
+                                          "T50": 5.0, "u0": 0.01}, "horizon": 10.0}))
+    assert cli.main(["simulate", str(path), "--samples", "20"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_cli_rejects_a_returning_hesitation_with_a_vanishing_eigenvalue(tmp_path, capsys):
+    # a * c underflows against (a + b + c)^2, so one transition eigenvalue is
+    # 0; an assert used to end the run with exit 1.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "hesitation", "a": 1.0, "b": 1.0, "c": 5e-324,
+                                          "variant": "returning_hesitation"},
+                                "horizon": 10.0}))
+    assert cli.main(["simulate", str(path), "--samples", "20"]) == cli.EXIT_VALIDATION
+    assert "negative transition eigenvalues" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------

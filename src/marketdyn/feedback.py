@@ -251,7 +251,7 @@ def _power_series_below_half(n: float, a: float, b: float) -> float:
         m = k + 1.0 - n
         if m == 0.0:
             term = log_ratio
-        elif abs(m * log_ratio) < 1.0:
+        elif -1.0 < m * log_ratio < 1.0:
             term = pa * math.expm1(m * log_ratio) / m
         else:
             term = (pb - pa) / m
@@ -291,10 +291,9 @@ def _power_series_above_half(n: float, a: float, b: float) -> float:
         else:
             term = (ca - cb) / k
         total += term
-        ratio = max(1.0, (n + k) / (k + 1.0)) * wa
-        if ratio < 1.0 and term * ratio <= _ROUNDOFF * (1.0 - ratio) * total:
-            return total
-        if not total < math.inf:
+        ratio = ((n + k) / (k + 1.0) if n > 1.0 else 1.0) * wa
+        if not total < math.inf or (
+                ratio < 1.0 and term * ratio <= _ROUNDOFF * (1.0 - ratio) * total):
             return total
         k += 1
 
@@ -387,11 +386,8 @@ def _invert_phi(m: FeedbackModel,
         limit, t_freeze = kern.u1, cutoff_time(m)
     else:
         limit, t_freeze = 1.0, math.inf
-    cap = limit - (limit - u0) * 0.5 ** 50
-    if cap >= limit:
-        cap = math.nextafter(limit, 0.0)
-    cap = max(cap, u0)
-    phi_cap = _phi(kern, cap, u0) if cap > u0 else 0.0
+    cap = min(limit - (limit - u0) * 0.5 ** 50, math.nextafter(limit, 0.0))
+    phi_cap = _phi(kern, cap, u0)
     x, phi_x = u0, 0.0
     shares, rests = [], []
     for t in times:

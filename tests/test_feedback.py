@@ -196,22 +196,8 @@ def test_power_series_matches_mpmath(n, u0, u):
     assert fb._phi_power(n, u, u0) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
 
 
-def test_power_series_needs_no_quadrature(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the growth integral must not call the numerics kernels")
-
-    monkeypatch.setattr(numerics, "quadrature", forbidden)
-    monkeypatch.setattr(numerics, "solve_root", forbidden)
-    for n, u0 in ((0.5, 0.0), (1.0, 0.01), (2.0, 0.01), (7.3, 0.3)):
-        m = fb.FeedbackModel.calibrated(fb.kernel("power", n=n), T50, u0)
-        traj = fb.feedback_path(m, time_grid(0.0, 4 * T50, 200))
-        assert all(math.isfinite(v) for v in traj.channel("D"))
-        assert fb.latency_metrics(m).t50 == pytest.approx(T50, rel=1e-14)
-
-
-@pytest.mark.parametrize("ident,budget", [("feedback_power_1.5", 2000),
-                                          ("feedback_quadratic", 2000)])
-def test_inversion_phi_budget(ident, budget, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("ident", ["feedback_power_1.5", "feedback_quadratic"])
+def test_inversion_phi_budget(ident, tmp_path, monkeypatch, capsys):
     # The bracket search and the finite-difference root finder took about
     # 50 evaluations of phi per sample; the warm-started Newton iteration
     # takes fewer than two, and no quadrature or generic root finder.
@@ -231,7 +217,7 @@ def test_inversion_phi_budget(ident, budget, tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(LONG_RUN_DOCS[ident]))
     assert cli.main(["simulate", str(path), "--samples", "1000"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert 0 < calls["phi"] <= budget
+    assert 0 < calls["phi"] <= 2000
     assert calls["quadrature"] == calls["solve_root"] == 0
 
 

@@ -205,9 +205,10 @@ def _phi_power(n: float, u: float, u0: float) -> float:
     This is the incomplete beta function B(u; 1 - n, 0) (DLMF 8.17).
     Below v = 1/2 it is summed as a power series in v, above as one in
     1 - v with the 1/(1 - v) pole integrated in closed form. Every term
-    of either series is positive and they shrink at least like 2^-k, so
-    shares arbitrarily close to saturation keep full precision. A zero
-    start is admissible for n < 1, where the singularity is integrable.
+    of either series is positive and their tails shrink at least like
+    2^-k, so shares arbitrarily close to saturation keep full precision.
+    A zero start is admissible for n < 1, where the singularity is
+    integrable.
 
     Raises:
         NeverReachedError: If u0 = 0 and n >= 1.
@@ -274,9 +275,9 @@ def _power_series_above_half(n: float, a: float, b: float) -> float:
 
     With w = 1 - v, v^-n = sum (n)_k / k! w^k (rising factorial), so the
     integral is log(wa / wb) plus the sum over k >= 1 of
-    (n)_k / k! (wa^k - wb^k) / k. The ratio of successive terms is at
-    most (n + k) / (k + 1) wa, which bounds the remainder once it is
-    below 1.
+    (n)_k / k! (wa^k - wb^k) / k. From term k on, the ratio of successive
+    terms is at most max(1, (n + k) / (k + 1)) wa, which bounds the
+    remainder once it is below 1.
     """
     wa, wb = 1.0 - a, 1.0 - b
     log_ratio = math.log1p((b - a) / wb)

@@ -12,8 +12,10 @@ digests when one Gauss-Kronrod rule replaced adaptive Simpson, the
 5-point Gauss-Legendre panel and the composite Simpson of the periodic
 route. The 1000-sample feedback digests were recorded before the u^n
 growth integral became an exact series and the inverted kernels a
-warm-started Newton iteration; three of them were re-pinned for it. Each
-re-pinned entry says which values moved and why.
+warm-started Newton iteration; three of them were re-pinned for it. The
+1000-sample pins of the closed-form kernels and the equilibrium pins of
+every kernel were recorded before the kernels were declared in one table.
+Each re-pinned entry says which values moved and why.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ from pathlib import Path
 import pytest
 from test_scenario_cli import ROUND_TRIP_DOCS, ROUND_TRIP_IDS
 
-from marketdyn import cli, scenario
+from marketdyn import cli, feedback, scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -216,8 +218,9 @@ def test_every_model_kind_has_round_trip_golden_metrics():
 #: integrator with stimulated and periodic churn (three suppliers, two
 #: modulations of one pair), the winner-take-all run, the bpq cases
 #: solved by quadrature (2, 5) or by the Dormand-Prince integrator (3, 6),
-#: and every feedback kernel whose u(t) inverts t(u) sample by sample.
-#: The round-trip pins above run at 40 samples only.
+#: and every feedback kernel kind, whether its u(t) is closed or inverts
+#: t(u) sample by sample, with its equilibria (the power kernel on both
+#: sides of n = 1). The round-trip pins above run at 40 samples only.
 LONG_RUN_DOCS = {
     "spontaneous_churn_5": {"model": {
         "kind": "spontaneous_churn", "m": [0.4, 0.3, 0.2, 0.6, 0.1],
@@ -267,6 +270,11 @@ LONG_RUN_DOCS.update({
     "feedback_power_0.5": feedback_doc({"kind": "power", "n": 0.5}, 0.0, 10.0),
     "feedback_power_1.5": feedback_doc({"kind": "power", "n": 1.5}, 0.01, 20.0),
     "feedback_power_2": feedback_doc({"kind": "power", "n": 2}, 0.01, 10.0),
+    "feedback_none": feedback_doc({"kind": "none"}, 0.0, 10.0),
+    "feedback_bass": feedback_doc({"kind": "bass", "ratio": 2.0}, 0.0, 10.0),
+    "feedback_linear": feedback_doc({"kind": "linear"}, 0.01, 10.0),
+    "feedback_sqrt": feedback_doc({"kind": "sqrt"}, 0.0, 10.0),
+    "feedback_one_minus_u": feedback_doc({"kind": "one_minus_u"}, 0.0, 10.0),
 })
 
 LONG_RUN_GOLDEN = {
@@ -325,22 +333,32 @@ LONG_RUN_GOLDEN = {
         "2c7eb7bfae10dd3da47e4650063f2fa96207f3962f74a095bc721696b1cc70d7",
     ("metrics", "feedback_quadratic"):
         "40bb51a13733192b34e4ce7afeb99a50afa5121272906cbb6451e548430718ef",
+    ("equilibrium", "feedback_quadratic"):
+        "8f619a161bc98dd6fb91a924b7d0fcb7911c704c531275e6121ff157cc6e1a34",
     ("simulate", "feedback_inverse_u"):
         "ab5f71aeaef152bf37af5a367a97b7608fed38b809ba9dabc3aa61c078851ecb",
     ("metrics", "feedback_inverse_u"):
         "82a6b44fd1835623c61fee8f31a47e84d7f3ae2c6de248d5c2ec5fbc99d28155",
+    ("equilibrium", "feedback_inverse_u"):
+        "0ecd8ae74931dc7dfa4342bcb41d874414905428ec2cb569ad376d9305b556d9",
     ("simulate", "feedback_inverse_u_cutoff"):
         "d9ad51aca3a810481d4aacc07e5ceaad39373c67fec471ce2653e75b5e4fc2d2",
     ("metrics", "feedback_inverse_u_cutoff"):
         "11464b51283ab549d5c981c8cb6f6706c1d8c841335aef3d88b929a4d2f3f52b",
+    ("equilibrium", "feedback_inverse_u_cutoff"):
+        "b2af65d8801289d7bfd15daa7d6800306845dde76b07b3e8d6ed209b1d8206e7",
     ("simulate", "feedback_trend_linear_zero"):
         "db54977ef7a380a94b0d14d8c65751f8c7dd750607c77d96911e2d5babd191a6",
     ("metrics", "feedback_trend_linear_zero"):
         "e2bd220597e26a4acd5cd892c96055df11095ddd3c0dadbf8624b0bfa0936374",
+    ("equilibrium", "feedback_trend_linear_zero"):
+        "0ecd8ae74931dc7dfa4342bcb41d874414905428ec2cb569ad376d9305b556d9",
     ("simulate", "feedback_power_0.5"):
         "a6fff86c95018dab90cd77ea5702c747ec271ea33482b097b60b49da4969b590",
     ("metrics", "feedback_power_0.5"):
         "a3052caa92aa70c91f3a22536b458dc0b8c4be72ab8c937d1bf097c1fadcc28f",
+    ("equilibrium", "feedback_power_0.5"):
+        "02a68015d1510d10690e1db470c2e1b167c8594a5e7f0f2a53fee8b80dedc4f1",
     # Re-pinned for the exact series and the Newton inversion: D moved on
     # 266 lines near saturation (t from 8.13 to 14.35), each toward the
     # mpmath solution at the grid time, e.g. at t = 8.548549 (9.90369106e-06
@@ -350,11 +368,46 @@ LONG_RUN_GOLDEN = {
         "f5b250c63f7bc14eb1104912f8a0e16a15966c33ae020a2258327c57e0288a64",
     ("metrics", "feedback_power_1.5"):
         "c0b22ef6e7b557d3625cc647dd4f6917332637736ef62bd2d0234621d48a34e9",
+    ("equilibrium", "feedback_power_1.5"):
+        "8f619a161bc98dd6fb91a924b7d0fcb7911c704c531275e6121ff157cc6e1a34",
     # Re-pinned with feedback_quadratic, whose path it prints.
     ("simulate", "feedback_power_2"):
         "2c7eb7bfae10dd3da47e4650063f2fa96207f3962f74a095bc721696b1cc70d7",
     ("metrics", "feedback_power_2"):
         "56186ce86527b9356fdb5446ccad2e66ff292a0a235ce8e6b971cf00a5a1edba",
+    ("equilibrium", "feedback_power_2"):
+        "8f619a161bc98dd6fb91a924b7d0fcb7911c704c531275e6121ff157cc6e1a34",
+    # The kernels with a closed-form u(t).
+    ("simulate", "feedback_none"):
+        "90a752dbc6269f0472d101f88181323a4e30a852a3ef82ee03fedeacb1860420",
+    ("metrics", "feedback_none"):
+        "2b0448a89ebb45e67b6f0e09ad304acc2ded40a4946d3426da3fc53832c6ba87",
+    ("equilibrium", "feedback_none"):
+        "0ecd8ae74931dc7dfa4342bcb41d874414905428ec2cb569ad376d9305b556d9",
+    ("simulate", "feedback_bass"):
+        "35c83c4bfd5d7f975bf05332aa1a5c49bc7700dd1ea0a67e5ffe1dc8e5b2cf4f",
+    ("metrics", "feedback_bass"):
+        "0fa26ff5bb27514a77bbe6d533c4fe1526f52e84a59fb0863ef82e3a6120d014",
+    ("equilibrium", "feedback_bass"):
+        "0ecd8ae74931dc7dfa4342bcb41d874414905428ec2cb569ad376d9305b556d9",
+    ("simulate", "feedback_linear"):
+        "d1fbd15babf9f1a06dd1f2624e14052f718317e16c223fcf7f4c49570f94c887",
+    ("metrics", "feedback_linear"):
+        "23a6ed231bb43c95805c679daadefaa7fee19031a2f02835ee4c82c4796c6192",
+    ("equilibrium", "feedback_linear"):
+        "8f619a161bc98dd6fb91a924b7d0fcb7911c704c531275e6121ff157cc6e1a34",
+    ("simulate", "feedback_sqrt"):
+        "a6fff86c95018dab90cd77ea5702c747ec271ea33482b097b60b49da4969b590",
+    ("metrics", "feedback_sqrt"):
+        "a3052caa92aa70c91f3a22536b458dc0b8c4be72ab8c937d1bf097c1fadcc28f",
+    ("equilibrium", "feedback_sqrt"):
+        "02a68015d1510d10690e1db470c2e1b167c8594a5e7f0f2a53fee8b80dedc4f1",
+    ("simulate", "feedback_one_minus_u"):
+        "60f3f6c12d93b7574b1832cd75c6880220aced95e077684078dec2366936c75c",
+    ("metrics", "feedback_one_minus_u"):
+        "bc94c22d4935fdf7fa581259ab7564f2b30e730531991249ac8f197bac0d2e6c",
+    ("equilibrium", "feedback_one_minus_u"):
+        "0ecd8ae74931dc7dfa4342bcb41d874414905428ec2cb569ad376d9305b556d9",
 }
 
 
@@ -365,3 +418,9 @@ def test_long_runs_match_golden_digest(command, ident, tmp_path, capsys):
     path.write_text(json.dumps(LONG_RUN_DOCS[ident]))
     digest = stdout_digest([command, str(path), "--samples", "1000"], capsys)
     assert digest == LONG_RUN_GOLDEN[(command, ident)]
+
+
+def test_every_kernel_kind_has_long_run_golden_equilibrium():
+    kinds = {LONG_RUN_DOCS[i]["model"]["kernel"]["kind"]
+             for c, i in LONG_RUN_GOLDEN if c == "equilibrium" and i.startswith("feedback_")}
+    assert kinds == set(feedback.KERNEL_KINDS)

@@ -689,8 +689,7 @@ def market_field(market: BassCompetition,
 
 def competitive_path_numeric(market: BassCompetition,
                              churn: Optional[ChurnSpec],
-                             grid: Sequence[float],
-                             step: float | None = None) -> Trajectory:
+                             grid: Sequence[float]) -> Trajectory:
     """Direct integration of the full nonlinear market equations.
 
     Structural invariants are enforced at every output sample: shares
@@ -702,7 +701,7 @@ def competitive_path_numeric(market: BassCompetition,
     if churn is not None and getattr(churn, "n") != n:
         raise ParameterError("churn specification and market disagree on supplier count")
     field_ = market_field(market, churn)
-    rows = numerics.sample_ivp(field_, list(market.u0), grid, step=step)
+    rows = numerics.sample_ivp(field_, list(market.u0), grid)
 
     tol = 1e-9
     prev_sum = -math.inf

@@ -16,6 +16,10 @@ with the exact derivative dphi/du = 1 / ((1 - u) F(u)); along a path
 each sample starts from the previous one, since u increases with t.
 All models are calibrated by the time T50 to reach half the market,
 which makes their latency times directly comparable.
+
+Each kernel kind is declared once, in ``_KERNELS``: its F(u), growth
+integral, closed-form u(t) if any, inflection share, parameter check,
+equilibrium facts and ledger notes.
 """
 
 from __future__ import annotations
@@ -23,19 +27,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import numerics
 from .errors import DomainError, NeverReachedError, ParameterError
 from .trajectory import Trajectory, from_channels
 
-KERNEL_KINDS = ("none", "bass", "linear", "sqrt", "quadratic", "power",
-                "one_minus_u", "inverse_u", "inverse_u_cutoff", "trend_linear_zero")
-
-#: Kernels whose u(t) inverts the growth integral phi.
-INVERTED_KINDS = ("quadratic", "power", "inverse_u", "inverse_u_cutoff", "trend_linear_zero")
 #: Newton iterations after which :func:`_invert_phi` keeps its last iterate.
-MAX_NEWTON_STEPS = 200
+#: Far from a root each step at least halves the distance to it (a Newton
+#: step onto a double root, or a bisection in -log(1 - u)), and the smallest
+#: double is 2^-1074, so a start near 1 reaches any root within this many.
+MAX_NEWTON_STEPS = 1100
 #: Unit roundoff of a double.
 _ROUNDOFF = 2.0 ** -53
 
@@ -57,53 +59,21 @@ class FeedbackKernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "bass" and not (self.ratio is not None and self.ratio > 0):
-            raise ParameterError("bass kernel needs ratio > 0")
-        if self.kind == "power" and not (self.n is not None and self.n > 0):
-            raise ParameterError("power kernel needs exponent n > 0")
-        if self.kind == "inverse_u_cutoff" and not (
-                self.u1 is not None and 0.0 < self.u1 < 1.0):
-            raise ParameterError("cutoff kernel needs 0 < u1 < 1")
+        check = _KERNELS[self.kind].check
+        if check is not None and not check[0](self):
+            raise ParameterError(check[1])
 
     def F(self, u: float) -> float:
-        kind = self.kind
-        if kind == "none":
-            return 1.0
-        if kind == "bass":
-            return 1.0 + self.ratio * u
-        if kind == "linear":
-            return u
-        if kind == "sqrt":
-            return math.sqrt(u)
-        if kind == "quadratic":
-            return u * u
-        if kind == "power":
-            return u ** self.n
-        if kind == "one_minus_u":
-            return 1.0 - u
-        if kind == "inverse_u":
-            return math.inf if u == 0.0 else 1.0 / u
-        if kind == "inverse_u_cutoff":
-            if u >= self.u1:
-                return 0.0
-            return math.inf if u == 0.0 else 1.0 / u
-        if kind == "trend_linear_zero":
-            return math.inf if u == 0.0 else (1.0 - u) / u
-        raise AssertionError(kind)
+        return _KERNELS[self.kind].F(self, u)
 
     def growth(self, u: float) -> float:
         """(1 - u) F(u), the unit-rate right-hand side."""
-        if u == 0.0 and self.kind in ("inverse_u", "inverse_u_cutoff",
-                                      "trend_linear_zero"):
-            return math.inf
         return (1.0 - u) * self.F(u)
 
     @property
     def needs_positive_start(self) -> bool:
-        """Kernels whose growth never leaves u = 0."""
-        if self.kind in ("linear", "quadratic"):
-            return True
-        return self.kind == "power" and self.n >= 1.0
+        """Kernels for which u = 0 is an equilibrium, so growth never leaves it."""
+        return _KERNELS[self.kind].zero(self) == "root"
 
 
 def kernel(kind: str, *, ratio: float | None = None, n: float | None = None,
@@ -159,6 +129,9 @@ class MarketMetrics:
     t_infl: float | None
     gradient_at_infl: float | None
     t10_already_reached: bool = False
+    #: T10/T50 by the reference catalog's own t(u), for a kernel whose
+    #: catalog time formula differs from the solved one; None otherwise.
+    t10_over_t50_catalog: float | None = None
 
 
 @dataclass(frozen=True)
@@ -172,31 +145,7 @@ class EquilibriumPoint:
 # ---------------------------------------------------------------------------
 
 def _phi(kern: FeedbackKernel, u: float, u0: float) -> float:
-    kind = kern.kind
-    if kind == "none":
-        return math.log((1.0 - u0) / (1.0 - u))
-    if kind == "bass":
-        rho = kern.ratio
-        return math.log((1.0 + rho * u) * (1.0 - u0)
-                        / ((1.0 + rho * u0) * (1.0 - u))) / (1.0 + rho)
-    if kind == "linear":
-        return math.log(u * (1.0 - u0) / (u0 * (1.0 - u)))
-    if kind == "sqrt":
-        ru, r0 = math.sqrt(u), math.sqrt(u0)
-        return math.log((1.0 - r0) * (1.0 + ru) / ((1.0 + r0) * (1.0 - ru)))
-    if kind == "quadratic":
-        return (math.log(u * (1.0 - u0) / (u0 * (1.0 - u)))
-                + 1.0 / u0 - 1.0 / u)
-    if kind == "power":
-        return _phi_power(kern.n, u, u0)
-    if kind == "one_minus_u":
-        return 1.0 / (1.0 - u) - 1.0 / (1.0 - u0)
-    if kind in ("inverse_u", "inverse_u_cutoff"):
-        return (u0 - u) + math.log((1.0 - u0) / (1.0 - u))
-    if kind == "trend_linear_zero":
-        return (math.log((1.0 - u) / (1.0 - u0))
-                + u / (1.0 - u) - u0 / (1.0 - u0))
-    raise AssertionError(kind)
+    return _KERNELS[kern.kind].phi(kern, u, u0)
 
 
 def _phi_power(n: float, u: float, u0: float) -> float:
@@ -299,10 +248,158 @@ def _power_series_above_half(n: float, a: float, b: float) -> float:
         k += 1
 
 
-def _check_share_args(m: FeedbackModel, u: float) -> None:
-    if not m.u0 <= u < 1.0:
-        raise DomainError(f"share {u!r} outside [u0, 1)")
-    if m.u0 == 0.0 and u > 0.0 and m.kernel.needs_positive_start:
+def _log1p_excess(x: float) -> float:
+    """-x - log(1 - x) for 0 <= x < 1/10, summed as x^k / k over k >= 2.
+
+    The closed form cancels to an absolute rounding of about 1e-16 x while
+    the value is about x^2 / 2; each term of the sum is positive, and the
+    terms after one sum to at most x / (1 - x) < 1/9 of it.
+    """
+    total, power, k = 0.0, x * x, 2
+    while True:
+        term = power / k
+        total += term
+        if term <= _ROUNDOFF * total:
+            return total
+        power *= x
+        k += 1
+
+
+def _phi_inverse_u(kern: FeedbackKernel, u: float, u0: float) -> float:
+    """Integral of v dv / (1 - v): (u0 - u) + log((1 - u0) / (1 - u))."""
+    if u < 0.1:
+        return _log1p_excess(u) - _log1p_excess(u0)
+    return (u0 - u) + math.log((1.0 - u0) / (1.0 - u))
+
+
+def _phi_trend(kern: FeedbackKernel, u: float, u0: float) -> float:
+    """Integral of v dv / (1 - v)^2: log(1 - v) + v / (1 - v) between u0 and u."""
+    if u < 0.1:
+        # log(1 - v) + v / (1 - v) = v^2 / (1 - v) - (-v - log(1 - v))
+        return ((u * u / (1.0 - u) - _log1p_excess(u))
+                - (u0 * u0 / (1.0 - u0) - _log1p_excess(u0)))
+    return (math.log((1.0 - u) / (1.0 - u0))
+            + u / (1.0 - u) - u0 / (1.0 - u0))
+
+
+def _phi_sqrt(kern: FeedbackKernel, u: float, u0: float) -> float:
+    ru, r0 = math.sqrt(u), math.sqrt(u0)
+    return math.log((1.0 - r0) * (1.0 + ru) / ((1.0 + r0) * (1.0 - ru)))
+
+
+def _u_bass(kern: FeedbackKernel, u0: float, rate: float, t: float) -> float:
+    rho = kern.ratio
+    e = math.exp(-rate * (1.0 + rho) * t)
+    return ((1.0 + rho * u0 - (1.0 - u0) * e)
+            / (1.0 + rho * u0 + rho * (1.0 - u0) * e))
+
+
+def _u_sqrt(kern: FeedbackKernel, u0: float, rate: float, t: float) -> float:
+    r0 = math.sqrt(u0)
+    e = math.exp(-rate * t)
+    v = (1.0 + r0 - (1.0 - r0) * e) / (1.0 + r0 + (1.0 - r0) * e)
+    return v * v
+
+
+def _quadratic_catalog_ratio(u0: float) -> float:
+    """T10/T50 produced by the catalog's printed quadratic t(u), which uses
+    the factor u(u - u0) where the solved equation has u(1 - u0)."""
+    def phi(u: float) -> float:
+        return math.log(u * (u - u0) / ((1.0 - u) * u0)) + 1.0 / u0 - 1.0 / u
+
+    return phi(0.1) / phi(0.5)
+
+
+def _one_over_u(kern: FeedbackKernel, u: float) -> float:
+    return math.inf if u == 0.0 else 1.0 / u
+
+
+class _Kernel(NamedTuple):
+    """Everything the library knows of one kernel kind."""
+
+    F: Callable[[FeedbackKernel, float], float]
+    phi: Callable          # (kernel, u, u0) -> growth integral phi(u; u0)
+    u_of_t: Callable | None = None  # (kernel, u0, rate, t) -> u; None: invert phi
+    inflection: Callable = lambda k: None  # kernel -> demand-peak share, or None
+    check: tuple[Callable, str] | None = None  # parameter test and its error
+    zero: Callable = lambda k: None  # kernel -> "root", "not_equilibrium" or None: u = 0
+    limit: Callable = lambda k: 1.0  # kernel -> share at which growth stops
+    notes: tuple[str, ...] = ()      # ledger notes shown with every result
+    catalog_ratio: Callable | None = None  # u0 -> T10/T50 by the catalog's t(u)
+
+
+_KERNELS = {
+    "none": _Kernel(
+        F=lambda k, u: 1.0,
+        phi=lambda k, u, u0: math.log((1.0 - u0) / (1.0 - u)),
+        u_of_t=lambda k, u0, rate, t: 1.0 - (1.0 - u0) * math.exp(-rate * t)),
+    "bass": _Kernel(
+        F=lambda k, u: 1.0 + k.ratio * u,
+        phi=lambda k, u, u0: math.log(
+            (1.0 + k.ratio * u) * (1.0 - u0)
+            / ((1.0 + k.ratio * u0) * (1.0 - u))) / (1.0 + k.ratio),
+        u_of_t=_u_bass,
+        # An interior demand peak only when imitation exceeds innovation.
+        inflection=lambda k: (k.ratio - 1.0) / (2.0 * k.ratio) if k.ratio > 1.0 else None,
+        check=(lambda k: k.ratio is not None and k.ratio > 0, "bass kernel needs ratio > 0")),
+    "linear": _Kernel(
+        F=lambda k, u: u,
+        phi=lambda k, u, u0: math.log(u * (1.0 - u0) / (u0 * (1.0 - u))),
+        u_of_t=lambda k, u0, rate, t: u0 / (u0 + (1.0 - u0) * math.exp(-rate * t)),
+        inflection=lambda k: 0.5,
+        zero=lambda k: "root"),
+    "sqrt": _Kernel(
+        F=lambda k, u: math.sqrt(u),
+        phi=_phi_sqrt,
+        u_of_t=_u_sqrt,
+        inflection=lambda k: 1.0 / 3.0,
+        # Not smooth at 0: the market accelerates away from an empty start.
+        zero=lambda k: "not_equilibrium"),
+    "quadratic": _Kernel(
+        F=lambda k, u: u * u,
+        phi=lambda k, u, u0: (math.log(u * (1.0 - u0) / (u0 * (1.0 - u)))
+                              + 1.0 / u0 - 1.0 / u),
+        inflection=lambda k: 2.0 / 3.0,
+        zero=lambda k: "root",
+        notes=("quadratic kernel: the reference table lists T10/T50 = 0.88 at "
+               "u0 = 0.01; the t(u) consistent with the growth equation itself "
+               "(checked against direct integration) gives 0.90. Both are shown.",),
+        catalog_ratio=_quadratic_catalog_ratio),
+    "power": _Kernel(
+        F=lambda k, u: u ** k.n,
+        phi=lambda k, u, u0: _phi_power(k.n, u, u0),
+        inflection=lambda k: k.n / (k.n + 1.0),
+        check=(lambda k: k.n is not None and k.n > 0, "power kernel needs exponent n > 0"),
+        zero=lambda k: "root" if k.n >= 1.0 else "not_equilibrium"),
+    "one_minus_u": _Kernel(
+        F=lambda k, u: 1.0 - u,
+        phi=lambda k, u, u0: 1.0 / (1.0 - u) - 1.0 / (1.0 - u0),
+        u_of_t=lambda k, u0, rate, t: 1.0 - (1.0 - u0) / (1.0 + (1.0 - u0) * rate * t)),
+    "inverse_u": _Kernel(F=_one_over_u, phi=_phi_inverse_u),
+    "inverse_u_cutoff": _Kernel(
+        F=lambda k, u: 0.0 if u >= k.u1 else _one_over_u(k, u),
+        phi=_phi_inverse_u,
+        check=(lambda k: k.u1 is not None and 0.0 < k.u1 < 1.0, "cutoff kernel needs 0 < u1 < 1"),
+        limit=lambda k: k.u1),
+    "trend_linear_zero": _Kernel(
+        F=lambda k, u: math.inf if u == 0.0 else (1.0 - u) / u,
+        phi=_phi_trend,
+        notes=("(1-u)/u kernel: the reference table prints a 33-day latency at "
+               "T50 = 5 years where the formula value 0.01874*T50 is 34 days.",)),
+}
+
+KERNEL_KINDS = tuple(_KERNELS)
+#: Kernels whose u(t) inverts the growth integral phi.
+INVERTED_KINDS = tuple(kind for kind, spec in _KERNELS.items() if spec.u_of_t is None)
+
+
+def _limit(kern: FeedbackKernel) -> float:
+    """Share at which growth stops: 1, or the cutoff share u1."""
+    return _KERNELS[kern.kind].limit(kern)
+
+
+def _check_start(kern: FeedbackKernel, u0: float) -> None:
+    if u0 == 0.0 and kern.needs_positive_start:
         raise NeverReachedError(
             "market share stays 0 forever without an initial customer base")
 
@@ -311,11 +408,13 @@ def t_of_u(m: FeedbackModel, u: float) -> float:
     """Time at which the share reaches u; exact where a closed form exists."""
     if u == m.u0:
         return 0.0
-    _check_share_args(m, u)
-    kern = m.kernel
-    if kern.kind == "inverse_u_cutoff" and u > kern.u1:
-        raise DomainError(f"share never exceeds the cutoff u1 = {kern.u1}")
-    return _phi(kern, u, m.u0) / m.rate
+    if not m.u0 <= u < 1.0:
+        raise DomainError(f"share {u!r} outside [u0, 1)")
+    _check_start(m.kernel, m.u0)
+    limit = _limit(m.kernel)
+    if u > limit:
+        raise DomainError(f"share never exceeds the cutoff u1 = {limit}")
+    return _phi(m.kernel, u, m.u0) / m.rate
 
 
 def u_of_t(m: FeedbackModel, t: float) -> float:
@@ -329,29 +428,11 @@ def u_of_t(m: FeedbackModel, t: float) -> float:
         raise DomainError("time must be nonnegative")
     if t == 0.0:
         return m.u0
-    kind = m.kernel.kind
-    u0 = m.u0
-    if kind == "none":
-        return 1.0 - (1.0 - u0) * math.exp(-m.rate * t)
-    if kind == "bass":
-        rho = m.kernel.ratio
-        e = math.exp(-m.rate * (1.0 + rho) * t)
-        return ((1.0 + rho * u0 - (1.0 - u0) * e)
-                / (1.0 + rho * u0 + rho * (1.0 - u0) * e))
-    if kind == "linear":
-        if u0 == 0.0:
-            raise NeverReachedError(
-                "market share stays 0 forever without an initial customer base")
-        e = math.exp(-m.rate * t)
-        return u0 / (u0 + (1.0 - u0) * e)
-    if kind == "sqrt":
-        r0 = math.sqrt(u0)
-        e = math.exp(-m.rate * t)
-        v = (1.0 + r0 - (1.0 - r0) * e) / (1.0 + r0 + (1.0 - r0) * e)
-        return v * v
-    if kind == "one_minus_u":
-        return 1.0 - (1.0 - u0) / (1.0 + (1.0 - u0) * m.rate * t)
-    return _invert_phi(m, [t])[0][0]
+    closed = _KERNELS[m.kernel.kind].u_of_t
+    if closed is None:
+        return _invert_phi(m, [t])[0][0]
+    _check_start(m.kernel, m.u0)
+    return closed(m.kernel, m.u0, m.rate, t)
 
 
 def _shares(m: FeedbackModel, times: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -377,16 +458,12 @@ def _invert_phi(m: FeedbackModel,
     time, so a path in increasing time needs a few evaluations of phi
     per sample. Shares are reported saturated at L - (L - u0) 2^-50, where
     L is 1 (the cutoff share u1 for the cutoff kernel); the cutoff kernel
-    stays at u1 from cutoff_time(m) on.
+    stays at u1 from cutoff_time(m) on, or at u0 if it starts past u1.
     """
     kern, u0 = m.kernel, m.u0
-    if kern.needs_positive_start and u0 == 0.0:
-        raise NeverReachedError(
-            "market share stays 0 forever without an initial customer base")
-    if kern.kind == "inverse_u_cutoff":
-        limit, t_freeze = kern.u1, cutoff_time(m)
-    else:
-        limit, t_freeze = 1.0, math.inf
+    _check_start(kern, u0)
+    limit = max(_limit(kern), u0)  # a start past the cutoff share stays there
+    t_freeze = cutoff_time(m) if limit < 1.0 else math.inf
     cap = min(limit - (limit - u0) * 0.5 ** 50, math.nextafter(limit, 0.0))
     phi_cap = _phi(kern, cap, u0)
     x, phi_x = u0, 0.0
@@ -433,7 +510,8 @@ def _newton_share(kern: FeedbackKernel, u0: float, target: float, x: float, phi_
         rest = (1.0 - x) * math.exp(step)
         if lo < nxt < hi:
             tol = 0.5 * _ROUNDOFF * min(1.0, nxt / rest)
-            if prev is not None and abs(step) ** 3 <= tol * prev * prev:
+            # step^3 <= tol prev^2, in a form that tiny shares cannot underflow
+            if prev is not None and abs(step) * (step / prev) ** 2 <= tol:
                 return nxt, rest, x, phi_x
             prev = abs(step)
         elif lo <= nxt <= hi and f > 0.0:
@@ -463,10 +541,8 @@ def calibrate_rate(kern: FeedbackKernel, t50: float, u0: float = 0.0) -> float:
         raise ParameterError("initial share u0 must lie in [0, 1)")
     if u0 >= 0.5:
         raise ParameterError("calibration impossible: u0 already at or above 50%")
-    if u0 == 0.0 and kern.needs_positive_start:
-        raise NeverReachedError(
-            "market share stays 0 forever without an initial customer base")
-    if kern.kind == "inverse_u_cutoff" and kern.u1 < 0.5:
+    _check_start(kern, u0)
+    if _limit(kern) < 0.5:
         raise ParameterError("calibration impossible: cutoff u1 below 50%")
     rate = _phi(kern, 0.5, u0) / t50
     if not rate < math.inf:
@@ -479,19 +555,20 @@ def latency_metrics(m: FeedbackModel) -> MarketMetrics:
     if m.u0 >= 0.5:
         raise ParameterError("latency metrics need u0 < 0.5")
     t50 = t_of_u(m, 0.5)
-    t60 = t_of_u(m, 0.6) if not (
-        m.kernel.kind == "inverse_u_cutoff" and m.kernel.u1 < 0.6) else math.nan
+    t60 = t_of_u(m, 0.6) if _limit(m.kernel) >= 0.6 else math.nan
     if m.u0 >= 0.1:
         t10, reached = 0.0, True
     else:
         t10, reached = t_of_u(m, 0.1), False
     infl = inflection(m)
+    catalog = _KERNELS[m.kernel.kind].catalog_ratio
     return MarketMetrics(
         t50=t50, t10=t10, t60_minus_t50=t60 - t50,
         u_infl=infl.u if infl else None,
         t_infl=infl.t if infl else None,
         gradient_at_infl=infl.gradient if infl else None,
-        t10_already_reached=reached)
+        t10_already_reached=reached,
+        t10_over_t50_catalog=catalog(m.u0) if catalog and not reached else None)
 
 
 def inflection(m: FeedbackModel) -> Optional[InflectionPoint]:
@@ -503,67 +580,11 @@ def inflection(m: FeedbackModel) -> Optional[InflectionPoint]:
     interior peak only when imitation exceeds innovation). The decaying
     kernels have monotone demand.
     """
-    kind = m.kernel.kind
-    if kind == "linear":
-        u_star = 0.5
-    elif kind == "sqrt":
-        u_star = 1.0 / 3.0
-    elif kind == "quadratic":
-        u_star = 2.0 / 3.0
-    elif kind == "power":
-        u_star = m.kernel.n / (m.kernel.n + 1.0)
-    elif kind == "bass":
-        rho = m.kernel.ratio
-        if rho <= 1.0:
-            return None
-        u_star = (rho - 1.0) / (2.0 * rho)
-    else:
-        return None
-    if u_star <= m.u0:
+    u_star = _KERNELS[m.kernel.kind].inflection(m.kernel)
+    if u_star is None or u_star <= m.u0:
         return None
     gradient = m.rate * m.kernel.growth(u_star)
     return InflectionPoint(u=u_star, t=t_of_u(m, u_star), gradient=gradient)
-
-
-def demand_curve(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
-    """Sales per unit time D(t) = N * rate * (1 - u) F(u) along the grid."""
-    kind = m.kernel.kind
-    u0, rate, N = m.u0, m.rate, m.N
-    out = []
-    if kind == "none":
-        for t in grid:
-            out.append(rate * N * (1.0 - u0) * math.exp(-rate * t))
-    elif kind == "bass":
-        rho = m.kernel.ratio
-        a = rate
-        g = rho * a
-        for t in grid:
-            e = math.exp(-(a + g) * t)
-            den = a + g * u0 + g * (1.0 - u0) * e
-            out.append(N * (a + g) ** 2 * (1.0 - u0) * (a + g * u0) * e / (den * den))
-    elif kind == "linear":
-        # Differentiating u(t) = u0/(u0 + (1-u0)e^{-rate t}) carries a
-        # (1-u0) factor; D(0) = N rate u0 (1-u0), which the small-u0
-        # shorthand N rate u0 approximates.
-        for t in grid:
-            e = math.exp(-rate * t)
-            den = u0 + (1.0 - u0) * e
-            out.append(N * rate * u0 * (1.0 - u0) * e / (den * den))
-    elif kind == "sqrt":
-        r0 = math.sqrt(u0)
-        for t in grid:
-            e = math.exp(-rate * t)
-            den = 1.0 + r0 + (1.0 - r0) * e
-            num = 1.0 + r0 - (1.0 - r0) * e
-            out.append(4.0 * N * (1.0 - u0) * rate * e * num / den ** 3)
-    elif kind == "one_minus_u":
-        for t in grid:
-            one_minus = (1.0 - u0) / (1.0 + (1.0 - u0) * rate * t)
-            out.append(N * rate * one_minus * one_minus)
-    else:
-        for u, rest in zip(*_shares(m, grid)):
-            out.append(N * rate * rest * m.kernel.F(u))
-    return from_channels(grid, {"D": out})
 
 
 def feedback_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
@@ -575,14 +596,15 @@ def feedback_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
 
 def cutoff_time(m: FeedbackModel) -> float:
     """Time at which a cutoff kernel freezes: t1 = phi(u1) / rate."""
-    if m.kernel.kind != "inverse_u_cutoff":
+    limit = _limit(m.kernel)
+    if not limit < 1.0:
         raise ParameterError("cutoff_time applies to the inverse_u_cutoff kernel")
-    return _phi(m.kernel, m.kernel.u1, m.u0) / m.rate
+    return _phi(m.kernel, limit, m.u0) / m.rate
 
 
 def cutoff_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
     """1/u growth frozen at the cutoff share u1 from t1 onward."""
-    if m.kernel.kind != "inverse_u_cutoff":
+    if not _limit(m.kernel) < 1.0:
         raise ParameterError("cutoff_path applies to the inverse_u_cutoff kernel")
     return feedback_path(m, grid)
 
@@ -595,25 +617,15 @@ def classify_equilibria(kern: FeedbackKernel) -> list[EquilibriumPoint]:
     negative below or positive above means repeller. The sqrt and sub-
     linear power kernels report u = 0 as not an equilibrium: the kernel
     is not smooth there, the market accelerates away from an empty
-    start (for sqrt(u) the initial acceleration is rate^2 / 2 > 0).
+    start (for sqrt(u) the initial acceleration is rate^2 / 2 > 0). The
+    cutoff kernel stops at u1 instead of 1, and parks there from any start
+    below it.
     """
-    kind = kern.kind
-    if kind == "inverse_u_cutoff":
-        # Growth is positive below u1 and zero on [u1, 1]; the flow
-        # parks at u1 no matter where it starts below.
-        return [EquilibriumPoint(kern.u1, "attractor")]
-
-    roots: list[float] = []
-    if kind in ("linear", "quadratic", "sqrt", "power"):
-        roots.append(0.0)
-    roots.append(1.0)
-
-    out = []
+    zero = _KERNELS[kern.kind].zero(kern)
+    roots = ([0.0] if zero == "root" else []) + [_limit(kern)]
+    out = [EquilibriumPoint(0.0, "not_equilibrium")] if zero == "not_equilibrium" else []
     delta = 1e-6
     for r in roots:
-        if r == 0.0 and (kind == "sqrt" or (kind == "power" and kern.n < 1.0)):
-            out.append(EquilibriumPoint(0.0, "not_equilibrium"))
-            continue
         below = kern.growth(r - delta) if r - delta >= 0.0 else None
         above = kern.growth(r + delta) if r + delta <= 1.0 else None
         if below is None:
@@ -639,15 +651,4 @@ def ode_field(m: FeedbackModel) -> numerics.VectorField:
 def discrepancy_notes(kern: FeedbackKernel) -> tuple[str, ...]:
     """Ledger notes surfaced whenever a kernel with a known reference
     inconsistency is evaluated; the CLI prints them with the results."""
-    if kern.kind == "quadratic":
-        return (
-            "quadratic kernel: the reference table lists T10/T50 = 0.88 at "
-            "u0 = 0.01; the t(u) consistent with the growth equation itself "
-            "(checked against direct integration) gives 0.90. Both are shown.",
-        )
-    if kern.kind == "trend_linear_zero":
-        return (
-            "(1-u)/u kernel: the reference table prints a 33-day latency at "
-            "T50 = 5 years where the formula value 0.01874*T50 is 34 days.",
-        )
-    return ()
+    return _KERNELS[kern.kind].notes

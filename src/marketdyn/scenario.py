@@ -485,17 +485,18 @@ def _parse_feedback(r):
 
 def _run_feedback(model, grid):
     traj = feedback.feedback_path(model, grid)
-    m = feedback.latency_metrics(model)
-    metrics = [("rate", model.rate), ("T50", m.t50), ("T10", m.t10),
-               ("T60_minus_T50", m.t60_minus_t50)]
-    if m.u_infl is not None:
-        metrics += [("u_inflection", m.u_infl), ("t_inflection", m.t_infl),
-                    ("gradient_at_inflection", m.gradient_at_infl)]
-    if model.kernel.kind == "quadratic":
-        from .tables import _quadratic_catalog_ratio
-        metrics += [("T10_over_T50", m.t10 / m.t50),
-                    ("T10_over_T50_catalog_variant", _quadratic_catalog_ratio(model.u0))]
-    return traj, metrics
+    metrics, catalog = [("rate", model.rate)], []
+    if model.u0 < 0.5:  # the latency times run from u0 up to half the market
+        m = feedback.latency_metrics(model)
+        metrics += [("T50", m.t50), ("T10", m.t10), ("T60_minus_T50", m.t60_minus_t50)]
+        if m.t10_over_t50_catalog is not None:
+            catalog = [("T10_over_T50", m.t10 / m.t50),
+                       ("T10_over_T50_catalog_variant", m.t10_over_t50_catalog)]
+    infl = feedback.inflection(model)
+    if infl is not None:
+        metrics += [("u_inflection", infl.u), ("t_inflection", infl.t),
+                    ("gradient_at_inflection", infl.gradient)]
+    return traj, metrics + catalog
 
 
 def _feedback_equilibrium(model):
@@ -742,15 +743,6 @@ def parse_scenario(data: dict) -> Scenario:
     return Scenario(kind=kind, model=model, horizon=horizon, samples=samples,
                     outputs=outputs, time_unit=time_unit, name=name,
                     model_doc=model_reader.doc)
-
-
-def parse_scenario_text(text: str) -> Scenario:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioValidationError([ValidationIssue(
-            "bad_type", "$", "valid JSON", f"parse error: {exc}")]) from exc
-    return parse_scenario(data)
 
 
 def scenario_to_dict(s: Scenario) -> dict:

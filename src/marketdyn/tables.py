@@ -11,7 +11,6 @@ year/month/day style of the source tables (1 month = 1/12 time unit,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import feedback
@@ -117,25 +116,15 @@ def latency_kernels_table(t50: float = 5.0) -> list[LatencyKernelRow]:
         ratio = metrics.t10 / t50
         late = metrics.t60_minus_t50 / t50
         footnote = None
-        if kern.kind == "quadratic":
-            catalog = _quadratic_catalog_ratio(u0)
-            footnote = (f"catalog ratio {catalog:.2f} (from a t(u) variant that "
-                        f"fails t(u0)=0); recomputed ratio {ratio:.2f}")
+        if metrics.t10_over_t50_catalog is not None:
+            footnote = (f"catalog ratio {metrics.t10_over_t50_catalog:.2f} (from a t(u) "
+                        f"variant that fails t(u0)=0); recomputed ratio {ratio:.2f}")
         rows.append(LatencyKernelRow(
             label=label, t10_over_t50=ratio,
             t10_formatted=format_duration(ratio * t50),
             late_over_t50=late, late_formatted=format_duration(late * t50),
             footnote=footnote))
     return rows
-
-
-def _quadratic_catalog_ratio(u0: float) -> float:
-    """T10/T50 produced by the catalog's printed quadratic t(u), which uses
-    the factor u(u - u0) where the solved equation has u(1 - u0)."""
-    def phi(u: float) -> float:
-        return math.log(u * (u - u0) / ((1.0 - u) * u0)) + 1.0 / u0 - 1.0 / u
-
-    return phi(0.1) / phi(0.5)
 
 
 def render_latency_u0(t50: float = 5.0) -> str:

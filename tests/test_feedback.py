@@ -196,6 +196,37 @@ def test_power_series_matches_mpmath(n, u0, u):
     assert fb._phi_power(n, u, u0) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
 
 
+def mpmath_decaying_phi(kind, u0, u):
+    """phi of the 1/u or (1-u)/u kernel at 60 digits, enough for its cancellation."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        u0, u = mpmath.mpf(u0), mpmath.mpf(u)
+        if kind == "trend_linear_zero":  # int v dv / (1 - v)^2
+            return float(mpmath.log((1 - u) / (1 - u0)) + u / (1 - u) - u0 / (1 - u0))
+        return float((u0 - u) + mpmath.log((1 - u0) / (1 - u)))  # int v dv / (1 - v)
+
+
+@pytest.mark.parametrize("kind", ["inverse_u", "inverse_u_cutoff", "trend_linear_zero"])
+@pytest.mark.parametrize("u", [1e-12, 3.7e-11, 1e-9, 2.2e-7, 1e-6, 4.1e-5, 1e-4, 3e-3,
+                               1e-2])
+def test_decaying_phi_keeps_its_digits_for_small_shares(kind, u):
+    # The closed forms cancel to about 1e-16 u while phi is about u^2 / 2.
+    kern = fb.kernel(kind, u1=0.5 if kind == "inverse_u_cutoff" else None)
+    for u0 in (0.0, u / 3.0):
+        expected = mpmath_decaying_phi(kind, u0, u)
+        assert fb._phi(kern, u, u0) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_tiny_rate_share_stays_tiny(tmp_path, capsys):
+    # u^2 / 2 = rate t puts the share near 1e-161 at t = 10.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback", "kernel": {"kind": "inverse_u"},
+                                          "rate": 5e-324, "u0": 0}, "horizon": 10}))
+    assert cli.main(["simulate", str(path), "--samples", "50"]) == cli.EXIT_OK
+    shares = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(shares) == 50 and max(shares) <= 1e-150
+
+
 @pytest.mark.parametrize("ident", ["feedback_power_1.5", "feedback_quadratic"])
 def test_inversion_phi_budget(ident, tmp_path, monkeypatch, capsys):
     # The bracket search and the finite-difference root finder took about
@@ -421,6 +452,36 @@ def test_inflection_time_matches_demand_argmax():
         assert abs(t_mid - infl.t) <= grid[1] - grid[0]
 
 
+def metric_names(doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
+    assert cli.main(["metrics", str(path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.split("metric,value\n")[1].splitlines()
+    return [line.split(",")[0] for line in lines if not line.startswith("note,")]
+
+
+@pytest.mark.parametrize("n,names", [
+    (2.0, ["rate"]),
+    (4.0, ["rate", "u_inflection", "t_inflection", "gradient_at_inflection"]),
+])
+def test_start_past_half_market_keeps_the_metrics_it_has(n, names, tmp_path, capsys):
+    # The latency times run from u0 to half the market; past it the rate and
+    # an inflection share above u0 (n / (n + 1)) are all that is left.
+    doc = {"model": {"kind": "feedback", "kernel": {"kind": "power", "n": n},
+                     "rate": 1.0, "u0": 0.7}, "horizon": 10}
+    assert metric_names(doc, tmp_path, capsys) == names
+
+
+def test_quadratic_start_past_t10_has_no_catalog_variant(tmp_path, capsys):
+    # The catalog's quadratic t(u) has no value at u = 0.1 once u0 >= 0.1.
+    doc = {"model": {"kind": "feedback", "kernel": {"kind": "quadratic"},
+                     "rate": 1.0, "u0": 0.2}, "horizon": 10}
+    assert metric_names(doc, tmp_path, capsys) == [
+        "rate", "T50", "T10", "T60_minus_T50",
+        "u_inflection", "t_inflection", "gradient_at_inflection"]
+
+
 # ---------------------------------------------------------------------------
 # demand
 # ---------------------------------------------------------------------------
@@ -429,7 +490,7 @@ def test_linear_initial_demand():
     # D(0) = N rate u0 (1 - u0) exactly (the derivative of the growth
     # curve); the shorthand N rate u0 is its small-u0 approximation.
     m = fb.FeedbackModel(fb.kernel("linear"), rate=0.9, u0=0.01, N=1000.0)
-    d = fb.demand_curve(m, [0.0]).channel("D")[0]
+    d = fb.feedback_path(m, [0.0]).channel("D")[0]
     assert d == pytest.approx(1000.0 * 0.9 * 0.01 * (1 - 0.01), rel=1e-12)
     assert d == pytest.approx(1000.0 * 0.9 * 0.01, rel=0.011)
 
@@ -437,14 +498,14 @@ def test_linear_initial_demand():
 def test_no_feedback_demand_curve():
     m = fb.FeedbackModel(fb.kernel("none"), rate=0.25, u0=0.1, N=10.0)
     grid = time_grid(0.0, 10.0, 21)
-    d = fb.demand_curve(m, grid).channel("D")
+    d = fb.feedback_path(m, grid).channel("D")
     for t, v in zip(grid, d):
         assert v == pytest.approx(0.25 * 10.0 * 0.9 * math.exp(-0.25 * t), rel=1e-12)
 
 
 def test_quadratic_demand_matches_finite_difference():
     m = fb.FeedbackModel.calibrated(fb.kernel("quadratic"), T50, 0.01, N=1.0)
-    d = fb.demand_curve(m, [2.0, 5.0, 7.0]).channel("D")
+    d = fb.feedback_path(m, [2.0, 5.0, 7.0]).channel("D")
     h = 1e-5
     for t, v in zip((2.0, 5.0, 7.0), d):
         fd = (fb.u_of_t(m, t + h) - fb.u_of_t(m, t - h)) / (2 * h)
@@ -456,7 +517,7 @@ def test_closed_demand_matches_growth_everywhere():
         kw = {"ratio": 2.0} if kind == "bass" else {}
         m = fb.FeedbackModel.calibrated(fb.kernel(kind, **kw), T50, u0, N=3.0)
         grid = time_grid(0.0, 2 * T50, 11)
-        d = fb.demand_curve(m, grid).channel("D")
+        d = fb.feedback_path(m, grid).channel("D")
         for t, v in zip(grid, d):
             u = fb.u_of_t(m, t)
             assert v == pytest.approx(m.N * m.rate * m.kernel.growth(u), rel=1e-9, abs=1e-12)
@@ -512,3 +573,11 @@ def test_cutoff_demand_zero_after_freeze():
     traj = fb.cutoff_path(m, [0.5 * t1, 2.0 * t1, 4.0 * t1])
     assert traj.channel("D")[1] == 0.0
     assert traj.channel("D")[2] == 0.0
+
+
+def test_cutoff_start_past_the_cutoff_stays_put():
+    # F vanishes from u1 on, so a market that starts there never moves.
+    m = fb.FeedbackModel(fb.kernel("inverse_u_cutoff", u1=0.3), rate=1.0, u0=0.6)
+    traj = fb.feedback_path(m, [0.0, 0.5, 2.0])
+    assert traj.channel("u") == (0.6, 0.6, 0.6)
+    assert traj.channel("D") == (0.0, 0.0, 0.0)

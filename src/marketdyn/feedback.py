@@ -267,14 +267,14 @@ def _log1p_excess(x: float) -> float:
 
 def _phi_inverse_u(kern: FeedbackKernel, u: float, u0: float) -> float:
     """Integral of v dv / (1 - v): (u0 - u) + log((1 - u0) / (1 - u))."""
-    if u < 0.1:
+    if u < 0.1 and u0 < 0.1:
         return _log1p_excess(u) - _log1p_excess(u0)
     return (u0 - u) + math.log((1.0 - u0) / (1.0 - u))
 
 
 def _phi_trend(kern: FeedbackKernel, u: float, u0: float) -> float:
     """Integral of v dv / (1 - v)^2: log(1 - v) + v / (1 - v) between u0 and u."""
-    if u < 0.1:
+    if u < 0.1 and u0 < 0.1:
         # log(1 - v) + v / (1 - v) = v^2 / (1 - v) - (-v - log(1 - v))
         return ((u * u / (1.0 - u) - _log1p_excess(u))
                 - (u0 * u0 / (1.0 - u0) - _log1p_excess(u0)))

@@ -489,13 +489,15 @@ def _run_feedback(model, grid):
     if model.u0 < 0.5:  # the latency times run from u0 up to half the market
         m = feedback.latency_metrics(model)
         metrics += [("T50", m.t50), ("T10", m.t10), ("T60_minus_T50", m.t60_minus_t50)]
+        infl = m.u_infl, m.t_infl, m.gradient_at_infl
         if m.t10_over_t50_catalog is not None:
             catalog = [("T10_over_T50", m.t10 / m.t50),
                        ("T10_over_T50_catalog_variant", m.t10_over_t50_catalog)]
-    infl = feedback.inflection(model)
-    if infl is not None:
-        metrics += [("u_inflection", infl.u), ("t_inflection", infl.t),
-                    ("gradient_at_inflection", infl.gradient)]
+    else:
+        p = feedback.inflection(model)
+        infl = (p.u, p.t, p.gradient) if p else (None, None, None)
+    if infl[0] is not None:
+        metrics += zip(("u_inflection", "t_inflection", "gradient_at_inflection"), infl)
     return traj, metrics + catalog
 
 

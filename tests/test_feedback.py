@@ -513,14 +513,16 @@ def test_quadratic_demand_matches_finite_difference():
 
 
 def test_closed_demand_matches_growth_everywhere():
+    # D = N du/dt, with du/dt taken as a central difference of the closed-form u(t).
+    h = 1e-5
     for kind, u0 in (("bass", 0.0), ("linear", 0.01), ("sqrt", 0.0), ("one_minus_u", 0.0)):
         kw = {"ratio": 2.0} if kind == "bass" else {}
         m = fb.FeedbackModel.calibrated(fb.kernel(kind, **kw), T50, u0, N=3.0)
-        grid = time_grid(0.0, 2 * T50, 11)
+        grid = time_grid(0.2 * T50, 2 * T50, 10)
         d = fb.feedback_path(m, grid).channel("D")
         for t, v in zip(grid, d):
-            u = fb.u_of_t(m, t)
-            assert v == pytest.approx(m.N * m.rate * m.kernel.growth(u), rel=1e-9, abs=1e-12)
+            fd = m.N * (fb.u_of_t(m, t + h) - fb.u_of_t(m, t - h)) / (2 * h)
+            assert v == pytest.approx(fd, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +575,18 @@ def test_cutoff_demand_zero_after_freeze():
     traj = fb.cutoff_path(m, [0.5 * t1, 2.0 * t1, 4.0 * t1])
     assert traj.channel("D")[1] == 0.0
     assert traj.channel("D")[2] == 0.0
+
+
+def test_cutoff_start_near_saturation_past_a_small_cutoff_answers_at_once(tmp_path, capsys):
+    # phi(u1; u0) takes its small-share series only when both shares are
+    # small; near u0 = 1 the series would need about 36 / (1 - u0) terms.
+    doc = {"model": {"kind": "feedback", "kernel": {"kind": "inverse_u_cutoff", "u1": 0.05},
+                     "rate": 1.0, "u0": 0.999999999}, "horizon": 10}
+    assert metric_names(doc, tmp_path, capsys) == ["rate"]
+    m = fb.FeedbackModel(fb.kernel("inverse_u_cutoff", u1=0.05), rate=1.0, u0=0.999999999)
+    traj = fb.feedback_path(m, [0.0, 0.5, 2.0])
+    assert traj.channel("u") == (0.999999999,) * 3
+    assert traj.channel("D") == (0.0, 0.0, 0.0)
 
 
 def test_cutoff_start_past_the_cutoff_stays_put():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -106,7 +107,9 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="marketdyn",
         description="Solve dynamic market models and emit deterministic CSV")
@@ -149,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioValidationError as exc:

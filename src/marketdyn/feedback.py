@@ -75,6 +75,11 @@ class FeedbackKernel:
         """Kernels for which u = 0 is an equilibrium, so growth never leaves it."""
         return _KERNELS[self.kind].zero(self) == "root"
 
+    @property
+    def limit(self) -> float:
+        """Share at which growth stops: 1, or the cutoff share u1."""
+        return _KERNELS[self.kind].limit(self)
+
 
 def kernel(kind: str, *, ratio: float | None = None, n: float | None = None,
            u1: float | None = None) -> FeedbackKernel:
@@ -393,11 +398,6 @@ KERNEL_KINDS = tuple(_KERNELS)
 INVERTED_KINDS = tuple(kind for kind, spec in _KERNELS.items() if spec.u_of_t is None)
 
 
-def _limit(kern: FeedbackKernel) -> float:
-    """Share at which growth stops: 1, or the cutoff share u1."""
-    return _KERNELS[kern.kind].limit(kern)
-
-
 def _check_start(kern: FeedbackKernel, u0: float) -> None:
     if u0 == 0.0 and kern.needs_positive_start:
         raise NeverReachedError(
@@ -411,7 +411,7 @@ def t_of_u(m: FeedbackModel, u: float) -> float:
     if not m.u0 <= u < 1.0:
         raise DomainError(f"share {u!r} outside [u0, 1)")
     _check_start(m.kernel, m.u0)
-    limit = _limit(m.kernel)
+    limit = m.kernel.limit
     if u > limit:
         raise DomainError(f"share never exceeds the cutoff u1 = {limit}")
     return _phi(m.kernel, u, m.u0) / m.rate
@@ -462,7 +462,7 @@ def _invert_phi(m: FeedbackModel,
     """
     kern, u0 = m.kernel, m.u0
     _check_start(kern, u0)
-    limit = max(_limit(kern), u0)  # a start past the cutoff share stays there
+    limit = max(kern.limit, u0)  # a start past the cutoff share stays there
     t_freeze = cutoff_time(m) if limit < 1.0 else math.inf
     cap = min(limit - (limit - u0) * 0.5 ** 50, math.nextafter(limit, 0.0))
     phi_cap = _phi(kern, cap, u0)
@@ -542,7 +542,7 @@ def calibrate_rate(kern: FeedbackKernel, t50: float, u0: float = 0.0) -> float:
     if u0 >= 0.5:
         raise ParameterError("calibration impossible: u0 already at or above 50%")
     _check_start(kern, u0)
-    if _limit(kern) < 0.5:
+    if kern.limit < 0.5:
         raise ParameterError("calibration impossible: cutoff u1 below 50%")
     rate = _phi(kern, 0.5, u0) / t50
     if not rate < math.inf:
@@ -555,7 +555,7 @@ def latency_metrics(m: FeedbackModel) -> MarketMetrics:
     if m.u0 >= 0.5:
         raise ParameterError("latency metrics need u0 < 0.5")
     t50 = t_of_u(m, 0.5)
-    t60 = t_of_u(m, 0.6) if _limit(m.kernel) >= 0.6 else math.nan
+    t60 = t_of_u(m, 0.6) if m.kernel.limit >= 0.6 else math.nan
     if m.u0 >= 0.1:
         t10, reached = 0.0, True
     else:
@@ -596,7 +596,7 @@ def feedback_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
 
 def cutoff_time(m: FeedbackModel) -> float:
     """Time at which a cutoff kernel freezes: t1 = phi(u1) / rate."""
-    limit = _limit(m.kernel)
+    limit = m.kernel.limit
     if not limit < 1.0:
         raise ParameterError("cutoff_time applies to the inverse_u_cutoff kernel")
     return _phi(m.kernel, limit, m.u0) / m.rate
@@ -604,7 +604,7 @@ def cutoff_time(m: FeedbackModel) -> float:
 
 def cutoff_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
     """1/u growth frozen at the cutoff share u1 from t1 onward."""
-    if not _limit(m.kernel) < 1.0:
+    if not m.kernel.limit < 1.0:
         raise ParameterError("cutoff_path applies to the inverse_u_cutoff kernel")
     return feedback_path(m, grid)
 
@@ -622,7 +622,7 @@ def classify_equilibria(kern: FeedbackKernel) -> list[EquilibriumPoint]:
     below it.
     """
     zero = _KERNELS[kern.kind].zero(kern)
-    roots = ([0.0] if zero == "root" else []) + [_limit(kern)]
+    roots = ([0.0] if zero == "root" else []) + [kern.limit]
     out = [EquilibriumPoint(0.0, "not_equilibrium")] if zero == "not_equilibrium" else []
     delta = 1e-6
     for r in roots:

@@ -689,13 +689,17 @@ def _case2_path(case: Case2, grid: Sequence[float]) -> Trajectory:
 
 def case4_peak(case: Case4) -> PeakMetrics:
     """Peak from the balance beta B = gamma Q combined with the first
-    integral: Q(T_m) = [beta B0 Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma))."""
+    integral: Q(T_m) = [beta B0 Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma)).
+
+    With beta B0 <= gamma Q0 the player count falls from the start, so the
+    peak is P0 at t = 0."""
     beta, gamma = case.beta, case.gamma
+    c_inf = case.B0 - _case4_b_inf(case)
+    if not beta * case.B0 > gamma * case.Q0:
+        return PeakMetrics(T_m=0.0, P_m=case.P0, C_inf=c_inf)
     q_tm = (beta * case.B0 * case.Q0 ** (beta / gamma) / gamma) ** (gamma / (beta + gamma))
     p_tm = case.N - (1.0 + gamma / beta) * q_tm
-    rel_t = _case4_time_of(case, q_tm)
-    b_inf = _case4_b_inf(case)
-    return PeakMetrics(T_m=rel_t, P_m=p_tm, C_inf=case.B0 - b_inf)
+    return PeakMetrics(T_m=_case4_time_of(case, q_tm), P_m=p_tm, C_inf=c_inf)
 
 
 def _case4_integrand(case: Case4) -> Callable[[float], float]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -486,7 +487,8 @@ def _parse_feedback(r):
 def _run_feedback(model, grid):
     traj = feedback.feedback_path(model, grid)
     metrics, catalog = [("rate", model.rate)], []
-    if model.u0 < 0.5:  # the latency times run from u0 up to half the market
+    # The latency times run from u0 up to half the market, which growth must reach.
+    if model.u0 < 0.5 <= model.kernel.limit:
         m = feedback.latency_metrics(model)
         metrics += [("T50", m.t50), ("T10", m.t10), ("T60_minus_T50", m.t60_minus_t50)]
         infl = m.u_infl, m.t_infl, m.gradient_at_infl
@@ -773,7 +775,12 @@ def scenario_to_text(s: Scenario) -> str:
 def run_scenario(s: Scenario) -> RunReport:
     """Execute a scenario: trajectory plus model-appropriate metrics."""
     kind = _KINDS[s.kind]
-    traj, metrics = kind.run(s.model, time_grid(0.0, s.horizon, s.samples))
+    grid = time_grid(0.0, s.horizon, s.samples)
+    if not all(map(operator.lt, grid, grid[1:])):  # the step underflows
+        raise ScenarioValidationError([ValidationIssue(
+            "invariant", "$.horizon", f"a horizon long enough for {s.samples} distinct "
+            "sample times", repr(s.horizon))])
+    traj, metrics = kind.run(s.model, grid)
     notes = kind.notes(s.model) if kind.notes else ()
     return RunReport(scenario=s, trajectory=traj, metrics=tuple(metrics),
                      discrepancies=notes + traj.notes)
@@ -804,10 +811,11 @@ def render_csv(traj: Trajectory, outputs: Sequence[str] | None = None,
         if label not in traj.labels:
             raise ParameterError(f"unknown output channel {label!r}; "
                                  f"have {', '.join(traj.labels)}")
-    cols = [traj.channel(label) for label in labels]
+    # "%.9g" % x is format_value(x); one template renders a whole row.
+    row = delimiter.replace("%", "%%").join(["%.9g"] * (len(labels) + 1))
+    pick = [traj.labels.index(label) for label in labels]
     lines = [delimiter.join(["t"] + labels)]
-    for i, t in enumerate(traj.times):
-        lines.append(delimiter.join([format_value(t)] + [format_value(c[i]) for c in cols]))
+    lines += [row % (t, *[state[k] for k in pick]) for t, state in zip(traj.times, traj.states)]
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -33,13 +34,11 @@ class Trajectory:
             raise ValueError("states and times must have the same length")
         if not self.times:
             raise ValueError("trajectory must contain at least one sample")
-        for a, b in zip(self.times, self.times[1:]):
-            if not b > a:
-                raise ValueError("times must be strictly increasing")
+        if not all(map(operator.lt, self.times, self.times[1:])):
+            raise ValueError("times must be strictly increasing")
         width = len(self.labels)
-        for row in self.states:
-            if len(row) != width:
-                raise ValueError("every state must have one entry per label")
+        if any(map(width.__ne__, map(len, self.states))):
+            raise ValueError("every state must have one entry per label")
 
     @property
     def dim(self) -> int:
@@ -61,8 +60,11 @@ def from_channels(times: Sequence[float], channels: dict[str, Sequence[float]],
                   notes: Iterable[str] = ()) -> Trajectory:
     """Assemble a trajectory from per-channel series."""
     labels = tuple(channels)
-    states = tuple(tuple(channels[name][i] for name in labels) for i in range(len(times)))
-    return Trajectory(tuple(float(t) for t in times), states, labels, tuple(notes))
+    try:
+        states = tuple(zip(*channels.values(), strict=True))
+    except ValueError:
+        raise ValueError("every channel must have one entry per time") from None
+    return Trajectory(tuple(map(float, times)), states, labels, tuple(notes))
 
 
 def time_grid(t0: float, t1: float, samples: int) -> tuple[float, ...]:

@@ -390,6 +390,15 @@ def test_case4_peak_value():
     assert abs(grid[k] - peak.T_m) <= grid[1] - grid[0]
 
 
+
+def test_case4_peak_at_the_start_without_an_interior_maximum():
+    # beta B0 <= gamma Q0: P' = P (beta B - gamma Q) is negative from t = 0 on.
+    case = games.Case4(beta=0.001, gamma=0.1, N=N, P0=5.0, Q0=100.0)
+    peak = games.case4_peak(case)
+    assert (peak.T_m, peak.P_m) == (0.0, case.P0)
+    p = games.bpq_path(case, time_grid(0.0, 1.0, 51)).channel("P")
+    assert all(b < a for a, b in zip(p, p[1:]))
+
 # ---------------------------------------------------------------------------
 # case 5
 # ---------------------------------------------------------------------------

@@ -478,6 +478,17 @@ def test_trajectory_validation():
         traj.channel("v")
 
 
+
+def test_from_channels_rejects_channels_of_unequal_length():
+    from marketdyn.trajectory import from_channels
+    traj = from_channels([0, 1], {"u": [0.1, 0.2], "D": [3.0, 4.0]}, notes=["n"])
+    assert (traj.times, traj.states, traj.labels, traj.notes) == (
+        (0.0, 1.0), ((0.1, 3.0), (0.2, 4.0)), ("u", "D"), ("n",))
+    for channels in ({"u": [0.1, 0.2], "D": [3.0]}, {"u": [0.1], "D": [3.0, 4.0]},
+                     {"u": [0.1, 0.2, 0.3], "D": [3.0, 4.0, 5.0]}):
+        with pytest.raises(ValueError):
+            from_channels([0.0, 1.0], channels)
+
 def test_erf_against_high_precision_over_range():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30

@@ -6,12 +6,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from marketdyn import cli, competition, games, scenario, tables
 from marketdyn.errors import (
     CalibrationInfeasibleError,
     ScenarioValidationError,
 )
+from marketdyn.trajectory import Trajectory
 
 SIMPLE_DOC = {"model": {"kind": "simple", "a": 0.1386, "N": 1000.0},
               "horizon": 25.0, "samples": 5}
@@ -413,6 +415,53 @@ def test_cli_rejects_a_returning_hesitation_with_a_vanishing_eigenvalue(tmp_path
     assert "negative transition eigenvalues" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("u1,rows", [(0.3, ["rate"]),
+                                     (0.5, ["rate", "T50", "T10", "T60_minus_T50"])])
+def test_cli_cutoff_market_reports_latencies_only_if_it_reaches_half(u1, rows, tmp_path,
+                                                                       capsys):
+    # A market that stops below 1/2 has no T50; asking for it exited 3.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback",
+                                          "kernel": {"kind": "inverse_u_cutoff", "u1": u1},
+                                          "rate": 1.0, "u0": 0.05}, "horizon": 2}))
+    assert cli.main(["metrics", str(path)]) == cli.EXIT_OK
+    assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == rows
+    assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == f"2,{u1},0"
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+@pytest.mark.parametrize("file_samples,argv", [(50, []), (2, ["--samples", "50"])],
+                         ids=["from_file", "from_option"])
+@pytest.mark.parametrize("model", [
+    {"kind": "bpq", "case": "case6", "a": 0.5, "b": 0.3, "gamma": 0.0005, "N": 1000},
+    {"kind": "innovators_only", "m": [0.1, 0.2]},
+], ids=["bpq_case6", "innovators_only"])
+def test_cli_rejects_a_horizon_too_short_for_the_grid(model, file_samples, argv, command,
+                                                      tmp_path, capsys):
+    # 5e-324 / 49 rounds to 0, so the sample times did not increase and the
+    # trajectory raised a ValueError (exit 1).
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": model, "horizon": 5e-324, "samples": file_samples}))
+    assert cli.main([command, str(path), *argv]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error [invariant] at $.horizon: expected a horizon "
+                                       "long enough for 50 distinct sample times, found 5e-324\n")
+
+
+def test_cli_bpq_case4_without_an_interior_peak(tmp_path, capsys):
+    # beta B0 <= gamma Q0: the players only decline, so the peak is P0 at t = 0;
+    # the quadrature up to the balance share Q < Q0 raised a ValueError.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "bpq", "case": "case4", "beta": 0.001,
+                                          "gamma": 0.1, "N": 1000, "P0": 5, "Q0": 100},
+                                "horizon": 1}))
+    assert cli.main(["metrics", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:3] == ["T_m,0", "P_m,5"]
+    assert cli.main(["simulate", str(path), "--samples", "5"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "0,895,5,100,4.475,0"
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -459,6 +508,43 @@ def test_csv_conservation_audit():
     for line in text.strip().split("\n")[1:]:
         _, b, p, q, _, _ = map(float, line.split(","))
         assert b + p + q == pytest.approx(1000.0, abs=1e-6)
+
+
+# Values whose 9-digit rendering has edge cases: signed zeros, infinities,
+# nan, subnormals, the extremes of the float range, integers and booleans.
+_VALUES = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 1e-300]),
+    st.integers(-2 ** 1000, 2 ** 1000),
+    st.booleans())
+
+
+@st.composite
+def _trajectories(draw):
+    width = draw(st.integers(1, 4))
+    times = sorted(set(draw(st.lists(st.floats(allow_nan=False, allow_subnormal=True),
+                                     min_size=1, max_size=6))))
+    states = tuple(tuple(draw(_VALUES) for _ in range(width)) for _ in times)
+    return Trajectory(tuple(times), states, tuple(f"c{k}" for k in range(width)))
+
+
+def _reference_csv(traj, outputs, delimiter):
+    labels = list(outputs) if outputs else list(traj.labels)
+    lines = [delimiter.join(["t"] + labels)]
+    for t, state in zip(traj.times, traj.states):
+        values = [t] + [state[traj.labels.index(label)] for label in labels]
+        lines.append(delimiter.join(format(float(v), ".9g") for v in values))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(_trajectories(), st.data(), st.sampled_from([",", "\t"]))
+def test_csv_matches_a_reference_rendering(traj, data, delimiter):
+    # Any subset of the channels, in any order; the empty subset means all.
+    outputs = data.draw(st.lists(st.sampled_from(traj.labels), unique=True))
+    assert (scenario.render_csv(traj, outputs, delimiter)
+            == _reference_csv(traj, outputs, delimiter))
 
 
 def test_run_is_deterministic_in_process():
@@ -660,3 +746,43 @@ def test_cli_batch_jobs_order(tmp_path):
     out4 = run_cli("simulate", str(path), "--jobs", "4").stdout
     assert out1 == out4
     assert out1.index(b"# first") < out1.index(b"# second")
+
+
+def test_repeated_cli_calls_print_what_a_fresh_process_prints(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; no call may leave state behind
+    # for the next, whatever the subcommand, format, sample count or sink.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    simple, market = tmp_path / "simple.json", tmp_path / "market.json"
+    simple.write_text(json.dumps(SIMPLE_DOC))
+    market.write_text(json.dumps({"model": {"kind": "feedback",
+                                            "kernel": {"kind": "bass", "ratio": 2.0},
+                                            "T50": 5.0, "u0": 0.01},
+                                  "horizon": 20.0, "samples": 7, "outputs": ["D"]}))
+    calls = [
+        ["simulate", str(simple)],
+        ["metrics", str(market), "--format", "tsv"],
+        ["simulate", str(market), "--samples", "4"],
+        ["equilibrium", str(market), "--format", "tsv"],
+        ["tables", "latency_u0"],
+        ["simulate", str(simple), "--format", "tsv", "--samples", "3"],
+        ["simulate", str(simple), "--format", "xml"],
+        ["metrics", str(tmp_path / "missing.json")],
+        ["metrics", str(simple)],
+    ]
+    fresh = [run_cli(*argv) for argv in calls]
+    for repeat in range(2):
+        for k in (range(len(calls)) if repeat == 0 else reversed(range(len(calls)))):
+            out = tmp_path / f"out-{repeat}-{k}.txt"
+            to_file = (k + repeat) % 2 == 1
+            try:
+                code = cli.main(calls[k] + (["--out", str(out)] if to_file else []))
+            except SystemExit as exc:
+                code = exc.code
+            printed = capsys.readouterr()
+            if to_file:
+                assert printed.out == ""
+                text = out.read_text(encoding="utf-8") if out.exists() else ""
+            else:
+                text = printed.out
+            assert (code, text, printed.err) == (fresh[k].returncode, fresh[k].stdout.decode(),
+                                                 fresh[k].stderr.decode())

@@ -217,8 +217,9 @@ def test_every_model_kind_has_round_trip_golden_metrics():
 #: form: the matrix exponential (five suppliers), the Dormand-Prince
 #: integrator with stimulated and periodic churn (three suppliers, two
 #: modulations of one pair), the winner-take-all run, the bpq cases
-#: solved by quadrature (2, 5) or by the Dormand-Prince integrator (3, 6),
-#: and every feedback kernel kind, whether its u(t) is closed or inverts
+#: solved through t(Q) (2, 4) or by quadrature (5) or by the Dormand-Prince
+#: integrator (3, 6), the case 2 scenario run on into its tail, where P
+#: falls by ten orders of magnitude, and every feedback kernel kind, whether its u(t) is closed or inverts
 #: t(u) sample by sample, with its equilibria (the power kernel on both
 #: sides of n = 1). The round-trip pins above run at 40 samples only.
 LONG_RUN_DOCS = {
@@ -254,6 +255,9 @@ LONG_RUN_DOCS = {
 }
 LONG_RUN_DOCS.update({ident: ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index(ident)]
                       for ident in ("bpq_case2", "bpq_case3", "bpq_case5", "bpq_case6")})
+LONG_RUN_DOCS["bpq_case4"] = ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index("bpq")]
+LONG_RUN_DOCS["game_lifecycle_sir_100"] = dict(
+    json.loads((SCENARIOS / "game_lifecycle_sir.json").read_text()), horizon=100.0)
 
 
 def feedback_doc(kernel: dict, u0: float, horizon: float) -> dict:
@@ -306,6 +310,14 @@ LONG_RUN_GOLDEN = {
     ("simulate", "bpq_case2"):
         "bb7581b8fe43655a3e8a64c430e882ae434a2a175c3bd116e5441cdf3cc5a9a5",
     ("metrics", "bpq_case2"):
+        "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
+    ("simulate", "bpq_case4"):
+        "be0bacf0e5d9c47486d535ffb4e08fea5522efc073b0fe9280977876194b83dc",
+    ("metrics", "bpq_case4"):
+        "741e1f88eed6672dedf4ed4cb24778d2ac1db060097be594093efc709a40f0a4",
+    ("simulate", "game_lifecycle_sir_100"):
+        "8b1b6312fd7365e38b6d92997171df9509ffdd0ff62699236d1f9719d7ff1a64",
+    ("metrics", "game_lifecycle_sir_100"):
         "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
     ("simulate", "bpq_case3"):
         "a71c4876f0673ae6bef5ae5c12584feb6f21f184f7d8fd5e8c094897f8f46ebb",

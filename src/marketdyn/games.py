@@ -10,17 +10,17 @@ inflow does not depend on P).
 Six parameter shapes are covered. Case 1 (externally driven) has full
 closed forms, including an error-function branch for a linearly growing
 inflow and a quadrature branch for a linearly growing quit rate. Case 2
-is the classic epidemic three-compartment model and is solved through
-its B(Q) relation and the time integral t(Q). Case 4 reduces to a first
-integral for dQ/dt, case 5 to a linear equation via the standard
-Riccati substitution, and cases 3 and 6 integrate directly. A
+is the classic epidemic three-compartment model and case 4 its variant
+with quitter-stimulated exits; both have an exact B(Q), so a path
+inverts the time integral t(Q) by warm-started Newton iteration, and
+their peak times come from the same integral. Case 5 reduces to a linear
+equation via the Riccati substitution; cases 3 and 6 integrate directly. A
 complementary-game coupling (sales of one title driving another) is
 solved by treating the driver's player count as a time-dependent rate.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -525,71 +525,145 @@ def case1_closed_form(case: Case1, grid: Sequence[float]) -> Trajectory:
 # Cases 2 and 4: paths through the time integral t(Q)
 # ---------------------------------------------------------------------------
 
-def _q_ladder(q0: float, q_inf: float, integrand: Callable[[float], float],
-              t_end: float, nodes: int = 512) -> tuple[list[float], list[float]]:
-    """Cumulative times along a Q grid concentrated near the start.
+#: Newton steps after which a root of t(s) or of the final-size equation keeps
+#: its last iterate; about 60 halvings take any bracket in s down to rounding.
+_MAX_NEWTON_STEPS = 200
+#: Relative accuracy asked of each increment of the time integral.
+_TIME_TOL = 1e-13
+#: Past this s the gap is below g0 e^-690: dt/ds is held at its value here,
+#: which it keeps to rounding from there on, so t is linear in s.
+_S_CAP = 690.0
 
-    The spacing is geometric from q0 (where the integrand scales like
-    1/P0 and may be large) and extends toward the asymptotic root by
-    halving steps until the accumulated time covers t_end or the gap
-    saturates at working precision.
+
+class _QuitClock:
+    """The time integral t(Q) = int dQ / (rate(Q) P(Q)) of case 2 or 4, and its inverse.
+
+    B(Q) is exact: log(B(q) / B(q + d)) is (beta/b) d in case 2 and
+    (beta/gamma) log1p(d/q) in case 4; the quit rate is b or gamma Q. With
+    Delta = Q - Q0 and the gap g = q_inf - Q to the final size, P does not
+    cancel at either end, since N = B0 + P0 + Q0 = B_inf + q_inf:
+    P = P0 - Delta - B0 expm1(-drop(Q0, Delta)) while Delta <= g, and
+    P = g - B_inf expm1(drop(Q, g)) after. Time is integrated in
+    s = log(Delta / g), where dt/ds = Delta g / (g0 rate P), g0 = Delta + g,
+    stays bounded at both ends.
     """
-    kappa = 12.0
-    span = q_inf - q0
-    qs = [q0]
-    ts = [0.0]
-    denom = math.expm1(kappa)
-    for j in range(1, nodes + 1):
-        s = j / nodes
-        qs.append(q0 + span * 0.98 * math.expm1(kappa * s) / denom)
-    for j in range(1, nodes + 1):
-        ts.append(ts[-1] + numerics.quadrature(integrand, qs[j - 1], qs[j], tol=1e-10))
-        if ts[-1] > t_end:
-            return qs[:j + 1], ts
-    # Stop the climb while the population gap is still well above rounding
-    # noise: evaluating N - B(Q) - Q closer to the root than ~1e-8 N is
-    # pure cancellation. Saturating Q there parks the state within
-    # 1e-8 N of its asymptote, far inside every documented tolerance.
-    for _ in range(4000):
-        gap = q_inf - qs[-1]
-        if ts[-1] > t_end or gap < 1e-8 * max(q_inf, 1.0):
-            break
-        nxt = q_inf - 0.5 * gap
-        ts.append(ts[-1] + numerics.quadrature(integrand, qs[-1], nxt, tol=1e-10))
-        qs.append(nxt)
-    return qs, ts
 
-
-def _q_at_times(grid: Sequence[float], qs: list[float], ts: list[float],
-                integrand: Callable[[float], float]) -> list[float]:
-    """Invert the cumulative time map node by node.
-
-    Within a ladder segment the time integral is short and smooth, so a
-    Newton iteration with the exact derivative dt/dQ = integrand and one
-    Gauss-Kronrod panel for the local increment converges in a few steps.
-    """
-    out = []
-    for t in grid:
-        if t < 0:
-            raise DomainError("time must be nonnegative")
-        if t == 0.0:
-            out.append(qs[0])
-            continue
-        if t >= ts[-1]:
-            out.append(qs[-1])
-            continue
-        j = bisect.bisect_right(ts, t) - 1
-        lo, hi = qs[j], qs[j + 1]
-        frac = (t - ts[j]) / (ts[j + 1] - ts[j])
-        q = lo + frac * (hi - lo)
-        for _ in range(8):
-            err = ts[j] + numerics.kronrod_panel(integrand, lo, q)[0] - t
-            if abs(err) <= 1e-13 * max(1.0, t):
+    def __init__(self, case: Case2 | Case4):
+        beta, B0, P0, Q0 = case.beta, case.B0, case.P0, case.Q0
+        if isinstance(case, Case2):
+            ratio, rate_scale = beta / case.b, math.inf
+            self.drop = lambda q, d: ratio * d
+            self.rate = lambda q: case.b
+        else:
+            ratio, rate_scale = beta / case.gamma, Q0
+            self.drop = lambda q, d: ratio * math.log1p(d / q)
+            self.rate = lambda q: case.gamma * q
+        self.B0, self.P0, self.Q0 = B0, P0, Q0
+        # Final size: Newton on P(Q0 + d) = 0 with its exact derivative
+        # beta B / rate - 1, down from d = N - Q0. P is concave in d, so the
+        # iterates fall monotonically onto the root.
+        d = P0 + B0
+        for _ in range(_MAX_NEWTON_STEPS):
+            b = B0 * math.exp(-self.drop(Q0, d))
+            nxt = d - (P0 + B0 - d - b) / (beta * b / self.rate(Q0 + d) - 1.0)
+            if not nxt < d:
                 break
-            q -= err / integrand(q)
-            q = min(max(q, lo), hi)
-        out.append(q)
-    return out
+            d = nxt
+        self.g0, self.q_inf, self.B_inf = d, Q0 + d, B0 * math.exp(-self.drop(Q0, d))
+        self.log_g0 = math.log(d)
+        # 40 e-folds below the Delta at which P or the quit rate starts to
+        # move, t(s) equals dt/ds = Delta / (rate P0) to rounding.
+        stiff = max(1.0, beta * B0 / self.rate(Q0), P0 / rate_scale)
+        self.s_lo = min(math.log(P0) - math.log(stiff) - self.log_g0, 0.0) - 40.0
+        self.t_lo = self.dt_ds(self.s_lo)
+        if not self.t_lo > 0.0:
+            raise DomainError("the seed P0 and the rates put the start of the game "
+                              "outside the range of a double")
+
+    def _at(self, s: float) -> tuple[float, float, float, float, float]:
+        """(Delta g / g0, B, P, Q, C) at s, where C = B0 - B have bought."""
+        a = -s if s < 0 else s
+        e = math.exp(-a)
+        small = math.exp(self.log_g0 - a) / (1.0 + e)
+        w = small / (1.0 + e)
+        if s < 0:
+            x = self.drop(self.Q0, small)
+            c = -self.B0 * math.expm1(-x)
+            return w, self.B0 * math.exp(-x), self.P0 - small + c, self.Q0 + small, c
+        q = self.q_inf - small
+        y = self.B_inf * math.expm1(self.drop(q, small))
+        return w, self.B_inf + y, small - y, q, self.B0 - self.B_inf - y
+
+    def dt_ds(self, s: float) -> float:
+        w, _, p, q, _ = self._at(s if s < _S_CAP else _S_CAP)
+        return w / p / self.rate(q)
+
+    def _advance(self, s0: float, s1: float) -> float:
+        """t(s1) - t(s0): one Gauss-Kronrod panel, or adaptive quadrature
+        where the panel's error estimate misses the tolerance."""
+        value, err = numerics.kronrod_panel(self.dt_ds, s0, s1)
+        if err <= _TIME_TOL * abs(value):
+            return value
+        whole = numerics.quadrature(self.dt_ds, min(s0, s1), max(s0, s1), tol=_TIME_TOL)
+        return whole if s1 >= s0 else -whole
+
+    def time_of(self, q: float) -> float:
+        """t(Q) for Q in [Q0, q_inf)."""
+        if q <= self.Q0:
+            return 0.0
+        s = math.log(q - self.Q0) - math.log(self.q_inf - q)
+        return self.t_lo + self._advance(self.s_lo, s)
+
+    def solve(self, target: float, s: float, t: float) -> tuple[float, float, float]:
+        """Root of t(s) = target > 0, from an evaluated point t = t(s).
+
+        Newton steps in t, or in log t while t is below half the target,
+        since near s_lo t grows like e^s; a step that leaves the bracket
+        is replaced by its midpoint. The iteration stops once the error
+        left after a step, estimated from the last two steps as
+        step^3 / previous^2, is below rounding: s fixes Delta and g to a
+        relative error of the error in s.
+
+        Returns the root and the last point evaluated, with its time.
+        """
+        lo, hi, prev = -math.inf, math.inf, None
+        for _ in range(_MAX_NEWTON_STEPS):
+            if t == target:
+                break
+            lo, hi = (s, hi) if t < target else (lo, s)
+            rise = t * math.log(target / t) if target > 2.0 * t else target - t
+            step = rise / self.dt_ds(s)
+            nxt = s + step
+            if lo < nxt < hi:
+                if prev is not None and abs(step) * (step / prev) ** 2 <= 2.0 ** -54:
+                    return nxt, s, t
+                prev = abs(step)
+            elif lo <= nxt <= hi:
+                return nxt, s, t  # resolved as a double
+            else:
+                nxt, prev = 0.5 * (lo + hi), None
+                if not lo < nxt < hi:
+                    break
+            t += self._advance(s, nxt)
+            s = nxt
+        return s, s, t
+
+
+def _clock_path(case: Case2 | Case4, grid: Sequence[float]) -> Trajectory:
+    """Path of case 2 or 4: each sample inverts t(Q), from the last root."""
+    clock = _QuitClock(case)
+    s, t = clock.s_lo, clock.t_lo
+    rows = []
+    for time in grid:
+        if time < 0:
+            raise DomainError("time must be nonnegative")
+        if time == 0.0:
+            root = -math.inf
+        else:
+            root, s, t = clock.solve(time, s, t)
+        _, b, p, q, c = clock._at(root)
+        rows.append((b, p, q, case.beta * p * b, c))
+    return _package(grid, *zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -622,12 +696,6 @@ def sir_relations(case: Case2) -> SirRelations:
     def p_of_b(bb: float) -> float:
         return N - bb - Q0 - (1.0 / ratio) * math.log(B0 / bb)
 
-    def population_gap(q: float) -> float:
-        return N - q - b_of_q(q)
-
-    q_inf = numerics.solve_root(population_gap, Q0, N, tol=1e-13 * N)
-    b_inf = N - q_inf
-
     if beta * B0 > b:
         b_tm = b / beta
         q_tm = Q0 + (b / beta) * math.log(beta * B0 / b)
@@ -635,19 +703,9 @@ def sir_relations(case: Case2) -> SirRelations:
         interior = True
     else:
         b_tm, q_tm, p_tm, interior = B0, Q0, case.P0, False
-    return SirRelations(B_of_Q=b_of_q, P_of_B=p_of_b, B_inf=b_inf,
+    return SirRelations(B_of_Q=b_of_q, P_of_B=p_of_b, B_inf=_QuitClock(case).B_inf,
                         Q_Tm=q_tm, P_Tm=p_tm, B_Tm=b_tm,
                         has_interior_peak=interior)
-
-
-def _sir_integrand(case: Case2) -> Callable[[float], float]:
-    beta, b, N = case.beta, case.b, case.N
-    B0, Q0 = case.B0, case.Q0
-
-    def integrand(u: float) -> float:
-        return 1.0 / (b * (N - u - B0 * math.exp(-(beta / b) * (u - Q0))))
-
-    return integrand
 
 
 def sir_time_of(case: Case2, q_target: float) -> float:
@@ -656,14 +714,11 @@ def sir_time_of(case: Case2, q_target: float) -> float:
     t(Q) = (1/b) int dQ / P(Q); the target must stay below the final
     quitter count N - B_inf, where the integrand diverges.
     """
-    rel = sir_relations(case)
-    q_inf = case.N - rel.B_inf
-    if not case.Q0 <= q_target < q_inf:
+    clock = _QuitClock(case)
+    if not case.Q0 <= q_target < clock.q_inf:
         raise DomainError(
-            f"q_target must lie in [{case.Q0}, {q_inf:.6g}) (reachable range)")
-    if q_target == case.Q0:
-        return 0.0
-    return numerics.quadrature(_sir_integrand(case), case.Q0, q_target, tol=1e-11)
+            f"q_target must lie in [{case.Q0}, {clock.q_inf:.6g}) (reachable range)")
+    return clock.time_of(q_target)
 
 
 def sir_peak_time(case: Case2) -> float:
@@ -674,76 +729,24 @@ def sir_peak_time(case: Case2) -> float:
     return sir_time_of(case, rel.Q_Tm)
 
 
-def _case2_path(case: Case2, grid: Sequence[float]) -> Trajectory:
-    rel = sir_relations(case)
-    q_inf = case.N - rel.B_inf
-    integrand = _sir_integrand(case)
-    qs, ts = _q_ladder(case.Q0, q_inf, integrand, grid[-1])
-    Q = _q_at_times(grid, qs, ts, integrand)
-    B = [rel.B_of_Q(q) for q in Q]
-    P = [case.N - b - q for b, q in zip(B, Q)]
-    D = [case.beta * p * b for p, b in zip(P, B)]
-    C = [case.B0 - b for b in B]
-    return _package(grid, B, P, Q, D, C)
-
-
 def case4_peak(case: Case4) -> PeakMetrics:
     """Peak from the balance beta B = gamma Q combined with the first
-    integral: Q(T_m) = [beta B0 Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma)).
+    integral: Q(T_m) = [beta B0 Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma)),
+    taken in logs and clamped to [Q0, q_inf).
 
     With beta B0 <= gamma Q0 the player count falls from the start, so the
     peak is P0 at t = 0."""
     beta, gamma = case.beta, case.gamma
-    c_inf = case.B0 - _case4_b_inf(case)
+    clock = _QuitClock(case)
+    c_inf = case.B0 - clock.B_inf
     if not beta * case.B0 > gamma * case.Q0:
         return PeakMetrics(T_m=0.0, P_m=case.P0, C_inf=c_inf)
-    q_tm = (beta * case.B0 * case.Q0 ** (beta / gamma) / gamma) ** (gamma / (beta + gamma))
+    w = gamma / (beta + gamma)
+    log_q = (w * (math.log(beta) - math.log(gamma) + math.log(case.B0))
+             + (1.0 - w) * math.log(case.Q0))
+    q_tm = min(max(math.exp(log_q), case.Q0), math.nextafter(clock.q_inf, 0.0))
     p_tm = case.N - (1.0 + gamma / beta) * q_tm
-    return PeakMetrics(T_m=_case4_time_of(case, q_tm), P_m=p_tm, C_inf=c_inf)
-
-
-def _case4_integrand(case: Case4) -> Callable[[float], float]:
-    beta, gamma, N = case.beta, case.gamma, case.N
-    B0, Q0 = case.B0, case.Q0
-
-    def integrand(u: float) -> float:
-        return 1.0 / (gamma * u * (N - B0 * (Q0 / u) ** (beta / gamma) - u))
-
-    return integrand
-
-
-def _case4_q_inf(case: Case4) -> float:
-    beta, gamma, N = case.beta, case.gamma, case.N
-    B0, Q0 = case.B0, case.Q0
-
-    def gap(q: float) -> float:
-        return N - q - B0 * (Q0 / q) ** (beta / gamma)
-
-    return numerics.solve_root(gap, Q0, N, tol=1e-13 * N)
-
-
-def _case4_b_inf(case: Case4) -> float:
-    q_inf = _case4_q_inf(case)
-    return case.B0 * (case.Q0 / q_inf) ** (case.beta / case.gamma)
-
-
-def _case4_time_of(case: Case4, q_target: float) -> float:
-    if q_target == case.Q0:
-        return 0.0
-    return numerics.quadrature(_case4_integrand(case), case.Q0, q_target, tol=1e-11)
-
-
-def _case4_path(case: Case4, grid: Sequence[float]) -> Trajectory:
-    q_inf = _case4_q_inf(case)
-    integrand = _case4_integrand(case)
-    qs, ts = _q_ladder(case.Q0, q_inf, integrand, grid[-1])
-    Q = _q_at_times(grid, qs, ts, integrand)
-    expo = case.beta / case.gamma
-    B = [case.B0 * (case.Q0 / q) ** expo for q in Q]
-    P = [case.N - b - q for b, q in zip(B, Q)]
-    D = [case.beta * p * b for p, b in zip(P, B)]
-    C = [case.B0 - b for b in B]
-    return _package(grid, B, P, Q, D, C)
+    return PeakMetrics(T_m=clock.time_of(q_tm), P_m=p_tm, C_inf=c_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -830,12 +833,10 @@ def bpq_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
         raise ParameterError("game paths start at t = 0; grid must begin there")
     if isinstance(case, Case1):
         return _case1_route(case, grid, allow_general=True)
-    if isinstance(case, Case2):
-        return _case2_path(case, grid)
+    if isinstance(case, (Case2, Case4)):
+        return _clock_path(case, grid)
     if isinstance(case, Case3):
         return _integrated_case_path(case, grid)
-    if isinstance(case, Case4):
-        return _case4_path(case, grid)
     if isinstance(case, Case5):
         return _case5_path(case, grid)
     if isinstance(case, Case6):
@@ -898,15 +899,16 @@ def peak_metrics(case: BpqCase, grid: Sequence[float],
     from .monopoly import ConstantRate as _CR
     if isinstance(case, Case1) and all(isinstance(s, _CR) for s in (case.a, case.b, case.c)):
         return case1_peak(case.a.a, case.b.a, case.c.a, case.N)
+    if isinstance(case, Case2):
+        rel = sir_relations(case)
+        return PeakMetrics(T_m=sir_peak_time(case), P_m=rel.P_Tm, C_inf=case.B0 - rel.B_inf)
     if isinstance(case, Case4):
         return case4_peak(case)
 
     if traj is None:
         traj = bpq_path(case, grid)
     t_m, state = refined_peak(case, grid, traj)
-    if isinstance(case, Case2):
-        c_inf = case.B0 - sir_relations(case).B_inf
-    elif isinstance(case, (Case3, Case6)):
+    if isinstance(case, (Case3, Case6)):
         c_inf = case.N
     elif isinstance(case, Case5):
         c_inf = case.B0

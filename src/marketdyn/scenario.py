@@ -907,8 +907,8 @@ def _calibrate_sir(n: float, p0: float, q0: float, t_m: float,
     """Recover (b, beta) from the peak height and peak time.
 
     The peak height fixes x = b/beta through
-    P_Tm = N - Q0 - x(1 + ln(B0/x)); the peak time then scales b via the
-    b-free time integral.
+    P_Tm = N - Q0 - x(1 + ln(B0/x)); b then scales the peak time of the
+    game with beta = 1/x and b = 1 to T_m.
     """
     b0 = n - p0 - q0
     if not p0 < p_tm:
@@ -924,11 +924,6 @@ def _calibrate_sir(n: float, p0: float, q0: float, t_m: float,
         return n - q0 - x * (1.0 + math.log(b0 / x)) - p_tm
 
     x = numerics.solve_root(gap, 1e-9 * b0, b0 * (1.0 - 1e-12), tol=1e-13 * b0)
-    q_tm = q0 + x * math.log(b0 / x)
-
-    def integrand(u: float) -> float:
-        return 1.0 / (n - u - b0 * math.exp(-(u - q0) / x))
-
-    unit_time = numerics.quadrature(integrand, q0, q_tm, tol=1e-11)
+    unit_time = games.sir_peak_time(games.Case2(beta=1.0 / x, b=1.0, N=n, P0=p0, Q0=q0))
     b = unit_time / t_m
     return [("b", b), ("beta", b / x)]

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from marketdyn import games, numerics
 from marketdyn.errors import DomainError, InitiationError, ParameterError
@@ -398,6 +399,40 @@ def test_case4_peak_at_the_start_without_an_interior_maximum():
     assert (peak.T_m, peak.P_m) == (0.0, case.P0)
     p = games.bpq_path(case, time_grid(0.0, 1.0, 51)).channel("P")
     assert all(b < a for a, b in zip(p, p[1:]))
+
+@st.composite
+def time_inversion_games(draw):
+    """A case 2 or case 4 game, with an interior peak or without, and a
+    horizon of 1 to 200 times the initial quit time. Near beta B0 = quit
+    rate a tiny seed moves P by less than rounding, so that band is left out."""
+    p0 = 10.0 ** draw(st.floats(-9.0, math.log10(50.0)))
+    spread = draw(st.one_of(st.floats(0.2, 0.8), st.floats(1.25, 6.0)))
+    if draw(st.booleans()):
+        b = draw(st.floats(0.05, 2.0))
+        q0 = draw(st.sampled_from([0.0, 1.0, 50.0]))
+        case = games.Case2(beta=spread * b / (N - p0 - q0), b=b, N=N, P0=p0, Q0=q0)
+        rate = b
+    else:
+        gamma, q0 = draw(st.floats(1e-4, 1e-2)), draw(st.floats(0.1, 100.0))
+        case = games.Case4(beta=spread * gamma * q0 / (N - p0 - q0), gamma=gamma, N=N,
+                           P0=p0, Q0=q0)
+        rate = gamma * q0
+    return case, draw(st.floats(1.0, 200.0)) / rate
+
+
+@given(time_inversion_games())
+def test_time_inversion_paths_keep_the_invariants(game):
+    case, horizon = game
+    traj = games.bpq_path(case, time_grid(0.0, horizon, 50))
+    b, p, q = traj.channel("B"), traj.channel("P"), traj.channel("Q")
+    assert all(math.isfinite(v) for row in traj.states for v in row)
+    assert all(abs(x + y + z - N) <= 1e-12 * N for x, y, z in zip(b, p, q))
+    assert all(q2 >= q1 for q1, q2 in zip(q, q[1:]))
+    assert all(b2 <= b1 for b1, b2 in zip(b, b[1:]))
+    # The ladder stopped short of the final size, so P froze there.
+    k = p.index(max(p))
+    assert all(p2 < p1 for p1, p2 in zip(p[k:], p[k + 1:]) if p1 > 1e-300)
+
 
 # ---------------------------------------------------------------------------
 # case 5

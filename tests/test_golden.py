@@ -15,7 +15,10 @@ growth integral became an exact series and the inverted kernels a
 warm-started Newton iteration; three of them were re-pinned for it. The
 1000-sample pins of the closed-form kernels and the equilibrium pins of
 every kernel were recorded before the kernels were declared in one table.
-Each re-pinned entry says which values moved and why.
+The 1000-sample pins of bpq case 4 and of the case 2 scenario at horizon
+100 were recorded before a Newton inversion of t(Q) replaced the 512-node
+ladder of cases 2 and 4. Each re-pinned entry says which values moved and
+why.
 """
 
 import hashlib
@@ -141,8 +144,13 @@ ROUND_TRIP_GOLDEN = {
         "c71ccfaa46341e30ec42873a2d6cf71651b3f3f789a6c77489e91efe085b8cf6",
     ("equilibrium", "stimulated_churn"):
         "e97c81d0acbacb12aaeb3a635e8bcd4c9d908358da24f3a6cf1dce1f4cd42c83",
+    # Re-pinned for the Newton inversion of t(Q), which runs on to the final
+    # size where the 512-node ladder stopped 1e-8 q_inf short of it: 104
+    # values on the 26 lines from t = 10.77 on moved, each toward the mpmath
+    # solution, e.g. P at t = 12.307692 (8.6979129e-06 -> 7.58487016e-08;
+    # reference 7.58487016247e-08).
     ("simulate", "bpq"):
-        "f76f1d0737bd3ad39a9f40e4f7c442ac97f6d4fc727a8a2fa3621a7cb62fcd34",
+        "73ddf0f5597703fb397fe821c145ffac7692e29ef9b8825eacee9e8c7bb211c0",
     ("metrics", "bpq"):
         "741e1f88eed6672dedf4ed4cb24778d2ac1db060097be594093efc709a40f0a4",
     ("simulate", "complementary"):
@@ -311,12 +319,22 @@ LONG_RUN_GOLDEN = {
         "bb7581b8fe43655a3e8a64c430e882ae434a2a175c3bd116e5441cdf3cc5a9a5",
     ("metrics", "bpq_case2"):
         "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
+    # Re-pinned for the Newton inversion of t(Q): 2,610 values on 667 lines
+    # moved, each toward the mpmath solution at the grid time, e.g. P at
+    # t = 18.018018 (8.6979129e-06 -> 1.05312563e-14; reference
+    # 1.0531256342e-14) and P at t = 8.228228 (0.00601075673 ->
+    # 0.00601075672; reference 0.00601075672495).
     ("simulate", "bpq_case4"):
-        "be0bacf0e5d9c47486d535ffb4e08fea5522efc073b0fe9280977876194b83dc",
+        "fe6ab1504131f5c5a3ca9fd50352fb0d619387282b90ba19e68e51a4cfc05d0d",
     ("metrics", "bpq_case4"):
         "741e1f88eed6672dedf4ed4cb24778d2ac1db060097be594093efc709a40f0a4",
+    # Re-pinned for the Newton inversion of t(Q): 2,872 values on 605 lines
+    # moved, each toward the mpmath solution at the grid time, e.g. P at
+    # t = 100 (8.61619503e-06 -> 4.22970005e-17; reference 4.229700046e-17)
+    # and D at t = 35.835836 (1.14789855e-05 -> 1.14789856e-05; reference
+    # 1.14789855501e-05).
     ("simulate", "game_lifecycle_sir_100"):
-        "8b1b6312fd7365e38b6d92997171df9509ffdd0ff62699236d1f9719d7ff1a64",
+        "3bbcb0c23777bf4dfd81e038397bc6a8cc2e2b04d391541a45aa2f3f4398a4af",
     ("metrics", "game_lifecycle_sir_100"):
         "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
     ("simulate", "bpq_case3"):

@@ -13,7 +13,7 @@ from marketdyn.errors import (
     CalibrationInfeasibleError,
     ScenarioValidationError,
 )
-from marketdyn.trajectory import Trajectory
+from marketdyn.trajectory import Trajectory, time_grid
 
 SIMPLE_DOC = {"model": {"kind": "simple", "a": 0.1386, "N": 1000.0},
               "horizon": 25.0, "samples": 5}
@@ -462,6 +462,79 @@ def test_cli_bpq_case4_without_an_interior_peak(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1] == "0,895,5,100,4.475,0"
 
 
+def scipy_players(model, times):
+    """P of bpq case 2 or 4 at the given times: scipy's DOP853 on (log B, log P, Q)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    beta, n, p0, q0 = model["beta"], model["N"], model["P0"], model.get("Q0", 0.0)
+    if model["case"] == "case2":
+        def rate(q):
+            return model["b"]
+    else:
+        def rate(q):
+            return model["gamma"] * q
+
+    def rhs(t, y):
+        return [-beta * math.exp(y[1]), beta * math.exp(y[0]) - rate(y[2]),
+                rate(y[2]) * math.exp(y[1])]
+
+    sol = integrate.solve_ivp(rhs, (0.0, times[-1]), [math.log(n - p0 - q0), math.log(p0), q0],
+                              method="DOP853", rtol=1e-13, atol=1e-14, t_eval=times)
+    return [math.exp(v) for v in sol.y[1]]
+
+
+CASE4_ROUND_TRIP = ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index("bpq")]["model"]
+CASE2_LIFECYCLE = {"kind": "bpq", "case": "case2", "beta": 0.002, "b": 0.5, "N": 1000.0}
+
+
+# Each document exited 3 (the t(Q) ladder's quadrature hit its subdivision
+# limit) or 1 (a ZeroDivisionError), or, for the last, printed a P frozen
+# at 8.6e-06 from t = 50 on while the true P falls to 4e-17.
+@pytest.mark.parametrize("model,horizon", [
+    (dict(CASE4_ROUND_TRIP, P0=1.0), 15.0),
+    (dict(CASE4_ROUND_TRIP, P0=0.1), 30.0),
+    (dict(CASE4_ROUND_TRIP, P0=1e-6), 30.0),
+    (dict(CASE4_ROUND_TRIP, P0=1e-15), 30.0),
+    ({"kind": "bpq", "case": "case4", "beta": 0.001, "gamma": 0.1, "N": 1000.0, "P0": 5.0,
+      "Q0": 100.0}, 2.0),
+    (dict(CASE2_LIFECYCLE, P0=1e-6), 30.0),
+    (dict(CASE2_LIFECYCLE, P0=1e-9), 30.0),
+    (dict(CASE2_LIFECYCLE, P0=10.0), 100.0),
+], ids=["case4_P0_1", "case4_P0_0.1", "case4_P0_1e-6", "case4_P0_1e-15", "case4_no_peak",
+        "case2_P0_1e-6", "case2_P0_1e-9", "case2_tail"])
+def test_cli_bpq_time_inversion_matches_the_ode(model, horizon, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": model, "horizon": horizon}))
+    assert cli.main(["simulate", str(path), "--samples", "60"]) == cli.EXIT_OK
+    printed = [float(line.split(",")[2]) for line in capsys.readouterr().out.split()[1:]]
+    reference = scipy_players(model, time_grid(0.0, horizon, 60))
+    for p, ref in zip(printed, reference, strict=True):
+        # 1e-9 relative, plus half a unit in the 9th printed digit.
+        assert abs(p - ref) <= 1e-9 * ref + 0.5 * 10.0 ** (math.floor(math.log10(ref)) - 8)
+    assert cli.main(["metrics", str(path)]) == cli.EXIT_OK
+
+
+# Each raised a ZeroDivisionError, an OverflowError in case4_peak or a
+# ValueError (exit 1, with a traceback).
+@pytest.mark.parametrize("change,code", [
+    ({"beta": 1e300}, cli.EXIT_OK),
+    ({"gamma": 1e-300}, cli.EXIT_OK),
+    ({"beta": 2.0, "Q0": 1e-12}, cli.EXIT_OK),
+    ({"P0": 5e-324}, cli.EXIT_NUMERIC),
+], ids=["beta_1e300", "gamma_1e-300", "Q0_1e-12", "P0_subnormal"])
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_bpq_case4_at_the_ends_of_the_double_range(change, code, command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": dict(CASE4_ROUND_TRIP, **change), "horizon": 30.0}))
+    assert cli.main([command, str(path), "--samples", "50"]) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        values = [float(v) for line in out.split()[1:] for v in line.split(",")[1:]]
+        assert all(math.isfinite(v) for v in values)
+    else:
+        assert err == ("error [numeric] the seed P0 and the rates put the start of the game "
+                       "outside the range of a double\n")
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -618,6 +691,24 @@ def test_calibrate_sir_round_trip():
         "targets": {"T_m": t_m, "P_Tm": rel.P_Tm}}))
     assert out["b"] == pytest.approx(0.5, rel=0.01)
     assert out["beta"] == pytest.approx(0.002, rel=0.01)
+
+
+# P0 = 1e-9 exited 3 (the time integral's quadrature hit its subdivision
+# limit) and P0 = 0 exited 1 (a ZeroDivisionError).
+@pytest.mark.parametrize("p0,code", [(1e-9, cli.EXIT_OK), (0.0, cli.EXIT_VALIDATION)])
+def test_cli_calibrate_sir_with_a_tiny_seed(p0, code, tmp_path, capsys):
+    doc = {"model": {"kind": "bpq", "case": "case2", "N": 1000, "P0": p0},
+           "targets": {"T_m": 5, "P_Tm": 300}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["calibrate", str(path)]) == code
+    if code == cli.EXIT_OK:
+        found = dict(scenario.calibrate(doc))  # unrounded
+        case = games.Case2(beta=found["beta"], b=found["b"], N=1000.0, P0=p0)
+        assert games.sir_peak_time(case) == pytest.approx(5.0, rel=1e-12)
+        assert games.sir_relations(case).P_Tm == pytest.approx(300.0, rel=1e-9)
+    else:
+        assert "P(0) > 0" in capsys.readouterr().err
 
 
 def test_calibrate_infeasible_targets():

@@ -150,9 +150,9 @@ class Case4:
             raise ParameterError("beta, gamma and N must be positive")
         if not self.P0 > 0:
             raise InitiationError("stimulated inflow needs P(0) > 0 to start")
-        if not self.Q0 > 0:
+        if not self.gamma * self.Q0 > 0:
             raise InitiationError(
-                "quitter-stimulated exits need Q(0) > 0: there must be an "
+                "quitter-stimulated exits need gamma Q(0) > 0: there must be an "
                 "initial population of quitters")
         if self.P0 + self.Q0 > self.N:
             raise ParameterError("seed populations exceed N")
@@ -530,9 +530,6 @@ def case1_closed_form(case: Case1, grid: Sequence[float]) -> Trajectory:
 _MAX_NEWTON_STEPS = 200
 #: Relative accuracy asked of each increment of the time integral.
 _TIME_TOL = 1e-13
-#: Past this s the gap is below g0 e^-690: dt/ds is held at its value here,
-#: which it keeps to rounding from there on, so t is linear in s.
-_S_CAP = 690.0
 
 
 class _QuitClock:
@@ -559,43 +556,50 @@ class _QuitClock:
             self.drop = lambda q, d: ratio * math.log1p(d / q)
             self.rate = lambda q: case.gamma * q
         self.B0, self.P0, self.Q0 = B0, P0, Q0
-        # Final size: Newton on P(Q0 + d) = 0 with its exact derivative
-        # beta B / rate - 1, down from d = N - Q0. P is concave in d, so the
-        # iterates fall monotonically onto the root.
-        d = P0 + B0
+        # Final size: Newton on the start form of P(Q0 + d) = 0 with its exact
+        # derivative beta B / rate - 1. P is concave in d, so the iterates fall
+        # monotonically onto the root from N - Q0, or from the zero of the
+        # tangent at d = 0 when P falls from the start (spread < 1).
+        spread = beta * B0 / self.rate(Q0)
+        d = min(P0 + B0, P0 / (1.0 - spread)) if spread < 1.0 else P0 + B0
         for _ in range(_MAX_NEWTON_STEPS):
-            b = B0 * math.exp(-self.drop(Q0, d))
-            nxt = d - (P0 + B0 - d - b) / (beta * b / self.rate(Q0 + d) - 1.0)
+            x = self.drop(Q0, d)
+            nxt = d - ((P0 - d - B0 * math.expm1(-x))
+                       / (beta * B0 * math.exp(-x) / self.rate(Q0 + d) - 1.0))
             if not nxt < d:
                 break
             d = nxt
         self.g0, self.q_inf, self.B_inf = d, Q0 + d, B0 * math.exp(-self.drop(Q0, d))
         self.log_g0 = math.log(d)
+        # Past s_cap the gap is below e^-690: dt/ds is held there, as it keeps
+        # its value to rounding from s = 40 on, so t is linear in s.
+        self.s_cap = self.log_g0 + 690.0
         # 40 e-folds below the Delta at which P or the quit rate starts to
         # move, t(s) equals dt/ds = Delta / (rate P0) to rounding.
-        stiff = max(1.0, beta * B0 / self.rate(Q0), P0 / rate_scale)
+        stiff = max(1.0, spread, P0 / rate_scale)
         self.s_lo = min(math.log(P0) - math.log(stiff) - self.log_g0, 0.0) - 40.0
         self.t_lo = self.dt_ds(self.s_lo)
-        if not self.t_lo > 0.0:
-            raise DomainError("the seed P0 and the rates put the start of the game "
-                              "outside the range of a double")
+        if not (self.t_lo > 0.0 and self.s_cap > 40.0):
+            raise DomainError("the seed P0 and the rates put this game outside "
+                              "the range of a double")
 
     def _at(self, s: float) -> tuple[float, float, float, float, float]:
-        """(Delta g / g0, B, P, Q, C) at s, where C = B0 - B have bought."""
+        """(Delta g / g0, Delta, P, Q, C) at s, where C = B0 - B have bought."""
         a = -s if s < 0 else s
         e = math.exp(-a)
         small = math.exp(self.log_g0 - a) / (1.0 + e)
         w = small / (1.0 + e)
         if s < 0:
-            x = self.drop(self.Q0, small)
-            c = -self.B0 * math.expm1(-x)
-            return w, self.B0 * math.exp(-x), self.P0 - small + c, self.Q0 + small, c
+            c = -self.B0 * math.expm1(-self.drop(self.Q0, small))
+            return w, small, self.P0 - small + c, self.Q0 + small, c
+        # y = B - B_inf. Past Delta = g, B <= B0 e^-drop(Q, g), so holding the
+        # exponent at 700 moves y by less than B0 e^-700.
         q = self.q_inf - small
-        y = self.B_inf * math.expm1(self.drop(q, small))
-        return w, self.B_inf + y, small - y, q, self.B0 - self.B_inf - y
+        y = self.B_inf * math.expm1(min(self.drop(q, small), 700.0))
+        return w, self.g0 / (1.0 + e), small - y, q, self.B0 - self.B_inf - y
 
     def dt_ds(self, s: float) -> float:
-        w, _, p, q, _ = self._at(s if s < _S_CAP else _S_CAP)
+        w, _, p, q, _ = self._at(s if s < self.s_cap else self.s_cap)
         return w / p / self.rate(q)
 
     def _advance(self, s0: float, s1: float) -> float:
@@ -615,18 +619,16 @@ class _QuitClock:
         return self.t_lo + self._advance(self.s_lo, s)
 
     def solve(self, target: float, s: float, t: float) -> tuple[float, float, float]:
-        """Root of t(s) = target > 0, from an evaluated point t = t(s).
+        """Root of t(s) = target >= t_lo, from an evaluated point t = t(s).
 
-        Newton steps in t, or in log t while t is below half the target,
-        since near s_lo t grows like e^s; a step that leaves the bracket
-        is replaced by its midpoint. The iteration stops once the error
-        left after a step, estimated from the last two steps as
-        step^3 / previous^2, is below rounding: s fixes Delta and g to a
-        relative error of the error in s.
+        Safeguarded Newton, stepping in log t while t is below half the
+        target (near s_lo, t grows like e^s). It stops once the error left
+        after a step, estimated as step^3 / previous^2, is below rounding:
+        an error in s is the relative error of Delta and of g.
 
         Returns the root and the last point evaluated, with its time.
         """
-        lo, hi, prev = -math.inf, math.inf, None
+        lo, hi, prev = self.s_lo, math.inf, None
         for _ in range(_MAX_NEWTON_STEPS):
             if t == target:
                 break
@@ -657,11 +659,12 @@ def _clock_path(case: Case2 | Case4, grid: Sequence[float]) -> Trajectory:
     for time in grid:
         if time < 0:
             raise DomainError("time must be nonnegative")
-        if time == 0.0:
-            root = -math.inf
-        else:
+        if time >= clock.t_lo:
             root, s, t = clock.solve(time, s, t)
-        _, b, p, q, c = clock._at(root)
+        else:  # t grows like e^s below s_lo
+            root = clock.s_lo + math.log(time / clock.t_lo) if time > 0.0 else -math.inf
+        _, d, p, q, c = clock._at(root)
+        b = case.B0 * math.exp(-clock.drop(case.Q0, d))
         rows.append((b, p, q, case.beta * p * b, c))
     return _package(grid, *zip(*rows))
 
@@ -741,9 +744,8 @@ def case4_peak(case: Case4) -> PeakMetrics:
     c_inf = case.B0 - clock.B_inf
     if not beta * case.B0 > gamma * case.Q0:
         return PeakMetrics(T_m=0.0, P_m=case.P0, C_inf=c_inf)
-    w = gamma / (beta + gamma)
-    log_q = (w * (math.log(beta) - math.log(gamma) + math.log(case.B0))
-             + (1.0 - w) * math.log(case.Q0))
+    k = beta / gamma
+    log_q = (math.log(k) + math.log(case.B0) + k * math.log(case.Q0)) / (1.0 + k)
     q_tm = min(max(math.exp(log_q), case.Q0), math.nextafter(clock.q_inf, 0.0))
     p_tm = case.N - (1.0 + gamma / beta) * q_tm
     return PeakMetrics(T_m=clock.time_of(q_tm), P_m=p_tm, C_inf=c_inf)

@@ -499,8 +499,9 @@ CASE2_LIFECYCLE = {"kind": "bpq", "case": "case2", "beta": 0.002, "b": 0.5, "N":
     (dict(CASE2_LIFECYCLE, P0=1e-6), 30.0),
     (dict(CASE2_LIFECYCLE, P0=1e-9), 30.0),
     (dict(CASE2_LIFECYCLE, P0=10.0), 100.0),
+    (dict(CASE2_LIFECYCLE, P0=10.0, beta=1.0), 30.0),
 ], ids=["case4_P0_1", "case4_P0_0.1", "case4_P0_1e-6", "case4_P0_1e-15", "case4_no_peak",
-        "case2_P0_1e-6", "case2_P0_1e-9", "case2_tail"])
+        "case2_P0_1e-6", "case2_P0_1e-9", "case2_tail", "case2_B_inf_underflows"])
 def test_cli_bpq_time_inversion_matches_the_ode(model, horizon, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"model": model, "horizon": horizon}))
@@ -531,8 +532,25 @@ def test_cli_bpq_case4_at_the_ends_of_the_double_range(change, code, command, tm
         values = [float(v) for line in out.split()[1:] for v in line.split(",")[1:]]
         assert all(math.isfinite(v) for v in values)
     else:
-        assert err == ("error [numeric] the seed P0 and the rates put the start of the game "
-                       "outside the range of a double\n")
+        assert err == ("error [numeric] the seed P0 and the rates put this game outside "
+                       "the range of a double\n")
+
+
+# Near the ends of the double range: sample times of 1e-302, a whole game
+# smaller than 1e-299, and a quit rate gamma Q0 that rounds to 0.
+@pytest.mark.parametrize("model,horizon,code", [
+    (dict(CASE2_LIFECYCLE, P0=10.0), 1e-300, cli.EXIT_OK),
+    (dict(CASE4_ROUND_TRIP, P0=1e-300, Q0=999.0), 30.0, cli.EXIT_NUMERIC),
+    (dict(CASE4_ROUND_TRIP, Q0=5e-324), 30.0, cli.EXIT_VALIDATION),
+], ids=["case2_horizon_1e-300", "case4_span_1e-300", "case4_quit_rate_underflows"])
+def test_cli_bpq_time_inversion_at_tiny_scales(model, horizon, code, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": model, "horizon": horizon}))
+    for command in ("simulate", "metrics"):
+        assert cli.main([command, str(path), "--samples", "50"]) == code
+        values = [float(v) for line in capsys.readouterr().out.split()[1:]
+                  for v in line.split(",")[1:]]
+        assert all(math.isfinite(v) for v in values)
 
 
 # ---------------------------------------------------------------------------

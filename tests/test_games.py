@@ -400,6 +400,7 @@ def test_case4_peak_at_the_start_without_an_interior_maximum():
     p = games.bpq_path(case, time_grid(0.0, 1.0, 51)).channel("P")
     assert all(b < a for a, b in zip(p, p[1:]))
 
+
 @st.composite
 def time_inversion_games(draw):
     """A case 2 or case 4 game, with an interior peak or without, and a

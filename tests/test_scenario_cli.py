@@ -487,8 +487,9 @@ CASE2_LIFECYCLE = {"kind": "bpq", "case": "case2", "beta": 0.002, "b": 0.5, "N":
 
 
 # Each document exited 3 (the t(Q) ladder's quadrature hit its subdivision
-# limit) or 1 (a ZeroDivisionError), or, for the last, printed a P frozen
-# at 8.6e-06 from t = 50 on while the true P falls to 4e-17.
+# limit) or 1 (a ZeroDivisionError), or, for case2_tail, printed a P frozen
+# at 8.6e-06 from t = 50 on while the true P falls to 4e-17. The last ran at
+# the parent; its final buyer count lies below the smallest double.
 @pytest.mark.parametrize("model,horizon", [
     (dict(CASE4_ROUND_TRIP, P0=1.0), 15.0),
     (dict(CASE4_ROUND_TRIP, P0=0.1), 30.0),

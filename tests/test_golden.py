@@ -17,8 +17,9 @@ warm-started Newton iteration; three of them were re-pinned for it. The
 every kernel were recorded before the kernels were declared in one table.
 The 1000-sample pins of bpq case 4 and of the case 2 scenario at horizon
 100 were recorded before a Newton inversion of t(Q) replaced the 512-node
-ladder of cases 2 and 4. Each re-pinned entry says which values moved and
-why.
+ladder of cases 2 and 4. The 1000-sample pins of the five bpq case 1
+routes were recorded before the bpq cases were declared in one table. Each
+re-pinned entry says which values moved and why.
 """
 
 import hashlib
@@ -224,7 +225,8 @@ def test_every_model_kind_has_round_trip_golden_metrics():
 #: Documents run at the default 1000 samples on the routes without a closed
 #: form: the matrix exponential (five suppliers), the Dormand-Prince
 #: integrator with stimulated and periodic churn (three suppliers, two
-#: modulations of one pair), the winner-take-all run, the bpq cases
+#: modulations of one pair), the winner-take-all run, every route of bpq
+#: case 1 (closed, error-function or quadrature), the bpq cases
 #: solved through t(Q) (2, 4) or by quadrature (5) or by the Dormand-Prince
 #: integrator (3, 6), the case 2 scenario run on into its tail, where P
 #: falls by ten orders of magnitude, and every feedback kernel kind, whether its u(t) is closed or inverts
@@ -266,6 +268,24 @@ LONG_RUN_DOCS.update({ident: ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index(ident)]
 LONG_RUN_DOCS["bpq_case4"] = ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index("bpq")]
 LONG_RUN_DOCS["game_lifecycle_sir_100"] = dict(
     json.loads((SCENARIOS / "game_lifecycle_sir.json").read_text()), horizon=100.0)
+
+
+def case1_doc(a, b, c) -> dict:
+    return {"model": {"kind": "bpq", "case": "case1", "N": 1000.0, "a": a, "b": b, "c": c},
+            "horizon": 20.0}
+
+
+#: One document per route of bpq case 1: constant rates, the confluent
+#: b = a + c, a linear inflow (the error-function branch), a linear quit
+#: rate, and a decaying inflow (the general integrating-factor route).
+LONG_RUN_DOCS.update({
+    "bpq_case1_constant": case1_doc(0.5, 0.3, 0.1),
+    "bpq_case1_confluent": case1_doc(0.4, 0.5, 0.1),
+    "bpq_case1_linear_inflow": case1_doc({"kind": "linear", "a0": 0.2, "a1": 0.05}, 0.3, 0.1),
+    "bpq_case1_linear_quit": case1_doc(0.4, {"kind": "linear", "a0": 0.2, "a1": 0.15}, 0.1),
+    "bpq_case1_exp_decay_inflow": case1_doc({"kind": "exp_decay", "a0": 0.5, "beta": 0.1},
+                                            0.4, 0.05),
+})
 
 
 def feedback_doc(kernel: dict, u0: float, horizon: float) -> dict:
@@ -337,6 +357,26 @@ LONG_RUN_GOLDEN = {
         "3bbcb0c23777bf4dfd81e038397bc6a8cc2e2b04d391541a45aa2f3f4398a4af",
     ("metrics", "game_lifecycle_sir_100"):
         "d6031be8a30c65b3631897c4aa1f14a3d47bda668ab57a08a1cac296be349d09",
+    ("simulate", "bpq_case1_constant"):
+        "f9164cd7480ae5b9fcd93b1a358f0f60769e2edb4a3d92bb9e942690500c953b",
+    ("metrics", "bpq_case1_constant"):
+        "757402a3875d1fdf58bed29fbf82c4e23deb9151f85db743ef9d39bb01de5b47",
+    ("simulate", "bpq_case1_confluent"):
+        "f8c3b484058e84483e1c937ebd4b94073411427684767cd45b322c4aa06839ba",
+    ("metrics", "bpq_case1_confluent"):
+        "17eaf88f35462cc924fbb2f5fd1d09bfeeeb96f4f296a1bd538b84f446b76baa",
+    ("simulate", "bpq_case1_linear_inflow"):
+        "1cd2e35c7e9d59463e8c91b176fd4247d9cd13b212fe82f82dc1ad318edc75c7",
+    ("metrics", "bpq_case1_linear_inflow"):
+        "fa693964e8fdb0890dc099a1323f6db7bf3fb1c771be5a093100672886d6bffc",
+    ("simulate", "bpq_case1_linear_quit"):
+        "85577ec532504e099efc3800d0d0f3f7987a2edebe841371d2d2750d88695ff8",
+    ("metrics", "bpq_case1_linear_quit"):
+        "a92bb8a6b68eddd1695988c089c3990cf8c8e0fc9409c21e9b99bb47c17b6fcf",
+    ("simulate", "bpq_case1_exp_decay_inflow"):
+        "ffd9af30be33361e39eb0d9099364e95dff77d132cd5b0aecfd3f9d42fad4317",
+    ("metrics", "bpq_case1_exp_decay_inflow"):
+        "f29c5a0dc9f77e52f3516ba6c85da39c8add50a49c40ac849bcb8ee25af28371",
     ("simulate", "bpq_case3"):
         "a71c4876f0673ae6bef5ae5c12584feb6f21f184f7d8fd5e8c094897f8f46ebb",
     ("metrics", "bpq_case3"):

@@ -7,12 +7,15 @@ intensity b(t, Q) constant or quitter-stimulated, and an optional
 never-buy intensity c(t) drains B directly (only meaningful when the
 inflow does not depend on P).
 
-Six parameter shapes are covered. Case 1 (externally driven) has full
-closed forms, including an error-function branch for a linearly growing
-inflow and a quadrature branch for a linearly growing quit rate. Case 2
-is the classic epidemic three-compartment model and case 4 its variant
-with quitter-stimulated exits; both have an exact B(Q), so a path
-inverts the time integral t(Q) by warm-started Newton iteration, and
+Six parameter shapes are covered, each declared once in ``CASES``: its
+parameter record and the document fields they are read from, its
+intensities, the route of its path, its closed-form peak where it has one,
+and the metric rows it adds. Case 1 (externally driven) has closed forms
+for constant rates and, through the error function, for a linearly growing
+inflow; any other rate schedules go through one integrating-factor
+integral. Case 2 is the classic epidemic three-compartment model and case
+4 its variant with quitter-stimulated exits; both have an exact B(Q), so a
+path inverts the time integral t(Q) by warm-started Newton iteration, and
 their peak times come from the same integral. Case 5 reduces to a linear
 equation via the Riccati substitution; cases 3 and 6 integrate directly. A
 complementary-game coupling (sales of one title driving another) is
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from . import numerics
 from .errors import DomainError, InitiationError, ParameterError
-from .monopoly import ConstantRate, RateSchedule
+from .monopoly import ConstantRate, LinearRate, RateSchedule
 from .numerics import VectorField
 from .trajectory import Trajectory, from_channels
 
@@ -261,31 +264,7 @@ class ComplementarySpec:
 
 def intensities(case: BpqCase):
     """(a(t, state), b(t, state), c(t)) triples of a case."""
-    if isinstance(case, Case1):
-        return (lambda t, s: case.a.rate(t),
-                lambda t, s: case.b.rate(t),
-                lambda t: case.c.rate(t))
-    if isinstance(case, Case2):
-        return (lambda t, s: case.beta * s[1],
-                lambda t, s: case.b,
-                lambda t: 0.0)
-    if isinstance(case, Case3):
-        return (lambda t, s: case.a + case.beta * s[1],
-                lambda t, s: case.b,
-                lambda t: 0.0)
-    if isinstance(case, Case4):
-        return (lambda t, s: case.beta * s[1],
-                lambda t, s: case.gamma * s[2],
-                lambda t: 0.0)
-    if isinstance(case, Case5):
-        return (lambda t, s: case.a,
-                lambda t, s: case.gamma * s[2],
-                lambda t: 0.0)
-    if isinstance(case, Case6):
-        return (lambda t, s: case.a,
-                lambda t, s: case.b + case.gamma * s[2],
-                lambda t: 0.0)
-    raise ParameterError(f"unknown case {type(case).__name__}")
+    return case_entry(case).intensities(case)
 
 
 def ode_field(case: BpqCase) -> VectorField:
@@ -303,12 +282,11 @@ def ode_field(case: BpqCase) -> VectorField:
     return VectorField(3, rhs)
 
 
-def _package(grid, B, P, Q, D, C, notes=()) -> Trajectory:
-    return from_channels(grid, {"B": B, "P": P, "Q": Q, "D": D, "C": C}, notes=notes)
+def _package(grid, B, P, Q, D, C) -> Trajectory:
+    return from_channels(grid, {"B": B, "P": P, "Q": Q, "D": D, "C": C})
 
 
-def _integrated_case_path(case: BpqCase, grid: Sequence[float],
-                          notes: tuple[str, ...] = ()) -> Trajectory:
+def _integrated_case_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
     """Direct integration; the cumulative-sales channel rides along as a state."""
     a_int, b_int, c_int = intensities(case)
 
@@ -326,7 +304,7 @@ def _integrated_case_path(case: BpqCase, grid: Sequence[float],
     Q = [init.N - b - p for b, p in zip(B, P)]
     D = [a_int(t, r) * r[0] for t, r in zip(grid, rows)]
     C = [r[3] for r in rows]
-    return _package(grid, B, P, Q, D, C, notes)
+    return _package(grid, B, P, Q, D, C)
 
 
 # ---------------------------------------------------------------------------
@@ -421,37 +399,6 @@ def _case1_a_linear(a0: float, a1: float, b: float, c: float, N: float,
     return _package(grid, B, P, Q, D, C)
 
 
-def _case1_b_linear(a: float, b0: float, b1: float, c: float, N: float,
-                    grid: Sequence[float]) -> Trajectory:
-    """Linearly growing quit rate b(t) = b0 + b1 t with constant a, c.
-
-    The survival integral int exp(+v^2) dv has no elementary form and is
-    accumulated by quadrature, shifted segment by segment so no
-    intermediate exponential overflows: P(t) = N J(t) exp(-(a+c) t) with
-    J the shifted integral of a exp(g(u) - g(t)), g(u) = -(a+c-b0) u + b1 u^2/2.
-    Sales are elementary: C(t) = a N / (a + c) (1 - exp(-(a+c) t)).
-    """
-
-    def g(u: float) -> float:
-        return -(a + c - b0) * u + 0.5 * b1 * u * u
-
-    B, P, Q, D, C = [], [], [], [], []
-    j_acc = 0.0
-    prev_t = None
-    for t in grid:
-        if prev_t is not None:
-            j_acc = numerics.shifted_integral_step(j_acc, lambda u: a, g, prev_t, t)
-        Bt = N * math.exp(-(a + c) * t)
-        Pt = N * j_acc * math.exp(-(a + c) * t)
-        prev_t = t
-        B.append(Bt)
-        P.append(Pt)
-        Q.append(N - Bt - Pt)
-        D.append(a * Bt)
-        C.append(N - Bt if c == 0.0 else (a * N / (a + c)) * -math.expm1(-(a + c) * t))
-    return _package(grid, B, P, Q, D, C)
-
-
 def _case1_general(case: Case1, grid: Sequence[float]) -> Trajectory:
     """Integrating-factor solution for arbitrary rate schedules.
 
@@ -490,35 +437,22 @@ def _case1_general(case: Case1, grid: Sequence[float]) -> Trajectory:
     return _package(grid, B, P, Q, D, C)
 
 
-def _case1_route(case: Case1, grid: Sequence[float],
-                 allow_general: bool) -> Trajectory | None:
+def _constant_rates(case: Case1) -> bool:
+    return all(isinstance(s, ConstantRate) for s in (case.a, case.b, case.c))
+
+
+def _case1_path(case: Case1, grid: Sequence[float]) -> Trajectory:
+    """Closed forms for constant rates (with the b = a + c confluence) and a
+    linear inflow; the integrating-factor route for any other schedules."""
     a_s, b_s, c_s = case.a, case.b, case.c
-    consts = all(isinstance(s, ConstantRate) for s in (a_s, b_s, c_s))
-    if consts:
+    if _constant_rates(case):
         return _case1_constants(a_s.a, b_s.a, c_s.a, case.N, grid)
-    from .monopoly import LinearRate
     if (isinstance(a_s, LinearRate) and a_s.a1 > 0
             and isinstance(b_s, ConstantRate) and isinstance(c_s, ConstantRate)):
         K = (a_s.a0 + c_s.a - b_s.a) / math.sqrt(2.0 * a_s.a1)
         if abs(K) <= 4.0:
             return _case1_a_linear(a_s.a0, a_s.a1, b_s.a, c_s.a, case.N, grid)
-    if (isinstance(b_s, LinearRate) and b_s.a1 > 0
-            and isinstance(a_s, ConstantRate) and isinstance(c_s, ConstantRate)):
-        return _case1_b_linear(a_s.a, b_s.a0, b_s.a1, c_s.a, case.N, grid)
-    if allow_general:
-        return _case1_general(case, grid)
-    return None
-
-
-def case1_closed_form(case: Case1, grid: Sequence[float]) -> Trajectory:
-    """Closed forms for constant rates (with the b = a + c confluence),
-    a linear inflow, or a linear quit rate; anything else integrates
-    numerically and marks the trajectory accordingly."""
-    routed = _case1_route(case, grid, allow_general=False)
-    if routed is not None:
-        return routed
-    return _integrated_case_path(case, grid, notes=(
-        "no closed form for this schedule combination; integrated numerically",))
+    return _case1_general(case, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +666,16 @@ def sir_peak_time(case: Case2) -> float:
     return sir_time_of(case, rel.Q_Tm)
 
 
+def _sir_peak(case: Case2) -> PeakMetrics:
+    rel = sir_relations(case)
+    return PeakMetrics(T_m=sir_peak_time(case), P_m=rel.P_Tm, C_inf=case.B0 - rel.B_inf)
+
+
+def _sir_rows(case: Case2) -> list[tuple[str, float]]:
+    rel = sir_relations(case)
+    return [("B_inf", rel.B_inf), ("B_at_peak", rel.B_Tm), ("P_at_peak", rel.P_Tm)]
+
+
 def case4_peak(case: Case4) -> PeakMetrics:
     """Peak from the balance beta B = gamma Q combined with the first
     integral: Q(T_m) = [beta B0 Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma)),
@@ -823,8 +767,78 @@ def _case6_path(case: Case6, grid: Sequence[float]) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# The six cases, declared once
 # ---------------------------------------------------------------------------
+
+def _no_drain(t: float) -> float:
+    return 0.0
+
+
+class _Case(NamedTuple):
+    """Everything the library knows of one bpq case.
+
+    Entries call the public functions of this module (``case4_peak``,
+    ``sir_relations``, ...) through its globals, so that a wrapper put on
+    the module attribute sees each call.
+    """
+
+    model: type            # the parameter record, built as model(N=..., **fields)
+    intensities: Callable  # case -> (a(t, state), b(t, state), c(t))
+    path: Callable         # (case, grid) -> trajectory
+    fields: tuple[str, ...] = ()    # numbers a document must give, in the order they are read
+    optional: tuple[str, ...] = ()  # numbers read after ``fields``; absent: 0
+    rates: tuple[str, ...] = ()     # rate schedules; a number is a constant rate, absent 0
+    peak: Callable = lambda case: None  # case -> closed-form PeakMetrics; None: refined_peak
+    c_inf: Callable | None = None   # (case, trajectory) -> C_inf beside a refined peak
+    rows: Callable = lambda case: []  # case -> metric rows printed after the peak
+
+
+CASES = {
+    "case1": _Case(
+        model=Case1, rates=("a", "b", "c"),
+        intensities=lambda case: (lambda t, s: case.a.rate(t),
+                                  lambda t, s: case.b.rate(t),
+                                  lambda t: case.c.rate(t)),
+        path=_case1_path,
+        peak=lambda case: (case1_peak(case.a.a, case.b.a, case.c.a, case.N)
+                           if _constant_rates(case) else None),
+        c_inf=lambda case, traj: traj.channel("C")[-1]),
+    "case2": _Case(
+        model=Case2, fields=("beta", "b", "P0"), optional=("Q0",),
+        intensities=lambda case: (lambda t, s: case.beta * s[1],
+                                  lambda t, s: case.b, _no_drain),
+        path=_clock_path, peak=_sir_peak, rows=_sir_rows),
+    "case3": _Case(
+        model=Case3, fields=("a", "beta", "b"),
+        intensities=lambda case: (lambda t, s: case.a + case.beta * s[1],
+                                  lambda t, s: case.b, _no_drain),
+        path=_integrated_case_path, c_inf=lambda case, traj: case.N),
+    "case4": _Case(
+        model=Case4, fields=("beta", "gamma", "P0", "Q0"),
+        intensities=lambda case: (lambda t, s: case.beta * s[1],
+                                  lambda t, s: case.gamma * s[2], _no_drain),
+        path=_clock_path, peak=lambda case: case4_peak(case)),
+    "case5": _Case(
+        model=Case5, fields=("a", "gamma", "Q0"), optional=("P0",),
+        intensities=lambda case: (lambda t, s: case.a,
+                                  lambda t, s: case.gamma * s[2], _no_drain),
+        path=_case5_path, c_inf=lambda case, traj: case.B0),
+    "case6": _Case(
+        model=Case6, fields=("a", "b", "gamma"),
+        intensities=lambda case: (lambda t, s: case.a,
+                                  lambda t, s: case.b + case.gamma * s[2], _no_drain),
+        path=_case6_path, c_inf=lambda case, traj: case.N),
+}
+_BY_MODEL = {entry.model: entry for entry in CASES.values()}
+
+
+def case_entry(case: BpqCase) -> _Case:
+    """The table entry of a case."""
+    entry = _BY_MODEL.get(type(case))
+    if entry is None:
+        raise ParameterError(f"unknown case {type(case).__name__}")
+    return entry
+
 
 def bpq_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
     """Trajectory with B, P, Q plus demand D = a(t, P) B and sales C = int D.
@@ -833,17 +847,7 @@ def bpq_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
     """
     if grid[0] != 0.0:
         raise ParameterError("game paths start at t = 0; grid must begin there")
-    if isinstance(case, Case1):
-        return _case1_route(case, grid, allow_general=True)
-    if isinstance(case, (Case2, Case4)):
-        return _clock_path(case, grid)
-    if isinstance(case, Case3):
-        return _integrated_case_path(case, grid)
-    if isinstance(case, Case5):
-        return _case5_path(case, grid)
-    if isinstance(case, Case6):
-        return _case6_path(case, grid)
-    raise ParameterError(f"unknown case {type(case).__name__}")
+    return case_entry(case).path(case, grid)
 
 
 def refined_peak(case: BpqCase, grid: Sequence[float],
@@ -898,25 +902,14 @@ def peak_metrics(case: BpqCase, grid: Sequence[float],
     ``bpq_path(case, grid)`` when the caller already has it; the path
     is computed at most once either way.
     """
-    from .monopoly import ConstantRate as _CR
-    if isinstance(case, Case1) and all(isinstance(s, _CR) for s in (case.a, case.b, case.c)):
-        return case1_peak(case.a.a, case.b.a, case.c.a, case.N)
-    if isinstance(case, Case2):
-        rel = sir_relations(case)
-        return PeakMetrics(T_m=sir_peak_time(case), P_m=rel.P_Tm, C_inf=case.B0 - rel.B_inf)
-    if isinstance(case, Case4):
-        return case4_peak(case)
-
+    entry = case_entry(case)
+    closed = entry.peak(case)
+    if closed is not None:
+        return closed
     if traj is None:
         traj = bpq_path(case, grid)
     t_m, state = refined_peak(case, grid, traj)
-    if isinstance(case, (Case3, Case6)):
-        c_inf = case.N
-    elif isinstance(case, Case5):
-        c_inf = case.B0
-    else:
-        c_inf = traj.channel("C")[-1]
-    return PeakMetrics(T_m=t_m, P_m=state[1], C_inf=c_inf)
+    return PeakMetrics(T_m=t_m, P_m=state[1], C_inf=entry.c_inf(case, traj))
 
 
 # ---------------------------------------------------------------------------

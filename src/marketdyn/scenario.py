@@ -612,30 +612,20 @@ def _run_stimulated(model, grid):
 def _parse_bpq(r):
     case_kind = r.string("case")
     n = r.number("N", required=False, default=1.0)
-    if case_kind == "case1":
-        a, b, c = _case1_rate(r, "a"), _case1_rate(r, "b"), _case1_rate(r, "c")
-        if a is None or b is None or c is None:
-            return None
-        return games.Case1(a=a, b=b, c=c, N=n)
-    if case_kind == "case2":
-        return games.Case2(beta=r.number("beta"), b=r.number("b"), N=n, P0=r.number("P0"),
-                           Q0=r.number("Q0", required=False, default=0.0))
-    if case_kind == "case3":
-        return games.Case3(a=r.number("a"), beta=r.number("beta"), b=r.number("b"), N=n)
-    if case_kind == "case4":
-        return games.Case4(beta=r.number("beta"), gamma=r.number("gamma"), N=n,
-                           P0=r.number("P0"), Q0=r.number("Q0"))
-    if case_kind == "case5":
-        return games.Case5(a=r.number("a"), gamma=r.number("gamma"), N=n, Q0=r.number("Q0"),
-                           P0=r.number("P0", required=False, default=0.0))
-    if case_kind == "case6":
-        return games.Case6(a=r.number("a"), b=r.number("b"), gamma=r.number("gamma"), N=n)
-    r.issues.append(ValidationIssue(
-        "unknown_kind", f"{r.path}.case", "one of case1..case6", repr(case_kind)))
-    return None
+    entry = games.CASES.get(case_kind)
+    if entry is None:
+        r.issues.append(ValidationIssue(
+            "unknown_kind", f"{r.path}.case", "one of case1..case6", repr(case_kind)))
+        return None
+    values = {key: _rate(r, key) for key in entry.rates}
+    if None in values.values():
+        return None
+    values.update((key, r.number(key)) for key in entry.fields)
+    values.update((key, r.number(key, required=False, default=0.0)) for key in entry.optional)
+    return entry.model(N=n, **values)
 
 
-def _case1_rate(r, key):
+def _rate(r, key):
     """A schedule object, or a number (absent: 0) as shorthand for a constant rate."""
     if not _is_number(r.data.get(key, 0.0)):
         return _parse_schedule(r.sub(key))
@@ -646,11 +636,8 @@ def _case1_rate(r, key):
 def _run_bpq(case, grid):
     traj = games.bpq_path(case, grid)
     peak = games.peak_metrics(case, grid, traj)
-    metrics = [("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
-    if isinstance(case, games.Case2):
-        rel = games.sir_relations(case)
-        metrics += [("B_inf", rel.B_inf), ("B_at_peak", rel.B_Tm), ("P_at_peak", rel.P_Tm)]
-    return traj, metrics
+    return traj, ([("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
+                  + games.case_entry(case).rows(case))
 
 
 def _parse_complementary(r):

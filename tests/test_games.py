@@ -222,12 +222,8 @@ def test_case1_general_schedules_against_rk4():
     assert max_channel_gap(traj, rows, "P", 1) <= 1e-5 * N
 
 
-def test_case1_closed_form_fallback_flag():
-    case = games.Case1(a=ExpDecayRate(0.5, 0.1), b=0.4, c=0.0, N=N)
-    traj = games.case1_closed_form(case, time_grid(0.0, 5.0, 11))
-    assert traj.notes and "numerically" in traj.notes[0]
-    routed = games.case1_closed_form(
-        games.Case1(a=0.7, b=0.5, c=0.1, N=N), time_grid(0.0, 5.0, 11))
+def test_case1_closed_form_route_carries_no_notes():
+    routed = games.bpq_path(games.Case1(a=0.7, b=0.5, c=0.1, N=N), time_grid(0.0, 5.0, 11))
     assert not routed.notes
 
 

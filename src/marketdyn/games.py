@@ -402,36 +402,44 @@ def _case1_a_linear(a0: float, a1: float, b: float, c: float, N: float,
 def _case1_general(case: Case1, grid: Sequence[float]) -> Trajectory:
     """Integrating-factor solution for arbitrary rate schedules.
 
-    P(t) = B(t) J(t) with J the shifted survival integral of
-    a(u) exp(h(u) - h(t)), h = int(b) - int(a) - int(c).
+    P(t) is the integral of the demand a(u) B(u) under the survival weight
+    exp(-int_u^t b) <= 1, so no exponent is positive however the rates
+    compare. Over each step the weight is split into its value at the
+    step's start, which multiplies the step's sales, and the rise beyond
+    it: a demand spike at the start, as from a large inflow, then needs no
+    quadrature node. Without never-buyers the sales are B(lo) - B(t).
     """
     a_s, b_s, c_s = case.a, case.b, case.c
     N = case.N
-
-    def h(u: float) -> float:
-        return b_s.cumulative(u) - a_s.cumulative(u) - c_s.cumulative(u)
-
     B, P, Q, D, C = [], [], [], [], []
-    j_acc = 0.0
+    p_acc = 0.0
     c_acc = 0.0
     prev_t = None
     c_is_zero = isinstance(c_s, ConstantRate) and c_s.a == 0.0
 
+    def drained(u: float) -> float:
+        return a_s.cumulative(u) + c_s.cumulative(u)
+
     def demand(u: float) -> float:
-        return a_s.rate(u) * N * math.exp(-(a_s.cumulative(u) + c_s.cumulative(u)))
+        return a_s.rate(u) * N * math.exp(-drained(u))
 
     for t in grid:
         if prev_t is not None:
-            j_acc = numerics.shifted_integral_step(j_acc, a_s.rate, h, prev_t, t)
-            if not c_is_zero:
-                c_acc += numerics.quadrature(demand, prev_t, t, tol=1e-11)
-        Bt = N * math.exp(-(a_s.cumulative(t) + c_s.cumulative(t)))
-        Pt = Bt * j_acc
+            if c_is_zero:
+                sold = -N * math.exp(-drained(prev_t)) * math.expm1(drained(prev_t) - drained(t))
+            else:
+                sold = numerics.quadrature(demand, prev_t, t, tol=1e-11)
+            quit_lo, quit_t = b_s.cumulative(prev_t), b_s.cumulative(t)
+            p_acc = numerics.shifted_integral_step(
+                p_acc + sold, lambda u: -demand(u) * math.expm1(quit_lo - b_s.cumulative(u)),
+                lambda y: b_s.cumulative(t + y) - quit_t, prev_t, t)
+            c_acc += sold
+        Bt = N * math.exp(-drained(t))
         Ct = (N - Bt) if c_is_zero else c_acc
         prev_t = t
         B.append(Bt)
-        P.append(Pt)
-        Q.append(N - Bt - Pt)
+        P.append(p_acc)
+        Q.append(N - Bt - p_acc)
         D.append(a_s.rate(t) * Bt)
         C.append(Ct)
     return _package(grid, B, P, Q, D, C)
@@ -700,31 +708,53 @@ def case4_peak(case: Case4) -> PeakMetrics:
 # ---------------------------------------------------------------------------
 
 def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
-    """Q(t) = 1/w(t) where w solves the linearized equation.
+    """P and Q through z = 1/Q - 1/R, where R = P + Q = N - B0 e^{-a t}.
 
-    w' = -gamma (N - B0 e^{-a t}) w + gamma with w(0) = 1/Q0;
-    the integrating-factor integral is accumulated by quadrature with
-    all exponents shifted to stay nonpositive (psi is increasing).
+    w = 1/Q turns the Riccati equation for Q into a linear one, and so does
+    its part z beyond 1/R: z' = -gamma R z + a B / R^2 with
+    z(0) = P0 / (Q0 R0). Then Q = R / (1 + R z) and P = R^2 z / (1 + R z),
+    which keeps its digits as P falls, where N - B - Q would cancel. The
+    integrating-factor integral, with exponent
+    psi(u) = gamma N u + (gamma B0 / a) e^{-a u}, is accumulated by
+    quadrature with all exponents shifted to stay nonpositive (psi is
+    increasing).
     """
     a, gamma, N = case.a, case.gamma, case.N
-    B0, Q0 = case.B0, case.Q0
+    B0, P0, Q0 = case.B0, case.P0, case.Q0
 
-    def psi(t: float) -> float:
-        return gamma * N * t + (gamma * B0 / a) * math.exp(-a * t)
+    def remaining(u: float) -> float:
+        """R(u) = R0 + B0 (1 - e^{-a u}), without the cancellation of N - B."""
+        return P0 + Q0 - B0 * math.expm1(-a * u)
 
-    w = 1.0 / Q0
+    def source(u: float) -> float:
+        e = math.exp(-a * u)
+        # R = N - B where B <= N / 2; near the start, R0 + B0 (1 - e^{-a u}).
+        r = N - B0 * e if e <= 0.5 else P0 + Q0 - B0 * math.expm1(-a * u)
+        return a * B0 * e / (r * r)
+
+    def rise_to(t: float) -> Callable[[float], float]:
+        """y -> psi(t + y) - psi(t) for y <= 0, without the cancellation of gamma N t."""
+        b_t = B0 * math.exp(-a * t)
+
+        def rise(y: float) -> float:
+            x = -a * y
+            drop = b_t * math.expm1(x) if x <= 1.0 else B0 * math.exp(-a * (t + y)) - b_t
+            return gamma * (N * y + drop / a)
+        return rise
+
+    z = P0 / (Q0 * (P0 + Q0))
     B, P, Q, D, C = [], [], [], [], []
     prev_t = None
     for t in grid:
         if prev_t is not None:
-            w = numerics.shifted_integral_step(w, lambda x: gamma, psi, prev_t, t)
+            z = numerics.shifted_integral_step(z, source, rise_to(t), prev_t, t)
         Bt = B0 * math.exp(-a * t)
-        Qt = 1.0 / w
-        Pt = N - Bt - Qt
+        Rt = remaining(t)
+        Rz = Rt * z
         prev_t = t
         B.append(Bt)
-        P.append(Pt)
-        Q.append(Qt)
+        P.append(Rt * Rz / (1.0 + Rz))
+        Q.append(Rt / (1.0 + Rz))
         D.append(a * Bt)
         C.append(B0 - Bt)
     return _package(grid, B, P, Q, D, C)
@@ -977,7 +1007,7 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
             continue
         lo = prev_t if prev_t is not None else t_live
         k_acc = numerics.shifted_integral_step(
-            k_acc, lambda u: math.exp(-delta_a(u)), lambda u: b * (u - t), lo, t)
+            k_acc, lambda u: math.exp(-delta_a(u)), lambda y: b * y, lo, t)
         bt = n * math.exp(-delta_a(t))
         pt = n * (math.exp(-b * (t - t_live)) - math.exp(-delta_a(t))) + n * b * k_acc
         prev_t = t

@@ -276,16 +276,26 @@ def quadrature(g: Callable[[float], float], a: float, b: float,
 
 
 def shifted_integral_step(acc: float, f: Callable[[float], float],
-                          k: Callable[[float], float], lo: float, hi: float) -> float:
-    """J(hi) from J(lo) = acc for J(t) = int^t f(u) e^(k(u) - k(t)) du.
+                          rise: Callable[[float], float], lo: float, hi: float) -> float:
+    """J(hi) from J(lo) = acc for J(t) = int^t f(u) e^(k(u) - k(t)) du, k nondecreasing.
 
-    Every exponent is shifted by k(hi), so for an increasing k none is
-    positive and nothing overflows: the result is acc e^(k(lo) - k(hi))
-    plus the integral of f(u) e^(k(u) - k(hi)) over [lo, hi].
+    ``rise(y)`` is k(hi + y) - k(hi) for y <= 0. Given as an offset from the
+    step's end, the exponent keeps its digits however large hi is, and none
+    is positive, so nothing overflows: the result is acc e^rise(lo - hi)
+    plus the integral of f(hi + y) e^rise(y) over y in [lo - hi, 0]. The
+    quadrature runs in y, so its nodes keep their places near a large hi.
+
+    Where the weight e^rise is below e^-40 the integral is dropped: on a
+    step much longer than the width of the weight, the quadrature nodes
+    would otherwise miss it. The window is halved from the whole step while
+    the weight at its middle is below e^-40; as k is nondecreasing, all
+    that is dropped weighs less.
     """
-    k_hi = k(hi)
-    return acc * math.exp(k(lo) - k_hi) + quadrature(
-        lambda u: f(u) * math.exp(k(u) - k_hi), lo, hi, 1e-11)
+    y0 = lo - hi
+    while rise(0.5 * y0) < -40.0:
+        y0 *= 0.5
+    return acc * math.exp(rise(lo - hi)) + quadrature(
+        lambda y: f(hi + y) * math.exp(rise(y)), y0, 0.0, 1e-11)
 
 
 def solve_root(g: Callable[[float], float], lo: float, hi: float,

@@ -631,3 +631,61 @@ def test_peak_metrics_catalog():
     assert m5.C_inf == CASE5.B0
     m6 = games.peak_metrics(CASE6, grid)
     assert m6.C_inf == N
+
+
+# ---------------------------------------------------------------------------
+# long sample steps
+# ---------------------------------------------------------------------------
+
+@st.composite
+def long_step_runs(draw):
+    """A route carrying a shifted integral, its model, and a grid of 2 to 20
+    samples over a horizon of up to 1e7 times the route's slowest rate."""
+    rate = lambda lo, hi: draw(st.floats(lo, hi))  # noqa: E731
+    route = draw(st.sampled_from(["case5", "complementary", "case1_constant",
+                                  "case1_linear_inflow", "case1_linear_quit",
+                                  "case1_exp_decay"]))
+    if route == "case5":
+        model = games.Case5(a=rate(0.05, 2.0), gamma=rate(0.1, 5.0) / N, N=N,
+                            Q0=rate(1.0, 50.0), P0=rate(0.0, 50.0))
+        unit = model.gamma * N
+    elif route == "complementary":
+        model = games.ComplementarySpec(g=rate(0.1, 2.0) / N, b=rate(0.1, 1.0),
+                                        a_c=rate(0.1, 1.0), b_c=rate(0.2, 1.5),
+                                        tau=rate(-2.0, 2.0), N=N)
+        unit = model.b
+    else:
+        a, b, c = rate(0.05, 2.0), rate(0.05, 2.0), rate(0.0, 0.5)
+        unit = min(a, b)
+        if route == "case1_linear_inflow":
+            a = LinearRate(a, rate(0.01, 0.5))
+        elif route == "case1_linear_quit":
+            b = LinearRate(b, rate(0.01, 0.5))
+        elif route == "case1_exp_decay":
+            decay = rate(0.05, 1.0)
+            a, unit = ExpDecayRate(a, decay), min(unit, decay)
+        model = games.Case1(a=a, b=b, c=c, N=N)
+    horizon = 10.0 ** rate(0.0, 7.0) / unit
+    return model, time_grid(0.0, horizon, draw(st.integers(2, 20)))
+
+
+@given(long_step_runs())
+def test_long_sample_steps_keep_the_invariants(run):
+    # A step far longer than the width of the weight e^(k(u) - k(t)) of a
+    # shifted integral once put the weight between the quadrature nodes.
+    model, grid = run
+    if isinstance(model, games.ComplementarySpec):
+        traj = games.complementary_path(model, grid)
+        n, n_c = model.N, model.companion_population
+        # Game 1's P is a sum of terms as large as N, so Q = N - B - P holds
+        # its monotonicity only to a few units in the last place of N.
+        compartments = [("B", "P", "Q", n, 1e-12 * n), ("B_c", "P_c", "Q_c", n_c, 0.0)]
+    else:
+        traj = games.bpq_path(model, grid)
+        compartments = [("B", "P", "Q", model.N, 0.0)]
+    assert all(math.isfinite(v) for row in traj.states for v in row)
+    for b_ch, p_ch, q_ch, n, slack in compartments:
+        b, p, q = traj.channel(b_ch), traj.channel(p_ch), traj.channel(q_ch)
+        assert all(abs(x + y + z - n) <= 1e-9 * n for x, y, z in zip(b, p, q))
+        assert all(y >= -1e-9 * n for y in p)
+        assert all(q2 >= q1 - slack for q1, q2 in zip(q, q[1:]))

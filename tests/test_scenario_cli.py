@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -552,6 +553,53 @@ def test_cli_bpq_time_inversion_at_tiny_scales(model, horizon, code, tmp_path, c
         values = [float(v) for line in capsys.readouterr().out.split()[1:]
                   for v in line.split(",")[1:]]
         assert all(math.isfinite(v) for v in values)
+
+
+CASE5_LONG = {"kind": "bpq", "case": "case5", "a": 0.2, "gamma": 0.004, "N": 1000.0, "Q0": 10.0}
+COMPLEMENTARY = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                            / "complementary_games.json").read_text())["model"]
+
+
+def complementary_limit(m: dict) -> tuple[float, float, float]:
+    """(B, P, Q) of game 1 at t -> infinity, with the companion live from t = -tau <= 0.
+
+    B falls by g times the companion's players integrated from s = tau on:
+    N_c a_c / (b_c - a_c) (e^{-a_c tau} / a_c - e^{-b_c tau} / b_c).
+    """
+    a_c, b_c, tau = m["a_c"], m["b_c"], m["tau"]
+    players = m["N"] * a_c / (b_c - a_c) * (math.exp(-a_c * tau) / a_c
+                                           - math.exp(-b_c * tau) / b_c)
+    b_inf = m["N"] * math.exp(-m["g"] * players)
+    return b_inf, 0.0, m["N"] - b_inf
+
+
+# Each sample step is far longer than the width of the weight e^(k(u) - k(t))
+# of the shifted integral. Case 5 printed P = -2.97e148 at horizon 1e5 and
+# divided by zero from 1e6 on; complementary printed P = -612.857754.
+@pytest.mark.parametrize("model,horizon,samples,limit", [
+    (CASE5_LONG, 1e5, 6, (0.0, 0.0, 1000.0)),
+    (CASE5_LONG, 1e6, 6, (0.0, 0.0, 1000.0)),
+    (CASE5_LONG, 1e12, 1000, (0.0, 0.0, 1000.0)),
+    (COMPLEMENTARY, 1e7, 6, complementary_limit(COMPLEMENTARY)),
+], ids=["case5_1e5", "case5_1e6", "case5_1e12", "complementary_1e7"])
+def test_cli_long_sample_steps_reach_the_limit_state(model, horizon, samples, limit,
+                                                     tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": model, "horizon": horizon, "samples": samples}))
+    assert cli.main(["metrics", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.split()
+    labels = lines[0].split(",")
+    rows = [dict(zip(labels, map(float, line.split(",")))) for line in lines[1:]]
+    n = model["N"]
+    for row in rows:
+        assert all(math.isfinite(v) for v in row.values())
+        assert abs(row["B"] + row["P"] + row["Q"] - n) <= 1e-9 * n
+        assert row["P"] >= -1e-9 * n
+    last = rows[-1]
+    for channel, value in zip("BPQ", limit):
+        assert last[channel] == pytest.approx(value, abs=1e-9 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,7 @@ def _case1_path(case: Case1, grid: Sequence[float]) -> Trajectory:
 _MAX_NEWTON_STEPS = 200
 #: Relative accuracy asked of each increment of the time integral.
 _TIME_TOL = 1e-13
+_OUT_OF_RANGE = "the seed P0 and the rates put this game outside the range of a double"
 
 
 class _QuitClock:
@@ -522,8 +523,7 @@ class _QuitClock:
         self.s_lo = min(math.log(P0) - math.log(stiff) - self.log_g0, 0.0) - 40.0
         self.t_lo = self.dt_ds(self.s_lo)
         if not (self.t_lo > 0.0 and self.s_cap > 40.0):
-            raise DomainError("the seed P0 and the rates put this game outside "
-                              "the range of a double")
+            raise DomainError(_OUT_OF_RANGE)
 
     def _at(self, s: float) -> tuple[float, float, float, float, float]:
         """(Delta g / g0, Delta, P, Q, C) at s, where C = B0 - B have bought."""
@@ -607,7 +607,10 @@ def _clock_path(case: Case2 | Case4, grid: Sequence[float]) -> Trajectory:
             root = clock.s_lo + math.log(time / clock.t_lo) if time > 0.0 else -math.inf
         _, d, p, q, c = clock._at(root)
         b = case.B0 * math.exp(-clock.drop(case.Q0, d))
-        rows.append((b, p, q, case.beta * p * b, c))
+        demand = case.beta * p * b
+        if not math.isfinite(demand):
+            raise DomainError(_OUT_OF_RANGE)
+        rows.append((b, p, q, demand, c))
     return _package(grid, *zip(*rows))
 
 

@@ -555,6 +555,17 @@ def test_cli_bpq_time_inversion_at_tiny_scales(model, horizon, code, tmp_path, c
         assert all(math.isfinite(v) for v in values)
 
 
+def test_cli_bpq_case2_with_an_overflowing_demand_exits_3(tmp_path, capsys):
+    # D = beta P B exceeds the largest double at t = 0.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": dict(CASE2_LIFECYCLE, N=1.7e308, P0=999.0),
+                                "horizon": 30.0}))
+    for command in ("simulate", "metrics"):
+        assert cli.main([command, str(path)]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err == ("error [numeric] the seed P0 and the rates put "
+                                           "this game outside the range of a double\n")
+
+
 CASE5_LONG = {"kind": "bpq", "case": "case5", "a": 0.2, "gamma": 0.004, "N": 1000.0, "Q0": 10.0}
 COMPLEMENTARY = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
                             / "complementary_games.json").read_text())["model"]

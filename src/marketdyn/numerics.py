@@ -339,6 +339,9 @@ def solve_root(g: Callable[[float], float], lo: float, hi: float,
         x_lo = max(x - h, lo)
         dfdx = (g(x_hi) - g(x_lo)) / (x_hi - x_lo) if x_hi > x_lo else 0.0
         x_new = x - fx / dfdx if dfdx != 0.0 else math.nan
+        if abs(x_new - x) < tol:
+            # Converged from one side: step tol past the root to close the bracket.
+            x_new = x + tol if x == lo else x - tol
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
         x = x_new

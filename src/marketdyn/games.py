@@ -402,12 +402,10 @@ def _case1_a_linear(a0: float, a1: float, b: float, c: float, N: float,
 def _case1_general(case: Case1, grid: Sequence[float]) -> Trajectory:
     """Integrating-factor solution for arbitrary rate schedules.
 
-    P(t) is the integral of the demand a(u) B(u) under the survival weight
-    exp(-int_u^t b) <= 1, so no exponent is positive however the rates
-    compare. Over each step the weight is split into its value at the
-    step's start, which multiplies the step's sales, and the rise beyond
-    it: a demand spike at the start, as from a large inflow, then needs no
-    quadrature node. Without never-buyers the sales are B(lo) - B(t).
+    P(t) integrates the demand a(u) B(u) under the survival weight
+    exp(-int_u^t b) <= 1. Over a step, the weight at its start multiplies
+    the step's sales (B(lo) - B(t) without never-buyers), so a demand spike
+    there needs no quadrature node; quadrature carries the weight's rise.
     """
     a_s, b_s, c_s = case.a, case.b, case.c
     N = case.N
@@ -713,46 +711,37 @@ def case4_peak(case: Case4) -> PeakMetrics:
 def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
     """P and Q through z = 1/Q - 1/R, where R = P + Q = N - B0 e^{-a t}.
 
-    w = 1/Q turns the Riccati equation for Q into a linear one, and so does
-    its part z beyond 1/R: z' = -gamma R z + a B / R^2 with
-    z(0) = P0 / (Q0 R0). Then Q = R / (1 + R z) and P = R^2 z / (1 + R z),
-    which keeps its digits as P falls, where N - B - Q would cancel. The
-    integrating-factor integral, with exponent
-    psi(u) = gamma N u + (gamma B0 / a) e^{-a u}, is accumulated by
-    quadrature with all exponents shifted to stay nonpositive (psi is
-    increasing).
+    The Riccati substitution w = 1/Q, less its part 1/R, leaves the linear
+    z' = -gamma R z + a B / R^2 with z(0) = P0 / (Q0 R0). Then
+    Q = R / (1 + R z), and P = R^2 z / (1 + R z) keeps its digits as it
+    falls, where N - B - Q would cancel. The integrating factor has the
+    increasing exponent psi(u) = gamma N u + (gamma B0 / a) e^{-a u}.
     """
     a, gamma, N = case.a, case.gamma, case.N
     B0, P0, Q0 = case.B0, case.P0, case.Q0
 
-    def remaining(u: float) -> float:
-        """R(u) = R0 + B0 (1 - e^{-a u}), without the cancellation of N - B."""
-        return P0 + Q0 - B0 * math.expm1(-a * u)
+    def remaining(u: float, e: float) -> float:
+        """R(u) from e = e^{-a u}: N - B once B <= N / 2, else R0 + B0 (1 - e)."""
+        return N - B0 * e if e <= 0.5 else P0 + Q0 - B0 * math.expm1(-a * u)
 
     def source(u: float) -> float:
         e = math.exp(-a * u)
-        # R = N - B where B <= N / 2; near the start, R0 + B0 (1 - e^{-a u}).
-        r = N - B0 * e if e <= 0.5 else P0 + Q0 - B0 * math.expm1(-a * u)
-        return a * B0 * e / (r * r)
+        return a * B0 * e / remaining(u, e) ** 2
 
-    def rise_to(t: float) -> Callable[[float], float]:
-        """y -> psi(t + y) - psi(t) for y <= 0, without the cancellation of gamma N t."""
-        b_t = B0 * math.exp(-a * t)
-
-        def rise(y: float) -> float:
-            x = -a * y
-            drop = b_t * math.expm1(x) if x <= 1.0 else B0 * math.exp(-a * (t + y)) - b_t
-            return gamma * (N * y + drop / a)
-        return rise
+    def rise(t: float, b_t: float, y: float) -> float:
+        """psi(t + y) - psi(t) for y <= 0, b_t = B(t); no cancellation of gamma N t."""
+        x = -a * y
+        drop = b_t * math.expm1(x) if x <= 1.0 else B0 * math.exp(-a * (t + y)) - b_t
+        return gamma * (N * y + drop / a)
 
     z = P0 / (Q0 * (P0 + Q0))
     B, P, Q, D, C = [], [], [], [], []
     prev_t = None
     for t in grid:
+        e = math.exp(-a * t)
+        Bt, Rt = B0 * e, remaining(t, e)
         if prev_t is not None:
-            z = numerics.shifted_integral_step(z, source, rise_to(t), prev_t, t)
-        Bt = B0 * math.exp(-a * t)
-        Rt = remaining(t)
+            z = numerics.shifted_integral_step(z, source, lambda y: rise(t, Bt, y), prev_t, t)
         Rz = Rt * z
         prev_t = t
         B.append(Bt)
@@ -803,17 +792,9 @@ def _case6_path(case: Case6, grid: Sequence[float]) -> Trajectory:
 # The six cases, declared once
 # ---------------------------------------------------------------------------
 
-def _no_drain(t: float) -> float:
-    return 0.0
-
-
 class _Case(NamedTuple):
-    """Everything the library knows of one bpq case.
-
-    Entries call the public functions of this module (``case4_peak``,
-    ``sir_relations``, ...) through its globals, so that a wrapper put on
-    the module attribute sees each call.
-    """
+    """Everything the library knows of one bpq case. Entries call this module's
+    public functions through its globals, so a wrapper on one sees each call."""
 
     model: type            # the parameter record, built as model(N=..., **fields)
     intensities: Callable  # case -> (a(t, state), b(t, state), c(t))
@@ -839,27 +820,27 @@ CASES = {
     "case2": _Case(
         model=Case2, fields=("beta", "b", "P0"), optional=("Q0",),
         intensities=lambda case: (lambda t, s: case.beta * s[1],
-                                  lambda t, s: case.b, _no_drain),
+                                  lambda t, s: case.b, lambda t: 0.0),
         path=_clock_path, peak=_sir_peak, rows=_sir_rows),
     "case3": _Case(
         model=Case3, fields=("a", "beta", "b"),
         intensities=lambda case: (lambda t, s: case.a + case.beta * s[1],
-                                  lambda t, s: case.b, _no_drain),
+                                  lambda t, s: case.b, lambda t: 0.0),
         path=_integrated_case_path, c_inf=lambda case, traj: case.N),
     "case4": _Case(
         model=Case4, fields=("beta", "gamma", "P0", "Q0"),
         intensities=lambda case: (lambda t, s: case.beta * s[1],
-                                  lambda t, s: case.gamma * s[2], _no_drain),
+                                  lambda t, s: case.gamma * s[2], lambda t: 0.0),
         path=_clock_path, peak=lambda case: case4_peak(case)),
     "case5": _Case(
         model=Case5, fields=("a", "gamma", "Q0"), optional=("P0",),
         intensities=lambda case: (lambda t, s: case.a,
-                                  lambda t, s: case.gamma * s[2], _no_drain),
+                                  lambda t, s: case.gamma * s[2], lambda t: 0.0),
         path=_case5_path, c_inf=lambda case, traj: case.B0),
     "case6": _Case(
         model=Case6, fields=("a", "b", "gamma"),
         intensities=lambda case: (lambda t, s: case.a,
-                                  lambda t, s: case.b + case.gamma * s[2], _no_drain),
+                                  lambda t, s: case.b + case.gamma * s[2], lambda t: 0.0),
         path=_case6_path, c_inf=lambda case, traj: case.N),
 }
 _BY_MODEL = {entry.model: entry for entry in CASES.values()}
@@ -897,12 +878,11 @@ def refined_peak(case: BpqCase, grid: Sequence[float],
         traj = bpq_path(case, grid)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
+    idx = [traj.labels.index(ch) for ch in ("B", "P", "Q")]
     if k == 0 or k == len(p) - 1:
         s = traj.states[k]
-        idx = [traj.labels.index(ch) for ch in ("B", "P", "Q")]
         return traj.times[k], (s[idx[0]], s[idx[1]], s[idx[2]])
 
-    idx = [traj.labels.index(ch) for ch in ("B", "P", "Q")]
     t_lo = traj.times[k - 1]
     anchor = [traj.states[k - 1][i] for i in idx]
     t_hi = traj.times[k + 1]

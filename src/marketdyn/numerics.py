@@ -279,17 +279,10 @@ def shifted_integral_step(acc: float, f: Callable[[float], float],
                           rise: Callable[[float], float], lo: float, hi: float) -> float:
     """J(hi) from J(lo) = acc for J(t) = int^t f(u) e^(k(u) - k(t)) du, k nondecreasing.
 
-    ``rise(y)`` is k(hi + y) - k(hi) for y <= 0. Given as an offset from the
-    step's end, the exponent keeps its digits however large hi is, and none
-    is positive, so nothing overflows: the result is acc e^rise(lo - hi)
-    plus the integral of f(hi + y) e^rise(y) over y in [lo - hi, 0]. The
-    quadrature runs in y, so its nodes keep their places near a large hi.
-
-    Where the weight e^rise is below e^-40 the integral is dropped: on a
-    step much longer than the width of the weight, the quadrature nodes
-    would otherwise miss it. The window is halved from the whole step while
-    the weight at its middle is below e^-40; as k is nondecreasing, all
-    that is dropped weighs less.
+    ``rise(y)`` = k(hi + y) - k(hi) <= 0 is an offset that keeps its digits at
+    any hi, and the quadrature of f(hi + y) e^rise(y) runs in y, so its nodes
+    do too. A window halved while the weight at its middle is below e^-40
+    drops the stretch that a long step would hide between the nodes.
     """
     y0 = lo - hi
     while rise(0.5 * y0) < -40.0:

@@ -640,8 +640,10 @@ def test_peak_metrics_catalog():
 @st.composite
 def long_step_runs(draw):
     """A route carrying a shifted integral, its model, and a grid of 2 to 20
-    samples over a horizon of up to 1e7 times the route's slowest rate."""
-    rate = lambda lo, hi: draw(st.floats(lo, hi))  # noqa: E731
+    samples over a horizon of 1 to 1e7 over the route's slowest rate."""
+    def rate(lo, hi):
+        return draw(st.floats(lo, hi))
+
     route = draw(st.sampled_from(["case5", "complementary", "case1_constant",
                                   "case1_linear_inflow", "case1_linear_quit",
                                   "case1_exp_decay"]))

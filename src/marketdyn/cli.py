@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from . import scenario, tables
+from . import lazy_submodule, scenario
 from .errors import (
     CalibrationInfeasibleError,
     MarketDynError,
@@ -24,6 +24,8 @@ from .errors import (
     ParameterError,
     ScenarioValidationError,
 )
+
+tables = lazy_submodule("tables")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
-from . import competition, feedback, games, monopoly, numerics
+from . import lazy_submodule, monopoly, numerics
 from .errors import (
     CalibrationInfeasibleError,
     MarketDynError,
@@ -28,6 +28,10 @@ from .errors import (
     ScenarioValidationError,
 )
 from .trajectory import Trajectory, argmax_channel, time_grid
+
+competition = lazy_submodule("competition")
+feedback = lazy_submodule("feedback")
+games = lazy_submodule("games")
 
 
 @dataclass(frozen=True)

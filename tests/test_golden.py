@@ -29,7 +29,8 @@ from pathlib import Path
 import pytest
 from test_scenario_cli import ROUND_TRIP_DOCS, ROUND_TRIP_IDS
 
-from marketdyn import cli, feedback, scenario
+from marketdyn import cli, competition, feedback, scenario
+from marketdyn.trajectory import time_grid
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -224,8 +225,8 @@ def test_every_model_kind_has_round_trip_golden_metrics():
 
 #: Documents run at the default 1000 samples on the routes without a closed
 #: form: the matrix exponential (five suppliers), the Dormand-Prince
-#: integrator with stimulated and periodic churn (three suppliers, two
-#: modulations of one pair), the winner-take-all run, every route of bpq
+#: integrator without churn and with spontaneous, stimulated and periodic
+#: churn (three suppliers, two modulations of one pair), the winner-take-all run, every route of bpq
 #: case 1 (closed, error-function or quadrature), the bpq cases
 #: solved through t(Q) (2, 4) or by quadrature (5) or by the Dormand-Prince
 #: integrator (3, 6), the case 2 scenario run on into its tail, where P
@@ -257,6 +258,14 @@ LONG_RUN_DOCS = {
                           {"i": 0, "j": 1, "terms": [
                               {"amplitude": 0.4, "period": 3.0, "phase": 2.0}]}]}},
         "horizon": 20.0},
+    "bass_competition_3": {"model": {
+        "kind": "bass_competition", "m": [0.3, 0.2, 0.1], "r": [0.8, 1.2, 0.5],
+        "u0": [0.01, 0.02, 0.0]}, "horizon": 20.0},
+    "bass_competition_spontaneous_3": {"model": {
+        "kind": "bass_competition", "m": [0.3, 0.2, 0.1], "r": [0.8, 1.2, 0.5],
+        "u0": [0.01, 0.02, 0.0],
+        "churn": {"kind": "spontaneous", "a": [[0.0, 0.4, 0.2], [0.3, 0.0, 0.5],
+                                               [0.1, 0.6, 0.0]]}}, "horizon": 20.0},
     "stimulated_churn_winner_take_all": {"model": {
         "kind": "stimulated_churn", "a": [[0.0, 0.5, 0.3], [0.4, 0.0, 0.6],
                                           [0.2, 0.7, 0.0]],
@@ -310,6 +319,14 @@ LONG_RUN_DOCS.update({
 })
 
 LONG_RUN_GOLDEN = {
+    ("simulate", "bass_competition_3"):
+        "cdf1970cf6e323b9e64544ce92d2ab7e5f19ac91ab60ea8eb62327805e16809d",
+    ("metrics", "bass_competition_3"):
+        "a7008ea9f35da0c0bb8e29a99e71e4a32b314c7619235ca1bc99f4056d165733",
+    ("simulate", "bass_competition_spontaneous_3"):
+        "03f0e191efb15015c48403de48ab2d093f5c7f8b34b5acfa249b55325703eee4",
+    ("metrics", "bass_competition_spontaneous_3"):
+        "eb06e0b2960d00f910040827201f64fca2b1a6a82b7a3520bb74439527f5cf04",
     ("simulate", "spontaneous_churn_5"):
         "ae24d72f7fbf87b432d4dd26858981aa85720ae47d6385312903af924a0bae67",
     ("metrics", "spontaneous_churn_5"):
@@ -494,6 +511,19 @@ def test_long_runs_match_golden_digest(command, ident, tmp_path, capsys):
     path.write_text(json.dumps(LONG_RUN_DOCS[ident]))
     digest = stdout_digest([command, str(path), "--samples", "1000"], capsys)
     assert digest == LONG_RUN_GOLDEN[(command, ident)]
+
+
+def test_singular_q_fallback_matches_golden_digest():
+    # Supplier 3 neither loses nor gains customers by churn, so the
+    # coefficient matrix Q of the innovators' path is singular and the path
+    # is integrated. The CLI cannot reach this route with nonnegative rates:
+    # the churn balance behind the metric rows is singular too, so the
+    # digest is of the path rendered as `simulate` renders it.
+    c = competition.ChurnMatrix.from_rows([[0.0, 0.3, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    path = competition.spontaneous_path((0.2, 0.1, 0.3), c, time_grid(0.0, 20.0, 1000))
+    assert path.notes and "singular Q" in path.notes[0]
+    digest = hashlib.sha256(scenario.render_csv(path).encode("utf-8")).hexdigest()
+    assert digest == "ed1db845209faf142e3161edd59a24314b047cb46af40d81ec11a624902ccfed"
 
 
 def test_every_kernel_kind_has_long_run_golden_equilibrium():

@@ -705,6 +705,7 @@ def competitive_path_numeric(market: BassCompetition,
 
     tol = 1e-9
     prev_sum = -math.inf
+    churn_at = resolve_churn_flows(churn)
     for t, row in zip(grid, rows):
         total = math.fsum(row)
         if any(v < -tol for v in row):
@@ -714,7 +715,7 @@ def competitive_path_numeric(market: BassCompetition,
         if total < prev_sum - 1e-7:
             raise IntegrationInvariantError(f"total share decreased at t={t:.6g}")
         prev_sum = total
-        flows = churn_flows(churn, t, row)
+        flows = churn_at(t, row)
         scale = max(1.0, math.fsum(abs(c) for c in flows))
         if abs(math.fsum(flows)) > 1e-10 * scale:
             raise IntegrationInvariantError(

@@ -609,14 +609,18 @@ def test_invariant_breach_detected(monkeypatch):
     # A churn evaluation that manufactures customers must be rejected.
     leaky = comp.ChurnMatrix(((0.0, 0.1), (0.1, 0.0)))
     market = comp.BassCompetition(m=(0.5, 0.5), r=(0.0, 0.0), u0=(0.0, 0.0))
-    real_flows = comp.churn_flows
+    real_resolve = comp.resolve_churn_flows
 
-    def fake_flows(churn, t, u):
-        flows = real_flows(churn, t, u)
-        if churn is leaky:
-            flows[0] += 0.05
-        return flows
+    def fake_resolve(churn):
+        real_flows = real_resolve(churn)
 
-    monkeypatch.setattr(comp, "churn_flows", fake_flows)
+        def fake_flows(t, u):
+            flows = real_flows(t, u)
+            if churn is leaky:
+                flows[0] += 0.05
+            return flows
+        return fake_flows
+
+    monkeypatch.setattr(comp, "resolve_churn_flows", fake_resolve)
     with pytest.raises(IntegrationInvariantError):
         comp.competitive_path_numeric(market, leaky, time_grid(0.0, 30.0, 31))

@@ -1,20 +1,21 @@
 """Self-contained numerical kernel.
 
 Provides everything the model modules need and nothing more: an adaptive
-Dormand-Prince 5(4) integrator with dense output, globally adaptive
-Gauss-Kronrod quadrature, a hybrid bisection/Newton root finder, the
-error function, and small dense linear algebra (determinant, cofactors,
-linear solve, one matrix exponential, returned as a matrix or applied
-to a vector).
+DOP853 integrator with dense output, globally adaptive Gauss-Kronrod
+quadrature, a hybrid bisection/Newton root finder, the error function,
+and small dense linear algebra (determinant, cofactors, linear solve,
+one matrix exponential, returned as a matrix or applied to a vector).
 
 All routines are pure functions of their inputs. The integrator's error
 tolerances are fixed module constants, not arguments, and its step-size
 sequence depends only on the field, the initial state, the span and the
 step bound, so CSV output stays reproducible bit for bit. Every model in
 this library is smooth and non-stiff at the parameter scales used, which
-is what an explicit embedded pair needs (Dormand & Prince, J. Comput.
-Appl. Math. 6 (1980); Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6).
+is what an explicit embedded pair needs: Hairer's 8(5,3) pair with its
+7th-order continuous extension (Prince & Dormand, J. Comput. Appl. Math.
+7 (1981); Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6 and II.10).
+A run that turns stiff ends with an error once Hairer's stiffness test
+(Solving ODEs II, IV.2) shows the step budget cannot carry it through.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ State = Sequence[float]
 RHS = Callable[[float, State], Sequence[float]]
 
 #: Relative and absolute local error tolerances of :func:`sample_ivp`.
-RTOL = 1e-12
-ATOL = 1e-14
-#: Step attempts after which :func:`sample_ivp` gives up on a stiff problem.
+RTOL = 1e-13
+ATOL = 1e-15
+#: Step attempts after which :func:`sample_ivp` gives up.
 MAX_STEPS = 100_000
 
 
@@ -115,7 +116,7 @@ def _initial_step(f: RHS, t: float, y: list[float], k1: Sequence[float],
         return 0.0
     k2 = f(t + h, [v + h * k for v, k in zip(y, k1)])
     d2 = _rms([(b - a) / s for a, b, s in zip(k1, k2, scale)]) / h
-    h_new = max(1e-6, 1e-3 * h) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_new = max(1e-6, 1e-3 * h) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     return min(100.0 * h, h_new, h_max)
 
 
@@ -123,16 +124,27 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
                step: float | None = None) -> list[tuple[float, ...]]:
     """States of an IVP at the given grid times (grid[0] is the initial time).
 
-    Adaptive Dormand-Prince 5(4) steps, no longer than ``step`` (default:
-    the whole span), keep the local error within :data:`RTOL` and
-    :data:`ATOL`. Grid times inside a step come from the step's dense
-    output; the last step lands exactly on grid[-1].
+    Adaptive DOP853 steps (Hairer's explicit Runge-Kutta 8(5,3) pair),
+    no longer than ``step`` (default: the whole span), keep the local
+    error within :data:`RTOL` and :data:`ATOL`. The error estimate blends
+    the 5th- and 3rd-order embedded solutions, and the step changes by
+    0.9 err^(-1/8), within [1/3, 6], and does not grow right after a
+    rejection. Grid times inside a step come from its 7th-order dense
+    output, whose three extra stages run only on steps that hold such a
+    time; the last step lands exactly on grid[-1]. The field is called
+    as ``field(t, y)``.
 
     Raises:
-        IntegrationDivergedError: If the state becomes non-finite, the
-            step shrinks below 16 ulp of t (a blow-up) or more than
-            :data:`MAX_STEPS` steps are tried (a stiff problem); the error
-            carries the last time with an accepted state.
+        IntegrationDivergedError: If the step shrinks below 16 ulp of t
+            (a blow-up; a trial step whose stages overflow or whose error
+            estimate is not finite is retried at a third of its length),
+            if the problem turns stiff (h times the field's Lipschitz
+            estimate between the last stage and the new state exceeds
+            6.1 on 15 accepted steps, with no six below it in a row in
+            between, and steps of that length cannot reach grid[-1]
+            within the budget), or if more than :data:`MAX_STEPS` steps
+            are tried; the error carries the last time with an accepted
+            state.
     """
     if not grid or any(not b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid times must be given and strictly increasing")
@@ -142,10 +154,11 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
     t, t_end = grid[0], grid[-1]
     if len(grid) == 1:
         return out
+    n = len(y)
     h_max = t_end - t if step is None else min(step, t_end - t)
     k1 = f(t, y)
     h = _initial_step(f, t, y, k1, h_max)
-    nxt, rejected, steps = 1, False, 0
+    nxt, rejected, steps, stiff, calm = 1, False, 0, 0, 0
     while True:
         steps += 1
         last = t + 1.01 * h >= t_end
@@ -156,55 +169,224 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
             raise IntegrationDivergedError(
                 f"integration stalled near t={t:.6g}: step {h:.3g} at attempt {steps}",
                 last_valid_time=t)
-        k2 = f(t + 0.2 * h, [v + h * (0.2 * a) for v, a in zip(y, k1)])
-        k3 = f(t + 0.3 * h, [v + h * (3 / 40 * a + 9 / 40 * b)
-                             for v, a, b in zip(y, k1, k2)])
-        k4 = f(t + 0.8 * h, [v + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
-                             for v, a, b, c in zip(y, k1, k2, k3)])
-        k5 = f(t + 8 / 9 * h, [v + h * (19372 / 6561 * a - 25360 / 2187 * b
-                                        + 64448 / 6561 * c - 212 / 729 * d)
-                               for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
         t_new = t_end if last else t + h
-        k6 = f(t_new, [v + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                                + 49 / 176 * d - 5103 / 18656 * e)
-                       for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [v + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                          - 2187 / 6784 * e + 11 / 84 * g)
-                 for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(t_new, y_new)
-        err = _rms([h * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d
-                         - 17253 / 339200 * e + 22 / 525 * g - 1 / 40 * k)
-                    / (ATOL + RTOL * max(abs(v), abs(w)))
-                    for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
-        if not math.isfinite(err):
-            raise IntegrationDivergedError(
-                f"state became non-finite near t={t:.6g}", last_valid_time=t)
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        if err > 1.0:
-            h *= factor
+        # Stage coefficients of Hairer's dop853.f (Solving ODEs I, II.5);
+        # ``s`` holds the state of the last stage evaluated.
+        try:
+            s = [v + h * (5.26001519587677318785587544488e-2 * a) for v, a in zip(y, k1)]
+            k2 = f(t + 0.526001519587677318785587544488e-1 * h, s)
+            s = [v + h * (1.97250569845378994544595329183e-2 * a
+                          + 5.91751709536136983633785987549e-2 * b)
+                 for v, a, b in zip(y, k1, k2)]
+            k3 = f(t + 0.789002279381515978178381316732e-1 * h, s)
+            s = [v + h * (2.95875854768068491816892993775e-2 * a
+                          + 8.87627564304205475450678981324e-2 * c)
+                 for v, a, c in zip(y, k1, k3)]
+            k4 = f(t + 0.118350341907227396726757197510 * h, s)
+            s = [v + h * (2.41365134159266685502369798665e-1 * a
+                          - 8.84549479328286085344864962717e-1 * c
+                          + 9.24834003261792003115737966543e-1 * d)
+                 for v, a, c, d in zip(y, k1, k3, k4)]
+            k5 = f(t + 0.281649658092772603273242802490 * h, s)
+            s = [v + h * (3.7037037037037037037037037037e-2 * a
+                          + 1.70828608729473871279604482173e-1 * d
+                          + 1.25467687566822425016691814123e-1 * e)
+                 for v, a, d, e in zip(y, k1, k4, k5)]
+            k6 = f(t + 0.333333333333333333333333333333 * h, s)
+            s = [v + h * (3.7109375e-2 * a + 1.70252211019544039314978060272e-1 * d
+                          + 6.02165389804559606850219397283e-2 * e - 1.7578125e-2 * g)
+                 for v, a, d, e, g in zip(y, k1, k4, k5, k6)]
+            k7 = f(t + 0.25 * h, s)
+            s = [v + h * (3.70920001185047927108779319836e-2 * a
+                          + 1.70383925712239993810214054705e-1 * d
+                          + 1.07262030446373284651809199168e-1 * e
+                          - 1.53194377486244017527936158236e-2 * g
+                          + 8.27378916381402288758473766002e-3 * p)
+                 for v, a, d, e, g, p in zip(y, k1, k4, k5, k6, k7)]
+            k8 = f(t + 0.307692307692307692307692307692 * h, s)
+            s = [v + h * (6.24110958716075717114429577812e-1 * a
+                          - 3.36089262944694129406857109825 * d
+                          - 8.68219346841726006818189891453e-1 * e
+                          + 2.75920996994467083049415600797e1 * g
+                          + 2.01540675504778934086186788979e1 * p
+                          - 4.34898841810699588477366255144e1 * q)
+                 for v, a, d, e, g, p, q in zip(y, k1, k4, k5, k6, k7, k8)]
+            k9 = f(t + 0.651282051282051282051282051282 * h, s)
+            s = [v + h * (4.77662536438264365890433908527e-1 * a
+                          - 2.48811461997166764192642586468 * d
+                          - 5.90290826836842996371446475743e-1 * e
+                          + 2.12300514481811942347288949897e1 * g
+                          + 1.52792336328824235832596922938e1 * p
+                          - 3.32882109689848629194453265587e1 * q
+                          - 2.03312017085086261358222928593e-2 * r)
+                 for v, a, d, e, g, p, q, r in zip(y, k1, k4, k5, k6, k7, k8, k9)]
+            k10 = f(t + 0.6 * h, s)
+            s = [v + h * (-9.3714243008598732571704021658e-1 * a
+                          + 5.18637242884406370830023853209 * d
+                          + 1.09143734899672957818500254654 * e
+                          - 8.14978701074692612513997267357 * g
+                          - 1.85200656599969598641566180701e1 * p
+                          + 2.27394870993505042818970056734e1 * q
+                          + 2.49360555267965238987089396762 * r
+                          - 3.0467644718982195003823669022 * w)
+                 for v, a, d, e, g, p, q, r, w in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)]
+            k11 = f(t + 0.857142857142857142857142857142 * h, s)
+            s = [v + h * (2.27331014751653820792359768449 * a
+                          - 1.05344954667372501984066689879e1 * d
+                          - 2.00087205822486249909675718444 * e
+                          - 1.79589318631187989172765950534e1 * g
+                          + 2.79488845294199600508499808837e1 * p
+                          - 2.85899827713502369474065508674 * q
+                          - 8.87285693353062954433549289258 * r
+                          + 1.23605671757943030647266201528e1 * w
+                          + 6.43392746015763530355970484046e-1 * x)
+                 for v, a, d, e, g, p, q, r, w, x
+                 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]
+            k12 = f(t_new, s)
+            # Hairer's combined error estimate: the 5th-order error, damped
+            # where the 3rd-order one is far larger.
+            incr = [5.42937341165687622380535766363e-2 * a
+                    + 4.45031289275240888144113950566 * g
+                    + 1.89151789931450038304281599044 * p
+                    - 5.8012039600105847814672114227 * q
+                    + 3.1116436695781989440891606237e-1 * r
+                    - 1.52160949662516078556178806805e-1 * w
+                    + 2.01365400804030348374776537501e-1 * x
+                    + 4.47106157277725905176885569043e-2 * z
+                    for a, g, p, q, r, w, x, z in zip(k1, k6, k7, k8, k9, k10, k11, k12)]
+            y_new = [v + h * i for v, i in zip(y, incr)]
+            err5 = err3 = 0.0
+            for v, u, i, a, g, p, q, r, w, x, z in zip(y, y_new, incr, k1, k6, k7, k8, k9,
+                                                       k10, k11, k12):
+                sk = ATOL + RTOL * max(abs(v), abs(u))
+                e = (1.312004499419488073250102996e-2 * a - 1.225156446376204440720569753 * g
+                     - 4.957589496572501915214079952e-1 * p
+                     + 1.664377182454986536961530415 * q
+                     - 3.503288487499736816886487290e-1 * r
+                     + 3.341791187130174790297318841e-1 * w
+                     + 8.192320648511571246570742613e-2 * x
+                     - 2.235530786388629525884427845e-2 * z) / sk
+                err5 += e * e
+                e = (i - 0.244094488188976377952755905512 * a
+                     - 0.733846688281611857341361741547 * r
+                     - 0.220588235294117647058823529412e-1 * z) / sk
+                err3 += e * e
+            deno = err5 + 0.01 * err3
+            err = 0.0 if deno == 0.0 else abs(h) * err5 / math.sqrt(n * deno)
+            if not all(map(math.isfinite, y_new)):
+                err = math.inf
+            if err <= 1.0:
+                k13 = f(t_new, y_new)
+        except (OverflowError, ValueError) as exc:
+            # A trial step far past the stability limit can overflow a stage
+            # state; the field then overflows itself or fails on inf or nan.
+            if not isinstance(exc, OverflowError) and all(map(math.isfinite, s)):
+                raise
+            err = math.inf
+        if not err <= 1.0:
+            # A rejected step shrinks by at most 3; an overflowing one, or
+            # one with a non-finite estimate, by 3.
+            h *= max(1 / 3, 0.9 * err ** -0.125) if err < math.inf else 1 / 3
             rejected = True
             continue
+        factor = 6.0 if err == 0.0 else min(6.0, 0.9 * err ** -0.125)
+        # Hairer's stiffness test: h times the field's Lipschitz estimate
+        # between the last stage and the new state stays near the stability
+        # boundary of explicit steps (6.1 on the real axis) only on a stiff
+        # problem, whose steps the boundary rather than the error bounds.
+        # The controller straddles the boundary, so only six calm steps in
+        # a row clear the count. A run that such steps would still finish
+        # within the step budget goes on.
+        gap = math.dist(s, y_new)
+        if gap > 0.0 and h * math.dist(k12, k13) > 6.1 * gap:
+            stiff, calm = stiff + 1, 0
+            if stiff >= 15 and (t_end - t_new) > (MAX_STEPS - steps) * h:
+                raise IntegrationDivergedError(
+                    f"problem became stiff near t={t_new:.6g}: steps of {h:.3g} at the "
+                    f"stability limit of explicit steps cannot reach t={t_end:.6g} "
+                    f"within the step budget", last_valid_time=t_new)
+        else:
+            calm += 1
+            if calm == 6:
+                stiff = 0
         if nxt < len(grid) and grid[nxt] < t_new:
-            # Hairer's continuous extension of order 4 on [t, t_new].
+            # Hairer's continuous extension of order 7 on [t, t_new]: three
+            # more stages, then Horner's scheme in s and 1 - s.
+            k14 = f(t + 0.1 * h, [
+                v + h * (5.61675022830479523392909219681e-2 * a
+                         + 2.53500210216624811088794765333e-1 * p
+                         - 2.46239037470802489917441475441e-1 * q
+                         - 1.24191423263816360469010140626e-1 * r
+                         + 1.5329179827876569731206322685e-1 * w
+                         + 8.20105229563468988491666602057e-3 * x
+                         + 7.56789766054569976138603589584e-3 * z - 8.298e-3 * o)
+                for v, a, p, q, r, w, x, z, o in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
+            k15 = f(t + 0.2 * h, [
+                v + h * (3.18346481635021405060768473261e-2 * a
+                         + 2.83009096723667755288322961402e-2 * g
+                         + 5.35419883074385676223797384372e-2 * p
+                         - 5.49237485713909884646569340306e-2 * q
+                         - 1.08347328697249322858509316994e-4 * x
+                         + 3.82571090835658412954920192323e-4 * z
+                         - 3.40465008687404560802977114492e-4 * o
+                         + 1.41312443674632500278074618366e-1 * b)
+                for v, a, g, p, q, x, z, o, b in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
+            k16 = f(t + 0.777777777777777777777777777778 * h, [
+                v + h * (-4.28896301583791923408573538692e-1 * a
+                         - 4.69762141536116384314449447206 * g
+                         + 7.68342119606259904184240953878 * p
+                         + 4.06898981839711007970213554331 * q
+                         + 3.56727187455281109270669543021e-1 * r
+                         - 1.39902416515901462129418009734e-3 * o
+                         + 2.9475147891527723389556272149 * b
+                         - 9.15095847217987001081870187138 * c)
+                for v, a, g, p, q, r, o, b, c in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)])
             dense = []
-            for v, w, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                diff, bspl = w - v, h * a - (w - v)
-                dense.append((v, diff, bspl, diff - h * k - bspl, h * (
-                    -12715105075 / 11282082432 * a + 87487479700 / 32700410799 * c
-                    - 10690763975 / 1880347072 * d + 701980252875 / 199316789632 * e
-                    - 1453857185 / 822651844 * g + 69997945 / 29380423 * k)))
+            for v, u, a, g, p, q, r, w, x, z, o, b, c, d in zip(
+                    y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
+                diff = u - v
+                bspl = h * a - diff
+                dense.append((v, diff, bspl, diff - h * o - bspl, h * (
+                    -8.4289382761090128651353491142 * a + 5.6671495351937776962531783590e-1 * g
+                    - 3.0689499459498916912797304727 * p + 2.3846676565120698287728149680 * q
+                    + 2.1170345824450282767155149946 * r - 8.7139158377797299206789907490e-1 * w
+                    + 2.2404374302607882758541771650 * x + 6.3157877876946881815570249290e-1 * z
+                    - 8.8990336451333310820698117400e-2 * o + 1.8148505520854727256656404962e1 * b
+                    - 9.1946323924783554000451984436 * c - 4.4360363875948939664310572000 * d),
+                    h * (
+                    10.427508642579134603413151009 * a + 2.4228349177525818288430175319e2 * g
+                    + 1.6520045171727028198505394887e2 * p - 3.7454675472269020279518312152e2 * q
+                    - 22.113666853125306036270938578 * r + 7.7334326684722638389603898808 * w
+                    - 30.674084731089398182061213626 * x - 9.3321305264302278729567221706 * z
+                    + 15.697238121770843886131091075 * o - 31.139403219565177677282850411 * b
+                    - 9.3529243588444783865713862664 * c + 35.816841486394083752465898540 * d),
+                    h * (
+                    19.985053242002433820987653617 * a - 3.8703730874935176555105901742e2 * g
+                    - 1.8917813819516756882830838328e2 * p + 5.2780815920542364900561016686e2 * q
+                    - 11.573902539959630126141871134 * r + 6.8812326946963000169666922661 * w
+                    - 1.0006050966910838403183860980 * x + 7.7771377980534432092869265740e-1 * z
+                    - 2.7782057523535084065932004339 * o - 60.196695231264120758267380846 * b
+                    + 84.320405506677161018159903784 * c + 11.992291136182789328035130030 * d),
+                    h * (
+                    -25.693933462703749003312586129 * a - 1.5418974869023643374053993627e2 * g
+                    - 2.3152937917604549567536039109e2 * p + 3.5763911791061412378285349910e2 * q
+                    + 93.405324183624310003907691704 * r - 37.458323136451633156875139351 * w
+                    + 1.0409964950896230045147246184e2 * x + 29.840293426660503123344363579 * z
+                    - 43.533456590011143754432175058 * o + 96.324553959188282948394950600 * b
+                    - 39.177261675615439165231486172 * c - 1.4972683625798562581422125276e2 * d)))
             while nxt < len(grid) and grid[nxt] < t_new:
-                s = (grid[nxt] - t) / h
-                r = 1.0 - s
-                out.append(tuple(v + s * (p + r * (q + s * (u + r * w)))
-                                 for v, p, q, u, w in dense))
+                s1 = (grid[nxt] - t) / h
+                s0 = 1.0 - s1
+                out.append(tuple(
+                    v + s1 * (e0 + s0 * (e1 + s1 * (e2 + s0 * (e3 + s1 * (e4 + s0 * (
+                        e5 + s1 * e6)))))) for v, e0, e1, e2, e3, e4, e5, e6 in dense))
                 nxt += 1
         if nxt < len(grid) and grid[nxt] == t_new:
             out.append(tuple(y_new))
             nxt += 1
         if last:
             return out
-        t, y, k1 = t_new, y_new, k7
+        t, y, k1 = t_new, y_new, k13
         h = min(h * (min(1.0, factor) if rejected else factor), h_max)
         rejected = False
 

@@ -18,8 +18,12 @@ every kernel were recorded before the kernels were declared in one table.
 The 1000-sample pins of bpq case 4 and of the case 2 scenario at horizon
 100 were recorded before a Newton inversion of t(Q) replaced the 512-node
 ladder of cases 2 and 4. The 1000-sample pins of the five bpq case 1
-routes were recorded before the bpq cases were declared in one table. Each
-re-pinned entry says which values moved and why.
+routes were recorded before the bpq cases were declared in one table. The
+1000-sample pins of the integrated market without churn and with
+spontaneous churn, and of the singular-Q fallback of the innovators' path,
+were recorded before DOP853 replaced the Dormand-Prince 5(4) pair; that
+change re-pinned the periodic-churn, bpq case 3 and singular-Q digests.
+Each re-pinned entry says which values moved and why.
 """
 
 import hashlib
@@ -224,15 +228,16 @@ def test_every_model_kind_has_round_trip_golden_metrics():
 
 
 #: Documents run at the default 1000 samples on the routes without a closed
-#: form: the matrix exponential (five suppliers), the Dormand-Prince
-#: integrator without churn and with spontaneous, stimulated and periodic
-#: churn (three suppliers, two modulations of one pair), the winner-take-all run, every route of bpq
-#: case 1 (closed, error-function or quadrature), the bpq cases
-#: solved through t(Q) (2, 4) or by quadrature (5) or by the Dormand-Prince
+#: form: the matrix exponential (five suppliers), the DOP853 integrator
+#: without churn and with spontaneous, stimulated and periodic churn (three
+#: suppliers, two modulations of one pair), the winner-take-all run, every
+#: route of bpq case 1 (closed, error-function or quadrature), the bpq cases
+#: solved through t(Q) (2, 4) or by quadrature (5) or by the DOP853
 #: integrator (3, 6), the case 2 scenario run on into its tail, where P
-#: falls by ten orders of magnitude, and every feedback kernel kind, whether its u(t) is closed or inverts
-#: t(u) sample by sample, with its equilibria (the power kernel on both
-#: sides of n = 1). The round-trip pins above run at 40 samples only.
+#: falls by ten orders of magnitude, and every feedback kernel kind, whether
+#: its u(t) is closed or inverts t(u) sample by sample, with its equilibria
+#: (the power kernel on both sides of n = 1). The round-trip pins above run
+#: at 40 samples only.
 LONG_RUN_DOCS = {
     "spontaneous_churn_5": {"model": {
         "kind": "spontaneous_churn", "m": [0.4, 0.3, 0.2, 0.6, 0.1],
@@ -340,8 +345,11 @@ LONG_RUN_GOLDEN = {
     # Re-pinned for the adaptive integrator: one printed value moved by a
     # rounding tie, u3 at t = 11.011011 (0.303396065 -> 0.303396066; the
     # DOP853 reference is 0.3033960654996, both raw values within 2e-12).
+    # Re-pinned when DOP853 replaced the Dormand-Prince 5(4) pair: the same
+    # value moved back toward the reference (0.303396066 -> 0.303396065;
+    # scipy DOP853 at rtol 2.3e-14 and max_step 0.01 gives 0.3033960654996).
     ("simulate", "bass_competition_periodic_3"):
-        "8faaa3165099f45df6c8760d31fad75041b94d13a1e57ca7b3dee96cdbe082fe",
+        "65b1936efa0b7dfddd9011871191ed485a360b4d1cda81d245f3973aa5ca34ee",
     ("metrics", "bass_competition_periodic_3"):
         "8399ff64b84b1f56d7a2679b387161115746ff996eeafe0c1a3c55ef3d3694c3",
     ("simulate", "stimulated_churn_winner_take_all"):
@@ -394,8 +402,12 @@ LONG_RUN_GOLDEN = {
         "ffd9af30be33361e39eb0d9099364e95dff77d132cd5b0aecfd3f9d42fad4317",
     ("metrics", "bpq_case1_exp_decay_inflow"):
         "f29c5a0dc9f77e52f3516ba6c85da39c8add50a49c40ac849bcb8ee25af28371",
+    # Re-pinned when DOP853 replaced the Dormand-Prince 5(4) pair: one
+    # printed value moved toward the reference, P at t = 29.2192192
+    # (0.251392953 -> 0.251392952; scipy DOP853 at rtol 2.3e-14 and
+    # max_step 0.01 gives 0.2513929524998).
     ("simulate", "bpq_case3"):
-        "a71c4876f0673ae6bef5ae5c12584feb6f21f184f7d8fd5e8c094897f8f46ebb",
+        "bfd2e164ad0922447270079e9afe1f5dbc4865cdafc39db8f18e9390b6356f31",
     ("metrics", "bpq_case3"):
         "2c1d603ee4e8ccbd39943e35ff6b0018f40440ee302bd3ca8c4bca9410964dad",
     # Re-pinned for the Gauss-Kronrod rule: one printed value moved by a
@@ -523,7 +535,11 @@ def test_singular_q_fallback_matches_golden_digest():
     path = competition.spontaneous_path((0.2, 0.1, 0.3), c, time_grid(0.0, 20.0, 1000))
     assert path.notes and "singular Q" in path.notes[0]
     digest = hashlib.sha256(scenario.render_csv(path).encode("utf-8")).hexdigest()
-    assert digest == "ed1db845209faf142e3161edd59a24314b047cb46af40d81ec11a624902ccfed"
+    # Re-pinned when DOP853 replaced the Dormand-Prince 5(4) pair: one
+    # printed value moved toward the reference, u2 at t = 16.3963964
+    # (0.187486777 -> 0.187486778; the mpmath matrix exponential at 40
+    # digits gives 0.187486777500024).
+    assert digest == "669f18a2598314cb05ea468a1f1376d88b7f3221c17f83804c01923abbd17621"
 
 
 def test_every_kernel_kind_has_long_run_golden_equilibrium():

@@ -19,8 +19,8 @@ from marketdyn.trajectory import time_grid
 
 
 # ---------------------------------------------------------------------------
-# sample_ivp (adaptive Dormand-Prince 5(4); the test_rk4_* names are kept
-# from the fixed-step scheme it replaced)
+# sample_ivp (adaptive DOP853; the test_rk4_* names are kept from the
+# fixed-step scheme the adaptive integrator replaced)
 # ---------------------------------------------------------------------------
 
 def exp_decay_field():
@@ -120,6 +120,17 @@ def test_sample_ivp_gives_up_on_a_stiff_problem(monkeypatch):
     assert 0.0 <= exc.value.last_valid_time < 1e-3
 
 
+def test_sample_ivp_step_budget_ends_a_long_non_stiff_run(monkeypatch):
+    # An oscillation at angular frequency 1000 over 100 time units needs
+    # hundreds of thousands of accurate steps, none near the stability
+    # limit: only the budget ends it.
+    monkeypatch.setattr(numerics, "MAX_STEPS", 1000)
+    spring = VectorField(2, lambda t, y: [y[1], -1e6 * y[0]])
+    with pytest.raises(IntegrationDivergedError, match="stalled") as exc:
+        numerics.sample_ivp(spring, [1.0, 0.0], [0.0, 100.0])
+    assert 0.0 < exc.value.last_valid_time < 100.0
+
+
 def test_sample_ivp_non_finite_state_reports_last_valid_time():
     field = VectorField(1, lambda t, y: [math.inf if t > 0.5 else 1.0])
     with pytest.raises(IntegrationDivergedError) as exc:
@@ -135,6 +146,17 @@ def test_sample_ivp_dense_output_matches_logistic():
     assert max(abs(r[0] - logistic(gamma, u0, t)) for r, t in zip(rows, grid)) <= 1e-10
 
 
+@pytest.mark.parametrize("gamma,u0,horizon", [(0.919, 0.01, 5.0), (0.919, 0.01, 20.0),
+                                               (2.0, 1e-4, 20.0)])
+def test_sample_ivp_dense_output_keeps_the_step_accuracy(gamma, u0, horizon):
+    # Most samples come from the interpolant between steps, where an
+    # integrator loses digits first; every sample must stay within 2e-12
+    # of the closed form.
+    grid = time_grid(0.0, horizon, 1000)
+    rows = numerics.sample_ivp(logistic_field(gamma), [u0], grid)
+    assert max(abs(r[0] - logistic(gamma, u0, t)) for r, t in zip(rows, grid)) <= 2e-12
+
+
 def test_sample_ivp_last_row_is_the_state_at_the_end():
     # Interior grid times are read off the dense output and do not move
     # the steps, so the last row is the state the last step lands on at
@@ -147,7 +169,7 @@ def test_sample_ivp_last_row_is_the_state_at_the_end():
         return [gamma * y[0] * (1.0 - y[0])]
 
     dense = numerics.sample_ivp(VectorField(1, rhs), [u0], time_grid(0.0, 5.0, 1000))
-    assert seen[-1] == (5.0, dense[-1][0])
+    assert (5.0, dense[-1][0]) in seen
     ends = numerics.sample_ivp(logistic_field(gamma), [u0], [0.0, 5.0])
     assert dense[-1][0].hex() == ends[-1][0].hex()
     assert dense[-1][0] == pytest.approx(logistic(gamma, u0, 5.0), abs=1e-10)

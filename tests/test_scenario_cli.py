@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -564,6 +565,27 @@ def test_cli_bpq_case2_with_an_overflowing_demand_exits_3(tmp_path, capsys):
         assert cli.main([command, str(path)]) == cli.EXIT_NUMERIC
         assert capsys.readouterr().err == ("error [numeric] the seed P0 and the rates put "
                                            "this game outside the range of a double\n")
+
+
+@pytest.mark.parametrize("model", [
+    {"kind": "bass_competition", "m": [1e20, 0.1], "r": [1, 1], "u0": [0, 0]},
+    {"kind": "bass_competition", "m": [1e12, 0.2], "r": [1, 1], "u0": [0, 0],
+     "churn": {"kind": "periodic", "a0": [[0, 0.3], [0.2, 0]],
+               "eps": [{"i": 0, "j": 1, "terms": [{"amplitude": 0.1, "period": 2.0}]}]}},
+], ids=["huge_innovation", "huge_innovation_periodic_churn"])
+def test_cli_stiff_market_exits_3_without_spending_the_step_budget(model, tmp_path, capsys):
+    # Innovation at rate m fills the market in about 1/m, after which
+    # explicit steps sit at the stability limit of a few 1/m: the step
+    # budget would take seconds to run out, the stiffness test ends the run
+    # within a few hundred steps.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": model, "horizon": 5}))
+    for command in ("simulate", "metrics"):
+        start = time.perf_counter()
+        assert cli.main([command, str(path)]) == cli.EXIT_NUMERIC
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error [numeric] problem became stiff") and "Traceback" not in err
 
 
 CASE5_LONG = {"kind": "bpq", "case": "case5", "a": 0.2, "gamma": 0.004, "N": 1000.0, "Q0": 10.0}

@@ -138,6 +138,14 @@ def test_sample_ivp_non_finite_state_reports_last_valid_time():
     assert 0.0 <= exc.value.last_valid_time <= 0.5
 
 
+def test_sample_ivp_field_error_at_a_finite_state_propagates():
+    # Only an overflowed stage state turns a field's failure into a
+    # rejected step; a field undefined past t = 0.5 is the caller's error.
+    field = VectorField(1, lambda t, y: [math.sqrt(0.5 - t)])
+    with pytest.raises(ValueError, match="math domain error"):
+        numerics.sample_ivp(field, [0.0], [0.0, 1.0])
+
+
 def test_sample_ivp_dense_output_matches_logistic():
     gamma, u0 = 0.919, 0.01
     grid = time_grid(0.0, 5.0, 1000)

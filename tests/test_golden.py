@@ -23,6 +23,10 @@ routes were recorded before the bpq cases were declared in one table. The
 spontaneous churn, and of the singular-Q fallback of the innovators' path,
 were recorded before DOP853 replaced the Dormand-Prince 5(4) pair; that
 change re-pinned the periodic-churn, bpq case 3 and singular-Q digests.
+The 1000-sample pins of absorbing hesitation, birth/death, one-way
+spontaneous churn and complementary games, and the case 1 calibration
+pins, were recorded before one divided-difference kernel replaced the
+confluent-limit branches of their closed forms.
 Each re-pinned entry says which values moved and why.
 """
 
@@ -323,6 +327,25 @@ LONG_RUN_DOCS.update({
     "feedback_one_minus_u": feedback_doc({"kind": "one_minus_u"}, 0.0, 10.0),
 })
 
+#: The closed forms written as divided differences of two exponentials:
+#: absorbing hesitation (also at the exact confluence c = a + b), birth/death,
+#: one-way spontaneous churn, whose metrics print supplier 2's peak time, and
+#: complementary games (also with a_c = b_c).
+COMPLEMENTARY_GAMES = json.loads((SCENARIOS / "complementary_games.json").read_text())
+LONG_RUN_DOCS.update({
+    "hesitation_absorbing": {"model": {"kind": "hesitation", "a": 1.0, "b": 2.0, "c": 0.5},
+                             "horizon": 10.0},
+    "hesitation_absorbing_confluent": {"model": {"kind": "hesitation", "a": 1.0, "b": 2.0,
+                                                 "c": 3.0}, "horizon": 10.0},
+    "birth_death": {"model": {"kind": "birth_death", "a": 1.0, "d": 0.1, "f": 0.2, "g": 0.05},
+                    "horizon": 10.0},
+    "spontaneous_churn_one_way": {"model": {"kind": "spontaneous_churn", "m": [1.0, 0.8],
+                                            "a": [[0.0, 0.0], [0.5, 0.0]]}, "horizon": 25.0},
+    "complementary_games": COMPLEMENTARY_GAMES,
+    "complementary_confluent": dict(
+        COMPLEMENTARY_GAMES, model=dict(COMPLEMENTARY_GAMES["model"], a_c=0.4, b_c=0.4)),
+})
+
 LONG_RUN_GOLDEN = {
     ("simulate", "bass_competition_3"):
         "cdf1970cf6e323b9e64544ce92d2ab7e5f19ac91ab60ea8eb62327805e16809d",
@@ -513,6 +536,30 @@ LONG_RUN_GOLDEN = {
         "bc94c22d4935fdf7fa581259ab7564f2b30e730531991249ac8f197bac0d2e6c",
     ("equilibrium", "feedback_one_minus_u"):
         "0ecd8ae74931dc7dfa4342bcb41d874414905428ec2cb569ad376d9305b556d9",
+    ("simulate", "hesitation_absorbing"):
+        "0c3d3b1fc118ca49a4a876666e01b1808dae2ca63403a4ac70958f764faa5cd4",
+    ("metrics", "hesitation_absorbing"):
+        "b5e3b25d299ea8732cd1626ac765996454d57a26bc74820410773d22f8582bb7",
+    ("simulate", "hesitation_absorbing_confluent"):
+        "a5af3139c4e75daf2656c13146450f801c65a4f44e77bcd38c232bfa43c51ed5",
+    ("metrics", "hesitation_absorbing_confluent"):
+        "c0f2b47be4137433529372ced39f5f243f82523f095abb5da99ca74c23f62b1b",
+    ("simulate", "birth_death"):
+        "6c317472f795bb7484f90ef60126ecbbd56db06fb6533dc69132f96ac6d92e46",
+    ("metrics", "birth_death"):
+        "7853c23531ba6b437fecd0e6fc0a272868a2e1373980eedea0ac3066fe66cf72",
+    ("simulate", "spontaneous_churn_one_way"):
+        "b402361d8e7ecb67338d962cb644dfd761401e30a7b4140517f5cafca84aa966",
+    ("metrics", "spontaneous_churn_one_way"):
+        "0af207f092550715bed987b019d8eed4e774fee15cb8154d40ab0c3054c5658b",
+    ("simulate", "complementary_games"):
+        "b40e6108415a8ab19cbfde69d90e9b04492a064ab6263c8b81477c0b726cd36f",
+    ("metrics", "complementary_games"):
+        "72567c609498d3745215507be1c5acb34a6cb27208b268cc709d14c47d837f38",
+    ("simulate", "complementary_confluent"):
+        "cd508327a94d3b9b597f95955d828ad1f503dfa78b90b5e2a0ad956b34181907",
+    ("metrics", "complementary_confluent"):
+        "243afd96d8fef0ff6062807468174f107d5aca4ac99909a574e49ccaf965dcf2",
 }
 
 
@@ -546,3 +593,19 @@ def test_every_kernel_kind_has_long_run_golden_equilibrium():
     kinds = {LONG_RUN_DOCS[i]["model"]["kernel"]["kind"]
              for c, i in LONG_RUN_GOLDEN if c == "equilibrium" and i.startswith("feedback_")}
     assert kinds == set(feedback.KERNEL_KINDS)
+
+
+#: ``calibrate`` on bpq case 1 at peak time 2, at the confluent rate ratio 1
+#: and at ratio 1.5.
+CALIBRATE_GOLDEN = {
+    1.0: "0dfb9751e56f6ae02949e17165419c923977ccd8ac2bdd8672e91ca554717e66",
+    1.5: "bcca2564fe57d4a403a735de30476ec5943c418a62d2dd8bb5f99e201ed94f81",
+}
+
+
+@pytest.mark.parametrize("ratio", sorted(CALIBRATE_GOLDEN))
+def test_case1_calibration_matches_golden_digest(ratio, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "bpq", "case": "case1"},
+                                "targets": {"T_m": 2.0, "ratio": ratio}}))
+    assert stdout_digest(["calibrate", str(path)], capsys) == CALIBRATE_GOLDEN[ratio]

@@ -20,7 +20,6 @@ from . import lazy_submodule, scenario
 from .errors import (
     CalibrationInfeasibleError,
     MarketDynError,
-    NumericsError,
     ParameterError,
     ScenarioValidationError,
 )
@@ -167,9 +166,6 @@ def main(argv=None) -> int:
     except CalibrationInfeasibleError as exc:
         print(f"error [calibration] {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except NumericsError as exc:
-        print(f"error [numeric] {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except MarketDynError as exc:
         print(f"error [numeric] {exc}", file=sys.stderr)
         return EXIT_NUMERIC

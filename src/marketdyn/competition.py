@@ -276,16 +276,6 @@ def _pair_rows(a: Sequence[Sequence[float]]) -> list[list[tuple[float, int, floa
     return [[(a[j][i], j, a[i][j]) for j in range(n) if j != i] for i in range(n)]
 
 
-def churn_flows(churn: Optional[ChurnSpec], t: float,
-                u: Sequence[float]) -> list[float]:
-    """Net churn flow C_i for each supplier; sums to zero identically.
-
-    One-shot form of :func:`resolve_churn_flows`; resolve the spec once
-    where the flows are evaluated repeatedly.
-    """
-    return resolve_churn_flows(churn)(t, u)
-
-
 # ---------------------------------------------------------------------------
 # Markets without churning
 # ---------------------------------------------------------------------------
@@ -471,34 +461,30 @@ def two_supplier_spontaneous_path(m1: float, m2: float, a12: float, a21: float,
                                   grid: Sequence[float]) -> Trajectory:
     """Closed two-exponential form of the two-supplier innovator+churn path.
 
-    The decay rates are a12 + a21 (churn mixing) and m1 + m2 (market
-    fill); the near-confluent case delegates to the matrix exponential.
+    The decay rates are s = a12 + a21 (churn mixing) and sigma = m1 + m2
+    (market fill): u1 = a21 g(0, s) + (m1 - a21) g(s, sigma) and u2 alike
+    with a12 and m2, where g is :func:`numerics.decay_gap`, so the form is
+    exact at any gap between s and sigma.
     """
     s = a12 + a21
     sigma = m1 + m2
     if not s > 0 or not sigma > 0:
         raise ParameterError("needs positive total churn and innovation rates")
-    if abs(sigma - s) < 1e-9 * (sigma + s):
-        return spontaneous_path((m1, m2), ChurnMatrix.from_rows([[0, a12], [a21, 0]]), grid)
-    share1 = a21 / s
-    share2 = a12 / s
-    k_mix = (a21 * m2 - a12 * m1) / (s * (sigma - s))
-    k1 = (m1 - a21) / (sigma - s)
-    k2 = (m2 - a12) / (sigma - s)
-    u1 = [share1 - k_mix * math.exp(-s * t) - k1 * math.exp(-sigma * t) for t in grid]
-    u2 = [share2 + k_mix * math.exp(-s * t) - k2 * math.exp(-sigma * t) for t in grid]
+    mix = [numerics.decay_gap(0.0, s, t) for t in grid]
+    fill = [numerics.decay_gap(s, sigma, t) for t in grid]
+    u1 = [a21 * x + (m1 - a21) * y for x, y in zip(mix, fill)]
+    u2 = [a12 * x + (m2 - a12) * y for x, y in zip(mix, fill)]
     return from_channels(grid, {"u1": u1, "u2": u2})
 
 
 def two_supplier_peak_time(m1: float, m2: float, a21: float) -> float:
     """Peak time of supplier 2's share when it loses customers one-way
-    (a12 = 0): T_m = (ln(m1 + m2) - ln a21) / (m1 + m2 - a21)."""
+    (a12 = 0): T_m = (ln(m1 + m2) - ln a21) / (m1 + m2 - a21), which is
+    1 / a21 when the two rates meet."""
     sigma = m1 + m2
     if not (sigma > 0 and a21 > 0):
         raise ParameterError("needs positive rates")
-    if abs(sigma - a21) < 1e-12 * (sigma + a21):
-        return 1.0 / a21
-    return (math.log(sigma) - math.log(a21)) / (sigma - a21)
+    return numerics.log_gap(sigma, a21)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +576,7 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[float]:
 
 
 def stimulated_fixed_point(spec: StimulatedChurnSpec,
-                           u0: Sequence[float] | None = None,
-                           horizon: float | None = None) -> StimulatedFixedPoint:
+                           u0: Sequence[float] | None = None) -> StimulatedFixedPoint:
     """Asymptotic state of a fully developed market with stimulated churn.
 
     Purely stimulated churn admits no stable interior balance: the
@@ -608,9 +593,8 @@ def stimulated_fixed_point(spec: StimulatedChurnSpec,
             raise ParameterError("initial shares of a developed market must sum to 1")
         rates = [x for row in spec.churn.a for x in row if x > 0] + [b for b in spec.b if b > 0]
         slowest = min(rates) if rates else 1.0
-        t_end = horizon if horizon is not None else 60.0 / slowest
         field_ = VectorField(n, resolve_churn_flows(spec))
-        final = numerics.sample_ivp(field_, list(start), [0.0, t_end])[-1]
+        final = numerics.sample_ivp(field_, list(start), [0.0, 60.0 / slowest])[-1]
         winner = max(range(n), key=lambda i: final[i])
         vertex = tuple(1.0 if i == winner else 0.0 for i in range(n))
         vertices = tuple(tuple(1.0 if i == k else 0.0 for i in range(n)) for k in range(n))
@@ -637,10 +621,11 @@ def _stimulated_fixed_point_newton(spec: StimulatedChurnSpec,
     """Damped Newton on the reduced balance system for n > 2 suppliers."""
     n = spec.n
     x = list(u0[:n - 1]) if u0 is not None else [1.0 / n] * (n - 1)
+    flows = resolve_churn_flows(spec)
 
     def residual(xs: Sequence[float]) -> list[float]:
         u = list(xs) + [1.0 - math.fsum(xs)]
-        return churn_flows(spec, 0.0, u)[:n - 1]
+        return flows(0.0, u)[:n - 1]
 
     for _ in range(120):
         f = residual(x)

@@ -34,8 +34,6 @@ from .monopoly import ConstantRate, LinearRate, RateSchedule
 from .numerics import VectorField
 from .trajectory import Trajectory, from_channels
 
-CONFLUENT_EPS = 1e-9
-
 
 def _as_schedule(value) -> RateSchedule:
     if isinstance(value, (int, float)):
@@ -314,51 +312,37 @@ def _integrated_case_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
 def _case1_constants(a: float, b: float, c: float, N: float,
                      grid: Sequence[float]) -> Trajectory:
     s = a + c
-    confluent = abs(s - b) < CONFLUENT_EPS * (a + b + c)
     B, P, Q, D, C = [], [], [], [], []
     for t in grid:
-        eb = math.exp(-b * t)
-        es = math.exp(-s * t)
-        Bt = N * es
-        if confluent:
-            Pt = N * a * t * eb
-            Ct = (a * N / b) * (1.0 - eb)
-        else:
-            Pt = (a * N / (s - b)) * (eb - es)
-            Ct = (a * N / s) * (1.0 - es)
+        Bt = N * math.exp(-s * t)
+        Pt = a * N * numerics.decay_gap(b, s, t)
         B.append(Bt)
         P.append(Pt)
         Q.append(N - Bt - Pt)
         D.append(a * Bt)
-        C.append(Ct)
+        C.append(a * N * numerics.decay_gap(0.0, s, t))
     return _package(grid, B, P, Q, D, C)
 
 
 def case1_peak(a: float, b: float, c: float, N: float = 1.0) -> PeakMetrics:
     """Player peak of the constant-rate branch.
 
-    T_m = (ln(a+c) - ln b)/(a+c-b), collapsing to 1/b when b = a+c; the
-    total ever-bought count is a N / (a + c).
+    T_m = (ln(a+c) - ln b)/(a+c-b), which is 1/b when b = a+c, and
+    P_m = P(T_m); both are exact at any gap between b and a + c. The total
+    ever-bought count is a N / (a + c).
     """
     if min(a, b) <= 0 or c < 0:
         raise ParameterError("needs a, b > 0 and c >= 0")
     s = a + c
-    if abs(s - b) < CONFLUENT_EPS * (a + b + c):
-        t_m = 1.0 / b
-        p_m = N * (a / b) * math.exp(-1.0)
-    else:
-        t_m = (math.log(s) - math.log(b)) / (s - b)
-        p_m = (a * N / (s - b)) * (math.exp(-b * t_m) - math.exp(-s * t_m))
-    return PeakMetrics(T_m=t_m, P_m=p_m, C_inf=a * N / s)
+    t_m = numerics.log_gap(s, b)
+    return PeakMetrics(T_m=t_m, P_m=a * N * numerics.decay_gap(b, s, t_m), C_inf=a * N / s)
 
 
 def calibrate_case1(t_m: float, ratio: float) -> float:
     """Total drain rate a + c from a chosen peak time and ratio (a+c)/b."""
     if not (t_m > 0 and ratio > 0):
         raise ParameterError("peak time and rate ratio must be positive")
-    if abs(ratio - 1.0) < 1e-12:
-        return 1.0 / t_m
-    return ratio * math.log(ratio) / (t_m * (ratio - 1.0))
+    return ratio * numerics.log_gap(ratio, 1.0) / t_m
 
 
 def _case1_a_linear(a0: float, a1: float, b: float, c: float, N: float,
@@ -448,8 +432,8 @@ def _constant_rates(case: Case1) -> bool:
 
 
 def _case1_path(case: Case1, grid: Sequence[float]) -> Trajectory:
-    """Closed forms for constant rates (with the b = a + c confluence) and a
-    linear inflow; the integrating-factor route for any other schedules."""
+    """Closed forms for constant rates (exact at any gap between b and a + c)
+    and a linear inflow; the integrating-factor route for any other schedules."""
     a_s, b_s, c_s = case.a, case.b, case.c
     if _constant_rates(case):
         return _case1_constants(a_s.a, b_s.a, c_s.a, case.N, grid)
@@ -934,20 +918,15 @@ def companion_players(spec: ComplementarySpec, t: float) -> float:
     s = t + spec.tau
     if s <= 0.0:
         return 0.0
-    nc, a_c, b_c = spec.companion_population, spec.a_c, spec.b_c
-    if abs(b_c - a_c) < CONFLUENT_EPS * (a_c + b_c):
-        return nc * a_c * s * math.exp(-a_c * s)
-    return (nc * a_c / (b_c - a_c)) * (math.exp(-a_c * s) - math.exp(-b_c * s))
+    return spec.companion_population * spec.a_c * numerics.decay_gap(spec.a_c, spec.b_c, s)
 
 
 def _coupling_antiderivative(spec: ComplementarySpec, t: float) -> float:
     """A(t) with A'(t) = g * P_c(t), up to an additive constant."""
     s = t + spec.tau
-    nc, a_c, b_c, g = spec.companion_population, spec.a_c, spec.b_c, spec.g
-    if abs(b_c - a_c) < CONFLUENT_EPS * (a_c + b_c):
-        return -nc * g * math.exp(-a_c * s) * (s + 1.0 / a_c)
-    return (nc * g / (b_c - a_c)) * (
-        (a_c / b_c) * math.exp(-b_c * s) - math.exp(-a_c * s))
+    a_c, b_c = spec.a_c, spec.b_c
+    return -(spec.companion_population * spec.g / b_c) * (
+        math.exp(-a_c * s) + a_c * numerics.decay_gap(a_c, b_c, s))
 
 
 def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajectory:

@@ -15,10 +15,6 @@ from . import numerics
 from .errors import ParameterError
 from .trajectory import Trajectory, from_channels
 
-#: Relative threshold below which near-confluent denominators switch to
-#: the analytic limit expression (avoids catastrophic cancellation).
-CONFLUENT_EPS = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # Rate schedules a(t)
@@ -271,22 +267,16 @@ def simple_latency(m: SimpleAdoption) -> LatencyTimes:
     """Times to reach 50% and 10% of the market.
 
     With an empty start these are ln 2 / a and ln(10/9) / a, hence
-    T10 = 0.152 T50. A positive initial share is handled by root
-    solving on the closed form.
+    T10 = 0.152 T50. A positive initial share u0 below the target share
+    inverts the closed form: t = (ln(1 - u0) - ln(1 - share)) / a.
     """
     if m.u0 == 0.0:
         return LatencyTimes(t50=math.log(2.0) / m.a, t10=math.log(10.0 / 9.0) / m.a)
     if m.u0 >= 0.5:
         return LatencyTimes(t50=0.0, t10=0.0, t10_already_reached=True)
-    # Where 10 ln 2 / a overflows, ln 2 / a still bounds both roots (u0 > 0).
-    horizon = 10.0 * math.log(2.0) / m.a
-    if math.isinf(horizon):
-        horizon = math.log(2.0) / m.a
 
     def time_to(share: float) -> float:
-        return numerics.solve_root(
-            lambda t: 1.0 - (1.0 - m.u0) * math.exp(-m.a * t) - share,
-            0.0, horizon, tol=1e-13)
+        return (math.log1p(-m.u0) - math.log1p(-share)) / m.a
 
     if m.u0 >= 0.1:
         return LatencyTimes(t50=time_to(0.5), t10=0.0, t10_already_reached=True)
@@ -330,18 +320,9 @@ def segmented_path(segments: Sequence[Segment], N: float,
 
 
 def _hesitation_absorbing(p: HesitationParams, t: float) -> tuple[float, float, float]:
-    a, b, c = p.a, p.b, p.c
-    s = a + b
-    pot = math.exp(-s * t)
-    denom = s - c
-    if abs(denom) < CONFLUENT_EPS * (a + b + c):
-        # Limit of the generic form as c -> a + b.
-        u = 1.0 - math.exp(-s * t) * (1.0 + b * t)
-        h = b * t * math.exp(-s * t)
-    else:
-        u = 1.0 - (b * math.exp(-c * t) + (a - c) * math.exp(-s * t)) / denom
-        h = (b / denom) * (math.exp(-c * t) - math.exp(-s * t))
-    return pot, h, u
+    s = p.a + p.b
+    h = p.b * numerics.decay_gap(p.c, s, t)
+    return math.exp(-s * t), h, -math.expm1(-s * t) - h
 
 
 def _hesitation_returning(p: HesitationParams, t: float) -> tuple[float, float, float]:
@@ -378,23 +359,20 @@ def hesitation_path(p: HesitationParams, grid: Sequence[float],
 
 def birth_death_path(p: BirthDeathParams, grid: Sequence[float],
                      N: float = 1.0) -> Trajectory:
-    """Share with pool churn: u = a/(a+f-d-g) e^{-gt} (1 - e^{-(a+f-d-g)t}).
+    """Share with pool churn: u = a (e^{-gt} - e^{-(a+f-d)t}) / (a+f-d-g).
 
+    The divided difference is exact at any gap between the two rates, so
+    no branch is needed as a + f - d approaches g (u = a t e^{-gt} there).
     Demand is the subscription inflow a N p(t) = a N e^{-(a+f-d)t}; the
     printed exponent deliberately omits g, because the pool p(t) does
     not feel the subscriber death rate.
     """
     k = p.a + p.f - p.d
-    drain = k - p.g
     pot, sub, dem = [], [], []
     for t in grid:
         pool = math.exp(-k * t)
-        if abs(drain) < CONFLUENT_EPS * (p.a + p.f + p.d + p.g):
-            u = p.a * t * math.exp(-p.g * t)
-        else:
-            u = (p.a / drain) * math.exp(-p.g * t) * (1.0 - math.exp(-drain * t))
         pot.append(pool)
-        sub.append(u)
+        sub.append(p.a * numerics.decay_gap(p.g, k, t))
         dem.append(p.a * N * pool)
     return from_channels(grid, {"p": pot, "u": sub, "D": dem})
 

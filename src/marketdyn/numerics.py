@@ -3,8 +3,9 @@
 Provides everything the model modules need and nothing more: an adaptive
 DOP853 integrator with dense output, globally adaptive Gauss-Kronrod
 quadrature, a hybrid bisection/Newton root finder, the error function,
-and small dense linear algebra (determinant, cofactors, linear solve,
-one matrix exponential, returned as a matrix or applied to a vector).
+the divided differences of e^(-st) and of ln s over two rates, and small
+dense linear algebra (determinant, cofactors, linear solve, one matrix
+exponential, returned as a matrix or applied to a vector).
 
 All routines are pure functions of their inputs. The integrator's error
 tolerances are fixed module constants, not arguments, and its step-size
@@ -474,13 +475,14 @@ def shifted_integral_step(acc: float, f: Callable[[float], float],
 
 
 def solve_root(g: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-12, max_iter: int = 200) -> float:
+               tol: float = 1e-12) -> float:
     """Root of g on [lo, hi] by safeguarded Newton iteration.
 
     Newton steps use a centered finite-difference derivative; any step
     that would leave the current bracket is replaced by a bisection
     step, so convergence is guaranteed for continuous g. The returned
-    point always lies inside the initial bracket.
+    point always lies inside the initial bracket; after 200 iterations
+    it is the midpoint of the bracket left.
 
     Raises:
         BracketInvalidError: If g(lo) and g(hi) have the same sign.
@@ -497,7 +499,7 @@ def solve_root(g: Callable[[float], float], lo: float, hi: float,
             f"no sign change on [{lo:.6g}, {hi:.6g}]: g(lo)={flo:.6g}, g(hi)={fhi:.6g}")
 
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         fx = g(x)
         if fx == 0.0:
             return x
@@ -536,6 +538,37 @@ def erf(x: float) -> float:
     if x < -6.0:
         return -1.0
     return math.erf(x)
+
+
+def decay_gap(x: float, y: float, t: float) -> float:
+    """(e^(-xt) - e^(-yt)) / (y - x), the divided difference of s -> e^(-st).
+
+    Symmetric in the rates, and t e^(-xt) where they meet. Written as
+    e^(-lo t) (1 - e^(-(hi - lo) t)) / (hi - lo) with expm1, it keeps full
+    relative precision at any gap between the rates, so a closed form built
+    on it needs no confluent branch (McCurdy, Ng & Parlett, Math. Comp. 43
+    (1984)).
+    """
+    lo, hi = min(x, y), max(x, y)
+    gap = hi - lo
+    if gap * t == 0.0:
+        return t * math.exp(-lo * t)
+    return -math.expm1(-gap * t) / gap * math.exp(-lo * t)
+
+
+def log_gap(x: float, y: float) -> float:
+    """(ln x - ln y) / (x - y) for positive rates, and 1/x where they meet.
+
+    Near the meeting point it is log1p((hi - lo)/lo) / (hi - lo), which
+    does not cancel; once hi > 2 lo the difference of logarithms loses no
+    digits and stays finite where (hi - lo)/lo would overflow.
+    """
+    lo, hi = min(x, y), max(x, y)
+    if hi > 2.0 * lo:
+        return (math.log(hi) - math.log(lo)) / (hi - lo)
+    if hi == lo:
+        return 1.0 / lo
+    return math.log1p((hi - lo) / lo) / (hi - lo)
 
 
 def _lu_decompose(a: SquareMatrix) -> tuple[list[list[float]], list[int], int]:

@@ -180,7 +180,8 @@ class _Reader:
             return default
         return self._record(key, value)
 
-    def number_list(self, key: str, required: bool = True) -> tuple[float, ...] | None:
+    def number_list(self, key: str, required: bool = True,
+                    minimum: float | None = None) -> tuple[float, ...] | None:
         """The number list under ``key``; None when it is absent or rejected."""
         if not self._present(key, required, "a list of numbers"):
             return None
@@ -190,6 +191,9 @@ class _Reader:
             return None
         if not all(_is_finite(v) for v in value):
             self._issue("bad_type", key, "a list of finite numbers", repr(value))
+            return None
+        if minimum is not None and any(v < minimum for v in value):
+            self._issue("invariant", key, f"numbers >= {minimum:g}", repr(value))
             return None
         return tuple(self._record(key, [float(v) for v in value]))
 
@@ -558,7 +562,7 @@ def _bass_competition_equilibrium(model):
 
 
 def _parse_spontaneous(r):
-    m = r.number_list("m")
+    m = r.number_list("m", minimum=0.0)
     churn = _churn_matrix(r, "a")
     return None if m is None or churn is None else (m, churn)
 

@@ -333,7 +333,7 @@ def test_criterion_07_churn_equilibria():
             [[0.0 if i == j else rng.uniform(0.05, 3.0) for j in range(n)]
              for i in range(n)])
         u = comp.spontaneous_equilibrium_cofactor(c)
-        flows = comp.churn_flows(c, 0.0, u)
+        flows = comp.resolve_churn_flows(c)(0.0, u)
         worst_residual = max(worst_residual, max(abs(f) for f in flows))
         worst_sum = max(worst_sum, abs(math.fsum(u) - 1.0))
         if n == 2:

@@ -146,16 +146,16 @@ def test_churn_flows_sum_to_zero(seed):
     n = rng.choice((2, 3, 4))
     c = random_churn(rng, n)
     u = [rng.uniform(0.0, 1.0) for _ in range(n)]
-    flows = comp.churn_flows(c, 0.0, u)
+    flows = comp.resolve_churn_flows(c)(0.0, u)
     assert abs(math.fsum(flows)) <= 1e-12 * max(1.0, math.fsum(abs(f) for f in flows))
     spec = comp.StimulatedChurnSpec(churn=c, b=tuple(rng.uniform(0, 2) for _ in range(n)),
                                     eps=tuple(1 for _ in range(n)))
-    flows = comp.churn_flows(spec, 0.0, u)
+    flows = comp.resolve_churn_flows(spec)(0.0, u)
     assert abs(math.fsum(flows)) <= 1e-12 * max(1.0, math.fsum(abs(f) for f in flows))
     periodic = comp.PeriodicChurnSpec(
         a0=c, eps=(comp.PairModulation(0, 1, (comp.Sinusoid(
             0.5 * c.a[0][1], rng.uniform(0.5, 2.0), rng.uniform(0, 6)),)),))
-    flows = comp.churn_flows(periodic, rng.uniform(0, 10), u)
+    flows = comp.resolve_churn_flows(periodic)(rng.uniform(0, 10), u)
     assert abs(math.fsum(flows)) <= 1e-12 * max(1.0, math.fsum(abs(f) for f in flows))
 
 
@@ -214,7 +214,6 @@ def test_resolved_flows_match_the_definition_bit_for_bit(churn, data):
         u = data.draw(st.lists(st.floats(0.0, 1.0), min_size=churn.n, max_size=churn.n))
         expected = [v.hex() for v in reference_flows(churn, t, u)]
         assert [v.hex() for v in flows(t, u)] == expected
-        assert [v.hex() for v in comp.churn_flows(churn, t, u)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +543,7 @@ def test_three_supplier_shared_root():
         b=(0.4, 0.2, 0.1), eps=(1, 1, 1))
     fp = comp.stimulated_fixed_point(spec)
     assert fp.classification == "shared"
-    flows = comp.churn_flows(spec, 0.0, fp.u)
+    flows = comp.resolve_churn_flows(spec)(0.0, fp.u)
     assert max(abs(f) for f in flows) <= 1e-10
     assert math.fsum(fp.u) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,4 +1,5 @@
-"""Numerical kernel: integrator, quadrature, roots, erf, linear algebra."""
+"""Numerical kernel: integrator, quadrature, roots, erf, two-rate divided
+differences, linear algebra."""
 
 import json
 import math
@@ -7,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from marketdyn import cli, numerics
+from marketdyn import cli, competition, games, monopoly, numerics
 from marketdyn.errors import (
     AccuracyNotReachedError,
     BracketInvalidError,
@@ -365,6 +366,131 @@ def test_erf_strictly_monotone_below_saturation(x):
     # Past x ~ 5.9 the value rounds to 1.0 exactly, so strictness only
     # holds while 1 - erf(x) is still representable.
     assert numerics.erf(x + 0.25) > numerics.erf(x)
+
+
+# ---------------------------------------------------------------------------
+# two-rate divided differences and the closed forms built on them
+# ---------------------------------------------------------------------------
+
+#: Relative gaps between the two rates of a closed form: the confluence, the
+#: rounding level, and both sides of the 1e-9 window where the closed forms
+#: once switched to their equal-rate limits.
+RATE_GAPS = (0.0, 1e-15, 1e-12, 2e-9, 1e-7, 1e-3)
+GAP_TIMES = (0.5, 3.0, 15.0)
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def mp_decay_gap(mp, x, y, t):
+    x, y, t = mp.mpf(x), mp.mpf(y), mp.mpf(t)
+    if x == y:
+        return t * mp.exp(-x * t)
+    return (mp.exp(-x * t) - mp.exp(-y * t)) / (y - x)
+
+
+def mp_log_gap(mp, x, y):
+    x, y = mp.mpf(x), mp.mpf(y)
+    return 1 / x if x == y else (mp.log(x) - mp.log(y)) / (x - y)
+
+
+def assert_close(mp, value, reference):
+    assert abs(mp.mpf(value) - reference) <= 1e-13 * abs(reference), (value, reference)
+
+
+@pytest.mark.parametrize("gap", RATE_GAPS)
+def test_decay_gap_and_log_gap_match_mpmath(mp, gap):
+    for x in (0.3, 2.0):
+        y = x * (1.0 + gap)
+        for t in GAP_TIMES:
+            assert_close(mp, numerics.decay_gap(x, y, t), mp_decay_gap(mp, x, y, t))
+            assert_close(mp, numerics.decay_gap(y, x, t), mp_decay_gap(mp, x, y, t))
+            assert_close(mp, numerics.decay_gap(0.0, x * gap, t), mp_decay_gap(mp, 0, x * gap, t))
+        assert_close(mp, numerics.log_gap(x, y), mp_log_gap(mp, x, y))
+        assert_close(mp, numerics.log_gap(y, x), mp_log_gap(mp, x, y))
+
+
+def test_decay_gap_and_log_gap_at_the_extremes(mp):
+    assert numerics.decay_gap(0.5, 0.7, 0.0) == 0.0
+    assert math.copysign(1.0, numerics.decay_gap(0.5, 0.5, 0.0)) == 1.0
+    assert numerics.decay_gap(0.0, 1e300, 1e10) == 1e-300
+    # (hi - lo)/lo overflows; the difference of logarithms does not.
+    assert_close(mp, numerics.log_gap(5e-324, 1.0), mp_log_gap(mp, 5e-324, 1.0))
+    assert_close(mp, numerics.log_gap(1.7e308, 1e308), mp_log_gap(mp, 1.7e308, 1e308))
+
+
+@pytest.mark.parametrize("gap", RATE_GAPS)
+def test_two_rate_closed_forms_match_mpmath(mp, gap):
+    grid = [0.0, *GAP_TIMES]
+
+    def dg(x, y, t):
+        return mp_decay_gap(mp, x, y, t)
+
+    # bpq case 1 with constant rates: P, C, the peak and the calibration.
+    a, c, N = 0.4, 0.1, 1000.0
+    b = (a + c) * (1.0 + gap)
+    s = mp.mpf(a) + mp.mpf(c)
+    traj = games.bpq_path(games.Case1(a, b, c, N), grid)
+    for t, p, sold in zip(GAP_TIMES, traj.channel("P")[1:], traj.channel("C")[1:]):
+        assert_close(mp, p, a * N * dg(b, s, t))
+        assert_close(mp, sold, a * N * (1 - mp.exp(-s * t)) / s)
+    t_m = mp_log_gap(mp, s, b)
+    peak = games.case1_peak(a, b, c, N)
+    assert_close(mp, peak.T_m, t_m)
+    assert_close(mp, peak.P_m, a * N * dg(b, s, t_m))
+    ratio = 1.0 + gap
+    assert_close(mp, games.calibrate_case1(2.0, ratio), ratio * mp_log_gap(mp, ratio, 1) / 2)
+
+    # Absorbing hesitation: h and u as c meets a + b.
+    hes = monopoly.HesitationParams(0.5, 0.25, 0.75 * (1.0 + gap))
+    traj = monopoly.hesitation_path(hes, grid)
+    for t, h, u in zip(GAP_TIMES, traj.channel("h")[1:], traj.channel("u")[1:]):
+        h_ref = hes.b * dg(hes.c, 0.75, t)
+        assert_close(mp, h, h_ref)
+        assert_close(mp, u, 1 - mp.exp(-0.75 * mp.mpf(t)) - h_ref)
+
+    # Birth/death as g meets a + f - d = 0.5 from below (g = 0.5 is outside
+    # the model's domain).
+    if gap > 0.0:
+        bd = monopoly.BirthDeathParams(a=0.375, d=0.125, f=0.25, g=0.5 * (1.0 - gap))
+        traj = monopoly.birth_death_path(bd, grid)
+        for t, u in zip(GAP_TIMES, traj.channel("u")[1:]):
+            assert_close(mp, u, bd.a * dg(bd.g, 0.5, t))
+
+    # The companion title's players and the coupling antiderivative.
+    spec = games.ComplementarySpec(g=0.0005, b=0.5, a_c=0.4, b_c=0.4 * (1.0 + gap),
+                                   tau=1.0, N=1000.0)
+    nc, g = spec.companion_population, mp.mpf(spec.g)
+    a_c, b_c = mp.mpf(spec.a_c), mp.mpf(spec.b_c)
+    for t in GAP_TIMES:
+        age = mp.mpf(t + spec.tau)
+        assert_close(mp, games.companion_players(spec, t), nc * a_c * dg(a_c, b_c, age))
+        if a_c == b_c:
+            antiderivative = -nc * g * mp.exp(-a_c * age) * (age + 1 / a_c)
+        else:
+            antiderivative = (nc * g / (b_c - a_c)) * (
+                (a_c / b_c) * mp.exp(-b_c * age) - mp.exp(-a_c * age))
+        assert_close(mp, games._coupling_antiderivative(spec, t), antiderivative)
+
+    # Two suppliers: the one-way peak time, and the path against the
+    # matrix exponential u(t) = (I - e^{-Qt}) Q^{-1} m.
+    m1, a21 = 0.3, 0.5
+    m2 = 0.5 * (1.0 + gap) - m1
+    assert_close(mp, competition.two_supplier_peak_time(m1, m2, a21),
+                 mp_log_gap(mp, mp.mpf(m1) + mp.mpf(m2), a21))
+    m1, m2, a12, a21 = 0.45, 0.8 * (1.0 + gap) - 0.45, 0.3, 0.5
+    q = mp.matrix([[m1 + mp.mpf(a12), m1 - mp.mpf(a21)],
+                   [m2 - mp.mpf(a12), m2 + mp.mpf(a21)]])
+    v = mp.lu_solve(q, mp.matrix([m1, m2]))
+    traj = competition.two_supplier_spontaneous_path(m1, m2, a12, a21, grid)
+    for t, u1, u2 in zip(GAP_TIMES, traj.channel("u1")[1:], traj.channel("u2")[1:]):
+        u = v - mp.expm(-q * t) * v
+        assert_close(mp, u1, u[0])
+        assert_close(mp, u2, u[1])
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,79 @@ def test_cli_rejects_a_returning_hesitation_with_a_vanishing_eigenvalue(tmp_path
     assert "negative transition eigenvalues" in capsys.readouterr().err
 
 
+def cli_output(command, doc, tmp_path, capsys):
+    """Exit code, stdout rows split at commas, and stderr of one CLI run."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, str(path)])
+    captured = capsys.readouterr()
+    return code, [line.split(",") for line in captured.out.splitlines()], captured.err
+
+
+def test_cli_near_confluent_case1_keeps_its_digits(tmp_path, capsys):
+    # b lies within 1e-9 of a + c, where the closed form used to switch to
+    # its b = a + c limit: P printed 4.14813271 at t = 15 and 0.453999289 at
+    # t = 20, and C 917.915 at t = 5, because the limit divided by b instead
+    # of a + c. 40-digit mpmath gives 4.148132745, 0.4539992931 and
+    # 917.9150014.
+    doc = {"model": {"kind": "bpq", "case": "case1", "N": 1000, "a": 0.5, "b": 0.500000001},
+           "horizon": 20, "samples": 5}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    by_time = {row[0]: row for row in rows[1:]}
+    assert by_time["15"][2] == "4.14813274"
+    assert by_time["20"][2] == "0.453999293"
+    assert by_time["5"][5] == "917.915001"
+
+
+def test_cli_near_confluent_absorbing_hesitation_keeps_its_digits(tmp_path, capsys):
+    # c lies within 2e-9 of a + b: h at t = 20 printed 1.5295116e-06; 40-digit
+    # mpmath gives 1.52951158e-06.
+    doc = {"model": {"kind": "hesitation", "a": 0.5, "b": 0.25, "c": 0.7500000015},
+           "horizon": 20, "samples": 5}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert rows[-1][0] == "20" and rows[-1][2] == "1.52951158e-06"
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_case1_without_inflow_is_a_validation_error(command, tmp_path, capsys):
+    # With a = c = 0 the path divided C by a + c = 0 and ended in a
+    # ZeroDivisionError traceback (exit 1).
+    doc = {"model": {"kind": "bpq", "case": "case1", "N": 1000, "a": 0, "b": 0.5},
+           "horizon": 20, "samples": 3}
+    code, _, err = cli_output(command, doc, tmp_path, capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert "needs a, b > 0" in err
+
+
+@pytest.mark.parametrize("model,first_row", [
+    # u printed -2.22044605e-16 and h printed -0: a negative share.
+    ({"kind": "hesitation", "a": 0.1, "b": 0.1, "c": 0.7}, ["0", "1", "0", "0", "0.1"]),
+    # P printed -0.
+    ({"kind": "bpq", "case": "case1", "N": 1000, "a": 0.1, "b": 0.2},
+     ["0", "1000", "0", "0", "100", "0"]),
+])
+def test_cli_two_rate_closed_forms_start_at_exact_zeros(model, first_row, tmp_path, capsys):
+    code, rows, _ = cli_output("simulate", {"model": model, "horizon": 20, "samples": 3},
+                               tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert rows[1] == first_row
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics", "equilibrium"])
+def test_cli_rejects_negative_innovation_rates_of_spontaneous_churn(command, tmp_path,
+                                                                     capsys):
+    # A negative m_i used to run and print a negative share (u2 = -0.272727273
+    # at t = 20); bass_competition rejects the same input.
+    doc = {"model": {"kind": "spontaneous_churn", "m": [0.3, -0.3],
+                     "a": [[0, 0.4], [0.7, 0]]}, "horizon": 20, "samples": 5}
+    code, rows, err = cli_output(command, doc, tmp_path, capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert rows == []
+    assert "[invariant] at $.model.m" in err
+
+
 
 @pytest.mark.parametrize("u1,rows", [(0.3, ["rate"]),
                                      (0.5, ["rate", "T50", "T10", "T60_minus_T50"])])

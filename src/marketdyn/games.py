@@ -315,12 +315,12 @@ def _case1_constants(a: float, b: float, c: float, N: float,
     B, P, Q, D, C = [], [], [], [], []
     for t in grid:
         Bt = N * math.exp(-s * t)
-        Pt = a * N * numerics.decay_gap(b, s, t)
+        Pt = N * (a * numerics.decay_gap(b, s, t))
         B.append(Bt)
         P.append(Pt)
         Q.append(N - Bt - Pt)
         D.append(a * Bt)
-        C.append(a * N * numerics.decay_gap(0.0, s, t))
+        C.append(N * (a * numerics.decay_gap(0.0, s, t)))
     return _package(grid, B, P, Q, D, C)
 
 
@@ -335,7 +335,7 @@ def case1_peak(a: float, b: float, c: float, N: float = 1.0) -> PeakMetrics:
         raise ParameterError("needs a, b > 0 and c >= 0")
     s = a + c
     t_m = numerics.log_gap(s, b)
-    return PeakMetrics(T_m=t_m, P_m=a * N * numerics.decay_gap(b, s, t_m), C_inf=a * N / s)
+    return PeakMetrics(T_m=t_m, P_m=N * (a * numerics.decay_gap(b, s, t_m)), C_inf=N * (a / s))
 
 
 def calibrate_case1(t_m: float, ratio: float) -> float:
@@ -918,15 +918,19 @@ def companion_players(spec: ComplementarySpec, t: float) -> float:
     s = t + spec.tau
     if s <= 0.0:
         return 0.0
-    return spec.companion_population * spec.a_c * numerics.decay_gap(spec.a_c, spec.b_c, s)
+    return spec.companion_population * (spec.a_c * numerics.decay_gap(spec.a_c, spec.b_c, s))
 
 
 def _coupling_antiderivative(spec: ComplementarySpec, t: float) -> float:
-    """A(t) with A'(t) = g * P_c(t), up to an additive constant."""
+    """A(t) with A'(t) = g * P_c(t), up to an additive constant.
+
+    A = N_c g ((1 - e^{-b_c s})/b_c - (e^{-a_c s} - e^{-b_c s})/(b_c - a_c)) at
+    the companion's age s; both divided differences are at most s, so no
+    constant of size 1/b_c swamps the change of A over a step.
+    """
     s = t + spec.tau
-    a_c, b_c = spec.a_c, spec.b_c
-    return -(spec.companion_population * spec.g / b_c) * (
-        math.exp(-a_c * s) + a_c * numerics.decay_gap(a_c, b_c, s))
+    return spec.companion_population * spec.g * (
+        numerics.decay_gap(0.0, spec.b_c, s) - numerics.decay_gap(spec.a_c, spec.b_c, s))
 
 
 def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajectory:

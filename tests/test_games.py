@@ -571,6 +571,28 @@ def test_companion_confluent_rates():
     assert worst <= 1e-5 * N
 
 
+@pytest.mark.parametrize("b_c", [1e-12, 1e-300])
+def test_companion_that_keeps_its_players(b_c):
+    # An antiderivative of the coupling that carried a constant of size
+    # N_c g / b_c lost its change over a step to rounding: at b_c = 1e-12
+    # the quadrature gave up, and at 1e-300 B lost the linear growth of A.
+    mpmath = pytest.importorskip("mpmath")
+    spec = games.ComplementarySpec(g=0.0005, b=0.5, a_c=0.4, b_c=b_c, tau=1.0, N=N)
+    grid = [0.0, 0.5, 3.0, 15.0]
+    traj = games.complementary_path(spec, grid)
+    with mpmath.workdps(40):
+        g, a_c, b_c = mpmath.mpf(spec.g), mpmath.mpf(spec.a_c), mpmath.mpf(b_c)
+
+        def coupling(s):
+            return spec.companion_population * g * (
+                -mpmath.expm1(-b_c * s) / b_c
+                - (mpmath.exp(-a_c * s) - mpmath.exp(-b_c * s)) / (b_c - a_c))
+
+        for t, b in zip(grid, traj.channel("B")):
+            reference = N * mpmath.exp(coupling(spec.tau) - coupling(t + spec.tau))
+            assert abs(b - reference) <= 1e-13 * reference
+
+
 def test_constant_proxy_reduces_to_mixed_inflow_case():
     proxied = games.complementary_constant_approx(SPEC, p_c0=200.0,
                                                   feedback_beta=0.0005)

@@ -469,11 +469,13 @@ def test_two_rate_closed_forms_match_mpmath(mp, gap):
     for t in GAP_TIMES:
         age = mp.mpf(t + spec.tau)
         assert_close(mp, games.companion_players(spec, t), nc * a_c * dg(a_c, b_c, age))
+        # The antiderivative that vanishes at age 0.
         if a_c == b_c:
-            antiderivative = -nc * g * mp.exp(-a_c * age) * (age + 1 / a_c)
+            antiderivative = (nc * g / a_c) * (1 - mp.exp(-a_c * age) * (1 + a_c * age))
         else:
-            antiderivative = (nc * g / (b_c - a_c)) * (
-                (a_c / b_c) * mp.exp(-b_c * age) - mp.exp(-a_c * age))
+            antiderivative = nc * g * (
+                (1 - mp.exp(-b_c * age)) / b_c
+                - (mp.exp(-a_c * age) - mp.exp(-b_c * age)) / (b_c - a_c))
         assert_close(mp, games._coupling_antiderivative(spec, t), antiderivative)
 
     # Two suppliers: the one-way peak time, and the path against the

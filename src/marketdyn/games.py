@@ -929,8 +929,9 @@ def _coupling_antiderivative(spec: ComplementarySpec, t: float) -> float:
     constant of size 1/b_c swamps the change of A over a step.
     """
     s = t + spec.tau
+    b_c = spec.b_c
     return spec.companion_population * spec.g * (
-        numerics.decay_gap(0.0, spec.b_c, s) - numerics.decay_gap(spec.a_c, spec.b_c, s))
+        -math.expm1(-b_c * s) / b_c - numerics.decay_gap(spec.a_c, b_c, s))
 
 
 def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajectory:

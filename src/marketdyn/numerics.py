@@ -549,11 +549,12 @@ def decay_gap(x: float, y: float, t: float) -> float:
     on it needs no confluent branch (McCurdy, Ng & Parlett, Math. Comp. 43
     (1984)).
     """
-    lo, hi = min(x, y), max(x, y)
-    gap = hi - lo
+    if x > y:
+        x, y = y, x
+    gap = y - x
     if gap * t == 0.0:
-        return t * math.exp(-lo * t)
-    return -math.expm1(-gap * t) / gap * math.exp(-lo * t)
+        return t * math.exp(-x * t)
+    return -math.expm1(-gap * t) / gap * math.exp(-x * t)
 
 
 def log_gap(x: float, y: float) -> float:
@@ -563,12 +564,13 @@ def log_gap(x: float, y: float) -> float:
     does not cancel; once hi > 2 lo the difference of logarithms loses no
     digits and stays finite where (hi - lo)/lo would overflow.
     """
-    lo, hi = min(x, y), max(x, y)
-    if hi > 2.0 * lo:
-        return (math.log(hi) - math.log(lo)) / (hi - lo)
-    if hi == lo:
-        return 1.0 / lo
-    return math.log1p((hi - lo) / lo) / (hi - lo)
+    if x > y:
+        x, y = y, x
+    if y > 2.0 * x:
+        return (math.log(y) - math.log(x)) / (y - x)
+    if y == x:
+        return 1.0 / x
+    return math.log1p((y - x) / x) / (y - x)
 
 
 def _lu_decompose(a: SquareMatrix) -> tuple[list[list[float]], list[int], int]:

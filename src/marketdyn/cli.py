@@ -64,26 +64,26 @@ def _delimiter(fmt: str) -> str:
 
 
 def _run_batch(args, render) -> int:
-    """Run every scenario of the file in order; label blocks when there are several."""
+    """Render every scenario of the file in order; label blocks when there are several."""
     scenarios = _load_scenarios(args.file)
     if args.samples is not None:
         scenarios = [dataclasses.replace(s, samples=args.samples) for s in scenarios]
-    reports = [scenario.run_scenario(s) for s in scenarios]
-    blocks = [render(report, _delimiter(args.format)) for report in reports]
-    if len(reports) > 1:
-        blocks = [f"# {report.scenario.name or f'scenario {idx + 1}'}\n{block}"
-                  for idx, (report, block) in enumerate(zip(reports, blocks))]
+    blocks = [render(s, _delimiter(args.format)) for s in scenarios]
+    if len(scenarios) > 1:
+        blocks = [f"# {s.name or f'scenario {idx + 1}'}\n{block}"
+                  for idx, (s, block) in enumerate(zip(scenarios, blocks))]
     _write(args.out, "".join(blocks))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    return _run_batch(args, lambda report, delimiter: scenario.render_csv(
-        report.trajectory, report.scenario.outputs, delimiter))
+    return _run_batch(args, lambda s, delimiter: scenario.render_csv(
+        scenario.simulate_scenario(s), s.outputs, delimiter))
 
 
 def cmd_metrics(args) -> int:
-    return _run_batch(args, scenario.render_metrics)
+    return _run_batch(args, lambda s, delimiter: scenario.render_metrics(
+        scenario.run_scenario(s), delimiter))
 
 
 def cmd_tables(args) -> int:

@@ -5,8 +5,9 @@ time horizon and a sample count. Everything is deterministic: no seeds,
 no clocks, and CSV output is byte-identical across runs.
 
 Each model kind has one entry in ``_KINDS``: how to parse its model
-object, how to run it, and (where the paper gives one) its asymptotic
-state. The wire format lives in the parsers alone: the reader records
+object, its path, the metric rows read off the path, and (where the paper
+gives one) its asymptotic state; :func:`simulate_scenario` computes the
+path alone. The wire format lives in the parsers alone: the reader records
 every value it accepts, defaults included, and that record is what
 :func:`scenario_to_dict` writes back.
 """
@@ -369,7 +370,7 @@ def _mean_share_u1(spec: competition.PeriodicChurnSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Model kinds: parse, run and equilibrium side by side
+# Model kinds: parse, path, metrics and equilibrium side by side
 # ---------------------------------------------------------------------------
 
 def _parse_simple(r):
@@ -378,10 +379,9 @@ def _parse_simple(r):
         N=r.number("N", required=False, default=1.0))
 
 
-def _run_simple(model, grid):
-    traj = monopoly.simple_path(model, grid)
+def _simple_metrics(model, traj):
     lat = monopoly.simple_latency(model)
-    return traj, [("a", model.a), ("T50", lat.t50), ("T10", lat.t10)]
+    return [("a", model.a), ("T50", lat.t50), ("T10", lat.t10)]
 
 
 def _parse_scheduled(r):
@@ -392,13 +392,17 @@ def _parse_scheduled(r):
             r.number("N", required=False, default=1.0))
 
 
-def _run_scheduled(model, grid):
-    schedule, u0, n = model
-    traj = monopoly.scheduled_path(schedule, u0, grid, N=n)
-    metrics = [("u_end", traj.channel("u")[-1])] + _latencies(traj)
+def _reach(traj: Trajectory) -> list[tuple[str, float]]:
+    """The share at the horizon, then T10 and T50."""
+    return [("u_end", traj.channel("u")[-1])] + _latencies(traj)
+
+
+def _scheduled_metrics(model, traj):
+    schedule, u0, _ = model
+    metrics = _reach(traj)
     if isinstance(schedule, monopoly.ExpDecayRate):
         metrics.append(("u_asymptote", schedule.asymptotic_share(u0)))
-    return traj, metrics
+    return metrics
 
 
 def _parse_segmented(r):
@@ -422,12 +426,6 @@ def _parse_segmented(r):
     return tuple(segs), r.number("N", required=False, default=1.0)
 
 
-def _run_segmented(model, grid):
-    segments, n = model
-    traj = monopoly.segmented_path(segments, n, grid)
-    return traj, [("u_end", traj.channel("u")[-1])] + _latencies(traj)
-
-
 def _parse_hesitation(r):
     variant = r.data.get("variant", "absorbing_hesitation")
     if variant in (1, "1", "absorbing"):
@@ -440,14 +438,12 @@ def _parse_hesitation(r):
             r.number("N", required=False, default=1.0))
 
 
-def _run_hesitation(model, grid):
-    params, n = model
-    traj = monopoly.hesitation_path(params, grid, N=n)
+def _hesitation_metrics(model, traj):
     metrics = _latencies(traj)
-    if params.variant == "returning_hesitation":
-        lam1, lam2, rate = params.eigenvalues()
+    if model[0].variant == "returning_hesitation":
+        lam1, lam2, rate = model[0].eigenvalues()
         metrics += [("lambda1", lam1), ("lambda2", lam2), ("r", rate)]
-    return traj, metrics
+    return metrics
 
 
 def _parse_birth_death(r):
@@ -456,11 +452,9 @@ def _parse_birth_death(r):
             r.number("N", required=False, default=1.0))
 
 
-def _run_birth_death(model, grid):
-    params, n = model
-    traj = monopoly.birth_death_path(params, grid, N=n)
+def _birth_death_metrics(model, traj):
     _, t_peak, u_peak = argmax_channel(traj, "u")
-    return traj, [("u_peak", u_peak), ("t_peak", t_peak)]
+    return [("u_peak", u_peak), ("t_peak", t_peak)]
 
 
 def _initial_share(r: _Reader) -> float | None:
@@ -492,8 +486,7 @@ def _parse_feedback(r):
                                   N=r.number("N", required=False, default=1.0))
 
 
-def _run_feedback(model, grid):
-    traj = feedback.feedback_path(model, grid)
+def _feedback_metrics(model, traj):
     metrics, catalog = [("rate", model.rate)], []
     # The latency times run from u0 up to half the market, which growth must reach.
     if model.u0 < 0.5 <= model.kernel.limit:
@@ -508,7 +501,7 @@ def _run_feedback(model, grid):
         infl = (p.u, p.t, p.gradient) if p else (None, None, None)
     if infl[0] is not None:
         metrics += zip(("u_inflection", "t_inflection", "gradient_at_inflection"), infl)
-    return traj, metrics + catalog
+    return metrics + catalog
 
 
 def _feedback_equilibrium(model):
@@ -518,12 +511,6 @@ def _feedback_equilibrium(model):
 
 def _parse_innovators(r):
     return r.number_list("m")
-
-
-def _run_innovators(m, grid):
-    total = math.fsum(m)
-    return (competition.innovators_only_path(m, grid),
-            _shares([mi / total for mi in m], "_asymptote"))
 
 
 def _parse_bass_competition(r):
@@ -538,16 +525,15 @@ def _parse_bass_competition(r):
     return competition.BassCompetition(m=m, r=rates, u0=u0), churn
 
 
-def _run_bass_competition(model, grid):
+def _bass_competition_metrics(model, traj):
     market, churn = model
-    traj = competition.competitive_path_numeric(market, churn, grid)
     metrics = _shares([traj.channel(f"u{i + 1}")[-1] for i in range(market.n)], "_end")
     if churn is None:
         try:
             metrics += _shares(competition.fixed_point_no_churn(market), "_fixed_point")
         except MarketDynError:
             pass
-    return traj, metrics
+    return metrics
 
 
 def _bass_competition_equilibrium(model):
@@ -567,14 +553,13 @@ def _parse_spontaneous(r):
     return None if m is None or churn is None else (m, churn)
 
 
-def _run_spontaneous(model, grid):
+def _spontaneous_metrics(model, traj):
     m, churn = model
-    traj = competition.spontaneous_path(m, churn, grid)
     metrics = _shares(competition.spontaneous_equilibrium(churn), "_equilibrium")
     if churn.n == 2 and churn.a[0][1] == 0.0:
         metrics.append(("T_m_supplier2",
                         competition.two_supplier_peak_time(m[0], m[1], churn.a[1][0])))
-    return traj, metrics
+    return metrics
 
 
 def _parse_periodic(r):
@@ -590,12 +575,6 @@ def _parse_periodic(r):
     return spec, r.number("u1_0", minimum=0.0)
 
 
-def _run_periodic(model, grid):
-    spec, u1_0 = model
-    return (competition.periodic_two_supplier_path(spec, u1_0, grid),
-            [("mean_share_u1", _mean_share_u1(spec))])
-
-
 def _periodic_equilibrium(model):
     mean = _mean_share_u1(model[0])
     return [("u1_mean", mean), ("u2_mean", 1.0 - mean)]
@@ -604,17 +583,9 @@ def _periodic_equilibrium(model):
 def _parse_stimulated(r):
     spec = _parse_stimulated_spec(r)
     u0 = r.number_list("u0") if r.has("u0") else None
-    return None if spec is None else (spec, u0)
-
-
-def _run_stimulated(model, grid):
-    spec, u0 = model
-    n = spec.n
-    u0 = u0 if u0 is not None else tuple(1.0 / n for _ in range(n))
-    market = competition.BassCompetition(
-        m=tuple(0.0 for _ in range(n)), r=tuple(1.0 for _ in range(n)), u0=u0)
-    traj = competition.competitive_path_numeric(market, spec, grid)
-    return traj, _stimulated_equilibrium(spec, u0, "_fixed_point")
+    if spec is None:
+        return None
+    return spec, (1.0 / spec.n,) * spec.n if u0 is None else u0  # absent: uniform
 
 
 def _parse_bpq(r):
@@ -641,11 +612,10 @@ def _rate(r, key):
     return monopoly.ConstantRate(r.doc[key]["a"])
 
 
-def _run_bpq(case, grid):
-    traj = games.bpq_path(case, grid)
-    peak = games.peak_metrics(case, grid, traj)
-    return traj, ([("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
-                  + games.case_entry(case).rows(case))
+def _bpq_metrics(case, traj):
+    peak = games.peak_metrics(case, traj.times, traj)
+    return ([("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
+            + games.case_entry(case).rows(case))
 
 
 def _parse_complementary(r):
@@ -656,38 +626,62 @@ def _parse_complementary(r):
         N_c=r.number("N_c", required=False, default=None))
 
 
-def _run_complementary(spec, grid):
-    traj = games.complementary_path(spec, grid)
+def _complementary_metrics(spec, traj):
     _, t_m, p_m = argmax_channel(traj, "P")
     _, t_c, p_c = argmax_channel(traj, "P_c")
-    return traj, [("T_m", t_m), ("P_m", p_m), ("T_m_companion", t_c), ("P_m_companion", p_c)]
+    return [("T_m", t_m), ("P_m", p_m), ("T_m_companion", t_c), ("P_m_companion", p_c)]
 
 
 class _Kind(NamedTuple):
     parse: Callable        # reader -> model, or None with the issues recorded
-    run: Callable          # (model, grid) -> (trajectory, metrics)
+    path: Callable         # (model, grid) -> trajectory; all that `simulate` runs
+    metrics: Callable      # (model, trajectory) -> [(metric, value)] on traj.times
     equilibrium: Callable | None = None   # model -> [(quantity, value)]; None: no analysis
     notes: Callable | None = None         # model -> ledger notes shown with the metrics
 
 
+# Entries look library functions up through their module at call time, so a
+# wrapper set on a module sees each call and the model modules load on first use.
 _KINDS = {
-    "simple": _Kind(_parse_simple, _run_simple),
-    "scheduled": _Kind(_parse_scheduled, _run_scheduled),
-    "segmented": _Kind(_parse_segmented, _run_segmented),
-    "hesitation": _Kind(_parse_hesitation, _run_hesitation),
-    "birth_death": _Kind(_parse_birth_death, _run_birth_death),
-    "feedback": _Kind(_parse_feedback, _run_feedback, _feedback_equilibrium,
+    "simple": _Kind(_parse_simple, lambda m, grid: monopoly.simple_path(m, grid),
+                    _simple_metrics),
+    "scheduled": _Kind(_parse_scheduled,
+                       lambda m, grid: monopoly.scheduled_path(m[0], m[1], grid, N=m[2]),
+                       _scheduled_metrics),
+    "segmented": _Kind(_parse_segmented, lambda m, grid: monopoly.segmented_path(*m, grid),
+                       lambda m, traj: _reach(traj)),
+    "hesitation": _Kind(_parse_hesitation,
+                        lambda m, grid: monopoly.hesitation_path(m[0], grid, N=m[1]),
+                        _hesitation_metrics),
+    "birth_death": _Kind(_parse_birth_death,
+                         lambda m, grid: monopoly.birth_death_path(m[0], grid, N=m[1]),
+                         _birth_death_metrics),
+    "feedback": _Kind(_parse_feedback, lambda m, grid: feedback.feedback_path(m, grid),
+                      _feedback_metrics, _feedback_equilibrium,
                       lambda model: feedback.discrepancy_notes(model.kernel)),
-    "innovators_only": _Kind(_parse_innovators, _run_innovators),
-    "bass_competition": _Kind(_parse_bass_competition, _run_bass_competition,
-                              _bass_competition_equilibrium),
-    "spontaneous_churn": _Kind(_parse_spontaneous, _run_spontaneous,
-                               lambda model: _spontaneous_equilibrium(model[1])),
-    "periodic_churn": _Kind(_parse_periodic, _run_periodic, _periodic_equilibrium),
-    "stimulated_churn": _Kind(_parse_stimulated, _run_stimulated,
-                              lambda model: _stimulated_equilibrium(*model)),
-    "bpq": _Kind(_parse_bpq, _run_bpq),
-    "complementary": _Kind(_parse_complementary, _run_complementary),
+    "innovators_only": _Kind(
+        _parse_innovators, lambda m, grid: competition.innovators_only_path(m, grid),
+        lambda m, traj: _shares([mi / math.fsum(m) for mi in m], "_asymptote")),
+    "bass_competition": _Kind(
+        _parse_bass_competition,
+        lambda m, grid: competition.competitive_path_numeric(*m, grid),
+        _bass_competition_metrics, _bass_competition_equilibrium),
+    "spontaneous_churn": _Kind(
+        _parse_spontaneous, lambda m, grid: competition.spontaneous_path(*m, grid),
+        _spontaneous_metrics, lambda model: _spontaneous_equilibrium(model[1])),
+    "periodic_churn": _Kind(
+        _parse_periodic, lambda m, grid: competition.periodic_two_supplier_path(*m, grid),
+        lambda m, traj: [("mean_share_u1", _mean_share_u1(m[0]))], _periodic_equilibrium),
+    "stimulated_churn": _Kind(  # a developed market: no innovation, unit imitation
+        _parse_stimulated,
+        lambda m, grid: competition.competitive_path_numeric(competition.BassCompetition(
+            m=(0.0,) * m[0].n, r=(1.0,) * m[0].n, u0=m[1]), m[0], grid),
+        lambda m, traj: _stimulated_equilibrium(*m, "_fixed_point"),
+        lambda model: _stimulated_equilibrium(*model)),
+    "bpq": _Kind(_parse_bpq, lambda m, grid: games.bpq_path(m, grid), _bpq_metrics),
+    "complementary": _Kind(_parse_complementary,
+                           lambda m, grid: games.complementary_path(m, grid),
+                           _complementary_metrics),
 }
 
 MODEL_KINDS = tuple(_KINDS)
@@ -767,17 +761,22 @@ def scenario_to_text(s: Scenario) -> str:
 # Running
 # ---------------------------------------------------------------------------
 
-def run_scenario(s: Scenario) -> RunReport:
-    """Execute a scenario: trajectory plus model-appropriate metrics."""
-    kind = _KINDS[s.kind]
+def simulate_scenario(s: Scenario) -> Trajectory:
+    """The scenario's trajectory on its sample grid; no metric is computed."""
     grid = time_grid(0.0, s.horizon, s.samples)
     if not all(map(operator.lt, grid, grid[1:])):  # the step underflows
         raise ScenarioValidationError([ValidationIssue(
             "invariant", "$.horizon", f"a horizon long enough for {s.samples} distinct "
             "sample times", repr(s.horizon))])
-    traj, metrics = kind.run(s.model, grid)
+    return _KINDS[s.kind].path(s.model, grid)
+
+
+def run_scenario(s: Scenario) -> RunReport:
+    """Execute a scenario: trajectory plus model-appropriate metrics."""
+    kind = _KINDS[s.kind]
+    traj = simulate_scenario(s)
     notes = kind.notes(s.model) if kind.notes else ()
-    return RunReport(scenario=s, trajectory=traj, metrics=tuple(metrics),
+    return RunReport(scenario=s, trajectory=traj, metrics=tuple(kind.metrics(s.model, traj)),
                      discrepancies=notes + traj.notes)
 
 

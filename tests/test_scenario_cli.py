@@ -455,12 +455,17 @@ def test_cli_near_confluent_absorbing_hesitation_keeps_its_digits(tmp_path, caps
 @pytest.mark.parametrize("command", ["simulate", "metrics"])
 def test_cli_case1_without_inflow_is_a_validation_error(command, tmp_path, capsys):
     # With a = c = 0 the path divided C by a + c = 0 and ended in a
-    # ZeroDivisionError traceback (exit 1).
+    # ZeroDivisionError traceback (exit 1). Nobody ever buys, so the path is
+    # exact and `simulate` prints it; only the peak metrics need a, b > 0.
     doc = {"model": {"kind": "bpq", "case": "case1", "N": 1000, "a": 0, "b": 0.5},
            "horizon": 20, "samples": 3}
-    code, _, err = cli_output(command, doc, tmp_path, capsys)
-    assert code == cli.EXIT_VALIDATION
-    assert "needs a, b > 0" in err
+    code, rows, err = cli_output(command, doc, tmp_path, capsys)
+    if command == "simulate":
+        assert code == cli.EXIT_OK
+        assert rows[1:] == [[t, "1000", "0", "0", "0", "0"] for t in ("0", "10", "20")]
+    else:
+        assert code == cli.EXIT_VALIDATION
+        assert "needs a, b > 0" in err
 
 
 @pytest.mark.parametrize("model,first_row", [

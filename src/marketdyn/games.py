@@ -24,6 +24,7 @@ solved by treating the driver's player count as a time-dependent rate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
@@ -280,8 +281,11 @@ def ode_field(case: BpqCase) -> VectorField:
     return VectorField(3, rhs)
 
 
-def _package(grid, B, P, Q, D, C) -> Trajectory:
-    return from_channels(grid, {"B": B, "P": P, "Q": Q, "D": D, "C": C})
+def _package(grid, B, P, Q, D, C, **companion) -> Trajectory:
+    """The trajectory; DomainError where a value left the range of a double."""
+    if not all(map(math.isfinite, itertools.chain(B, P, Q, D, C))):
+        raise DomainError("the demand or a compartment exceeds the range of a double")
+    return from_channels(grid, {"B": B, "P": P, "Q": Q, **companion, "D": D, "C": C})
 
 
 def _integrated_case_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
@@ -365,8 +369,9 @@ def _case1_a_linear(a0: float, a1: float, b: float, c: float, N: float,
 
     for t in grid:
         Bt = N * math.exp(-(a0 * t + 0.5 * a1 * t * t + c * t))
-        bracket = (pref * (numerics.erf(K + q * t) - numerics.erf(K))
-                   + math.exp(-K * K) - math.exp(-(K + q * t) ** 2))
+        w = K + q * t  # w * w may overflow to inf, where ** raises
+        bracket = (pref * (numerics.erf(w) - numerics.erf(K))
+                   + math.exp(-K * K) - math.exp(-w * w))
         Pt = N * math.exp(-b * t) * ek2 * bracket
         if c == 0.0:
             Ct = N - Bt
@@ -710,29 +715,44 @@ def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
 
     def source(u: float) -> float:
         e = math.exp(-a * u)
-        return a * B0 * e / remaining(u, e) ** 2
+        r = remaining(u, e)
+        return a * B0 * e / r / r  # r * r may underflow to 0
 
-    def rise(t: float, b_t: float, y: float) -> float:
-        """psi(t + y) - psi(t) for y <= 0, b_t = B(t); no cancellation of gamma N t."""
+    def rise(t: float, r_t: float, b_t: float, y: float) -> float:
+        """psi(t + y) - psi(t) for y <= 0, from R(t) = r_t and B(t) = b_t.
+
+        It is gamma y times the mean of R over [t + y, t], which is
+        R(t) - B(t) (e^x - 1 - x) / x with x = -a y: no term of size N
+        cancels, and a product beyond the range of a double is -inf.
+        """
         x = -a * y
-        drop = b_t * math.expm1(x) if x <= 1.0 else B0 * math.exp(-a * (t + y)) - b_t
-        return gamma * (N * y + drop / a)
+        if x > 0.5:
+            lost = (B0 * math.exp(-a * (t + y)) - b_t) / x - b_t
+        else:  # (e^x - 1 - x) / x summed as x^(k-1) / k! over k >= 2
+            lost, term, k = 0.0, 0.5 * x, 2
+            while lost + term != lost:
+                lost += term
+                k += 1
+                term *= x / k
+            lost *= b_t
+        return gamma * y * (r_t - lost)
 
-    z = P0 / (Q0 * (P0 + Q0))
+    z = P0 / Q0 / (P0 + Q0)  # Q0 (P0 + Q0) may underflow to 0
     B, P, Q, D, C = [], [], [], [], []
     prev_t = None
     for t in grid:
         e = math.exp(-a * t)
         Bt, Rt = B0 * e, remaining(t, e)
         if prev_t is not None:
-            z = numerics.shifted_integral_step(z, source, lambda y: rise(t, Bt, y), prev_t, t)
+            z = numerics.shifted_integral_step(z, source, lambda y: rise(t, Rt, Bt, y),
+                                               prev_t, t)
         Rz = Rt * z
         prev_t = t
         B.append(Bt)
-        P.append(Rt * Rz / (1.0 + Rz))
+        P.append(Rt * (Rz / (1.0 + Rz)))  # Rt * Rz may overflow
         Q.append(Rt / (1.0 + Rz))
         D.append(a * Bt)
-        C.append(B0 - Bt)
+        C.append(-B0 * math.expm1(-a * t))
     return _package(grid, B, P, Q, D, C)
 
 
@@ -955,7 +975,7 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
 
     B, P, Q, D, C = [], [], [], [], []
     Bc, Pc, Qc = [], [], []
-    k_acc = 0.0
+    bk_acc = 0.0  # b times the integral: the quadrature then runs on values near 1
     prev_t = None
     for t in grid:
         s = t + spec.tau
@@ -973,19 +993,17 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
             prev_t = None
             continue
         lo = prev_t if prev_t is not None else t_live
-        k_acc = numerics.shifted_integral_step(
-            k_acc, lambda u: math.exp(-delta_a(u)), lambda y: b * y, lo, t)
+        bk_acc = numerics.shifted_integral_step(
+            bk_acc, lambda u: b * math.exp(-delta_a(u)), lambda y: b * y, lo, t)
         bt = n * math.exp(-delta_a(t))
-        pt = n * (math.exp(-b * (t - t_live)) - math.exp(-delta_a(t))) + n * b * k_acc
+        pt = n * (math.exp(-b * (t - t_live)) - math.exp(-delta_a(t))) + n * bk_acc
         prev_t = t
         B.append(bt)
         P.append(pt)
         Q.append(n - bt - pt)
         D.append(spec.g * pc * bt)
         C.append(n - bt)
-    return from_channels(grid, {"B": B, "P": P, "Q": Q,
-                                "B_c": Bc, "P_c": Pc, "Q_c": Qc,
-                                "D": D, "C": C})
+    return _package(grid, B, P, Q, D, C, B_c=Bc, P_c=Pc, Q_c=Qc)
 
 
 def complementary_field(spec: ComplementarySpec) -> VectorField:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from marketdyn import cli, competition, games, scenario, tables
 from marketdyn.errors import (
     CalibrationInfeasibleError,
+    DomainError,
     ScenarioValidationError,
 )
 from marketdyn.trajectory import Trajectory, time_grid
@@ -711,6 +712,114 @@ def test_cli_long_sample_steps_reach_the_limit_state(model, horizon, samples, li
     last = rows[-1]
     for channel, value in zip("BPQ", limit):
         assert last[channel] == pytest.approx(value, abs=1e-9 * n)
+
+
+# Where a value truly leaves the range of a double, the game exits 3 as bpq
+# case 2 does; each of these printed D = inf at t = 0 with exit 0.
+@pytest.mark.parametrize("model", [
+    {"kind": "bpq", "case": "case1", "N": 1000.0, "a": 1.7e308, "b": 0.3, "c": 0.1},
+    dict(COMPLEMENTARY, N=1e300),
+], ids=["case1_a_1.7e308", "complementary_N_1e300"])
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_game_with_an_overflowing_demand_exits_3(model, command, tmp_path, capsys):
+    doc = {"model": model, "horizon": 20.0, "samples": 3}
+    code, _, err = cli_output(command, doc, tmp_path, capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert err == "error [numeric] the demand or a compartment exceeds the range of a double\n"
+
+
+def test_cli_complementary_with_a_huge_quit_rate(tmp_path, capsys):
+    # n b k overflowed before b met the integral k of about 3.7e-309, and
+    # P = inf, Q = -inf were printed. Players now quit as they buy.
+    doc = {"model": dict(COMPLEMENTARY, b=1.7e308), "horizon": 20.0, "samples": 3}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    for row in rows[1:]:
+        values = dict(zip(rows[0], map(float, row)))
+        assert abs(values["P"]) <= 1e-12 * COMPLEMENTARY["N"]
+        assert values["Q"] == pytest.approx(values["C"], abs=1e-12 * COMPLEMENTARY["N"])
+
+
+# Each raised a traceback from `simulate`: a division by the product
+# Q0 (P0 + Q0), which underflows to 0; a rise of the integrating factor that
+# cancelled N y against B y with N = 1.7e308; and (K + q t) ** 2 at t = 1e300.
+@pytest.mark.parametrize("model,horizon,code", [
+    (dict(CASE5_LONG, N=1000.0, Q0=5e-324), 20.0, cli.EXIT_NUMERIC),
+    (dict(CASE5_LONG, N=1.7e308, a=1e-300), 20.0, cli.EXIT_OK),
+    ({"kind": "bpq", "case": "case1", "N": 1000.0, "b": 0.3,
+      "a": {"kind": "linear", "a0": 0.1, "a1": 0.01}}, 1e300, cli.EXIT_OK),
+], ids=["case5_Q0_subnormal", "case5_N_1.7e308", "case1_linear_horizon_1e300"])
+def test_cli_game_at_the_ends_of_the_double_range(model, horizon, code, tmp_path, capsys):
+    doc = {"model": model, "horizon": horizon, "samples": 5}
+    got, rows, err = cli_output("simulate", doc, tmp_path, capsys)
+    assert got == code
+    if code == cli.EXIT_NUMERIC:
+        assert err.startswith("error [numeric]")
+    else:
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+    got, _, err = cli_output("metrics", doc, tmp_path, capsys)
+    assert got in (cli.EXIT_OK, cli.EXIT_NUMERIC) and "Traceback" not in err
+
+
+def test_cli_case5_in_a_market_of_1e308_keeps_its_sales(tmp_path, capsys):
+    # Inflow a B = 1.7e8 against quits gamma P Q; scipy's Radau gives P(5) =
+    # 50.0000054 and Q(5) = 8.4999996e8. Sales are B0 (1 - e^-at), which
+    # B0 - B(t) rounded to 0.
+    doc = {"model": dict(CASE5_LONG, N=1.7e308, a=1e-300), "horizon": 20.0, "samples": 5}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    values = dict(zip(rows[0], map(float, rows[2])))
+    assert values["t"] == 5.0
+    assert values["P"] == pytest.approx(50.0000054, rel=1e-7)
+    assert values["Q"] == pytest.approx(8.4999996e8, rel=1e-7)
+    assert values["C"] == pytest.approx(8.5e8, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# simulate computes the path alone
+# ---------------------------------------------------------------------------
+
+SCENARIO_DOCS = {path.stem: json.loads(path.read_text()) for path in sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))}
+SCENARIO_DOCS = {name: doc for name, doc in SCENARIO_DOCS.items() if "horizon" in doc}
+
+
+@pytest.mark.parametrize("doc", ROUND_TRIP_DOCS + list(SCENARIO_DOCS.values()),
+                         ids=ROUND_TRIP_IDS + list(SCENARIO_DOCS))
+def test_simulate_prints_the_trajectory_that_run_scenario_computes(doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
+    s = scenario.parse_scenario(doc)
+    expected = scenario.render_csv(scenario.run_scenario(s).trajectory, s.outputs)
+    assert capsys.readouterr().out == expected
+    assert scenario.render_csv(scenario.simulate_scenario(s), s.outputs) == expected
+
+
+def test_simulate_computes_no_metric(tmp_path, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise DomainError("a metric was computed")
+
+    monkeypatch.setattr(games, "peak_metrics", computed)
+    monkeypatch.setattr(competition, "stimulated_fixed_point", computed)
+    for doc in (MORE_ROUND_TRIPS["bpq_case3"],
+                ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index("stimulated_churn")]):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
+        assert cli.main(["metrics", str(path)]) == cli.EXIT_NUMERIC
+        assert "a metric was computed" in capsys.readouterr().err
+
+
+def test_cli_simulate_prints_a_path_whose_peak_cannot_be_refined(tmp_path, capsys):
+    # The peak refinement integrates the case 1 field, which is stiff at
+    # a = 1e12, and fails; the path's own route is right. `simulate` exited 3
+    # with "problem became stiff" while it computed the unprinted peak.
+    doc = {"model": {"kind": "bpq", "case": "case1", "N": 1000, "a": 1e12,
+                     "b": {"kind": "exp_decay", "a0": 1.0, "beta": 0.3}}, "horizon": 20}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert rows[2][:3] == ["0.02002002", "0", "980.237862"]
 
 
 # ---------------------------------------------------------------------------

@@ -728,6 +728,8 @@ def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
         x = -a * y
         if x > 0.5:
             lost = (B0 * math.exp(-a * (t + y)) - b_t) / x - b_t
+        elif x > 0.0 and b_t <= 128.0 * r_t:  # rounding of b_t cancels 7 bits at most
+            lost = b_t * (math.expm1(x) - x) / x
         else:  # (e^x - 1 - x) / x summed as x^(k-1) / k! over k >= 2
             lost, term, k = 0.0, 0.5 * x, 2
             while lost + term != lost:

@@ -287,6 +287,16 @@ def _phi_trend(kern: FeedbackKernel, u: float, u0: float) -> float:
             + u / (1.0 - u) - u0 / (1.0 - u0))
 
 
+def _log_odds_gap(u: float, u0: float) -> float:
+    """log(u (1 - u0) / (u0 (1 - u))), the rise in log-odds from u0 to u; the
+    logs of its factors where a tiny u0 takes the quotient out of range."""
+    den = u0 * (1.0 - u)
+    ratio = u * (1.0 - u0) / den if den > 0.0 else math.inf
+    if ratio < math.inf:
+        return math.log(ratio)
+    return math.log(u) - math.log(u0) + math.log1p(-u0) - math.log1p(-u)
+
+
 def _phi_sqrt(kern: FeedbackKernel, u: float, u0: float) -> float:
     ru, r0 = math.sqrt(u), math.sqrt(u0)
     return math.log((1.0 - r0) * (1.0 + ru) / ((1.0 + r0) * (1.0 - ru)))
@@ -349,7 +359,7 @@ _KERNELS = {
         check=(lambda k: k.ratio is not None and k.ratio > 0, "bass kernel needs ratio > 0")),
     "linear": _Kernel(
         F=lambda k, u: u,
-        phi=lambda k, u, u0: math.log(u * (1.0 - u0) / (u0 * (1.0 - u))),
+        phi=lambda k, u, u0: _log_odds_gap(u, u0),
         u_of_t=lambda k, u0, rate, t: u0 / (u0 + (1.0 - u0) * math.exp(-rate * t)),
         inflection=lambda k: 0.5,
         zero=lambda k: "root"),
@@ -362,8 +372,7 @@ _KERNELS = {
         zero=lambda k: "not_equilibrium"),
     "quadratic": _Kernel(
         F=lambda k, u: u * u,
-        phi=lambda k, u, u0: (math.log(u * (1.0 - u0) / (u0 * (1.0 - u)))
-                              + 1.0 / u0 - 1.0 / u),
+        phi=lambda k, u, u0: _log_odds_gap(u, u0) + (u - u0) / u / u0,  # 1/u0 - 1/u
         inflection=lambda k: 2.0 / 3.0,
         zero=lambda k: "root",
         notes=("quadratic kernel: the reference table lists T10/T50 = 0.88 at "
@@ -414,7 +423,10 @@ def t_of_u(m: FeedbackModel, u: float) -> float:
     limit = m.kernel.limit
     if u > limit:
         raise DomainError(f"share never exceeds the cutoff u1 = {limit}")
-    return _phi(m.kernel, u, m.u0) / m.rate
+    t = _phi(m.kernel, u, m.u0) / m.rate
+    if not t < math.inf:
+        raise DomainError(f"the time to reach share {u!r} exceeds the range of a double")
+    return t
 
 
 def u_of_t(m: FeedbackModel, t: float) -> float:
@@ -555,7 +567,7 @@ def latency_metrics(m: FeedbackModel) -> MarketMetrics:
     if m.u0 >= 0.5:
         raise ParameterError("latency metrics need u0 < 0.5")
     t50 = t_of_u(m, 0.5)
-    t60 = t_of_u(m, 0.6) if m.kernel.limit >= 0.6 else math.nan
+    t60_minus_t50 = _phi(m.kernel, 0.6, 0.5) / m.rate if m.kernel.limit >= 0.6 else math.nan
     if m.u0 >= 0.1:
         t10, reached = 0.0, True
     else:
@@ -563,7 +575,7 @@ def latency_metrics(m: FeedbackModel) -> MarketMetrics:
     infl = inflection(m)
     catalog = _KERNELS[m.kernel.kind].catalog_ratio
     return MarketMetrics(
-        t50=t50, t10=t10, t60_minus_t50=t60 - t50,
+        t50=t50, t10=t10, t60_minus_t50=t60_minus_t50,
         u_infl=infl.u if infl else None,
         t_infl=infl.t if infl else None,
         gradient_at_infl=infl.gradient if infl else None,

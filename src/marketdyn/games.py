@@ -1,29 +1,31 @@
 """Lifecycle models for games and services with limited popularity.
 
 Three compartments evolve under conservation B + P + Q = N: potential
-buyers B, active players P, and quitters Q. The inflow intensity
-a(t, P) may be externally driven or player-stimulated, the quit
-intensity b(t, Q) constant or quitter-stimulated, and an optional
-never-buy intensity c(t) drains B directly (only meaningful when the
-inflow does not depend on P).
+buyers B, active players P, and quitters Q. The inflow intensity a(t, P)
+may be externally driven or player-stimulated, the quit intensity b(t, Q)
+constant or quitter-stimulated, and an optional never-buy intensity c(t)
+drains B directly (only meaningful when the inflow does not depend on P).
 
 Six parameter shapes are covered, each declared once in ``CASES``: its
 parameter record and the document fields they are read from, its
-intensities, the route of its path, its closed-form peak where it has one,
-and the metric rows it adds. Case 1 (externally driven) has closed forms
-for constant rates and, through the error function, for a linearly growing
-inflow; any other rate schedules go through one integrating-factor
-integral. Case 2 is the classic epidemic three-compartment model and case
-4 its variant with quitter-stimulated exits; both have an exact B(Q), so a
-path inverts the time integral t(Q) by warm-started Newton iteration, and
-their peak times come from the same integral. Case 5 reduces to a linear
+intensities, the one route of its path, its closed-form peak where it has
+one, and the metric rows it adds. Case 1 (externally driven) has closed
+forms for constant rates and, through the error function, for a linearly
+growing inflow; any other rate schedules go through one integrating-factor
+integral. Both case 1 routes take a step's sales from the drop in B, less a
+quadrature of the smaller drain. Case 2 is the classic epidemic model and
+case 4 its variant with quitter-stimulated exits; both have an exact B(Q),
+so a path inverts the time integral t(Q) by warm-started Newton iteration,
+and their peak times come from the same integral. Case 5 reduces to a linear
 equation via the Riccati substitution; cases 3 and 6 integrate directly. A
-complementary-game coupling (sales of one title driving another) is
-solved by treating the driver's player count as a time-dependent rate.
+route starts from any grid row, so a peak without a closed form is refined
+on the route that printed the path. A complementary-game coupling (sales of
+one title driving another) treats the driver's player count as a rate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,8 +65,20 @@ class BpqState:
         return self.B + self.P + self.Q
 
 
+class _Seeded:
+    """Initial state: the seeds P0 and Q0 a case declares; the rest of N may buy."""
+
+    @property
+    def B0(self) -> float:
+        return self.N - getattr(self, "P0", 0.0) - getattr(self, "Q0", 0.0)
+
+    @property
+    def initial(self) -> BpqState:
+        return BpqState(self.B0, getattr(self, "P0", 0.0), getattr(self, "Q0", 0.0))
+
+
 @dataclass(frozen=True)
-class Case1:
+class Case1(_Seeded):
     """Externally driven inflow and quit intensities a(t), b(t), c(t)."""
 
     a: RateSchedule
@@ -73,19 +87,14 @@ class Case1:
     N: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_schedule(self.a))
-        object.__setattr__(self, "b", _as_schedule(self.b))
-        object.__setattr__(self, "c", _as_schedule(self.c))
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _as_schedule(getattr(self, name)))
         if not self.N > 0:
             raise ParameterError("population N must be positive")
 
-    @property
-    def initial(self) -> BpqState:
-        return BpqState(self.N, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
-class Case2:
+class Case2(_Seeded):
     """Player-stimulated inflow beta*P against a constant quit rate b.
 
     Identical to the susceptible/infected/recovered epidemic system
@@ -108,17 +117,9 @@ class Case2:
         if self.Q0 < 0 or self.P0 + self.Q0 > self.N:
             raise ParameterError("seed populations exceed N")
 
-    @property
-    def B0(self) -> float:
-        return self.N - self.P0 - self.Q0
-
-    @property
-    def initial(self) -> BpqState:
-        return BpqState(self.B0, self.P0, self.Q0)
-
 
 @dataclass(frozen=True)
-class Case3:
+class Case3(_Seeded):
     """Mixed inflow a + beta*P against a constant quit rate b."""
 
     a: float
@@ -132,13 +133,9 @@ class Case3:
         if self.beta < 0 or self.b < 0:
             raise ParameterError("beta and b must be nonnegative")
 
-    @property
-    def initial(self) -> BpqState:
-        return BpqState(self.N, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
-class Case4:
+class Case4(_Seeded):
     """Player-stimulated inflow beta*P and quitter-stimulated exits gamma*Q."""
 
     beta: float
@@ -159,17 +156,9 @@ class Case4:
         if self.P0 + self.Q0 > self.N:
             raise ParameterError("seed populations exceed N")
 
-    @property
-    def B0(self) -> float:
-        return self.N - self.P0 - self.Q0
-
-    @property
-    def initial(self) -> BpqState:
-        return BpqState(self.B0, self.P0, self.Q0)
-
 
 @dataclass(frozen=True)
-class Case5:
+class Case5(_Seeded):
     """Constant inflow a with quitter-stimulated exits gamma*Q."""
 
     a: float
@@ -188,17 +177,9 @@ class Case5:
         if self.P0 < 0 or self.P0 + self.Q0 > self.N:
             raise ParameterError("seed populations exceed N")
 
-    @property
-    def B0(self) -> float:
-        return self.N - self.P0 - self.Q0
-
-    @property
-    def initial(self) -> BpqState:
-        return BpqState(self.B0, self.P0, self.Q0)
-
 
 @dataclass(frozen=True)
-class Case6:
+class Case6(_Seeded):
     """Constant inflow a with mixed exits b + gamma*Q."""
 
     a: float
@@ -209,10 +190,6 @@ class Case6:
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0 and self.gamma > 0 and self.N > 0):
             raise ParameterError("a, b, gamma and N must be positive")
-
-    @property
-    def initial(self) -> BpqState:
-        return BpqState(self.N, 0.0, 0.0)
 
 
 BpqCase = Union[Case1, Case2, Case3, Case4, Case5, Case6]
@@ -258,7 +235,7 @@ class ComplementarySpec:
 
 
 # ---------------------------------------------------------------------------
-# Defining ODE systems (used directly by cases 3 and 6 and as oracles)
+# The defining system (a reference for tests) and the path routes' common parts
 # ---------------------------------------------------------------------------
 
 def intensities(case: BpqCase):
@@ -267,7 +244,7 @@ def intensities(case: BpqCase):
 
 
 def ode_field(case: BpqCase) -> VectorField:
-    """The three-compartment system for (B, P, Q)."""
+    """The three-compartment system for (B, P, Q); no route integrates it."""
     a_int, b_int, c_int = intensities(case)
 
     def rhs(t: float, s: Sequence[float]) -> list[float]:
@@ -288,43 +265,34 @@ def _package(grid, B, P, Q, D, C, **companion) -> Trajectory:
     return from_channels(grid, {"B": B, "P": P, "Q": Q, **companion, "D": D, "C": C})
 
 
-def _integrated_case_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
-    """Direct integration; the cumulative-sales channel rides along as a state."""
-    a_int, b_int, c_int = intensities(case)
+#: The row (B, P, Q, C) a path starts from at its grid's first time; None:
+#: the case's initial state, with no sales yet.
+_Start = Union[Sequence[float], None]
 
-    def rhs(t: float, s: Sequence[float]) -> list[float]:
-        a = a_int(t, s)
-        b = b_int(t, s)
-        c = c_int(t)
-        demand = a * s[0]
-        return [-(a + c) * s[0], demand - b * s[1], b * s[1] + c * s[0], demand]
 
+def _start(case: BpqCase, start: _Start) -> Sequence[float]:
     init = case.initial
-    rows = numerics.sample_ivp(VectorField(4, rhs), [init.B, init.P, init.Q, 0.0], grid)
-    B = [r[0] for r in rows]
-    P = [r[1] for r in rows]
-    Q = [init.N - b - p for b, p in zip(B, P)]
-    D = [a_int(t, r) * r[0] for t, r in zip(grid, rows)]
-    C = [r[3] for r in rows]
-    return _package(grid, B, P, Q, D, C)
+    return start or (init.B, init.P, init.Q, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Case 1: externally driven
 # ---------------------------------------------------------------------------
 
-def _case1_constants(a: float, b: float, c: float, N: float,
-                     grid: Sequence[float]) -> Trajectory:
+def _case1_constants(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
+    a, b, c = case.a.a, case.b.a, case.c.a
+    B0, P0, _, C0 = _start(case, start)
     s = a + c
     B, P, Q, D, C = [], [], [], [], []
     for t in grid:
-        Bt = N * math.exp(-s * t)
-        Pt = N * (a * numerics.decay_gap(b, s, t))
+        tau = t - grid[0]
+        Bt = B0 * math.exp(-s * tau)
+        Pt = P0 * math.exp(-b * tau) + B0 * (a * numerics.decay_gap(b, s, tau))
         B.append(Bt)
         P.append(Pt)
-        Q.append(N - Bt - Pt)
+        Q.append(case.N - Bt - Pt)
         D.append(a * Bt)
-        C.append(N * (a * numerics.decay_gap(0.0, s, t)))
+        C.append(C0 + B0 * (a * numerics.decay_gap(0.0, s, tau)))
     return _package(grid, B, P, Q, D, C)
 
 
@@ -349,86 +317,87 @@ def calibrate_case1(t_m: float, ratio: float) -> float:
     return ratio * numerics.log_gap(ratio, 1.0) / t_m
 
 
-def _case1_a_linear(a0: float, a1: float, b: float, c: float, N: float,
-                    grid: Sequence[float]) -> Trajectory:
+def _case1_sales(case: Case1, b_lo: float, lo: float, t: float) -> float:
+    """Sales int a B over [lo, t] from B(lo) = b_lo: quadrature of the smaller
+    drain, a B or c B, and the sales are that or the drop int (a + c) B less it.
+    Reflected (u -> -u), the weight B / b_lo rises toward lo, where the window of
+    ``numerics.shifted_integral_step`` holds a fast drain's spike."""
+    a_s, c_s = case.a, case.c
+    d_a, d_c = a_s.cumulative(t, lo), c_s.cumulative(t, lo)
+    drop = -b_lo * math.expm1(-(d_a + d_c))
+    by_inflow = d_a < d_c
+    small = a_s if by_inflow else c_s
+    part = 0.0 if b_lo == 0.0 or min(d_a, d_c) == 0.0 else numerics.shifted_integral_step(
+        0.0, lambda v: small.rate(-v) * b_lo,
+        lambda y: -(a_s.cumulative(lo - y, lo) + c_s.cumulative(lo - y, lo)), -t, -lo)
+    return part if by_inflow else drop - part
+
+
+def _case1_a_linear(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
     """Linearly growing inflow a(t) = a0 + a1 t with constant b, c.
 
     Completing the square in the survival integral turns P(t) into an
-    error-function expression with K = (a0 + c - b)/sqrt(2 a1).
+    error-function expression with K = (a(t0) + c - b)/sqrt(2 a1) from t0 = grid[0].
     """
+    t0 = grid[0]
+    a0, a1, b, c = case.a.rate(t0), case.a.a1, case.b.a, case.c.a
+    B0, P0, _, C0 = _start(case, start)
     q = math.sqrt(0.5 * a1)
     K = (a0 + c - b) / math.sqrt(2.0 * a1)
     pref = math.sqrt(math.pi / (2.0 * a1)) * (b - c)
     ek2 = math.exp(K * K)
-    B, P, Q, D, C = [], [], [], [], []
-    c_acc = 0.0
-    prev_t = None
-
-    def demand(t: float) -> float:
-        return (a0 + a1 * t) * N * math.exp(-((a0 + c) * t + 0.5 * a1 * t * t))
-
+    B, P, Q, D = [], [], [], []
     for t in grid:
-        Bt = N * math.exp(-(a0 * t + 0.5 * a1 * t * t + c * t))
-        w = K + q * t  # w * w may overflow to inf, where ** raises
+        tau = t - t0
+        Bt = B0 * math.exp(-(a0 * tau + 0.5 * a1 * tau * tau + c * tau))
+        w = K + q * tau  # w * w may overflow to inf, where ** raises
         bracket = (pref * (numerics.erf(w) - numerics.erf(K))
                    + math.exp(-K * K) - math.exp(-w * w))
-        Pt = N * math.exp(-b * t) * ek2 * bracket
-        if c == 0.0:
-            Ct = N - Bt
-        else:
-            if prev_t is not None:
-                c_acc += numerics.quadrature(demand, prev_t, t, tol=1e-11)
-            Ct = c_acc
-        prev_t = t
+        decay = math.exp(-b * tau)
+        Pt = P0 * decay + B0 * decay * ek2 * bracket
         B.append(Bt)
         P.append(Pt)
-        Q.append(N - Bt - Pt)
-        D.append((a0 + a1 * t) * Bt)
-        C.append(Ct)
-    return _package(grid, B, P, Q, D, C)
+        Q.append(case.N - Bt - Pt)
+        D.append((a0 + a1 * tau) * Bt)
+    C = itertools.accumulate((_case1_sales(case, b_lo, lo, t)
+                              for b_lo, lo, t in zip(B, grid, grid[1:])), initial=C0)
+    return _package(grid, B, P, Q, D, list(C))
 
 
-def _case1_general(case: Case1, grid: Sequence[float]) -> Trajectory:
+def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
     """Integrating-factor solution for arbitrary rate schedules.
 
     P(t) integrates the demand a(u) B(u) under the survival weight
     exp(-int_u^t b) <= 1. Over a step, the weight at its start multiplies
-    the step's sales (B(lo) - B(t) without never-buyers), so a demand spike
-    there needs no quadrature node; quadrature carries the weight's rise.
+    the step's sales, so a demand spike there needs no quadrature node;
+    quadrature carries the weight's rise. Each step's drains are integrals
+    over the step itself, which keep their digits late in time.
     """
     a_s, b_s, c_s = case.a, case.b, case.c
-    N = case.N
+    t0 = prev_t = grid[0]
+    B0, p_acc, _, c_acc = _start(case, start)
     B, P, Q, D, C = [], [], [], [], []
-    p_acc = 0.0
-    c_acc = 0.0
-    prev_t = None
-    c_is_zero = isinstance(c_s, ConstantRate) and c_s.a == 0.0
 
-    def drained(u: float) -> float:
-        return a_s.cumulative(u) + c_s.cumulative(u)
-
-    def demand(u: float) -> float:
-        return a_s.rate(u) * N * math.exp(-drained(u))
+    def drain(u: float, lo: float) -> float:
+        return a_s.cumulative(u, lo) + c_s.cumulative(u, lo)
 
     for t in grid:
-        if prev_t is not None:
-            if c_is_zero:
-                sold = -N * math.exp(-drained(prev_t)) * math.expm1(drained(prev_t) - drained(t))
-            else:
-                sold = numerics.quadrature(demand, prev_t, t, tol=1e-11)
-            quit_lo, quit_t = b_s.cumulative(prev_t), b_s.cumulative(t)
+        if t > t0:
+            lo, b_lo = prev_t, B[-1]
+            sold = _case1_sales(case, b_lo, lo, t)
             p_acc = numerics.shifted_integral_step(
-                p_acc + sold, lambda u: -demand(u) * math.expm1(quit_lo - b_s.cumulative(u)),
-                lambda y: b_s.cumulative(t + y) - quit_t, prev_t, t)
+                p_acc + sold,
+                lambda u: (-a_s.rate(u) * b_lo * math.exp(-drain(u, lo))
+                           * math.expm1(-b_s.cumulative(u, lo))),
+                lambda y: -b_s.cumulative(t, t + y), lo, t)
             c_acc += sold
-        Bt = N * math.exp(-drained(t))
-        Ct = (N - Bt) if c_is_zero else c_acc
+        Bt = B0 * math.exp(-drain(t, t0))
         prev_t = t
         B.append(Bt)
         P.append(p_acc)
-        Q.append(N - Bt - p_acc)
+        Q.append(case.N - Bt - p_acc)
         D.append(a_s.rate(t) * Bt)
-        C.append(Ct)
+        C.append(c_acc)
     return _package(grid, B, P, Q, D, C)
 
 
@@ -436,18 +405,18 @@ def _constant_rates(case: Case1) -> bool:
     return all(isinstance(s, ConstantRate) for s in (case.a, case.b, case.c))
 
 
-def _case1_path(case: Case1, grid: Sequence[float]) -> Trajectory:
+def _case1_path(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
     """Closed forms for constant rates (exact at any gap between b and a + c)
     and a linear inflow; the integrating-factor route for any other schedules."""
     a_s, b_s, c_s = case.a, case.b, case.c
     if _constant_rates(case):
-        return _case1_constants(a_s.a, b_s.a, c_s.a, case.N, grid)
+        return _case1_constants(case, grid, start)
     if (isinstance(a_s, LinearRate) and a_s.a1 > 0
             and isinstance(b_s, ConstantRate) and isinstance(c_s, ConstantRate)):
-        K = (a_s.a0 + c_s.a - b_s.a) / math.sqrt(2.0 * a_s.a1)
+        K = (a_s.rate(grid[0]) + c_s.a - b_s.a) / math.sqrt(2.0 * a_s.a1)
         if abs(K) <= 4.0:
-            return _case1_a_linear(a_s.a0, a_s.a1, b_s.a, c_s.a, case.N, grid)
-    return _case1_general(case, grid)
+            return _case1_a_linear(case, grid, start)
+    return _case1_general(case, grid, start)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +549,16 @@ class _QuitClock:
         return s, s, t
 
 
-def _clock_path(case: Case2 | Case4, grid: Sequence[float]) -> Trajectory:
-    """Path of case 2 or 4: each sample inverts t(Q), from the last root."""
+def _clock_path(case: Case2 | Case4, grid: Sequence[float], start: _Start = None) -> Trajectory:
+    """Path of case 2 or 4: each sample inverts t(Q), from the last root.
+    Both cases are autonomous: a start row seeds a case of its own."""
+    _, P0, Q0, C0 = _start(case, start)
+    case = dataclasses.replace(case, P0=P0, Q0=Q0)
     clock = _QuitClock(case)
     s, t = clock.s_lo, clock.t_lo
     rows = []
     for time in grid:
+        time -= grid[0]
         if time < 0:
             raise DomainError("time must be nonnegative")
         if time >= clock.t_lo:
@@ -597,7 +570,7 @@ def _clock_path(case: Case2 | Case4, grid: Sequence[float]) -> Trajectory:
         demand = case.beta * p * b
         if not math.isfinite(demand):
             raise DomainError(_OUT_OF_RANGE)
-        rows.append((b, p, q, demand, c))
+        rows.append((b, p, q, demand, C0 + c))
     return _package(grid, *zip(*rows))
 
 
@@ -659,9 +632,7 @@ def sir_time_of(case: Case2, q_target: float) -> float:
 def sir_peak_time(case: Case2) -> float:
     """Peak time recovered through Q(T_m) = Q0 + (b/beta) ln(beta B0 / b)."""
     rel = sir_relations(case)
-    if not rel.has_interior_peak:
-        return 0.0
-    return sir_time_of(case, rel.Q_Tm)
+    return sir_time_of(case, rel.Q_Tm) if rel.has_interior_peak else 0.0
 
 
 def _sir_peak(case: Case2) -> PeakMetrics:
@@ -697,17 +668,18 @@ def case4_peak(case: Case4) -> PeakMetrics:
 # Case 5: Riccati transform
 # ---------------------------------------------------------------------------
 
-def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
+def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Trajectory:
     """P and Q through z = 1/Q - 1/R, where R = P + Q = N - B0 e^{-a t}.
 
     The Riccati substitution w = 1/Q, less its part 1/R, leaves the linear
     z' = -gamma R z + a B / R^2 with z(0) = P0 / (Q0 R0). Then
     Q = R / (1 + R z), and P = R^2 z / (1 + R z) keeps its digits as it
     falls, where N - B - Q would cancel. The integrating factor has the
-    increasing exponent psi(u) = gamma N u + (gamma B0 / a) e^{-a u}.
+    increasing exponent psi(u) = gamma N u + (gamma B0 / a) e^{-a u}, in
+    time from grid[0], where the start row gives B0, P0, Q0 and the sales C0.
     """
     a, gamma, N = case.a, case.gamma, case.N
-    B0, P0, Q0 = case.B0, case.P0, case.Q0
+    B0, P0, Q0, C0 = _start(case, start)
 
     def remaining(u: float, e: float) -> float:
         """R(u) from e = e^{-a u}: N - B once B <= N / 2, else R0 + B0 (1 - e)."""
@@ -742,7 +714,7 @@ def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
     z = P0 / Q0 / (P0 + Q0)  # Q0 (P0 + Q0) may underflow to 0
     B, P, Q, D, C = [], [], [], [], []
     prev_t = None
-    for t in grid:
+    for t in (time - grid[0] for time in grid):
         e = math.exp(-a * t)
         Bt, Rt = B0 * e, remaining(t, e)
         if prev_t is not None:
@@ -754,7 +726,7 @@ def _case5_path(case: Case5, grid: Sequence[float]) -> Trajectory:
         P.append(Rt * (Rz / (1.0 + Rz)))  # Rt * Rz may overflow
         Q.append(Rt / (1.0 + Rz))
         D.append(a * Bt)
-        C.append(-B0 * math.expm1(-a * t))
+        C.append(C0 - B0 * math.expm1(-a * t))
     return _package(grid, B, P, Q, D, C)
 
 
@@ -769,28 +741,50 @@ def case5_peak_value(case: Case5, t_m: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Case 6 and case 3: direct integration
+# Cases 3 and 6: direct integration
 # ---------------------------------------------------------------------------
 
-def _case6_path(case: Case6, grid: Sequence[float]) -> Trajectory:
-    """Single Riccati equation for P with B = N e^{-a t} known.
+def _case3_path(case: Case3, grid: Sequence[float], start: _Start = None) -> Trajectory:
+    """Direct integration; the cumulative-sales channel C rides along as a state."""
+    a_int, b_int, c_int = intensities(case)
 
-    P' = gamma P^2 - (b + gamma N - gamma N e^{-a t}) P + a N e^{-a t};
-    no simple particular solution exists, so this one is integrated.
+    def rhs(t: float, s: Sequence[float]) -> list[float]:
+        a = a_int(t, s)
+        b = b_int(t, s)
+        c = c_int(t)
+        demand = a * s[0]
+        return [-(a + c) * s[0], demand - b * s[1], b * s[1] + c * s[0], demand]
+
+    rows = numerics.sample_ivp(VectorField(4, rhs), list(_start(case, start)), grid)
+    B = [r[0] for r in rows]
+    P = [r[1] for r in rows]
+    Q = [case.N - b - p for b, p in zip(B, P)]
+    D = [a_int(t, r) * r[0] for t, r in zip(grid, rows)]
+    C = [r[3] for r in rows]
+    return _package(grid, B, P, Q, D, C)
+
+
+def _case6_path(case: Case6, grid: Sequence[float], start: _Start = None) -> Trajectory:
+    """Single Riccati equation for P with B = B0 e^{-a (t - t0)} known.
+
+    P' = gamma P^2 - (b + gamma N - gamma B) P + a B; no simple particular
+    solution exists, so this one is integrated from the start row at t0.
     """
     a, b, gamma, N = case.a, case.b, case.gamma, case.N
+    B0, P0, _, C0 = _start(case, start)
+    t0 = grid[0]
 
     def rhs(t: float, y: Sequence[float]) -> list[float]:
         p = y[0]
-        bt = N * math.exp(-a * t)
+        bt = B0 * math.exp(-a * (t - t0))
         return [gamma * p * p - (b + gamma * N - gamma * bt) * p + a * bt]
 
-    rows = numerics.sample_ivp(VectorField(1, rhs), [0.0], grid)
-    B = [N * math.exp(-a * t) for t in grid]
+    rows = numerics.sample_ivp(VectorField(1, rhs), [P0], grid)
+    B = [B0 * math.exp(-a * (t - t0)) for t in grid]
     P = [r[0] for r in rows]
     Q = [N - bt - pt for bt, pt in zip(B, P)]
     D = [a * bt for bt in B]
-    C = [N - bt for bt in B]
+    C = [C0 + (B0 - bt) for bt in B]
     return _package(grid, B, P, Q, D, C)
 
 
@@ -804,7 +798,7 @@ class _Case(NamedTuple):
 
     model: type            # the parameter record, built as model(N=..., **fields)
     intensities: Callable  # case -> (a(t, state), b(t, state), c(t))
-    path: Callable         # (case, grid) -> trajectory
+    path: Callable         # (case, grid, start=None) -> trajectory; start: B, P, Q, C at grid[0]
     fields: tuple[str, ...] = ()    # numbers a document must give, in the order they are read
     optional: tuple[str, ...] = ()  # numbers read after ``fields``; absent: 0
     rates: tuple[str, ...] = ()     # rate schedules; a number is a constant rate, absent 0
@@ -832,7 +826,7 @@ CASES = {
         model=Case3, fields=("a", "beta", "b"),
         intensities=lambda case: (lambda t, s: case.a + case.beta * s[1],
                                   lambda t, s: case.b, lambda t: 0.0),
-        path=_integrated_case_path, c_inf=lambda case, traj: case.N),
+        path=_case3_path, c_inf=lambda case, traj: case.N),
     "case4": _Case(
         model=Case4, fields=("beta", "gamma", "P0", "Q0"),
         intensities=lambda case: (lambda t, s: case.beta * s[1],
@@ -876,40 +870,46 @@ def refined_peak(case: BpqCase, grid: Sequence[float],
 
     At the peak the inflow a(t, P) B balances the outflow b(t, Q) P;
     the sign change of that imbalance is bracketed by the grid argmax
-    and located by root finding, with the state advanced from the
-    bracket's left grid sample by short integrations. ``traj`` is
-    ``bpq_path(case, grid)`` when the caller already has it.
+    and located by root finding, with the state at each trial time from
+    the case's own path route, started at the bracket's left grid row.
+    ``traj`` is ``bpq_path(case, grid)`` when the caller already has it.
     """
     if traj is None:
         traj = bpq_path(case, grid)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
-    idx = [traj.labels.index(ch) for ch in ("B", "P", "Q")]
+    idx = [traj.labels.index(ch) for ch in ("B", "P", "Q", "C")]
     if k == 0 or k == len(p) - 1:
         s = traj.states[k]
         return traj.times[k], (s[idx[0]], s[idx[1]], s[idx[2]])
 
-    t_lo = traj.times[k - 1]
+    t_lo, t_hi = traj.times[k - 1], traj.times[k + 1]
     anchor = [traj.states[k - 1][i] for i in idx]
-    t_hi = traj.times[k + 1]
-    field = ode_field(case)
+    path = case_entry(case).path
     a_int, b_int, _ = intensities(case)
 
     def state_at(t: float) -> list[float]:
         if t == t_lo:
-            return list(anchor)
-        return list(numerics.sample_ivp(field, anchor, [t_lo, t])[-1])
+            return anchor
+        s = path(case, [t_lo, t], anchor).states[-1]
+        return [s[i] for i in idx]
 
     def imbalance(t: float) -> float:
         s = state_at(t)
         return a_int(t, s) * s[0] - b_int(t, s) * s[1]
 
+    lo, hi = t_lo, t_hi
+    if lo == 0.0 and imbalance(lo) > 0.0:
+        # The peak may lie far inside the first step: bracket it within a
+        # factor of two, so that the tolerance is relative to T_m.
+        while imbalance(0.5 * hi) < 0.0:
+            hi *= 0.5
+        lo = 0.5 * hi
     try:
-        t_m = numerics.solve_root(imbalance, t_lo, t_hi, tol=1e-12 * max(1.0, t_hi))
+        t_m = numerics.solve_root(imbalance, lo, hi, tol=1e-12 * hi)
     except numerics.BracketInvalidError:
         t_m = traj.times[k]
-    s = state_at(t_m)
-    return t_m, (s[0], s[1], s[2])
+    return t_m, tuple(state_at(t_m)[:3])
 
 
 def peak_metrics(case: BpqCase, grid: Sequence[float],

@@ -18,6 +18,9 @@ from .trajectory import Trajectory, from_channels
 
 # ---------------------------------------------------------------------------
 # Rate schedules a(t)
+#
+# ``cumulative(t, start)`` is the integral of a over [start, t], formed so
+# that a short span late in time keeps its digits.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -33,8 +36,8 @@ class ConstantRate:
     def rate(self, t: float) -> float:
         return self.a
 
-    def cumulative(self, t: float) -> float:
-        return self.a * t
+    def cumulative(self, t: float, start: float = 0.0) -> float:
+        return self.a * (t - start)
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,8 @@ class LinearRate:
     def rate(self, t: float) -> float:
         return self.a0 + self.a1 * t
 
-    def cumulative(self, t: float) -> float:
-        return self.a0 * t + 0.5 * self.a1 * t * t
+    def cumulative(self, t: float, start: float = 0.0) -> float:
+        return self.a0 * (t - start) + 0.5 * self.a1 * (t - start) * (t + start)
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,11 @@ class ExpDecayRate:
     def rate(self, t: float) -> float:
         return self.a0 * math.exp(-self.beta * t)
 
-    def cumulative(self, t: float) -> float:
+    def cumulative(self, t: float, start: float = 0.0) -> float:
         if self.beta == 0.0:
-            return self.a0 * t
-        return (self.a0 / self.beta) * (1.0 - math.exp(-self.beta * t))
+            return self.a0 * (t - start)
+        return -(self.a0 / self.beta) * math.exp(-self.beta * start) * math.expm1(
+            -self.beta * (t - start))
 
     def asymptotic_share(self, u0: float = 0.0) -> float:
         if self.beta == 0.0:
@@ -97,8 +101,8 @@ class CutoffRate:
     def rate(self, t: float) -> float:
         return self.a if t <= self.T else 0.0
 
-    def cumulative(self, t: float) -> float:
-        return self.a * min(t, self.T)
+    def cumulative(self, t: float, start: float = 0.0) -> float:
+        return self.a * (min(t, self.T) - min(start, self.T))
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,12 @@ class TabulatedRate:
                 return r0 + w * (r1 - r0)
         raise AssertionError("unreachable")
 
-    def cumulative(self, t: float) -> float:
+    def cumulative(self, t: float, start: float = 0.0) -> float:
         # The rate is linear between knots and constant outside the table,
         # so the trapezoid rule is exact on each piece.
-        if not t > 0.0:
+        if not t > start:
             return 0.0
-        cuts = [0.0] + [k for k, _ in self.points if 0.0 < k < t] + [t]
+        cuts = [start] + [k for k, _ in self.points if start < k < t] + [t]
         return math.fsum(0.5 * (x1 - x0) * (self.rate(x0) + self.rate(x1))
                          for x0, x1 in zip(cuts, cuts[1:]))
 

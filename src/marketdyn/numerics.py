@@ -509,9 +509,10 @@ def solve_root(g: Callable[[float], float], lo: float, hi: float,
             lo, flo = x, fx
         if hi - lo <= tol:
             break
-        # Derivative probes stay inside the bracket: callers often pass
-        # functions that are only defined there.
-        h = max(1e-7, 1e-7 * abs(x))
+        # Derivative probes stay inside the bracket, as callers often pass
+        # functions that are only defined there, and within a hundredth of
+        # it, so that a secant across it does not stand in for the slope.
+        h = min(max(1e-7, 1e-7 * abs(x)), 0.01 * (hi - lo))
         x_hi = min(x + h, hi)
         x_lo = max(x - h, lo)
         dfdx = (g(x_hi) - g(x_lo)) / (x_hi - x_lo) if x_hi > x_lo else 0.0

@@ -595,3 +595,58 @@ def test_cutoff_start_past_the_cutoff_stays_put():
     traj = fb.feedback_path(m, [0.0, 0.5, 2.0])
     assert traj.channel("u") == (0.6, 0.6, 0.6)
     assert traj.channel("D") == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# latency metrics and shares at the ends of the double range
+# ---------------------------------------------------------------------------
+
+def cli_rows(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, str(path)])
+    return code, [line.split(",") for line in capsys.readouterr().out.splitlines()]
+
+
+def test_t60_minus_t50_is_one_integral_not_a_difference_of_times(tmp_path, capsys):
+    # At T50 = 1.7e308, T60 = phi(0.6; u0) / rate overflowed, and the
+    # difference of the two times printed inf. It is
+    # T50 ln(1.25) / ln(1.98), about 5.55329805e307.
+    doc = {"model": {"kind": "feedback", "kernel": {"kind": "none"}, "T50": 1.7e308,
+                     "u0": 0.01}, "horizon": 10}
+    code, rows = cli_rows("metrics", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    values = {row[0]: float(row[1]) for row in rows[1:]}
+    assert values["T60_minus_T50"] == pytest.approx(
+        1.7e308 * math.log(1.25) / math.log(1.98), rel=1e-8)
+    m = fb.FeedbackModel.calibrated(fb.kernel("quadratic"), T50, 0.01)
+    gap = fb.t_of_u(m, 0.6) - fb.t_of_u(m, 0.5)
+    assert fb.latency_metrics(m).t60_minus_t50 == pytest.approx(gap, rel=1e-12)
+    cut = fb.FeedbackModel(fb.kernel("inverse_u_cutoff", u1=0.5), rate=1.0, u0=0.05)
+    assert math.isnan(fb.latency_metrics(cut).t60_minus_t50)
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+@pytest.mark.parametrize("given_rate", [{"rate": 1.0}, {"T50": 5.0}], ids=["rate", "T50"])
+@pytest.mark.parametrize("command", ["simulate", "metrics", "equilibrium"])
+def test_a_subnormal_start_share_ends_in_an_exit_code(kind, given_rate, command, tmp_path,
+                                                      capsys):
+    # u0 (1 - u) underflowed to 0 in the growth integral's log-odds, and
+    # both kernels ended in a ZeroDivisionError traceback.
+    doc = {"model": {"kind": "feedback", "kernel": {"kind": kind}, "u0": 5e-324,
+                     **given_rate}, "horizon": 10, "samples": 5}
+    code, rows = cli_rows(command, doc, tmp_path, capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERIC, cli.EXIT_CALIBRATION)
+    if code == cli.EXIT_OK and command == "simulate":
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+    elif code == cli.EXIT_OK and command == "metrics":
+        assert all(math.isfinite(float(row[1])) for row in rows[1:] if row[0] != "note")
+
+
+def test_linear_kernel_from_a_subnormal_share():
+    # phi(1/2; u0) = ln((1 - u0) / u0), about 744.44 at u0 = 5e-324.
+    m = fb.FeedbackModel(fb.kernel("linear"), rate=1.0, u0=5e-324)
+    assert fb.t_of_u(m, 0.5) == pytest.approx(-math.log(5e-324), rel=1e-15)
+    quadratic = fb.FeedbackModel(fb.kernel("quadratic"), rate=1.0, u0=5e-324)
+    with pytest.raises(DomainError):  # T50 is about 1/u0 = 2e323
+        fb.t_of_u(quadratic, 0.5)

@@ -641,6 +641,40 @@ def test_peak_metrics_use_the_path_they_are_given(case, monkeypatch):
     assert games.peak_metrics(case, grid, traj) == expected
 
 
+@pytest.mark.parametrize("case", ALL_CASES + [
+    games.Case1(a=ExpDecayRate(0.5, 0.1), b=LinearRate(0.3, 0.05), c=0.1, N=N),
+    games.Case5(a=0.2, gamma=0.004, N=N, Q0=10.0, P0=30.0),
+], ids=lambda c: type(c).__name__)
+def test_a_route_restarted_from_a_grid_row_continues_its_path(case):
+    # Each route takes an optional start row (B, P, Q, C) at its grid's
+    # first time, which is how refined_peak advances a grid row.
+    grid = time_grid(0.0, 30.0, 31)
+    traj = games.bpq_path(case, grid)
+    k = 7
+    row = [traj.states[k][traj.labels.index(ch)] for ch in "BPQC"]
+    rest = games.case_entry(case).path(case, grid[k:], row)
+    assert rest.labels == traj.labels
+    for channel in ("B", "P", "Q", "D", "C"):
+        assert rest.channel(channel) == pytest.approx(traj.channel(channel)[k:],
+                                                      rel=1e-9, abs=1e-9 * N)
+
+
+@pytest.mark.parametrize("case", [ALL_CASES[0], CASE2, CASE4], ids=["case1", "case2", "case4"])
+def test_refined_peak_agrees_with_the_closed_peak(case):
+    t_m, (_, p_m, _) = games.refined_peak(case, time_grid(0.0, 30.0, 301))
+    closed = games.case_entry(case).peak(case)
+    assert t_m == pytest.approx(closed.T_m, rel=1e-9)
+    assert p_m == pytest.approx(closed.P_m, rel=1e-9)
+
+
+def test_refined_peak_far_inside_the_first_step():
+    # T_m = ln(1 + a/b) / (a - b) at constant rates; the grid's first step is
+    # 1e9 times longer, and the root is still found to its own digits.
+    case = games.Case1(a=1e9, b=1.0, c=0.0, N=N)
+    t_m, _ = games.refined_peak(case, time_grid(0.0, 20.0, 1000))
+    assert t_m == pytest.approx(games.case1_peak(1e9, 1.0, 0.0, N).T_m, rel=1e-9, abs=0.0)
+
+
 def test_peak_metrics_catalog():
     grid = time_grid(0.0, 30.0, 2001)
     m1 = games.peak_metrics(games.Case1(a=1.0, b=0.5, c=0.0, N=N), grid)

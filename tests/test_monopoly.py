@@ -1,6 +1,7 @@
 """Single-supplier adoption: closed forms against direct integration."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +117,37 @@ def test_tabulated_holds_edges():
     assert sched.cumulative(0.5) == pytest.approx(0.1, rel=1e-15)
     assert sched.cumulative(2.0) == pytest.approx(0.5, rel=1e-15)
     assert sched.cumulative(4.0) == pytest.approx(1.6, rel=1e-15)
+
+
+@pytest.mark.parametrize("sched", [
+    mono.ConstantRate(0.3), mono.LinearRate(0.2, 0.05), mono.ExpDecayRate(0.5, 0.1),
+    mono.CutoffRate(0.4, 12.0), mono.TabulatedRate(((1.0, 0.2), (3.0, 0.6), (20.0, 0.1))),
+], ids=["constant", "linear", "exp_decay", "cutoff", "tabulated"])
+def test_cumulative_over_a_span_is_the_difference_of_cumulatives(sched):
+    for start, t in ((0.0, 5.0), (2.0, 2.5), (10.0, 30.0), (7.0, 7.0)):
+        assert sched.cumulative(t, start) == pytest.approx(
+            sched.cumulative(t) - sched.cumulative(start), rel=1e-12, abs=1e-15)
+
+
+def test_cumulative_over_a_short_late_span_keeps_its_digits():
+    # The difference of two cumulatives at t = 1e6 keeps only about six of
+    # the sixteen digits of the integral over a span of 1e-3.
+    start, t = 1e6, 1e6 + 1e-3
+    linear = mono.LinearRate(0.1, 0.01)
+    exact = (Fraction(t) - Fraction(start)) * (
+        Fraction(0.1) + Fraction(0.01) * (Fraction(t) + Fraction(start)) / 2)
+    assert linear.cumulative(t, start) == pytest.approx(float(exact), rel=1e-14)
+    assert linear.cumulative(t) - linear.cumulative(start) != pytest.approx(
+        float(exact), rel=1e-8)
+
+
+def test_exp_decay_cumulative_keeps_its_digits_at_small_times():
+    # (a0 / beta) (1 - e^(-beta t)) cancelled to about 6e-5 relative at
+    # t = 1e-12; the integral is a0 t (1 - beta t / 2 + (beta t)^2 / 6 - ...).
+    sched = mono.ExpDecayRate(1.0, 0.3)
+    for t in (1e-12, 1e-9, 1e-6):
+        assert sched.cumulative(t) == pytest.approx(t * (1.0 - 0.15 * t + 0.015 * t * t),
+                                                    rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,26 @@ def test_root_requires_sign_change():
         numerics.solve_root(lambda x: 1.0 + x * x, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("hi,tol,rel", [(0.04, 1e-12, None), (1e-9, 1e-12, None),
+                                        (0.04, 1e-24, 1e-12)])
+def test_root_narrower_than_the_derivative_probe(hi, tol, rel):
+    # g = a e^(-at) - (1 - e^(-at)) falls from 1e12 to -1 within 1e-10 of
+    # t = 0. A derivative probe 1e-7 wide, clipped to the bracket, took the
+    # secant across it for the slope: each call stopped after 602
+    # evaluations at 3.81e-8 (on [0, 0.04]) or 1.51e-10 (on [0, 1e-9]).
+    a = 1e12
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return a * math.exp(-a * t) + math.expm1(-a * t)
+
+    root = numerics.solve_root(g, 0.0, hi, tol=tol)
+    exact = math.log1p(a) / a
+    assert root == pytest.approx(exact, abs=tol, rel=rel)
+    assert len(calls) <= 200
+
+
 @given(st.floats(-5, 5), st.floats(0.1, 4.0), st.floats(0.1, 3.0))
 def test_root_stays_in_bracket(center, width, skew):
     lo, hi = center - width, center + width

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from marketdyn import cli, competition, games, scenario, tables
+from marketdyn import cli, competition, games, numerics, scenario, tables
 from marketdyn.errors import (
     CalibrationInfeasibleError,
     DomainError,
@@ -811,15 +811,100 @@ def test_simulate_computes_no_metric(tmp_path, capsys, monkeypatch):
         assert "a metric was computed" in capsys.readouterr().err
 
 
+FAST_INFLOW = {"kind": "bpq", "case": "case1", "N": 1000, "a": 1e12,
+               "b": {"kind": "exp_decay", "a0": 1.0, "beta": 0.3}}
+# 40-digit mpmath: the peak lies where a e^(-at) = b(t) (1 - e^(-at)).
+FAST_INFLOW_PEAK = {"T_m": 2.7631021116e-11, "P_m": 999.999999972}
+
+
 def test_cli_simulate_prints_a_path_whose_peak_cannot_be_refined(tmp_path, capsys):
-    # The peak refinement integrates the case 1 field, which is stiff at
-    # a = 1e12, and fails; the path's own route is right. `simulate` exited 3
-    # with "problem became stiff" while it computed the unprinted peak.
-    doc = {"model": {"kind": "bpq", "case": "case1", "N": 1000, "a": 1e12,
-                     "b": {"kind": "exp_decay", "a0": 1.0, "beta": 0.3}}, "horizon": 20}
+    # The case 1 field is stiff at a = 1e12. `simulate` exited 3 with
+    # "problem became stiff" while it computed the unprinted peak, and
+    # `metrics` did so while it integrated that field to refine the peak; the
+    # refinement now restarts the path's own route.
+    doc = {"model": FAST_INFLOW, "horizon": 20}
     code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
     assert code == cli.EXIT_OK
     assert rows[2][:3] == ["0.02002002", "0", "980.237862"]
+    code, rows, _ = cli_output("metrics", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    values = {row[0]: float(row[1]) for row in rows[1:]}
+    for name, exact in FAST_INFLOW_PEAK.items():
+        assert values[name] == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("samples", [5, 1000])
+def test_cli_case1_with_never_buyers_and_a_fast_inflow_keeps_its_players(samples, tmp_path,
+                                                                         capsys):
+    # Each step's sales came from a quadrature of a B, a spike of width
+    # 1e-12 at the step's start that its nodes missed: P = C = 0 everywhere,
+    # and T_m = P_m = C_inf = 0. 40-digit mpmath gives these values.
+    doc = {"model": dict(FAST_INFLOW, c=0.1), "horizon": 20, "samples": samples}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    by_time = {row[0]: dict(zip(rows[0], map(float, row))) for row in rows[1:]}
+    t, players = ("5", 75.0525959) if samples == 5 else ("0.02002002", 980.237862)
+    assert by_time[t]["P"] == pytest.approx(players, rel=1e-8)
+    assert by_time[t]["C"] == pytest.approx(1000.0, rel=1e-9)
+    code, rows, _ = cli_output("metrics", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    values = {row[0]: float(row[1]) for row in rows[1:]}
+    assert values["C_inf"] == pytest.approx(1000.0, rel=1e-9)
+    for name, exact in FAST_INFLOW_PEAK.items():
+        assert values[name] == pytest.approx(exact, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("doc", [
+    {"model": FAST_INFLOW, "horizon": 20},
+    {"model": {"kind": "bpq", "case": "case1", "N": 1000, "a": {"kind": "linear", "a0": 0.2,
+                                                                 "a1": 0.05}, "b": 0.3,
+               "c": 0.1}, "horizon": 30},
+    {"model": {"kind": "bpq", "case": "case1", "N": 1000,
+               "a": {"kind": "exp_decay", "a0": 0.5, "beta": 0.1},
+               "b": {"kind": "linear", "a0": 0.3, "a1": 0.05}, "c": 0.1}, "horizon": 30},
+    {"model": CASE5_LONG, "horizon": 40},
+], ids=["case1_fast_inflow", "case1_linear_inflow", "case1_schedules", "case5"])
+def test_metrics_refines_the_peak_on_the_paths_own_route(doc, tmp_path, capsys, monkeypatch):
+    def integrated(*args, **kwargs):
+        raise DomainError("the peak was integrated")
+
+    monkeypatch.setattr(numerics, "sample_ivp", integrated)
+    code, rows, err = cli_output("metrics", doc, tmp_path, capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert [row[0] for row in rows[1:4]] == ["T_m", "P_m", "C_inf"]
+
+
+def test_cli_case1_linear_inflow_sells_over_long_steps(tmp_path, capsys):
+    # The demand's quadrature over [0, 250000] missed the sales in the first
+    # hundred time units, and C printed 0; scipy's quad gives 578.630771.
+    doc = {"model": {"kind": "bpq", "case": "case1", "N": 1000, "b": 0.3, "c": 0.1,
+                     "a": {"kind": "linear", "a0": 0.1, "a1": 0.01}},
+           "horizon": 1e6, "samples": 5}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    sales = [float(row[rows[0].index("C")]) for row in rows[1:]]
+    assert sales[0] == 0.0
+    assert sales[1:] == pytest.approx([578.630771] * 4, rel=1e-9)
+
+
+def test_cli_case1_exp_decay_quit_rate_at_a_tiny_horizon(tmp_path, capsys):
+    # (a0 / beta) (1 - e^(-beta t)) cancelled at t = 1e-9, and the weight's
+    # quadrature on [-5e-10, 0] hit the subdivision limit (exit 3).
+    mpmath = pytest.importorskip("mpmath")
+    doc = {"model": {"kind": "bpq", "case": "case1", "N": 1000, "a": 1000,
+                     "b": {"kind": "exp_decay", "a0": 1.0, "beta": 0.3}},
+           "horizon": 1e-9, "samples": 3}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    with mpmath.workdps(40):
+        def quits(x):
+            return -mpmath.expm1(-mpmath.mpf(0.3) * x) / mpmath.mpf(0.3)
+
+        for row in rows[2:]:
+            t = mpmath.mpf(float(row[0]))
+            exact = mpmath.quad(lambda u: 1000 * 1000 * mpmath.exp(-1000 * u - quits(t)
+                                                                    + quits(u)), [0, t])
+            assert float(row[rows[0].index("P")]) == pytest.approx(float(exact), rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

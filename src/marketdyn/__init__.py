@@ -16,9 +16,9 @@ The catalog splits into four model families plus shared plumbing:
   documents and the deterministic CSV command line.
 
 Importing :mod:`marketdyn.scenario` or :mod:`marketdyn.cli` registers
-``feedback``, ``competition``, ``games`` and ``tables`` in ``sys.modules``
-without running their bodies: each body runs on the first attribute
-access, so a run loads only the families it uses. That first access is
+``feedback``, ``competition``, ``games``, ``numerics`` and ``tables`` in
+``sys.modules`` without running their bodies: each body runs on the first
+attribute access, so a run loads only the families and kernels it uses. That first access is
 safe from several threads at once; the others wait until the body has
 run.
 """

@@ -14,8 +14,8 @@ market lie on the hyperplane sum(u_i) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from collections import namedtuple
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import numerics
 from .errors import (
@@ -34,54 +34,52 @@ from .trajectory import Trajectory, from_channels
 # Parameter sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BassCompetition:
+class BassCompetition(namedtuple("BassCompetition", "m r u0")):
     """Per-supplier innovation (m_i) and imitation (r_i) coefficients.
 
     Supplier i gains new customers at rate (1 - sum u_j)(m_i + r_i u_i).
     """
 
-    m: tuple[float, ...]
-    r: tuple[float, ...]
-    u0: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.m)
-        if n < 1 or len(self.r) != n or len(self.u0) != n:
+    def __new__(cls, m: tuple[float, ...], r: tuple[float, ...], u0: tuple[float, ...]):
+        n = len(m)
+        if n < 1 or len(r) != n or len(u0) != n:
             raise ParameterError("m, r and u0 must have one entry per supplier")
-        if any(v < 0 for v in self.m) or any(v < 0 for v in self.r):
+        if any(v < 0 for v in m) or any(v < 0 for v in r):
             raise ParameterError("coefficients must be nonnegative")
-        if any(not m + r > 0 for m, r in zip(self.m, self.r)):
+        if any(not mi + ri > 0 for mi, ri in zip(m, r)):
             raise ParameterError("each supplier needs m_i + r_i > 0")
-        if any(v < 0 for v in self.u0) or math.fsum(self.u0) > 1.0 + 1e-12:
+        if any(v < 0 for v in u0) or math.fsum(u0) > 1.0 + 1e-12:
             raise ParameterError("initial shares must be nonnegative with sum <= 1")
-        if all(v == 0 for v in self.m) and all(v == 0 for v in self.u0):
+        if all(v == 0 for v in m) and all(v == 0 for v in u0):
             raise ParameterError("an all-imitator market needs a nonzero initial share")
+        return super().__new__(cls, m, r, u0)
 
     @property
     def n(self) -> int:
         return len(self.m)
 
 
-@dataclass(frozen=True)
-class ChurnMatrix:
+class ChurnMatrix(namedtuple("ChurnMatrix", "a")):
     """Spontaneous churn rates; a[i][j] is the flow intensity i -> j.
 
     The diagonal must be zero; the total outflow rate of supplier i is
     derived as the row sum over j != i.
     """
 
-    a: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.a)
-        if n < 1 or any(len(row) != n for row in self.a):
+    def __new__(cls, a: tuple[tuple[float, ...], ...]):
+        n = len(a)
+        if n < 1 or any(len(row) != n for row in a):
             raise ParameterError("churn rates must form a square grid")
-        for i, row in enumerate(self.a):
+        for i, row in enumerate(a):
             if row[i] != 0.0:
                 raise ParameterError("diagonal churn entries must be zero (derived)")
             if any(v < 0 for v in row):
                 raise ParameterError("churn rates must be nonnegative")
+        return super().__new__(cls, a)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[float]]) -> "ChurnMatrix":
@@ -98,19 +96,17 @@ class ChurnMatrix:
         return ChurnMatrix(tuple(tuple(factor * v for v in row) for row in self.a))
 
 
-@dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(namedtuple("Sinusoid", "amplitude period phase")):
     """amplitude * sin(2 pi t / period + phase); zero mean over one period."""
 
-    amplitude: float
-    period: float
-    phase: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.amplitude < 0 or not self.period > 0:
+    def __new__(cls, amplitude: float, period: float, phase: float = 0.0):
+        if amplitude < 0 or not period > 0:
             raise ParameterError("sinusoid needs amplitude >= 0 and period > 0")
-        if not math.isfinite(2.0 * math.pi / self.period):
+        if not math.isfinite(2.0 * math.pi / period):
             raise ParameterError("sinusoid period with a finite angular frequency 2 pi / period")
+        return super().__new__(cls, amplitude, period, phase)
 
     def value(self, t: float) -> float:
         return self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
@@ -127,8 +123,7 @@ class Sinusoid:
         return 2.0 * self.amplitude * (math.sin(half) / w) * math.sin(half + self.phase)
 
 
-@dataclass(frozen=True)
-class PairModulation:
+class PairModulation(NamedTuple):
     """Periodic modulation of one churn rate a_ij."""
 
     i: int
@@ -142,20 +137,19 @@ class PairModulation:
         return math.fsum(s.amplitude for s in self.terms)
 
 
-@dataclass(frozen=True)
-class PeriodicChurnSpec:
+class PeriodicChurnSpec(namedtuple("PeriodicChurnSpec", "a0 eps")):
     """Baseline churn rates plus zero-mean periodic modulations."""
 
-    a0: ChurnMatrix
-    eps: tuple[PairModulation, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.a0.n
-        for mod in self.eps:
+    def __new__(cls, a0: ChurnMatrix, eps: tuple[PairModulation, ...] = ()):
+        n = a0.n
+        for mod in eps:
             if not (0 <= mod.i < n and 0 <= mod.j < n and mod.i != mod.j):
                 raise ParameterError("modulation indices must address an off-diagonal pair")
-            if self.a0.a[mod.i][mod.j] - mod.amplitude_bound() < -1e-12:
+            if a0.a[mod.i][mod.j] - mod.amplitude_bound() < -1e-12:
                 raise ParameterError("modulated churn rate can become negative")
+        return super().__new__(cls, a0, eps)
 
     @property
     def n(self) -> int:
@@ -168,28 +162,26 @@ class PeriodicChurnSpec:
         return self.a0.a[i][j] + self.epsilon(i, j, t)
 
 
-@dataclass(frozen=True)
-class StimulatedChurnSpec:
+class StimulatedChurnSpec(namedtuple("StimulatedChurnSpec", "churn b eps")):
     """Churn whose popularity feedback is f_i(u) = b_i u_i + eps_i.
 
     eps_i in {0, 1} switches the spontaneous component per supplier;
     purely stimulated markets (all eps_i = 0) are winner-take-all.
     """
 
-    churn: ChurnMatrix
-    b: tuple[float, ...]
-    eps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.churn.n
-        if len(self.b) != n or len(self.eps) != n:
+    def __new__(cls, churn: ChurnMatrix, b: tuple[float, ...], eps: tuple[int, ...]):
+        n = churn.n
+        if len(b) != n or len(eps) != n:
             raise ParameterError("b and eps need one entry per supplier")
-        if any(v < 0 for v in self.b):
+        if any(v < 0 for v in b):
             raise ParameterError("stimulation strengths must be nonnegative")
-        if any(e not in (0, 1) for e in self.eps):
+        if any(e not in (0, 1) for e in eps):
             raise ParameterError("eps entries must be 0 or 1")
-        if all(v == 0 for v in self.b) and all(e == 0 for e in self.eps):
+        if all(v == 0 for v in b) and all(e == 0 for e in eps):
             raise ParameterError("at least one of b_i, eps_i must be nonzero")
+        return super().__new__(cls, churn, b, eps)
 
     @property
     def n(self) -> int:
@@ -204,8 +196,7 @@ ChurnSpec = Union[ChurnMatrix, StimulatedChurnSpec, PeriodicChurnSpec]
 ChurnFlows = Callable[[float, Sequence[float]], list[float]]
 
 
-@dataclass(frozen=True)
-class StimulatedFixedPoint:
+class StimulatedFixedPoint(NamedTuple):
     u: tuple[float, ...]
     classification: str  # winner_take_all | shared
     vertices: tuple[tuple[float, ...], ...] | None = None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import numerics
@@ -42,8 +42,7 @@ MAX_NEWTON_STEPS = 1100
 _ROUNDOFF = 2.0 ** -53
 
 
-@dataclass(frozen=True)
-class FeedbackKernel:
+class FeedbackKernel(namedtuple("FeedbackKernel", "kind ratio n u1")):
     """Feedback term F(u) of the growth equation.
 
     ``ratio`` is the imitator/innovator strength for the ``bass`` kind,
@@ -51,17 +50,17 @@ class FeedbackKernel:
     ``inverse_u_cutoff``.
     """
 
-    kind: str
-    ratio: float | None = None
-    n: float | None = None
-    u1: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        check = _KERNELS[self.kind].check
+    def __new__(cls, kind: str, ratio: float | None = None, n: float | None = None,
+                u1: float | None = None):
+        if kind not in KERNEL_KINDS:
+            raise ParameterError(f"unknown kernel kind {kind!r}")
+        self = super().__new__(cls, kind, ratio, n, u1)
+        check = _KERNELS[kind].check
         if check is not None and not check[0](self):
             raise ParameterError(check[1])
+        return self
 
     def F(self, u: float) -> float:
         return _KERNELS[self.kind].F(self, u)
@@ -86,8 +85,7 @@ def kernel(kind: str, *, ratio: float | None = None, n: float | None = None,
     return FeedbackKernel(kind, ratio=ratio, n=n, u1=u1)
 
 
-@dataclass(frozen=True)
-class FeedbackModel:
+class FeedbackModel(namedtuple("FeedbackModel", "kernel rate u0 N")):
     """A kernel plus growth rate, initial share and population size.
 
     The rate field is the kernel's own growth coefficient: the innovator
@@ -95,18 +93,16 @@ class FeedbackModel:
     the kernel-specific gamma for everything else.
     """
 
-    kernel: FeedbackKernel
-    rate: float
-    u0: float = 0.0
-    N: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rate > 0:
+    def __new__(cls, kernel: FeedbackKernel, rate: float, u0: float = 0.0, N: float = 1.0):
+        if not rate > 0:
             raise ParameterError("growth rate must be positive")
-        if not 0.0 <= self.u0 < 1.0:
+        if not 0.0 <= u0 < 1.0:
             raise ParameterError("initial share must lie in [0, 1)")
-        if not self.N > 0:
+        if not N > 0:
             raise ParameterError("population N must be positive")
+        return super().__new__(cls, kernel, rate, u0, N)
 
     @staticmethod
     def calibrated(kern: FeedbackKernel, t50: float, u0: float = 0.0,
@@ -114,8 +110,7 @@ class FeedbackModel:
         return FeedbackModel(kern, calibrate_rate(kern, t50, u0), u0, N)
 
 
-@dataclass(frozen=True)
-class InflectionPoint:
+class InflectionPoint(NamedTuple):
     """Share, time and growth gradient at the demand peak."""
 
     u: float
@@ -123,8 +118,7 @@ class InflectionPoint:
     gradient: float
 
 
-@dataclass(frozen=True)
-class MarketMetrics:
+class MarketMetrics(NamedTuple):
     """Latency and inflection indicators of a calibrated model."""
 
     t50: float
@@ -139,8 +133,7 @@ class MarketMetrics:
     t10_over_t50_catalog: float | None = None
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(NamedTuple):
     u: float
     kind: str  # attractor | repeller | not_equilibrium
 

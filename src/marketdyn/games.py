@@ -25,10 +25,9 @@ one title driving another) treats the driver's player count as a rate.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence, Union
 
 from . import numerics
@@ -48,17 +47,15 @@ def _as_schedule(value) -> RateSchedule:
 # States and cases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BpqState:
+class BpqState(namedtuple("BpqState", "B P Q")):
     """Compartment sizes; the population N is their conserved sum."""
 
-    B: float
-    P: float
-    Q: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.B, self.P, self.Q) < 0:
+    def __new__(cls, B: float, P: float, Q: float):
+        if min(B, P, Q) < 0:
             raise ParameterError("compartment sizes must be nonnegative")
+        return super().__new__(cls, B, P, Q)
 
     @property
     def N(self) -> float:
@@ -67,6 +64,8 @@ class BpqState:
 
 class _Seeded:
     """Initial state: the seeds P0 and Q0 a case declares; the rest of N may buy."""
+
+    __slots__ = ()
 
     @property
     def B0(self) -> float:
@@ -77,126 +76,104 @@ class _Seeded:
         return BpqState(self.B0, getattr(self, "P0", 0.0), getattr(self, "Q0", 0.0))
 
 
-@dataclass(frozen=True)
-class Case1(_Seeded):
-    """Externally driven inflow and quit intensities a(t), b(t), c(t)."""
+class Case1(namedtuple("Case1", "a b c N"), _Seeded):
+    """Externally driven inflow and quit intensities a(t), b(t), c(t); a number
+    is a constant rate."""
 
-    a: RateSchedule
-    b: RateSchedule
-    c: RateSchedule
-    N: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, _as_schedule(getattr(self, name)))
-        if not self.N > 0:
+    def __new__(cls, a: RateSchedule, b: RateSchedule, c: RateSchedule, N: float):
+        a, b, c = map(_as_schedule, (a, b, c))
+        if not N > 0:
             raise ParameterError("population N must be positive")
+        return super().__new__(cls, a, b, c, N)
 
 
-@dataclass(frozen=True)
-class Case2(_Seeded):
+class Case2(namedtuple("Case2", "beta b N P0 Q0"), _Seeded):
     """Player-stimulated inflow beta*P against a constant quit rate b.
 
     Identical to the susceptible/infected/recovered epidemic system
     under B -> S, P -> I, Q -> R.
     """
 
-    beta: float
-    b: float
-    N: float
-    P0: float
-    Q0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.beta > 0 and self.b > 0 and self.N > 0):
+    def __new__(cls, beta: float, b: float, N: float, P0: float, Q0: float = 0.0):
+        if not (beta > 0 and b > 0 and N > 0):
             raise ParameterError("beta, b and N must be positive")
-        if not self.P0 > 0:
+        if not P0 > 0:
             raise InitiationError(
                 "player-stimulated inflow needs P(0) > 0: with no initial "
                 "players there will be no players in the future")
-        if self.Q0 < 0 or self.P0 + self.Q0 > self.N:
+        if Q0 < 0 or P0 + Q0 > N:
             raise ParameterError("seed populations exceed N")
+        return super().__new__(cls, beta, b, N, P0, Q0)
 
 
-@dataclass(frozen=True)
-class Case3(_Seeded):
+class Case3(namedtuple("Case3", "a beta b N"), _Seeded):
     """Mixed inflow a + beta*P against a constant quit rate b."""
 
-    a: float
-    beta: float
-    b: float
-    N: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.N > 0):
+    def __new__(cls, a: float, beta: float, b: float, N: float):
+        if not (a > 0 and N > 0):
             raise ParameterError("a and N must be positive")
-        if self.beta < 0 or self.b < 0:
+        if beta < 0 or b < 0:
             raise ParameterError("beta and b must be nonnegative")
+        return super().__new__(cls, a, beta, b, N)
 
 
-@dataclass(frozen=True)
-class Case4(_Seeded):
+class Case4(namedtuple("Case4", "beta gamma N P0 Q0"), _Seeded):
     """Player-stimulated inflow beta*P and quitter-stimulated exits gamma*Q."""
 
-    beta: float
-    gamma: float
-    N: float
-    P0: float
-    Q0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.beta > 0 and self.gamma > 0 and self.N > 0):
+    def __new__(cls, beta: float, gamma: float, N: float, P0: float, Q0: float):
+        if not (beta > 0 and gamma > 0 and N > 0):
             raise ParameterError("beta, gamma and N must be positive")
-        if not self.P0 > 0:
+        if not P0 > 0:
             raise InitiationError("stimulated inflow needs P(0) > 0 to start")
-        if not self.gamma * self.Q0 > 0:
+        if not gamma * Q0 > 0:
             raise InitiationError(
                 "quitter-stimulated exits need gamma Q(0) > 0: there must be an "
                 "initial population of quitters")
-        if self.P0 + self.Q0 > self.N:
+        if P0 + Q0 > N:
             raise ParameterError("seed populations exceed N")
+        return super().__new__(cls, beta, gamma, N, P0, Q0)
 
 
-@dataclass(frozen=True)
-class Case5(_Seeded):
+class Case5(namedtuple("Case5", "a gamma N Q0 P0"), _Seeded):
     """Constant inflow a with quitter-stimulated exits gamma*Q."""
 
-    a: float
-    gamma: float
-    N: float
-    Q0: float
-    P0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.gamma > 0 and self.N > 0):
+    def __new__(cls, a: float, gamma: float, N: float, Q0: float, P0: float = 0.0):
+        if not (a > 0 and gamma > 0 and N > 0):
             raise ParameterError("a, gamma and N must be positive")
-        if not self.Q0 > 0:
+        if not Q0 > 0:
             raise InitiationError(
                 "quitter-stimulated exits need Q(0) > 0: there must be an "
                 "initial population of quitters")
-        if self.P0 < 0 or self.P0 + self.Q0 > self.N:
+        if P0 < 0 or P0 + Q0 > N:
             raise ParameterError("seed populations exceed N")
+        return super().__new__(cls, a, gamma, N, Q0, P0)
 
 
-@dataclass(frozen=True)
-class Case6(_Seeded):
+class Case6(namedtuple("Case6", "a b gamma N"), _Seeded):
     """Constant inflow a with mixed exits b + gamma*Q."""
 
-    a: float
-    b: float
-    gamma: float
-    N: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.gamma > 0 and self.N > 0):
+    def __new__(cls, a: float, b: float, gamma: float, N: float):
+        if not (a > 0 and b > 0 and gamma > 0 and N > 0):
             raise ParameterError("a, b, gamma and N must be positive")
+        return super().__new__(cls, a, b, gamma, N)
 
 
 BpqCase = Union[Case1, Case2, Case3, Case4, Case5, Case6]
 
 
-@dataclass(frozen=True)
-class PeakMetrics:
+class PeakMetrics(NamedTuple):
     """Time and height of the player peak plus the total ever-bought count."""
 
     T_m: float
@@ -204,8 +181,7 @@ class PeakMetrics:
     C_inf: float
 
 
-@dataclass(frozen=True)
-class ComplementarySpec:
+class ComplementarySpec(namedtuple("ComplementarySpec", "g b a_c b_c tau N N_c")):
     """Game 1 adoption driven by the player count of a companion game 2.
 
     Game 2 launched ``tau`` time units before game 1 (negative tau:
@@ -213,21 +189,17 @@ class ComplementarySpec:
     Buyers of game 1 arrive at intensity g * P_c(t) and quit at rate b.
     """
 
-    g: float
-    b: float
-    a_c: float
-    b_c: float
-    tau: float = 0.0
-    N: float = 1.0
-    N_c: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.g > 0 and self.b > 0 and self.a_c > 0 and self.b_c > 0):
+    def __new__(cls, g: float, b: float, a_c: float, b_c: float, tau: float = 0.0,
+                N: float = 1.0, N_c: float | None = None):
+        if not (g > 0 and b > 0 and a_c > 0 and b_c > 0):
             raise ParameterError("g, b, a_c and b_c must be positive")
-        if not self.N > 0:
+        if not N > 0:
             raise ParameterError("population N must be positive")
-        if self.N_c is not None and not self.N_c > 0:
+        if N_c is not None and not N_c > 0:
             raise ParameterError("population N_c must be positive")
+        return super().__new__(cls, g, b, a_c, b_c, tau, N, N_c)
 
     @property
     def companion_population(self) -> float:
@@ -553,7 +525,7 @@ def _clock_path(case: Case2 | Case4, grid: Sequence[float], start: _Start = None
     """Path of case 2 or 4: each sample inverts t(Q), from the last root.
     Both cases are autonomous: a start row seeds a case of its own."""
     _, P0, Q0, C0 = _start(case, start)
-    case = dataclasses.replace(case, P0=P0, Q0=Q0)
+    case = type(case)(**{**case._asdict(), "P0": P0, "Q0": Q0})
     clock = _QuitClock(case)
     s, t = clock.s_lo, clock.t_lo
     rows = []
@@ -574,8 +546,7 @@ def _clock_path(case: Case2 | Case4, grid: Sequence[float], start: _Start = None
     return _package(grid, *zip(*rows))
 
 
-@dataclass(frozen=True)
-class SirRelations:
+class SirRelations(NamedTuple):
     """State relations of the player-stimulated case.
 
     B_of_Q and P_of_B are exact consequences of the dynamics; B_inf

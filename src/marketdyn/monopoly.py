@@ -8,12 +8,14 @@ for decaying or truncated rate schedules). Demand is D(t) = N du/dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections import namedtuple
+from typing import NamedTuple, Sequence, Union
 
-from . import numerics
+from . import lazy_submodule
 from .errors import ParameterError
 from .trajectory import Trajectory, from_channels
+
+numerics = lazy_submodule("numerics")
 
 
 # ---------------------------------------------------------------------------
@@ -23,15 +25,15 @@ from .trajectory import Trajectory, from_channels
 # that a short span late in time keeps its digits.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(namedtuple("ConstantRate", "a")):
     """a(t) = a."""
 
-    a: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 0:
+    def __new__(cls, a: float):
+        if a < 0:
             raise ParameterError("rate must be nonnegative")
+        return super().__new__(cls, a)
 
     def rate(self, t: float) -> float:
         return self.a
@@ -40,16 +42,15 @@ class ConstantRate:
         return self.a * (t - start)
 
 
-@dataclass(frozen=True)
-class LinearRate:
+class LinearRate(namedtuple("LinearRate", "a0 a1")):
     """a(t) = a0 + a1 t, linearly growing adoption pressure."""
 
-    a0: float
-    a1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a0 < 0 or self.a1 < 0:
+    def __new__(cls, a0: float, a1: float):
+        if a0 < 0 or a1 < 0:
             raise ParameterError("rate coefficients must be nonnegative")
+        return super().__new__(cls, a0, a1)
 
     def rate(self, t: float) -> float:
         return self.a0 + self.a1 * t
@@ -58,19 +59,18 @@ class LinearRate:
         return self.a0 * (t - start) + 0.5 * self.a1 * (t - start) * (t + start)
 
 
-@dataclass(frozen=True)
-class ExpDecayRate:
+class ExpDecayRate(namedtuple("ExpDecayRate", "a0 beta")):
     """a(t) = a0 exp(-beta t): interest fades before saturation.
 
     The reachable share is capped at 1 - exp(-a0/beta) < 1.
     """
 
-    a0: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a0 < 0 or self.beta < 0:
+    def __new__(cls, a0: float, beta: float):
+        if a0 < 0 or beta < 0:
             raise ParameterError("rate coefficients must be nonnegative")
+        return super().__new__(cls, a0, beta)
 
     def rate(self, t: float) -> float:
         return self.a0 * math.exp(-self.beta * t)
@@ -87,16 +87,15 @@ class ExpDecayRate:
         return 1.0 - (1.0 - u0) * math.exp(-self.a0 / self.beta)
 
 
-@dataclass(frozen=True)
-class CutoffRate:
+class CutoffRate(namedtuple("CutoffRate", "a T")):
     """a(t) = a up to time T, zero afterwards; the share freezes at T."""
 
-    a: float
-    T: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 0 or self.T < 0:
+    def __new__(cls, a: float, T: float):
+        if a < 0 or T < 0:
             raise ParameterError("rate and cutoff time must be nonnegative")
+        return super().__new__(cls, a, T)
 
     def rate(self, t: float) -> float:
         return self.a if t <= self.T else 0.0
@@ -105,23 +104,23 @@ class CutoffRate:
         return self.a * (min(t, self.T) - min(start, self.T))
 
 
-@dataclass(frozen=True)
-class TabulatedRate:
+class TabulatedRate(namedtuple("TabulatedRate", "points")):
     """Piecewise-linear a(t) through the given (time, rate) points.
 
     The first value is held before the table and the last value after it.
     """
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.points) < 1:
+    def __new__(cls, points: tuple[tuple[float, float], ...]):
+        if len(points) < 1:
             raise ParameterError("tabulated schedule needs at least one point")
-        for (t0, r0), (t1, _) in zip(self.points, self.points[1:]):
+        for (t0, r0), (t1, _) in zip(points, points[1:]):
             if not t1 > t0:
                 raise ParameterError("tabulated times must be strictly increasing")
-        if any(r < 0 for _, r in self.points):
+        if any(r < 0 for _, r in points):
             raise ParameterError("tabulated rates must be nonnegative")
+        return super().__new__(cls, points)
 
     def rate(self, t: float) -> float:
         pts = self.points
@@ -152,43 +151,39 @@ RateSchedule = Union[ConstantRate, LinearRate, ExpDecayRate, CutoffRate, Tabulat
 # Model parameter sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimpleAdoption:
+class SimpleAdoption(namedtuple("SimpleAdoption", "a u0 N")):
     """Constant adoption rate a for everyone; tau = 1/a is the mean wait."""
 
-    a: float
-    u0: float = 0.0
-    N: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.a > 0:
+    def __new__(cls, a: float, u0: float = 0.0, N: float = 1.0):
+        if not a > 0:
             raise ParameterError("adoption rate a must be positive")
-        if math.isinf(1.0 / self.a):
+        if math.isinf(1.0 / a):
             raise ParameterError("adoption rate a is too small: the mean wait 1/a overflows")
-        if not 0.0 <= self.u0 <= 1.0:
+        if not 0.0 <= u0 <= 1.0:
             raise ParameterError("initial share u0 must lie in [0, 1]")
-        if not self.N > 0:
+        if not N > 0:
             raise ParameterError("population N must be positive")
+        return super().__new__(cls, a, u0, N)
 
     @property
     def tau(self) -> float:
         return 1.0 / self.a
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "n schedule")):
     """One independent market segment of normalized size n_i."""
 
-    n: float
-    schedule: RateSchedule
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.n <= 1.0:
+    def __new__(cls, n: float, schedule: RateSchedule):
+        if not 0.0 < n <= 1.0:
             raise ParameterError("segment size must lie in (0, 1]")
+        return super().__new__(cls, n, schedule)
 
 
-@dataclass(frozen=True)
-class HesitationParams:
+class HesitationParams(namedtuple("HesitationParams", "a b c variant")):
     """Three-state adoption with a hesitation stage.
 
     ``absorbing_hesitation``: hesitants eventually subscribe (P -> H -> U
@@ -197,22 +192,21 @@ class HesitationParams:
     from P.
     """
 
-    a: float
-    b: float
-    c: float
-    variant: str = "absorbing_hesitation"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
+    def __new__(cls, a: float, b: float, c: float, variant: str = "absorbing_hesitation"):
+        if not (a > 0 and b > 0 and c > 0):
             raise ParameterError("intensities a, b, c must be positive")
-        if self.variant not in ("absorbing_hesitation", "returning_hesitation"):
-            raise ParameterError(f"unknown hesitation variant {self.variant!r}")
-        if self.variant == "returning_hesitation":
+        if variant not in ("absorbing_hesitation", "returning_hesitation"):
+            raise ParameterError(f"unknown hesitation variant {variant!r}")
+        self = super().__new__(cls, a, b, c, variant)
+        if variant == "returning_hesitation":
             lam1, lam2, _ = self.eigenvalues()
             if not lam2 < lam1 < 0.0:
                 raise ParameterError(
                     f"returning hesitation needs distinct negative transition eigenvalues, "
                     f"got {lam1!r} and {lam2!r} (a * c too small)")
+        return self
 
     def eigenvalues(self) -> tuple[float, float, float]:
         """(lambda1, lambda2, r) of the (p, h) transition matrix.
@@ -225,30 +219,26 @@ class HesitationParams:
         return 0.5 * (-s + r), 0.5 * (-s - r), r
 
 
-@dataclass(frozen=True)
-class BirthDeathParams:
+class BirthDeathParams(namedtuple("BirthDeathParams", "a d f g")):
     """Adoption with arrivals into the potential pool and attrition.
 
     d: birth rate into the pool, f: death rate of potentials, g: death
     rate of subscribers. Assumes a + f > d + g so the pool drains.
     """
 
-    a: float
-    d: float
-    f: float
-    g: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.a > 0:
+    def __new__(cls, a: float, d: float, f: float, g: float):
+        if not a > 0:
             raise ParameterError("adoption rate a must be positive")
-        if min(self.d, self.f, self.g) < 0:
+        if min(d, f, g) < 0:
             raise ParameterError("birth/death rates must be nonnegative")
-        if not self.a + self.f > self.d + self.g:
+        if not a + f > d + g:
             raise ParameterError("requires a + f > d + g")
+        return super().__new__(cls, a, d, f, g)
 
 
-@dataclass(frozen=True)
-class LatencyTimes:
+class LatencyTimes(NamedTuple):
     """Strategic latency indicators of a single-supplier market."""
 
     t50: float

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     AccuracyNotReachedError,
@@ -43,8 +43,7 @@ ATOL = 1e-15
 MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """A first-order ODE system du/dt = rhs(t, u) of fixed dimension."""
 
     dim: int
@@ -57,20 +56,19 @@ class VectorField:
         return out
 
 
-@dataclass(frozen=True)
-class SquareMatrix:
+class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
     """Dense n-by-n real matrix, row-major."""
 
-    n: int
-    entries: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, entries: tuple[tuple[float, ...], ...]):
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError("entries must form an n-by-n grid")
-        if not all(math.isfinite(v) for r in self.entries for v in r):
+        if not all(math.isfinite(v) for r in entries for v in r):
             raise ValueError("matrix entries must be finite")
+        return super().__new__(cls, n, entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[float]]) -> "SquareMatrix":

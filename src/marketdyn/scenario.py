@@ -18,10 +18,9 @@ import copy
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
-from . import lazy_submodule, monopoly, numerics
+from . import lazy_submodule, monopoly
 from .errors import (
     CalibrationInfeasibleError,
     MarketDynError,
@@ -33,10 +32,10 @@ from .trajectory import Trajectory, argmax_channel, time_grid
 competition = lazy_submodule("competition")
 feedback = lazy_submodule("feedback")
 games = lazy_submodule("games")
+numerics = lazy_submodule("numerics")
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     code: str       # unknown_kind | missing_field | bad_type | invariant
     path: str
     expected: str
@@ -46,12 +45,12 @@ class ValidationIssue:
         return f"[{self.code}] at {self.path}: expected {self.expected}, found {self.found}"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A validated model plus run settings.
 
     ``model_doc`` is the model object as parsed, with defaults filled in
     and derived values resolved; :func:`scenario_to_dict` writes it back.
+    Equality and hashing leave it out.
     """
 
     kind: str
@@ -61,17 +60,25 @@ class Scenario:
     outputs: tuple[str, ...] | None = None
     time_unit: str = "year"
     name: str | None = None
-    model_doc: dict | None = field(default=None, compare=False, repr=False)
+    model_doc: dict | None = None
+
+    def __eq__(self, other):
+        return isinstance(other, Scenario) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Trajectory plus model-appropriate metrics and surfaced ledger notes."""
 
     scenario: Scenario
     trajectory: Trajectory
     metrics: tuple[tuple[str, object], ...]
-    discrepancies: tuple[str, ...] = field(default=())
+    discrepancies: tuple[str, ...] = ()
 
 
 def _is_number(value) -> bool:

@@ -11,7 +11,7 @@ year/month/day style of the source tables (1 month = 1/12 time unit,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import feedback
 
@@ -59,16 +59,14 @@ def format_duration(years: float) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class LatencyU0Row:
+class LatencyU0Row(NamedTuple):
     u0: float
     ratio: float
     t10_formatted: str
     footnote: str | None = None
 
 
-@dataclass(frozen=True)
-class LatencyKernelRow:
+class LatencyKernelRow(NamedTuple):
     label: str
     t10_over_t50: float
     t10_formatted: str

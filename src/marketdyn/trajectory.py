@@ -9,12 +9,11 @@ between threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "times states labels notes")):
     """Uniformly or adaptively sampled evolution of a model.
 
     Attributes:
@@ -24,21 +23,20 @@ class Trajectory:
         notes: Free-form solver annotations (e.g. fallback markers).
     """
 
-    times: tuple[float, ...]
-    states: tuple[tuple[float, ...], ...]
-    labels: tuple[str, ...]
-    notes: tuple[str, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.states) != len(self.times):
+    def __new__(cls, times: tuple[float, ...], states: tuple[tuple[float, ...], ...],
+                labels: tuple[str, ...], notes: tuple[str, ...] = ()):
+        if len(states) != len(times):
             raise ValueError("states and times must have the same length")
-        if not self.times:
+        if not times:
             raise ValueError("trajectory must contain at least one sample")
-        if not all(map(operator.lt, self.times, self.times[1:])):
+        if not all(map(operator.lt, times, times[1:])):
             raise ValueError("times must be strictly increasing")
-        width = len(self.labels)
-        if any(map(width.__ne__, map(len, self.states))):
+        width = len(labels)
+        if any(map(width.__ne__, map(len, states))):
             raise ValueError("every state must have one entry per label")
+        return super().__new__(cls, times, states, labels, notes)
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,9 @@
 """Model modules that load on first use.
 
-``scenario`` and ``cli`` register ``competition``, ``feedback``, ``games``
-and ``tables`` in ``sys.modules`` without running their bodies. These
-tests run in fresh interpreters, since the test process has loaded every
-module long before.
+``scenario`` and ``cli`` register ``competition``, ``feedback``, ``games``,
+``numerics`` and ``tables`` in ``sys.modules`` without running their
+bodies. These tests run in fresh interpreters, since the test process has
+loaded every module long before.
 """
 
 import json
@@ -23,7 +23,8 @@ SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
 LAZY = {"competition": "BassCompetition", "feedback": "feedback_path",
         "games": "bpq_path", "tables": "render_latency_u0"}
 
-# ``python -m marketdyn ARGS...``, then a report on the lazy modules on stderr.
+# ``python -m marketdyn ARGS...``, then a report on the lazy modules, and on
+# whether ``dataclasses`` was imported, on stderr.
 RUN_MAIN_THEN_REPORT = """
 import json, runpy, sys, types
 lazy = json.loads(sys.argv[1])
@@ -38,6 +39,7 @@ for name, defined in lazy.items():
     report[name] = None if module is None else {
         "plain_module": type(module) is types.ModuleType,
         "body_ran": defined in object.__getattribute__(module, "__dict__")}
+report["dataclasses"] = "dataclasses" in sys.modules
 sys.stderr.write(json.dumps([code, report]))
 """
 
@@ -100,6 +102,20 @@ def test_simple_run_never_runs_the_other_families(tmp_path):
     assert proc.stdout.startswith(b"t,u,D\n0,0,138.6\n")
     for name in LAZY:
         assert report[name] == {"plain_module": False, "body_ran": False}, name
+
+
+def test_simple_metrics_loads_neither_dataclasses_nor_numerics(tmp_path):
+    # Records are named tuples, and a closed form calls nothing in numerics.
+    path = tmp_path / "simple.json"
+    path.write_text(json.dumps({"model": {"kind": "simple", "a": 0.1386, "N": 1000.0},
+                                "horizon": 25.0, "samples": 5}))
+    proc = _python(RUN_MAIN_THEN_REPORT, json.dumps({"numerics": "sample_ivp"}),
+                   "metrics", str(path))
+    code, report = json.loads(proc.stderr)
+    assert code == cli.EXIT_OK
+    assert proc.stdout.startswith(b"metric,value\na,0.1386\nT50,")
+    assert report == {"numerics": {"plain_module": False, "body_ran": False},
+                      "dataclasses": False}
 
 
 def test_first_use_loads_the_module_in_a_fresh_process(tmp_path):

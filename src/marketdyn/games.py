@@ -300,7 +300,7 @@ def _case1_sales(case: Case1, b_lo: float, lo: float, t: float) -> float:
     by_inflow = d_a < d_c
     small = a_s if by_inflow else c_s
     part = 0.0 if b_lo == 0.0 or min(d_a, d_c) == 0.0 else numerics.shifted_integral_step(
-        0.0, lambda v: small.rate(-v) * b_lo,
+        0.0, lambda y: small.rate(lo - y) * b_lo,
         lambda y: -(a_s.cumulative(lo - y, lo) + c_s.cumulative(lo - y, lo)), -t, -lo)
     return part if by_inflow else drop - part
 
@@ -353,14 +353,20 @@ def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> 
     def drain(u: float, lo: float) -> float:
         return a_s.cumulative(u, lo) + c_s.cumulative(u, lo)
 
+    def quits(lo: float, span: float) -> float:
+        """int b over [lo, lo + span] to the digits of span, where lo + span
+        rounds: the mean of b over the rounded span, times span itself."""
+        end = lo + span
+        return span * (b_s.cumulative(end, lo) / (end - lo) if end > lo else b_s.rate(lo))
+
     for t in grid:
         if t > t0:
             lo, b_lo = prev_t, B[-1]
             sold = _case1_sales(case, b_lo, lo, t)
             p_acc = numerics.shifted_integral_step(
                 p_acc + sold,
-                lambda u: (-a_s.rate(u) * b_lo * math.exp(-drain(u, lo))
-                           * math.expm1(-b_s.cumulative(u, lo))),
+                lambda y: (-a_s.rate(t + y) * b_lo * math.exp(-drain(t + y, lo))
+                           * math.expm1(-quits(lo, (t - lo) + y))),
                 lambda y: -b_s.cumulative(t, t + y), lo, t)
             c_acc += sold
         Bt = B0 * math.exp(-drain(t, t0))
@@ -689,8 +695,8 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
         e = math.exp(-a * t)
         Bt, Rt = B0 * e, remaining(t, e)
         if prev_t is not None:
-            z = numerics.shifted_integral_step(z, source, lambda y: rise(t, Rt, Bt, y),
-                                               prev_t, t)
+            z = numerics.shifted_integral_step(z, lambda y: source(t + y),
+                                               lambda y: rise(t, Rt, Bt, y), prev_t, t)
         Rz = Rt * z
         prev_t = t
         B.append(Bt)
@@ -850,12 +856,12 @@ def refined_peak(case: BpqCase, grid: Sequence[float],
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
     idx = [traj.labels.index(ch) for ch in ("B", "P", "Q", "C")]
-    if k == 0 or k == len(p) - 1:
+    if k == len(p) - 1:
         s = traj.states[k]
         return traj.times[k], (s[idx[0]], s[idx[1]], s[idx[2]])
 
-    t_lo, t_hi = traj.times[k - 1], traj.times[k + 1]
-    anchor = [traj.states[k - 1][i] for i in idx]
+    t_lo, t_hi = traj.times[max(k - 1, 0)], traj.times[k + 1]
+    anchor = [traj.states[max(k - 1, 0)][i] for i in idx]
     path = case_entry(case).path
     a_int, b_int, _ = intensities(case)
 
@@ -871,11 +877,14 @@ def refined_peak(case: BpqCase, grid: Sequence[float],
 
     lo, hi = t_lo, t_hi
     if lo == 0.0 and imbalance(lo) > 0.0:
-        # The peak may lie far inside the first step: bracket it within a
-        # factor of two, so that the tolerance is relative to T_m.
-        while imbalance(0.5 * hi) < 0.0:
+        # The peak may lie far inside the first step, even where the grid
+        # maximum is the first sample: bracket it within a factor of two, so
+        # that the tolerance is relative to T_m.
+        while imbalance(0.5 * hi) <= 0.0:  # 0 where the state underflowed
             hi *= 0.5
         lo = 0.5 * hi
+    elif k == 0:  # P falls from the start
+        return t_lo, tuple(anchor[:3])
     try:
         t_m = numerics.solve_root(imbalance, lo, hi, tol=1e-12 * hi)
     except numerics.BracketInvalidError:
@@ -967,7 +976,7 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
             continue
         lo = prev_t if prev_t is not None else t_live
         bk_acc = numerics.shifted_integral_step(
-            bk_acc, lambda u: b * math.exp(-delta_a(u)), lambda y: b * y, lo, t)
+            bk_acc, lambda y: b * math.exp(-delta_a(t + y)), lambda y: b * y, lo, t)
         bt = n * math.exp(-delta_a(t))
         pt = n * (math.exp(-b * (t - t_live)) - math.exp(-delta_a(t))) + n * bk_acc
         prev_t = t

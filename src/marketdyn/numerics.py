@@ -460,16 +460,18 @@ def shifted_integral_step(acc: float, f: Callable[[float], float],
                           rise: Callable[[float], float], lo: float, hi: float) -> float:
     """J(hi) from J(lo) = acc for J(t) = int^t f(u) e^(k(u) - k(t)) du, k nondecreasing.
 
-    ``rise(y)`` = k(hi + y) - k(hi) <= 0 for y <= 0: an offset that keeps its
-    digits at any hi. The quadrature of f(hi + y) e^rise(y) runs in y, so its
-    nodes do too. A window halved while the weight at its middle is below
-    e^-40 drops the stretch that a long step would hide between the nodes.
+    Both functions take the offset y <= 0 of u = hi + y, which keeps its
+    digits at any hi where u itself would round: ``f(y)`` is the integrand at
+    u and ``rise(y)`` = k(hi + y) - k(hi) <= 0. The quadrature of
+    f(y) e^rise(y) runs in y, so its nodes do too. A window halved while the
+    weight at its middle is below e^-40 drops the stretch that a long step
+    would hide between the nodes.
     """
     y0 = lo - hi
     while rise(0.5 * y0) < -40.0:
         y0 *= 0.5
     return acc * math.exp(rise(lo - hi)) + quadrature(
-        lambda y: f(hi + y) * math.exp(rise(y)), y0, 0.0, 1e-11)
+        lambda y: f(y) * math.exp(rise(y)), y0, 0.0, 1e-11)
 
 
 def solve_root(g: Callable[[float], float], lo: float, hi: float,

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from marketdyn import games, numerics
 from marketdyn.errors import DomainError, InitiationError, ParameterError
-from marketdyn.monopoly import ExpDecayRate, LinearRate
+from marketdyn.monopoly import ConstantRate, ExpDecayRate, LinearRate
 from marketdyn.trajectory import time_grid
 
 N = 1000.0
@@ -673,6 +673,31 @@ def test_refined_peak_far_inside_the_first_step():
     case = games.Case1(a=1e9, b=1.0, c=0.0, N=N)
     t_m, _ = games.refined_peak(case, time_grid(0.0, 20.0, 1000))
     assert t_m == pytest.approx(games.case1_peak(1e9, 1.0, 0.0, N).T_m, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [ExpDecayRate(0.5, 0.1), ConstantRate(0.5)],
+                         ids=["exp_decay_a", "constant_a"])
+@pytest.mark.parametrize("t0", [2.5, 5.0])
+def test_case1_schedules_over_a_short_step_late_in_time(a, t0):
+    # The quadrature of a step's player gain met the rounding of t0 + y
+    # (about 4e-16) in a factor that vanishes like the offset from the
+    # step's start, and a 2e-7 step at t0 = 2.5 hit the subdivision limit.
+    mpmath = pytest.importorskip("mpmath")
+    case = games.Case1(a=a, b=LinearRate(0.3, 0.05), c=0.1, N=N)
+    a0, beta = (a.a0, a.beta) if isinstance(a, ExpDecayRate) else (a.a, 0.0)
+    with mpmath.workdps(30):
+        def reference(t):
+            inflow = (lambda u: a0 * u) if beta == 0.0 else (
+                lambda u: a0 / beta * -mpmath.expm1(-beta * u))
+            return mpmath.quad(lambda u: a0 * mpmath.exp(-beta * u) * N
+                               * mpmath.exp(-inflow(u) - 0.1 * u)
+                               * mpmath.exp(-(0.3 * (t - u) + 0.025 * (t * t - u * u))),
+                               [0, t / 2, t])
+
+        for span in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 2e-7, 1e-8, 1e-9):
+            p = games.bpq_path(case, [0.0, t0, t0 + span]).channel("P")[-1]
+            exact = reference(mpmath.mpf(t0) + mpmath.mpf(span))
+            assert abs(p - exact) <= 1e-13 * exact, span
 
 
 def test_peak_metrics_catalog():

@@ -761,6 +761,20 @@ def test_cli_game_at_the_ends_of_the_double_range(model, horizon, code, tmp_path
     assert got in (cli.EXIT_OK, cli.EXIT_NUMERIC) and "Traceback" not in err
 
 
+def test_cli_peak_inside_a_first_step_that_holds_the_grid_maximum(tmp_path, capsys):
+    # At 5 samples over 1e6 the grid maximum of P is its first sample, P = 0,
+    # while P rises from there to its peak at t = 4.56: T_m and P_m were 0.
+    model = {"kind": "bpq", "case": "case1", "N": 1000, "b": 0.3, "c": 0.1,
+             "a": {"kind": "linear", "a0": 0.1, "a1": 0.01}}
+    peaks = []
+    for horizon, samples in ((1e6, 5), (100.0, 1001)):
+        doc = {"model": model, "horizon": horizon, "samples": samples}
+        code, rows, _ = cli_output("metrics", doc, tmp_path, capsys)
+        assert code == cli.EXIT_OK
+        peaks.append([row for row in rows if row[0] in ("T_m", "P_m")])
+    assert peaks[0] == peaks[1] == [["T_m", "4.55860528"], ["P_m", "175.759165"]]
+
+
 def test_cli_case5_in_a_market_of_1e308_keeps_its_sales(tmp_path, capsys):
     # Inflow a B = 1.7e8 against quits gamma P Q; scipy's Radau gives P(5) =
     # 50.0000054 and Q(5) = 8.4999996e8. Sales are B0 (1 - e^-at), which

@@ -66,8 +66,8 @@ def _run_batch(args, render) -> int:
     """Render every scenario of the file in order; label blocks when there are several."""
     scenarios = _load_scenarios(args.file)
     if args.samples is not None:
-        scenarios = [scenario.Scenario(s.kind, s.model, s.horizon, args.samples, s.outputs,
-                                       s.time_unit, s.name, s.model_doc) for s in scenarios]
+        scenarios = [scenario.Scenario(**{**s._asdict(), "samples": args.samples})
+                     for s in scenarios]
     blocks = [render(s, _delimiter(args.format)) for s in scenarios]
     if len(scenarios) > 1:
         blocks = [f"# {s.name or f'scenario {idx + 1}'}\n{block}"

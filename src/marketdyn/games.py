@@ -77,8 +77,7 @@ class _Seeded:
 
 
 class Case1(namedtuple("Case1", "a b c N"), _Seeded):
-    """Externally driven inflow and quit intensities a(t), b(t), c(t); a number
-    is a constant rate."""
+    """Externally driven inflow and quit intensities a(t), b(t), c(t)."""
 
     __slots__ = ()
 

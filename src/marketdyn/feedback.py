@@ -429,15 +429,16 @@ def u_of_t(m: FeedbackModel, t: float) -> float:
     rest invert t(u) by safeguarded Newton iteration from u0 (see
     :func:`_invert_phi`).
     """
+    kern, u0 = m.kernel, m.u0
     if t < 0:
         raise DomainError("time must be nonnegative")
     if t == 0.0:
-        return m.u0
-    closed = _KERNELS[m.kernel.kind].u_of_t
+        return u0
+    closed = _KERNELS[kern.kind].u_of_t
     if closed is None:
         return _invert_phi(m, [t])[0][0]
-    _check_start(m.kernel, m.u0)
-    return closed(m.kernel, m.u0, m.rate, t)
+    _check_start(kern, u0)
+    return closed(kern, u0, m.rate, t)
 
 
 def _shares(m: FeedbackModel, times: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -471,10 +472,10 @@ def _invert_phi(m: FeedbackModel,
     t_freeze = cutoff_time(m) if limit < 1.0 else math.inf
     cap = min(limit - (limit - u0) * 0.5 ** 50, math.nextafter(limit, 0.0))
     phi_cap = _phi(kern, cap, u0)
-    x, phi_x = u0, 0.0
+    x, phi_x, rate = u0, 0.0, m.rate
     shares, rests = [], []
     for t in times:
-        target = m.rate * t
+        target = rate * t
         if t == 0.0:
             u, rest = u0, 1.0 - u0
         elif t >= t_freeze:
@@ -595,7 +596,8 @@ def inflection(m: FeedbackModel) -> Optional[InflectionPoint]:
 def feedback_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
     """Share and demand along the grid."""
     u, rests = _shares(m, grid)
-    d = [m.N * m.rate * rest * m.kernel.F(ui) for ui, rest in zip(u, rests)]
+    kern, scale = m.kernel, m.N * m.rate
+    d = [scale * rest * kern.F(ui) for ui, rest in zip(u, rests)]
     return from_channels(grid, {"u": u, "D": d})
 
 

@@ -251,7 +251,7 @@ def _start(case: BpqCase, start: _Start) -> Sequence[float]:
 # ---------------------------------------------------------------------------
 
 def _case1_constants(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
-    a, b, c = case.a.a, case.b.a, case.c.a
+    a, b, c, N = case.a.a, case.b.a, case.c.a, case.N
     B0, P0, _, C0 = _start(case, start)
     s = a + c
     B, P, Q, D, C = [], [], [], [], []
@@ -261,7 +261,7 @@ def _case1_constants(case: Case1, grid: Sequence[float], start: _Start = None) -
         Pt = P0 * math.exp(-b * tau) + B0 * (a * numerics.decay_gap(b, s, tau))
         B.append(Bt)
         P.append(Pt)
-        Q.append(case.N - Bt - Pt)
+        Q.append(N - Bt - Pt)
         D.append(a * Bt)
         C.append(C0 + B0 * (a * numerics.decay_gap(0.0, s, tau)))
     return _package(grid, B, P, Q, D, C)

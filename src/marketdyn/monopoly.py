@@ -252,8 +252,9 @@ class LatencyTimes(NamedTuple):
 
 def simple_path(m: SimpleAdoption, grid: Sequence[float]) -> Trajectory:
     """u(t) = 1 - (1 - u0) e^{-a t} and demand D(t) = a N (1 - u0) e^{-a t}."""
-    u = [1.0 - (1.0 - m.u0) * math.exp(-m.a * t) for t in grid]
-    d = [m.a * m.N * (1.0 - m.u0) * math.exp(-m.a * t) for t in grid]
+    a, u0, N = m.a, m.u0, m.N
+    u = [1.0 - (1.0 - u0) * math.exp(-a * t) for t in grid]
+    d = [a * N * (1.0 - u0) * math.exp(-a * t) for t in grid]
     return from_channels(grid, {"u": u, "D": d})
 
 
@@ -300,14 +301,15 @@ def segmented_path(segments: Sequence[Segment], N: float,
     total = math.fsum(s.n for s in segments)
     if abs(total - 1.0) > 1e-12:
         raise ParameterError(f"segment sizes must sum to 1, got {total!r}")
+    parts = [(s.n, s.schedule) for s in segments]
     u, d = [], []
     for t in grid:
         drop = 0.0
         dem = 0.0
-        for s in segments:
-            decay = math.exp(-s.schedule.cumulative(t))
-            drop += s.n * decay
-            dem += s.schedule.rate(t) * (s.n * N) * decay
+        for n, schedule in parts:
+            decay = math.exp(-schedule.cumulative(t))
+            drop += n * decay
+            dem += schedule.rate(t) * (n * N) * decay
         u.append(1.0 - drop)
         d.append(dem)
     return from_channels(grid, {"u": u, "D": d})
@@ -336,18 +338,16 @@ def hesitation_path(p: HesitationParams, grid: Sequence[float],
     Demand is N(a p + c h) for the absorbing variant and N a p for the
     returning variant (subscriptions only happen out of P there).
     """
-    closed = (_hesitation_absorbing if p.variant == "absorbing_hesitation"
-              else _hesitation_returning)
+    absorbing = p.variant == "absorbing_hesitation"
+    closed = _hesitation_absorbing if absorbing else _hesitation_returning
+    a, c = p.a, p.c
     pot, hes, sub, dem = [], [], [], []
     for t in grid:
         pp, hh, uu = closed(p, t)
         pot.append(pp)
         hes.append(hh)
         sub.append(uu)
-        if p.variant == "absorbing_hesitation":
-            dem.append(N * (p.a * pp + p.c * hh))
-        else:
-            dem.append(N * p.a * pp)
+        dem.append(N * (a * pp + c * hh) if absorbing else N * a * pp)
     return from_channels(grid, {"p": pot, "h": hes, "u": sub, "D": dem})
 
 
@@ -361,13 +361,14 @@ def birth_death_path(p: BirthDeathParams, grid: Sequence[float],
     printed exponent deliberately omits g, because the pool p(t) does
     not feel the subscriber death rate.
     """
-    k = p.a + p.f - p.d
+    a, g = p.a, p.g
+    k = a + p.f - p.d
     pot, sub, dem = [], [], []
     for t in grid:
         pool = math.exp(-k * t)
         pot.append(pool)
-        sub.append(p.a * numerics.decay_gap(p.g, k, t))
-        dem.append(p.a * N * pool)
+        sub.append(a * numerics.decay_gap(g, k, t))
+        dem.append(a * N * pool)
     return from_channels(grid, {"p": pot, "u": sub, "D": dem})
 
 

@@ -679,9 +679,9 @@ def test_refined_peak_far_inside_the_first_step():
                          ids=["exp_decay_a", "constant_a"])
 @pytest.mark.parametrize("t0", [2.5, 5.0])
 def test_case1_schedules_over_a_short_step_late_in_time(a, t0):
-    # The quadrature of a step's player gain met the rounding of t0 + y
-    # (about 4e-16) in a factor that vanishes like the offset from the
-    # step's start, and a 2e-7 step at t0 = 2.5 hit the subdivision limit.
+    # A step's player gain has a factor that vanishes like the offset from
+    # the step's start; at t0 = 2.5, t0 + y rounds by about 4e-16, a large
+    # part of that offset across a 2e-7 step.
     mpmath = pytest.importorskip("mpmath")
     case = games.Case1(a=a, b=LinearRate(0.3, 0.05), c=0.1, N=N)
     a0, beta = (a.a0, a.beta) if isinstance(a, ExpDecayRate) else (a.a, 0.0)

@@ -763,7 +763,7 @@ def test_cli_game_at_the_ends_of_the_double_range(model, horizon, code, tmp_path
 
 def test_cli_peak_inside_a_first_step_that_holds_the_grid_maximum(tmp_path, capsys):
     # At 5 samples over 1e6 the grid maximum of P is its first sample, P = 0,
-    # while P rises from there to its peak at t = 4.56: T_m and P_m were 0.
+    # while P rises from there to its peak at t = 4.56, inside the first step.
     model = {"kind": "bpq", "case": "case1", "N": 1000, "b": 0.3, "c": 0.1,
              "a": {"kind": "linear", "a0": 0.1, "a1": 0.01}}
     peaks = []

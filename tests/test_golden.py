@@ -346,6 +346,30 @@ LONG_RUN_DOCS.update({
         COMPLEMENTARY_GAMES, model=dict(COMPLEMENTARY_GAMES["model"], a_c=0.4, b_c=0.4)),
 })
 
+#: Periodic churn with several sinusoids per pair: the two-supplier path with
+#: three terms in eps12 and one in eps21, and a two-supplier market whose pair
+#: (1, 2) carries two modulations, one of them with two terms. Both digests
+#: were recorded before the churn modulations were compiled into flat kernels.
+LONG_RUN_DOCS.update({
+    "periodic_churn_eps12_3": {"model": {
+        "kind": "periodic_churn", "a12_0": 0.8, "a21_0": 1.2, "u1_0": 0.2,
+        "eps12": [{"amplitude": 0.1, "period": 1.0, "phase": 0.3},
+                  {"amplitude": 0.25, "period": 2.7},
+                  {"amplitude": 0.05, "period": 0.4, "phase": 1.9}],
+        "eps21": [{"amplitude": 0.3, "period": 1.7, "phase": 0.8}]}, "horizon": 15.0},
+    "bass_competition_periodic_2_pair": {"model": {
+        "kind": "bass_competition", "m": [0.5, 0.2], "r": [0.8, 1.5], "u0": [0.02, 0.05],
+        "churn": {"kind": "periodic", "a0": [[0.0, 0.8], [1.2, 0.0]],
+                  "eps": [{"i": 0, "j": 1, "terms": [
+                              {"amplitude": 0.1, "period": 1.0, "phase": 0.5},
+                              {"amplitude": 0.2, "period": 2.3}]},
+                          {"i": 1, "j": 0, "terms": [
+                              {"amplitude": 0.4, "period": 0.9, "phase": 1.2}]},
+                          {"i": 0, "j": 1, "terms": [
+                              {"amplitude": 0.3, "period": 3.1, "phase": 2.0}]}]}},
+        "horizon": 10.0},
+})
+
 LONG_RUN_GOLDEN = {
     ("simulate", "bass_competition_3"):
         "cdf1970cf6e323b9e64544ce92d2ab7e5f19ac91ab60ea8eb62327805e16809d",
@@ -560,6 +584,16 @@ LONG_RUN_GOLDEN = {
         "cd508327a94d3b9b597f95955d828ad1f503dfa78b90b5e2a0ad956b34181907",
     ("metrics", "complementary_confluent"):
         "243afd96d8fef0ff6062807468174f107d5aca4ac99909a574e49ccaf965dcf2",
+    ("simulate", "periodic_churn_eps12_3"):
+        "01e592be17322638504a0f74281db3fae8744ab205229cdccb799ed549561da1",
+    ("metrics", "periodic_churn_eps12_3"):
+        "6fc39d32cbf8072bc17d2c642a23d9a691fa5d588901038172307bd7c32fae5a",
+    ("equilibrium", "periodic_churn_eps12_3"):
+        "f0d8be4943299239658f5eec1ba115718081153f96940646d6cbf58e7f735175",
+    ("simulate", "bass_competition_periodic_2_pair"):
+        "9ddba536a6d690139cdacd2d5d09cfd636c14beef4704a77ddae4a15993c4a60",
+    ("metrics", "bass_competition_periodic_2_pair"):
+        "788ab19fe0f09128181297d5e0f0a23f262f3296be304829c5aa350411edc57b",
 }
 
 

@@ -64,6 +64,9 @@ def _delimiter(fmt: str) -> str:
 
 def _run_batch(args, render) -> int:
     """Render every scenario of the file in order; label blocks when there are several."""
+    if args.samples is not None and args.samples < 2:
+        raise ScenarioValidationError([scenario.ValidationIssue(
+            "invariant", "--samples", "an integer >= 2", repr(args.samples))])
     scenarios = _load_scenarios(args.file)
     if args.samples is not None:
         scenarios = [scenario.Scenario(**{**s._asdict(), "samples": args.samples})

@@ -205,66 +205,129 @@ class StimulatedFixedPoint(NamedTuple):
 # ---------------------------------------------------------------------------
 # Churn flow functions
 # ---------------------------------------------------------------------------
+#
+# The functions below run once per integrator stage or quadrature node. The
+# specs are compiled into flat lists of floats first, and the per-call sums
+# are loops: before CPython 3.12 every comprehension is a function call of
+# its own, which at these sizes costs as much as the arithmetic.
+
+def _modulation_kernel(mods: Sequence[PairModulation]) -> Callable[[float], float]:
+    """``t -> fsum(m.value(t) for m in mods)`` with the records' floats read once.
+
+    Each term is amplitude * sin((2 pi t) / period + phase), summed per
+    modulation and then over the modulations with the same ``fsum`` calls
+    as :meth:`PairModulation.value` and :meth:`PeriodicChurnSpec.epsilon`,
+    so every value is bit-identical to theirs.
+    """
+    params = [[(s.amplitude, s.period, s.phase) for s in m.terms] for m in mods]
+    two_pi, sin, fsum = 2.0 * math.pi, math.sin, math.fsum
+
+    def value(t: float) -> float:
+        x = two_pi * t
+        sums = []
+        for terms in params:
+            parts = []
+            for a, p, ph in terms:
+                parts.append(a * sin(x / p + ph))
+            sums.append(fsum(parts))
+        return fsum(sums)
+
+    return value
+
+
+def _integral_kernel(terms: Sequence[Sinusoid]) -> Callable[[float], float]:
+    """``t -> fsum(s.integral(t) for s in terms)`` with the records' floats read once.
+
+    Per term: (2 amplitude) (sin(half) / w) sin(half + phase) with
+    w = 2 pi / period and half = (0.5 w) fmod(t, period), the expression
+    of :meth:`Sinusoid.integral`, so every value is bit-identical to it.
+    """
+    params = []
+    for s in terms:
+        w = 2.0 * math.pi / s.period
+        params.append((2.0 * s.amplitude, 0.5 * w, s.period, w, s.phase))
+    sin, fmod, fsum = math.sin, math.fmod, math.fsum
+
+    def integral(t: float) -> float:
+        parts = []
+        for a2, hw, p, w, ph in params:
+            half = hw * fmod(t, p)
+            parts.append(a2 * (sin(half) / w) * sin(half + ph))
+        return fsum(parts)
+
+    return integral
+
 
 def resolve_churn_flows(churn: Optional[ChurnSpec]) -> ChurnFlows:
     """The net churn flows of a spec as one function ``flows(t, u) -> [C_i]``.
 
-    The spec is interpreted once: each supplier's row becomes a list of
-    ``(a_ji, j, a_ij)`` triples over the other suppliers, and periodic
-    modulations are grouped per pair, so a call only evaluates the
-    time-dependent rates and the sums. Every C_i is the ``fsum`` of
-    a_ji u_j f_i - a_ij u_i f_j over j != i in ascending j (f = 1 for
-    spontaneous and periodic churn, f_k = b_k u_k + eps_k for stimulated
-    churn), with the rate a_ij(t) = a0_ij + fsum of the pair's
+    The spec is compiled once: the rates become a flat row-major list,
+    each supplier's row a list of index pairs over the other suppliers,
+    and the modulations of each periodic pair one kernel, so a call only
+    evaluates the time-dependent rates and the sums. Every C_i is the
+    ``fsum`` of a_ji u_j f_i - a_ij u_i f_j over j != i in ascending j
+    (f = 1 for spontaneous and periodic churn, f_k = b_k u_k + eps_k for
+    stimulated churn), with the rate a_ij(t) = a0_ij + fsum of the pair's
     modulations for periodic churn.
     """
     if churn is None:
         return lambda t, u: [0.0] * len(u)
     if isinstance(churn, ChurnMatrix):
-        rows = _pair_rows(churn.a)
-        return lambda t, u: [
-            math.fsum(a_ji * u[j] - a_ij * u[i] for a_ji, j, a_ij in row)
-            for i, row in enumerate(rows)
-        ]
-    if isinstance(churn, StimulatedChurnSpec):
-        rows = _pair_rows(churn.churn.a)
-        b, eps = churn.b, churn.eps
-
-        def stimulated(t: float, u: Sequence[float]) -> list[float]:
-            f = [bk * uk + ek for bk, uk, ek in zip(b, u, eps)]
-            return [
-                math.fsum(a_ji * u[j] * f[i] - a_ij * u[i] * f[j] for a_ji, j, a_ij in row)
-                for i, row in enumerate(rows)
-            ]
-
-        return stimulated
+        return _linear_flows(churn.n, [v for row in churn.a for v in row], [])
     if isinstance(churn, PeriodicChurnSpec):
         n = churn.n
-        a0 = churn.a0.a
         groups: dict[tuple[int, int], list[PairModulation]] = {}
         for mod in churn.eps:
             groups.setdefault((mod.i, mod.j), []).append(mod)
-        # Unmodulated pairs keep their baseline rate at every t.
-        steady = [[churn.rate(i, j, 0.0) for j in range(n)] for i in range(n)]
-        others = [[j for j in range(n) if j != i] for i in range(n)]
+        return _linear_flows(
+            n, [churn.rate(i, j, 0.0) for i in range(n) for j in range(n)],
+            [(i * n + j, churn.a0.a[i][j], _modulation_kernel(mods))
+             for (i, j), mods in groups.items()])
+    if isinstance(churn, StimulatedChurnSpec):
+        a, n = churn.churn.a, churn.n
+        rows = [[(a[j][i], j, a[i][j]) for j in range(n) if j != i] for i in range(n)]
+        b_eps = list(zip(churn.b, churn.eps))
+        fsum = math.fsum
 
-        def periodic(t: float, u: Sequence[float]) -> list[float]:
-            rate = [list(row) for row in steady]
-            for (i, j), mods in groups.items():
-                rate[i][j] = a0[i][j] + math.fsum(m.value(t) for m in mods)
-            return [
-                math.fsum(rate[j][i] * u[j] - rate[i][j] * u[i] for j in others[i])
-                for i in range(n)
-            ]
+        def stimulated(t: float, u: Sequence[float]) -> list[float]:
+            f = [bk * uk + ek for (bk, ek), uk in zip(b_eps, u)]
+            flows = []
+            for row, ui, fi in zip(rows, u, f):
+                parts = []
+                for a_ji, j, a_ij in row:
+                    parts.append(a_ji * u[j] * fi - a_ij * ui * f[j])
+                flows.append(fsum(parts))
+            return flows
 
-        return periodic
+        return stimulated
     raise ParameterError(f"unsupported churn specification {type(churn).__name__}")
 
 
-def _pair_rows(a: Sequence[Sequence[float]]) -> list[list[tuple[float, int, float]]]:
-    """Row i: the (a_ji, j, a_ij) triples over j != i in ascending j."""
-    n = len(a)
-    return [[(a[j][i], j, a[i][j]) for j in range(n) if j != i] for i in range(n)]
+def _linear_flows(n: int, rates: list[float],
+                  modulated: list[tuple[int, float, Callable[[float], float]]]) -> ChurnFlows:
+    """Flows of churn linear in the shares, from the flat row-major n x n rates.
+
+    Each ``(k, baseline, kernel)`` of ``modulated`` sets entry k to
+    baseline + kernel(t) on every call; the other entries hold at every t.
+    """
+    rows = [[(j * n + i, j, i * n + j) for j in range(n) if j != i] for i in range(n)]
+    fsum = math.fsum
+
+    def flows(t: float, u: Sequence[float]) -> list[float]:
+        rate = rates
+        if modulated:
+            rate = rates.copy()
+            for k, base, eps in modulated:
+                rate[k] = base + eps(t)
+        out = []
+        for row, ui in zip(rows, u):
+            parts = []
+            for ji, j, ij in row:
+                parts.append(rate[ji] * u[j] - rate[ij] * ui)
+            out.append(fsum(parts))
+        return out
+
+    return flows
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +569,13 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
     # With two suppliers every modulation addresses a12 or a21.
     terms = [s for m in spec.eps for s in m.terms]
     amplitude = math.fsum(s.amplitude for s in terms)
-
-    def alpha(t: float) -> float:
-        return math.expm1(math.fsum(s.integral(t) for s in terms))
+    integral = _integral_kernel(terms)  # E(t)
+    eps21 = _modulation_kernel([m for m in spec.eps if (m.i, m.j) == (1, 0)])
+    expm1, exp = math.expm1, math.exp
 
     def driven(x: float) -> float:
-        a = alpha(x)
-        return a21_0 * a + spec.epsilon(1, 0, x) * (1.0 + a)
+        a = expm1(integral(x))
+        return a21_0 * a + eps21(x) * (1.0 + a)
 
     times = list(grid)
     if times[0] != 0.0:
@@ -532,9 +595,9 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
             # increment is measured against the amplitudes instead.
             y0 = max(t0 - t, -40.0 / s0)
             sigma = sigma * math.exp(-s0 * (t - t0)) + numerics.quadrature(
-                lambda y: driven(t + y) * math.exp(s0 * y), y0, 0.0, 1e-11,
+                lambda y: driven(t + y) * exp(s0 * y), y0, 0.0, 1e-11,
                 amplitude * min(-y0, 1.0 / s0))
-        a = alpha(t)
+        a = expm1(integral(t))
         periodic = (-a * mean_share + sigma) / (1.0 + a)
         decaying = (u1_0 - mean_share) / (1.0 + a) * math.exp(-s0 * t)
         mean_ch.append(mean_share)
@@ -649,18 +712,23 @@ def _stimulated_fixed_point_newton(spec: StimulatedChurnSpec,
 def market_field(market: BassCompetition,
                  churn: Optional[ChurnSpec] = None) -> VectorField:
     """du_i/dt = (1 - sum u)(m_i + r_i u_i) + C_i(u)."""
-    n = market.n
-    m, r = market.m, market.r
-    flows = None if churn is None else resolve_churn_flows(churn)
+    coefficients = list(zip(market.m, market.r))
+    fsum = math.fsum
+    if churn is None:
+        def rhs(t: float, u: Sequence[float]) -> list[float]:
+            vacancy = 1.0 - fsum(u)
+            return [vacancy * (mi + ri * ui) for (mi, ri), ui in zip(coefficients, u)]
+    else:
+        flows = resolve_churn_flows(churn)
 
-    def rhs(t: float, u: Sequence[float]) -> list[float]:
-        vacancy = 1.0 - math.fsum(u)
-        growth = [vacancy * (m[i] + r[i] * u[i]) for i in range(n)]
-        if flows is None:
-            return growth
-        return [g + c for g, c in zip(growth, flows(t, u))]
+        def rhs(t: float, u: Sequence[float]) -> list[float]:
+            vacancy = 1.0 - fsum(u)
+            out = []
+            for (mi, ri), ui, c in zip(coefficients, u, flows(t, u)):
+                out.append(vacancy * (mi + ri * ui) + c)
+            return out
 
-    return VectorField(n, rhs)
+    return VectorField(market.n, rhs)
 
 
 def competitive_path_numeric(market: BassCompetition,

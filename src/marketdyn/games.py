@@ -914,25 +914,37 @@ def peak_metrics(case: BpqCase, grid: Sequence[float],
 # Complementary games
 # ---------------------------------------------------------------------------
 
-def companion_players(spec: ComplementarySpec, t: float) -> float:
-    """Player count of the companion game, launched tau before game 1."""
-    s = t + spec.tau
-    if s <= 0.0:
-        return 0.0
-    return spec.companion_population * (spec.a_c * numerics.decay_gap(spec.a_c, spec.b_c, s))
+def _companion_kernels(spec: ComplementarySpec) -> tuple[Callable[[float], float],
+                                                         Callable[[float], float]]:
+    """``t -> P_c(t)``, the companion game's players, and ``t -> A(t)``, with
+    the spec's fields read once.
 
-
-def _coupling_antiderivative(spec: ComplementarySpec, t: float) -> float:
-    """A(t) with A'(t) = g * P_c(t), up to an additive constant.
-
+    A'(t) = g P_c(t), up to an additive constant:
     A = N_c g ((1 - e^{-b_c s})/b_c - (e^{-a_c s} - e^{-b_c s})/(b_c - a_c)) at
     the companion's age s; both divided differences are at most s, so no
     constant of size 1/b_c swamps the change of A over a step.
     """
-    s = t + spec.tau
-    b_c = spec.b_c
-    return spec.companion_population * spec.g * (
-        -math.expm1(-b_c * s) / b_c - numerics.decay_gap(spec.a_c, b_c, s))
+    tau, a_c, b_c = spec.tau, spec.a_c, spec.b_c
+    nc = spec.companion_population
+    nc_g = nc * spec.g
+    decay_gap, expm1 = numerics.decay_gap, math.expm1
+
+    def players(t: float) -> float:
+        s = t + tau
+        if s <= 0.0:
+            return 0.0
+        return nc * (a_c * decay_gap(a_c, b_c, s))
+
+    def antiderivative(t: float) -> float:
+        s = t + tau
+        return nc_g * (-expm1(-b_c * s) / b_c - decay_gap(a_c, b_c, s))
+
+    return players, antiderivative
+
+
+def companion_players(spec: ComplementarySpec, t: float) -> float:
+    """Player count of the companion game, launched tau before game 1."""
+    return _companion_kernels(spec)[0](t)
 
 
 def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajectory:
@@ -946,22 +958,21 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
     """
     if grid[0] != 0.0:
         raise ParameterError("complementary paths start at t = 0")
-    n, b = spec.N, spec.b
+    n, b, g, tau, a_c = spec.N, spec.b, spec.g, spec.tau, spec.a_c
     nc = spec.companion_population
-    t_live = max(0.0, -spec.tau)
-    a_ref = _coupling_antiderivative(spec, t_live)
-
-    def delta_a(t: float) -> float:
-        return _coupling_antiderivative(spec, t) - a_ref
+    players, antiderivative = _companion_kernels(spec)
+    exp = math.exp
+    t_live = max(0.0, -tau)
+    a_ref = antiderivative(t_live)
 
     B, P, Q, D, C = [], [], [], [], []
     Bc, Pc, Qc = [], [], []
     bk_acc = 0.0  # b times the integral: the quadrature then runs on values near 1
     prev_t = None
     for t in grid:
-        s = t + spec.tau
-        bc = nc * math.exp(-spec.a_c * s) if s >= 0 else nc
-        pc = companion_players(spec, t)
+        s = t + tau
+        bc = nc * exp(-a_c * s) if s >= 0 else nc
+        pc = players(t)
         Bc.append(bc)
         Pc.append(pc)
         Qc.append(nc - bc - pc)
@@ -969,20 +980,21 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
             B.append(n)
             P.append(0.0)
             Q.append(0.0)
-            D.append(spec.g * pc * n)
+            D.append(g * pc * n)
             C.append(0.0)
             prev_t = None
             continue
         lo = prev_t if prev_t is not None else t_live
         bk_acc = numerics.shifted_integral_step(
-            bk_acc, lambda y: b * math.exp(-delta_a(t + y)), lambda y: b * y, lo, t)
-        bt = n * math.exp(-delta_a(t))
-        pt = n * (math.exp(-b * (t - t_live)) - math.exp(-delta_a(t))) + n * bk_acc
+            bk_acc, lambda y: b * exp(-(antiderivative(t + y) - a_ref)), lambda y: b * y, lo, t)
+        left = exp(-(antiderivative(t) - a_ref))  # B / N
+        bt = n * left
+        pt = n * (exp(-b * (t - t_live)) - left) + n * bk_acc
         prev_t = t
         B.append(bt)
         P.append(pt)
         Q.append(n - bt - pt)
-        D.append(spec.g * pc * bt)
+        D.append(g * pc * bt)
         C.append(n - bt)
     return _package(grid, B, P, Q, D, C, B_c=Bc, P_c=Pc, Q_c=Qc)
 

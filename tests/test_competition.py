@@ -216,6 +216,33 @@ def test_resolved_flows_match_the_definition_bit_for_bit(churn, data):
         assert [v.hex() for v in flows(t, u)] == expected
 
 
+sinusoids = st.builds(comp.Sinusoid, st.floats(0.0, 2.0), st.floats(1e-3, 1e3),
+                      st.floats(-7.0, 7.0))
+
+
+@given(st.lists(st.lists(sinusoids, min_size=1, max_size=3), min_size=1, max_size=4),
+       st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4))
+def test_compiled_modulations_match_the_records_bit_for_bit(term_lists, times):
+    # Several modulations of one pair, 1-3 terms each: the compiled kernels
+    # against the record methods they replace on the solve paths.
+    mods = [comp.PairModulation(0, 1, tuple(terms)) for terms in term_lists]
+    terms = [s for m in mods for s in m.terms]
+    spec = comp.PeriodicChurnSpec(
+        a0=comp.ChurnMatrix.from_rows([[0.0, 30.0], [1.0, 0.0]]), eps=tuple(mods))
+    value, integral = comp._modulation_kernel(mods), comp._integral_kernel(terms)
+    per_pair = [(m, comp._modulation_kernel([m])) for m in mods]
+    per_term = [(s, comp._modulation_kernel([comp.PairModulation(0, 1, (s,))]),
+                 comp._integral_kernel([s])) for s in terms]
+    for t in times:
+        assert value(t).hex() == spec.epsilon(0, 1, t).hex()
+        assert integral(t).hex() == math.fsum(s.integral(t) for s in terms).hex()
+        for m, kernel in per_pair:
+            assert kernel(t).hex() == m.value(t).hex()
+        for s, kernel, antiderivative in per_term:  # fsum turns a -0.0 term into 0.0
+            assert kernel(t).hex() == math.fsum([s.value(t)]).hex()
+            assert antiderivative(t).hex() == math.fsum([s.integral(t)]).hex()
+
+
 # ---------------------------------------------------------------------------
 # spontaneous churning: dynamics
 # ---------------------------------------------------------------------------

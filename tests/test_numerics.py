@@ -496,7 +496,7 @@ def test_two_rate_closed_forms_match_mpmath(mp, gap):
             antiderivative = nc * g * (
                 (1 - mp.exp(-b_c * age)) / b_c
                 - (mp.exp(-a_c * age) - mp.exp(-b_c * age)) / (b_c - a_c))
-        assert_close(mp, games._coupling_antiderivative(spec, t), antiderivative)
+        assert_close(mp, games._companion_kernels(spec)[1](t), antiderivative)
 
     # Two suppliers: the one-way peak time, and the path against the
     # matrix exponential u(t) = (I - e^{-Qt}) Q^{-1} m.

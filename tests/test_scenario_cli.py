@@ -530,6 +530,18 @@ def test_cli_rejects_a_horizon_too_short_for_the_grid(model, file_samples, argv,
                                        "long enough for 50 distinct sample times, found 5e-324\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+@pytest.mark.parametrize("samples", ["1", "0", "-3"])
+def test_cli_rejects_a_samples_option_below_two(samples, command, tmp_path, capsys):
+    # The option skipped the samples >= 2 check of the document's own
+    # samples, so the time grid raised a ValueError (exit 1).
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(SIMPLE_DOC))
+    assert cli.main([command, str(path), "--samples", samples]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        "", f"error [invariant] at --samples: expected an integer >= 2, found {samples}\n")
+
+
 def test_cli_bpq_case4_without_an_interior_peak(tmp_path, capsys):
     # beta B0 <= gamma Q0: the players only decline, so the peak is P0 at t = 0;
     # the quadrature up to the balance share Q < Q0 raised a ValueError.

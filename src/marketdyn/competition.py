@@ -262,9 +262,9 @@ def resolve_churn_flows(churn: Optional[ChurnSpec]) -> ChurnFlows:
     """The net churn flows of a spec as one function ``flows(t, u) -> [C_i]``.
 
     The spec is compiled once: the rates become a flat row-major list,
-    each supplier's row a list of index pairs over the other suppliers,
-    and the modulations of each periodic pair one kernel, so a call only
-    evaluates the time-dependent rates and the sums. Every C_i is the
+    each supplier's row the positions of a_ji and a_ij over the other
+    suppliers, and the modulations of each periodic pair one kernel, so a
+    call only evaluates the time-dependent rates and the sums. Every C_i is the
     ``fsum`` of a_ji u_j f_i - a_ij u_i f_j over j != i in ascending j
     (f = 1 for spontaneous and periodic churn, f_k = b_k u_k + eps_k for
     stimulated churn), with the rate a_ij(t) = a0_ij + fsum of the pair's

@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
 )
-from .numerics import SquareMatrix, VectorField
+from .numerics import SquareMatrix
 from .trajectory import Trajectory, from_channels
 
 
@@ -502,10 +502,9 @@ def spontaneous_path(m: Sequence[float], c: ChurnMatrix,
             decay = step_exp.apply(decay)
             rows.append(tuple(vi - di for vi, di in zip(v, decay)))
     except SingularMatrixError:
-        field_ = VectorField(n, lambda t, y: [
+        rows = numerics.sample_ivp(lambda t, y: [
             m[i] - math.fsum(q.entries[i][j] * y[j] for j in range(n))
-            for i in range(n)])
-        rows = numerics.sample_ivp(field_, [0.0] * n, grid)
+            for i in range(n)], [0.0] * n, grid)
         notes = ("matrix-exponential route unavailable (singular Q); integrated numerically",)
     channels = {f"u{i + 1}": [row[i] for row in rows] for i in range(n)}
     return from_channels(grid, channels, notes=notes)
@@ -647,8 +646,8 @@ def stimulated_fixed_point(spec: StimulatedChurnSpec,
             raise ParameterError("initial shares of a developed market must sum to 1")
         rates = [x for row in spec.churn.a for x in row if x > 0] + [b for b in spec.b if b > 0]
         slowest = min(rates) if rates else 1.0
-        field_ = VectorField(n, resolve_churn_flows(spec))
-        final = numerics.sample_ivp(field_, list(start), [0.0, 60.0 / slowest])[-1]
+        final = numerics.sample_ivp(resolve_churn_flows(spec), list(start),
+                                    [0.0, 60.0 / slowest])[-1]
         winner = max(range(n), key=lambda i: final[i])
         vertex = tuple(1.0 if i == winner else 0.0 for i in range(n))
         vertices = tuple(tuple(1.0 if i == k else 0.0 for i in range(n)) for k in range(n))
@@ -672,7 +671,8 @@ def stimulated_fixed_point(spec: StimulatedChurnSpec,
 
 def _stimulated_fixed_point_newton(spec: StimulatedChurnSpec,
                                    u0: Sequence[float] | None) -> StimulatedFixedPoint:
-    """Damped Newton on the reduced balance system for n > 2 suppliers."""
+    """Newton's method on the reduced balance system for n > 2 suppliers: full
+    steps with a forward-difference Jacobian."""
     n = spec.n
     x = list(u0[:n - 1]) if u0 is not None else [1.0 / n] * (n - 1)
     flows = resolve_churn_flows(spec)
@@ -710,7 +710,7 @@ def _stimulated_fixed_point_newton(spec: StimulatedChurnSpec,
 # ---------------------------------------------------------------------------
 
 def market_field(market: BassCompetition,
-                 churn: Optional[ChurnSpec] = None) -> VectorField:
+                 churn: Optional[ChurnSpec] = None) -> numerics.RHS:
     """du_i/dt = (1 - sum u)(m_i + r_i u_i) + C_i(u)."""
     coefficients = list(zip(market.m, market.r))
     fsum = math.fsum
@@ -728,7 +728,7 @@ def market_field(market: BassCompetition,
                 out.append(vacancy * (mi + ri * ui) + c)
             return out
 
-    return VectorField(market.n, rhs)
+    return rhs
 
 
 def competitive_path_numeric(market: BassCompetition,
@@ -744,8 +744,7 @@ def competitive_path_numeric(market: BassCompetition,
     n = market.n
     if churn is not None and getattr(churn, "n") != n:
         raise ParameterError("churn specification and market disagree on supplier count")
-    field_ = market_field(market, churn)
-    rows = numerics.sample_ivp(field_, list(market.u0), grid)
+    rows = numerics.sample_ivp(market_field(market, churn), list(market.u0), grid)
 
     tol = 1e-9
     prev_sum = -math.inf

@@ -650,9 +650,9 @@ def classify_equilibria(kern: FeedbackKernel) -> list[EquilibriumPoint]:
     return out
 
 
-def ode_field(m: FeedbackModel) -> numerics.VectorField:
+def ode_field(m: FeedbackModel) -> numerics.RHS:
     """du/dt = rate (1 - u) F(u), for cross-validation against the closed forms."""
-    return numerics.VectorField(1, lambda t, y: [m.rate * m.kernel.growth(y[0])])
+    return lambda t, y: [m.rate * m.kernel.growth(y[0])]
 
 
 def discrepancy_notes(kern: FeedbackKernel) -> tuple[str, ...]:

@@ -9,14 +9,13 @@ drains B directly (only meaningful when the inflow does not depend on P).
 Six parameter shapes are covered, each declared once in ``CASES``: its
 parameter record and the document fields they are read from, its
 intensities, the one route of its path, its closed-form peak where it has
-one, and the metric rows it adds. Case 1 (externally driven) has closed
-forms for constant rates and, through the error function, for a linearly
-growing inflow; any other rate schedules go through one integrating-factor
-integral. Both case 1 routes take a step's sales from the drop in B, less a
-quadrature of the smaller drain. Case 2 is the classic epidemic model and
-case 4 its variant with quitter-stimulated exits; both have an exact B(Q),
-so a path inverts the time integral t(Q) by warm-started Newton iteration,
-and their peak times come from the same integral. Case 5 reduces to a linear
+one, and the metric rows it adds. Case 1 (externally driven) has a closed
+form for constant rates; any other rate schedules go through one
+integrating-factor integral, which takes a step's sales from the drop in
+B, less a quadrature of the smaller drain. Case 2 is the classic epidemic
+model and case 4 its variant with quitter-stimulated exits; both have an
+exact B(Q), so a path inverts the time integral t(Q) by warm-started
+Newton iteration, and their peak times come from the same integral. Case 5 reduces to a linear
 equation via the Riccati substitution; cases 3 and 6 integrate directly. A
 route starts from any grid row, so a peak without a closed form is refined
 on the route that printed the path. A complementary-game coupling (sales of
@@ -32,8 +31,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from . import numerics
 from .errors import DomainError, InitiationError, ParameterError
-from .monopoly import ConstantRate, LinearRate, RateSchedule
-from .numerics import VectorField
+from .monopoly import ConstantRate, RateSchedule
 from .trajectory import Trajectory, from_channels
 
 
@@ -214,7 +212,7 @@ def intensities(case: BpqCase):
     return case_entry(case).intensities(case)
 
 
-def ode_field(case: BpqCase) -> VectorField:
+def ode_field(case: BpqCase) -> numerics.RHS:
     """The three-compartment system for (B, P, Q); no route integrates it."""
     a_int, b_int, c_int = intensities(case)
 
@@ -226,7 +224,7 @@ def ode_field(case: BpqCase) -> VectorField:
                 a * s[0] - b * s[1],
                 b * s[1] + c * s[0]]
 
-    return VectorField(3, rhs)
+    return rhs
 
 
 def _package(grid, B, P, Q, D, C, **companion) -> Trajectory:
@@ -304,37 +302,6 @@ def _case1_sales(case: Case1, b_lo: float, lo: float, t: float) -> float:
     return part if by_inflow else drop - part
 
 
-def _case1_a_linear(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
-    """Linearly growing inflow a(t) = a0 + a1 t with constant b, c.
-
-    Completing the square in the survival integral turns P(t) into an
-    error-function expression with K = (a(t0) + c - b)/sqrt(2 a1) from t0 = grid[0].
-    """
-    t0 = grid[0]
-    a0, a1, b, c = case.a.rate(t0), case.a.a1, case.b.a, case.c.a
-    B0, P0, _, C0 = _start(case, start)
-    q = math.sqrt(0.5 * a1)
-    K = (a0 + c - b) / math.sqrt(2.0 * a1)
-    pref = math.sqrt(math.pi / (2.0 * a1)) * (b - c)
-    ek2 = math.exp(K * K)
-    B, P, Q, D = [], [], [], []
-    for t in grid:
-        tau = t - t0
-        Bt = B0 * math.exp(-(a0 * tau + 0.5 * a1 * tau * tau + c * tau))
-        w = K + q * tau  # w * w may overflow to inf, where ** raises
-        bracket = (pref * (numerics.erf(w) - numerics.erf(K))
-                   + math.exp(-K * K) - math.exp(-w * w))
-        decay = math.exp(-b * tau)
-        Pt = P0 * decay + B0 * decay * ek2 * bracket
-        B.append(Bt)
-        P.append(Pt)
-        Q.append(case.N - Bt - Pt)
-        D.append((a0 + a1 * tau) * Bt)
-    C = itertools.accumulate((_case1_sales(case, b_lo, lo, t)
-                              for b_lo, lo, t in zip(B, grid, grid[1:])), initial=C0)
-    return _package(grid, B, P, Q, D, list(C))
-
-
 def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
     """Integrating-factor solution for arbitrary rate schedules.
 
@@ -383,16 +350,10 @@ def _constant_rates(case: Case1) -> bool:
 
 
 def _case1_path(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
-    """Closed forms for constant rates (exact at any gap between b and a + c)
-    and a linear inflow; the integrating-factor route for any other schedules."""
-    a_s, b_s, c_s = case.a, case.b, case.c
+    """The closed form for constant rates (exact at any gap between b and
+    a + c); the integrating-factor route for any other schedules."""
     if _constant_rates(case):
         return _case1_constants(case, grid, start)
-    if (isinstance(a_s, LinearRate) and a_s.a1 > 0
-            and isinstance(b_s, ConstantRate) and isinstance(c_s, ConstantRate)):
-        K = (a_s.rate(grid[0]) + c_s.a - b_s.a) / math.sqrt(2.0 * a_s.a1)
-        if abs(K) <= 4.0:
-            return _case1_a_linear(case, grid, start)
     return _case1_general(case, grid, start)
 
 
@@ -731,7 +692,7 @@ def _case3_path(case: Case3, grid: Sequence[float], start: _Start = None) -> Tra
         demand = a * s[0]
         return [-(a + c) * s[0], demand - b * s[1], b * s[1] + c * s[0], demand]
 
-    rows = numerics.sample_ivp(VectorField(4, rhs), list(_start(case, start)), grid)
+    rows = numerics.sample_ivp(rhs, list(_start(case, start)), grid)
     B = [r[0] for r in rows]
     P = [r[1] for r in rows]
     Q = [case.N - b - p for b, p in zip(B, P)]
@@ -755,7 +716,7 @@ def _case6_path(case: Case6, grid: Sequence[float], start: _Start = None) -> Tra
         bt = B0 * math.exp(-a * (t - t0))
         return [gamma * p * p - (b + gamma * N - gamma * bt) * p + a * bt]
 
-    rows = numerics.sample_ivp(VectorField(1, rhs), [P0], grid)
+    rows = numerics.sample_ivp(rhs, [P0], grid)
     B = [B0 * math.exp(-a * (t - t0)) for t in grid]
     P = [r[0] for r in rows]
     Q = [N - bt - pt for bt, pt in zip(B, P)]
@@ -840,18 +801,15 @@ def bpq_path(case: BpqCase, grid: Sequence[float]) -> Trajectory:
     return case_entry(case).path(case, grid)
 
 
-def refined_peak(case: BpqCase, grid: Sequence[float],
-                 traj: Trajectory | None = None) -> tuple[float, tuple[float, float, float]]:
-    """Peak time and state, sharpened beyond the grid resolution.
+def refined_peak(case: BpqCase, traj: Trajectory) -> tuple[float, tuple[float, float, float]]:
+    """Peak time and state, sharpened beyond the resolution of ``traj``, the
+    case's path on its grid.
 
     At the peak the inflow a(t, P) B balances the outflow b(t, Q) P;
     the sign change of that imbalance is bracketed by the grid argmax
     and located by root finding, with the state at each trial time from
     the case's own path route, started at the bracket's left grid row.
-    ``traj`` is ``bpq_path(case, grid)`` when the caller already has it.
     """
-    if traj is None:
-        traj = bpq_path(case, grid)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
     idx = [traj.labels.index(ch) for ch in ("B", "P", "Q", "C")]
@@ -891,22 +849,17 @@ def refined_peak(case: BpqCase, grid: Sequence[float],
     return t_m, tuple(state_at(t_m)[:3])
 
 
-def peak_metrics(case: BpqCase, grid: Sequence[float],
-                 traj: Trajectory | None = None) -> PeakMetrics:
-    """Peak summary of a case along the given grid.
+def peak_metrics(case: BpqCase, traj: Trajectory) -> PeakMetrics:
+    """Peak summary of a case whose path on its grid is ``traj``.
 
     Uses the closed peak expressions where a case has them and the
-    balance-refined grid peak otherwise. ``traj`` is
-    ``bpq_path(case, grid)`` when the caller already has it; the path
-    is computed at most once either way.
+    balance-refined grid peak otherwise.
     """
     entry = case_entry(case)
     closed = entry.peak(case)
     if closed is not None:
         return closed
-    if traj is None:
-        traj = bpq_path(case, grid)
-    t_m, state = refined_peak(case, grid, traj)
+    t_m, state = refined_peak(case, traj)
     return PeakMetrics(T_m=t_m, P_m=state[1], C_inf=entry.c_inf(case, traj))
 
 
@@ -999,7 +952,7 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
     return _package(grid, B, P, Q, D, C, B_c=Bc, P_c=Pc, Q_c=Qc)
 
 
-def complementary_field(spec: ComplementarySpec) -> VectorField:
+def complementary_field(spec: ComplementarySpec) -> numerics.RHS:
     """Six-equation system for (B, P, Q, B_c, P_c, Q_c), for cross-checks.
 
     Valid on time ranges where both games are live (t >= 0, t + tau >= 0).
@@ -1015,7 +968,7 @@ def complementary_field(spec: ComplementarySpec) -> VectorField:
                 a_c * bc - b_c * pc,
                 b_c * pc]
 
-    return VectorField(6, rhs)
+    return rhs
 
 
 def complementary_constant_approx(spec: ComplementarySpec, p_c0: float,

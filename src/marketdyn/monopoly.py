@@ -372,7 +372,7 @@ def birth_death_path(p: BirthDeathParams, grid: Sequence[float],
     return from_channels(grid, {"p": pot, "u": sub, "D": dem})
 
 
-def ode_field(kind: str, params) -> numerics.VectorField:
+def ode_field(kind: str, params) -> numerics.RHS:
     """Defining ODE system of a monopoly model, for cross-validation.
 
     Returns the field whose closed-form solution the corresponding
@@ -382,34 +382,34 @@ def ode_field(kind: str, params) -> numerics.VectorField:
     """
     if kind == "simple":
         m: SimpleAdoption = params
-        return numerics.VectorField(1, lambda t, y: [m.a * (1.0 - y[0])])
+        return lambda t, y: [m.a * (1.0 - y[0])]
     if kind == "scheduled":
         schedule: RateSchedule = params
-        return numerics.VectorField(1, lambda t, y: [schedule.rate(t) * (1.0 - y[0])])
+        return lambda t, y: [schedule.rate(t) * (1.0 - y[0])]
     if kind == "segmented":
         segments: Sequence[Segment] = params
 
         def rhs(t, y):
             return [s.schedule.rate(t) * (s.n - y[i]) for i, s in enumerate(segments)]
 
-        return numerics.VectorField(len(segments), rhs)
+        return rhs
     if kind == "hesitation":
         h: HesitationParams = params
         if h.variant == "absorbing_hesitation":
-            return numerics.VectorField(3, lambda t, y: [
+            return lambda t, y: [
                 -(h.a + h.b) * y[0],
                 h.b * y[0] - h.c * y[1],
                 h.a * y[0] + h.c * y[1],
-            ])
-        return numerics.VectorField(3, lambda t, y: [
+            ]
+        return lambda t, y: [
             -(h.a + h.b) * y[0] + h.c * y[1],
             h.b * y[0] - h.c * y[1],
             h.a * y[0],
-        ])
+        ]
     if kind == "birth_death":
         bd: BirthDeathParams = params
-        return numerics.VectorField(2, lambda t, y: [
+        return lambda t, y: [
             (bd.d - bd.a - bd.f) * y[0],
             bd.a * y[0] - bd.g * y[1],
-        ])
+        ]
     raise ValueError(f"unknown monopoly model kind {kind!r}")

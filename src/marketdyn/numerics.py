@@ -2,19 +2,19 @@
 
 Provides everything the model modules need and nothing more: an adaptive
 DOP853 integrator with dense output, globally adaptive Gauss-Kronrod
-quadrature, a hybrid bisection/Newton root finder, the error function,
-the divided differences of e^(-st) and of ln s over two rates, and small
-dense linear algebra (determinant, cofactors, linear solve, one matrix
+quadrature, a hybrid bisection/Newton root finder, the divided
+differences of e^(-st) and of ln s over two rates, and small dense
+linear algebra (determinant, cofactors, linear solve, one matrix
 exponential, returned as a matrix or applied to a vector).
 
 All routines are pure functions of their inputs. The integrator's error
 tolerances are fixed module constants, not arguments, and its step-size
-sequence depends only on the field, the initial state, the span and the
-step bound, so CSV output stays reproducible bit for bit. Every model in
-this library is smooth and non-stiff at the parameter scales used, which
-is what an explicit embedded pair needs: Hairer's 8(5,3) pair with its
-7th-order continuous extension (Prince & Dormand, J. Comput. Appl. Math.
-7 (1981); Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6 and II.10).
+sequence depends only on the field, the initial state and the span, so
+CSV output stays reproducible bit for bit. Every model in this library
+is smooth and non-stiff at the parameter scales used, which is what an
+explicit embedded pair needs: Hairer's 8(5,3) pair with its 7th-order
+continuous extension (Prince & Dormand, J. Comput. Appl. Math. 7 (1981);
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6 and II.10).
 A run that turns stiff ends with an error once Hairer's stiffness test
 (Solving ODEs II, IV.2) shows the step budget cannot carry it through.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     AccuracyNotReachedError,
@@ -41,19 +41,6 @@ RTOL = 1e-13
 ATOL = 1e-15
 #: Step attempts after which :func:`sample_ivp` gives up.
 MAX_STEPS = 100_000
-
-
-class VectorField(NamedTuple):
-    """A first-order ODE system du/dt = rhs(t, u) of fixed dimension."""
-
-    dim: int
-    rhs: RHS
-
-    def __call__(self, t: float, y: State) -> Sequence[float]:
-        out = self.rhs(t, y)
-        if len(out) != self.dim:
-            raise ValueError(f"rhs returned {len(out)} entries, expected {self.dim}")
-        return out
 
 
 class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
@@ -119,19 +106,18 @@ def _initial_step(f: RHS, t: float, y: list[float], k1: Sequence[float],
     return min(100.0 * h, h_new, h_max)
 
 
-def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
-               step: float | None = None) -> list[tuple[float, ...]]:
-    """States of an IVP at the given grid times (grid[0] is the initial time).
+def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, ...]]:
+    """States of the IVP du/dt = rhs(t, u), u(grid[0]) = y0, at the grid times.
 
-    Adaptive DOP853 steps (Hairer's explicit Runge-Kutta 8(5,3) pair),
-    no longer than ``step`` (default: the whole span), keep the local
-    error within :data:`RTOL` and :data:`ATOL`. The error estimate blends
-    the 5th- and 3rd-order embedded solutions, and the step changes by
-    0.9 err^(-1/8), within [1/3, 6], and does not grow right after a
-    rejection. Grid times inside a step come from its 7th-order dense
+    Adaptive DOP853 steps (Hairer's explicit Runge-Kutta 8(5,3) pair)
+    keep the local error within :data:`RTOL` and :data:`ATOL`. The error
+    estimate blends the 5th- and 3rd-order embedded solutions, and the
+    step changes by 0.9 err^(-1/8), within [1/3, 6], and does not grow
+    right after a rejection. Grid times inside a step come from its 7th-order dense
     output, whose three extra stages run only on steps that hold such a
-    time; the last step lands exactly on grid[-1]. The field is called
-    as ``field(t, y)``.
+    time; the last step lands exactly on grid[-1]. The first evaluation
+    must return len(y0) entries, else ValueError; later ones are not
+    checked again.
 
     Raises:
         IntegrationDivergedError: If the step shrinks below 16 ulp of t
@@ -147,16 +133,17 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
     """
     if not grid or any(not b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid times must be given and strictly increasing")
-    f = field
     y = [float(v) for v in y0]
     out = [tuple(y)]
     t, t_end = grid[0], grid[-1]
     if len(grid) == 1:
         return out
     n = len(y)
-    h_max = t_end - t if step is None else min(step, t_end - t)
-    k1 = f(t, y)
-    h = _initial_step(f, t, y, k1, h_max)
+    h_max = t_end - t
+    k1 = rhs(t, y)
+    if len(k1) != n:
+        raise ValueError(f"rhs returned {len(k1)} entries, expected {n}")
+    h = _initial_step(rhs, t, y, k1, h_max)
     nxt, rejected, steps, stiff, calm = 1, False, 0, 0, 0
     while True:
         steps += 1
@@ -173,36 +160,36 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
         # ``s`` holds the state of the last stage evaluated.
         try:
             s = [v + h * (5.26001519587677318785587544488e-2 * a) for v, a in zip(y, k1)]
-            k2 = f(t + 0.526001519587677318785587544488e-1 * h, s)
+            k2 = rhs(t + 0.526001519587677318785587544488e-1 * h, s)
             s = [v + h * (1.97250569845378994544595329183e-2 * a
                           + 5.91751709536136983633785987549e-2 * b)
                  for v, a, b in zip(y, k1, k2)]
-            k3 = f(t + 0.789002279381515978178381316732e-1 * h, s)
+            k3 = rhs(t + 0.789002279381515978178381316732e-1 * h, s)
             s = [v + h * (2.95875854768068491816892993775e-2 * a
                           + 8.87627564304205475450678981324e-2 * c)
                  for v, a, c in zip(y, k1, k3)]
-            k4 = f(t + 0.118350341907227396726757197510 * h, s)
+            k4 = rhs(t + 0.118350341907227396726757197510 * h, s)
             s = [v + h * (2.41365134159266685502369798665e-1 * a
                           - 8.84549479328286085344864962717e-1 * c
                           + 9.24834003261792003115737966543e-1 * d)
                  for v, a, c, d in zip(y, k1, k3, k4)]
-            k5 = f(t + 0.281649658092772603273242802490 * h, s)
+            k5 = rhs(t + 0.281649658092772603273242802490 * h, s)
             s = [v + h * (3.7037037037037037037037037037e-2 * a
                           + 1.70828608729473871279604482173e-1 * d
                           + 1.25467687566822425016691814123e-1 * e)
                  for v, a, d, e in zip(y, k1, k4, k5)]
-            k6 = f(t + 0.333333333333333333333333333333 * h, s)
+            k6 = rhs(t + 0.333333333333333333333333333333 * h, s)
             s = [v + h * (3.7109375e-2 * a + 1.70252211019544039314978060272e-1 * d
                           + 6.02165389804559606850219397283e-2 * e - 1.7578125e-2 * g)
                  for v, a, d, e, g in zip(y, k1, k4, k5, k6)]
-            k7 = f(t + 0.25 * h, s)
+            k7 = rhs(t + 0.25 * h, s)
             s = [v + h * (3.70920001185047927108779319836e-2 * a
                           + 1.70383925712239993810214054705e-1 * d
                           + 1.07262030446373284651809199168e-1 * e
                           - 1.53194377486244017527936158236e-2 * g
                           + 8.27378916381402288758473766002e-3 * p)
                  for v, a, d, e, g, p in zip(y, k1, k4, k5, k6, k7)]
-            k8 = f(t + 0.307692307692307692307692307692 * h, s)
+            k8 = rhs(t + 0.307692307692307692307692307692 * h, s)
             s = [v + h * (6.24110958716075717114429577812e-1 * a
                           - 3.36089262944694129406857109825 * d
                           - 8.68219346841726006818189891453e-1 * e
@@ -210,7 +197,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
                           + 2.01540675504778934086186788979e1 * p
                           - 4.34898841810699588477366255144e1 * q)
                  for v, a, d, e, g, p, q in zip(y, k1, k4, k5, k6, k7, k8)]
-            k9 = f(t + 0.651282051282051282051282051282 * h, s)
+            k9 = rhs(t + 0.651282051282051282051282051282 * h, s)
             s = [v + h * (4.77662536438264365890433908527e-1 * a
                           - 2.48811461997166764192642586468 * d
                           - 5.90290826836842996371446475743e-1 * e
@@ -219,7 +206,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
                           - 3.32882109689848629194453265587e1 * q
                           - 2.03312017085086261358222928593e-2 * r)
                  for v, a, d, e, g, p, q, r in zip(y, k1, k4, k5, k6, k7, k8, k9)]
-            k10 = f(t + 0.6 * h, s)
+            k10 = rhs(t + 0.6 * h, s)
             s = [v + h * (-9.3714243008598732571704021658e-1 * a
                           + 5.18637242884406370830023853209 * d
                           + 1.09143734899672957818500254654 * e
@@ -229,7 +216,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
                           + 2.49360555267965238987089396762 * r
                           - 3.0467644718982195003823669022 * w)
                  for v, a, d, e, g, p, q, r, w in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)]
-            k11 = f(t + 0.857142857142857142857142857142 * h, s)
+            k11 = rhs(t + 0.857142857142857142857142857142 * h, s)
             s = [v + h * (2.27331014751653820792359768449 * a
                           - 1.05344954667372501984066689879e1 * d
                           - 2.00087205822486249909675718444 * e
@@ -241,7 +228,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
                           + 6.43392746015763530355970484046e-1 * x)
                  for v, a, d, e, g, p, q, r, w, x
                  in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]
-            k12 = f(t_new, s)
+            k12 = rhs(t_new, s)
             # Hairer's combined error estimate: the 5th-order error, damped
             # where the 3rd-order one is far larger.
             incr = [5.42937341165687622380535766363e-2 * a
@@ -275,7 +262,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
             if not all(map(math.isfinite, y_new)):
                 err = math.inf
             if err <= 1.0:
-                k13 = f(t_new, y_new)
+                k13 = rhs(t_new, y_new)
         except (OverflowError, ValueError) as exc:
             # A trial step far past the stability limit can overflow a stage
             # state; the field then overflows itself or fails on inf or nan.
@@ -311,7 +298,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
         if nxt < len(grid) and grid[nxt] < t_new:
             # Hairer's continuous extension of order 7 on [t, t_new]: three
             # more stages, then Horner's scheme in s and 1 - s.
-            k14 = f(t + 0.1 * h, [
+            k14 = rhs(t + 0.1 * h, [
                 v + h * (5.61675022830479523392909219681e-2 * a
                          + 2.53500210216624811088794765333e-1 * p
                          - 2.46239037470802489917441475441e-1 * q
@@ -320,7 +307,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
                          + 8.20105229563468988491666602057e-3 * x
                          + 7.56789766054569976138603589584e-3 * z - 8.298e-3 * o)
                 for v, a, p, q, r, w, x, z, o in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
-            k15 = f(t + 0.2 * h, [
+            k15 = rhs(t + 0.2 * h, [
                 v + h * (3.18346481635021405060768473261e-2 * a
                          + 2.83009096723667755288322961402e-2 * g
                          + 5.35419883074385676223797384372e-2 * p
@@ -330,7 +317,7 @@ def sample_ivp(field: VectorField, y0: State, grid: Sequence[float],
                          - 3.40465008687404560802977114492e-4 * o
                          + 1.41312443674632500278074618366e-1 * b)
                 for v, a, g, p, q, x, z, o, b in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
-            k16 = f(t + 0.777777777777777777777777777778 * h, [
+            k16 = rhs(t + 0.777777777777777777777777777778 * h, [
                 v + h * (-4.28896301583791923408573538692e-1 * a
                          - 4.69762141536116384314449447206 * g
                          + 7.68342119606259904184240953878 * p
@@ -524,21 +511,6 @@ def solve_root(g: Callable[[float], float], lo: float, hi: float,
             x_new = 0.5 * (lo + hi)
         x = x_new
     return 0.5 * (lo + hi)
-
-
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral of exp(-u^2) from 0 to x.
-
-    Backed by the C library implementation; odd, monotone, and
-    saturates to +-1 for |x| > 6 (where 1 - |erf| < 1e-16).
-    """
-    if not math.isfinite(x):
-        raise ValueError("erf requires finite input")
-    if x > 6.0:
-        return 1.0
-    if x < -6.0:
-        return -1.0
-    return math.erf(x)
 
 
 def decay_gap(x: float, y: float, t: float) -> float:

@@ -620,7 +620,7 @@ def _rate(r, key):
 
 
 def _bpq_metrics(case, traj):
-    peak = games.peak_metrics(case, traj.times, traj)
+    peak = games.peak_metrics(case, traj)
     return ([("T_m", peak.T_m), ("P_m", peak.P_m), ("C_inf", peak.C_inf)]
             + games.case_entry(case).rows(case))
 

@@ -140,8 +140,7 @@ def test_criterion_03_kernel_rows(kind, u0, target, tol):
 def test_criterion_04_quadratic_ledger():
     model = fb.FeedbackModel.calibrated(fb.kernel("quadratic"), T50, 0.01)
     grid = time_grid(0.0, 5 * T50, 501)
-    rows = numerics.sample_ivp(fb.ode_field(model), [0.01], grid,
-                               step=5 * T50 / 50000)
+    rows = numerics.sample_ivp(fb.ode_field(model), [0.01], grid)
     worst = 0.0
     for t, row in zip(grid[1:], rows[1:]):
         u = row[0]

@@ -358,7 +358,7 @@ def two_supplier_field(spec):
         a21 = spec.rate(1, 0, t)
         return [a21 - (a12 + a21) * y[0]]
 
-    return numerics.VectorField(1, rhs)
+    return rhs
 
 
 def test_periodic_without_modulation_is_constant_coefficient():

@@ -169,6 +169,27 @@ def test_case1_linear_inflow_against_rk4():
     assert max_channel_gap(traj, rows, "P", 1) <= 1e-6 * N
 
 
+def test_case1_linear_inflow_keeps_its_digits_where_the_square_is_large():
+    # K = (a(0) + c - b) / sqrt(2 a1) = 3.92. An error-function form of P
+    # cancels like e^(K^2) there; the integrating-factor route does not.
+    mpmath = pytest.importorskip("mpmath")
+    a0, a1, b, c = 1.9, 0.125, 0.06, 0.12
+    case = games.Case1(a=LinearRate(a0, a1), b=b, c=c, N=N)
+    grid = time_grid(0.0, 6.0, 1001)[:40]
+    players = games.bpq_path(case, grid).channel("P")
+    with mpmath.workdps(40):
+        a0, a1, b, c = map(mpmath.mpf, (a0, a1, b, c))
+
+        def reference(t):
+            return mpmath.quad(lambda s: (a0 + a1 * s) * N
+                               * mpmath.exp(-(a0 + c) * s - a1 / 2 * s * s - b * (t - s)),
+                               [0, t])
+
+        for t, p in zip(grid[1:], players[1:]):
+            exact = reference(mpmath.mpf(t))
+            assert abs(p - exact) <= 1e-13 * exact, t
+
+
 def test_case1_linear_quit_rate_against_rk4():
     case = games.Case1(a=0.4, b=LinearRate(0.2, 0.15), c=0.0, N=N)
     grid = time_grid(0.0, 12.0, 121)
@@ -193,7 +214,7 @@ def test_case1_linear_branches_with_never_buy_rate():
             return [-(a + c_int(t)) * s[0], demand - b_int(t, s) * s[1],
                     b_int(t, s) * s[1] + c_int(t) * s[0], demand]
 
-        rows = numerics.sample_ivp(numerics.VectorField(4, rhs), [N, 0.0, 0.0, 0.0], grid)
+        rows = numerics.sample_ivp(rhs, [N, 0.0, 0.0, 0.0], grid)
         assert max(abs(x - r[1]) for x, r in zip(traj.channel("P"), rows)) <= 1e-5 * N
         assert max(abs(x - r[3]) for x, r in zip(traj.channel("C"), rows)) <= 1e-5 * N
 
@@ -337,12 +358,12 @@ def test_case3_small_time_growth():
 
 def test_case3_peak_relation():
     grid = time_grid(0.0, 40.0, 2001)
-    t_m, (b_m, p_m, _) = games.refined_peak(CASE3, grid)
+    traj = games.bpq_path(CASE3, grid)
+    t_m, (b_m, p_m, _) = games.refined_peak(CASE3, traj)
     # Relation P = a B / (b - beta B) at the balance-refined peak.
     relation = CASE3.a * b_m / (CASE3.b - CASE3.beta * b_m)
     assert p_m == pytest.approx(relation, rel=1e-6)
     # The refined time sits within one grid step of the grid argmax.
-    traj = games.bpq_path(CASE3, grid)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
     assert abs(t_m - grid[k]) <= grid[1] - grid[0]
@@ -454,9 +475,9 @@ def test_case5_transform_initial_condition():
 
 def test_case5_peak_identity():
     grid = time_grid(0.0, 30.0, 2001)
-    t_m, (_, p_m, _) = games.refined_peak(CASE5, grid)
-    assert games.case5_peak_value(CASE5, t_m) == pytest.approx(p_m, abs=1e-6 * N)
     traj = games.bpq_path(CASE5, grid)
+    t_m, (_, p_m, _) = games.refined_peak(CASE5, traj)
+    assert games.case5_peak_value(CASE5, t_m) == pytest.approx(p_m, abs=1e-6 * N)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
     assert abs(t_m - grid[k]) <= grid[1] - grid[0]
@@ -631,14 +652,18 @@ def test_constant_proxy_at_companion_peak_overestimates_early_adoption():
 ], ids=["case2", "case3", "case5", "case6", "case1_schedules"])
 def test_peak_metrics_use_the_path_they_are_given(case, monkeypatch):
     grid = time_grid(0.0, 30.0, 401)
-    expected = games.peak_metrics(case, grid)
     traj = games.bpq_path(case, grid)
 
     def no_second_path(*args):
         raise AssertionError("the path was computed again")
 
     monkeypatch.setattr(games, "bpq_path", no_second_path)
-    assert games.peak_metrics(case, grid, traj) == expected
+    peak = games.peak_metrics(case, traj)
+    # The peak is that of the path given: within a step of its grid argmax.
+    p = traj.channel("P")
+    k = max(range(len(p)), key=lambda i: p[i])
+    assert grid[k - 1] <= peak.T_m <= grid[k + 1]
+    assert peak.P_m >= p[k] * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("case", ALL_CASES + [
@@ -661,7 +686,8 @@ def test_a_route_restarted_from_a_grid_row_continues_its_path(case):
 
 @pytest.mark.parametrize("case", [ALL_CASES[0], CASE2, CASE4], ids=["case1", "case2", "case4"])
 def test_refined_peak_agrees_with_the_closed_peak(case):
-    t_m, (_, p_m, _) = games.refined_peak(case, time_grid(0.0, 30.0, 301))
+    traj = games.bpq_path(case, time_grid(0.0, 30.0, 301))
+    t_m, (_, p_m, _) = games.refined_peak(case, traj)
     closed = games.case_entry(case).peak(case)
     assert t_m == pytest.approx(closed.T_m, rel=1e-9)
     assert p_m == pytest.approx(closed.P_m, rel=1e-9)
@@ -671,7 +697,7 @@ def test_refined_peak_far_inside_the_first_step():
     # T_m = ln(1 + a/b) / (a - b) at constant rates; the grid's first step is
     # 1e9 times longer, and the root is still found to its own digits.
     case = games.Case1(a=1e9, b=1.0, c=0.0, N=N)
-    t_m, _ = games.refined_peak(case, time_grid(0.0, 20.0, 1000))
+    t_m, _ = games.refined_peak(case, games.bpq_path(case, time_grid(0.0, 20.0, 1000)))
     assert t_m == pytest.approx(games.case1_peak(1e9, 1.0, 0.0, N).T_m, rel=1e-9, abs=0.0)
 
 
@@ -702,15 +728,19 @@ def test_case1_schedules_over_a_short_step_late_in_time(a, t0):
 
 def test_peak_metrics_catalog():
     grid = time_grid(0.0, 30.0, 2001)
-    m1 = games.peak_metrics(games.Case1(a=1.0, b=0.5, c=0.0, N=N), grid)
+
+    def peak_metrics(case):
+        return games.peak_metrics(case, games.bpq_path(case, grid))
+
+    m1 = peak_metrics(games.Case1(a=1.0, b=0.5, c=0.0, N=N))
     assert m1.T_m == pytest.approx(math.log(2.0) / 0.5, rel=1e-12)
-    m2 = games.peak_metrics(CASE2, grid)
+    m2 = peak_metrics(CASE2)
     assert m2.T_m == pytest.approx(games.sir_peak_time(CASE2), abs=0.03)
     assert m2.C_inf == pytest.approx(CASE2.B0 - games.sir_relations(CASE2).B_inf,
                                      rel=1e-9)
-    m5 = games.peak_metrics(CASE5, grid)
+    m5 = peak_metrics(CASE5)
     assert m5.C_inf == CASE5.B0
-    m6 = games.peak_metrics(CASE6, grid)
+    m6 = peak_metrics(CASE6)
     assert m6.C_inf == N
 
 

@@ -18,7 +18,9 @@ every kernel were recorded before the kernels were declared in one table.
 The 1000-sample pins of bpq case 4 and of the case 2 scenario at horizon
 100 were recorded before a Newton inversion of t(Q) replaced the 512-node
 ladder of cases 2 and 4. The 1000-sample pins of the five bpq case 1
-routes were recorded before the bpq cases were declared in one table. The
+routes were recorded before the bpq cases were declared in one table; the
+linear inflow's, on an error-function route since removed, holds on the
+integrating-factor route. The
 1000-sample pins of the integrated market without churn and with
 spontaneous churn, and of the singular-Q fallback of the innovators' path,
 were recorded before DOP853 replaced the Dormand-Prince 5(4) pair; that
@@ -235,7 +237,7 @@ def test_every_model_kind_has_round_trip_golden_metrics():
 #: form: the matrix exponential (five suppliers), the DOP853 integrator
 #: without churn and with spontaneous, stimulated and periodic churn (three
 #: suppliers, two modulations of one pair), the winner-take-all run, every
-#: route of bpq case 1 (closed, error-function or quadrature), the bpq cases
+#: rate shape of bpq case 1 (closed form or quadrature), the bpq cases
 #: solved through t(Q) (2, 4) or by quadrature (5) or by the DOP853
 #: integrator (3, 6), the case 2 scenario run on into its tail, where P
 #: falls by ten orders of magnitude, and every feedback kernel kind, whether
@@ -293,9 +295,9 @@ def case1_doc(a, b, c) -> dict:
             "horizon": 20.0}
 
 
-#: One document per route of bpq case 1: constant rates, the confluent
-#: b = a + c, a linear inflow (the error-function branch), a linear quit
-#: rate, and a decaying inflow (the general integrating-factor route).
+#: One document per rate shape of bpq case 1: constant rates and the
+#: confluent b = a + c (the closed form), a linear inflow, a linear quit rate
+#: and a decaying inflow (the integrating-factor route).
 LONG_RUN_DOCS.update({
     "bpq_case1_constant": case1_doc(0.5, 0.3, 0.1),
     "bpq_case1_confluent": case1_doc(0.4, 0.5, 0.1),
@@ -606,21 +608,41 @@ def test_long_runs_match_golden_digest(command, ident, tmp_path, capsys):
     assert digest == LONG_RUN_GOLDEN[(command, ident)]
 
 
+#: Supplier 3 neither loses nor gains customers by churn, so the coefficient
+#: matrix Q of the innovators' path is singular and the path is integrated.
+SINGULAR_Q_DOC = {"model": {"kind": "spontaneous_churn", "m": [0.2, 0.1, 0.3],
+                            "a": [[0.0, 0.3, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+                  "horizon": 20.0, "samples": 1000}
+# Re-pinned when DOP853 replaced the Dormand-Prince 5(4) pair: one printed
+# value moved toward the reference, u2 at t = 16.3963964 (0.187486777 ->
+# 0.187486778; the mpmath matrix exponential at 40 digits gives
+# 0.187486777500024).
+SINGULAR_Q_GOLDEN = "669f18a2598314cb05ea468a1f1376d88b7f3221c17f83804c01923abbd17621"
+
+
 def test_singular_q_fallback_matches_golden_digest():
-    # Supplier 3 neither loses nor gains customers by churn, so the
-    # coefficient matrix Q of the innovators' path is singular and the path
-    # is integrated. The CLI cannot reach this route with nonnegative rates:
-    # the churn balance behind the metric rows is singular too, so the
-    # digest is of the path rendered as `simulate` renders it.
-    c = competition.ChurnMatrix.from_rows([[0.0, 0.3, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    path = competition.spontaneous_path((0.2, 0.1, 0.3), c, time_grid(0.0, 20.0, 1000))
+    # The digest is of the path rendered as `simulate` renders it; the test
+    # below reaches the same bytes through the CLI.
+    c = competition.ChurnMatrix.from_rows(SINGULAR_Q_DOC["model"]["a"])
+    path = competition.spontaneous_path(tuple(SINGULAR_Q_DOC["model"]["m"]), c,
+                                        time_grid(0.0, 20.0, 1000))
     assert path.notes and "singular Q" in path.notes[0]
     digest = hashlib.sha256(scenario.render_csv(path).encode("utf-8")).hexdigest()
-    # Re-pinned when DOP853 replaced the Dormand-Prince 5(4) pair: one
-    # printed value moved toward the reference, u2 at t = 16.3963964
-    # (0.187486777 -> 0.187486778; the mpmath matrix exponential at 40
-    # digits gives 0.187486777500024).
-    assert digest == "669f18a2598314cb05ea468a1f1376d88b7f3221c17f83804c01923abbd17621"
+    assert digest == SINGULAR_Q_GOLDEN
+
+
+def test_singular_q_fallback_through_the_cli(tmp_path, capsys):
+    # `simulate` computes only the path, so it prints the integrated route.
+    # The metric rows and the equilibrium need the churn balance, which is
+    # singular too: both exit 3 with nothing on stdout.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(SINGULAR_Q_DOC))
+    assert stdout_digest(["simulate", str(path)], capsys) == SINGULAR_Q_GOLDEN
+    for command in ("metrics", "equilibrium"):
+        assert cli.main([command, str(path)]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "churn balance system is singular" in captured.err
 
 
 def test_every_kernel_kind_has_long_run_golden_equilibrium():

@@ -1,4 +1,4 @@
-"""Numerical kernel: integrator, quadrature, roots, erf, two-rate divided
+"""Numerical kernel: integrator, quadrature, roots, two-rate divided
 differences, linear algebra."""
 
 import json
@@ -15,7 +15,7 @@ from marketdyn.errors import (
     IntegrationDivergedError,
     SingularMatrixError,
 )
-from marketdyn.numerics import SquareMatrix, VectorField
+from marketdyn.numerics import SquareMatrix
 from marketdyn.trajectory import time_grid
 
 
@@ -25,11 +25,11 @@ from marketdyn.trajectory import time_grid
 # ---------------------------------------------------------------------------
 
 def exp_decay_field():
-    return VectorField(1, lambda t, y: [-y[0]])
+    return lambda t, y: [-y[0]]
 
 
 def logistic_field(gamma):
-    return VectorField(1, lambda t, y: [gamma * y[0] * (1.0 - y[0])])
+    return lambda t, y: [gamma * y[0] * (1.0 - y[0])]
 
 
 def logistic(gamma, u0, t):
@@ -43,8 +43,7 @@ def test_rk4_exponential_decay():
 
 
 def test_rk4_constant_field_stays_constant():
-    rows = numerics.sample_ivp(VectorField(1, lambda t, y: [0.0]),
-                               [3.5], time_grid(0.0, 2.0, 21))
+    rows = numerics.sample_ivp(lambda t, y: [0.0], [3.5], time_grid(0.0, 2.0, 21))
     assert all(r[0] == 3.5 for r in rows)
 
 
@@ -59,9 +58,8 @@ def test_rk4_logistic_matches_closed_form():
 
 
 def test_rk4_divergence_reports_last_valid_time():
-    blowup = VectorField(1, lambda t, y: [y[0] * y[0]])
     with pytest.raises(IntegrationDivergedError) as exc:
-        numerics.sample_ivp(blowup, [1.0], [0.0, 5.0])
+        numerics.sample_ivp(lambda t, y: [y[0] * y[0]], [1.0], [0.0, 5.0])
     assert 0.0 <= exc.value.last_valid_time < 5.0
 
 
@@ -72,7 +70,7 @@ def test_rk4_final_point_clamped():
         seen.append(t)
         return [-y[0]]
 
-    rows = numerics.sample_ivp(VectorField(1, rhs), [1.0], [0.0, 0.3, 1.0], step=0.3)
+    rows = numerics.sample_ivp(rhs, [1.0], [0.0, 0.3, 1.0])
     assert max(seen) == 1.0
     assert rows[1][0] == pytest.approx(math.exp(-0.3), abs=1e-9)
     assert rows[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
@@ -81,9 +79,8 @@ def test_rk4_final_point_clamped():
 def test_sample_ivp_blowup_ends_before_the_pole():
     # y' = y^2, y(0) = 1 has y = 1/(1 - t): the step shrinks toward the
     # pole at t = 1 until it underflows, which ends the run.
-    blowup = VectorField(1, lambda t, y: [y[0] * y[0]])
     with pytest.raises(IntegrationDivergedError) as exc:
-        numerics.sample_ivp(blowup, [1.0], [0.0, 2.0])
+        numerics.sample_ivp(lambda t, y: [y[0] * y[0]], [1.0], [0.0, 2.0])
     assert 0.0 <= exc.value.last_valid_time < 1.0
 
 
@@ -98,7 +95,7 @@ def test_sample_ivp_step_collapse_ends_the_run():
         return [-0.5 / y[0]]
 
     with pytest.raises(IntegrationDivergedError) as exc:
-        numerics.sample_ivp(VectorField(1, rhs), [1.0], [0.0, 2.0])
+        numerics.sample_ivp(rhs, [1.0], [0.0, 2.0])
     assert exc.value.last_valid_time == pytest.approx(1.0, abs=1e-9)
     assert calls[0] < 10_000
 
@@ -115,9 +112,8 @@ def test_sample_ivp_gives_up_on_a_stiff_problem(monkeypatch):
     # Explicit steps on y' = -1e8 y stay near the stability limit 3e-8,
     # so [0, 1] would take some 3e7 of them.
     monkeypatch.setattr(numerics, "MAX_STEPS", 1000)
-    stiff = VectorField(1, lambda t, y: [-1e8 * y[0]])
     with pytest.raises(IntegrationDivergedError) as exc:
-        numerics.sample_ivp(stiff, [1.0], [0.0, 1.0])
+        numerics.sample_ivp(lambda t, y: [-1e8 * y[0]], [1.0], [0.0, 1.0])
     assert 0.0 <= exc.value.last_valid_time < 1e-3
 
 
@@ -126,25 +122,22 @@ def test_sample_ivp_step_budget_ends_a_long_non_stiff_run(monkeypatch):
     # hundreds of thousands of accurate steps, none near the stability
     # limit: only the budget ends it.
     monkeypatch.setattr(numerics, "MAX_STEPS", 1000)
-    spring = VectorField(2, lambda t, y: [y[1], -1e6 * y[0]])
     with pytest.raises(IntegrationDivergedError, match="stalled") as exc:
-        numerics.sample_ivp(spring, [1.0, 0.0], [0.0, 100.0])
+        numerics.sample_ivp(lambda t, y: [y[1], -1e6 * y[0]], [1.0, 0.0], [0.0, 100.0])
     assert 0.0 < exc.value.last_valid_time < 100.0
 
 
 def test_sample_ivp_non_finite_state_reports_last_valid_time():
-    field = VectorField(1, lambda t, y: [math.inf if t > 0.5 else 1.0])
     with pytest.raises(IntegrationDivergedError) as exc:
-        numerics.sample_ivp(field, [0.0], [0.0, 1.0])
+        numerics.sample_ivp(lambda t, y: [math.inf if t > 0.5 else 1.0], [0.0], [0.0, 1.0])
     assert 0.0 <= exc.value.last_valid_time <= 0.5
 
 
 def test_sample_ivp_field_error_at_a_finite_state_propagates():
     # Only an overflowed stage state turns a field's failure into a
     # rejected step; a field undefined past t = 0.5 is the caller's error.
-    field = VectorField(1, lambda t, y: [math.sqrt(0.5 - t)])
     with pytest.raises(ValueError, match="math domain error"):
-        numerics.sample_ivp(field, [0.0], [0.0, 1.0])
+        numerics.sample_ivp(lambda t, y: [math.sqrt(0.5 - t)], [0.0], [0.0, 1.0])
 
 
 def test_sample_ivp_dense_output_matches_logistic():
@@ -177,7 +170,7 @@ def test_sample_ivp_last_row_is_the_state_at_the_end():
         seen.append((t, y[0]))
         return [gamma * y[0] * (1.0 - y[0])]
 
-    dense = numerics.sample_ivp(VectorField(1, rhs), [u0], time_grid(0.0, 5.0, 1000))
+    dense = numerics.sample_ivp(rhs, [u0], time_grid(0.0, 5.0, 1000))
     assert (5.0, dense[-1][0]) in seen
     ends = numerics.sample_ivp(logistic_field(gamma), [u0], [0.0, 5.0])
     assert dense[-1][0].hex() == ends[-1][0].hex()
@@ -204,11 +197,11 @@ def test_ode_fallback_rhs_budget(tmp_path, monkeypatch, capsys):
     calls = [0]
     sample_ivp = numerics.sample_ivp
 
-    def counted(field, y0, grid, step=None):
+    def counted(field, y0, grid):
         def rhs(t, y):
             calls[0] += 1
             return field(t, y)
-        return sample_ivp(rhs, y0, grid, step)
+        return sample_ivp(rhs, y0, grid)
 
     monkeypatch.setattr(numerics, "sample_ivp", counted)
     path = tmp_path / "doc.json"
@@ -350,42 +343,6 @@ def test_root_stays_in_bracket(center, width, skew):
     root = numerics.solve_root(g, lo, hi, tol=1e-12)
     assert lo <= root <= hi
     assert abs(g(root)) <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# erf
-# ---------------------------------------------------------------------------
-
-def alternating_erf_series(x: float, terms: int = 60) -> float:
-    total = 0.0
-    for n in range(terms):
-        total += (-1) ** n * x ** (2 * n + 1) / (math.factorial(n) * (2 * n + 1))
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-def test_erf_values():
-    assert numerics.erf(0.0) == 0.0
-    assert numerics.erf(1.0) == pytest.approx(0.8427008, abs=1e-7)
-    assert numerics.erf(1.0) == pytest.approx(alternating_erf_series(1.0), abs=1e-12)
-    for x in (0.25, 0.5, 1.5, 2.0):
-        assert numerics.erf(x) == pytest.approx(alternating_erf_series(x), abs=1e-12)
-
-
-def test_erf_saturates():
-    assert numerics.erf(7.0) == 1.0
-    assert numerics.erf(-7.0) == -1.0
-
-
-@given(st.floats(0, 6))
-def test_erf_odd(x):
-    assert numerics.erf(-x) == -numerics.erf(x)
-
-
-@given(st.floats(0, 5.4))
-def test_erf_strictly_monotone_below_saturation(x):
-    # Past x ~ 5.9 the value rounds to 1.0 exactly, so strictness only
-    # holds while 1 - erf(x) is still representable.
-    assert numerics.erf(x + 0.25) > numerics.erf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +594,9 @@ def test_mat_exp_large_argument_accuracy():
 # ---------------------------------------------------------------------------
 
 def test_vector_field_dimension_checked():
-    bad = VectorField(2, lambda t, y: [0.0])
-    with pytest.raises(ValueError):
-        numerics.sample_ivp(bad, [0.0, 0.0], [0.0, 1.0], step=0.5)
+    # The first evaluation must return one entry per state component.
+    with pytest.raises(ValueError, match="rhs returned 1 entries, expected 2"):
+        numerics.sample_ivp(lambda t, y: [0.0], [0.0, 0.0], [0.0, 1.0])
 
 
 def test_trajectory_validation():
@@ -666,11 +623,3 @@ def test_from_channels_rejects_channels_of_unequal_length():
                      {"u": [0.1, 0.2, 0.3], "D": [3.0, 4.0, 5.0]}):
         with pytest.raises(ValueError):
             from_channels([0.0, 1.0], channels)
-
-def test_erf_against_high_precision_over_range():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
-    for i in range(-24, 25):
-        x = i / 4.0
-        want = float(mpmath.erf(x))
-        assert abs(numerics.erf(x) - want) <= 1e-12

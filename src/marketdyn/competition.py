@@ -544,6 +544,10 @@ def two_supplier_peak_time(m1: float, m2: float, a21: float) -> float:
 # Periodic churning (two suppliers, fully developed market)
 # ---------------------------------------------------------------------------
 
+#: Trailing-coefficient bound of the driven convolution's Chebyshev windows,
+#: relative to the modulation amplitudes.
+_WINDOW_TOL = 1e-13
+
 def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
                                grid: Sequence[float]) -> Trajectory:
     """Two-supplier share under periodically modulated churn rates.
@@ -554,7 +558,8 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
     E(t) of eps12 + eps21 is exact. The driven convolution
     sigma(t) = int_0^t d(x) exp(-s0 (t - x)) dx, with
     d = a21_0 alpha + eps21 (1 + alpha) and alpha = exp(E) - 1, is carried
-    from grid time to grid time with one quadrature per segment.
+    over windows of grid steps no longer than 1/s0, one Chebyshev series
+    each; a step that no window shares takes a quadrature of its own.
     """
     if spec.n != 2:
         raise ParameterError("the analytic periodic path covers two suppliers")
@@ -579,23 +584,27 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
     times = list(grid)
     if times[0] != 0.0:
         raise ParameterError("grid must start at t = 0 (initial share is given there)")
-    sigma = 0.0
+
+    def step(sigma: float, t0: float, t: float) -> float:
+        # sigma(t) = sigma(t0) e^(-s0 (t - t0)) + int d(t + y) e^(s0 y) dy over
+        # y in [t0 - t, 0]. Below y = -40/s0 the weight is under e^-40 and that
+        # stretch is dropped: a fast churn would otherwise hide the whole
+        # weight between the quadrature nodes, and the offset y keeps the
+        # nodes exact however narrow the window. d is of the size of the
+        # modulation amplitudes but crosses zero, and its rounding at that
+        # size would keep a tolerance relative to the increment itself out
+        # of reach near a crossing, so the increment is measured against the
+        # amplitudes instead.
+        y0 = max(t0 - t, -40.0 / s0)
+        return sigma * math.exp(-s0 * (t - t0)) + numerics.quadrature(
+            lambda y: driven(t + y) * exp(s0 * y), y0, 0.0, 1e-11,
+            amplitude * min(-y0, 1.0 / s0))
+
+    sigmas = [0.0] + numerics.shifted_integrals(
+        lambda lo, x: driven(lo + x) * exp(s0 * x), lambda lo, x: s0 * x, step,
+        times, 0.0, 1.0 / s0, _WINDOW_TOL, amplitude)
     u1, mean_ch, periodic_ch, decaying_ch = [], [], [], []
-    for t0, t in zip([0.0] + times, times):
-        if t > t0:
-            # sigma(t) = sigma(t0) e^(-s0 (t - t0)) + int d(t + y) e^(s0 y) dy
-            # over y in [t0 - t, 0]. Below y = -40/s0 the weight is under e^-40
-            # and that stretch is dropped: a fast churn would otherwise hide
-            # the whole weight between the quadrature nodes, and the offset y
-            # keeps the nodes exact however narrow the window. d is of the
-            # size of the modulation amplitudes but crosses zero, and its
-            # rounding at that size would keep a tolerance relative to the
-            # increment itself out of reach near a crossing, so the
-            # increment is measured against the amplitudes instead.
-            y0 = max(t0 - t, -40.0 / s0)
-            sigma = sigma * math.exp(-s0 * (t - t0)) + numerics.quadrature(
-                lambda y: driven(t + y) * exp(s0 * y), y0, 0.0, 1e-11,
-                amplitude * min(-y0, 1.0 / s0))
+    for t, sigma in zip(times, sigmas):
         a = expm1(integral(t))
         periodic = (-a * mean_share + sigma) / (1.0 + a)
         decaying = (u1_0 - mean_share) / (1.0 + a) * math.exp(-s0 * t)

@@ -14,8 +14,9 @@ form for constant rates; any other rate schedules go through one
 integrating-factor integral, which takes a step's sales from the drop in
 B, less a quadrature of the smaller drain. Case 2 is the classic epidemic
 model and case 4 its variant with quitter-stimulated exits; both have an
-exact B(Q), so a path inverts the time integral t(Q) by warm-started
-Newton iteration, and their peak times come from the same integral. Case 5 reduces to a linear
+exact B(Q), so a path inverts the time integral t(Q), held as Chebyshev
+series over windows, by Newton iteration on those series, and their peak
+times come from the same integral. Case 5 reduces to a linear
 equation via the Riccati substitution; cases 3 and 6 integrate directly. A
 route starts from any grid row, so a peak without a closed form is refined
 on the route that printed the path. A complementary-game coupling (sales of
@@ -24,6 +25,7 @@ one title driving another) treats the driver's player count as a rate.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import namedtuple
@@ -31,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from . import numerics
 from .errors import DomainError, InitiationError, ParameterError
-from .monopoly import ConstantRate, RateSchedule
+from .monopoly import ConstantRate, RateSchedule, schedule_kernels
 from .trajectory import Trajectory, from_channels
 
 
@@ -239,6 +241,11 @@ def _package(grid, B, P, Q, D, C, **companion) -> Trajectory:
 _Start = Union[Sequence[float], None]
 
 
+#: Trailing-coefficient bound, relative to the integrand, of the Chebyshev
+#: windows of the case 5 and complementary convolutions.
+_WINDOW_TOL = 1e-13
+
+
 def _start(case: BpqCase, start: _Start) -> Sequence[float]:
     init = case.initial
     return start or (init.B, init.P, init.Q, 0.0)
@@ -286,22 +293,6 @@ def calibrate_case1(t_m: float, ratio: float) -> float:
     return ratio * numerics.log_gap(ratio, 1.0) / t_m
 
 
-def _case1_sales(case: Case1, b_lo: float, lo: float, t: float) -> float:
-    """Sales int a B over [lo, t] from B(lo) = b_lo: quadrature of the smaller
-    drain, a B or c B, and the sales are that or the drop int (a + c) B less it.
-    Reflected (u -> -u), the weight B / b_lo rises toward lo, where the window of
-    ``numerics.shifted_integral_step`` holds a fast drain's spike."""
-    a_s, c_s = case.a, case.c
-    d_a, d_c = a_s.cumulative(t, lo), c_s.cumulative(t, lo)
-    drop = -b_lo * math.expm1(-(d_a + d_c))
-    by_inflow = d_a < d_c
-    small = a_s if by_inflow else c_s
-    part = 0.0 if b_lo == 0.0 or min(d_a, d_c) == 0.0 else numerics.shifted_integral_step(
-        0.0, lambda y: small.rate(lo - y) * b_lo,
-        lambda y: -(a_s.cumulative(lo - y, lo) + c_s.cumulative(lo - y, lo)), -t, -lo)
-    return part if by_inflow else drop - part
-
-
 def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
     """Integrating-factor solution for arbitrary rate schedules.
 
@@ -309,38 +300,56 @@ def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> 
     exp(-int_u^t b) <= 1. Over a step, the weight at its start multiplies
     the step's sales, so a demand spike there needs no quadrature node;
     quadrature carries the weight's rise. Each step's drains are integrals
-    over the step itself, which keep their digits late in time.
+    over the step itself, which keep their digits late in time. The
+    schedules' fields are read once, into their kernels.
     """
-    a_s, b_s, c_s = case.a, case.b, case.c
+    (a_rate, a_cum), (b_rate, b_cum), (c_rate, c_cum) = map(
+        schedule_kernels, (case.a, case.b, case.c))
     t0 = prev_t = grid[0]
     B0, p_acc, _, c_acc = _start(case, start)
     B, P, Q, D, C = [], [], [], [], []
+    exp, expm1 = math.exp, math.expm1
 
     def drain(u: float, lo: float) -> float:
-        return a_s.cumulative(u, lo) + c_s.cumulative(u, lo)
+        return a_cum(u, lo) + c_cum(u, lo)
 
     def quits(lo: float, span: float) -> float:
         """int b over [lo, lo + span] to the digits of span, where lo + span
         rounds: the mean of b over the rounded span, times span itself."""
         end = lo + span
-        return span * (b_s.cumulative(end, lo) / (end - lo) if end > lo else b_s.rate(lo))
+        return span * (b_cum(end, lo) / (end - lo) if end > lo else b_rate(lo))
+
+    def sales(b_lo: float, lo: float, t: float) -> float:
+        """Sales int a B over [lo, t] from B(lo) = b_lo: quadrature of the
+        smaller drain, a B or c B, and the sales are that or the drop
+        int (a + c) B less it. Reflected (u -> -u), the weight B / b_lo rises
+        toward lo, where the window of ``numerics.shifted_integral_step``
+        holds a fast drain's spike."""
+        d_a, d_c = a_cum(t, lo), c_cum(t, lo)
+        drop = -b_lo * expm1(-(d_a + d_c))
+        by_inflow = d_a < d_c
+        small = a_rate if by_inflow else c_rate
+        part = 0.0 if b_lo == 0.0 or min(d_a, d_c) == 0.0 else numerics.shifted_integral_step(
+            0.0, lambda y: small(lo - y) * b_lo,
+            lambda y: -(a_cum(lo - y, lo) + c_cum(lo - y, lo)), -t, -lo)
+        return part if by_inflow else drop - part
 
     for t in grid:
         if t > t0:
             lo, b_lo = prev_t, B[-1]
-            sold = _case1_sales(case, b_lo, lo, t)
+            sold = sales(b_lo, lo, t)
             p_acc = numerics.shifted_integral_step(
                 p_acc + sold,
-                lambda y: (-a_s.rate(t + y) * b_lo * math.exp(-drain(t + y, lo))
-                           * math.expm1(-quits(lo, (t - lo) + y))),
-                lambda y: -b_s.cumulative(t, t + y), lo, t)
+                lambda y: (-a_rate(t + y) * b_lo * exp(-drain(t + y, lo))
+                           * expm1(-quits(lo, (t - lo) + y))),
+                lambda y: -b_cum(t, t + y), lo, t)
             c_acc += sold
-        Bt = B0 * math.exp(-drain(t, t0))
+        Bt = B0 * exp(-drain(t, t0))
         prev_t = t
         B.append(Bt)
         P.append(p_acc)
         Q.append(case.N - Bt - p_acc)
-        D.append(a_s.rate(t) * Bt)
+        D.append(a_rate(t) * Bt)
         C.append(c_acc)
     return _package(grid, B, P, Q, D, C)
 
@@ -366,6 +375,8 @@ def _case1_path(case: Case1, grid: Sequence[float], start: _Start = None) -> Tra
 _MAX_NEWTON_STEPS = 200
 #: Relative accuracy asked of each increment of the time integral.
 _TIME_TOL = 1e-13
+#: Length in s of the quit clock's first window.
+_CLOCK_SPAN = 8.0
 _OUT_OF_RANGE = "the seed P0 and the rates put this game outside the range of a double"
 
 
@@ -379,7 +390,8 @@ class _QuitClock:
     P = P0 - Delta - B0 expm1(-drop(Q0, Delta)) while Delta <= g, and
     P = g - B_inf expm1(drop(Q, g)) after. Time is integrated in
     s = log(Delta / g), where dt/ds = Delta g / (g0 rate P), g0 = Delta + g,
-    stays bounded at both ends.
+    stays bounded at both ends: over windows in s from s_lo, each a
+    Chebyshev series of dt/ds, built as far as a time or a Q asks.
     """
 
     def __init__(self, case: Case2 | Case4):
@@ -418,6 +430,10 @@ class _QuitClock:
         self.t_lo = self.dt_ds(self.s_lo)
         if not (self.t_lo > 0.0 and self.s_cap > 40.0):
             raise DomainError(_OUT_OF_RANGE)
+        # Windows in s from s_lo, built as far as a time asks: their starts,
+        # t at each start, and their Chebyshev series of dt/ds.
+        self._starts, self._times, self._windows = [self.s_lo], [self.t_lo], []
+        self._span = _CLOCK_SPAN
 
     def _at(self, s: float) -> tuple[float, float, float, float, float]:
         """(Delta g / g0, Delta, P, Q, C) at s, where C = B0 - B have bought."""
@@ -438,69 +454,94 @@ class _QuitClock:
         w, _, p, q, _ = self._at(s if s < self.s_cap else self.s_cap)
         return w / p / self.rate(q)
 
-    def _advance(self, s0: float, s1: float) -> float:
-        """t(s1) - t(s0): one Gauss-Kronrod panel, or adaptive quadrature
-        where the panel's error estimate misses the tolerance."""
-        value, err = numerics.kronrod_panel(self.dt_ds, s0, s1)
-        if err <= _TIME_TOL * abs(value):
-            return value
-        whole = numerics.quadrature(self.dt_ds, min(s0, s1), max(s0, s1), tol=_TIME_TOL)
-        return whole if s1 >= s0 else -whole
+    def _extend(self) -> None:
+        """Appends the window that starts where the last one ends: the
+        longest of the trial span, halved as often as its series misses the
+        tolerance, that stays below s_cap or lies beyond it. Where
+        w = Delta g / g0 falls below the smallest normal double, rounding
+        leaves it an absolute accuracy only, so dt/ds = w / (rate P) is
+        resolved to the tolerance times the dt/ds of that smallest w."""
+        s0, span = self._starts[-1], self._span
+        _, _, p, q, _ = self._at(min(s0, self.s_cap))
+        floor = 2.0 ** -1022 / p / self.rate(q)
+        while True:
+            length = min(span, self.s_cap - s0) if s0 < self.s_cap else span
+            if not length > 2.0 ** -40 * max(1.0, abs(s0)):
+                raise DomainError(_OUT_OF_RANGE)
+            window = numerics.chebyshev_window(lambda x: self.dt_ds(s0 + x), length,
+                                               _TIME_TOL, floor)
+            if window is not None:
+                break
+            span *= 0.5
+        rise = window.integral(length)
+        if not rise > 0.0:  # dt/ds underflowed: t would stop
+            raise DomainError(_OUT_OF_RANGE)
+        self._span = 2.0 * length if span == self._span else length
+        self._windows.append(window)
+        self._starts.append(s0 + length)
+        self._times.append(self._times[-1] + rise)
 
     def time_of(self, q: float) -> float:
         """t(Q) for Q in [Q0, q_inf)."""
         if q <= self.Q0:
             return 0.0
         s = math.log(q - self.Q0) - math.log(self.q_inf - q)
-        return self.t_lo + self._advance(self.s_lo, s)
+        if s < self.s_lo:
+            return self.t_lo * math.exp(s - self.s_lo)
+        while s >= self._starts[-1]:
+            self._extend()
+        i = bisect.bisect_right(self._starts, s) - 1
+        return self._times[i] + self._windows[i].integral(s - self._starts[i])
 
-    def solve(self, target: float, s: float, t: float) -> tuple[float, float, float]:
-        """Root of t(s) = target >= t_lo, from an evaluated point t = t(s).
+    def solve(self, target: float) -> float:
+        """Root s of t(s) = target >= t_lo.
 
-        Safeguarded Newton, stepping in log t while t is below half the
-        target (near s_lo, t grows like e^s). It stops once the error left
+        Safeguarded Newton on the series of the window that holds the root,
+        from the chord across that window. It stops once the error left
         after a step, estimated as step^3 / previous^2, is below rounding:
         an error in s is the relative error of Delta and of g.
-
-        Returns the root and the last point evaluated, with its time.
         """
-        lo, hi, prev = self.s_lo, math.inf, None
+        while target >= self._times[-1]:
+            self._extend()
+        i = bisect.bisect_right(self._times, target) - 1
+        window, rest = self._windows[i], target - self._times[i]
+        lo, hi, prev = 0.0, window.length, None
+        x = hi * rest / (self._times[i + 1] - self._times[i])
         for _ in range(_MAX_NEWTON_STEPS):
-            if t == target:
+            miss, rate = window.integral_and_value(x)
+            miss -= rest
+            if miss == 0.0:
                 break
-            lo, hi = (s, hi) if t < target else (lo, s)
-            rise = t * math.log(target / t) if target > 2.0 * t else target - t
-            step = rise / self.dt_ds(s)
-            nxt = s + step
-            if lo < nxt < hi:
+            lo, hi = (x, hi) if miss < 0.0 else (lo, x)
+            step = -miss / rate
+            if lo < x + step < hi:
+                x += step
                 if prev is not None and abs(step) * (step / prev) ** 2 <= 2.0 ** -54:
-                    return nxt, s, t
-                prev = abs(step)
-            elif lo <= nxt <= hi:
-                return nxt, s, t  # resolved as a double
-            else:
-                nxt, prev = 0.5 * (lo + hi), None
-                if not lo < nxt < hi:
                     break
-            t += self._advance(s, nxt)
-            s = nxt
-        return s, s, t
+                prev = abs(step)
+            elif lo <= x + step <= hi:
+                x += step  # resolved as a double
+                break
+            else:
+                x, prev = 0.5 * (lo + hi), None
+                if not lo < x < hi:
+                    break
+        return self._starts[i] + x
 
 
 def _clock_path(case: Case2 | Case4, grid: Sequence[float], start: _Start = None) -> Trajectory:
-    """Path of case 2 or 4: each sample inverts t(Q), from the last root.
+    """Path of case 2 or 4: each sample inverts t(Q) on the clock's windows.
     Both cases are autonomous: a start row seeds a case of its own."""
     _, P0, Q0, C0 = _start(case, start)
     case = type(case)(**{**case._asdict(), "P0": P0, "Q0": Q0})
     clock = _QuitClock(case)
-    s, t = clock.s_lo, clock.t_lo
     rows = []
     for time in grid:
         time -= grid[0]
         if time < 0:
             raise DomainError("time must be nonnegative")
         if time >= clock.t_lo:
-            root, s, t = clock.solve(time, s, t)
+            root = clock.solve(time)
         else:  # t grows like e^s below s_lo
             root = clock.s_lo + math.log(time / clock.t_lo) if time > 0.0 else -math.inf
         _, d, p, q, c = clock._at(root)
@@ -614,6 +655,9 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
     falls, where N - B - Q would cancel. The integrating factor has the
     increasing exponent psi(u) = gamma N u + (gamma B0 / a) e^{-a u}, in
     time from grid[0], where the start row gives B0, P0, Q0 and the sales C0.
+    Windows of grid steps no longer than 1/(gamma N), over which psi rises by
+    at most 1, take z from one Chebyshev series each; a step that no window
+    shares takes a quadrature of its own.
     """
     a, gamma, N = case.a, case.gamma, case.N
     B0, P0, Q0, C0 = _start(case, start)
@@ -648,17 +692,44 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
             lost *= b_t
         return gamma * y * (r_t - lost)
 
-    z = P0 / Q0 / (P0 + Q0)  # Q0 (P0 + Q0) may underflow to 0
+    def weighted(lo: float, x: float) -> float:
+        """source(u) e^(psi(u) - psi(lo)) at u = lo + x >= lo."""
+        u = lo + x
+        e = math.exp(-a * u)
+        r, b = remaining(u, e), B0 * e
+        return a * b / r / r * math.exp(-rise(u, r, b, -x))
+
+    def rise_from(lo: float, x: float) -> float:
+        """psi(lo + x) - psi(lo) for x >= 0."""
+        e = math.exp(-a * (lo + x))
+        return -rise(lo + x, remaining(lo + x, e), B0 * e, -x)
+
+    def step(z: float, lo: float, t: float) -> float:
+        """z(t) from z(lo). The source a B / R^2 = -(1/R)' has the exact
+        integral 1/R(lo) - 1/R(t) = (B(lo) - B(t)) / (R(lo) R(t)), so
+        quadrature carries only its product with the rise of the weight
+        e^(psi(u) - psi(t)) over its value at lo, which is below gamma, to a
+        tolerance relative to z(t). The source taken whole peaks at
+        a B0 / Q0^2 where P0 = 0, and a tiny Q0 puts its whole integral,
+        about 1/Q0, out of reach of the nodes."""
+        e = math.exp(-a * t)
+        r_t, b_t = remaining(t, e), B0 * e
+        r_lo = rise(t, r_t, b_t, lo - t)
+        e_lo = math.exp(-a * lo)
+        z += -B0 * e_lo * math.expm1(-a * (t - lo)) / remaining(lo, e_lo) / r_t
+        return numerics.shifted_integral_step(
+            z, lambda y: source(t + y) * -math.expm1(r_lo - rise(t, r_t, b_t, y)),
+            lambda y: rise(t, r_t, b_t, y), lo, t, max(z * math.exp(r_lo), 1e-12))
+
+    times = [time - grid[0] for time in grid]
+    zs = [P0 / Q0 / (P0 + Q0)]  # Q0 (P0 + Q0) may underflow to 0
+    zs += numerics.shifted_integrals(weighted, rise_from, step,
+                                     times, zs[0], 1.0 / (gamma * N), _WINDOW_TOL)
     B, P, Q, D, C = [], [], [], [], []
-    prev_t = None
-    for t in (time - grid[0] for time in grid):
+    for t, z in zip(times, zs):
         e = math.exp(-a * t)
         Bt, Rt = B0 * e, remaining(t, e)
-        if prev_t is not None:
-            z = numerics.shifted_integral_step(z, lambda y: source(t + y),
-                                               lambda y: rise(t, Rt, Bt, y), prev_t, t)
         Rz = Rt * z
-        prev_t = t
         B.append(Bt)
         P.append(Rt * (Rz / (1.0 + Rz)))  # Rt * Rz may overflow
         Q.append(Rt / (1.0 + Rz))
@@ -907,7 +978,9 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
     the time-dependent inflow g P_c(t): B = N exp(-(A(t) - A(t0*))) with
     A the antiderivative of the coupling (anchored at the time t0* when
     both games are live, so B starts exactly at N), and P through the
-    integrating factor with the remaining integral done by quadrature.
+    integrating factor. The remaining integral is carried over windows of
+    grid steps no longer than 1/b, one Chebyshev series each; a step that
+    no window shares takes a quadrature of its own.
     """
     if grid[0] != 0.0:
         raise ParameterError("complementary paths start at t = 0")
@@ -918,10 +991,15 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
     t_live = max(0.0, -tau)
     a_ref = antiderivative(t_live)
 
+    # b times the integral, so that the quadrature runs on values near 1.
+    live = [t for t in grid if t > t_live]
+    bk = iter(numerics.shifted_integrals(
+        lambda lo, x: b * exp(b * x - (antiderivative(lo + x) - a_ref)), lambda lo, x: b * x,
+        lambda acc, lo, hi: numerics.shifted_integral_step(
+            acc, lambda y: b * exp(-(antiderivative(hi + y) - a_ref)), lambda y: b * y, lo, hi),
+        [t_live] + live, 0.0, 1.0 / b, _WINDOW_TOL))
     B, P, Q, D, C = [], [], [], [], []
     Bc, Pc, Qc = [], [], []
-    bk_acc = 0.0  # b times the integral: the quadrature then runs on values near 1
-    prev_t = None
     for t in grid:
         s = t + tau
         bc = nc * exp(-a_c * s) if s >= 0 else nc
@@ -935,15 +1013,10 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
             Q.append(0.0)
             D.append(g * pc * n)
             C.append(0.0)
-            prev_t = None
             continue
-        lo = prev_t if prev_t is not None else t_live
-        bk_acc = numerics.shifted_integral_step(
-            bk_acc, lambda y: b * exp(-(antiderivative(t + y) - a_ref)), lambda y: b * y, lo, t)
         left = exp(-(antiderivative(t) - a_ref))  # B / N
         bt = n * left
-        pt = n * (exp(-b * (t - t_live)) - left) + n * bk_acc
-        prev_t = t
+        pt = n * (exp(-b * (t - t_live)) - left) + n * next(bk)
         B.append(bt)
         P.append(pt)
         Q.append(n - bt - pt)

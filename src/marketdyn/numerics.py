@@ -2,7 +2,8 @@
 
 Provides everything the model modules need and nothing more: an adaptive
 DOP853 integrator with dense output, globally adaptive Gauss-Kronrod
-quadrature, a hybrid bisection/Newton root finder, the divided
+quadrature, Chebyshev series over windows for integrals sampled on a
+grid, a hybrid bisection/Newton root finder, the divided
 differences of e^(-st) and of ln s over two rates, and small dense
 linear algebra (determinant, cofactors, linear solve, one matrix
 exponential, returned as a matrix or applied to a vector).
@@ -21,8 +22,11 @@ A run that turns stiff ends with an error once Hairer's stiffness test
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import math
+import operator
 from collections import namedtuple
 from typing import Callable, Sequence
 
@@ -444,21 +448,145 @@ def quadrature(g: Callable[[float], float], a: float, b: float,
 
 
 def shifted_integral_step(acc: float, f: Callable[[float], float],
-                          rise: Callable[[float], float], lo: float, hi: float) -> float:
+                          rise: Callable[[float], float], lo: float, hi: float,
+                          scale: float = 1e-12) -> float:
     """J(hi) from J(lo) = acc for J(t) = int^t f(u) e^(k(u) - k(t)) du, k nondecreasing.
 
     Both functions take the offset y <= 0 of u = hi + y, which keeps its
     digits at any hi where u itself would round: ``f(y)`` is the integrand at
     u and ``rise(y)`` = k(hi + y) - k(hi) <= 0. The quadrature of
-    f(y) e^rise(y) runs in y, so its nodes do too. A window halved while the
-    weight at its middle is below e^-40 drops the stretch that a long step
-    would hide between the nodes.
+    f(y) e^rise(y) runs in y, so its nodes do too, with ``scale`` as in
+    :func:`quadrature`. A window halved while the weight at its middle is
+    below e^-40 drops the stretch that a long step would hide between the
+    nodes.
     """
     y0 = lo - hi
     while rise(0.5 * y0) < -40.0:
         y0 *= 0.5
     return acc * math.exp(rise(lo - hi)) + quadrature(
-        lambda y: f(y) * math.exp(rise(y)), y0, 0.0, 1e-11)
+        lambda y: f(y) * math.exp(rise(y)), y0, 0.0, 1e-11, scale)
+
+
+# Spectral integration over windows (Clenshaw & Curtis, Numer. Math. 2, 1960;
+# Greengard, SIAM J. Numer. Anal. 28, 1991; Trefethen, Approximation Theory
+# and Approximation Practice, 2013, ch. 3 and 19): an integrand sampled at the
+# Chebyshev-Lobatto points of a window is interpolated by a Chebyshev series,
+# which is integrated term by term and summed by Clenshaw's recurrence.
+
+#: Degree of the interpolant of :func:`chebyshev_window` (one more node).
+CHEB_DEGREE = 24
+
+
+@functools.cache
+def _chebyshev_tables() -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """Node j at fraction (1 + cos(pi j / n)) / 2 of the window, from its
+    start, and the rows of the type-I cosine transform that takes the
+    samples g_j to the coefficients, folded on the symmetry
+    cos(pi (n - j) k / n) = (-1)^k cos(pi j k / n): row k weighs
+    g_j + g_(n-j) for even k and g_j - g_(n-j) for odd k, over j <= n/2,
+    and the middle sample, so added to itself, at half its weight."""
+    n = CHEB_DEGREE
+    cos = [math.cos(math.pi * m / n) for m in range(2 * n)]
+    rows = []
+    for k in range(n + 1):
+        scale = (1.0 if k in (0, n) else 2.0) / n
+        row = [scale * cos[j * k % (2 * n)] * (0.5 if j == 0 else 1.0) for j in range(n // 2)]
+        rows.append(tuple(row + [0.0 if k % 2 else 0.5 * scale * cos[n // 2 * k % (2 * n)]]))
+    return tuple(0.5 + 0.5 * cos[j] for j in range(n + 1)), tuple(rows)
+
+
+class ChebyshevWindow(namedtuple("ChebyshevWindow", "length values integrals")):
+    """Chebyshev series on the window [0, length] of offsets from its start:
+    ``integrals`` of the antiderivative from 0 of the integrand's
+    interpolant, and ``values`` of that interpolant, padded to the same
+    length."""
+
+    __slots__ = ()
+
+    def integral(self, x: float) -> float:
+        """The antiderivative at offset x, by Clenshaw's recurrence."""
+        x = 2.0 * x / self.length - 1.0
+        x2 = x + x
+        b1 = b2 = 0.0
+        for c in self.integrals[:0:-1]:
+            b1, b2 = c + x2 * b1 - b2, b1
+        return self.integrals[0] + x * b1 - b2
+
+    def integral_and_value(self, x: float) -> tuple[float, float]:
+        """The antiderivative and the interpolant at offset x."""
+        x = 2.0 * x / self.length - 1.0
+        x2 = x + x
+        b1 = b2 = c1 = c2 = 0.0
+        for b, c in zip(self.integrals[:0:-1], self.values[:0:-1]):
+            b1, b2 = b + x2 * b1 - b2, b1
+            c1, c2 = c + x2 * c1 - c2, c1
+        return self.integrals[0] + x * b1 - b2, self.values[0] + x * c1 - c2
+
+
+def chebyshev_window(g: Callable[[float], float], length: float, tol: float,
+                     scale: float = 0.0) -> ChebyshevWindow | None:
+    """Interpolant of g(x), x in [0, length], at the CHEB_DEGREE + 1
+    Chebyshev-Lobatto points, or None when it does not resolve g: when its
+    two trailing coefficients sum to more than ``tol`` times the larger of
+    max |g| at the nodes and ``scale``, or a sample is not finite. The
+    caller then halves the window. ``scale`` floors the magnitude of an
+    integrand whose rounding, not its size, bounds the reachable accuracy.
+    """
+    fractions, rows = _chebyshev_tables()
+    samples = [g(length * f) for f in fractions]
+    n, mul = CHEB_DEGREE, operator.mul
+    folded = ([p + q for p, q in zip(samples, samples[::-1])],
+              [p - q for p, q in zip(samples, samples[::-1])])
+    a = [sum(map(mul, row, folded[k % 2])) for k, row in enumerate(rows)]
+    if not abs(a[n - 1]) + abs(a[n]) <= tol * max(max(map(abs, samples)), scale) < math.inf:
+        return None
+    # int T_0 = T_1, int T_1 = T_2 / 4 and int T_k = T_(k+1) / 2(k+1) -
+    # T_(k-1) / 2(k-1): b_k = (a_(k-1) - a_(k+1)) / 2k, with a_0 counted twice.
+    half = 0.5 * length
+    a += [0.0, 0.0]
+    b = [0.0] + [half * ((a[k - 1] if k > 1 else 2.0 * a[0]) - a[k + 1]) / (2 * k)
+                 for k in range(1, n + 2)]
+    b[0] = math.fsum(c if k % 2 else -c for k, c in enumerate(b))  # 0 at x = -1
+    return ChebyshevWindow(length, tuple(a[:n + 2]), tuple(b))
+
+
+def shifted_integrals(weighted: Callable[[float, float], float],
+                      rise: Callable[[float, float], float],
+                      step: Callable[[float, float, float], float], times: Sequence[float],
+                      acc: float, width: float, tol: float, scale: float = 0.0) -> list[float]:
+    """J at each of times[1:], for J(t) = int^t f(u) e^(k(u) - k(t)) du from
+    J(times[0]) = acc, with k nondecreasing.
+
+    Grid steps are grouped into windows [T0, T1] no longer than ``width``,
+    over which k rises by at most about 1. In a window, ``rise(T0, x)`` is
+    k(T0 + x) - k(T0) >= 0 and ``weighted(T0, x)`` is f(T0 + x) e^rise(T0, x);
+    the series of the latter (:func:`chebyshev_window`, with ``tol`` and
+    ``scale``) gives J(t) = e^-rise (J(T0) + its integral to t) at every grid
+    time of the window. A window the series does not resolve is halved; one that
+    would hold a single step gives way to ``step(acc, lo, hi)``, J(hi) from
+    J(lo) = acc by the route's own quadrature of that step.
+    """
+    out = []
+    exp = math.exp
+    i, last, span = 0, len(times) - 1, width
+    while i < last:
+        lo = times[i]
+        m = bisect.bisect_right(times, lo + span, i + 1, last + 1) - 1
+        if m <= i + 1:
+            acc = step(acc, lo, times[i + 1])
+            out.append(acc)
+            i += 1
+        else:
+            window = chebyshev_window(lambda x: weighted(lo, x), times[m] - lo, tol, scale)
+            if window is None:
+                span = 0.5 * (times[m] - lo)
+                continue
+            out += [exp(-rise(lo, t - lo)) * (acc + window.integral(t - lo))
+                    for t in times[i + 1:m + 1]]
+            acc = out[-1]
+            i = m
+        span = min(2.0 * span, width)
+    return out
 
 
 def solve_root(g: Callable[[float], float], lo: float, hi: float,

@@ -297,6 +297,67 @@ def test_case2_time_integral():
         games.sir_time_of(CASE2, N)
 
 
+def mp_quit_time(case, q):
+    """t(q) = int_Q0^q dQ / (rate(Q) P(Q)) at 30 digits, the interval cut
+    ever closer to q, where 1/P grows as q nears the final size."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        n, p0, q0, beta, q = map(mpmath.mpf, (case.N, case.P0, case.Q0, case.beta, q))
+        b0 = n - p0 - q0
+        if isinstance(case, games.Case2):
+            ratio, rate = beta / case.b, lambda x: mpmath.mpf(case.b)
+            players = lambda x: n - x - b0 * mpmath.exp(-ratio * (x - q0))  # noqa: E731
+        else:
+            ratio, rate = beta / case.gamma, lambda x: case.gamma * x
+            players = lambda x: n - x - b0 * (x / q0) ** -ratio  # noqa: E731
+        cuts = [q - (q - q0) / 4 ** k for k in range(1, 10)]
+        return mpmath.quad(lambda x: 1 / (rate(x) * players(x)), [q0, *cuts, q])
+
+
+CLOCK_CASES = (games.Case2(beta=0.002, b=0.5, N=N, P0=10.0),
+               games.Case2(beta=0.002, b=0.5, N=N, P0=10.0, Q0=5.0),
+               games.Case4(beta=0.002, gamma=0.003, N=N, P0=10.0, Q0=10.0))
+
+
+@pytest.mark.parametrize("case", CLOCK_CASES, ids=["case2", "case2_Q0", "case4"])
+def test_quit_clock_matches_mpmath_time_integral(case):
+    # From the first window up to a gap to the final size of 1e-3 g0, where
+    # the double q_inf still leaves the gap 13 digits.
+    clock = games._QuitClock(case)
+    targets = [case.Q0 + f * clock.g0 for f in (1e-6, 0.02, 0.3, 0.9, 1.0 - 1e-3)]
+    if case.Q0 == 0.0:  # s below s_lo, where t is t_lo e^(s - s_lo)
+        targets.append(math.exp(clock.s_lo - 3.0) * clock.g0)
+    for q in targets:
+        reference = mp_quit_time(case, q)
+        assert abs(clock.time_of(q) - reference) <= games._TIME_TOL * reference, q
+    assert clock.time_of(case.Q0) == 0.0
+
+
+@pytest.mark.parametrize("case", CLOCK_CASES[:1] + CLOCK_CASES[2:], ids=["case2", "case4"])
+def test_quit_clock_path_samples_match_mpmath(case):
+    # Samples below t_lo, on the first windows, past the peak and up to a
+    # gap to the final size of about 1: mpmath's t at the sampled Q is the
+    # sample time. Case 4's Q = Q0 + Delta keeps 13 digits of Delta from
+    # t = 0.1 on only, and its gap is 1 at t = 6.4.
+    clock = games._QuitClock(case)
+    if case.Q0 == 0.0:
+        grid = [0.0, clock.t_lo / 8.0, clock.t_lo * 1e3, 1e-3, 0.1, 2.0, 6.0, 12.0, 18.0]
+    else:
+        grid = [0.0, 0.1, 1.0, 2.0, 4.0, 6.0]
+    traj = games.bpq_path(case, grid)
+    for t, q in zip(grid[1:], traj.channel("Q")[1:]):
+        assert abs(mp_quit_time(case, q) - t) <= 1e-12 * t, t
+
+
+def test_sir_time_of_rejects_quitter_counts_outside_the_reachable_range():
+    case = CLOCK_CASES[1]
+    q_inf = N - games.sir_relations(case).B_inf
+    for q in (math.nextafter(case.Q0, 0.0), q_inf, N):
+        with pytest.raises(DomainError, match="reachable range"):
+            games.sir_time_of(case, q)
+    assert games.sir_time_of(case, math.nextafter(q_inf, 0.0)) > 0.0
+
+
 def test_case2_peak_time_matches_argmax():
     grid = time_grid(0.0, 30.0, 10001)
     traj = games.bpq_path(CASE2, grid)

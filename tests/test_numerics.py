@@ -285,6 +285,114 @@ def test_quadrature_linearity_on_polynomials(c1, c2, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
+# Chebyshev windows and the windowed convolution
+# ---------------------------------------------------------------------------
+
+@given(st.lists(st.floats(-3, 3), min_size=1, max_size=numerics.CHEB_DEGREE + 1),
+       st.floats(0.01, 20.0))
+def test_chebyshev_window_is_exact_on_polynomials_of_its_degree(coeffs, length):
+    # The interpolant of a polynomial of degree <= CHEB_DEGREE is the
+    # polynomial itself, so its antiderivative is exact too.
+    def poly(x):
+        u = x / length
+        return sum(c * u ** k for k, c in enumerate(coeffs))
+
+    def antiderivative(x):
+        u = x / length
+        return length * sum(c * u ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+
+    window = numerics.chebyshev_window(poly, length, 1e300)
+    scale = sum(map(abs, coeffs))
+    for x in (0.0, 0.3 * length, 0.77 * length, length):
+        integral, value = window.integral_and_value(x)
+        assert integral == window.integral(x)
+        assert abs(integral - antiderivative(x)) <= 1e-13 * scale * length
+        assert abs(value - poly(x)) <= 1e-13 * scale
+
+
+def test_chebyshev_window_rejects_what_it_does_not_resolve():
+    assert numerics.chebyshev_window(lambda x: math.cos(60.0 * x), 1.0, 1e-13) is None
+    log = lambda x: math.log(x) if x > 0.0 else -math.inf  # noqa: E731
+    assert numerics.chebyshev_window(log, 1.0, 1e-13) is None
+    # Rounding noise is resolved once it is measured against a floor.
+    noise = lambda x: 1e-30 * math.sin(1e6 * x)  # noqa: E731
+    assert numerics.chebyshev_window(noise, 1.0, 1e-13) is None
+    assert numerics.chebyshev_window(noise, 1.0, 1e-13, 1e-10) is not None
+
+
+def mp_cos_convolution(mp, s, omega, t):
+    """int_0^t cos(omega u) e^(s (u - t)) du."""
+    s, omega, t = mp.mpf(s), mp.mpf(omega), mp.mpf(t)
+    return ((s * mp.cos(omega * t) + omega * mp.sin(omega * t) - s * mp.exp(-s * t))
+            / (s * s + omega * omega))
+
+
+def cos_convolution(times, s, omega, counts=None):
+    """numerics.shifted_integrals on f = cos(omega u), k = s u, counting its
+    single steps and its windows, accepted and rejected."""
+    counts = {} if counts is None else counts
+
+    def step(acc, lo, hi):
+        counts["steps"] = counts.get("steps", 0) + 1
+        return numerics.shifted_integral_step(
+            acc, lambda y: math.cos(omega * (hi + y)), lambda y: s * y, lo, hi)
+
+    return numerics.shifted_integrals(
+        lambda lo, x: math.cos(omega * (lo + x)) * math.exp(s * x), lambda lo, x: s * x,
+        step, times, 0.0, 1.0 / s, 1e-13)
+
+
+def counting_windows(monkeypatch, counts):
+    window = numerics.chebyshev_window
+
+    def counted(g, length, tol, scale=0.0):
+        series = window(g, length, tol, scale)
+        key = "windows" if series is not None else "rejected"
+        counts[key] = counts.get(key, 0) + 1
+        return series
+
+    monkeypatch.setattr(numerics, "chebyshev_window", counted)
+
+
+def test_shifted_integrals_match_an_mpmath_convolution_over_many_windows(mp, monkeypatch):
+    s, omega = 2.0, 3.0
+    times = time_grid(0.0, 30.0, 1201)
+    counts = {}
+    counting_windows(monkeypatch, counts)
+    values = cos_convolution(times, s, omega, counts)
+    assert counts.get("windows", 0) >= 50 and counts.get("steps", 0) <= 1
+    for t, value in zip(times[1:], values, strict=True):
+        assert abs(mp.mpf(value) - mp_cos_convolution(mp, s, omega, t)) <= 1e-14
+
+
+def test_shifted_integrals_halve_a_window_their_series_misses(mp, monkeypatch):
+    # omega = 40 puts six periods in the first trial window of 1/s = 1; its
+    # series misses, and the halved windows hold three and one and a half.
+    s, omega = 1.0, 40.0
+    times = time_grid(0.0, 5.0, 501)
+    counts = {}
+    counting_windows(monkeypatch, counts)
+    values = cos_convolution(times, s, omega, counts)
+    assert counts.get("rejected", 0) >= 1 and counts.get("windows", 0) >= 5
+    for t, value in zip(times[1:], values, strict=True):
+        assert abs(mp.mpf(value) - mp_cos_convolution(mp, s, omega, t)) <= 1e-14
+
+
+def test_shifted_integrals_take_single_steps_longer_than_a_window(mp, monkeypatch):
+    # Dense stretches, where windows of 1/s = 0.5 hold 50 steps, around
+    # steps of 2, which each go to the per-step quadrature.
+    s, omega = 2.0, 3.0
+    dense = [0.01 * i for i in range(101)]
+    times = dense + [1.0 + 2.0 * i for i in range(1, 6)] + [11.0 + t for t in dense[1:]]
+    counts = {}
+    counting_windows(monkeypatch, counts)
+    values = cos_convolution(times, s, omega, counts)
+    assert counts.get("steps", 0) == 5 and counts.get("windows", 0) >= 4
+    for t, value in zip(times[1:], values, strict=True):
+        assert abs(mp.mpf(value) - mp_cos_convolution(mp, s, omega, t)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # solve_root
 # ---------------------------------------------------------------------------
 

@@ -773,6 +773,27 @@ def test_cli_game_at_the_ends_of_the_double_range(model, horizon, code, tmp_path
     assert got in (cli.EXIT_OK, cli.EXIT_NUMERIC) and "Traceback" not in err
 
 
+# With P0 = 0, the source a B / R^2 of z = 1/Q - 1/R peaks at a B0 / Q0^2 at
+# t = 0 and overflowed where Q0 = 1e-200: P printed nan and the CLI exited 3.
+# Q = R / (1 + R z) stays so small that P = R to rounding, so gamma P Q
+# leaves Q = Q0 e^(gamma int R) = Q0 e^(psi(t) - psi(0)) to rounding as well.
+@pytest.mark.parametrize("samples", [5, 1000])
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_case5_from_a_tiny_seed_of_quitters(samples, command, tmp_path, capsys):
+    a, gamma, n, q0 = 0.2, 0.004, 1000.0, 1e-200
+    doc = {"model": {"kind": "bpq", "case": "case5", "N": n, "a": a, "gamma": gamma, "Q0": q0},
+           "horizon": 20.0, "samples": samples}
+    code, rows, err = cli_output(command, doc, tmp_path, capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert all(math.isfinite(float(v)) for row in rows[1:] for v in row[1:])
+    traj = games.bpq_path(games.Case5(a=a, gamma=gamma, N=n, Q0=q0),
+                          time_grid(0.0, 20.0, samples))
+    for t, p, q in zip(traj.times, traj.channel("P"), traj.channel("Q")):
+        assert p == pytest.approx(-n * math.expm1(-a * t), rel=1e-12)
+        psi = gamma * (n * t + n * math.expm1(-a * t) / a)
+        assert q == pytest.approx(q0 * math.exp(psi), rel=1e-12)
+
+
 def test_cli_peak_inside_a_first_step_that_holds_the_grid_maximum(tmp_path, capsys):
     # At 5 samples over 1e6 the grid maximum of P is its first sample, P = 0,
     # while P rises from there to its peak at t = 4.56, inside the first step.

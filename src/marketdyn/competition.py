@@ -602,7 +602,7 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
 
     sigmas = [0.0] + numerics.shifted_integrals(
         lambda lo, x: driven(lo + x) * exp(s0 * x), lambda lo, x: s0 * x, step,
-        times, 0.0, 1.0 / s0, _WINDOW_TOL, amplitude)
+        times, 0.0, _WINDOW_TOL, amplitude)
     u1, mean_ch, periodic_ch, decaying_ch = [], [], [], []
     for t, sigma in zip(times, sigmas):
         a = expm1(integral(t))

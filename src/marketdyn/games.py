@@ -330,7 +330,7 @@ def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> 
         by_inflow = d_a < d_c
         small = a_rate if by_inflow else c_rate
         part = 0.0 if b_lo == 0.0 or min(d_a, d_c) == 0.0 else numerics.shifted_integral_step(
-            0.0, lambda y: small(lo - y) * b_lo,
+            0.0, lambda y: small(lo - y) * b_lo * exp(-(a_cum(lo - y, lo) + c_cum(lo - y, lo))),
             lambda y: -(a_cum(lo - y, lo) + c_cum(lo - y, lo)), -t, -lo)
         return part if by_inflow else drop - part
 
@@ -341,7 +341,7 @@ def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> 
             p_acc = numerics.shifted_integral_step(
                 p_acc + sold,
                 lambda y: (-a_rate(t + y) * b_lo * exp(-drain(t + y, lo))
-                           * expm1(-quits(lo, (t - lo) + y))),
+                           * expm1(-quits(lo, (t - lo) + y)) * exp(-b_cum(t, t + y))),
                 lambda y: -b_cum(t, t + y), lo, t)
             c_acc += sold
         Bt = B0 * exp(-drain(t, t0))
@@ -434,6 +434,8 @@ class _QuitClock:
         # t at each start, and their Chebyshev series of dt/ds.
         self._starts, self._times, self._windows = [self.s_lo], [self.t_lo], []
         self._span = _CLOCK_SPAN
+        # The last root of solve: its window, offset, time in the window and dt/ds.
+        self._last = (-1, 0.0, 0.0, 0.0)
 
     def _at(self, s: float) -> tuple[float, float, float, float, float]:
         """(Delta g / g0, Delta, P, Q, C) at s, where C = B0 - B have bought."""
@@ -457,7 +459,9 @@ class _QuitClock:
     def _extend(self) -> None:
         """Appends the window that starts where the last one ends: the
         longest of the trial span, halved as often as its series misses the
-        tolerance, that stays below s_cap or lies beyond it. Where
+        tolerance, that stays below s_cap or lies beyond it. The next trial
+        span is twice that length where the series' tail is below a
+        thousandth of the tolerance, and that length otherwise. Where
         w = Delta g / g0 falls below the smallest normal double, rounding
         leaves it an absolute accuracy only, so dt/ds = w / (rate P) is
         resolved to the tolerance times the dt/ds of that smallest w."""
@@ -476,7 +480,7 @@ class _QuitClock:
         rise = window.integral(length)
         if not rise > 0.0:  # dt/ds underflowed: t would stop
             raise DomainError(_OUT_OF_RANGE)
-        self._span = 2.0 * length if span == self._span else length
+        self._span = 2.0 * length if window.tail <= 1e-3 * _TIME_TOL else length
         self._windows.append(window)
         self._starts.append(s0 + length)
         self._times.append(self._times[-1] + rise)
@@ -496,10 +500,12 @@ class _QuitClock:
     def solve(self, target: float) -> float:
         """Root s of t(s) = target >= t_lo.
 
-        Safeguarded Newton on the series of the window that holds the root,
-        from the chord across that window. It stops once the error left
-        after a step, estimated as step^3 / previous^2, is below rounding:
-        an error in s is the relative error of Delta and of g.
+        Safeguarded Newton on the series of the window that holds the root.
+        It starts with a Newton step from the last root where that lies in
+        the same window, as the samples of a path do, and from the chord
+        across the window otherwise. It stops once the error left after a
+        step, estimated as step^3 / previous^2, is below rounding: an error
+        in s is the relative error of Delta and of g.
         """
         while target >= self._times[-1]:
             self._extend()
@@ -507,6 +513,12 @@ class _QuitClock:
         window, rest = self._windows[i], target - self._times[i]
         lo, hi, prev = 0.0, window.length, None
         x = hi * rest / (self._times[i + 1] - self._times[i])
+        if self._last[0] == i and self._last[3] > 0.0:
+            _, last, last_rest, last_rate = self._last
+            guess = last + (rest - last_rest) / last_rate
+            if lo < guess < hi and guess != last:
+                x, prev = guess, abs(guess - last)
+        rate = 0.0
         for _ in range(_MAX_NEWTON_STEPS):
             miss, rate = window.integral_and_value(x)
             miss -= rest
@@ -526,6 +538,7 @@ class _QuitClock:
                 x, prev = 0.5 * (lo + hi), None
                 if not lo < x < hi:
                     break
+        self._last = (i, x, rest, rate)
         return self._starts[i] + x
 
 
@@ -655,9 +668,9 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
     falls, where N - B - Q would cancel. The integrating factor has the
     increasing exponent psi(u) = gamma N u + (gamma B0 / a) e^{-a u}, in
     time from grid[0], where the start row gives B0, P0, Q0 and the sales C0.
-    Windows of grid steps no longer than 1/(gamma N), over which psi rises by
-    at most 1, take z from one Chebyshev series each; a step that no window
-    shares takes a quadrature of its own.
+    Windows of grid steps over which psi rises by at most 1 take z from one
+    Chebyshev series each; a step that no window shares takes a quadrature
+    of its own.
     """
     a, gamma, N = case.a, case.gamma, case.N
     B0, P0, Q0, C0 = _start(case, start)
@@ -717,14 +730,16 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
         r_lo = rise(t, r_t, b_t, lo - t)
         e_lo = math.exp(-a * lo)
         z += -B0 * e_lo * math.expm1(-a * (t - lo)) / remaining(lo, e_lo) / r_t
+        def split(y: float) -> float:
+            r = rise(t, r_t, b_t, y)
+            return source(t + y) * -math.expm1(r_lo - r) * math.exp(r)
+
         return numerics.shifted_integral_step(
-            z, lambda y: source(t + y) * -math.expm1(r_lo - rise(t, r_t, b_t, y)),
-            lambda y: rise(t, r_t, b_t, y), lo, t, max(z * math.exp(r_lo), 1e-12))
+            z, split, lambda y: rise(t, r_t, b_t, y), lo, t, max(z * math.exp(r_lo), 2.0 ** -1022))
 
     times = [time - grid[0] for time in grid]
     zs = [P0 / Q0 / (P0 + Q0)]  # Q0 (P0 + Q0) may underflow to 0
-    zs += numerics.shifted_integrals(weighted, rise_from, step,
-                                     times, zs[0], 1.0 / (gamma * N), _WINDOW_TOL)
+    zs += numerics.shifted_integrals(weighted, rise_from, step, times, zs[0], _WINDOW_TOL)
     B, P, Q, D, C = [], [], [], [], []
     for t, z in zip(times, zs):
         e = math.exp(-a * t)
@@ -996,8 +1011,9 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
     bk = iter(numerics.shifted_integrals(
         lambda lo, x: b * exp(b * x - (antiderivative(lo + x) - a_ref)), lambda lo, x: b * x,
         lambda acc, lo, hi: numerics.shifted_integral_step(
-            acc, lambda y: b * exp(-(antiderivative(hi + y) - a_ref)), lambda y: b * y, lo, hi),
-        [t_live] + live, 0.0, 1.0 / b, _WINDOW_TOL))
+            acc, lambda y: b * exp(-(antiderivative(hi + y) - a_ref)) * exp(b * y),
+            lambda y: b * y, lo, hi),
+        [t_live] + live, 0.0, _WINDOW_TOL))
     B, P, Q, D, C = [], [], [], [], []
     Bc, Pc, Qc = [], [], []
     for t in grid:

@@ -22,7 +22,6 @@ A run that turns stiff ends with an error once Hairer's stiffness test
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import math
@@ -447,15 +446,15 @@ def quadrature(g: Callable[[float], float], a: float, b: float,
         best_estimate=sum(p[3] for p in pieces))
 
 
-def shifted_integral_step(acc: float, f: Callable[[float], float],
+def shifted_integral_step(acc: float, weighted: Callable[[float], float],
                           rise: Callable[[float], float], lo: float, hi: float,
                           scale: float = 1e-12) -> float:
     """J(hi) from J(lo) = acc for J(t) = int^t f(u) e^(k(u) - k(t)) du, k nondecreasing.
 
     Both functions take the offset y <= 0 of u = hi + y, which keeps its
-    digits at any hi where u itself would round: ``f(y)`` is the integrand at
-    u and ``rise(y)`` = k(hi + y) - k(hi) <= 0. The quadrature of
-    f(y) e^rise(y) runs in y, so its nodes do too, with ``scale`` as in
+    digits at any hi where u itself would round: ``rise(y)`` is
+    k(hi + y) - k(hi) <= 0 and ``weighted(y)`` is f(u) e^rise(y). Its
+    quadrature runs in y, so its nodes do too, with ``scale`` as in
     :func:`quadrature`. A window halved while the weight at its middle is
     below e^-40 drops the stretch that a long step would hide between the
     nodes.
@@ -463,8 +462,7 @@ def shifted_integral_step(acc: float, f: Callable[[float], float],
     y0 = lo - hi
     while rise(0.5 * y0) < -40.0:
         y0 *= 0.5
-    return acc * math.exp(rise(lo - hi)) + quadrature(
-        lambda y: f(y) * math.exp(rise(y)), y0, 0.0, 1e-11, scale)
+    return acc * math.exp(rise(lo - hi)) + quadrature(weighted, y0, 0.0, 1e-11, scale)
 
 
 # Spectral integration over windows (Clenshaw & Curtis, Numer. Math. 2, 1960;
@@ -495,11 +493,12 @@ def _chebyshev_tables() -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...
     return tuple(0.5 + 0.5 * cos[j] for j in range(n + 1)), tuple(rows)
 
 
-class ChebyshevWindow(namedtuple("ChebyshevWindow", "length values integrals")):
+class ChebyshevWindow(namedtuple("ChebyshevWindow", "length values integrals tail")):
     """Chebyshev series on the window [0, length] of offsets from its start:
     ``integrals`` of the antiderivative from 0 of the integrand's
     interpolant, and ``values`` of that interpolant, padded to the same
-    length."""
+    length; ``tail``, its two trailing coefficients relative to the
+    magnitude the tolerance was measured against."""
 
     __slots__ = ()
 
@@ -534,11 +533,13 @@ def chebyshev_window(g: Callable[[float], float], length: float, tol: float,
     """
     fractions, rows = _chebyshev_tables()
     samples = [g(length * f) for f in fractions]
-    n, mul = CHEB_DEGREE, operator.mul
-    folded = ([p + q for p, q in zip(samples, samples[::-1])],
-              [p - q for p, q in zip(samples, samples[::-1])])
-    a = [sum(map(mul, row, folded[k % 2])) for k, row in enumerate(rows)]
-    if not abs(a[n - 1]) + abs(a[n]) <= tol * max(max(map(abs, samples)), scale) < math.inf:
+    n, mul, mirrored = CHEB_DEGREE, operator.mul, samples[::-1]
+    sums = list(map(operator.add, samples, mirrored))
+    differences = list(map(operator.sub, samples, mirrored))
+    a = [sum(map(mul, row, differences if k % 2 else sums)) for k, row in enumerate(rows)]
+    size = max(max(map(abs, samples)), scale)
+    tail = abs(a[n - 1]) + abs(a[n])
+    if not tail <= tol * size < math.inf:
         return None
     # int T_0 = T_1, int T_1 = T_2 / 4 and int T_k = T_(k+1) / 2(k+1) -
     # T_(k-1) / 2(k-1): b_k = (a_(k-1) - a_(k+1)) / 2k, with a_0 counted twice.
@@ -547,31 +548,38 @@ def chebyshev_window(g: Callable[[float], float], length: float, tol: float,
     b = [0.0] + [half * ((a[k - 1] if k > 1 else 2.0 * a[0]) - a[k + 1]) / (2 * k)
                  for k in range(1, n + 2)]
     b[0] = math.fsum(c if k % 2 else -c for k, c in enumerate(b))  # 0 at x = -1
-    return ChebyshevWindow(length, tuple(a[:n + 2]), tuple(b))
+    return ChebyshevWindow(length, tuple(a[:n + 2]), tuple(b), tail / size if size else 0.0)
 
 
 def shifted_integrals(weighted: Callable[[float, float], float],
                       rise: Callable[[float, float], float],
                       step: Callable[[float, float, float], float], times: Sequence[float],
-                      acc: float, width: float, tol: float, scale: float = 0.0) -> list[float]:
+                      acc: float, tol: float, scale: float = 0.0) -> list[float]:
     """J at each of times[1:], for J(t) = int^t f(u) e^(k(u) - k(t)) du from
     J(times[0]) = acc, with k nondecreasing.
 
-    Grid steps are grouped into windows [T0, T1] no longer than ``width``,
-    over which k rises by at most about 1. In a window, ``rise(T0, x)`` is
-    k(T0 + x) - k(T0) >= 0 and ``weighted(T0, x)`` is f(T0 + x) e^rise(T0, x);
-    the series of the latter (:func:`chebyshev_window`, with ``tol`` and
-    ``scale``) gives J(t) = e^-rise (J(T0) + its integral to t) at every grid
-    time of the window. A window the series does not resolve is halved; one that
-    would hold a single step gives way to ``step(acc, lo, hi)``, J(hi) from
-    J(lo) = acc by the route's own quadrature of that step.
+    Grid steps are grouped into windows [T0, T1] over which k rises by at
+    most 1. In a window, ``rise(T0, x)`` is k(T0 + x) - k(T0) >= 0 and
+    ``weighted(T0, x)`` is f(T0 + x) e^rise(T0, x); the series of the latter
+    (:func:`chebyshev_window`, with ``tol`` and ``scale``) gives
+    J(t) = e^-rise (J(T0) + its integral to t) at every grid time of the
+    window. A window the series does not resolve is halved, and the next
+    one may double again. A window that would hold a single step gives way
+    to ``step(acc, lo, hi)``, J(hi) from J(lo) = acc by the route's own
+    quadrature of that step.
     """
     out = []
     exp = math.exp
-    i, last, span = 0, len(times) - 1, width
+    i, last, span = 0, len(times) - 1, math.inf
     while i < last:
         lo = times[i]
-        m = bisect.bisect_right(times, lo + span, i + 1, last + 1) - 1
+        rises, m = [], i
+        while m < last and times[m + 1] - lo <= span:
+            r = rise(lo, times[m + 1] - lo)
+            if r > 1.0:
+                break
+            rises.append(r)
+            m += 1
         if m <= i + 1:
             acc = step(acc, lo, times[i + 1])
             out.append(acc)
@@ -581,11 +589,11 @@ def shifted_integrals(weighted: Callable[[float, float], float],
             if window is None:
                 span = 0.5 * (times[m] - lo)
                 continue
-            out += [exp(-rise(lo, t - lo)) * (acc + window.integral(t - lo))
-                    for t in times[i + 1:m + 1]]
+            out += [exp(-r) * (acc + window.integral(t - lo))
+                    for t, r in zip(times[i + 1:m + 1], rises)]
             acc = out[-1]
             i = m
-        span = min(2.0 * span, width)
+        span *= 2.0
     return out
 
 

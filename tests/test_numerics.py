@@ -335,11 +335,11 @@ def cos_convolution(times, s, omega, counts=None):
     def step(acc, lo, hi):
         counts["steps"] = counts.get("steps", 0) + 1
         return numerics.shifted_integral_step(
-            acc, lambda y: math.cos(omega * (hi + y)), lambda y: s * y, lo, hi)
+            acc, lambda y: math.cos(omega * (hi + y)) * math.exp(s * y), lambda y: s * y, lo, hi)
 
     return numerics.shifted_integrals(
         lambda lo, x: math.cos(omega * (lo + x)) * math.exp(s * x), lambda lo, x: s * x,
-        step, times, 0.0, 1.0 / s, 1e-13)
+        step, times, 0.0, 1e-13)
 
 
 def counting_windows(monkeypatch, counts):

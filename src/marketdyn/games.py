@@ -730,12 +730,13 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
         r_lo = rise(t, r_t, b_t, lo - t)
         e_lo = math.exp(-a * lo)
         z += -B0 * e_lo * math.expm1(-a * (t - lo)) / remaining(lo, e_lo) / r_t
+
         def split(y: float) -> float:
             r = rise(t, r_t, b_t, y)
             return source(t + y) * -math.expm1(r_lo - r) * math.exp(r)
 
-        return numerics.shifted_integral_step(
-            z, split, lambda y: rise(t, r_t, b_t, y), lo, t, max(z * math.exp(r_lo), 2.0 ** -1022))
+        return numerics.shifted_integral_step(z, split, lambda y: rise(t, r_t, b_t, y), lo, t,
+                                              max(z * math.exp(r_lo), 2.0 ** -1022))
 
     times = [time - grid[0] for time in grid]
     zs = [P0 / Q0 / (P0 + Q0)]  # Q0 (P0 + Q0) may underflow to 0
@@ -1007,13 +1008,12 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
     a_ref = antiderivative(t_live)
 
     # b times the integral, so that the quadrature runs on values near 1.
-    live = [t for t in grid if t > t_live]
     bk = iter(numerics.shifted_integrals(
         lambda lo, x: b * exp(b * x - (antiderivative(lo + x) - a_ref)), lambda lo, x: b * x,
         lambda acc, lo, hi: numerics.shifted_integral_step(
             acc, lambda y: b * exp(-(antiderivative(hi + y) - a_ref)) * exp(b * y),
             lambda y: b * y, lo, hi),
-        [t_live] + live, 0.0, _WINDOW_TOL))
+        [t_live] + [t for t in grid if t > t_live], 0.0, _WINDOW_TOL))
     B, P, Q, D, C = [], [], [], [], []
     Bc, Pc, Qc = [], [], []
     for t in grid:

@@ -536,7 +536,7 @@ def chebyshev_window(g: Callable[[float], float], length: float, tol: float,
     n, mul, mirrored = CHEB_DEGREE, operator.mul, samples[::-1]
     sums = list(map(operator.add, samples, mirrored))
     differences = list(map(operator.sub, samples, mirrored))
-    a = [sum(map(mul, row, differences if k % 2 else sums)) for k, row in enumerate(rows)]
+    a = [math.fsum(map(mul, row, differences if k % 2 else sums)) for k, row in enumerate(rows)]
     size = max(max(map(abs, samples)), scale)
     tail = abs(a[n - 1]) + abs(a[n])
     if not tail <= tol * size < math.inf:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import lazy_submodule
 from .errors import ParameterError
@@ -145,33 +145,6 @@ class TabulatedRate(namedtuple("TabulatedRate", "points")):
 
 
 RateSchedule = Union[ConstantRate, LinearRate, ExpDecayRate, CutoffRate, TabulatedRate]
-
-
-def schedule_kernels(schedule: RateSchedule) -> tuple[Callable[[float], float],
-                                                      Callable[[float, float], float]]:
-    """``t -> a(t)`` and ``(t, start) -> cumulative(t, start)`` with the
-    record's fields read once, by the arithmetic of its own methods: a route
-    that calls them per quadrature node then skips the record lookups."""
-    exp, expm1 = math.exp, math.expm1
-    if isinstance(schedule, ConstantRate):
-        a = schedule.a
-        return (lambda t: a), (lambda t, start: a * (t - start))
-    if isinstance(schedule, LinearRate):
-        a0, a1 = schedule
-        return ((lambda t: a0 + a1 * t),
-                (lambda t, start: a0 * (t - start) + 0.5 * a1 * (t - start) * (t + start)))
-    if isinstance(schedule, ExpDecayRate):
-        a0, beta = schedule
-        if beta == 0.0:
-            return (lambda t: a0 * exp(-beta * t)), (lambda t, start: a0 * (t - start))
-        ratio = a0 / beta
-        return ((lambda t: a0 * exp(-beta * t)),
-                (lambda t, start: -ratio * exp(-beta * start) * expm1(-beta * (t - start))))
-    if isinstance(schedule, CutoffRate):
-        a, cut = schedule
-        return ((lambda t: a if t <= cut else 0.0),
-                (lambda t, start: a * (min(t, cut) - min(start, cut))))
-    return schedule.rate, schedule.cumulative
 
 
 # ---------------------------------------------------------------------------

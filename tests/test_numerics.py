@@ -4,6 +4,7 @@ differences, linear algebra."""
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,6 +182,81 @@ def test_sample_ivp_is_bit_reproducible():
     grid = time_grid(0.0, 5.0, 1000)
     runs = [numerics.sample_ivp(logistic_field(0.919), [0.01], grid) for _ in range(2)]
     assert [r[0].hex() for r in runs[0]] == [r[0].hex() for r in runs[1]]
+
+
+def _pinned_fields():
+    """Name -> (field, y0, horizon) for fields of dimension 1 to 5."""
+    comp = competition
+    stimulated = comp.StimulatedChurnSpec(
+        churn=comp.ChurnMatrix(((0.0, 0.05), (0.12, 0.0))), b=(1.5, 0.4), eps=(1, 0))
+    periodic = comp.PeriodicChurnSpec(
+        a0=comp.ChurnMatrix(((0.0, 0.04, 0.02), (0.03, 0.0, 0.05), (0.01, 0.06, 0.0))),
+        eps=(comp.PairModulation(0, 1, (comp.Sinusoid(0.02, 4.0, 0.3),)),
+             comp.PairModulation(2, 1, (comp.Sinusoid(0.005, 7.5),))))
+    spontaneous = comp.ChurnMatrix(((0.0, 0.1, 0.0, 0.2), (0.05, 0.0, 0.3, 0.0),
+                                    (0.0, 0.1, 0.0, 0.1), (0.2, 0.0, 0.05, 0.0)))
+    coupling = [[1.0 + 0.1 * i if i == j else 0.05 * (i - j) for j in range(5)]
+                for i in range(5)]
+
+    def linear(t, u):
+        return [0.1 * (i + 1) - math.fsum(q * v for q, v in zip(row, u))
+                for i, row in enumerate(coupling)]
+
+    return {
+        "logistic": (logistic_field(0.919), [0.01], 5.0),
+        "stimulated_2": (comp.market_field(comp.BassCompetition(
+            m=(0.02, 0.03), r=(0.4, 0.3), u0=(0.0, 0.0)), stimulated), [0.0, 0.0], 30.0),
+        "periodic_3": (comp.market_field(comp.BassCompetition(
+            m=(0.03, 0.02, 0.01), r=(0.3, 0.5, 0.2), u0=(0.0, 0.0, 0.0)), periodic),
+            [0.0, 0.0, 0.0], 40.0),
+        "bpq_case6": (games.ode_field(games.Case6(a=0.3, b=0.2, gamma=0.001, N=1000.0)),
+                      [1000.0, 0.0, 0.0], 25.0),
+        "spontaneous_4": (comp.market_field(comp.BassCompetition(
+            m=(0.01, 0.02, 0.03, 0.04), r=(0.5, 0.4, 0.3, 0.2), u0=(0.0,) * 4), spontaneous),
+            [0.0] * 4, 20.0),
+        "linear_5": (linear, [1.0, 0.0, -0.5, 0.25, 0.0], 10.0),
+        # The first trial step's stage states grow until the cube of one
+        # overflows, so the step is retried at a third of its length.
+        "overflow_first_step": (lambda t, y: [-1e20 * t * y[0] ** 3], [1.0], 1.0),
+    }
+
+
+#: sha256 of every row's float.hex, per field: (1000-sample grid, [0, T]).
+PINNED_ROWS = {
+    "logistic": ("3b94b38f46c2dcdbe36106db3d4dd0345adaff6eb46bc40fcb97baa5af7060a9",
+                 "a8d12036975a3b43eabb77136c960ed64a4b8163e77c2ce4a5fb4814508623be"),
+    "stimulated_2": ("39da5da281e7d81ef648a28748b92cba5466a8a1b87580ec6327e177149eb6eb",
+                     "b9387e99a43c04aa75513154c6003a394d2bcf7f275cc3ee0af3b326b02d9c6a"),
+    "periodic_3": ("64713307ef47c443b4853f4df44e8806532ac98a8f63527e2d68e441da3ce4d2",
+                   "2b9a7771d7e162c4f1b32b81b46c2136058590b297e26d296ba682e9e10c86f9"),
+    "bpq_case6": ("677dbfc01b3edd081de92dce7ca1a8a7f2d5c00d6d34aa8235fb1a37d5077f70",
+                  "4f1da0741e356e8b25aef465a4b800cb214214b3ad4c8e2fdbbc5127ed5c726e"),
+    "spontaneous_4": ("38b65a86b67429fa0f97fd27edda8b43f25ae96dcb881619647d0c8153c74698",
+                      "2e96c7ce7117a0fb1145d08a923baa3076392fdba1de0437e15762e3e097f68e"),
+    "linear_5": ("24a075f7947792dba47455f0d0352d406807d1cb7ff100b9ae29a8da9347efbc",
+                 "85bf1b291a6df396f89b12700bdc95826260c7f92961cbeec682a1a35e818c2c"),
+    "overflow_first_step": ("36b1fe1237974998eea0c2a7c5d55c06a512f105fff22b957cd851a68717efde",
+                            "1319a3c47e6a6ef0bf4f4f283a1b98585d037d6e4fe8865e1f1d8deb2da42ec2"),
+}
+
+
+# CPython 3.12 made sum() of floats compensated, which moves the last bit
+# of the starting step's norms, and every row after it.
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="digests recorded with the plain float sum() of CPython 3.10-3.11")
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_sample_ivp_rows_are_pinned_to_the_bit(name):
+    # Any change to the step's arithmetic, its order of operations or the
+    # controller moves these digests, with or without dense output.
+    import hashlib
+    field, y0, horizon = _pinned_fields()[name]
+    digests = []
+    for grid in (time_grid(0.0, horizon, 1000), [0.0, horizon]):
+        rows = numerics.sample_ivp(field, y0, grid)
+        assert len(rows) == len(grid)
+        text = "\n".join(",".join(v.hex() for v in row) for row in rows)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(digests) == PINNED_ROWS[name]
 
 
 def test_sample_ivp_rejects_a_grid_that_does_not_increase():

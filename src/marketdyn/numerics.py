@@ -26,6 +26,7 @@ import functools
 import heapq
 import math
 import operator
+import threading
 from collections import namedtuple
 from typing import Callable, Sequence
 
@@ -109,6 +110,190 @@ def _initial_step(f: RHS, t: float, y: list[float], k1: Sequence[float],
     return min(100.0 * h, h_new, h_max)
 
 
+# Hairer's dop853.f (Solving ODEs I, II.5), its 30-digit constants as the
+# doubles they round to. A sum lists the stages k_j it reads and their
+# weights, in the order it adds them.
+#: (node c, stages, weights) of stages 2-12: k = f(t + c h, y + h sum(w k_j));
+#: stage 12 is taken at the step's end.
+_DOP853_STAGES = (
+    (0.05260015195876773, (1,), (0.05260015195876773,)),
+    (0.0789002279381516, (1, 2), (0.0197250569845379, 0.0591751709536137)),
+    (0.1183503419072274, (1, 3), (0.02958758547680685, 0.08876275643042054)),
+    (0.2816496580927726, (1, 3, 4), (0.2413651341592667, -0.8845494793282861, 0.924834003261792)),
+    (0.3333333333333333, (1, 4, 5),
+     (0.037037037037037035, 0.17082860872947386, 0.12546768756682242)),
+    (0.25, (1, 4, 5, 6), (0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125)),
+    (0.3076923076923077, (1, 4, 5, 6, 7),
+     (0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+      0.008273789163814023)),
+    (0.6512820512820513, (1, 4, 5, 6, 7, 8),
+     (0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+      20.154067550477894, -43.48988418106996)),
+    (0.6, (1, 4, 5, 6, 7, 8, 9),
+     (0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+      15.279233632882423, -33.28821096898486, -0.020331201708508627)),
+    (0.8571428571428571, (1, 4, 5, 6, 7, 8, 9, 10),
+     (-0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+      -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196)),
+    (None, (1, 4, 5, 6, 7, 8, 9, 10, 11),
+     (2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+      27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+      0.6433927460157636)),
+)
+#: Stages and weights of the 8th-order solution and of its 5th-order error.
+_DOP853_OUT = (1, 6, 7, 8, 9, 10, 11, 12)
+_DOP853_WEIGHTS = (0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+                   -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+                   0.20136540080403034, 0.04471061572777259)
+_DOP853_ERR5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                0.08192320648511571, -0.022355307863886294)
+#: The 3rd-order error is the step's increment plus this sum.
+_DOP853_ERR3 = ((1, 9, 12), (-0.2440944881889764, -0.7338466882816118, -0.022058823529411766))
+#: (node, stages, weights) of the continuous extension's stages 14-16.
+_DOP853_DENSE_STAGES = (
+    (0.1, (1, 7, 8, 9, 10, 11, 12, 13),
+     (0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+      0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298)),
+    (0.2, (1, 6, 7, 8, 11, 12, 13, 14),
+     (0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+      -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+      0.1413124436746325)),
+    (0.7777777777777778, (1, 6, 7, 8, 9, 13, 14, 15),
+     (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+      0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)),
+)
+#: Stages and weights of the four highest dense-output coefficients.
+_DOP853_DENSE_IN = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+_DOP853_DENSE_ROWS = (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
+
+
+#: DOP853's step and its dense output; _dop853_source writes out the fields
+#: in braces per component ({y} is "y_0, y_1," for two components).
+_DOP853_TEMPLATE = """\
+def step(rhs, t, h, t_new, y, k1):
+    {y} = y
+    {k1} = k1
+    try:
+{stages}
+{solution}
+        y_new = [{u}]
+        err5 = {err5}
+        err3 = {err3}
+        deno = err5 + 0.01 * err3
+        err = 0.0 if deno == 0.0 else abs(h) * err5 / math.sqrt({n} * deno)
+        if not all(map(math.isfinite, y_new)):
+            err = math.inf
+        if not err <= 1.0:
+            return err, s, y_new, None
+        k13 = rhs(t_new, y_new)
+    except (OverflowError, ValueError) as exc:
+        # A trial step far past the stability limit can overflow a stage
+        # state; the field then overflows itself or fails on inf or nan.
+        if not isinstance(exc, OverflowError) and all(map(math.isfinite, s)):
+            raise
+        return math.inf, s, None, None
+    return err, s, y_new, (k1, k6, k7, k8, k9, k10, k11, k12, k13)
+
+
+def dense(rhs, t, h, t_new, y, y_new, ks, grid, nxt, out):
+    {y} = y
+    {u} = y_new
+    k1, k6, k7, k8, k9, k10, k11, k12, k13 = ks
+{dense_stages}
+{coefficients}
+    while nxt < len(grid) and grid[nxt] < t_new:
+        s1 = (grid[nxt] - t) / h
+        s0 = 1.0 - s1
+        out.append(({samples}))
+        nxt += 1
+    return nxt
+"""
+
+
+def _dop853_source(n: int) -> str:
+    """Source of DOP853's ``step`` and ``dense`` for states of n components.
+
+    Each stage state, error sum and dense-output coefficient is written
+    out per component, with the tableau's weights as literals and its sums
+    in dop853.f's order (x + -c * k is x - c * k to the bit), so the
+    functions give the results of loops over the components bit for bit,
+    without their interpreter overhead.
+    """
+    comps = range(n)
+
+    def names(name: str) -> str:
+        return " ".join(f"{name}_{i}," for i in comps)
+
+    def terms(stages: Sequence[int], weights: Sequence[float], i: int) -> str:
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in zip(stages, weights))
+
+    def state(stages: Sequence[int], weights: Sequence[float]) -> str:
+        return "[" + ", ".join(f"y_{i} + h * ({terms(stages, weights, i)})" for i in comps) + "]"
+
+    stages = []
+    for k, (node, js, ws) in enumerate(_DOP853_STAGES, start=2):
+        at = "t_new" if node is None else f"t + {node!r} * h"
+        stages += [f"        s = {state(js, ws)}",
+                   f"        {names(f'k{k}')} = k{k} = rhs({at}, s)"]
+    dense_stages = [f"    {names(f'k{k}')} = k{k}" for k in (1, 6, 7, 8, 9, 10, 11, 12, 13)]
+    for k, (node, js, ws) in enumerate(_DOP853_DENSE_STAGES, start=14):
+        dense_stages.append(f"    {names(f'k{k}')} = rhs(t + {node!r} * h, {state(js, ws)})")
+    solution, coefficients = [], []
+    for i in comps:
+        solution += [f"        i_{i} = {terms(_DOP853_OUT, _DOP853_WEIGHTS, i)}",
+                     f"        u_{i} = y_{i} + h * i_{i}",
+                     f"        sk = ATOL + RTOL * max(abs(y_{i}), abs(u_{i}))",
+                     f"        e5_{i} = ({terms(_DOP853_OUT, _DOP853_ERR5, i)}) / sk",
+                     f"        e3_{i} = (i_{i} + {terms(*_DOP853_ERR3, i)}) / sk"]
+        coefficients += [f"    d_{i} = u_{i} - y_{i}", f"    b_{i} = h * k1_{i} - d_{i}",
+                         f"    c_{i} = d_{i} - h * k13_{i} - b_{i}"]
+        coefficients += [f"    r{r}_{i} = h * ({terms(_DOP853_DENSE_IN, row, i)})"
+                         for r, row in enumerate(_DOP853_DENSE_ROWS, start=4)]
+    return _DOP853_TEMPLATE.format(
+        n=n, y=names("y"), k1=names("k1"), u=names("u"), stages="\n".join(stages),
+        solution="\n".join(solution), dense_stages="\n".join(dense_stages),
+        err5=" + ".join(f"e5_{i} * e5_{i}" for i in comps),
+        err3=" + ".join(f"e3_{i} * e3_{i}" for i in comps), coefficients="\n".join(coefficients),
+        samples=" ".join(f"y_{i} + s1 * (d_{i} + s0 * (b_{i} + s1 * (c_{i} + s0 * (r4_{i} + s1 * "
+                         f"(r5_{i} + s0 * (r6_{i} + s1 * r7_{i}))))))," for i in comps))
+
+
+_DOP853_BUILT: dict[int, tuple[Callable, Callable]] = {}
+_DOP853_LOCK = threading.Lock()
+
+
+def _dop853(n: int) -> tuple[Callable, Callable]:
+    """DOP853's ``step`` and ``dense`` for n components, compiled on first use.
+
+    The source is registered with :mod:`linecache` under the name its code
+    carries, so a traceback through a step shows its lines.
+    """
+    with _DOP853_LOCK:
+        built = _DOP853_BUILT.get(n)
+        if built is None:
+            import linecache
+            source, name = _dop853_source(n), f"<dop853 step n={n}>"
+            namespace = {"math": math, "ATOL": ATOL, "RTOL": RTOL}
+            exec(compile(source, name, "exec"), namespace)
+            linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+            built = _DOP853_BUILT[n] = namespace["step"], namespace["dense"]
+        return built
+
+
 def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, ...]]:
     """States of the IVP du/dt = rhs(t, u), u(grid[0]) = y0, at the grid times.
 
@@ -147,6 +332,7 @@ def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, 
     if len(k1) != n:
         raise ValueError(f"rhs returned {len(k1)} entries, expected {n}")
     h = _initial_step(rhs, t, y, k1, h_max)
+    step, dense = _dop853(n)
     nxt, rejected, steps, stiff, calm = 1, False, 0, 0, 0
     while True:
         steps += 1
@@ -159,119 +345,7 @@ def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, 
                 f"integration stalled near t={t:.6g}: step {h:.3g} at attempt {steps}",
                 last_valid_time=t)
         t_new = t_end if last else t + h
-        # Stage coefficients of Hairer's dop853.f (Solving ODEs I, II.5);
-        # ``s`` holds the state of the last stage evaluated.
-        try:
-            s = [v + h * (5.26001519587677318785587544488e-2 * a) for v, a in zip(y, k1)]
-            k2 = rhs(t + 0.526001519587677318785587544488e-1 * h, s)
-            s = [v + h * (1.97250569845378994544595329183e-2 * a
-                          + 5.91751709536136983633785987549e-2 * b)
-                 for v, a, b in zip(y, k1, k2)]
-            k3 = rhs(t + 0.789002279381515978178381316732e-1 * h, s)
-            s = [v + h * (2.95875854768068491816892993775e-2 * a
-                          + 8.87627564304205475450678981324e-2 * c)
-                 for v, a, c in zip(y, k1, k3)]
-            k4 = rhs(t + 0.118350341907227396726757197510 * h, s)
-            s = [v + h * (2.41365134159266685502369798665e-1 * a
-                          - 8.84549479328286085344864962717e-1 * c
-                          + 9.24834003261792003115737966543e-1 * d)
-                 for v, a, c, d in zip(y, k1, k3, k4)]
-            k5 = rhs(t + 0.281649658092772603273242802490 * h, s)
-            s = [v + h * (3.7037037037037037037037037037e-2 * a
-                          + 1.70828608729473871279604482173e-1 * d
-                          + 1.25467687566822425016691814123e-1 * e)
-                 for v, a, d, e in zip(y, k1, k4, k5)]
-            k6 = rhs(t + 0.333333333333333333333333333333 * h, s)
-            s = [v + h * (3.7109375e-2 * a + 1.70252211019544039314978060272e-1 * d
-                          + 6.02165389804559606850219397283e-2 * e - 1.7578125e-2 * g)
-                 for v, a, d, e, g in zip(y, k1, k4, k5, k6)]
-            k7 = rhs(t + 0.25 * h, s)
-            s = [v + h * (3.70920001185047927108779319836e-2 * a
-                          + 1.70383925712239993810214054705e-1 * d
-                          + 1.07262030446373284651809199168e-1 * e
-                          - 1.53194377486244017527936158236e-2 * g
-                          + 8.27378916381402288758473766002e-3 * p)
-                 for v, a, d, e, g, p in zip(y, k1, k4, k5, k6, k7)]
-            k8 = rhs(t + 0.307692307692307692307692307692 * h, s)
-            s = [v + h * (6.24110958716075717114429577812e-1 * a
-                          - 3.36089262944694129406857109825 * d
-                          - 8.68219346841726006818189891453e-1 * e
-                          + 2.75920996994467083049415600797e1 * g
-                          + 2.01540675504778934086186788979e1 * p
-                          - 4.34898841810699588477366255144e1 * q)
-                 for v, a, d, e, g, p, q in zip(y, k1, k4, k5, k6, k7, k8)]
-            k9 = rhs(t + 0.651282051282051282051282051282 * h, s)
-            s = [v + h * (4.77662536438264365890433908527e-1 * a
-                          - 2.48811461997166764192642586468 * d
-                          - 5.90290826836842996371446475743e-1 * e
-                          + 2.12300514481811942347288949897e1 * g
-                          + 1.52792336328824235832596922938e1 * p
-                          - 3.32882109689848629194453265587e1 * q
-                          - 2.03312017085086261358222928593e-2 * r)
-                 for v, a, d, e, g, p, q, r in zip(y, k1, k4, k5, k6, k7, k8, k9)]
-            k10 = rhs(t + 0.6 * h, s)
-            s = [v + h * (-9.3714243008598732571704021658e-1 * a
-                          + 5.18637242884406370830023853209 * d
-                          + 1.09143734899672957818500254654 * e
-                          - 8.14978701074692612513997267357 * g
-                          - 1.85200656599969598641566180701e1 * p
-                          + 2.27394870993505042818970056734e1 * q
-                          + 2.49360555267965238987089396762 * r
-                          - 3.0467644718982195003823669022 * w)
-                 for v, a, d, e, g, p, q, r, w in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)]
-            k11 = rhs(t + 0.857142857142857142857142857142 * h, s)
-            s = [v + h * (2.27331014751653820792359768449 * a
-                          - 1.05344954667372501984066689879e1 * d
-                          - 2.00087205822486249909675718444 * e
-                          - 1.79589318631187989172765950534e1 * g
-                          + 2.79488845294199600508499808837e1 * p
-                          - 2.85899827713502369474065508674 * q
-                          - 8.87285693353062954433549289258 * r
-                          + 1.23605671757943030647266201528e1 * w
-                          + 6.43392746015763530355970484046e-1 * x)
-                 for v, a, d, e, g, p, q, r, w, x
-                 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)]
-            k12 = rhs(t_new, s)
-            # Hairer's combined error estimate: the 5th-order error, damped
-            # where the 3rd-order one is far larger.
-            incr = [5.42937341165687622380535766363e-2 * a
-                    + 4.45031289275240888144113950566 * g
-                    + 1.89151789931450038304281599044 * p
-                    - 5.8012039600105847814672114227 * q
-                    + 3.1116436695781989440891606237e-1 * r
-                    - 1.52160949662516078556178806805e-1 * w
-                    + 2.01365400804030348374776537501e-1 * x
-                    + 4.47106157277725905176885569043e-2 * z
-                    for a, g, p, q, r, w, x, z in zip(k1, k6, k7, k8, k9, k10, k11, k12)]
-            y_new = [v + h * i for v, i in zip(y, incr)]
-            err5 = err3 = 0.0
-            for v, u, i, a, g, p, q, r, w, x, z in zip(y, y_new, incr, k1, k6, k7, k8, k9,
-                                                       k10, k11, k12):
-                sk = ATOL + RTOL * max(abs(v), abs(u))
-                e = (1.312004499419488073250102996e-2 * a - 1.225156446376204440720569753 * g
-                     - 4.957589496572501915214079952e-1 * p
-                     + 1.664377182454986536961530415 * q
-                     - 3.503288487499736816886487290e-1 * r
-                     + 3.341791187130174790297318841e-1 * w
-                     + 8.192320648511571246570742613e-2 * x
-                     - 2.235530786388629525884427845e-2 * z) / sk
-                err5 += e * e
-                e = (i - 0.244094488188976377952755905512 * a
-                     - 0.733846688281611857341361741547 * r
-                     - 0.220588235294117647058823529412e-1 * z) / sk
-                err3 += e * e
-            deno = err5 + 0.01 * err3
-            err = 0.0 if deno == 0.0 else abs(h) * err5 / math.sqrt(n * deno)
-            if not all(map(math.isfinite, y_new)):
-                err = math.inf
-            if err <= 1.0:
-                k13 = rhs(t_new, y_new)
-        except (OverflowError, ValueError) as exc:
-            # A trial step far past the stability limit can overflow a stage
-            # state; the field then overflows itself or fails on inf or nan.
-            if not isinstance(exc, OverflowError) and all(map(math.isfinite, s)):
-                raise
-            err = math.inf
+        err, s, y_new, ks = step(rhs, t, h, t_new, y, k1)
         if not err <= 1.0:
             # A rejected step shrinks by at most 3; an overflowing one, or
             # one with a non-finite estimate, by 3.
@@ -286,6 +360,7 @@ def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, 
         # The controller straddles the boundary, so only six calm steps in
         # a row clear the count. A run that such steps would still finish
         # within the step budget goes on.
+        k12, k13 = ks[-2:]
         gap = math.dist(s, y_new)
         if gap > 0.0 and h * math.dist(k12, k13) > 6.1 * gap:
             stiff, calm = stiff + 1, 0
@@ -301,75 +376,7 @@ def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, 
         if nxt < len(grid) and grid[nxt] < t_new:
             # Hairer's continuous extension of order 7 on [t, t_new]: three
             # more stages, then Horner's scheme in s and 1 - s.
-            k14 = rhs(t + 0.1 * h, [
-                v + h * (5.61675022830479523392909219681e-2 * a
-                         + 2.53500210216624811088794765333e-1 * p
-                         - 2.46239037470802489917441475441e-1 * q
-                         - 1.24191423263816360469010140626e-1 * r
-                         + 1.5329179827876569731206322685e-1 * w
-                         + 8.20105229563468988491666602057e-3 * x
-                         + 7.56789766054569976138603589584e-3 * z - 8.298e-3 * o)
-                for v, a, p, q, r, w, x, z, o in zip(y, k1, k7, k8, k9, k10, k11, k12, k13)])
-            k15 = rhs(t + 0.2 * h, [
-                v + h * (3.18346481635021405060768473261e-2 * a
-                         + 2.83009096723667755288322961402e-2 * g
-                         + 5.35419883074385676223797384372e-2 * p
-                         - 5.49237485713909884646569340306e-2 * q
-                         - 1.08347328697249322858509316994e-4 * x
-                         + 3.82571090835658412954920192323e-4 * z
-                         - 3.40465008687404560802977114492e-4 * o
-                         + 1.41312443674632500278074618366e-1 * b)
-                for v, a, g, p, q, x, z, o, b in zip(y, k1, k6, k7, k8, k11, k12, k13, k14)])
-            k16 = rhs(t + 0.777777777777777777777777777778 * h, [
-                v + h * (-4.28896301583791923408573538692e-1 * a
-                         - 4.69762141536116384314449447206 * g
-                         + 7.68342119606259904184240953878 * p
-                         + 4.06898981839711007970213554331 * q
-                         + 3.56727187455281109270669543021e-1 * r
-                         - 1.39902416515901462129418009734e-3 * o
-                         + 2.9475147891527723389556272149 * b
-                         - 9.15095847217987001081870187138 * c)
-                for v, a, g, p, q, r, o, b, c in zip(y, k1, k6, k7, k8, k9, k13, k14, k15)])
-            dense = []
-            for v, u, a, g, p, q, r, w, x, z, o, b, c, d in zip(
-                    y, y_new, k1, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16):
-                diff = u - v
-                bspl = h * a - diff
-                dense.append((v, diff, bspl, diff - h * o - bspl, h * (
-                    -8.4289382761090128651353491142 * a + 5.6671495351937776962531783590e-1 * g
-                    - 3.0689499459498916912797304727 * p + 2.3846676565120698287728149680 * q
-                    + 2.1170345824450282767155149946 * r - 8.7139158377797299206789907490e-1 * w
-                    + 2.2404374302607882758541771650 * x + 6.3157877876946881815570249290e-1 * z
-                    - 8.8990336451333310820698117400e-2 * o + 1.8148505520854727256656404962e1 * b
-                    - 9.1946323924783554000451984436 * c - 4.4360363875948939664310572000 * d),
-                    h * (
-                    10.427508642579134603413151009 * a + 2.4228349177525818288430175319e2 * g
-                    + 1.6520045171727028198505394887e2 * p - 3.7454675472269020279518312152e2 * q
-                    - 22.113666853125306036270938578 * r + 7.7334326684722638389603898808 * w
-                    - 30.674084731089398182061213626 * x - 9.3321305264302278729567221706 * z
-                    + 15.697238121770843886131091075 * o - 31.139403219565177677282850411 * b
-                    - 9.3529243588444783865713862664 * c + 35.816841486394083752465898540 * d),
-                    h * (
-                    19.985053242002433820987653617 * a - 3.8703730874935176555105901742e2 * g
-                    - 1.8917813819516756882830838328e2 * p + 5.2780815920542364900561016686e2 * q
-                    - 11.573902539959630126141871134 * r + 6.8812326946963000169666922661 * w
-                    - 1.0006050966910838403183860980 * x + 7.7771377980534432092869265740e-1 * z
-                    - 2.7782057523535084065932004339 * o - 60.196695231264120758267380846 * b
-                    + 84.320405506677161018159903784 * c + 11.992291136182789328035130030 * d),
-                    h * (
-                    -25.693933462703749003312586129 * a - 1.5418974869023643374053993627e2 * g
-                    - 2.3152937917604549567536039109e2 * p + 3.5763911791061412378285349910e2 * q
-                    + 93.405324183624310003907691704 * r - 37.458323136451633156875139351 * w
-                    + 1.0409964950896230045147246184e2 * x + 29.840293426660503123344363579 * z
-                    - 43.533456590011143754432175058 * o + 96.324553959188282948394950600 * b
-                    - 39.177261675615439165231486172 * c - 1.4972683625798562581422125276e2 * d)))
-            while nxt < len(grid) and grid[nxt] < t_new:
-                s1 = (grid[nxt] - t) / h
-                s0 = 1.0 - s1
-                out.append(tuple(
-                    v + s1 * (e0 + s0 * (e1 + s1 * (e2 + s0 * (e3 + s1 * (e4 + s0 * (
-                        e5 + s1 * e6)))))) for v, e0, e1, e2, e3, e4, e5, e6 in dense))
-                nxt += 1
+            nxt = dense(rhs, t, h, t_new, y, y_new, ks, grid, nxt, out)
         if nxt < len(grid) and grid[nxt] == t_new:
             out.append(tuple(y_new))
             nxt += 1

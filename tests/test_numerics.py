@@ -5,6 +5,9 @@ import json
 import math
 import random
 import sys
+import threading
+import time
+import traceback
 
 import pytest
 from hypothesis import given, strategies as st
@@ -141,6 +144,17 @@ def test_sample_ivp_field_error_at_a_finite_state_propagates():
         numerics.sample_ivp(lambda t, y: [math.sqrt(0.5 - t)], [0.0], [0.0, 1.0])
 
 
+def test_sample_ivp_field_error_shows_the_lines_of_the_built_step():
+    # The step is compiled from generated source; a traceback through it
+    # still shows the line that called the field.
+    with pytest.raises(ValueError) as exc:
+        numerics.sample_ivp(lambda t, y: [math.sqrt(0.5 - t)], [0.0], [0.0, 1.0])
+    frames = [f for f in traceback.extract_tb(exc.value.__traceback__)
+              if f.filename == "<dop853 step n=1>"]
+    assert len(frames) == 1
+    assert "= rhs(" in frames[0].line
+
+
 def test_sample_ivp_dense_output_matches_logistic():
     gamma, u0 = 0.919, 0.01
     grid = time_grid(0.0, 5.0, 1000)
@@ -257,6 +271,70 @@ def test_sample_ivp_rows_are_pinned_to_the_bit(name):
         text = "\n".join(",".join(v.hex() for v in row) for row in rows)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert tuple(digests) == PINNED_ROWS[name]
+
+
+def _relaxation(n):
+    """Q, m and u0 of du/dt = m - Q u, Q an M-matrix, from a seeded draw."""
+    rng = random.Random(n)
+    q = SquareMatrix.from_rows([[rng.uniform(0.5, 1.5) if i == j else -rng.uniform(0.0, 0.05)
+                                 for j in range(n)] for i in range(n)])
+    return q, [rng.uniform(0.1, 1.0) for _ in range(n)], [rng.uniform(0.0, 1.0) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_sample_ivp_wide_states_match_the_matrix_exponential(n):
+    # The workloads draw at most four components; the step is built for
+    # any n. Oracle: u(t) = v - e^(-Qt)(v - u0) with Q v = m.
+    q, m, u0 = _relaxation(n)
+    v = numerics.linear_solve(q, m)
+    grid = time_grid(0.0, 4.0, 41)
+    rows = numerics.sample_ivp(lambda t, u: [a - b for a, b in zip(m, q.apply(u))], u0, grid)
+    for t, row in zip(grid, rows):
+        decay = numerics.mat_exp_apply(q.scaled(-1.0), t, [a - b for a, b in zip(v, u0)])
+        for got, want in zip(row, (a - b for a, b in zip(v, decay))):
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_sample_ivp_builds_the_step_of_a_dimension_once(monkeypatch):
+    built = []
+    source = numerics._dop853_source
+    monkeypatch.setattr(numerics, "_dop853_source", lambda n: built.append(n) or source(n))
+    monkeypatch.setattr(numerics, "_DOP853_BUILT", {})
+    q, m, u0 = _relaxation(7)
+    field = lambda t, u: [a - b for a, b in zip(m, q.apply(u))]  # noqa: E731
+    first = numerics.sample_ivp(field, u0, [0.0, 1.0])
+    assert numerics.sample_ivp(field, u0, [0.0, 1.0]) == first
+    assert built == [7]
+
+
+def test_sample_ivp_threads_share_one_build(monkeypatch):
+    # metrics --jobs runs a batch on a thread pool: two threads that
+    # need the same missing dimension at once must build it once.
+    built = []
+    source = numerics._dop853_source
+
+    def slow_source(n):
+        built.append(n)
+        time.sleep(0.05)   # hold the build open while the other thread arrives
+        return source(n)
+
+    monkeypatch.setattr(numerics, "_dop853_source", slow_source)
+    monkeypatch.setattr(numerics, "_DOP853_BUILT", {})
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def work(k):
+        barrier.wait()
+        results[k] = numerics.sample_ivp(
+            lambda t, y: [-y[0], y[0] - y[1], y[1]], [1.0, 0.0, 0.0], time_grid(0.0, 2.0, 50))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert built == [3]
+    assert results[0] is not None and results[0] == results[1]
 
 
 def test_sample_ivp_rejects_a_grid_that_does_not_increase():

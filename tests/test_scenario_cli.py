@@ -808,6 +808,21 @@ def test_cli_peak_inside_a_first_step_that_holds_the_grid_maximum(tmp_path, caps
     assert peaks[0] == peaks[1] == [["T_m", "4.55860528"], ["P_m", "175.759165"]]
 
 
+def test_cli_case5_step_much_longer_than_one_over_a(tmp_path, capsys):
+    # One sample step spans 11,300 / a. The source a B / R^2 of z lives within
+    # a few 1/a of the step's start, where one panel over the whole step has
+    # no node; P(453) printed 63.6398925. mpmath, through w = 1/Q with
+    # w' = gamma - gamma R w, gives 63.6408554153.
+    doc = {"model": {"kind": "bpq", "case": "case5", "N": 888.1716576559326,
+                     "a": 24.93354402143333, "gamma": 1.4958476971359906e-05,
+                     "Q0": 27.160907847162125, "P0": 2.173607490534103e-06},
+           "horizon": 453, "samples": 2}
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    values = dict(zip(rows[0], map(float, rows[2])))
+    assert values["P"] == pytest.approx(63.6408554153, rel=1e-9)
+
+
 def test_cli_case5_in_a_market_of_1e308_keeps_its_sales(tmp_path, capsys):
     # Inflow a B = 1.7e8 against quits gamma P Q; scipy's Radau gives P(5) =
     # 50.0000054 and Q(5) = 8.4999996e8. Sales are B0 (1 - e^-at), which

@@ -745,12 +745,10 @@ def competitive_path_numeric(market: BassCompetition,
                              grid: Sequence[float]) -> Trajectory:
     """Direct integration of the full nonlinear market equations.
 
-    Structural invariants are enforced at every output sample: shares
-    stay nonnegative, and the developed fraction never falls nor exceeds
-    one. The churn flows must sum to zero; they are checked once, at the
-    last sample, since each pair's term enters its two rows as exact
-    negatives and a kernel of :func:`resolve_churn_flows` cancels to
-    within n ulps at any state. A breach raises, since it signals a
+    At every output sample shares must stay nonnegative and the developed
+    fraction must never fall nor exceed one. The churn flows must cancel;
+    each pair's term enters its two rows as exact negatives, so they are
+    checked at the last sample only. A breach raises, since it signals a
     mis-specified churn structure rather than a solver issue.
     """
     n = market.n

@@ -745,9 +745,8 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
         return -rise(lo + x, remaining(lo + x, e), B0 * e, -x)
 
     def step(z: float, lo: float, t: float) -> float:
-        """z(t) from z(lo). The source's spike of width 1/a at lo hides from
-        the nodes of one panel over a step much longer than 1/a, so such a
-        step ends its first parts at 1, 4, 16 and 64 times 1/a past lo."""
+        """z(t) from z(lo); a step much longer than 1/a ends parts at 1, 4, 16 and
+        64 times 1/a past lo, where one panel's nodes miss the source's spike."""
         if a * (t - lo) > 128.0:
             for cut in [lo + k / a for k in (1.0, 4.0, 16.0, 64.0)]:
                 z, lo = part(z, lo, cut), cut

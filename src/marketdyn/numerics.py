@@ -110,58 +110,53 @@ def _initial_step(f: RHS, t: float, y: list[float], k1: Sequence[float],
     return min(100.0 * h, h_new, h_max)
 
 
-# Hairer's dop853.f (Solving ODEs I, II.5), its 30-digit constants as the
-# doubles they round to. A sum lists the stages k_j it reads and their
-# weights, in the order it adds them.
-#: (node c, stages, weights) of stages 2-12: k = f(t + c h, y + h sum(w k_j));
+# Hairer's dop853.f (Solving ODEs I, II.5), its constants as the doubles they
+# round to; a sum lists the stages k_j it reads and their weights, in its order.
+#: (node c, stages, weights) of stages 2-12, k = f(t + c h, y + h sum(w k_j));
 #: stage 12 is taken at the step's end.
 _DOP853_STAGES = (
     (0.05260015195876773, (1,), (0.05260015195876773,)),
     (0.0789002279381516, (1, 2), (0.0197250569845379, 0.0591751709536137)),
     (0.1183503419072274, (1, 3), (0.02958758547680685, 0.08876275643042054)),
     (0.2816496580927726, (1, 3, 4), (0.2413651341592667, -0.8845494793282861, 0.924834003261792)),
-    (0.3333333333333333, (1, 4, 5),
-     (0.037037037037037035, 0.17082860872947386, 0.12546768756682242)),
+    (0.3333333333333333, (1, 4, 5), (0.037037037037037035, 0.17082860872947386,
+     0.12546768756682242)),
     (0.25, (1, 4, 5, 6), (0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125)),
-    (0.3076923076923077, (1, 4, 5, 6, 7),
-     (0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
-      0.008273789163814023)),
-    (0.6512820512820513, (1, 4, 5, 6, 7, 8),
-     (0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
-      20.154067550477894, -43.48988418106996)),
-    (0.6, (1, 4, 5, 6, 7, 8, 9),
-     (0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
-      15.279233632882423, -33.28821096898486, -0.020331201708508627)),
-    (0.8571428571428571, (1, 4, 5, 6, 7, 8, 9, 10),
-     (-0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
-      -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196)),
-    (None, (1, 4, 5, 6, 7, 8, 9, 10, 11),
-     (2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
-      27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
-      0.6433927460157636)),
+    (0.3076923076923077, (1, 4, 5, 6, 7), (0.03709200011850479, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023)),
+    (0.6512820512820513, (1, 4, 5, 6, 7, 8), (0.6241109587160757, -3.3608926294469414,
+     -0.868219346841726, 27.59209969944671, 20.154067550477894, -43.48988418106996)),
+    (0.6, (1, 4, 5, 6, 7, 8, 9), (0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627)),
+    (0.8571428571428571, (1, 4, 5, 6, 7, 8, 9, 10), (-0.9371424300859873, 5.186372428844064,
+     1.0914373489967295, -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196)),
+    (None, (1, 4, 5, 6, 7, 8, 9, 10, 11), (2.273310147516538, -10.53449546673725,
+     -2.0008720582248625, -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636)),
 )
 #: Stages and weights of the 8th-order solution and of its 5th-order error.
-_DOP853_OUT = (1, 6, 7, 8, 9, 10, 11, 12)
-_DOP853_WEIGHTS = (0.054293734116568765, 4.450312892752409, 1.8915178993145003,
-                   -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
-                   0.20136540080403034, 0.04471061572777259)
-_DOP853_ERR5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
-                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
-                0.08192320648511571, -0.022355307863886294)
+_DOP853_WEIGHTS = ((1, 6, 7, 8, 9, 10, 11, 12),
+                   (0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+                    -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+                    0.20136540080403034, 0.04471061572777259))
+_DOP853_ERR5 = ((1, 6, 7, 8, 9, 10, 11, 12),
+                (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+                 1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                 0.08192320648511571, -0.022355307863886294))
 #: The 3rd-order error is the step's increment plus this sum.
 _DOP853_ERR3 = ((1, 9, 12), (-0.2440944881889764, -0.7338466882816118, -0.022058823529411766))
 #: (node, stages, weights) of the continuous extension's stages 14-16.
 _DOP853_DENSE_STAGES = (
-    (0.1, (1, 7, 8, 9, 10, 11, 12, 13),
-     (0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
-      0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298)),
-    (0.2, (1, 6, 7, 8, 11, 12, 13, 14),
-     (0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
-      -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
-      0.1413124436746325)),
-    (0.7777777777777778, (1, 6, 7, 8, 9, 13, 14, 15),
-     (-0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
-      0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)),
+    (0.1, (1, 7, 8, 9, 10, 11, 12, 13), (0.056167502283047954, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568, 0.00820105229563469,
+     0.007567897660545699, -0.008298)),
+    (0.2, (1, 6, 7, 8, 11, 12, 13, 14), (0.03183464816350214, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325)),
+    (0.7777777777777778, (1, 6, 7, 8, 9, 13, 14, 15), (-0.42889630158379194, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987)),
 )
 #: Stages and weights of the four highest dense-output coefficients.
 _DOP853_DENSE_IN = (1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
@@ -208,7 +203,6 @@ def step(rhs, t, h, t_new, y, k1):
         return math.inf, s, None, None
     return err, s, y_new, (k1, k6, k7, k8, k9, k10, k11, k12, k13)
 
-
 def dense(rhs, t, h, t_new, y, y_new, ks, grid, nxt, out):
     {y} = y
     {u} = y_new
@@ -225,14 +219,11 @@ def dense(rhs, t, h, t_new, y, y_new, ks, grid, nxt, out):
 
 
 def _dop853_source(n: int) -> str:
-    """Source of DOP853's ``step`` and ``dense`` for states of n components.
-
-    Each stage state, error sum and dense-output coefficient is written
-    out per component, with the tableau's weights as literals and its sums
-    in dop853.f's order (x + -c * k is x - c * k to the bit), so the
-    functions give the results of loops over the components bit for bit,
-    without their interpreter overhead.
-    """
+    """Source of DOP853's ``step`` and ``dense`` for states of n components:
+    each stage state, error sum and dense-output coefficient written out per
+    component, the tableau's doubles as literals and its sums in dop853.f's
+    order (x + -c * k is x - c * k to the bit), so the results are those of
+    loops over the components, bit for bit, without their overhead."""
     comps = range(n)
 
     def names(name: str) -> str:
@@ -254,10 +245,10 @@ def _dop853_source(n: int) -> str:
         dense_stages.append(f"    {names(f'k{k}')} = rhs(t + {node!r} * h, {state(js, ws)})")
     solution, coefficients = [], []
     for i in comps:
-        solution += [f"        i_{i} = {terms(_DOP853_OUT, _DOP853_WEIGHTS, i)}",
+        solution += [f"        i_{i} = {terms(*_DOP853_WEIGHTS, i)}",
                      f"        u_{i} = y_{i} + h * i_{i}",
                      f"        sk = ATOL + RTOL * max(abs(y_{i}), abs(u_{i}))",
-                     f"        e5_{i} = ({terms(_DOP853_OUT, _DOP853_ERR5, i)}) / sk",
+                     f"        e5_{i} = ({terms(*_DOP853_ERR5, i)}) / sk",
                      f"        e3_{i} = (i_{i} + {terms(*_DOP853_ERR3, i)}) / sk"]
         coefficients += [f"    d_{i} = u_{i} - y_{i}", f"    b_{i} = h * k1_{i} - d_{i}",
                          f"    c_{i} = d_{i} - h * k13_{i} - b_{i}"]
@@ -277,11 +268,8 @@ _DOP853_LOCK = threading.Lock()
 
 
 def _dop853(n: int) -> tuple[Callable, Callable]:
-    """DOP853's ``step`` and ``dense`` for n components, compiled on first use.
-
-    The source is registered with :mod:`linecache` under the name its code
-    carries, so a traceback through a step shows its lines.
-    """
+    """DOP853's ``step`` and ``dense`` for n components, built on first use; the
+    source is in :mod:`linecache` under its code's name, for tracebacks."""
     with _DOP853_LOCK:
         built = _DOP853_BUILT.get(n)
         if built is None:
@@ -303,9 +291,9 @@ def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, 
     step changes by 0.9 err^(-1/8), within [1/3, 6], and does not grow
     right after a rejection. Grid times inside a step come from its 7th-order dense
     output, whose three extra stages run only on steps that hold such a
-    time; the last step lands exactly on grid[-1]. The first evaluation
-    must return len(y0) entries, else ValueError; later ones are not
-    checked again.
+    time; the last step lands exactly on grid[-1]. The step is written out
+    for len(y0) components, so each evaluation must return that many
+    entries, else ValueError.
 
     Raises:
         IntegrationDivergedError: If the step shrinks below 16 ulp of t

@@ -308,33 +308,40 @@ def test_sample_ivp_builds_the_step_of_a_dimension_once(monkeypatch):
 
 
 def test_sample_ivp_threads_share_one_build(monkeypatch):
-    # metrics --jobs runs a batch on a thread pool: two threads that
-    # need the same missing dimension at once must build it once.
+    # metrics --jobs runs a batch on a thread pool: threads that need the
+    # same missing dimension at once must build it once.
     built = []
     source = numerics._dop853_source
 
     def slow_source(n):
         built.append(n)
-        time.sleep(0.05)   # hold the build open while the other thread arrives
+        time.sleep(0.05)   # hold the build open while the other threads arrive
         return source(n)
 
     monkeypatch.setattr(numerics, "_dop853_source", slow_source)
     monkeypatch.setattr(numerics, "_DOP853_BUILT", {})
-    barrier = threading.Barrier(2)
-    results = [None, None]
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
 
     def work(k):
         barrier.wait()
         results[k] = numerics.sample_ivp(
             lambda t, y: [-y[0], y[0] - y[1], y[1]], [1.0, 0.0, 0.0], time_grid(0.0, 2.0, 50))
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert built == [3]
-    assert results[0] is not None and results[0] == results[1]
+    assert results[0] is not None and results == [results[0]] * workers
 
 
 def test_sample_ivp_rejects_a_grid_that_does_not_increase():

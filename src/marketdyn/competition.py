@@ -207,9 +207,10 @@ class StimulatedFixedPoint(NamedTuple):
 # ---------------------------------------------------------------------------
 #
 # The functions below run once per integrator stage or quadrature node. The
-# specs are compiled into flat lists of floats first, and the per-call sums
-# are loops: before CPython 3.12 every comprehension is a function call of
-# its own, which at these sizes costs as much as the arithmetic.
+# specs are compiled first: the two kernels into flat lists of floats, and
+# the fields into straight-line code per shape. Before CPython 3.12 every
+# comprehension is a function call of its own, which at these sizes costs as
+# much as the arithmetic.
 
 def _modulation_kernel(mods: Sequence[PairModulation]) -> Callable[[float], float]:
     """``t -> fsum(m.value(t) for m in mods)`` with the records' floats read once.
@@ -261,73 +262,107 @@ def _integral_kernel(terms: Sequence[Sinusoid]) -> Callable[[float], float]:
 def resolve_churn_flows(churn: Optional[ChurnSpec]) -> ChurnFlows:
     """The net churn flows of a spec as one function ``flows(t, u) -> [C_i]``.
 
-    The spec is compiled once: the rates become a flat row-major list,
-    each supplier's row the positions of a_ji and a_ij over the other
-    suppliers, and the modulations of each periodic pair one kernel, so a
-    call only evaluates the time-dependent rates and the sums. Every C_i is the
-    ``fsum`` of a_ji u_j f_i - a_ij u_i f_j over j != i in ascending j
-    (f = 1 for spontaneous and periodic churn, f_k = b_k u_k + eps_k for
-    stimulated churn), with the rate a_ij(t) = a0_ij + fsum of the pair's
-    modulations for periodic churn.
+    Every C_i is the ``fsum`` of a_ji u_j f_i - a_ij u_i f_j over j != i in
+    ascending j (f = 1 for spontaneous and periodic churn, f_k = b_k u_k +
+    eps_k for stimulated churn), with the rate a_ij(t) = a0_ij + fsum of the
+    pair's modulations for periodic churn; see :func:`_churn_field`.
     """
     if churn is None:
         return lambda t, u: [0.0] * len(u)
-    if isinstance(churn, ChurnMatrix):
-        return _linear_flows(churn.n, [v for row in churn.a for v in row], [])
-    if isinstance(churn, PeriodicChurnSpec):
-        n = churn.n
-        groups: dict[tuple[int, int], list[PairModulation]] = {}
+    return _churn_field(churn, None)
+
+
+#: make(m, r, a, b, eps, terms) -> rhs(t, u) per field shape; see _churn_field.
+_CHURN_FIELDS: dict[tuple, dict] = {}
+
+
+def _churn_field(churn: Optional[ChurnSpec], market: Optional[BassCompetition]) -> numerics.RHS:
+    """The churn flows C_i of a spec, or with a market du_i/dt = (1 - sum u)
+    (m_i + r_i u_i) + C_i (without the flows when the spec is None).
+
+    The function is written out once per shape: the supplier count, the
+    churn's form (linear in the shares, or stimulated), whether the Bass
+    part is there, and the modulated pairs with the term count of each of
+    their modulations. Its ``make`` binds one document's values as closure
+    locals, so a call only unpacks u, evaluates the modulated rates and the
+    sums. Every sum is the ``fsum`` of its terms in the order of the
+    definitions, so each value is the definition's to the bit.
+    """
+    m, r, a, b, eps, terms, groups = (), (), (), (), (), [], {}
+    if market is not None:
+        m, r = market.m, market.r
+    if churn is None:
+        form, n = None, market.n
+    elif isinstance(churn, ChurnMatrix):
+        form, n, a = "linear", churn.n, [v for row in churn.a for v in row]
+    elif isinstance(churn, PeriodicChurnSpec):
+        form, n = "linear", churn.n
+        a = [churn.rate(i, j, 0.0) for i in range(n) for j in range(n)]
         for mod in churn.eps:
             groups.setdefault((mod.i, mod.j), []).append(mod)
-        return _linear_flows(
-            n, [churn.rate(i, j, 0.0) for i in range(n) for j in range(n)],
-            [(i * n + j, churn.a0.a[i][j], _modulation_kernel(mods))
-             for (i, j), mods in groups.items()])
-    if isinstance(churn, StimulatedChurnSpec):
-        a, n = churn.churn.a, churn.n
-        rows = [[(a[j][i], j, a[i][j]) for j in range(n) if j != i] for i in range(n)]
-        b_eps = list(zip(churn.b, churn.eps))
-        fsum = math.fsum
-
-        def stimulated(t: float, u: Sequence[float]) -> list[float]:
-            f = [bk * uk + ek for (bk, ek), uk in zip(b_eps, u)]
-            flows = []
-            for row, ui, fi in zip(rows, u, f):
-                parts = []
-                for a_ji, j, a_ij in row:
-                    parts.append(a_ji * u[j] * fi - a_ij * ui * f[j])
-                flows.append(fsum(parts))
-            return flows
-
-        return stimulated
-    raise ParameterError(f"unsupported churn specification {type(churn).__name__}")
+        for (i, j), mods in sorted(groups.items()):
+            terms.append(churn.a0.a[i][j])
+            terms += [x for mod in mods for s in mod.terms for x in s]
+    elif isinstance(churn, StimulatedChurnSpec):
+        form, n, a = "stimulated", churn.n, [v for row in churn.churn.a for v in row]
+        b, eps = churn.b, churn.eps
+    else:
+        raise ParameterError(f"unsupported churn specification {type(churn).__name__}")
+    shape = (n, form, market is not None, tuple(
+        (pair, tuple(len(mod.terms) for mod in mods)) for pair, mods in sorted(groups.items())))
+    kind = "periodic" if groups else "spontaneous" if form == "linear" else form
+    label = " ".join([f"n={n}"] + ["bass"] * (market is not None) + [kind] * bool(kind) + [
+        f"a{i + 1},{j + 1}:" + "+".join(map(str, counts)) for (i, j), counts in shape[3]])
+    built = numerics.build_once(_CHURN_FIELDS, shape, f"<churn field {label}>",
+                                lambda: _churn_field_source(*shape), two_pi=2.0 * math.pi,
+                                sin=math.sin, fsum=math.fsum)
+    return built["make"](m, r, a, b, eps, terms)
 
 
-def _linear_flows(n: int, rates: list[float],
-                  modulated: list[tuple[int, float, Callable[[float], float]]]) -> ChurnFlows:
-    """Flows of churn linear in the shares, from the flat row-major n x n rates.
+def _churn_field_source(n: int, form: Optional[str], bass: bool,
+                        groups: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]) -> str:
+    """Source of the ``make`` of one shape of :func:`_churn_field`."""
+    comps, modulated = range(n), dict(groups)
 
-    Each ``(k, baseline, kernel)`` of ``modulated`` sets entry k to
-    baseline + kernel(t) on every call; the other entries hold at every t.
-    """
-    rows = [[(j * n + i, j, i * n + j) for j in range(n) if j != i] for i in range(n)]
-    fsum = math.fsum
+    def unpack(names) -> str:
+        return " ".join(f"{name}," for name in names)
 
-    def flows(t: float, u: Sequence[float]) -> list[float]:
-        rate = rates
-        if modulated:
-            rate = rates.copy()
-            for k, base, eps in modulated:
-                rate[k] = base + eps(t)
-        out = []
-        for row, ui in zip(rows, u):
-            parts = []
-            for ji, j, ij in row:
-                parts.append(rate[ji] * u[j] - rate[ij] * ui)
-            out.append(fsum(parts))
-        return out
-
-    return flows
+    lines = ["def make(m, r, a, b, eps, terms):"]
+    if bass:
+        lines += [f"    {unpack(f'm_{i}' for i in comps)} = m",
+                  f"    {unpack(f'r_{i}' for i in comps)} = r"]
+    if form:
+        rates = ("_" if i == j or (i, j) in modulated else f"a_{i}_{j}" for i in comps for j in comps)
+        lines.append(f"    {unpack(rates)} = a")
+    if form == "stimulated":
+        lines += [f"    {unpack(f'b_{i}' for i in comps)} = b",
+                  f"    {unpack(f'e_{i}' for i in comps)} = eps"]
+    params, rates, q = [], [], 0
+    for (i, j), counts in groups:
+        params.append(f"base_{i}_{j}")
+        sums = []
+        for count in counts:
+            ks = range(q, q + count)
+            params += [f"{x}{k}" for k in ks for x in ("A", "P", "ph")]
+            sums.append("fsum((" + unpack(f"A{k} * sin(x / P{k} + ph{k})" for k in ks) + "))")
+            q += count
+        rates.append(f"        a_{i}_{j} = base_{i}_{j} + fsum(({unpack(sums)}))")
+    if params:
+        lines.append(f"    {unpack(params)} = terms")
+    lines += ["    def rhs(t, u):", f"        {unpack(f'u_{i}' for i in comps)} = u"]
+    lines += ["        x = two_pi * t"] * bool(groups) + rates
+    if form == "stimulated":
+        lines += [f"        f_{i} = b_{i} * u_{i} + e_{i}" for i in comps]
+    flow = ("a_{j}_{i} * u_{j} * f_{i} - a_{i}_{j} * u_{i} * f_{j}" if form == "stimulated"
+            else "a_{j}_{i} * u_{j} - a_{i}_{j} * u_{i}")
+    out = []
+    for i in comps:
+        c = "fsum((" + unpack(flow.format(i=i, j=j) for j in comps if j != i) + "))"
+        bass_part = f"vacancy * (m_{i} + r_{i} * u_{i})"
+        out.append(f"{bass_part} + {c}" if bass and form else bass_part if bass else c)
+    lines += ["        vacancy = 1.0 - fsum(u)"] * bass
+    lines += [f"        return [{', '.join(out)}]", "    return rhs", ""]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -721,23 +756,7 @@ def _stimulated_fixed_point_newton(spec: StimulatedChurnSpec,
 def market_field(market: BassCompetition,
                  churn: Optional[ChurnSpec] = None) -> numerics.RHS:
     """du_i/dt = (1 - sum u)(m_i + r_i u_i) + C_i(u)."""
-    coefficients = list(zip(market.m, market.r))
-    fsum = math.fsum
-    if churn is None:
-        def rhs(t: float, u: Sequence[float]) -> list[float]:
-            vacancy = 1.0 - fsum(u)
-            return [vacancy * (mi + ri * ui) for (mi, ri), ui in zip(coefficients, u)]
-    else:
-        flows = resolve_churn_flows(churn)
-
-        def rhs(t: float, u: Sequence[float]) -> list[float]:
-            vacancy = 1.0 - fsum(u)
-            out = []
-            for (mi, ri), ui, c in zip(coefficients, u, flows(t, u)):
-                out.append(vacancy * (mi + ri * ui) + c)
-            return out
-
-    return rhs
+    return _churn_field(churn, market)
 
 
 def competitive_path_numeric(market: BassCompetition,

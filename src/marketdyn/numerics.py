@@ -74,16 +74,14 @@ class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
         return SquareMatrix(self.n, tuple(tuple(factor * v for v in r) for r in self.entries))
 
     def apply(self, v: Sequence[float]) -> list[float]:
-        return [math.fsum(r[j] * v[j] for j in range(self.n)) for r in self.entries]
+        fsum, mul = math.fsum, operator.mul
+        return [fsum(map(mul, r, v)) for r in self.entries]
 
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
-        n = self.n
-        rows = tuple(
-            tuple(math.fsum(self.entries[i][k] * other.entries[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)
-        )
-        return SquareMatrix(n, rows)
+        """The product, its entries unchecked: an overflow shows as inf or nan."""
+        fsum, mul, columns = math.fsum, operator.mul, list(zip(*other.entries))
+        return SquareMatrix._make((self.n, tuple(
+            tuple([fsum(map(mul, r, c)) for c in columns]) for r in self.entries)))
 
     def inf_norm(self) -> float:
         return max(sum(abs(v) for v in r) for r in self.entries)
@@ -263,23 +261,36 @@ def _dop853_source(n: int) -> str:
                          f"(r5_{i} + s0 * (r6_{i} + s1 * r7_{i}))))))," for i in comps))
 
 
-_DOP853_BUILT: dict[int, tuple[Callable, Callable]] = {}
-_DOP853_LOCK = threading.Lock()
+_BUILD_LOCK = threading.Lock()
+
+
+def build_once(cache: dict, key: object, name: str, source: Callable[[], str],
+               **env: object) -> dict:
+    """The namespace of the code ``source()`` returns, compiled as ``name`` and
+    run over ``env``: built on the first call for ``key`` and kept in
+    ``cache``, under one lock, so threads that meet a key together (``metrics
+    --jobs``) build it once. The source is in :mod:`linecache` under
+    ``name``, for tracebacks."""
+    with _BUILD_LOCK:
+        built = cache.get(key)
+        if built is None:
+            import linecache
+            text = source()
+            built = dict(env)
+            exec(compile(text, name, "exec"), built)
+            linecache.cache[name] = (len(text), None, text.splitlines(True), name)
+            cache[key] = built
+        return built
+
+
+_DOP853_BUILT: dict[int, dict] = {}
 
 
 def _dop853(n: int) -> tuple[Callable, Callable]:
-    """DOP853's ``step`` and ``dense`` for n components, built on first use; the
-    source is in :mod:`linecache` under its code's name, for tracebacks."""
-    with _DOP853_LOCK:
-        built = _DOP853_BUILT.get(n)
-        if built is None:
-            import linecache
-            source, name = _dop853_source(n), f"<dop853 step n={n}>"
-            namespace = {"math": math, "ATOL": ATOL, "RTOL": RTOL}
-            exec(compile(source, name, "exec"), namespace)
-            linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-            built = _DOP853_BUILT[n] = namespace["step"], namespace["dense"]
-        return built
+    """DOP853's ``step`` and ``dense`` for n components, built on first use."""
+    built = build_once(_DOP853_BUILT, n, f"<dop853 step n={n}>", lambda: _dop853_source(n),
+                       math=math, ATOL=ATOL, RTOL=RTOL)
+    return built["step"], built["dense"]
 
 
 def sample_ivp(rhs: RHS, y0: State, grid: Sequence[float]) -> list[tuple[float, ...]]:
@@ -760,20 +771,24 @@ def mat_exp(m: SquareMatrix, t: float) -> SquareMatrix:
     b = m.scaled(t)
     norm = b.inf_norm()
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    b = b.scaled(0.5 ** squarings)
+    half = 0.5 ** squarings
+    b = SquareMatrix._make((m.n, tuple(tuple([half * v for v in r]) for r in b.entries)))
 
     # Truncated Taylor series of exp(B) with B scaled to norm <= 1/2:
-    # 25 terms leave a remainder below 0.5^25/25! of the leading term.
-    n = m.n
-    result = SquareMatrix.identity(n)
+    # 25 terms leave a remainder below 0.5^25/25! of the leading term. No
+    # term can overflow, so the series runs on plain rows and unchecked
+    # matrices; a squaring can, so each one is checked.
+    n, add = m.n, operator.add
     term = SquareMatrix.identity(n)
+    rows = term.entries
     for k in range(1, 26):
-        term = term.matmul(b).scaled(1.0 / k)
-        result = SquareMatrix(n, tuple(
-            tuple(result.entries[i][j] + term.entries[i][j] for j in range(n))
-            for i in range(n)))
+        factor = 1.0 / k
+        term = SquareMatrix._make((n, tuple(
+            tuple([factor * v for v in r]) for r in term.matmul(b).entries)))
+        rows = tuple(tuple(map(add, r, s)) for r, s in zip(rows, term.entries))
+    result = SquareMatrix(n, rows)
     for _ in range(squarings):
-        result = result.matmul(result)
+        result = SquareMatrix(n, result.matmul(result).entries)
     return result
 
 

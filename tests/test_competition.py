@@ -2,6 +2,9 @@
 
 import math
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -182,11 +185,11 @@ def reference_flows(churn, t, u):
 
 
 @st.composite
-def churn_specs(draw):
-    n = draw(st.integers(2, 4))
+def churn_specs(draw, kinds=("spontaneous", "stimulated", "periodic"), min_mods=0):
+    n = draw(st.integers(2 if min_mods else 1, 5))
     a = [[0.0 if i == j else draw(st.floats(0.0, 3.0)) for j in range(n)] for i in range(n)]
     matrix = comp.ChurnMatrix.from_rows(a)
-    kind = draw(st.sampled_from(("spontaneous", "stimulated", "periodic")))
+    kind = draw(st.sampled_from(kinds))
     if kind == "spontaneous":
         return matrix
     if kind == "stimulated":
@@ -196,7 +199,8 @@ def churn_specs(draw):
         return comp.StimulatedChurnSpec(churn=matrix, b=b, eps=eps)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     mods = []
-    for _ in range(draw(st.integers(0, 4))):  # one pair may carry several modulations
+    # One pair may carry several modulations; a one-supplier market has no pair.
+    for _ in range(draw(st.integers(min_mods, 4)) if pairs else 0):
         i, j = draw(st.sampled_from(pairs))
         k = draw(st.integers(1, 3))
         mods.append(comp.PairModulation(i, j, tuple(
@@ -214,6 +218,101 @@ def test_resolved_flows_match_the_definition_bit_for_bit(churn, data):
         u = data.draw(st.lists(st.floats(0.0, 1.0), min_size=churn.n, max_size=churn.n))
         expected = [v.hex() for v in reference_flows(churn, t, u)]
         assert [v.hex() for v in flows(t, u)] == expected
+
+
+def reference_market_field(market, churn, t, u):
+    """du_i/dt from the definitions: (1 - sum u)(m_i + r_i u_i), plus C_i with churn."""
+    vacancy = 1.0 - math.fsum(u)
+    bass = [vacancy * (mi + ri * ui) for mi, ri, ui in zip(market.m, market.r, u)]
+    if churn is None:
+        return bass
+    return [g + c for g, c in zip(bass, reference_flows(churn, t, u))]
+
+
+@given(st.one_of(st.none(), churn_specs(), churn_specs(("periodic",), min_mods=3)), st.data())
+def test_market_field_matches_the_definition_bit_for_bit(churn, data):
+    # The written-out field of every shape, with and without churn, several
+    # modulated pairs and several terms per pair among them.
+    n = churn.n if churn is not None else data.draw(st.integers(1, 5))
+    coefficients = st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)
+    m, r = data.draw(coefficients), data.draw(coefficients)
+    assume(all(mi + ri > 0 for mi, ri in zip(m, r)))
+    market = comp.BassCompetition(m=tuple(m), r=tuple(r), u0=(0.0,) * n)
+    field = comp.market_field(market, churn)
+    for _ in range(3):
+        t = data.draw(st.floats(0.0, 50.0))
+        u = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        expected = [v.hex() for v in reference_market_field(market, churn, t, u)]
+        assert [v.hex() for v in field(t, u)] == expected
+
+
+def test_churn_fields_are_built_once_per_shape(monkeypatch):
+    # The shape, not the values, selects the written-out field.
+    built = []
+    source = comp._churn_field_source
+    monkeypatch.setattr(comp, "_churn_field_source",
+                        lambda *shape: built.append(shape) or source(*shape))
+    monkeypatch.setattr(comp, "_CHURN_FIELDS", {})
+    rng = random.Random(5)
+    for _ in range(3):
+        c = random_churn(rng, 3)
+        comp.resolve_churn_flows(c)
+        comp.resolve_churn_flows(comp.PeriodicChurnSpec(a0=c, eps=(comp.PairModulation(
+            2, 0, (comp.Sinusoid(0.5 * c.a[2][0], rng.uniform(1.0, 2.0)),)),)))
+    assert built == [(3, "linear", False, ()), (3, "linear", False, (((2, 0), (1,)),))]
+
+
+def test_churn_field_threads_share_one_build(monkeypatch):
+    # metrics --jobs runs a batch on a thread pool: threads that meet the same
+    # field shape at once must build it once and integrate the same rows.
+    built = []
+    source = comp._churn_field_source
+
+    def slow_source(*shape):
+        built.append(shape)
+        time.sleep(0.05)   # hold the build open while the other threads arrive
+        return source(*shape)
+
+    monkeypatch.setattr(comp, "_churn_field_source", slow_source)
+    monkeypatch.setattr(comp, "_CHURN_FIELDS", {})
+    market = comp.BassCompetition(m=(0.02, 0.03, 0.01), r=(0.4, 0.3, 0.5), u0=(0.0,) * 3)
+    spec = comp.PeriodicChurnSpec(
+        a0=comp.ChurnMatrix(((0.0, 0.04, 0.02), (0.03, 0.0, 0.05), (0.01, 0.06, 0.0))),
+        eps=(comp.PairModulation(0, 1, (comp.Sinusoid(0.02, 4.0, 0.3),)),))
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(k):
+        barrier.wait()
+        results[k] = comp.competitive_path_numeric(market, spec, time_grid(0.0, 20.0, 50)).states
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    # The market's field, and the flows whose cancellation the path checks.
+    shapes = [(3, "linear", bass, (((0, 1), (1,)),)) for bass in (False, True)]
+    assert sorted(built) == shapes
+    assert sorted(comp._CHURN_FIELDS) == shapes
+    assert results[0] is not None and results == [results[0]] * workers
+
+
+def test_churn_field_tracebacks_show_the_generated_lines():
+    field = comp.market_field(comp.BassCompetition(m=(0.1, 0.2), r=(0.3, 0.4), u0=(0.0, 0.0)),
+                              comp.ChurnMatrix(((0.0, 0.1), (0.2, 0.0))))
+    with pytest.raises(ValueError) as info:
+        field(0.0, [0.1, 0.2, 0.3])
+    frame = info.traceback[-1]
+    assert str(frame.path) == "<churn field n=2 bass spontaneous>"
+    assert "= u" in str(frame.statement)
 
 
 sinusoids = st.builds(comp.Sinusoid, st.floats(0.0, 2.0), st.floats(1e-3, 1e3),

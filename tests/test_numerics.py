@@ -858,6 +858,74 @@ def test_mat_exp_large_argument_accuracy():
     out = numerics.mat_exp_apply(m, 50.0, [1.0])
     assert out[0] == pytest.approx(math.exp(-50.0), rel=1e-9)
 
+
+def reference_mat_exp(m, t):
+    """exp(M t) as the series was written on checked records, each product an
+    fsum over a generator: the oracle of mat_exp's bits and errors."""
+    def matmul(a, b):
+        n = a.n
+        return SquareMatrix(n, tuple(
+            tuple(math.fsum(a.entries[i][k] * b.entries[k][j] for k in range(n))
+                  for j in range(n))
+            for i in range(n)))
+
+    b = m.scaled(t)
+    norm = b.inf_norm()
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    b = b.scaled(0.5 ** squarings)
+    n = m.n
+    result = term = SquareMatrix.identity(n)
+    for k in range(1, 26):
+        term = matmul(term, b).scaled(1.0 / k)
+        result = SquareMatrix(n, tuple(tuple(result.entries[i][j] + term.entries[i][j]
+                                             for j in range(n)) for i in range(n)))
+    for _ in range(squarings):
+        result = matmul(result, result)
+    return result, squarings
+
+
+@given(st.integers(1, 5), st.data())
+def test_mat_exp_matches_the_checked_series_bit_for_bit(n, data):
+    # ||M t|| from 0 through many squarings, up to overflow, which must
+    # raise the error the checked series raised.
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    m = SquareMatrix.from_rows(
+        [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)])
+    t = data.draw(st.sampled_from((0.0, 1.0)) | st.floats(-3.0, 4.0).map(lambda x: 10.0 ** x))
+    v = data.draw(st.lists(entries, min_size=n, max_size=n))
+    calls = []
+    matmul = SquareMatrix.matmul
+    try:
+        want, squarings = reference_mat_exp(m, t)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            numerics.mat_exp(m, t)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SquareMatrix, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+        got = numerics.mat_exp(m, t)
+    assert type(got) is SquareMatrix and got.n == n
+    assert [[x.hex() for x in r] for r in got.entries] == [[x.hex() for x in r]
+                                                          for r in want.entries]
+    assert len(calls) == 25 + squarings   # the products the tracer counts
+    applied = [math.fsum(r[j] * v[j] for j in range(n)) for r in want.entries]
+    assert [x.hex() for x in numerics.mat_exp_apply(m, t, v)] == [x.hex() for x in applied]
+
+
+@pytest.mark.parametrize("rows,t,error", [
+    ([[800.0]], 1.0, ValueError),                          # e^800 at the last squaring
+    ([[1.0, 0.0], [0.0, -1.0]], 1e4, ValueError),          # inf times 0 before the last
+    ([[1.0, -1.0], [-1.0, 1.0]], 1e4, ValueError),         # -inf + inf in a product's fsum
+    ([[1e308, 1e308], [0.0, 0.0]], 1.0, OverflowError),    # the norm itself overflows
+    ([[2.0]], 1e308, ValueError),                          # M t overflows
+])
+def test_mat_exp_overflow_raises_as_the_checked_series(rows, t, error):
+    m = SquareMatrix.from_rows(rows)
+    with pytest.raises(error):
+        reference_mat_exp(m, t)
+    with pytest.raises(error):
+        numerics.mat_exp(m, t)
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------

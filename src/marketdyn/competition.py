@@ -332,8 +332,9 @@ def _churn_field_source(n: int, form: Optional[str], bass: bool,
         lines += [f"    {unpack(f'm_{i}' for i in comps)} = m",
                   f"    {unpack(f'r_{i}' for i in comps)} = r"]
     if form:
-        rates = ("_" if i == j or (i, j) in modulated else f"a_{i}_{j}" for i in comps for j in comps)
-        lines.append(f"    {unpack(rates)} = a")
+        names = ("_" if i == j or (i, j) in modulated else f"a_{i}_{j}"
+                 for i in comps for j in comps)
+        lines.append(f"    {unpack(names)} = a")
     if form == "stimulated":
         lines += [f"    {unpack(f'b_{i}' for i in comps)} = b",
                   f"    {unpack(f'e_{i}' for i in comps)} = eps"]
@@ -357,9 +358,9 @@ def _churn_field_source(n: int, form: Optional[str], bass: bool,
             else "a_{j}_{i} * u_{j} - a_{i}_{j} * u_{i}")
     out = []
     for i in comps:
-        c = "fsum((" + unpack(flow.format(i=i, j=j) for j in comps if j != i) + "))"
-        bass_part = f"vacancy * (m_{i} + r_{i} * u_{i})"
-        out.append(f"{bass_part} + {c}" if bass and form else bass_part if bass else c)
+        parts = [f"vacancy * (m_{i} + r_{i} * u_{i})"] * bass + [
+            "fsum((" + unpack(flow.format(i=i, j=j) for j in comps if j != i) + "))"] * bool(form)
+        out.append(" + ".join(parts))
     lines += ["        vacancy = 1.0 - fsum(u)"] * bass
     lines += [f"        return [{', '.join(out)}]", "    return rhs", ""]
     return "\n".join(lines)

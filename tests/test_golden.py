@@ -28,7 +28,10 @@ change re-pinned the periodic-churn, bpq case 3 and singular-Q digests.
 The 1000-sample pins of absorbing hesitation, birth/death, one-way
 spontaneous churn and complementary games, and the case 1 calibration
 pins, were recorded before one divided-difference kernel replaced the
-confluent-limit branches of their closed forms.
+confluent-limit branches of their closed forms. The 1000-sample pins of
+bpq case 1 with a cutoff and with a tabulated inflow were recorded while
+the integrating-factor route still read the schedules through kernels of
+its own, before it called the schedule records directly.
 Each re-pinned entry says which values moved and why.
 """
 
@@ -296,8 +299,9 @@ def case1_doc(a, b, c) -> dict:
 
 
 #: One document per rate shape of bpq case 1: constant rates and the
-#: confluent b = a + c (the closed form), a linear inflow, a linear quit rate
-#: and a decaying inflow (the integrating-factor route).
+#: confluent b = a + c (the closed form), a linear inflow, a linear quit rate,
+#: a decaying inflow, an inflow cut off at T = 7.5 and a tabulated inflow
+#: (the integrating-factor route).
 LONG_RUN_DOCS.update({
     "bpq_case1_constant": case1_doc(0.5, 0.3, 0.1),
     "bpq_case1_confluent": case1_doc(0.4, 0.5, 0.1),
@@ -305,6 +309,9 @@ LONG_RUN_DOCS.update({
     "bpq_case1_linear_quit": case1_doc(0.4, {"kind": "linear", "a0": 0.2, "a1": 0.15}, 0.1),
     "bpq_case1_exp_decay_inflow": case1_doc({"kind": "exp_decay", "a0": 0.5, "beta": 0.1},
                                             0.4, 0.05),
+    "bpq_case1_cutoff_inflow": case1_doc({"kind": "cutoff", "a": 0.5, "T": 7.5}, 0.3, 0.1),
+    "bpq_case1_tabulated_inflow": case1_doc(
+        {"kind": "tabulated", "points": [[0.0, 0.1], [4.0, 0.6], [10.0, 0.2]]}, 0.3, 0.05),
 })
 
 
@@ -454,6 +461,14 @@ LONG_RUN_GOLDEN = {
         "ffd9af30be33361e39eb0d9099364e95dff77d132cd5b0aecfd3f9d42fad4317",
     ("metrics", "bpq_case1_exp_decay_inflow"):
         "f29c5a0dc9f77e52f3516ba6c85da39c8add50a49c40ac849bcb8ee25af28371",
+    ("simulate", "bpq_case1_cutoff_inflow"):
+        "3a066bea07aa678312600c5a4cc048462067d4579322f975b11de6a44139c34d",
+    ("metrics", "bpq_case1_cutoff_inflow"):
+        "53e945b08000cc733c49d0dee3763e22997315c8e3489585c28be3eca730e99f",
+    ("simulate", "bpq_case1_tabulated_inflow"):
+        "6c72b9e285edb5a4ac58d6bc247cd8814c6ca1d24e1299fad21c41036bc26d47",
+    ("metrics", "bpq_case1_tabulated_inflow"):
+        "6da3211098d1ca735dfb044fa142184f23f45a7ba0956dbfe6519f6cbc68e0a5",
     # Re-pinned when DOP853 replaced the Dormand-Prince 5(4) pair: one
     # printed value moved toward the reference, P at t = 29.2192192
     # (0.251392953 -> 0.251392952; scipy DOP853 at rtol 2.3e-14 and

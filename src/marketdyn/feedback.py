@@ -617,37 +617,23 @@ def cutoff_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
 
 
 def classify_equilibria(kern: FeedbackKernel) -> list[EquilibriumPoint]:
-    """Roots of (1 - u) F(u) on [0, 1] with their stability.
+    """Roots of (1 - u) F(u) on [0, 1] with their stability, read from the
+    kernel table.
 
-    Classification samples the growth sign on each side (restricted to
-    [0, 1]): positive below and nonpositive above means attractor,
-    negative below or positive above means repeller. The sqrt and sub-
-    linear power kernels report u = 0 as not an equilibrium: the kernel
-    is not smooth there, the market accelerates away from an empty
-    start (for sqrt(u) the initial acceleration is rate^2 / 2 > 0). The
-    cutoff kernel stops at u1 instead of 1, and parks there from any start
-    below it.
+    Growth is positive on (0, limit) for every kernel and not positive
+    above it, so the share where growth stops, 1 or the cutoff share u1,
+    is an attractor. Where F(0) = 0 (u, u^2 and u^n with n >= 1), u = 0 is
+    a root with growth positive just above it, a repeller. The sqrt and
+    sub-linear power kernels report u = 0 as not an equilibrium: the
+    kernel is not smooth there, and the market accelerates away from an
+    empty start (for sqrt(u) the initial acceleration is rate^2 / 2 > 0).
+    The labels follow from these signs, so no growth is evaluated near a
+    root, where u^n underflows for large n.
     """
     zero = _KERNELS[kern.kind].zero(kern)
-    roots = ([0.0] if zero == "root" else []) + [kern.limit]
-    out = [EquilibriumPoint(0.0, "not_equilibrium")] if zero == "not_equilibrium" else []
-    delta = 1e-6
-    for r in roots:
-        below = kern.growth(r - delta) if r - delta >= 0.0 else None
-        above = kern.growth(r + delta) if r + delta <= 1.0 else None
-        if below is None:
-            label = "repeller" if above > 0 else "attractor"
-        elif above is None:
-            label = "attractor" if below > 0 else "repeller"
-        else:
-            if below > 0 and above <= 0:
-                label = "attractor"
-            elif below < 0 and above >= 0:
-                label = "repeller"
-            else:
-                label = "attractor" if below > 0 else "repeller"
-        out.append(EquilibriumPoint(r, label))
-    return out
+    out = [] if zero is None else [
+        EquilibriumPoint(0.0, "repeller" if zero == "root" else "not_equilibrium")]
+    return out + [EquilibriumPoint(kern.limit, "attractor")]
 
 
 def ode_field(m: FeedbackModel) -> numerics.RHS:

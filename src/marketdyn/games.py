@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 from . import numerics
 from .errors import DomainError, InitiationError, ParameterError
-from .monopoly import ConstantRate, CutoffRate, ExpDecayRate, LinearRate, RateSchedule
+from .monopoly import ConstantRate, RateSchedule
 from .trajectory import Trajectory, from_channels
 
 
@@ -293,33 +293,6 @@ def calibrate_case1(t_m: float, ratio: float) -> float:
     return ratio * numerics.log_gap(ratio, 1.0) / t_m
 
 
-def _schedule_kernels(schedule: RateSchedule) -> tuple[Callable[[float], float],
-                                                       Callable[[float, float], float]]:
-    """``t -> a(t)`` and ``(t, start) -> cumulative(t, start)`` with the
-    record's fields read once, by the arithmetic of its own methods: a route
-    that calls them per quadrature node then skips the record lookups."""
-    exp, expm1 = math.exp, math.expm1
-    if isinstance(schedule, ConstantRate):
-        a = schedule.a
-        return (lambda t: a), (lambda t, start: a * (t - start))
-    if isinstance(schedule, LinearRate):
-        a0, a1 = schedule
-        return ((lambda t: a0 + a1 * t),
-                (lambda t, start: a0 * (t - start) + 0.5 * a1 * (t - start) * (t + start)))
-    if isinstance(schedule, ExpDecayRate):
-        a0, beta = schedule
-        if beta == 0.0:
-            return (lambda t: a0 * exp(-beta * t)), (lambda t, start: a0 * (t - start))
-        ratio = a0 / beta
-        return ((lambda t: a0 * exp(-beta * t)),
-                (lambda t, start: -ratio * exp(-beta * start) * expm1(-beta * (t - start))))
-    if isinstance(schedule, CutoffRate):
-        a, cut = schedule
-        return ((lambda t: a if t <= cut else 0.0),
-                (lambda t, start: a * (min(t, cut) - min(start, cut))))
-    return schedule.rate, schedule.cumulative
-
-
 def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
     """Integrating-factor solution for arbitrary rate schedules.
 
@@ -327,11 +300,11 @@ def _case1_general(case: Case1, grid: Sequence[float], start: _Start = None) -> 
     exp(-int_u^t b) <= 1. Over a step, the weight at its start multiplies
     the step's sales, so a demand spike there needs no quadrature node;
     quadrature carries the weight's rise. Each step's drains are integrals
-    over the step itself, which keep their digits late in time. The
-    schedules' fields are read once, into their kernels.
+    over the step itself, which keep their digits late in time.
     """
-    (a_rate, a_cum), (b_rate, b_cum), (c_rate, c_cum) = map(
-        _schedule_kernels, (case.a, case.b, case.c))
+    a_rate, a_cum = case.a.rate, case.a.cumulative
+    b_rate, b_cum = case.b.rate, case.b.cumulative
+    c_rate, c_cum = case.c.rate, case.c.cumulative
     t0 = prev_t = grid[0]
     B0, p_acc, _, c_acc = _start(case, start)
     B, P, Q, D, C = [], [], [], [], []

@@ -38,10 +38,6 @@ class Trajectory(namedtuple("Trajectory", "times states labels notes")):
             raise ValueError("every state must have one entry per label")
         return super().__new__(cls, times, states, labels, notes)
 
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
     def channel(self, label: str) -> tuple[float, ...]:
         """Return the series for one named channel."""
         try:

@@ -546,6 +546,73 @@ def test_equilibria_catalog():
     assert classes("inverse_u_cutoff", u1=0.4) == {(0.4, "attractor")}
 
 
+def mpmath_growth(kern, u):
+    """(1 - u) F(u) in mpmath, where no power of u underflows."""
+    mpmath = pytest.importorskip("mpmath")
+    inv = mpmath.inf if u == 0 else 1 / u
+    F = {"none": lambda: 1, "bass": lambda: 1 + kern.ratio * u, "linear": lambda: u,
+         "sqrt": lambda: mpmath.sqrt(u), "quadratic": lambda: u * u,
+         "power": lambda: u ** kern.n, "one_minus_u": lambda: 1 - u, "inverse_u": lambda: inv,
+         "inverse_u_cutoff": lambda: 0 if u >= kern.u1 else inv,
+         "trend_linear_zero": lambda: (1 - u) * inv}[kern.kind]
+    return (1 - u) * F()
+
+
+def probe_label(kern, root):
+    """The sign rule on growth 1e-6 either side of a root, restricted to [0, 1]."""
+    mpmath = pytest.importorskip("mpmath")
+    r, d = mpmath.mpf(root), mpmath.mpf(1e-6)
+    below = mpmath_growth(kern, r - d) if r - d >= 0 else None
+    above = mpmath_growth(kern, r + d) if r + d <= 1 else None
+    if below is None:
+        return "repeller" if above > 0 else "attractor"
+    if above is None:
+        return "attractor" if below > 0 else "repeller"
+    if below > 0 and above <= 0:
+        return "attractor"
+    if below < 0 and above >= 0:
+        return "repeller"
+    return "attractor" if below > 0 else "repeller"
+
+
+_WIDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+ANY_KERNEL = st.one_of(
+    st.sampled_from(["none", "linear", "sqrt", "quadratic", "one_minus_u", "inverse_u",
+                     "trend_linear_zero"]).map(fb.kernel),
+    st.one_of(_WIDE, st.floats(0.01, 100.0)).map(lambda r: fb.kernel("bass", ratio=r)),
+    st.one_of(_WIDE, st.floats(0.01, 100.0), st.sampled_from([1.0, 54.0, 60.0, 1e300])).map(
+        lambda n: fb.kernel("power", n=n)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+        lambda u1: fb.kernel("inverse_u_cutoff", u1=u1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kern=ANY_KERNEL)
+def test_equilibria_follow_the_growth_sign_near_each_root(kern):
+    # The probe at +-1e-6, evaluated in doubles, underflowed for u^n at
+    # large n and labelled u = 0 an attractor (n = 54) or u = 1 a repeller
+    # (n = 1e300); in mpmath nothing underflows.
+    mpmath = pytest.importorskip("mpmath")
+    smooth_zero = kern.kind in ("linear", "quadratic") or (kern.kind == "power" and kern.n >= 1)
+    rough_zero = kern.kind == "sqrt" or (kern.kind == "power" and kern.n < 1)
+    limit = kern.u1 if kern.kind == "inverse_u_cutoff" else 1.0
+    with mpmath.workdps(40):
+        expected = ([(0.0, "not_equilibrium")] if rough_zero else []) + [
+            (r, probe_label(kern, r)) for r in ([0.0] if smooth_zero else []) + [limit]]
+    assert [(p.u, p.kind) for p in fb.classify_equilibria(kern)] == expected
+
+
+@pytest.mark.parametrize("n", [54, 60, 1e300])
+def test_cli_equilibrium_of_a_steep_power_kernel(n, tmp_path, capsys):
+    # u^n underflowed beside the roots: u = 0 printed as an attractor at
+    # n = 54 and 60, and u = 1 as a repeller at n = 1e300.
+    doc = {"model": {"kind": "feedback", "kernel": {"kind": "power", "n": n}, "rate": 0.5,
+                     "u0": 0.1}, "horizon": 5}
+    code, rows = cli_rows("equilibrium", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert rows == [["quantity", "value"], ["u=0", "repeller"], ["u=1", "attractor"]]
+
+
 # ---------------------------------------------------------------------------
 # cutoff kernel
 # ---------------------------------------------------------------------------

@@ -859,48 +859,47 @@ def calibrate(doc: dict) -> list[tuple[str, float]]:
         raise ScenarioValidationError(issues)
 
     kind = model_r.string("kind")
-    if kind == "simple":
-        t50 = targets_r.number("T50", minimum=0.0)
-        if issues:
-            raise ScenarioValidationError(issues)
-        u0 = model_r.number("u0", required=False, default=0.0)
-        if u0 >= 0.5:
-            raise CalibrationInfeasibleError("u0 already at or above the 50% target")
-        a = math.log((1.0 - u0) / 0.5) / t50
-        return [("a", a)]
-    if kind == "feedback":
-        kern = _parse_kernel(model_r.sub("kernel"))
+    case = model_r.string("case") if kind == "bpq" else None
+    if kind in ("simple", "feedback"):  # simple adoption is the "none" kernel
+        kern = (feedback.kernel("none") if kind == "simple"
+                else _parse_kernel(model_r.sub("kernel")))
         u0 = _initial_share(model_r)
         t50 = targets_r.number("T50", minimum=0.0)
         if issues or kern is None:
             raise ScenarioValidationError(issues)
         try:
-            rate = feedback.calibrate_rate(kern, t50, u0)
+            results = [("a" if kind == "simple" else "rate",
+                        feedback.calibrate_rate(kern, t50, u0))]
         except (ParameterError, MarketDynError) as exc:
             raise CalibrationInfeasibleError(str(exc)) from exc
-        return [("rate", rate)]
-    if kind == "bpq":
-        case = model_r.string("case")
-        if case == "case1":
-            t_m = targets_r.number("T_m", minimum=0.0)
-            ratio = targets_r.number("ratio", minimum=0.0)
-            if issues:
-                raise ScenarioValidationError(issues)
-            if ratio <= 0 or t_m <= 0:
-                raise CalibrationInfeasibleError("T_m and ratio must be positive")
-            return [("a_plus_c", games.calibrate_case1(t_m, ratio))]
-        if case == "case2":
-            n = model_r.number("N")
-            p0 = model_r.number("P0")
-            q0 = model_r.number("Q0", required=False, default=0.0)
-            t_m = targets_r.number("T_m", minimum=0.0)
-            p_tm = targets_r.number("P_Tm", minimum=0.0)
-            if issues:
-                raise ScenarioValidationError(issues)
-            return _calibrate_sir(n, p0, q0, t_m, p_tm)
-    raise ScenarioValidationError([ValidationIssue(
-        "unknown_kind", "$.model.kind",
-        "one of simple|feedback|bpq(case1|case2)", repr(kind))])
+    elif case == "case1":
+        t_m = targets_r.number("T_m", minimum=0.0)
+        ratio = targets_r.number("ratio", minimum=0.0)
+        if issues:
+            raise ScenarioValidationError(issues)
+        if ratio <= 0 or t_m <= 0:
+            raise CalibrationInfeasibleError("T_m and ratio must be positive")
+        results = [("a_plus_c", games.calibrate_case1(t_m, ratio))]
+    elif case == "case2":
+        n = model_r.number("N")
+        p0 = model_r.number("P0")
+        q0 = model_r.number("Q0", required=False, default=0.0)
+        t_m = targets_r.number("T_m", minimum=0.0)
+        p_tm = targets_r.number("P_Tm", minimum=0.0)
+        if issues:
+            raise ScenarioValidationError(issues)
+        results = _calibrate_sir(n, p0, q0, t_m, p_tm)
+    elif kind == "bpq":
+        raise ScenarioValidationError([ValidationIssue(
+            "unknown_kind", "$.model.case", "one of case1|case2", repr(case))])
+    else:
+        raise ScenarioValidationError([ValidationIssue(
+            "unknown_kind", "$.model.kind",
+            "one of simple|feedback|bpq(case1|case2)", repr(kind))])
+    for name, value in results:
+        if not math.isfinite(value):
+            raise CalibrationInfeasibleError(f"calibrated {name} = {value!r} is not finite")
+    return results
 
 
 def _calibrate_sir(n: float, p0: float, q0: float, t_m: float,

@@ -1160,6 +1160,34 @@ def test_calibrate_feedback_infeasible_start():
                             "targets": {"T50": 5.0}})
 
 
+SIMPLE_MODEL = {"kind": "simple"}
+CASE1_MODEL = {"kind": "bpq", "case": "case1"}
+
+
+# T50 = 0 ended in a ZeroDivisionError traceback; the infinite rates printed
+# with exit 0; u0 = "x" was reported, then read as 0, and u0 = -0.5 was taken;
+# an unknown bpq case was reported at $.model.kind as 'bpq'.
+@pytest.mark.parametrize("model,targets,code,message", [
+    (SIMPLE_MODEL, {"T50": 0}, cli.EXIT_CALIBRATION, "T50 must be positive"),
+    (SIMPLE_MODEL, {"T50": 1e-320}, cli.EXIT_CALIBRATION, "not finite"),
+    ({"kind": "simple", "u0": -1e308}, {"T50": 5}, cli.EXIT_VALIDATION, "$.model.u0"),
+    (CASE1_MODEL, {"T_m": 1e-320, "ratio": 2}, cli.EXIT_CALIBRATION, "a_plus_c = inf"),
+    ({"kind": "simple", "u0": "x"}, {"T50": 5}, cli.EXIT_VALIDATION, "$.model.u0"),
+    ({"kind": "simple", "u0": -0.5}, {"T50": 5}, cli.EXIT_VALIDATION, "$.model.u0"),
+    ({"kind": "simple", "u0": 0.5}, {"T50": 5}, cli.EXIT_CALIBRATION, "50%"),
+    ({"kind": "bpq", "case": "case3"}, {"T_m": 1}, cli.EXIT_VALIDATION,
+     "[unknown_kind] at $.model.case: expected one of case1|case2, found 'case3'"),
+], ids=["T50_zero", "T50_subnormal", "u0_huge", "T_m_subnormal", "u0_string", "u0_negative",
+        "u0_half", "bpq_case3"])
+def test_cli_calibrate_rejects_what_it_cannot_solve(model, targets, code, message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": model, "targets": targets}))
+    assert cli.main(["calibrate", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_calibrate_rejects_a_document_that_is_not_an_object():
     with pytest.raises(ScenarioValidationError) as exc:
         scenario.calibrate([])

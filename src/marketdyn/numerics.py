@@ -28,7 +28,7 @@ import math
 import operator
 import threading
 from collections import namedtuple
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AccuracyNotReachedError,
@@ -45,6 +45,16 @@ RTOL = 1e-13
 ATOL = 1e-15
 #: Step attempts after which :func:`sample_ivp` gives up.
 MAX_STEPS = 100_000
+
+
+def _fsum(xs: Iterable[float]) -> float:
+    """math.fsum, which rounds alike on every Python (``sum`` compensates from
+    3.12 on); where its partials overflow or meet inf - inf, ``sum``'s inf or nan."""
+    xs = list(xs)
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return sum(xs)
 
 
 class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
@@ -84,12 +94,12 @@ class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
             tuple([fsum(map(mul, r, c)) for c in columns]) for r in self.entries)))
 
     def inf_norm(self) -> float:
-        return max(sum(abs(v) for v in r) for r in self.entries)
+        return max(_fsum(map(abs, r)) for r in self.entries)
 
 
 def _rms(xs: Sequence[float]) -> float:
     """Root mean square; inf (never OverflowError) when the squares overflow."""
-    return math.sqrt(sum(x * x for x in xs) / len(xs))
+    return math.sqrt(_fsum([x * x for x in xs]) / len(xs))
 
 
 def _initial_step(f: RHS, t: float, y: list[float], k1: Sequence[float],
@@ -268,8 +278,8 @@ def build_once(cache: dict, key: object, name: str, source: Callable[[], str],
                **env: object) -> dict:
     """The namespace of the code ``source()`` returns, compiled as ``name`` and
     run over ``env``: built on the first call for ``key`` and kept in
-    ``cache``, under one lock, so threads that meet a key together (``metrics
-    --jobs``) build it once. The source is in :mod:`linecache` under
+    ``cache``, under one lock, so library callers on threads that meet a key
+    together build it once. The source is in :mod:`linecache` under
     ``name``, for tracebacks."""
     with _BUILD_LOCK:
         built = cache.get(key)
@@ -440,7 +450,7 @@ def quadrature(g: Callable[[float], float], a: float, b: float,
     value, err = kronrod_panel(g, a, b)
     pieces = [(-err, a, b, value)]
     for _ in range(QUAD_MAX_SPLITS):
-        if sum(-p[0] for p in pieces) <= tol * max(abs(sum(p[3] for p in pieces)), scale):
+        if _fsum(-p[0] for p in pieces) <= tol * max(abs(_fsum(p[3] for p in pieces)), scale):
             return math.fsum(p[3] for p in pieces)
         _, lo, hi, _ = heapq.heappop(pieces)
         mid = 0.5 * (lo + hi)
@@ -449,7 +459,7 @@ def quadrature(g: Callable[[float], float], a: float, b: float,
             heapq.heappush(pieces, (-err, x0, x1, value))
     raise AccuracyNotReachedError(
         f"quadrature on [{a:.6g}, {b:.6g}] hit the subdivision limit",
-        best_estimate=sum(p[3] for p in pieces))
+        best_estimate=_fsum(p[3] for p in pieces))
 
 
 def shifted_integral_step(acc: float, weighted: Callable[[float], float],

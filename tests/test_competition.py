@@ -263,8 +263,8 @@ def test_churn_fields_are_built_once_per_shape(monkeypatch):
 
 
 def test_churn_field_threads_share_one_build(monkeypatch):
-    # metrics --jobs runs a batch on a thread pool: threads that meet the same
-    # field shape at once must build it once and integrate the same rows.
+    # Library callers may solve on threads: threads that meet the same field
+    # shape at once must build it once and integrate the same rows.
     built = []
     source = comp._churn_field_source
 

@@ -254,10 +254,6 @@ PINNED_ROWS = {
 }
 
 
-# CPython 3.12 made sum() of floats compensated, which moves the last bit
-# of the starting step's norms, and every row after it.
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="digests recorded with the plain float sum() of CPython 3.10-3.11")
 @pytest.mark.parametrize("name", sorted(PINNED_ROWS))
 def test_sample_ivp_rows_are_pinned_to_the_bit(name):
     # Any change to the step's arithmetic, its order of operations or the
@@ -308,8 +304,8 @@ def test_sample_ivp_builds_the_step_of_a_dimension_once(monkeypatch):
 
 
 def test_sample_ivp_threads_share_one_build(monkeypatch):
-    # metrics --jobs runs a batch on a thread pool: threads that need the
-    # same missing dimension at once must build it once.
+    # Library callers may solve on threads: threads that need the same
+    # missing dimension at once must build it once.
     built = []
     source = numerics._dop853_source
 

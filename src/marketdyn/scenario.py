@@ -889,8 +889,8 @@ def calibrate(doc: dict) -> list[tuple[str, float]]:
         if issues:
             raise ScenarioValidationError(issues)
         results = _calibrate_sir(n, p0, q0, t_m, p_tm)
-    elif kind == "bpq":
-        raise ScenarioValidationError([ValidationIssue(
+    elif kind == "bpq":  # a case that is missing or not a string is reported as such
+        raise ScenarioValidationError(issues or [ValidationIssue(
             "unknown_kind", "$.model.case", "one of case1|case2", repr(case))])
     else:
         raise ScenarioValidationError([ValidationIssue(

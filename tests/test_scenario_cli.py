@@ -1166,7 +1166,7 @@ CASE1_MODEL = {"kind": "bpq", "case": "case1"}
 
 # T50 = 0 ended in a ZeroDivisionError traceback; the infinite rates printed
 # with exit 0; u0 = "x" was reported, then read as 0, and u0 = -0.5 was taken;
-# an unknown bpq case was reported at $.model.kind as 'bpq'.
+# an unknown or missing bpq case was reported at $.model.kind as 'bpq'.
 @pytest.mark.parametrize("model,targets,code,message", [
     (SIMPLE_MODEL, {"T50": 0}, cli.EXIT_CALIBRATION, "T50 must be positive"),
     (SIMPLE_MODEL, {"T50": 1e-320}, cli.EXIT_CALIBRATION, "not finite"),
@@ -1177,8 +1177,9 @@ CASE1_MODEL = {"kind": "bpq", "case": "case1"}
     ({"kind": "simple", "u0": 0.5}, {"T50": 5}, cli.EXIT_CALIBRATION, "50%"),
     ({"kind": "bpq", "case": "case3"}, {"T_m": 1}, cli.EXIT_VALIDATION,
      "[unknown_kind] at $.model.case: expected one of case1|case2, found 'case3'"),
+    ({"kind": "bpq"}, {"T_m": 1}, cli.EXIT_VALIDATION, "[missing_field] at $.model.case"),
 ], ids=["T50_zero", "T50_subnormal", "u0_huge", "T_m_subnormal", "u0_string", "u0_negative",
-        "u0_half", "bpq_case3"])
+        "u0_half", "bpq_case3", "bpq_no_case"])
 def test_cli_calibrate_rejects_what_it_cannot_solve(model, targets, code, message, tmp_path,
                                                     capsys):
     path = tmp_path / "doc.json"

@@ -1160,18 +1160,15 @@ def test_calibrate_feedback_infeasible_start():
                             "targets": {"T50": 5.0}})
 
 
-SIMPLE_MODEL = {"kind": "simple"}
-CASE1_MODEL = {"kind": "bpq", "case": "case1"}
-
-
 # T50 = 0 ended in a ZeroDivisionError traceback; the infinite rates printed
 # with exit 0; u0 = "x" was reported, then read as 0, and u0 = -0.5 was taken;
 # an unknown or missing bpq case was reported at $.model.kind as 'bpq'.
 @pytest.mark.parametrize("model,targets,code,message", [
-    (SIMPLE_MODEL, {"T50": 0}, cli.EXIT_CALIBRATION, "T50 must be positive"),
-    (SIMPLE_MODEL, {"T50": 1e-320}, cli.EXIT_CALIBRATION, "not finite"),
+    ({"kind": "simple"}, {"T50": 0}, cli.EXIT_CALIBRATION, "T50 must be positive"),
+    ({"kind": "simple"}, {"T50": 1e-320}, cli.EXIT_CALIBRATION, "not finite"),
     ({"kind": "simple", "u0": -1e308}, {"T50": 5}, cli.EXIT_VALIDATION, "$.model.u0"),
-    (CASE1_MODEL, {"T_m": 1e-320, "ratio": 2}, cli.EXIT_CALIBRATION, "a_plus_c = inf"),
+    ({"kind": "bpq", "case": "case1"}, {"T_m": 1e-320, "ratio": 2}, cli.EXIT_CALIBRATION,
+     "a_plus_c = inf"),
     ({"kind": "simple", "u0": "x"}, {"T50": 5}, cli.EXIT_VALIDATION, "$.model.u0"),
     ({"kind": "simple", "u0": -0.5}, {"T50": 5}, cli.EXIT_VALIDATION, "$.model.u0"),
     ({"kind": "simple", "u0": 0.5}, {"T50": 5}, cli.EXIT_CALIBRATION, "50%"),

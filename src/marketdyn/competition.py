@@ -475,18 +475,6 @@ def spontaneous_equilibrium(c: ChurnMatrix) -> list[float]:
             "customers); use the dynamic path and take t -> infinity") from exc
 
 
-def spontaneous_equilibrium_cofactor(c: ChurnMatrix) -> list[float]:
-    """Same fixed point via cofactors of the balance matrix: u_i = A_ni / D."""
-    n = c.n
-    if n == 1:
-        return [1.0]
-    a = _balance_matrix(c)
-    d = numerics.det(a)
-    if d == 0.0:
-        raise DegenerateMarketError("churn balance system is singular")
-    return [numerics.cofactor(a, n - 1, i) / d for i in range(n)]
-
-
 def _innovator_churn_matrix(m: Sequence[float], c: ChurnMatrix) -> SquareMatrix:
     """Coefficient matrix Q of du/dt = m - Q u for innovators plus churn."""
     n = c.n
@@ -622,19 +610,13 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
         raise ParameterError("grid must start at t = 0 (initial share is given there)")
 
     def step(sigma: float, t0: float, t: float) -> float:
-        # sigma(t) = sigma(t0) e^(-s0 (t - t0)) + int d(t + y) e^(s0 y) dy over
-        # y in [t0 - t, 0]. Below y = -40/s0 the weight is under e^-40 and that
-        # stretch is dropped: a fast churn would otherwise hide the whole
-        # weight between the quadrature nodes, and the offset y keeps the
-        # nodes exact however narrow the window. d is of the size of the
-        # modulation amplitudes but crosses zero, and its rounding at that
-        # size would keep a tolerance relative to the increment itself out
-        # of reach near a crossing, so the increment is measured against the
-        # amplitudes instead.
-        y0 = max(t0 - t, -40.0 / s0)
-        return sigma * math.exp(-s0 * (t - t0)) + numerics.quadrature(
-            lambda y: driven(t + y) * exp(s0 * y), y0, 0.0, 1e-11,
-            amplitude * min(-y0, 1.0 / s0))
+        # d is of the size of the modulation amplitudes but crosses zero, and
+        # its rounding at that size would keep a tolerance relative to the
+        # increment itself out of reach near a crossing, so the increment is
+        # measured against the amplitudes instead.
+        return numerics.shifted_integral_step(
+            sigma, lambda y: driven(t + y) * exp(s0 * y), lambda y: s0 * y, t0, t,
+            amplitude * min(t - t0, 1.0 / s0))
 
     sigmas = [0.0] + numerics.shifted_integrals(
         lambda lo, x: driven(lo + x) * exp(s0 * x), lambda lo, x: s0 * x, step,

@@ -29,7 +29,6 @@ import math
 from collections import namedtuple
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import numerics
 from .errors import DomainError, NeverReachedError, ParameterError
 from .trajectory import Trajectory, from_channels
 
@@ -634,11 +633,6 @@ def classify_equilibria(kern: FeedbackKernel) -> list[EquilibriumPoint]:
     out = [] if zero is None else [
         EquilibriumPoint(0.0, "repeller" if zero == "root" else "not_equilibrium")]
     return out + [EquilibriumPoint(kern.limit, "attractor")]
-
-
-def ode_field(m: FeedbackModel) -> numerics.RHS:
-    """du/dt = rate (1 - u) F(u), for cross-validation against the closed forms."""
-    return lambda t, y: [m.rate * m.kernel.growth(y[0])]
 
 
 def discrepancy_notes(kern: FeedbackKernel) -> tuple[str, ...]:

@@ -206,27 +206,12 @@ class ComplementarySpec(namedtuple("ComplementarySpec", "g b a_c b_c tau N N_c")
 
 
 # ---------------------------------------------------------------------------
-# The defining system (a reference for tests) and the path routes' common parts
+# The intensities and the path routes' common parts
 # ---------------------------------------------------------------------------
 
 def intensities(case: BpqCase):
     """(a(t, state), b(t, state), c(t)) triples of a case."""
     return case_entry(case).intensities(case)
-
-
-def ode_field(case: BpqCase) -> numerics.RHS:
-    """The three-compartment system for (B, P, Q); no route integrates it."""
-    a_int, b_int, c_int = intensities(case)
-
-    def rhs(t: float, s: Sequence[float]) -> list[float]:
-        a = a_int(t, s)
-        b = b_int(t, s)
-        c = c_int(t)
-        return [-(a + c) * s[0],
-                a * s[0] - b * s[1],
-                b * s[1] + c * s[0]]
-
-    return rhs
 
 
 def _package(grid, B, P, Q, D, C, **companion) -> Trajectory:
@@ -762,16 +747,6 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
     return _package(grid, B, P, Q, D, C)
 
 
-def case5_peak_value(case: Case5, t_m: float) -> float:
-    """Peak height from the balance a B = gamma P Q at the peak time:
-    2 P = (N - B0 e^{-a T_m}) + sqrt((N - B0 e^{-a T_m})^2 - (4a/gamma) B0 e^{-a T_m})."""
-    shifted = case.N - case.B0 * math.exp(-case.a * t_m)
-    disc = shifted * shifted - (4.0 * case.a / case.gamma) * case.B0 * math.exp(-case.a * t_m)
-    if disc < 0:
-        raise DomainError("no real peak value at the given time")
-    return 0.5 * (shifted + math.sqrt(disc))
-
-
 # ---------------------------------------------------------------------------
 # Cases 3 and 6: direct integration
 # ---------------------------------------------------------------------------
@@ -990,11 +965,6 @@ def _companion_kernels(spec: ComplementarySpec) -> tuple[Callable[[float], float
     return players, antiderivative
 
 
-def companion_players(spec: ComplementarySpec, t: float) -> float:
-    """Player count of the companion game, launched tau before game 1."""
-    return _companion_kernels(spec)[0](t)
-
-
 def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajectory:
     """Both games' compartments on one grid.
 
@@ -1047,34 +1017,3 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
         D.append(g * pc * bt)
         C.append(n - bt)
     return _package(grid, B, P, Q, D, C, B_c=Bc, P_c=Pc, Q_c=Qc)
-
-
-def complementary_field(spec: ComplementarySpec) -> numerics.RHS:
-    """Six-equation system for (B, P, Q, B_c, P_c, Q_c), for cross-checks.
-
-    Valid on time ranges where both games are live (t >= 0, t + tau >= 0).
-    """
-    g, b, a_c, b_c = spec.g, spec.b, spec.a_c, spec.b_c
-
-    def rhs(t: float, s: Sequence[float]) -> list[float]:
-        bb, pp, _, bc, pc, _ = s
-        return [-g * bb * pc,
-                g * bb * pc - b * pp,
-                b * pp,
-                -a_c * bc,
-                a_c * bc - b_c * pc,
-                b_c * pc]
-
-    return rhs
-
-
-def complementary_constant_approx(spec: ComplementarySpec, p_c0: float,
-                                  feedback_beta: float = 0.0) -> Case3:
-    """Constant-driver estimate: freeze the companion's player count at
-    p_c0, giving an effective inflow a = g * p_c0 (plus any direct
-    player feedback), and reuse the mixed-inflow case."""
-    if p_c0 < 0:
-        raise ParameterError("constant player proxy must be nonnegative")
-    if p_c0 == 0.0 and feedback_beta == 0.0:
-        raise ParameterError("a zero proxy decouples the games: no adoption at all")
-    return Case3(a=spec.g * p_c0, beta=feedback_beta, b=spec.b, N=spec.N)

@@ -370,46 +370,3 @@ def birth_death_path(p: BirthDeathParams, grid: Sequence[float],
         sub.append(a * numerics.decay_gap(g, k, t))
         dem.append(a * N * pool)
     return from_channels(grid, {"p": pot, "u": sub, "D": dem})
-
-
-def ode_field(kind: str, params) -> numerics.RHS:
-    """Defining ODE system of a monopoly model, for cross-validation.
-
-    Returns the field whose closed-form solution the corresponding
-    ``*_path`` function implements. State layouts: ``simple``/
-    ``scheduled`` -> (u,), ``segmented`` -> per-segment shares,
-    ``hesitation`` -> (p, h, u), ``birth_death`` -> (p, u).
-    """
-    if kind == "simple":
-        m: SimpleAdoption = params
-        return lambda t, y: [m.a * (1.0 - y[0])]
-    if kind == "scheduled":
-        schedule: RateSchedule = params
-        return lambda t, y: [schedule.rate(t) * (1.0 - y[0])]
-    if kind == "segmented":
-        segments: Sequence[Segment] = params
-
-        def rhs(t, y):
-            return [s.schedule.rate(t) * (s.n - y[i]) for i, s in enumerate(segments)]
-
-        return rhs
-    if kind == "hesitation":
-        h: HesitationParams = params
-        if h.variant == "absorbing_hesitation":
-            return lambda t, y: [
-                -(h.a + h.b) * y[0],
-                h.b * y[0] - h.c * y[1],
-                h.a * y[0] + h.c * y[1],
-            ]
-        return lambda t, y: [
-            -(h.a + h.b) * y[0] + h.c * y[1],
-            h.b * y[0] - h.c * y[1],
-            h.a * y[0],
-        ]
-    if kind == "birth_death":
-        bd: BirthDeathParams = params
-        return lambda t, y: [
-            (bd.d - bd.a - bd.f) * y[0],
-            bd.a * y[0] - bd.g * y[1],
-        ]
-    raise ValueError(f"unknown monopoly model kind {kind!r}")

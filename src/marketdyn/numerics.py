@@ -5,8 +5,8 @@ DOP853 integrator with dense output, globally adaptive Gauss-Kronrod
 quadrature, Chebyshev series over windows for integrals sampled on a
 grid, a hybrid bisection/Newton root finder, the divided
 differences of e^(-st) and of ln s over two rates, and small dense
-linear algebra (determinant, cofactors, linear solve, one matrix
-exponential, returned as a matrix or applied to a vector).
+linear algebra (linear solve, one matrix exponential, returned as a
+matrix or applied to a vector).
 
 All routines are pure functions of their inputs. The integrator's error
 tolerances are fixed module constants, not arguments, and its step-size
@@ -745,28 +745,6 @@ def linear_solve(a: SquareMatrix, b: Sequence[float]) -> list[float]:
             x[i] -= lu[i][j] * x[j]
         x[i] /= lu[i][i]
     return x
-
-
-def det(a: SquareMatrix) -> float:
-    """Determinant via the LU factorization (0.0 when singular)."""
-    try:
-        lu, _, sign = _lu_decompose(a)
-    except SingularMatrixError:
-        return 0.0
-    product = float(sign)
-    for i in range(a.n):
-        product *= lu[i][i]
-    return product
-
-
-def cofactor(a: SquareMatrix, i: int, j: int) -> float:
-    """Signed minor (-1)^(i+j) * det(A with row i and column j removed)."""
-    n = a.n
-    if n == 1:
-        return 1.0
-    minor = SquareMatrix.from_rows(
-        [[a.entries[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
-    return (-1.0 if (i + j) % 2 else 1.0) * det(minor)
 
 
 def mat_exp(m: SquareMatrix, t: float) -> SquareMatrix:

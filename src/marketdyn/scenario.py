@@ -868,8 +868,10 @@ def calibrate(doc: dict) -> list[tuple[str, float]]:
         if issues or kern is None:
             raise ScenarioValidationError(issues)
         try:
-            results = [("a" if kind == "simple" else "rate",
-                        feedback.calibrate_rate(kern, t50, u0))]
+            rate = feedback.calibrate_rate(kern, t50, u0)
+            if kind == "simple":
+                monopoly.SimpleAdoption(rate)  # the rate simulate would take
+            results = [("a" if kind == "simple" else "rate", rate)]
         except (ParameterError, MarketDynError) as exc:
             raise CalibrationInfeasibleError(str(exc)) from exc
     elif case == "case1":

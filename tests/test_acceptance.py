@@ -29,6 +29,7 @@ import sys
 
 import pytest
 
+import reference
 from marketdyn import competition as comp
 from marketdyn import feedback as fb
 from marketdyn import games, monopoly as mono, numerics, scenario, tables
@@ -140,7 +141,7 @@ def test_criterion_03_kernel_rows(kind, u0, target, tol):
 def test_criterion_04_quadratic_ledger():
     model = fb.FeedbackModel.calibrated(fb.kernel("quadratic"), T50, 0.01)
     grid = time_grid(0.0, 5 * T50, 501)
-    rows = numerics.sample_ivp(fb.ode_field(model), [0.01], grid)
+    rows = numerics.sample_ivp(reference.feedback_field(model), [0.01], grid)
     worst = 0.0
     for t, row in zip(grid[1:], rows[1:]):
         u = row[0]
@@ -188,7 +189,7 @@ def test_criterion_05_inflection_argmax(ratio):
 # ---------------------------------------------------------------------------
 
 def share_gap(kind, params, y0, index, grid, series):
-    field = mono.ode_field(kind, params)
+    field = reference.monopoly_field(kind, params)
     rows = numerics.sample_ivp(field, y0, grid)
     return max(abs(a - r[index]) for a, r in zip(series, rows))
 
@@ -216,7 +217,7 @@ def test_criterion_06_monopoly_closed_forms():
 
     segs = [mono.Segment(0.5, mono.ConstantRate(1.0)), mono.Segment(0.5, mono.ConstantRate(2.0))]
     seg_series = mono.segmented_path(segs, 1.0, grid).channel("u")
-    field = mono.ode_field("segmented", segs)
+    field = reference.monopoly_field("segmented", segs)
     rows = numerics.sample_ivp(field, [0.0, 0.0], grid)
     gaps["segmented"] = max(abs(a - (r[0] + r[1])) for a, r in zip(seg_series, rows))
 
@@ -258,11 +259,11 @@ def test_criterion_06_feedback_kernels():
             # curve at u = 0.01 and verify the rest of the horizon.
             t1 = fb.t_of_u(m, 0.01)
             anchored = [t1] + [t for t in grid if t > t1]
-            rows = numerics.sample_ivp(fb.ode_field(m), [0.01], anchored)
+            rows = numerics.sample_ivp(reference.feedback_field(m), [0.01], anchored)
             gaps[kind] = max(abs(fb.u_of_t(m, t) - r[0])
                              for t, r in zip(anchored[1:], rows[1:]))
         else:
-            rows = numerics.sample_ivp(fb.ode_field(m), [u0], grid)
+            rows = numerics.sample_ivp(reference.feedback_field(m), [u0], grid)
             gaps[kind] = max(abs(fb.u_of_t(m, t) - r[0])
                              for t, r in zip(grid, rows))
     worst = max(gaps.values())
@@ -274,7 +275,7 @@ def test_criterion_06_feedback_kernels():
 def game_rk4_gap(case, grid, channels=("B", "P", "Q")):
     traj = games.bpq_path(case, grid)
     init = case.initial
-    rows = numerics.sample_ivp(games.ode_field(case), [init.B, init.P, init.Q], grid)
+    rows = numerics.sample_ivp(reference.bpq_field(case), [init.B, init.P, init.Q], grid)
     worst = 0.0
     for ch, idx in zip(("B", "P", "Q"), range(3)):
         if ch in channels:
@@ -303,9 +304,9 @@ def test_criterion_06_game_closed_forms():
     traj = games.complementary_path(spec, grid20)
     nc = spec.companion_population
     bc0 = nc * math.exp(-spec.a_c * spec.tau)
-    pc0 = games.companion_players(spec, 0.0)
-    rows = numerics.sample_ivp(games.complementary_field(spec),
-                               [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0], grid20)
+    pc0 = reference.companion_players(spec, 0.0)
+    rows = numerics.sample_ivp(reference.complementary_field(spec),
+                                   [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0], grid20)
     loose["complementary"] = max(
         max(abs(a - r[i]) for a, r in zip(traj.channel(ch), rows))
         for i, ch in enumerate(("B", "P", "Q")))
@@ -331,7 +332,7 @@ def test_criterion_07_churn_equilibria():
         c = comp.ChurnMatrix.from_rows(
             [[0.0 if i == j else rng.uniform(0.05, 3.0) for j in range(n)]
              for i in range(n)])
-        u = comp.spontaneous_equilibrium_cofactor(c)
+        u = reference.spontaneous_equilibrium_cofactor(c)
         flows = comp.resolve_churn_flows(c)(0.0, u)
         worst_residual = max(worst_residual, max(abs(f) for f in flows))
         worst_sum = max(worst_sum, abs(math.fsum(u) - 1.0))
@@ -485,9 +486,9 @@ def test_criterion_11_sir():
             break
     ok_peak = t_cross is not None and abs(t_cross - grid[k]) <= step
 
-    long_rows = numerics.sample_ivp(games.ode_field(case),
-                                    [case.B0, case.P0, case.Q0],
-                                    [0.0, 50.0 / case.b])
+    long_rows = numerics.sample_ivp(reference.bpq_field(case),
+                                        [case.B0, case.P0, case.Q0],
+                                        [0.0, 50.0 / case.b])
     gap_binf = abs(long_rows[-1][0] - rel.B_inf)
     gap_ptm = abs(max(p) - rel.P_Tm)
     ok = ok_peak and gap_binf <= 1e-4 * N and gap_ptm <= 1e-5 * N

@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import reference
 from marketdyn import competition as comp, numerics
 from marketdyn.errors import (
     DegenerateMarketError,
@@ -114,7 +115,7 @@ def test_cofactor_route_agrees_with_solver():
     for n in (2, 3, 4, 5):
         c = random_churn(rng, n)
         direct = comp.spontaneous_equilibrium(c)
-        cof = comp.spontaneous_equilibrium_cofactor(c)
+        cof = reference.spontaneous_equilibrium_cofactor(c)
         assert direct == pytest.approx(cof, abs=1e-10)
 
 
@@ -132,8 +133,8 @@ def test_equilibrium_scaling_invariance():
         assert comp.spontaneous_equilibrium(c.scaled(factor)) == base
     for factor in (0.5, 3.0):
         assert comp.spontaneous_equilibrium(c.scaled(factor)) == pytest.approx(base, rel=5e-15)
-    assert comp.spontaneous_equilibrium_cofactor(c.scaled(3.0)) == pytest.approx(
-        comp.spontaneous_equilibrium_cofactor(c), rel=5e-15)
+    assert reference.spontaneous_equilibrium_cofactor(c.scaled(3.0)) == pytest.approx(
+        reference.spontaneous_equilibrium_cofactor(c), rel=5e-15)
 
 
 def test_degenerate_market_detected():
@@ -483,6 +484,35 @@ def test_periodic_path_matches_direct_integration():
     assert worst <= 1e-8
 
 
+def test_periodic_coarse_steps_take_their_own_quadrature(monkeypatch):
+    # Every step is longer than 1/s0 = 1/6, so no window holds two steps and
+    # each takes shifted_integral_step; the 20-unit step also halves its
+    # interval past the e^-40 weight. |E(t)| <= sum of amplitude * period / pi
+    # < 2, so 1 + alpha = e^E stays far from 0. Each step's quadrature is held
+    # to 1e-11 of amplitude / s0 and grows by at most e^|E| after it.
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    spec = comp.PeriodicChurnSpec(
+        a0=comp.ChurnMatrix.from_rows([[0.0, 4.0], [2.0, 0.0]]),
+        eps=(comp.PairModulation(0, 1, (comp.Sinusoid(1.5, 2.0, 0.3),)),
+             comp.PairModulation(1, 0, (comp.Sinusoid(1.0, 3.0, 1.1),))))
+    grid = [0.0, 0.5, 1.3, 3.0, 10.0, 30.0, 31.0]
+    steps = []
+    shifted_integral_step = numerics.shifted_integral_step
+
+    def counted(*args):
+        steps.append(args[3:5])
+        return shifted_integral_step(*args)
+
+    monkeypatch.setattr(numerics, "shifted_integral_step", counted)
+    traj = comp.periodic_two_supplier_path(spec, 0.2, grid)
+    assert steps == list(zip(grid, grid[1:]))
+    sol = scipy_integrate.solve_ivp(
+        lambda t, y: [spec.rate(1, 0, t) - (spec.rate(0, 1, t) + spec.rate(1, 0, t)) * y[0]],
+        (0.0, grid[-1]), [0.2], method="DOP853", rtol=1e-12, atol=1e-14, t_eval=grid)
+    worst = max(abs(u - r) for u, r in zip(traj.channel("u1"), sol.y[0]))
+    assert worst <= 1e-10
+
+
 def test_periodic_decomposition_channels():
     spec = comp.PeriodicChurnSpec(
         a0=comp.ChurnMatrix.from_rows([[0.0, 1.0], [1.0, 0.0]]),
@@ -716,7 +746,7 @@ def test_numeric_path_converges_to_cofactor_equilibrium():
     slowest = min(x for row in c.a for x in row if x > 0)
     horizon = 20.0 / slowest
     traj = comp.competitive_path_numeric(market, c, time_grid(0.0, horizon, 41))
-    eq = comp.spontaneous_equilibrium_cofactor(c)
+    eq = reference.spontaneous_equilibrium_cofactor(c)
     for i, v in enumerate(eq):
         assert traj.channel(f"u{i + 1}")[-1] == pytest.approx(v, abs=1e-6)
 

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from marketdyn import games, numerics
 from marketdyn.errors import DomainError, InitiationError, ParameterError
 from marketdyn.monopoly import ConstantRate, ExpDecayRate, LinearRate
@@ -14,7 +15,7 @@ N = 1000.0
 
 
 def rk4_oracle(case, grid):
-    field = games.ode_field(case)
+    field = reference.bpq_field(case)
     init = case.initial
     return numerics.sample_ivp(field, [init.B, init.P, init.Q], grid)
 
@@ -538,11 +539,11 @@ def test_case5_peak_identity():
     grid = time_grid(0.0, 30.0, 2001)
     traj = games.bpq_path(CASE5, grid)
     t_m, (_, p_m, _) = games.refined_peak(CASE5, traj)
-    assert games.case5_peak_value(CASE5, t_m) == pytest.approx(p_m, abs=1e-6 * N)
+    assert reference.case5_peak_value(CASE5, t_m) == pytest.approx(p_m, abs=1e-6 * N)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
     assert abs(t_m - grid[k]) <= grid[1] - grid[0]
-    assert games.case5_peak_value(CASE5, t_m) == pytest.approx(p[k], abs=1e-4 * N)
+    assert reference.case5_peak_value(CASE5, t_m) == pytest.approx(p[k], abs=1e-4 * N)
 
 
 def test_case5_accepts_seed_players():
@@ -599,9 +600,9 @@ def test_complementary_against_full_system():
     traj = games.complementary_path(SPEC, grid)
     nc = SPEC.companion_population
     bc0 = nc * math.exp(-SPEC.a_c * SPEC.tau)
-    pc0 = games.companion_players(SPEC, 0.0)
+    pc0 = reference.companion_players(SPEC, 0.0)
     init = [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0]
-    rows = numerics.sample_ivp(games.complementary_field(SPEC), init, grid)
+    rows = numerics.sample_ivp(reference.complementary_field(SPEC), init, grid)
     for ch, idx in (("B", 0), ("P", 1), ("Q", 2), ("B_c", 3), ("P_c", 4), ("Q_c", 5)):
         worst = max(abs(a - r[idx]) for a, r in zip(traj.channel(ch), rows))
         assert worst <= 1e-5 * N
@@ -633,7 +634,7 @@ def test_late_companion_launch_idles_game_one():
     # Oracle from the companion launch onward.
     sub = [t for t in grid if t >= 2.0]
     init = [N, 0.0, 0.0, spec.companion_population, 0.0, 0.0]
-    rows = numerics.sample_ivp(games.complementary_field(spec), init, sub)
+    rows = numerics.sample_ivp(reference.complementary_field(spec), init, sub)
     got_p = [p for t, p in zip(grid, traj.channel("P")) if t >= 2.0]
     worst = max(abs(a - r[1]) for a, r in zip(got_p, rows))
     assert worst <= 1e-5 * N
@@ -646,9 +647,9 @@ def test_companion_confluent_rates():
     nc = spec.companion_population
     s0 = 0.5
     bc0 = nc * math.exp(-0.6 * s0)
-    pc0 = games.companion_players(spec, 0.0)
-    rows = numerics.sample_ivp(games.complementary_field(spec),
-                               [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0], grid)
+    pc0 = reference.companion_players(spec, 0.0)
+    rows = numerics.sample_ivp(reference.complementary_field(spec),
+                                   [N, 0.0, 0.0, bc0, pc0, nc - bc0 - pc0], grid)
     worst = max(abs(a - r[1]) for a, r in zip(traj.channel("P"), rows))
     assert worst <= 1e-5 * N
 
@@ -676,8 +677,8 @@ def test_companion_that_keeps_its_players(b_c):
 
 
 def test_constant_proxy_reduces_to_mixed_inflow_case():
-    proxied = games.complementary_constant_approx(SPEC, p_c0=200.0,
-                                                  feedback_beta=0.0005)
+    proxied = reference.complementary_constant_approx(SPEC, p_c0=200.0,
+                                                      feedback_beta=0.0005)
     assert isinstance(proxied, games.Case3)
     assert proxied.a == pytest.approx(SPEC.g * 200.0, rel=1e-12)
     assert proxied.b == SPEC.b
@@ -687,7 +688,7 @@ def test_constant_proxy_reduces_to_mixed_inflow_case():
     right = games.bpq_path(direct, grid)
     assert left.channel("P") == right.channel("P")
     with pytest.raises(ParameterError):
-        games.complementary_constant_approx(SPEC, p_c0=0.0)
+        reference.complementary_constant_approx(SPEC, p_c0=0.0)
 
 
 def test_constant_proxy_at_companion_peak_overestimates_early_adoption():
@@ -696,7 +697,7 @@ def test_constant_proxy_at_companion_peak_overestimates_early_adoption():
     grid = time_grid(0.0, 6.0, 61)
     true_path = games.complementary_path(SPEC, grid)
     pc_peak = max(true_path.channel("P_c"))
-    approx = games.complementary_constant_approx(SPEC, p_c0=pc_peak)
+    approx = reference.complementary_constant_approx(SPEC, p_c0=pc_peak)
     approx_path = games.bpq_path(approx, grid)
     true_c = true_path.channel("C")
     approx_c = approx_path.channel("C")

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from marketdyn import monopoly as mono, numerics
 from marketdyn.errors import ParameterError
 from marketdyn.trajectory import time_grid
 
 
 def rk4_channel(kind, params, y0, grid, index):
-    field = mono.ode_field(kind, params)
+    field = reference.monopoly_field(kind, params)
     rows = numerics.sample_ivp(field, y0, grid)
     return [r[index] for r in rows]
 

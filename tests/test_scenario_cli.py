@@ -1166,6 +1166,7 @@ def test_calibrate_feedback_infeasible_start():
 @pytest.mark.parametrize("model,targets,code,message", [
     ({"kind": "simple"}, {"T50": 0}, cli.EXIT_CALIBRATION, "T50 must be positive"),
     ({"kind": "simple"}, {"T50": 1e-320}, cli.EXIT_CALIBRATION, "not finite"),
+    ({"kind": "simple"}, {"T50": 1.7e308}, cli.EXIT_CALIBRATION, "the mean wait 1/a overflows"),
     ({"kind": "simple", "u0": -1e308}, {"T50": 5}, cli.EXIT_VALIDATION, "$.model.u0"),
     ({"kind": "bpq", "case": "case1"}, {"T_m": 1e-320, "ratio": 2}, cli.EXIT_CALIBRATION,
      "a_plus_c = inf"),
@@ -1175,7 +1176,7 @@ def test_calibrate_feedback_infeasible_start():
     ({"kind": "bpq", "case": "case3"}, {"T_m": 1}, cli.EXIT_VALIDATION,
      "[unknown_kind] at $.model.case: expected one of case1|case2, found 'case3'"),
     ({"kind": "bpq"}, {"T_m": 1}, cli.EXIT_VALIDATION, "[missing_field] at $.model.case"),
-], ids=["T50_zero", "T50_subnormal", "u0_huge", "T_m_subnormal", "u0_string", "u0_negative",
+], ids=["T50_zero", "T50_subnormal", "T50_huge", "u0_huge", "T_m_subnormal", "u0_string", "u0_negative",
         "u0_half", "bpq_case3", "bpq_no_case"])
 def test_cli_calibrate_rejects_what_it_cannot_solve(model, targets, code, message, tmp_path,
                                                     capsys):
@@ -1184,6 +1185,25 @@ def test_cli_calibrate_rejects_what_it_cannot_solve(model, targets, code, messag
     assert cli.main(["calibrate", str(path)]) == code
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+# A calibrated rate is one that simulate takes: T50 = 1.7e308 printed
+# a = 4.07733636e-309, whose mean wait 1/a overflows, with exit 0.
+@given(st.floats(min_value=1.0, max_value=sys.float_info.max))
+def test_a_calibrated_simple_rate_simulates(tmp_path_factory, t50):
+    folder = tmp_path_factory.mktemp("calibrated")
+    targets = folder / "targets.json"
+    targets.write_text(json.dumps({"model": {"kind": "simple"}, "targets": {"T50": t50}}))
+    table = folder / "table.csv"
+    code = cli.main(["calibrate", str(targets), "--out", str(table)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CALIBRATION)
+    if code == cli.EXIT_OK:
+        a = float(table.read_text().splitlines()[1].split(",")[1])
+        doc = folder / "doc.json"
+        doc.write_text(json.dumps({"model": {"kind": "simple", "a": a},
+                                   "horizon": 1.0, "samples": 3}))
+        out = folder / "out.csv"
+        assert cli.main(["simulate", str(doc), "--out", str(out)]) == cli.EXIT_OK
 
 
 def test_calibrate_rejects_a_document_that_is_not_an_object():

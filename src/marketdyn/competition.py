@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from . import numerics
 from .errors import (
     DegenerateMarketError,
+    DomainError,
     InconsistentSpecError,
     InfeasibleMarketError,
     IntegrationInvariantError,
@@ -433,10 +434,9 @@ def innovators_only_path(m: Sequence[float], grid: Sequence[float]) -> Trajector
     total = math.fsum(m)
     if any(v < 0 for v in m) or not total > 0:
         raise ParameterError("innovation coefficients must be nonnegative with positive sum")
-    channels = {}
-    for i, mi in enumerate(m):
-        channels[f"u{i + 1}"] = [(mi / total) * (1.0 - math.exp(-total * t)) for t in grid]
-    return from_channels(grid, channels)
+    fill = [1.0 - math.exp(-total * t) for t in grid]
+    return from_channels(grid, {f"u{i + 1}": [(mi / total) * f for f in fill]
+                                for i, mi in enumerate(m)})
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,9 @@ def spontaneous_path(m: Sequence[float], c: ChurnMatrix,
     try:
         v = numerics.linear_solve(q, list(m))
         neg_q = q.scaled(-1.0)
-        decay = numerics.mat_exp_apply(neg_q, grid[0], v)
+        # e^(-Q 0) is the identity exactly; it needs no series.
+        decay = (SquareMatrix.identity(n).apply(v) if grid[0] == 0.0
+                 else numerics.mat_exp_apply(neg_q, grid[0], v))
         rows = [tuple(vi - di for vi, di in zip(v, decay))]
         step_exp, h, anchor, k = None, 0.0, grid[0], 0
         for prev, t in zip(grid, grid[1:]):
@@ -624,6 +626,9 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
     u1, mean_ch, periodic_ch, decaying_ch = [], [], [], []
     for t, sigma in zip(times, sigmas):
         a = expm1(integral(t))
+        if a == -1.0:
+            raise DomainError(f"the modulation factor e^E underflows to 0 at t = {t!r}, "
+                              "and the periodic form divides by it")
         periodic = (-a * mean_share + sigma) / (1.0 + a)
         decaying = (u1_0 - mean_share) / (1.0 + a) * math.exp(-s0 * t)
         mean_ch.append(mean_share)

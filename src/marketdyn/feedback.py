@@ -428,16 +428,7 @@ def u_of_t(m: FeedbackModel, t: float) -> float:
     rest invert t(u) by safeguarded Newton iteration from u0 (see
     :func:`_invert_phi`).
     """
-    kern, u0 = m.kernel, m.u0
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    if t == 0.0:
-        return u0
-    closed = _KERNELS[kern.kind].u_of_t
-    if closed is None:
-        return _invert_phi(m, [t])[0][0]
-    _check_start(kern, u0)
-    return closed(kern, u0, m.rate, t)
+    return m.u0 if t == 0.0 else _shares(m, [t])[0][0]
 
 
 def _shares(m: FeedbackModel, times: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -447,12 +438,16 @@ def _shares(m: FeedbackModel, times: Sequence[float]) -> tuple[list[float], list
     full relative precision, which u rounded to a double lacks near
     saturation.
     """
-    if m.kernel.kind not in INVERTED_KINDS:
-        u = [u_of_t(m, t) for t in times]
-        return u, [1.0 - v for v in u]
     if any(t < 0 for t in times):
         raise DomainError("time must be nonnegative")
-    return _invert_phi(m, times)
+    kern, u0, rate = m.kernel, m.u0, m.rate
+    closed = _KERNELS[kern.kind].u_of_t
+    if closed is None:
+        return _invert_phi(m, times)
+    if any(times):  # at t = 0 alone the share is u0, whatever the start
+        _check_start(kern, u0)
+    u = [closed(kern, u0, rate, t) if t else u0 for t in times]
+    return u, [1.0 - v for v in u]
 
 
 def _invert_phi(m: FeedbackModel,
@@ -596,7 +591,8 @@ def feedback_path(m: FeedbackModel, grid: Sequence[float]) -> Trajectory:
     """Share and demand along the grid."""
     u, rests = _shares(m, grid)
     kern, scale = m.kernel, m.N * m.rate
-    d = [scale * rest * kern.F(ui) for ui, rest in zip(u, rests)]
+    F = _KERNELS[kern.kind].F
+    d = [scale * rest * F(kern, ui) for ui, rest in zip(u, rests)]
     return from_channels(grid, {"u": u, "D": d})
 
 

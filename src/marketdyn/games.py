@@ -243,18 +243,22 @@ def _start(case: BpqCase, start: _Start) -> Sequence[float]:
 def _case1_constants(case: Case1, grid: Sequence[float], start: _Start = None) -> Trajectory:
     a, b, c, N = case.a.a, case.b.a, case.c.a, case.N
     B0, P0, _, C0 = _start(case, start)
-    s = a + c
-    B, P, Q, D, C = [], [], [], [], []
+    s, t0, exp, expm1 = a + c, grid[0], math.exp, math.expm1
+    # numerics.decay_gap(b, s, tau) and decay_gap(0, s, tau) written out, so
+    # that each sample takes e^(-s tau) and e^(-b tau) once.
+    low_is_s = b > s
+    gap = b - s if low_is_s else s - b
+    B, P, C = [], [], []
     for t in grid:
-        tau = t - grid[0]
-        Bt = B0 * math.exp(-s * tau)
-        Pt = P0 * math.exp(-b * tau) + B0 * (a * numerics.decay_gap(b, s, tau))
-        B.append(Bt)
-        P.append(Pt)
-        Q.append(N - Bt - Pt)
-        D.append(a * Bt)
-        C.append(C0 + B0 * (a * numerics.decay_gap(0.0, s, tau)))
-    return _package(grid, B, P, Q, D, C)
+        tau = t - t0
+        es, eb = exp(-s * tau), exp(-b * tau)
+        low = es if low_is_s else eb
+        B.append(B0 * es)
+        P.append(P0 * eb + B0 * (a * (tau * low if gap * tau == 0.0
+                                      else -expm1(-gap * tau) / gap * low)))
+        C.append(C0 + B0 * (a * (tau if s * tau == 0.0 else -expm1(-s * tau) / s)))
+    Q = [N - Bt - Pt for Bt, Pt in zip(B, P)]
+    return _package(grid, B, P, Q, [a * Bt for Bt in B], C)
 
 
 def case1_peak(a: float, b: float, c: float, N: float = 1.0) -> PeakMetrics:

@@ -7,7 +7,9 @@ for decaying or truncated rate schedules). Demand is D(t) = N du/dt.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from collections import namedtuple
 from typing import NamedTuple, Sequence, Union
 
@@ -104,6 +106,9 @@ class CutoffRate(namedtuple("CutoffRate", "a T")):
         return self.a * (min(t, self.T) - min(start, self.T))
 
 
+_knot_time = operator.itemgetter(0)
+
+
 class TabulatedRate(namedtuple("TabulatedRate", "points")):
     """Piecewise-linear a(t) through the given (time, rate) points.
 
@@ -128,18 +133,21 @@ class TabulatedRate(namedtuple("TabulatedRate", "points")):
             return pts[0][1]
         if t >= pts[-1][0]:
             return pts[-1][1]
-        for (t0, r0), (t1, r1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                w = (t - t0) / (t1 - t0)
-                return r0 + w * (r1 - r0)
-        raise AssertionError("unreachable")
+        # The interval that ends at the first knot at or after t.
+        k = bisect.bisect_left(pts, t, key=_knot_time)
+        (t0, r0), (t1, r1) = pts[k - 1], pts[k]
+        w = (t - t0) / (t1 - t0)
+        return r0 + w * (r1 - r0)
 
     def cumulative(self, t: float, start: float = 0.0) -> float:
         # The rate is linear between knots and constant outside the table,
         # so the trapezoid rule is exact on each piece.
         if not t > start:
             return 0.0
-        cuts = [start] + [k for k, _ in self.points if start < k < t] + [t]
+        pts = self.points
+        inside = pts[bisect.bisect_right(pts, start, key=_knot_time):
+                     bisect.bisect_left(pts, t, key=_knot_time)]
+        cuts = [start] + [k for k, _ in inside] + [t]
         return math.fsum(0.5 * (x1 - x0) * (self.rate(x0) + self.rate(x1))
                          for x0, x1 in zip(cuts, cuts[1:]))
 
@@ -252,9 +260,11 @@ class LatencyTimes(NamedTuple):
 
 def simple_path(m: SimpleAdoption, grid: Sequence[float]) -> Trajectory:
     """u(t) = 1 - (1 - u0) e^{-a t} and demand D(t) = a N (1 - u0) e^{-a t}."""
-    a, u0, N = m.a, m.u0, m.N
-    u = [1.0 - (1.0 - u0) * math.exp(-a * t) for t in grid]
-    d = [a * N * (1.0 - u0) * math.exp(-a * t) for t in grid]
+    a, rest = m.a, 1.0 - m.u0
+    scale = a * m.N * rest
+    decay = [math.exp(-a * t) for t in grid]
+    u = [1.0 - rest * e for e in decay]
+    d = [scale * e for e in decay]
     return from_channels(grid, {"u": u, "D": d})
 
 
@@ -287,11 +297,10 @@ def scheduled_path(schedule: RateSchedule, u0: float, grid: Sequence[float],
     """
     if not 0.0 <= u0 <= 1.0:
         raise ParameterError("initial share u0 must lie in [0, 1]")
-    u, d = [], []
-    for t in grid:
-        decay = math.exp(-schedule.cumulative(t))
-        u.append(1.0 - (1.0 - u0) * decay)
-        d.append(schedule.rate(t) * N * (1.0 - u0) * decay)
+    cumulative, rate, rest = schedule.cumulative, schedule.rate, 1.0 - u0
+    decay = [math.exp(-cumulative(t)) for t in grid]
+    u = [1.0 - rest * e for e in decay]
+    d = [rate(t) * N * rest * e for t, e in zip(grid, decay)]
     return from_channels(grid, {"u": u, "D": d})
 
 
@@ -301,33 +310,33 @@ def segmented_path(segments: Sequence[Segment], N: float,
     total = math.fsum(s.n for s in segments)
     if abs(total - 1.0) > 1e-12:
         raise ParameterError(f"segment sizes must sum to 1, got {total!r}")
-    parts = [(s.n, s.schedule) for s in segments]
-    u, d = [], []
-    for t in grid:
-        drop = 0.0
-        dem = 0.0
-        for n, schedule in parts:
-            decay = math.exp(-schedule.cumulative(t))
-            drop += n * decay
-            dem += schedule.rate(t) * (n * N) * decay
-        u.append(1.0 - drop)
-        d.append(dem)
-    return from_channels(grid, {"u": u, "D": d})
+    drop, d = [0.0] * len(grid), [0.0] * len(grid)
+    for s in segments:
+        n, size, cumulative, rate = s.n, s.n * N, s.schedule.cumulative, s.schedule.rate
+        decay = [math.exp(-cumulative(t)) for t in grid]
+        drop = [x + n * e for x, e in zip(drop, decay)]
+        d = [x + rate(t) * size * e for x, t, e in zip(d, grid, decay)]
+    return from_channels(grid, {"u": [1.0 - x for x in drop], "D": d})
 
 
-def _hesitation_absorbing(p: HesitationParams, t: float) -> tuple[float, float, float]:
-    s = p.a + p.b
-    h = p.b * numerics.decay_gap(p.c, s, t)
-    return math.exp(-s * t), h, -math.expm1(-s * t) - h
+def _hesitation_absorbing(p: HesitationParams, grid: Sequence[float], N: float) -> tuple:
+    a, b, c = p.a, p.b, p.c
+    s, decay_gap, exp, expm1 = a + b, numerics.decay_gap, math.exp, math.expm1
+    pot = [exp(-s * t) for t in grid]
+    hes = [b * decay_gap(c, s, t) for t in grid]
+    sub = [-expm1(-s * t) - h for t, h in zip(grid, hes)]
+    return pot, hes, sub, [N * (a * pp + c * hh) for pp, hh in zip(pot, hes)]
 
 
-def _hesitation_returning(p: HesitationParams, t: float) -> tuple[float, float, float]:
+def _hesitation_returning(p: HesitationParams, grid: Sequence[float], N: float) -> tuple:
     lam1, lam2, r = p.eigenvalues()
-    c = p.c
-    e1, e2 = math.exp(lam1 * t), math.exp(lam2 * t)
-    pot = ((c + lam1) * e1 - (c + lam2) * e2) / r
-    h = p.b * (e1 - e2) / r
-    return pot, h, 1.0 - pot - h
+    b, k1, k2, scale, exp = p.b, p.c + lam1, p.c + lam2, N * p.a, math.exp
+    pot, hes = [], []
+    for t in grid:
+        e1, e2 = exp(lam1 * t), exp(lam2 * t)
+        pot.append((k1 * e1 - k2 * e2) / r)
+        hes.append(b * (e1 - e2) / r)
+    return pot, hes, [1.0 - pp - hh for pp, hh in zip(pot, hes)], [scale * pp for pp in pot]
 
 
 def hesitation_path(p: HesitationParams, grid: Sequence[float],
@@ -338,16 +347,9 @@ def hesitation_path(p: HesitationParams, grid: Sequence[float],
     Demand is N(a p + c h) for the absorbing variant and N a p for the
     returning variant (subscriptions only happen out of P there).
     """
-    absorbing = p.variant == "absorbing_hesitation"
-    closed = _hesitation_absorbing if absorbing else _hesitation_returning
-    a, c = p.a, p.c
-    pot, hes, sub, dem = [], [], [], []
-    for t in grid:
-        pp, hh, uu = closed(p, t)
-        pot.append(pp)
-        hes.append(hh)
-        sub.append(uu)
-        dem.append(N * (a * pp + c * hh) if absorbing else N * a * pp)
+    closed = (_hesitation_absorbing if p.variant == "absorbing_hesitation"
+              else _hesitation_returning)
+    pot, hes, sub, dem = closed(p, grid, N)
     return from_channels(grid, {"p": pot, "h": hes, "u": sub, "D": dem})
 
 
@@ -362,11 +364,7 @@ def birth_death_path(p: BirthDeathParams, grid: Sequence[float],
     not feel the subscriber death rate.
     """
     a, g = p.a, p.g
-    k = a + p.f - p.d
-    pot, sub, dem = [], [], []
-    for t in grid:
-        pool = math.exp(-k * t)
-        pot.append(pool)
-        sub.append(a * numerics.decay_gap(g, k, t))
-        dem.append(a * N * pool)
-    return from_channels(grid, {"p": pot, "u": sub, "D": dem})
+    k, scale, decay_gap = a + p.f - p.d, a * N, numerics.decay_gap
+    pot = [math.exp(-k * t) for t in grid]
+    sub = [a * decay_gap(g, k, t) for t in grid]
+    return from_channels(grid, {"p": pot, "u": sub, "D": [scale * pool for pool in pot]})

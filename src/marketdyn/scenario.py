@@ -812,12 +812,15 @@ def render_csv(traj: Trajectory, outputs: Sequence[str] | None = None,
         if label not in traj.labels:
             raise ParameterError(f"unknown output channel {label!r}; "
                                  f"have {', '.join(traj.labels)}")
-    # "%.9g" % x is format_value(x); one template renders a whole row.
-    row = delimiter.replace("%", "%%").join(["%.9g"] * (len(labels) + 1))
-    pick = [traj.labels.index(label) for label in labels]
-    lines = [delimiter.join(["t"] + labels)]
-    lines += [row % (t, *[state[k] for k in pick]) for t, state in zip(traj.times, traj.states)]
-    return "\n".join(lines) + "\n"
+    # "%.9g" % x is format_value(x). The cells, t and then the chosen
+    # channels row after row, fill one flat tuple that one template renders.
+    width = len(labels) + 1
+    row = delimiter.replace("%", "%%").join(["%.9g"] * width) + "\n"
+    cells = [0.0] * (width * len(traj.times))
+    cells[::width] = traj.times
+    for col, label in enumerate(labels, 1):
+        cells[col::width] = map(operator.itemgetter(traj.labels.index(label)), traj.states)
+    return delimiter.join(["t"] + labels) + "\n" + row * len(traj.times) % tuple(cells)
 
 
 def render_table(header: str, rows, delimiter: str = ",") -> str:

@@ -5,7 +5,8 @@ Chebyshev windows or DOP853 on a route's own system, and no run reaches
 the forms below; they live here as oracles: the three defining systems of
 the monopoly, feedback and bpq families, the complementary games'
 six-equation system and the helpers that start it, case 5's peak balance,
-and the determinant and cofactors of the churn balance matrix.
+the determinant and cofactors of the churn balance matrix, and the linear
+scan of a tabulated rate's knots.
 """
 
 from __future__ import annotations
@@ -172,3 +173,31 @@ def spontaneous_equilibrium_cofactor(c: competition.ChurnMatrix) -> list[float]:
     if d == 0.0:
         raise DegenerateMarketError("churn balance system is singular")
     return [cofactor(a, n - 1, i) / d for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Tabulated rate schedules by a linear scan of the knots
+# ---------------------------------------------------------------------------
+
+def tabulated_rate(points, t: float) -> float:
+    """``TabulatedRate.rate`` with the interval found by scanning the knots
+    in order: the first interval [t0, t1] that holds t, so at an interior
+    knot the one that ends there."""
+    if t <= points[0][0]:
+        return points[0][1]
+    if t >= points[-1][0]:
+        return points[-1][1]
+    for (t0, r0), (t1, r1) in zip(points, points[1:]):
+        if t0 <= t <= t1:
+            w = (t - t0) / (t1 - t0)
+            return r0 + w * (r1 - r0)
+    raise AssertionError("unreachable")
+
+
+def tabulated_cumulative(points, t: float, start: float = 0.0) -> float:
+    """``TabulatedRate.cumulative`` with the knots inside (start, t) found by a scan."""
+    if not t > start:
+        return 0.0
+    cuts = [start] + [k for k, _ in points if start < k < t] + [t]
+    return math.fsum(0.5 * (x1 - x0) * (tabulated_rate(points, x0) + tabulated_rate(points, x1))
+                     for x0, x1 in zip(cuts, cuts[1:]))

@@ -380,7 +380,7 @@ NON_UNIFORM_GRID = tuple([0.05 * k for k in range(40)]
 
 
 @pytest.mark.parametrize("grid,most_exponentials", [
-    (time_grid(0.0, 25.0, 1000), 2),  # the first sample, then one E for every step
+    (time_grid(0.0, 25.0, 1000), 1),  # one E for every step; e^(-Q 0) = I needs none
     (NON_UNIFORM_GRID, len(NON_UNIFORM_GRID)),
     (time_grid(1.5, 11.5, 300), 2),
 ], ids=["time_grid", "non_uniform", "late_start"])

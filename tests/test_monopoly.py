@@ -120,6 +120,28 @@ def test_tabulated_holds_edges():
     assert sched.cumulative(4.0) == pytest.approx(1.6, rel=1e-15)
 
 
+@pytest.mark.parametrize("points", [
+    ((2.0, 0.3),),
+    ((1.0, 0.2), (3.0, 0.6)),
+    ((0.0, 0.1), (4.0, 0.6), (10.0, 0.2)),
+    ((-1.5, 0.0), (0.1, 0.7), (0.3, 0.05), (2.0, 1.3), (2.0000001, 0.4), (9.0, 0.0)),
+], ids=["one_knot", "two_knots", "three_knots", "six_knots"])
+def test_tabulated_bisection_matches_the_scan_bit_for_bit(points):
+    # At every knot, between knots and outside the table, in rate and in the
+    # integral from 0, from each knot and to each knot.
+    sched = mono.TabulatedRate(points)
+    knots = [k for k, _ in points]
+    between = [0.5 * (k0 + k1) for k0, k1 in zip(knots, knots[1:])]
+    between += [k0 + 1e-9 * (k1 - k0) for k0, k1 in zip(knots, knots[1:])]
+    times = knots + between + [knots[0] - 1.0, knots[-1] + 1.0, 0.0, -0.0, 1e300]
+    for t in times:
+        assert sched.rate(t).hex() == reference.tabulated_rate(points, t).hex()
+        for start in times:
+            assert (sched.cumulative(t, start).hex()
+                    == reference.tabulated_cumulative(points, t, start).hex())
+        assert sched.cumulative(t).hex() == reference.tabulated_cumulative(points, t).hex()
+
+
 @pytest.mark.parametrize("sched", [
     mono.ConstantRate(0.3), mono.LinearRate(0.2, 0.05), mono.ExpDecayRate(0.5, 0.1),
     mono.CutoffRate(0.4, 12.0), mono.TabulatedRate(((1.0, 0.2), (3.0, 0.6), (20.0, 0.1))),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -451,6 +452,21 @@ def test_cli_near_confluent_absorbing_hesitation_keeps_its_digits(tmp_path, caps
     code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
     assert code == cli.EXIT_OK
     assert rows[-1][0] == "20" and rows[-1][2] == "1.52951158e-06"
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_periodic_churn_whose_modulation_factor_underflows_exits_numeric(
+        command, tmp_path, capsys):
+    # E(t) reaches about -1430, so e^E underflows to 0 and the periodic part
+    # divided by it: a ZeroDivisionError traceback with exit 1.
+    doc = {"model": {"kind": "periodic_churn", "a12_0": 1, "a21_0": 1,
+                     "eps12": [{"amplitude": 0.9, "period": 5000, "phase": 3.14159}],
+                     "u1_0": 0.5},
+           "horizon": 3000, "samples": 31}
+    code, rows, err = cli_output(command, doc, tmp_path, capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert rows == []
+    assert err.startswith("error [numeric] ") and "underflows" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "metrics"])
@@ -1019,10 +1035,11 @@ def test_csv_conservation_audit():
 
 # Values whose 9-digit rendering has edge cases: signed zeros, infinities,
 # nan, subnormals, the extremes of the float range, integers and booleans.
+_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 1e-300)
 _VALUES = st.one_of(
     st.floats(allow_subnormal=True),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-                     2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 1e-300]),
+    st.sampled_from(_EDGE_VALUES),
     st.integers(-2 ** 1000, 2 ** 1000),
     st.booleans())
 
@@ -1052,6 +1069,37 @@ def test_csv_matches_a_reference_rendering(traj, data, delimiter):
     outputs = data.draw(st.lists(st.sampled_from(traj.labels), unique=True))
     assert (scenario.render_csv(traj, outputs, delimiter)
             == _reference_csv(traj, outputs, delimiter))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(200, 3000), st.integers(1, 6), st.integers(0, 2 ** 32),
+       st.sampled_from([",", "\t"]), st.data())
+def test_csv_of_a_long_trajectory_matches_a_reference_rendering(rows, width, seed, delimiter,
+                                                                  data):
+    # Hundreds to thousands of rows: values drawn from a seeded generator,
+    # mostly ordinary doubles of any exponent, with the edge cases mixed in.
+    rng = random.Random(seed)
+
+    def value():
+        if rng.random() < 0.05:
+            return rng.choice(_EDGE_VALUES)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+
+    times = time_grid(0.0, rng.uniform(1e-6, 1e6), rows)
+    labels = tuple(f"c{k}" for k in range(width))
+    traj = Trajectory(times, tuple(tuple(value() for _ in labels) for _ in times), labels)
+    outputs = data.draw(st.lists(st.sampled_from(labels), unique=True))
+    assert (scenario.render_csv(traj, outputs, delimiter)
+            == _reference_csv(traj, outputs, delimiter))
+
+
+@pytest.mark.parametrize("delimiter", ["%", "%%", ";%s;", "%.9g", "%(t)s"])
+def test_csv_with_a_percent_sign_in_the_delimiter(delimiter):
+    traj = Trajectory((0.0, 0.5, 1.0), ((1.0, -0.0), (2.5e-7, math.inf), (1e300, 3.0)),
+                      ("u", "D"))
+    text = scenario.render_csv(traj, ["D", "u"], delimiter)
+    assert text == _reference_csv(traj, ["D", "u"], delimiter)
+    assert text.splitlines()[0] == f"t{delimiter}D{delimiter}u"
 
 
 def test_run_is_deterministic_in_process():

@@ -266,20 +266,22 @@ def resolve_churn_flows(churn: Optional[ChurnSpec]) -> ChurnFlows:
     Every C_i is the ``fsum`` of a_ji u_j f_i - a_ij u_i f_j over j != i in
     ascending j (f = 1 for spontaneous and periodic churn, f_k = b_k u_k +
     eps_k for stimulated churn), with the rate a_ij(t) = a0_ij + fsum of the
-    pair's modulations for periodic churn; see :func:`_churn_field`.
+    pair's modulations for periodic churn; see :func:`market_field`.
     """
     if churn is None:
         return lambda t, u: [0.0] * len(u)
-    return _churn_field(churn, None)
+    return market_field(None, churn)
 
 
-#: make(m, r, a, b, eps, terms) -> rhs(t, u) per field shape; see _churn_field.
+#: make(m, r, a, b, eps, terms) -> rhs(t, u) per field shape; see market_field.
 _CHURN_FIELDS: dict[tuple, dict] = {}
 
 
-def _churn_field(churn: Optional[ChurnSpec], market: Optional[BassCompetition]) -> numerics.RHS:
-    """The churn flows C_i of a spec, or with a market du_i/dt = (1 - sum u)
-    (m_i + r_i u_i) + C_i (without the flows when the spec is None).
+def market_field(market: Optional[BassCompetition],
+                 churn: Optional[ChurnSpec] = None) -> numerics.RHS:
+    """du_i/dt = (1 - sum u)(m_i + r_i u_i) + C_i(u) of a market (without the
+    flows when the spec is None), or with ``market`` None the churn flows C_i
+    of the spec alone.
 
     The function is written out once per shape: the supplier count, the
     churn's form (linear in the shares, or stimulated), whether the Bass
@@ -322,7 +324,7 @@ def _churn_field(churn: Optional[ChurnSpec], market: Optional[BassCompetition]) 
 
 def _churn_field_source(n: int, form: Optional[str], bass: bool,
                         groups: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]) -> str:
-    """Source of the ``make`` of one shape of :func:`_churn_field`."""
+    """Source of the ``make`` of one shape of :func:`market_field`."""
     comps, modulated = range(n), dict(groups)
 
     def unpack(names) -> str:
@@ -740,12 +742,6 @@ def _stimulated_fixed_point_newton(spec: StimulatedChurnSpec,
 # ---------------------------------------------------------------------------
 # Full nonlinear dynamics
 # ---------------------------------------------------------------------------
-
-def market_field(market: BassCompetition,
-                 churn: Optional[ChurnSpec] = None) -> numerics.RHS:
-    """du_i/dt = (1 - sum u)(m_i + r_i u_i) + C_i(u)."""
-    return _churn_field(churn, market)
-
 
 def competitive_path_numeric(market: BassCompetition,
                              churn: Optional[ChurnSpec],

@@ -395,8 +395,6 @@ _KERNELS = {
 }
 
 KERNEL_KINDS = tuple(_KERNELS)
-#: Kernels whose u(t) inverts the growth integral phi.
-INVERTED_KINDS = tuple(kind for kind, spec in _KERNELS.items() if spec.u_of_t is None)
 
 
 def _check_start(kern: FeedbackKernel, u0: float) -> None:
@@ -419,16 +417,6 @@ def t_of_u(m: FeedbackModel, u: float) -> float:
     if not t < math.inf:
         raise DomainError(f"the time to reach share {u!r} exceeds the range of a double")
     return t
-
-
-def u_of_t(m: FeedbackModel, t: float) -> float:
-    """Share at time t.
-
-    Closed forms cover the none, bass, linear, sqrt and 1-u kernels; the
-    rest invert t(u) by safeguarded Newton iteration from u0 (see
-    :func:`_invert_phi`).
-    """
-    return m.u0 if t == 0.0 else _shares(m, [t])[0][0]
 
 
 def _shares(m: FeedbackModel, times: Sequence[float]) -> tuple[list[float], list[float]]:

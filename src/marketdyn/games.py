@@ -884,23 +884,21 @@ def refined_peak(case: BpqCase, traj: Trajectory) -> tuple[float, tuple[float, f
     and located by root finding, with the state at each trial time from
     the case's own path route, started at the bracket's left grid row.
     """
-    p = traj.channel("P")
-    k = max(range(len(p)), key=lambda i: p[i])
-    idx = [traj.labels.index(ch) for ch in ("B", "P", "Q", "C")]
-    if k == len(p) - 1:
-        s = traj.states[k]
-        return traj.times[k], (s[idx[0]], s[idx[1]], s[idx[2]])
+    B, P, Q, C = map(traj.channel, "BPQC")
+    k = max(range(len(P)), key=lambda i: P[i])
+    if k == len(P) - 1:
+        return traj.times[k], (B[k], P[k], Q[k])
 
-    t_lo, t_hi = traj.times[max(k - 1, 0)], traj.times[k + 1]
-    anchor = [traj.states[max(k - 1, 0)][i] for i in idx]
+    j = max(k - 1, 0)
+    t_lo, t_hi = traj.times[j], traj.times[k + 1]
+    anchor = [B[j], P[j], Q[j], C[j]]
     path = case_entry(case).path
     a_int, b_int, _ = intensities(case)
 
     def state_at(t: float) -> list[float]:
         if t == t_lo:
             return anchor
-        s = path(case, [t_lo, t], anchor).states[-1]
-        return [s[i] for i in idx]
+        return [column[-1] for column in map(path(case, [t_lo, t], anchor).channel, "BPQC")]
 
     def imbalance(t: float) -> float:
         s = state_at(t)

@@ -812,14 +812,15 @@ def render_csv(traj: Trajectory, outputs: Sequence[str] | None = None,
         if label not in traj.labels:
             raise ParameterError(f"unknown output channel {label!r}; "
                                  f"have {', '.join(traj.labels)}")
-    # "%.9g" % x is format_value(x). The cells, t and then the chosen
-    # channels row after row, fill one flat tuple that one template renders.
+    # "%.9g" % x is format_value(x). The time column and the chosen channels'
+    # columns are slice-assigned into one flat row-major list that one
+    # template renders.
     width = len(labels) + 1
     row = delimiter.replace("%", "%%").join(["%.9g"] * width) + "\n"
     cells = [0.0] * (width * len(traj.times))
     cells[::width] = traj.times
     for col, label in enumerate(labels, 1):
-        cells[col::width] = map(operator.itemgetter(traj.labels.index(label)), traj.states)
+        cells[col::width] = traj.channel(label)
     return delimiter.join(["t"] + labels) + "\n" + row * len(traj.times) % tuple(cells)
 
 

@@ -1,9 +1,9 @@
 """Sampled time series of model state.
 
 Every solver in the library returns a :class:`Trajectory`: a strictly
-increasing time grid, one state tuple per time point, and a label per
-channel. Values are immutable after construction and safe to share
-between threads.
+increasing time grid, one column per channel with one entry per time
+point, and a label per channel. Values are immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -13,52 +13,46 @@ from collections import namedtuple
 from typing import Iterable, Sequence
 
 
-class Trajectory(namedtuple("Trajectory", "times states labels notes")):
+class Trajectory(namedtuple("Trajectory", "times columns labels notes")):
     """Uniformly or adaptively sampled evolution of a model.
 
     Attributes:
         times: Strictly increasing sample times.
-        states: One tuple per time point; all tuples share the channel count.
-        labels: Channel names, one per state entry.
+        columns: One tuple per channel, in label order; each has one entry per time.
+        labels: Channel names, one per column.
         notes: Free-form solver annotations (e.g. fallback markers).
     """
 
     __slots__ = ()
 
-    def __new__(cls, times: tuple[float, ...], states: tuple[tuple[float, ...], ...],
+    def __new__(cls, times: tuple[float, ...], columns: tuple[tuple[float, ...], ...],
                 labels: tuple[str, ...], notes: tuple[str, ...] = ()):
-        if len(states) != len(times):
-            raise ValueError("states and times must have the same length")
         if not times:
             raise ValueError("trajectory must contain at least one sample")
         if not all(map(operator.lt, times, times[1:])):
             raise ValueError("times must be strictly increasing")
-        width = len(labels)
-        if any(map(width.__ne__, map(len, states))):
-            raise ValueError("every state must have one entry per label")
-        return super().__new__(cls, times, states, labels, notes)
+        if len(columns) != len(labels):
+            raise ValueError("every label must have one column")
+        if any(map(len(times).__ne__, map(len, columns))):
+            raise ValueError("every column must have one entry per time")
+        return super().__new__(cls, times, columns, labels, notes)
 
     def channel(self, label: str) -> tuple[float, ...]:
         """Return the series for one named channel."""
         try:
-            k = self.labels.index(label)
+            return self.columns[self.labels.index(label)]
         except ValueError:
             raise KeyError(f"no channel named {label!r}; have {self.labels}") from None
-        return tuple(row[k] for row in self.states)
 
     def final(self) -> tuple[float, ...]:
-        return self.states[-1]
+        return tuple(column[-1] for column in self.columns)
 
 
 def from_channels(times: Sequence[float], channels: dict[str, Sequence[float]],
                   notes: Iterable[str] = ()) -> Trajectory:
     """Assemble a trajectory from per-channel series."""
-    labels = tuple(channels)
-    try:
-        states = tuple(zip(*channels.values(), strict=True))
-    except ValueError:
-        raise ValueError("every channel must have one entry per time") from None
-    return Trajectory(tuple(map(float, times)), states, labels, tuple(notes))
+    return Trajectory(tuple(times), tuple(map(tuple, channels.values())), tuple(channels),
+                      tuple(notes))
 
 
 def time_grid(t0: float, t1: float, samples: int) -> tuple[float, ...]:
@@ -78,4 +72,3 @@ def argmax_channel(traj: Trajectory, label: str) -> tuple[int, float, float]:
     series = traj.channel(label)
     k = max(range(len(series)), key=lambda i: series[i])
     return k, traj.times[k], series[k]
-

@@ -3,7 +3,8 @@
 The library solves each market by a closed form, the matrix exponential,
 Chebyshev windows or DOP853 on a route's own system, and no run reaches
 the forms below; they live here as oracles: the three defining systems of
-the monopoly, feedback and bpq families, the complementary games'
+the monopoly, feedback and bpq families, a feedback model's share at one
+time, the complementary games'
 six-equation system and the helpers that start it, case 5's peak balance,
 the determinant and cofactors of the churn balance matrix, and the linear
 scan of a tabulated rate's knots.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from marketdyn import competition, games, numerics
+from marketdyn import competition, feedback, games, numerics
 from marketdyn.errors import DegenerateMarketError, DomainError, ParameterError, SingularMatrixError
 from marketdyn.numerics import SquareMatrix
 
@@ -69,6 +70,15 @@ def monopoly_field(kind: str, params) -> numerics.RHS:
 def feedback_field(m) -> numerics.RHS:
     """du/dt = rate (1 - u) F(u), for cross-validation against the closed forms."""
     return lambda t, y: [m.rate * m.kernel.growth(y[0])]
+
+
+def u_of_t(m, t: float) -> float:
+    """Share of a feedback model at time t.
+
+    Closed forms cover the none, bass, linear, sqrt and 1-u kernels; the
+    rest invert t(u) by safeguarded Newton iteration from u0.
+    """
+    return m.u0 if t == 0.0 else feedback._shares(m, [t])[0][0]
 
 
 def bpq_field(case) -> numerics.RHS:

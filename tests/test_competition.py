@@ -286,7 +286,7 @@ def test_churn_field_threads_share_one_build(monkeypatch):
 
     def work(k):
         barrier.wait()
-        results[k] = comp.competitive_path_numeric(market, spec, time_grid(0.0, 20.0, 50)).states
+        results[k] = comp.competitive_path_numeric(market, spec, time_grid(0.0, 20.0, 50)).columns
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -400,7 +400,7 @@ def test_propagated_path_matches_per_sample_exponential(grid, most_exponentials,
     monkeypatch.setattr(numerics, "mat_exp",
                         lambda mat, t: exponentials.append(t) or real_mat_exp(mat, t))
     path = comp.spontaneous_path(m, c, grid)
-    worst = max(abs(a - b) for row, ref in zip(path.states, reference)
+    worst = max(abs(a - b) for row, ref in zip(zip(*path.columns), reference)
                 for a, b in zip(row, ref))
     assert worst <= 1e-13
     assert len(exponentials) <= most_exponentials

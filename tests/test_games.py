@@ -69,11 +69,7 @@ def test_peak_balance_condition(case):
     k = max(range(len(p)), key=lambda i: p[i])
     if k in (0, len(p) - 1):
         pytest.skip("no interior peak on this horizon")
-    state = traj.states[k]
-    b_idx = traj.labels.index("B")
-    p_idx = traj.labels.index("P")
-    q_idx = traj.labels.index("Q")
-    s = (state[b_idx], state[p_idx], state[q_idx])
+    s = tuple(traj.channel(ch)[k] for ch in "BPQ")
     a_int, b_int, _ = games.intensities(case)
     t = traj.times[k]
     residual = abs(a_int(t, s) * s[0] - b_int(t, s) * s[1])
@@ -86,7 +82,7 @@ def test_peak_balance_condition(case):
 
 def test_clean_start_state():
     traj = games.bpq_path(games.Case1(a=0.7, b=0.5, c=0.1, N=N), [0.0, 1.0])
-    assert traj.states[0][:3] == (N, 0.0, 0.0)
+    assert tuple(traj.channel(ch)[0] for ch in "BPQ") == (N, 0.0, 0.0)
 
 
 def test_initiation_errors():
@@ -505,7 +501,7 @@ def test_time_inversion_paths_keep_the_invariants(game):
     case, horizon = game
     traj = games.bpq_path(case, time_grid(0.0, horizon, 50))
     b, p, q = traj.channel("B"), traj.channel("P"), traj.channel("Q")
-    assert all(math.isfinite(v) for row in traj.states for v in row)
+    assert all(math.isfinite(v) for column in traj.columns for v in column)
     assert all(abs(x + y + z - N) <= 1e-12 * N for x, y, z in zip(b, p, q))
     assert all(q2 >= q1 for q1, q2 in zip(q, q[1:]))
     assert all(b2 <= b1 for b1, b2 in zip(b, b[1:]))
@@ -738,7 +734,7 @@ def test_a_route_restarted_from_a_grid_row_continues_its_path(case):
     grid = time_grid(0.0, 30.0, 31)
     traj = games.bpq_path(case, grid)
     k = 7
-    row = [traj.states[k][traj.labels.index(ch)] for ch in "BPQC"]
+    row = [traj.channel(ch)[k] for ch in "BPQC"]
     rest = games.case_entry(case).path(case, grid[k:], row)
     assert rest.labels == traj.labels
     for channel in ("B", "P", "Q", "D", "C"):
@@ -858,7 +854,7 @@ def test_long_sample_steps_keep_the_invariants(run):
     else:
         traj = games.bpq_path(model, grid)
         compartments = [("B", "P", "Q", model.N, 0.0)]
-    assert all(math.isfinite(v) for row in traj.states for v in row)
+    assert all(math.isfinite(v) for column in traj.columns for v in column)
     for b_ch, p_ch, q_ch, n, slack in compartments:
         b, p, q = traj.channel(b_ch), traj.channel(p_ch), traj.channel(q_ch)
         assert all(abs(x + y + z - n) <= 1e-9 * n for x, y, z in zip(b, p, q))

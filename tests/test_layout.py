@@ -8,6 +8,9 @@ README documents. From there references are followed by name: a ``Name``
 or an ``Attribute`` reaches every module-level ``def`` or ``class`` of
 that name in any module. Forms that only the tests need, such as the
 defining ODE systems, live in ``tests/reference.py``.
+
+Module-level assigned names (dunders aside) are checked apart: some code
+of the package must read each one, by name or as an attribute.
 """
 
 import ast
@@ -56,6 +59,25 @@ def unreached(package: Path, tracing: Path) -> list[str]:
                   for module, _ in nodes)
 
 
+def unread(package: Path) -> list[str]:
+    """``module.name`` of every module-level assigned name, dunders aside,
+    that no code of the package reads."""
+    assigned: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            assigned += [(path.stem, n.id) for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)
+                         and not (n.id.startswith("__") and n.id.endswith("__"))]
+        read |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)
+                 or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{module}.{name}" for module, name in assigned if name not in read)
+
+
 def test_every_function_and_class_is_reached_by_a_run():
     assert unreached(ROOT / "src" / "marketdyn", ROOT / "bench" / "tracing.py") == []
 
@@ -67,3 +89,15 @@ def test_the_check_flags_a_function_nothing_calls(tmp_path):
     tracing = tmp_path / "tracing.py"
     tracing.write_text("LAYERS = {'cli': ('cli', ('main',))}\n")
     assert unreached(tmp_path, tracing) == ["cli.orphan"]
+
+
+def test_every_module_level_name_is_read():
+    assert unread(ROOT / "src" / "marketdyn") == []
+
+
+def test_the_check_flags_a_name_nothing_reads(tmp_path):
+    (tmp_path / "tables.py").write_text(
+        "__all__ = ['KINDS']\nKINDS = ('a',)\nSPARE: tuple = ()\nLO, HI = 0, 1\n")
+    (tmp_path / "cli.py").write_text(
+        "import tables\n\ndef main():\n    return tables.KINDS, LO\n")
+    assert unread(tmp_path) == ["tables.HI", "tables.SPARE"]

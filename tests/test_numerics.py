@@ -936,13 +936,22 @@ def test_vector_field_dimension_checked():
 def test_trajectory_validation():
     from marketdyn.trajectory import Trajectory
     with pytest.raises(ValueError):
-        Trajectory((0.0, 0.0), ((1.0,), (2.0,)), ("u",))
+        Trajectory((0.0, 0.0), ((1.0, 2.0),), ("u",))
     with pytest.raises(ValueError):
+        Trajectory((), ((),), ("u",))
+    with pytest.raises(ValueError, match="every label must have one column"):
+        Trajectory((0.0, 1.0), ((1.0, 2.0),), ("u", "D"))
+    with pytest.raises(ValueError, match="one entry per time"):
         Trajectory((0.0, 1.0), ((1.0,),), ("u",))
-    with pytest.raises(ValueError):
-        Trajectory((0.0, 1.0), ((1.0,), (2.0, 3.0)), ("u",))
-    traj = Trajectory((0.0, 1.0), ((1.0,), (2.0,)), ("u",))
+    with pytest.raises(ValueError, match="one entry per time"):
+        Trajectory((0.0, 1.0), ((1.0, 2.0, 3.0),), ("u",))
+    with pytest.raises(ValueError, match="one entry per time"):
+        Trajectory((0.0, 1.0), ((1.0, 2.0), (3.0,)), ("u", "D"))
+    column = (1.0, 2.0)
+    traj = Trajectory((0.0, 1.0), (column,), ("u",))
     assert traj.channel("u") == (1.0, 2.0)
+    assert traj.channel("u") is column
+    assert traj.final() == (2.0,)
     with pytest.raises(KeyError):
         traj.channel("v")
 
@@ -951,8 +960,8 @@ def test_trajectory_validation():
 def test_from_channels_rejects_channels_of_unequal_length():
     from marketdyn.trajectory import from_channels
     traj = from_channels([0, 1], {"u": [0.1, 0.2], "D": [3.0, 4.0]}, notes=["n"])
-    assert (traj.times, traj.states, traj.labels, traj.notes) == (
-        (0.0, 1.0), ((0.1, 3.0), (0.2, 4.0)), ("u", "D"), ("n",))
+    assert (traj.times, traj.columns, traj.labels, traj.notes) == (
+        (0.0, 1.0), ((0.1, 0.2), (3.0, 4.0)), ("u", "D"), ("n",))
     for channels in ({"u": [0.1, 0.2], "D": [3.0]}, {"u": [0.1], "D": [3.0, 4.0]},
                      {"u": [0.1, 0.2, 0.3], "D": [3.0, 4.0, 5.0]}):
         with pytest.raises(ValueError):

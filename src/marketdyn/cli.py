@@ -69,8 +69,7 @@ def _run_batch(args, render) -> int:
             "invariant", "--samples", "an integer >= 2", repr(args.samples))])
     scenarios = _load_scenarios(args.file)
     if args.samples is not None:
-        scenarios = [scenario.Scenario(**{**s._asdict(), "samples": args.samples})
-                     for s in scenarios]
+        scenarios = [s._replace(samples=args.samples) for s in scenarios]
     blocks = [render(s, _delimiter(args.format)) for s in scenarios]
     if len(scenarios) > 1:
         blocks = [f"# {s.name or f'scenario {idx + 1}'}\n{block}"

@@ -572,9 +572,18 @@ def two_supplier_peak_time(m1: float, m2: float, a21: float) -> float:
 # Periodic churning (two suppliers, fully developed market)
 # ---------------------------------------------------------------------------
 
+def periodic_mean_share(spec: PeriodicChurnSpec) -> float:
+    """The constant part a21/(a12 + a21) of the two-supplier share u1."""
+    a12_0, a21_0 = spec.a0.a[0][1], spec.a0.a[1][0]
+    if not a12_0 + a21_0 > 0:
+        raise ParameterError("baseline churn rates must not both vanish")
+    return a21_0 / (a12_0 + a21_0)
+
+
 #: Trailing-coefficient bound of the driven convolution's Chebyshev windows,
 #: relative to the modulation amplitudes.
 _WINDOW_TOL = 1e-13
+
 
 def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
                                grid: Sequence[float]) -> Trajectory:
@@ -593,11 +602,9 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
         raise ParameterError("the analytic periodic path covers two suppliers")
     if not 0.0 <= u1_0 <= 1.0:
         raise ParameterError("u1_0 must lie in [0, 1]")
+    mean_share = periodic_mean_share(spec)
     a12_0, a21_0 = spec.a0.a[0][1], spec.a0.a[1][0]
     s0 = a12_0 + a21_0
-    if not s0 > 0:
-        raise ParameterError("baseline churn rates must not both vanish")
-    mean_share = a21_0 / s0
     # With two suppliers every modulation addresses a12 or a21.
     terms = [s for m in spec.eps for s in m.terms]
     amplitude = math.fsum(s.amplitude for s in terms)

@@ -15,12 +15,13 @@ integrating-factor integral, which takes a step's sales from the drop in
 B, less a quadrature of the smaller drain. Case 2 is the classic epidemic
 model and case 4 its variant with quitter-stimulated exits; both have an
 exact B(Q), so a path inverts the time integral t(Q), held as Chebyshev
-series over windows, by Newton iteration on those series, and their peak
-times come from the same integral. Case 5 reduces to a linear
-equation via the Riccati substitution; cases 3 and 6 integrate directly. A
-route starts from any grid row, so a peak without a closed form is refined
-on the route that printed the path. A complementary-game coupling (sales of
-one title driving another) treats the driver's player count as a rate.
+series over windows, by Newton iteration on those series; the same clock
+gives their final size, their peak and case 2's calibration. Case 5
+reduces to a linear equation via the Riccati substitution; cases 3 and 6
+integrate directly. A route starts from any grid row, so a peak without a
+closed form is refined on the route that printed the path. A
+complementary-game coupling (sales of one title driving another) treats
+the driver's player count as a rate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import namedtuple
 from typing import Callable, NamedTuple, Sequence, Union
 
 from . import numerics
-from .errors import DomainError, InitiationError, ParameterError
+from .errors import CalibrationInfeasibleError, DomainError, InitiationError, ParameterError
 from .monopoly import ConstantRate, RateSchedule
 from .trajectory import Trajectory, from_channels
 
@@ -56,10 +57,6 @@ class BpqState(namedtuple("BpqState", "B P Q")):
         if min(B, P, Q) < 0:
             raise ParameterError("compartment sizes must be nonnegative")
         return super().__new__(cls, B, P, Q)
-
-    @property
-    def N(self) -> float:
-        return self.B + self.P + self.Q
 
 
 class _Seeded:
@@ -425,6 +422,22 @@ class _QuitClock:
         self._span = _CLOCK_SPAN
         # The last root of solve: its window, offset, time in the window and dt/ds.
         self._last = (-1, 0.0, 0.0, 0.0)
+        # The peak, where beta B = rate(Q): B(T_m) = b / beta in case 2 (Kermack
+        # & McKendrick, 1927); in case 4, with B(Q), Q(T_m) = [beta B0
+        # Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma)), taken in logs and
+        # clamped to [Q0, q_inf). Without an interior peak P0 at t = 0 is the top.
+        self.has_peak = beta * B0 > self.rate(Q0)
+        if not self.has_peak:
+            self.Q_Tm, self.B_Tm, self.P_Tm = Q0, B0, P0
+        elif isinstance(case, Case2):
+            self.B_Tm = case.b / beta
+            self.Q_Tm = Q0 + (case.b / beta) * math.log(beta * B0 / case.b)
+            self.P_Tm = case.N - self.B_Tm - self.Q_Tm
+        else:
+            log_q = (math.log(ratio) + math.log(B0) + ratio * math.log(Q0)) / (1.0 + ratio)
+            self.Q_Tm = min(max(math.exp(log_q), Q0), math.nextafter(self.q_inf, 0.0))
+            self.B_Tm = self.rate(self.Q_Tm) / beta
+            self.P_Tm = case.N - (1.0 + case.gamma / beta) * self.Q_Tm
 
     def _at(self, s: float) -> tuple[float, float, float, float, float]:
         """(Delta g / g0, Delta, P, Q, C) at s, where C = B0 - B have bought."""
@@ -475,8 +488,11 @@ class _QuitClock:
         self._times.append(self._times[-1] + rise)
 
     def time_of(self, q: float) -> float:
-        """t(Q) for Q in [Q0, q_inf)."""
-        if q <= self.Q0:
+        """t(Q) for Q in [Q0, q_inf); DomainError outside that reachable range."""
+        if not self.Q0 <= q < self.q_inf:
+            raise DomainError(
+                f"q_target must lie in [{self.Q0}, {self.q_inf:.6g}) (reachable range)")
+        if q == self.Q0:
             return 0.0
         s = math.log(q - self.Q0) - math.log(self.q_inf - q)
         if s < self.s_lo:
@@ -558,14 +574,11 @@ def _clock_path(case: Case2 | Case4, grid: Sequence[float], start: _Start = None
 class SirRelations(NamedTuple):
     """State relations of the player-stimulated case.
 
-    B_of_Q and P_of_B are exact consequences of the dynamics; B_inf
-    solves the final-size equation B = B0 exp(-(beta/b)(N - B - Q0)).
+    B_inf solves the final-size equation B = B0 exp(-(beta/b)(N - B - Q0)).
     When beta*B0 <= b the player count declines from the start and the
     peak values refer to t = 0.
     """
 
-    B_of_Q: Callable[[float], float]
-    P_of_B: Callable[[float], float]
     B_inf: float
     Q_Tm: float
     P_Tm: float
@@ -574,50 +587,9 @@ class SirRelations(NamedTuple):
 
 
 def sir_relations(case: Case2) -> SirRelations:
-    beta, b, N = case.beta, case.b, case.N
-    B0, Q0 = case.B0, case.Q0
-    ratio = beta / b
-
-    def b_of_q(q: float) -> float:
-        return B0 * math.exp(-ratio * (q - Q0))
-
-    def p_of_b(bb: float) -> float:
-        return N - bb - Q0 - (1.0 / ratio) * math.log(B0 / bb)
-
-    if beta * B0 > b:
-        b_tm = b / beta
-        q_tm = Q0 + (b / beta) * math.log(beta * B0 / b)
-        p_tm = N - b_tm - q_tm
-        interior = True
-    else:
-        b_tm, q_tm, p_tm, interior = B0, Q0, case.P0, False
-    return SirRelations(B_of_Q=b_of_q, P_of_B=p_of_b, B_inf=_QuitClock(case).B_inf,
-                        Q_Tm=q_tm, P_Tm=p_tm, B_Tm=b_tm,
-                        has_interior_peak=interior)
-
-
-def sir_time_of(case: Case2, q_target: float) -> float:
-    """Time at which the quitter count reaches q_target.
-
-    t(Q) = (1/b) int dQ / P(Q); the target must stay below the final
-    quitter count N - B_inf, where the integrand diverges.
-    """
     clock = _QuitClock(case)
-    if not case.Q0 <= q_target < clock.q_inf:
-        raise DomainError(
-            f"q_target must lie in [{case.Q0}, {clock.q_inf:.6g}) (reachable range)")
-    return clock.time_of(q_target)
-
-
-def sir_peak_time(case: Case2) -> float:
-    """Peak time recovered through Q(T_m) = Q0 + (b/beta) ln(beta B0 / b)."""
-    rel = sir_relations(case)
-    return sir_time_of(case, rel.Q_Tm) if rel.has_interior_peak else 0.0
-
-
-def _sir_peak(case: Case2) -> PeakMetrics:
-    rel = sir_relations(case)
-    return PeakMetrics(T_m=sir_peak_time(case), P_m=rel.P_Tm, C_inf=case.B0 - rel.B_inf)
+    return SirRelations(B_inf=clock.B_inf, Q_Tm=clock.Q_Tm, P_Tm=clock.P_Tm,
+                        B_Tm=clock.B_Tm, has_interior_peak=clock.has_peak)
 
 
 def _sir_rows(case: Case2) -> list[tuple[str, float]]:
@@ -625,23 +597,43 @@ def _sir_rows(case: Case2) -> list[tuple[str, float]]:
     return [("B_inf", rel.B_inf), ("B_at_peak", rel.B_Tm), ("P_at_peak", rel.P_Tm)]
 
 
-def case4_peak(case: Case4) -> PeakMetrics:
-    """Peak from the balance beta B = gamma Q combined with the first
-    integral: Q(T_m) = [beta B0 Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma)),
-    taken in logs and clamped to [Q0, q_inf).
-
-    With beta B0 <= gamma Q0 the player count falls from the start, so the
-    peak is P0 at t = 0."""
-    beta, gamma = case.beta, case.gamma
+def _clock_peak(case: Case2 | Case4) -> PeakMetrics:
+    """Peak of case 2 or 4 from one quit clock: T_m = t(Q(T_m)), and
+    C_inf = B0 - B_inf. T_m is 0 where Q(T_m) does not exceed Q0: without an
+    interior peak, or in case 4 where the final size rounds to Q0."""
     clock = _QuitClock(case)
-    c_inf = case.B0 - clock.B_inf
-    if not beta * case.B0 > gamma * case.Q0:
-        return PeakMetrics(T_m=0.0, P_m=case.P0, C_inf=c_inf)
-    k = beta / gamma
-    log_q = (math.log(k) + math.log(case.B0) + k * math.log(case.Q0)) / (1.0 + k)
-    q_tm = min(max(math.exp(log_q), case.Q0), math.nextafter(clock.q_inf, 0.0))
-    p_tm = case.N - (1.0 + gamma / beta) * q_tm
-    return PeakMetrics(T_m=clock.time_of(q_tm), P_m=p_tm, C_inf=c_inf)
+    t_m = clock.time_of(clock.Q_Tm) if clock.Q_Tm > case.Q0 else 0.0
+    return PeakMetrics(T_m=t_m, P_m=clock.P_Tm, C_inf=case.B0 - clock.B_inf)
+
+
+#: Case 4's closed peak under its public name.
+case4_peak = _clock_peak
+
+
+def calibrate_case2(N: float, P0: float, Q0: float, t_m: float,
+                    p_tm: float) -> tuple[float, float]:
+    """(b, beta) of case 2 from the peak height and peak time.
+
+    The peak height fixes x = b/beta through
+    P_Tm = N - Q0 - x(1 + ln(B0/x)); b then scales the peak time of the
+    game with beta = 1/x and b = 1 to T_m.
+    """
+    b0 = N - P0 - Q0
+    if not P0 < p_tm:
+        raise CalibrationInfeasibleError(
+            f"peak player count must exceed the seed P0 = {P0:g}")
+    if not p_tm < N - Q0:
+        raise CalibrationInfeasibleError(
+            f"peak player count must stay below N - Q0 = {N - Q0:g}")
+    if not t_m > 0:
+        raise CalibrationInfeasibleError("peak time must be positive")
+
+    def gap(x: float) -> float:
+        return N - Q0 - x * (1.0 + math.log(b0 / x)) - p_tm
+
+    x = numerics.solve_root(gap, 1e-9 * b0, b0 * (1.0 - 1e-12), tol=1e-13 * b0)
+    b = _clock_peak(Case2(beta=1.0 / x, b=1.0, N=N, P0=P0, Q0=Q0)).T_m / t_m
+    return b, b / x
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +824,7 @@ CASES = {
         model=Case2, fields=("beta", "b", "P0"), optional=("Q0",),
         intensities=lambda case: (lambda t, s: case.beta * s[1],
                                   lambda t, s: case.b, lambda t: 0.0),
-        path=_clock_path, peak=_sir_peak, rows=_sir_rows),
+        path=_clock_path, peak=_clock_peak, rows=_sir_rows),
     "case3": _Case(
         model=Case3, fields=("a", "beta", "b"),
         intensities=lambda case: (lambda t, s: case.a + case.beta * s[1],

@@ -32,7 +32,6 @@ from .trajectory import Trajectory, argmax_channel, time_grid
 competition = lazy_submodule("competition")
 feedback = lazy_submodule("feedback")
 games = lazy_submodule("games")
-numerics = lazy_submodule("numerics")
 
 
 class ValidationIssue(NamedTuple):
@@ -369,13 +368,6 @@ def _stimulated_equilibrium(spec: competition.StimulatedChurnSpec, u0=None,
     return [("classification", fp.classification)] + _shares(fp.u, suffix)
 
 
-def _mean_share_u1(spec: competition.PeriodicChurnSpec) -> float:
-    a = spec.a0.a
-    if a[0][1] + a[1][0] == 0.0:
-        raise ParameterError("baseline churn rates must not both vanish")
-    return a[1][0] / (a[0][1] + a[1][0])
-
-
 # ---------------------------------------------------------------------------
 # Model kinds: parse, path, metrics and equilibrium side by side
 # ---------------------------------------------------------------------------
@@ -583,7 +575,7 @@ def _parse_periodic(r):
 
 
 def _periodic_equilibrium(model):
-    mean = _mean_share_u1(model[0])
+    mean = competition.periodic_mean_share(model[0])
     return [("u1_mean", mean), ("u2_mean", 1.0 - mean)]
 
 
@@ -678,7 +670,8 @@ _KINDS = {
         _spontaneous_metrics, lambda model: _spontaneous_equilibrium(model[1])),
     "periodic_churn": _Kind(
         _parse_periodic, lambda m, grid: competition.periodic_two_supplier_path(*m, grid),
-        lambda m, traj: [("mean_share_u1", _mean_share_u1(m[0]))], _periodic_equilibrium),
+        lambda m, traj: [("mean_share_u1", competition.periodic_mean_share(m[0]))],
+        _periodic_equilibrium),
     "stimulated_churn": _Kind(  # a developed market: no innovation, unit imitation
         _parse_stimulated,
         lambda m, grid: competition.competitive_path_numeric(competition.BassCompetition(
@@ -894,7 +887,8 @@ def calibrate(doc: dict) -> list[tuple[str, float]]:
         p_tm = targets_r.number("P_Tm", minimum=0.0)
         if issues:
             raise ScenarioValidationError(issues)
-        results = _calibrate_sir(n, p0, q0, t_m, p_tm)
+        b, beta = games.calibrate_case2(n, p0, q0, t_m, p_tm)
+        results = [("b", b), ("beta", beta)]
     elif kind == "bpq":  # a case that is missing or not a string is reported as such
         raise ScenarioValidationError(issues or [ValidationIssue(
             "unknown_kind", "$.model.case", "one of case1|case2", repr(case))])
@@ -906,30 +900,3 @@ def calibrate(doc: dict) -> list[tuple[str, float]]:
         if not math.isfinite(value):
             raise CalibrationInfeasibleError(f"calibrated {name} = {value!r} is not finite")
     return results
-
-
-def _calibrate_sir(n: float, p0: float, q0: float, t_m: float,
-                   p_tm: float) -> list[tuple[str, float]]:
-    """Recover (b, beta) from the peak height and peak time.
-
-    The peak height fixes x = b/beta through
-    P_Tm = N - Q0 - x(1 + ln(B0/x)); b then scales the peak time of the
-    game with beta = 1/x and b = 1 to T_m.
-    """
-    b0 = n - p0 - q0
-    if not p0 < p_tm:
-        raise CalibrationInfeasibleError(
-            f"peak player count must exceed the seed P0 = {p0:g}")
-    if not p_tm < n - q0:
-        raise CalibrationInfeasibleError(
-            f"peak player count must stay below N - Q0 = {n - q0:g}")
-    if not t_m > 0:
-        raise CalibrationInfeasibleError("peak time must be positive")
-
-    def gap(x: float) -> float:
-        return n - q0 - x * (1.0 + math.log(b0 / x)) - p_tm
-
-    x = numerics.solve_root(gap, 1e-9 * b0, b0 * (1.0 - 1e-12), tol=1e-13 * b0)
-    unit_time = games.sir_peak_time(games.Case2(beta=1.0 / x, b=1.0, N=n, P0=p0, Q0=q0))
-    b = unit_time / t_m
-    return [("b", b), ("beta", b / x)]

@@ -70,7 +70,6 @@ class LatencyKernelRow(NamedTuple):
     label: str
     t10_over_t50: float
     t10_formatted: str
-    late_over_t50: float
     late_formatted: str
     footnote: str | None = None
 
@@ -120,7 +119,7 @@ def latency_kernels_table(t50: float = 5.0) -> list[LatencyKernelRow]:
         rows.append(LatencyKernelRow(
             label=label, t10_over_t50=ratio,
             t10_formatted=format_duration(ratio * t50),
-            late_over_t50=late, late_formatted=format_duration(late * t50),
+            late_formatted=format_duration(late * t50),
             footnote=footnote))
     return rows
 

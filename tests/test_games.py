@@ -262,18 +262,26 @@ def test_case2_path_matches_rk4():
 
 def test_case2_state_relations():
     rel = games.sir_relations(CASE2)
-    assert rel.B_of_Q(0.0) == CASE2.B0
+    clock = games._QuitClock(CASE2)
+
+    def state(q):
+        """(B, P, Q) on the quit clock at s = log(Delta / g) of quitter count q."""
+        s = math.log(q - CASE2.Q0) - math.log(clock.q_inf - q) if q > CASE2.Q0 else -math.inf
+        _, _, p, q_at, c = clock._at(s)
+        return CASE2.B0 - c, p, q_at
+
+    assert state(0.0)[0] == CASE2.B0
     assert rel.B_Tm == pytest.approx(CASE2.b / CASE2.beta, rel=1e-12)
     assert rel.P_Tm == pytest.approx(
         N - 250.0 - 250.0 * math.log(CASE2.beta * CASE2.B0 / CASE2.b), rel=1e-12)
     # B(Q) exponent: forward difference of ln B against -beta/b.
-    q1, q2 = 100.0, 101.0
-    slope = (math.log(rel.B_of_Q(q2)) - math.log(rel.B_of_Q(q1))) / (q2 - q1)
+    (b1, _, q1), (b2, _, q2) = state(100.0), state(101.0)
+    slope = (math.log(b2) - math.log(b1)) / (q2 - q1)
     assert slope == pytest.approx(-CASE2.beta / CASE2.b, rel=1e-9)
     # P(B) composes back through the conservation law.
     for q in (0.0, 50.0, 300.0):
-        b = rel.B_of_Q(q)
-        assert rel.P_of_B(b) == pytest.approx(N - b - q, rel=1e-12)
+        b, p, q_at = state(q)
+        assert p == pytest.approx(N - b - q_at, rel=1e-12)
 
 
 def test_case2_final_size_matches_long_run():
@@ -287,11 +295,12 @@ def test_case2_final_size_matches_long_run():
 
 
 def test_case2_time_integral():
-    assert games.sir_time_of(CASE2, 0.0) == 0.0
-    ts = [games.sir_time_of(CASE2, q) for q in (50.0, 150.0, 400.0, 700.0)]
+    clock = games._QuitClock(CASE2)
+    assert clock.time_of(0.0) == 0.0
+    ts = [clock.time_of(q) for q in (50.0, 150.0, 400.0, 700.0)]
     assert all(b > a for a, b in zip(ts, ts[1:]))
     with pytest.raises(DomainError):
-        games.sir_time_of(CASE2, N)
+        clock.time_of(N)
 
 
 def mp_quit_time(case, q):
@@ -346,13 +355,14 @@ def test_quit_clock_path_samples_match_mpmath(case):
         assert abs(mp_quit_time(case, q) - t) <= 1e-12 * t, t
 
 
-def test_sir_time_of_rejects_quitter_counts_outside_the_reachable_range():
+def test_quit_clock_rejects_quitter_counts_outside_the_reachable_range():
     case = CLOCK_CASES[1]
     q_inf = N - games.sir_relations(case).B_inf
+    clock = games._QuitClock(case)
     for q in (math.nextafter(case.Q0, 0.0), q_inf, N):
         with pytest.raises(DomainError, match="reachable range"):
-            games.sir_time_of(case, q)
-    assert games.sir_time_of(case, math.nextafter(q_inf, 0.0)) > 0.0
+            clock.time_of(q)
+    assert clock.time_of(math.nextafter(q_inf, 0.0)) > 0.0
 
 
 def test_case2_peak_time_matches_argmax():
@@ -360,7 +370,7 @@ def test_case2_peak_time_matches_argmax():
     traj = games.bpq_path(CASE2, grid)
     p = traj.channel("P")
     k = max(range(len(p)), key=lambda i: p[i])
-    assert abs(games.sir_peak_time(CASE2) - grid[k]) <= grid[1] - grid[0]
+    assert abs(games._clock_peak(CASE2).T_m - grid[k]) <= grid[1] - grid[0]
 
 
 def test_case2_seed_sensitivity():
@@ -793,7 +803,7 @@ def test_peak_metrics_catalog():
     m1 = peak_metrics(games.Case1(a=1.0, b=0.5, c=0.0, N=N))
     assert m1.T_m == pytest.approx(math.log(2.0) / 0.5, rel=1e-12)
     m2 = peak_metrics(CASE2)
-    assert m2.T_m == pytest.approx(games.sir_peak_time(CASE2), abs=0.03)
+    assert m2.T_m == pytest.approx(games._clock_peak(CASE2).T_m, abs=0.03)
     assert m2.C_inf == pytest.approx(CASE2.B0 - games.sir_relations(CASE2).B_inf,
                                      rel=1e-9)
     m5 = peak_metrics(CASE5)

@@ -1168,7 +1168,7 @@ def test_calibrate_case1():
 def test_calibrate_sir_round_trip():
     case = games.Case2(beta=0.002, b=0.5, N=1000.0, P0=10.0)
     rel = games.sir_relations(case)
-    t_m = games.sir_peak_time(case)
+    t_m = games._clock_peak(case).T_m
     out = dict(scenario.calibrate({
         "model": {"kind": "bpq", "case": "case2", "N": 1000.0, "P0": 10.0},
         "targets": {"T_m": t_m, "P_Tm": rel.P_Tm}}))
@@ -1188,10 +1188,36 @@ def test_cli_calibrate_sir_with_a_tiny_seed(p0, code, tmp_path, capsys):
     if code == cli.EXIT_OK:
         found = dict(scenario.calibrate(doc))  # unrounded
         case = games.Case2(beta=found["beta"], b=found["b"], N=1000.0, P0=p0)
-        assert games.sir_peak_time(case) == pytest.approx(5.0, rel=1e-12)
+        assert games._clock_peak(case).T_m == pytest.approx(5.0, rel=1e-12)
         assert games.sir_relations(case).P_Tm == pytest.approx(300.0, rel=1e-9)
     else:
         assert "P(0) > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,model,targets,most", [
+    ("metrics", {"case": "case2", "beta": 0.002, "b": 0.5, "P0": 10}, None, 3),
+    ("calibrate", {"case": "case2", "P0": 10}, {"T_m": 8.0, "P_Tm": 300.0}, 1),
+    ("metrics", {"case": "case4", "beta": 0.002, "gamma": 0.003, "P0": 10, "Q0": 10}, None, 2),
+], ids=["case2-metrics", "case2-calibrate", "case4-metrics"])
+def test_one_quit_clock_per_question(command, model, targets, most, tmp_path, capsys,
+                                     monkeypatch):
+    # The path, the peak and case 2's state rows each build one clock; the
+    # calibration builds one for its unit-time peak.
+    built = [0]
+    init = games._QuitClock.__init__
+
+    def counted(self, case):
+        built[0] += 1
+        init(self, case)
+
+    monkeypatch.setattr(games._QuitClock, "__init__", counted)
+    doc = {"model": {"kind": "bpq", "N": 1000, **model}}
+    doc.update({"targets": targets} if targets else {"horizon": 30.0, "samples": 50})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out
+    assert built[0] <= most
 
 
 def test_calibrate_infeasible_targets():

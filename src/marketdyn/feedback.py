@@ -438,6 +438,31 @@ def _shares(m: FeedbackModel, times: Sequence[float]) -> tuple[list[float], list
     return u, [1.0 - v for v in u]
 
 
+def _saturation(m: FeedbackModel) -> tuple[float, float, float, float]:
+    """Where an inverted path stops rising: the share L it tends to, the
+    time it freezes there (inf unless L < 1), the cap at which its shares
+    saturate and phi at the cap."""
+    kern, u0 = m.kernel, m.u0
+    _check_start(kern, u0)
+    limit = max(kern.limit, u0)  # a start past the cutoff share stays there
+    t_freeze = cutoff_time(m) if limit < 1.0 else math.inf
+    cap = min(limit - (limit - u0) * 0.5 ** 50, math.nextafter(limit, 0.0))
+    return limit, t_freeze, cap, _phi(kern, cap, u0)
+
+
+def check_path(m: FeedbackModel) -> None:
+    """Raise what :func:`feedback_path` raises for m on a grid from 0 to a
+    positive horizon, without building the path.
+
+    Past the start check, a closed-form path cannot fail, and an inverted
+    one fails only where phi overflows at the cap, which bounds every phi
+    the Newton steps take.
+    """
+    _check_start(m.kernel, m.u0)
+    if _KERNELS[m.kernel.kind].u_of_t is None:
+        _saturation(m)
+
+
 def _invert_phi(m: FeedbackModel,
                 times: Sequence[float]) -> tuple[list[float], list[float]]:
     """Roots u of phi(u) = rate * t, with 1 - u, by safeguarded Newton iteration.
@@ -449,11 +474,8 @@ def _invert_phi(m: FeedbackModel,
     stays at u1 from cutoff_time(m) on, or at u0 if it starts past u1.
     """
     kern, u0 = m.kernel, m.u0
-    _check_start(kern, u0)
-    limit = max(kern.limit, u0)  # a start past the cutoff share stays there
-    t_freeze = cutoff_time(m) if limit < 1.0 else math.inf
-    cap = min(limit - (limit - u0) * 0.5 ** 50, math.nextafter(limit, 0.0))
-    phi_cap = _phi(kern, cap, u0)
+    limit, t_freeze, cap, phi_cap = _saturation(m)
+    F, phi = _KERNELS[kern.kind].F, _KERNELS[kern.kind].phi
     x, phi_x, rate = u0, 0.0, m.rate
     shares, rests = [], []
     for t in times:
@@ -465,15 +487,18 @@ def _invert_phi(m: FeedbackModel,
         elif not phi_cap >= target:
             u, rest = cap, 1.0 - cap
         else:
-            u, rest, x, phi_x = _newton_share(kern, u0, target, x, phi_x, cap)
+            u, rest, x, phi_x = _newton_share(F, phi, kern, u0, target, x, phi_x, cap)
         shares.append(u)
         rests.append(rest)
     return shares, rests
 
 
-def _newton_share(kern: FeedbackKernel, u0: float, target: float, x: float, phi_x: float,
+def _newton_share(F: Callable, phi: Callable, kern: FeedbackKernel, u0: float,
+                  target: float, x: float, phi_x: float,
                   hi: float) -> tuple[float, float, float, float]:
     """Root u of phi(u) = target in [u0, hi] from x, where phi(hi) >= target.
+
+    ``F`` and ``phi`` are the kernel kind's entries of ``_KERNELS``.
 
     Steps are taken in s = -log(1 - u), where dphi/ds = 1 / F(u) and phi
     is nearly linear close to saturation; a step that leaves the bracket
@@ -492,12 +517,15 @@ def _newton_share(kern: FeedbackKernel, u0: float, target: float, x: float, phi_
             lo = x
         else:
             hi = x
-        f = kern.F(x)
-        step = min(g * f, 700.0)  # -ds
+        f = F(kern, x)
+        step = g * f  # -ds, at most 700; a compare costs less than min() here
+        if step > 700.0:
+            step = 700.0
         nxt = x - (1.0 - x) * math.expm1(step)
         rest = (1.0 - x) * math.exp(step)
         if lo < nxt < hi:
-            tol = 0.5 * _ROUNDOFF * min(1.0, nxt / rest)
+            ratio = nxt / rest
+            tol = 0.5 * _ROUNDOFF * (ratio if ratio < 1.0 else 1.0)
             # step^3 <= tol prev^2, in a form that tiny shares cannot underflow
             if prev is not None and abs(step) * (step / prev) ** 2 <= tol:
                 return nxt, rest, x, phi_x
@@ -512,7 +540,7 @@ def _newton_share(kern: FeedbackKernel, u0: float, target: float, x: float, phi_
             if not lo < nxt < hi:
                 break
             prev = None
-        x, phi_x = nxt, _phi(kern, nxt, u0)
+        x, phi_x = nxt, phi(kern, nxt, u0)
     return x, 1.0 - x, x, phi_x
 
 

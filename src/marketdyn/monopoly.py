@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from collections import namedtuple
 from typing import NamedTuple, Sequence, Union
 
@@ -106,16 +105,15 @@ class CutoffRate(namedtuple("CutoffRate", "a T")):
         return self.a * (min(t, self.T) - min(start, self.T))
 
 
-_knot_time = operator.itemgetter(0)
-
-
 class TabulatedRate(namedtuple("TabulatedRate", "points")):
     """Piecewise-linear a(t) through the given (time, rate) points.
 
     The first value is held before the table and the last value after it.
     """
 
-    __slots__ = ()
+    # No __slots__: the instance dict holds what is fixed for the schedule,
+    # which equality and hashing leave out: ``_knots``, the knot times, and
+    # ``_pieces``, the trapezoid over each knot interval.
 
     def __new__(cls, points: tuple[tuple[float, float], ...]):
         if len(points) < 1:
@@ -125,7 +123,12 @@ class TabulatedRate(namedtuple("TabulatedRate", "points")):
                 raise ParameterError("tabulated times must be strictly increasing")
         if any(r < 0 for _, r in points):
             raise ParameterError("tabulated rates must be nonnegative")
-        return super().__new__(cls, points)
+        self = super().__new__(cls, points)
+        self._knots = knots = tuple(k for k, _ in points)
+        rates = [self.rate(k) for k in knots]
+        self._pieces = tuple(0.5 * (k1 - k0) * (r0 + r1) for k0, k1, r0, r1
+                             in zip(knots, knots[1:], rates, rates[1:]))
+        return self
 
     def rate(self, t: float) -> float:
         pts = self.points
@@ -134,22 +137,30 @@ class TabulatedRate(namedtuple("TabulatedRate", "points")):
         if t >= pts[-1][0]:
             return pts[-1][1]
         # The interval that ends at the first knot at or after t.
-        k = bisect.bisect_left(pts, t, key=_knot_time)
+        k = bisect.bisect_left(self._knots, t)
         (t0, r0), (t1, r1) = pts[k - 1], pts[k]
         w = (t - t0) / (t1 - t0)
         return r0 + w * (r1 - r0)
 
     def cumulative(self, t: float, start: float = 0.0) -> float:
         # The rate is linear between knots and constant outside the table,
-        # so the trapezoid rule is exact on each piece.
+        # so the trapezoid rule is exact on each piece: the partial pieces
+        # from start to the first knot inside (start, t) and from the last
+        # one to t, and the stored pieces between those knots, summed in
+        # time order.
         if not t > start:
             return 0.0
-        pts = self.points
-        inside = pts[bisect.bisect_right(pts, start, key=_knot_time):
-                     bisect.bisect_left(pts, t, key=_knot_time)]
-        cuts = [start] + [k for k, _ in inside] + [t]
-        return math.fsum(0.5 * (x1 - x0) * (self.rate(x0) + self.rate(x1))
-                         for x0, x1 in zip(cuts, cuts[1:]))
+        knots, rate = self._knots, self.rate
+        first = bisect.bisect_right(knots, start)
+        end = bisect.bisect_left(knots, t)
+        if first == end:
+            pieces = (0.5 * (t - start) * (rate(start) + rate(t)),)
+        else:
+            k0, k1 = knots[first], knots[end - 1]
+            pieces = (0.5 * (k0 - start) * (rate(start) + rate(k0)),
+                      *self._pieces[first:end - 1],
+                      0.5 * (t - k1) * (rate(k1) + rate(t)))
+        return math.fsum(pieces)
 
 
 RateSchedule = Union[ConstantRate, LinearRate, ExpDecayRate, CutoffRate, TabulatedRate]
@@ -160,7 +171,7 @@ RateSchedule = Union[ConstantRate, LinearRate, ExpDecayRate, CutoffRate, Tabulat
 # ---------------------------------------------------------------------------
 
 class SimpleAdoption(namedtuple("SimpleAdoption", "a u0 N")):
-    """Constant adoption rate a for everyone; tau = 1/a is the mean wait."""
+    """Constant adoption rate a for everyone; the mean wait is 1/a."""
 
     __slots__ = ()
 
@@ -174,10 +185,6 @@ class SimpleAdoption(namedtuple("SimpleAdoption", "a u0 N")):
         if not N > 0:
             raise ParameterError("population N must be positive")
         return super().__new__(cls, a, u0, N)
-
-    @property
-    def tau(self) -> float:
-        return 1.0 / self.a
 
 
 class Segment(namedtuple("Segment", "n schedule")):

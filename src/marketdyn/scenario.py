@@ -7,9 +7,10 @@ no clocks, and CSV output is byte-identical across runs.
 Each model kind has one entry in ``_KINDS``: how to parse its model
 object, its path, the metric rows read off the path, and (where the paper
 gives one) its asymptotic state; :func:`simulate_scenario` computes the
-path alone. The wire format lives in the parsers alone: the reader records
-every value it accepts, defaults included, and that record is what
-:func:`scenario_to_dict` writes back.
+path alone, and :func:`run_scenario` skips it for a kind whose rows are
+closed forms of the model. The wire format lives in the parsers alone:
+the reader records every value it accepts, defaults included, and that
+record is what :func:`scenario_to_dict` writes back.
 """
 
 from __future__ import annotations
@@ -71,13 +72,27 @@ class Scenario(NamedTuple):
         return hash(self[:-1])
 
 
-class RunReport(NamedTuple):
-    """Trajectory plus model-appropriate metrics and surfaced ledger notes."""
+class RunReport:
+    """Model-appropriate metrics, surfaced ledger notes and the trajectory.
 
-    scenario: Scenario
-    trajectory: Trajectory
-    metrics: tuple[tuple[str, object], ...]
-    discrepancies: tuple[str, ...] = ()
+    A kind whose metrics skip the path builds it on the first read of
+    ``trajectory``.
+    """
+
+    __slots__ = ("scenario", "metrics", "discrepancies", "_trajectory")
+
+    def __init__(self, scenario: Scenario, metrics: tuple[tuple[str, object], ...],
+                 discrepancies: tuple[str, ...] = (), trajectory: Trajectory | None = None):
+        self.scenario = scenario
+        self.metrics = metrics
+        self.discrepancies = discrepancies
+        self._trajectory = trajectory
+
+    @property
+    def trajectory(self) -> Trajectory:
+        if self._trajectory is None:
+            self._trajectory = simulate_scenario(self.scenario)
+        return self._trajectory
 
 
 def _is_number(value) -> bool:
@@ -637,13 +652,17 @@ class _Kind(NamedTuple):
     metrics: Callable      # (model, trajectory) -> [(metric, value)] on traj.times
     equilibrium: Callable | None = None   # model -> [(quantity, value)]; None: no analysis
     notes: Callable | None = None         # model -> ledger notes shown with the metrics
+    # model -> None, raising where the path would fail; set where the metrics
+    # read no path and the path adds no note: `metrics` then runs it in place
+    # of the path and passes None for the trajectory.
+    path_check: Callable | None = None
 
 
 # Entries look library functions up through their module at call time, so a
 # wrapper set on a module sees each call and the model modules load on first use.
 _KINDS = {
     "simple": _Kind(_parse_simple, lambda m, grid: monopoly.simple_path(m, grid),
-                    _simple_metrics),
+                    _simple_metrics, path_check=lambda model: None),
     "scheduled": _Kind(_parse_scheduled,
                        lambda m, grid: monopoly.scheduled_path(m[0], m[1], grid, N=m[2]),
                        _scheduled_metrics),
@@ -657,7 +676,8 @@ _KINDS = {
                          _birth_death_metrics),
     "feedback": _Kind(_parse_feedback, lambda m, grid: feedback.feedback_path(m, grid),
                       _feedback_metrics, _feedback_equilibrium,
-                      lambda model: feedback.discrepancy_notes(model.kernel)),
+                      lambda model: feedback.discrepancy_notes(model.kernel),
+                      path_check=lambda model: feedback.check_path(model)),
     "innovators_only": _Kind(
         _parse_innovators, lambda m, grid: competition.innovators_only_path(m, grid),
         lambda m, traj: _shares([mi / math.fsum(m) for mi in m], "_asymptote")),
@@ -761,23 +781,33 @@ def scenario_to_text(s: Scenario) -> str:
 # Running
 # ---------------------------------------------------------------------------
 
-def simulate_scenario(s: Scenario) -> Trajectory:
-    """The scenario's trajectory on its sample grid; no metric is computed."""
+def _sample_grid(s: Scenario) -> tuple[float, ...]:
     grid = time_grid(0.0, s.horizon, s.samples)
     if not all(map(operator.lt, grid, grid[1:])):  # the step underflows
         raise ScenarioValidationError([ValidationIssue(
             "invariant", "$.horizon", f"a horizon long enough for {s.samples} distinct "
             "sample times", repr(s.horizon))])
-    return _KINDS[s.kind].path(s.model, grid)
+    return grid
+
+
+def simulate_scenario(s: Scenario) -> Trajectory:
+    """The scenario's trajectory on its sample grid; no metric is computed."""
+    return _KINDS[s.kind].path(s.model, _sample_grid(s))
 
 
 def run_scenario(s: Scenario) -> RunReport:
-    """Execute a scenario: trajectory plus model-appropriate metrics."""
+    """Execute a scenario: model-appropriate metrics, with the trajectory
+    where the metrics or the exit status depend on it."""
     kind = _KINDS[s.kind]
-    traj = simulate_scenario(s)
+    grid = _sample_grid(s)
+    if kind.path_check is None:
+        traj = kind.path(s.model, grid)
+    else:
+        kind.path_check(s.model)
+        traj = None
     notes = kind.notes(s.model) if kind.notes else ()
-    return RunReport(scenario=s, trajectory=traj, metrics=tuple(kind.metrics(s.model, traj)),
-                     discrepancies=notes + traj.notes)
+    return RunReport(s, tuple(kind.metrics(s.model, traj)),
+                     notes if traj is None else notes + traj.notes, traj)
 
 
 def equilibrium(s: Scenario) -> list[tuple[str, object]]:

@@ -205,7 +205,8 @@ def tabulated_rate(points, t: float) -> float:
 
 
 def tabulated_cumulative(points, t: float, start: float = 0.0) -> float:
-    """``TabulatedRate.cumulative`` with the knots inside (start, t) found by a scan."""
+    """``TabulatedRate.cumulative`` as a cut list: the trapezoids between start,
+    each knot inside (start, t), found by a scan, and t, summed by fsum."""
     if not t > start:
         return 0.0
     cuts = [start] + [k for k, _ in points if start < k < t] + [t]

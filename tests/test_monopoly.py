@@ -142,6 +142,32 @@ def test_tabulated_bisection_matches_the_scan_bit_for_bit(points):
         assert sched.cumulative(t).hex() == reference.tabulated_cumulative(points, t).hex()
 
 
+@st.composite
+def tables_and_spans(draw):
+    """A table of 1-6 knots and a (start, t) pair, each end on a knot, between
+    knots, before or after the table; t may equal start or lie before it."""
+    n = draw(st.integers(1, 6))
+    knots = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True)))
+    rates = draw(st.lists(st.floats(0.0, 1e3) | st.just(-0.0), min_size=n, max_size=n))
+    ends = [st.sampled_from(knots), st.floats(-1e4, knots[0]), st.floats(knots[-1], 1e4)]
+    if n > 1:
+        ends.append(st.builds(lambda i, w: knots[i] + w * (knots[i + 1] - knots[i]),
+                              st.integers(0, n - 2), st.floats(0.0, 1.0)))
+    start = draw(st.one_of(ends))
+    t = draw(st.one_of(*ends, st.just(start)))
+    return tuple(zip(knots, rates)), start, t
+
+
+@given(tables_and_spans())
+def test_tabulated_stored_pieces_match_the_cut_list_bit_for_bit(table_and_span):
+    # The integral sums the stored knot-to-knot pieces with the two partial
+    # ones; fsum rounds the same summands to the same double as the cut list.
+    points, start, t = table_and_span
+    sched = mono.TabulatedRate(points)
+    assert (sched.cumulative(t, start).hex()
+            == reference.tabulated_cumulative(points, t, start).hex())
+
+
 @pytest.mark.parametrize("sched", [
     mono.ConstantRate(0.3), mono.LinearRate(0.2, 0.05), mono.ExpDecayRate(0.5, 0.1),
     mono.CutoffRate(0.4, 12.0), mono.TabulatedRate(((1.0, 0.2), (3.0, 0.6), (20.0, 0.1))),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from marketdyn import cli, competition, games, numerics, scenario, tables
+from marketdyn import cli, competition, feedback, games, monopoly, numerics, scenario, tables
 from marketdyn.errors import (
     CalibrationInfeasibleError,
     DomainError,
@@ -534,7 +534,9 @@ def test_cli_cutoff_market_reports_latencies_only_if_it_reaches_half(u1, rows, t
 @pytest.mark.parametrize("model", [
     {"kind": "bpq", "case": "case6", "a": 0.5, "b": 0.3, "gamma": 0.0005, "N": 1000},
     {"kind": "innovators_only", "m": [0.1, 0.2]},
-], ids=["bpq_case6", "innovators_only"])
+    {"kind": "simple", "a": 0.5},
+    {"kind": "feedback", "kernel": {"kind": "quadratic"}, "rate": 1.0, "u0": 0.01},
+], ids=["bpq_case6", "innovators_only", "simple", "feedback"])
 def test_cli_rejects_a_horizon_too_short_for_the_grid(model, file_samples, argv, command,
                                                       tmp_path, capsys):
     # 5e-324 / 49 rounds to 0, so the sample times did not increase and the
@@ -887,6 +889,45 @@ def test_simulate_computes_no_metric(tmp_path, capsys, monkeypatch):
         assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
         assert cli.main(["metrics", str(path)]) == cli.EXIT_NUMERIC
         assert "a metric was computed" in capsys.readouterr().err
+
+
+def test_metrics_of_closed_form_rows_builds_no_path(tmp_path, capsys, monkeypatch):
+    # The simple and feedback rows are closed forms of the model, and their
+    # path adds no note, so `metrics` builds none.
+    docs = [SIMPLE_DOC, ROUND_TRIP_DOCS[ROUND_TRIP_IDS.index("feedback")],
+            {"model": {"kind": "feedback", "kernel": {"kind": "quadratic"}, "T50": 5.0,
+                       "u0": 0.01}, "horizon": 25.0},
+            {"model": {"kind": "feedback", "kernel": {"kind": "power", "n": 2.0}, "T50": 5.0,
+                       "u0": 0.01}, "horizon": 7.5}]
+    path = tmp_path / "doc.json"
+    printed = []
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        assert cli.main(["metrics", str(path)]) == cli.EXIT_OK
+        printed.append(capsys.readouterr())
+    assert 'note,"quadratic kernel' in printed[2].out
+
+    def built(*args, **kwargs):
+        raise DomainError("a path was built")
+
+    monkeypatch.setattr(monopoly, "simple_path", built)
+    monkeypatch.setattr(feedback, "feedback_path", built)
+    for doc, expected in zip(docs, printed):
+        path.write_text(json.dumps(doc))
+        assert cli.main(["metrics", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_power_kernel_whose_path_overflows_exits_2(command, tmp_path, capsys):
+    # The u^n growth integral overflows on the path's way to saturation, and
+    # `metrics` exits as the path does, before the inflection row, at
+    # u = n/(n+1) = 1, would exit 3.
+    doc = {"model": {"kind": "feedback", "kernel": {"kind": "power", "n": 1e300},
+                     "rate": 1.0, "u0": 0.5}, "horizon": 1.0}
+    assert cli_output(command, doc, tmp_path, capsys) == (
+        cli.EXIT_VALIDATION, [], "error [invariant] u^n feedback with n = 1e+300 from "
+                                 "u0 = 0.5: the growth integral overflows\n")
 
 
 FAST_INFLOW = {"kind": "bpq", "case": "case1", "N": 1000, "a": 1e12,

@@ -30,9 +30,9 @@ def main() -> None:
         u1 = k / 10.0
         market = comp.BassCompetition(m=(0.0, 0.0), r=(1.0, 1.0), u0=(u1, 1.0 - u1))
         traj = comp.competitive_path_numeric(market, pure, time_grid(0.0, args.horizon, 11))
-        final = traj.final()
-        winner = "supplier1" if final[0] > final[1] else "supplier2"
-        print(f"{format_value(u1)},{format_value(final[0])},{winner}")
+        u1_end, u2_end = traj.channel("u1")[-1], traj.channel("u2")[-1]
+        winner = "supplier1" if u1_end > u2_end else "supplier2"
+        print(f"{format_value(u1)},{format_value(u1_end)},{winner}")
 
     mixed = comp.StimulatedChurnSpec(churn=churn, b=(args.b1, args.b2), eps=(1, 1))
     fp = comp.stimulated_fixed_point(mixed)

@@ -93,9 +93,6 @@ class ChurnMatrix(namedtuple("ChurnMatrix", "a")):
     def outflow(self, i: int) -> float:
         return math.fsum(self.a[i][j] for j in range(self.n) if j != i)
 
-    def scaled(self, factor: float) -> "ChurnMatrix":
-        return ChurnMatrix(tuple(tuple(factor * v for v in row) for row in self.a))
-
 
 class Sinusoid(namedtuple("Sinusoid", "amplitude period phase")):
     """amplitude * sin(2 pi t / period + phase); zero mean over one period."""
@@ -111,17 +108,6 @@ class Sinusoid(namedtuple("Sinusoid", "amplitude period phase")):
 
     def value(self, t: float) -> float:
         return self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
-
-    def integral(self, t: float) -> float:
-        """Exact integral from 0 to t.
-
-        Whole periods integrate to zero, so only t mod period enters, and
-        cos(phase) - cos(w t + phase) is written as a product of sines: no
-        horizon overflows the angle and a slow sinusoid loses no digits.
-        """
-        w = 2.0 * math.pi / self.period
-        half = 0.5 * w * math.fmod(t, self.period)
-        return 2.0 * self.amplitude * (math.sin(half) / w) * math.sin(half + self.phase)
 
 
 class PairModulation(NamedTuple):
@@ -238,11 +224,14 @@ def _modulation_kernel(mods: Sequence[PairModulation]) -> Callable[[float], floa
 
 
 def _integral_kernel(terms: Sequence[Sinusoid]) -> Callable[[float], float]:
-    """``t -> fsum(s.integral(t) for s in terms)`` with the records' floats read once.
+    """``t ->`` the exact integral of the terms' sum from 0 to t, with the
+    records' floats read once.
 
     Per term: (2 amplitude) (sin(half) / w) sin(half + phase) with
-    w = 2 pi / period and half = (0.5 w) fmod(t, period), the expression
-    of :meth:`Sinusoid.integral`, so every value is bit-identical to it.
+    w = 2 pi / period and half = (0.5 w) fmod(t, period), summed with
+    ``fsum``. Whole periods integrate to zero, so only t mod period enters,
+    and cos(phase) - cos(w t + phase) is written as a product of sines: no
+    horizon overflows the angle and a slow sinusoid loses no digits.
     """
     params = []
     for s in terms:
@@ -500,8 +489,8 @@ def spontaneous_path(m: Sequence[float], c: ChurnMatrix,
     exponential; if Q is singular the path falls back to direct
     integration (noted on the trajectory).
 
-    The decay e^{-Qt} v is computed at the first grid time and then
-    propagated sample to sample with E = e^{-Q h}: decay(t + h) =
+    The grid starts at t = 0, where the decay e^{-Qt} v is v, and the
+    decay is propagated sample to sample with E = e^{-Q h}: decay(t + h) =
     E decay(t). One E serves every step it fits: it is reused while the
     time it has propagated to, anchor + k h, agrees with the next grid
     time to 1e-14 relative (the steps of :func:`time_grid` differ only
@@ -512,16 +501,17 @@ def spontaneous_path(m: Sequence[float], c: ChurnMatrix,
     n = c.n
     if len(m) != n:
         raise ParameterError("m must have one entry per supplier")
+    if grid[0] != 0.0:
+        raise ParameterError("grid must start at t = 0 (the shares start at zero there)")
     q = _innovator_churn_matrix(m, c)
     notes: tuple[str, ...] = ()
     try:
         v = numerics.linear_solve(q, list(m))
         neg_q = q.scaled(-1.0)
         # e^(-Q 0) is the identity exactly; it needs no series.
-        decay = (SquareMatrix.identity(n).apply(v) if grid[0] == 0.0
-                 else numerics.mat_exp_apply(neg_q, grid[0], v))
+        decay = SquareMatrix.identity(n).apply(v)
         rows = [tuple(vi - di for vi, di in zip(v, decay))]
-        step_exp, h, anchor, k = None, 0.0, grid[0], 0
+        step_exp, h, anchor, k = None, 0.0, 0.0, 0
         for prev, t in zip(grid, grid[1:]):
             k += 1
             if step_exp is None or abs(anchor + k * h - t) > 1e-14 * abs(t):

@@ -191,6 +191,8 @@ def _power_series_below_half(n: float, a: float, b: float) -> float:
     shift = 600 if a > 0.0 and (1.0 - n) * math.log(a) > 700.0 else 0
     ha, hb = a ** (0.5 - 0.5 * n), b ** (0.5 - 0.5 * n)
     pa, pb = ha * math.ldexp(ha, -shift), hb * math.ldexp(hb, -shift)
+    if not pa < math.inf:  # even scaled, a^(1 - n) and with it the sum overflow
+        raise OverflowError("the scaled power a^(1 - n) overflows")
     tail_factor = b / (1.0 - b)
     total = 0.0
     k = 0

@@ -399,11 +399,15 @@ class _QuitClock:
         d = min(P0 + B0, P0 / (1.0 - spread)) if spread < 1.0 else P0 + B0
         for _ in range(_MAX_NEWTON_STEPS):
             x = self.drop(Q0, d)
-            nxt = d - ((P0 - d - B0 * math.expm1(-x))
-                       / (beta * B0 * math.exp(-x) / self.rate(Q0 + d) - 1.0))
+            slope = beta * B0 * math.exp(-x) / self.rate(Q0 + d) - 1.0
+            if slope == 0.0:  # rates so small that beta B / rate rounds to 1
+                raise DomainError(_OUT_OF_RANGE)
+            nxt = d - (P0 - d - B0 * math.expm1(-x)) / slope
             if not nxt < d:
                 break
             d = nxt
+        if not d > 0.0:  # a step overshot a root below the start's resolution
+            raise DomainError(_OUT_OF_RANGE)
         self.g0, self.q_inf, self.B_inf = d, Q0 + d, B0 * math.exp(-self.drop(Q0, d))
         self.log_g0 = math.log(d)
         # Past s_cap the gap is below e^-690: dt/ds is held there, as it keeps

@@ -50,7 +50,6 @@ class Scenario(NamedTuple):
 
     ``model_doc`` is the model object as parsed, with defaults filled in
     and derived values resolved; :func:`scenario_to_dict` writes it back.
-    Equality and hashing leave it out.
     """
 
     kind: str
@@ -62,37 +61,12 @@ class Scenario(NamedTuple):
     name: str | None = None
     model_doc: dict | None = None
 
-    def __eq__(self, other):
-        return isinstance(other, Scenario) and self[:-1] == other[:-1]
 
-    def __ne__(self, other):
-        return not self == other
+class RunReport(NamedTuple):
+    """Model-appropriate metrics and the ledger notes shown with them."""
 
-    def __hash__(self):
-        return hash(self[:-1])
-
-
-class RunReport:
-    """Model-appropriate metrics, surfaced ledger notes and the trajectory.
-
-    A kind whose metrics skip the path builds it on the first read of
-    ``trajectory``.
-    """
-
-    __slots__ = ("scenario", "metrics", "discrepancies", "_trajectory")
-
-    def __init__(self, scenario: Scenario, metrics: tuple[tuple[str, object], ...],
-                 discrepancies: tuple[str, ...] = (), trajectory: Trajectory | None = None):
-        self.scenario = scenario
-        self.metrics = metrics
-        self.discrepancies = discrepancies
-        self._trajectory = trajectory
-
-    @property
-    def trajectory(self) -> Trajectory:
-        if self._trajectory is None:
-            self._trajectory = simulate_scenario(self.scenario)
-        return self._trajectory
+    metrics: tuple[tuple[str, object], ...]
+    discrepancies: tuple[str, ...]
 
 
 def _is_number(value) -> bool:
@@ -796,7 +770,7 @@ def simulate_scenario(s: Scenario) -> Trajectory:
 
 
 def run_scenario(s: Scenario) -> RunReport:
-    """Execute a scenario: model-appropriate metrics, with the trajectory
+    """Execute a scenario: model-appropriate metrics, built on the trajectory
     where the metrics or the exit status depend on it."""
     kind = _KINDS[s.kind]
     grid = _sample_grid(s)
@@ -806,8 +780,8 @@ def run_scenario(s: Scenario) -> RunReport:
         kind.path_check(s.model)
         traj = None
     notes = kind.notes(s.model) if kind.notes else ()
-    return RunReport(s, tuple(kind.metrics(s.model, traj)),
-                     notes if traj is None else notes + traj.notes, traj)
+    return RunReport(tuple(kind.metrics(s.model, traj)),
+                     notes if traj is None else notes + traj.notes)
 
 
 def equilibrium(s: Scenario) -> list[tuple[str, object]]:

@@ -44,9 +44,6 @@ class Trajectory(namedtuple("Trajectory", "times columns labels notes")):
         except ValueError:
             raise KeyError(f"no channel named {label!r}; have {self.labels}") from None
 
-    def final(self) -> tuple[float, ...]:
-        return tuple(column[-1] for column in self.columns)
-
 
 def from_channels(times: Sequence[float], channels: dict[str, Sequence[float]],
                   notes: Iterable[str] = ()) -> Trajectory:

@@ -6,8 +6,9 @@ the forms below; they live here as oracles: the three defining systems of
 the monopoly, feedback and bpq families, a feedback model's share at one
 time, the complementary games'
 six-equation system and the helpers that start it, case 5's peak balance,
-the determinant and cofactors of the churn balance matrix, and the linear
-scan of a tabulated rate's knots.
+the determinant and cofactors of the churn balance matrix, the exact
+integral of one sinusoid of periodic churn, and the linear scan of a
+tabulated rate's knots.
 """
 
 from __future__ import annotations
@@ -183,6 +184,23 @@ def spontaneous_equilibrium_cofactor(c: competition.ChurnMatrix) -> list[float]:
     if d == 0.0:
         raise DegenerateMarketError("churn balance system is singular")
     return [cofactor(a, n - 1, i) / d for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Periodic churn: the exact integral of one sinusoid
+# ---------------------------------------------------------------------------
+
+def sinusoid_integral(s: competition.Sinusoid, t: float) -> float:
+    """Exact integral of the sinusoid s from 0 to t, one term of
+    ``competition._integral_kernel`` written out on the record.
+
+    Whole periods integrate to zero, so only t mod period enters, and
+    cos(phase) - cos(w t + phase) is written as a product of sines: no
+    horizon overflows the angle and a slow sinusoid loses no digits.
+    """
+    w = 2.0 * math.pi / s.period
+    half = 0.5 * w * math.fmod(t, s.period)
+    return 2.0 * s.amplitude * (math.sin(half) / w) * math.sin(half + s.phase)
 
 
 # ---------------------------------------------------------------------------

@@ -457,7 +457,7 @@ def test_criterion_10_winner_take_all_basin():
         u0 = tuple(v / norm for v in u0)
         market = comp.BassCompetition(m=(0.0, 0.0, 0.0), r=(1.0, 1.0, 1.0), u0=u0)
         traj = comp.competitive_path_numeric(market, spec, [0.0, 30.0])
-        worst_off = max(worst_off, 1.0 - max(traj.final()))
+        worst_off = max(worst_off, 1.0 - max(column[-1] for column in traj.columns))
     ok = worst_off <= 1e-4
     report("10[basin]", ok,
            f"20 interior starts, max off-vertex mass {worst_off:.2e} (<=1e-4)")

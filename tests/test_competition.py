@@ -129,11 +129,15 @@ def test_equilibrium_scaling_invariance():
     # promote the unit row to pivot and shift the result by an ulp.
     c = comp.ChurnMatrix.from_rows([[0.0, 0.25, 1.5], [0.5, 0.0, 2.0], [0.75, 1.25, 0.0]])
     base = comp.spontaneous_equilibrium(c)
+
+    def scaled(factor):
+        return comp.ChurnMatrix.from_rows([[factor * v for v in row] for row in c.a])
+
     for factor in (2.0, 4.0):
-        assert comp.spontaneous_equilibrium(c.scaled(factor)) == base
+        assert comp.spontaneous_equilibrium(scaled(factor)) == base
     for factor in (0.5, 3.0):
-        assert comp.spontaneous_equilibrium(c.scaled(factor)) == pytest.approx(base, rel=5e-15)
-    assert reference.spontaneous_equilibrium_cofactor(c.scaled(3.0)) == pytest.approx(
+        assert comp.spontaneous_equilibrium(scaled(factor)) == pytest.approx(base, rel=5e-15)
+    assert reference.spontaneous_equilibrium_cofactor(scaled(3.0)) == pytest.approx(
         reference.spontaneous_equilibrium_cofactor(c), rel=5e-15)
 
 
@@ -335,12 +339,13 @@ def test_compiled_modulations_match_the_records_bit_for_bit(term_lists, times):
                  comp._integral_kernel([s])) for s in terms]
     for t in times:
         assert value(t).hex() == spec.epsilon(0, 1, t).hex()
-        assert integral(t).hex() == math.fsum(s.integral(t) for s in terms).hex()
+        assert integral(t).hex() == math.fsum(
+            reference.sinusoid_integral(s, t) for s in terms).hex()
         for m, kernel in per_pair:
             assert kernel(t).hex() == m.value(t).hex()
         for s, kernel, antiderivative in per_term:  # fsum turns a -0.0 term into 0.0
             assert kernel(t).hex() == math.fsum([s.value(t)]).hex()
-            assert antiderivative(t).hex() == math.fsum([s.integral(t)]).hex()
+            assert antiderivative(t).hex() == math.fsum([reference.sinusoid_integral(s, t)]).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +387,7 @@ NON_UNIFORM_GRID = tuple([0.05 * k for k in range(40)]
 @pytest.mark.parametrize("grid,most_exponentials", [
     (time_grid(0.0, 25.0, 1000), 1),  # one E for every step; e^(-Q 0) = I needs none
     (NON_UNIFORM_GRID, len(NON_UNIFORM_GRID)),
-    (time_grid(1.5, 11.5, 300), 2),
-], ids=["time_grid", "non_uniform", "late_start"])
+], ids=["time_grid", "non_uniform"])
 def test_propagated_path_matches_per_sample_exponential(grid, most_exponentials,
                                                         monkeypatch):
     rng = random.Random(11)
@@ -404,6 +408,13 @@ def test_propagated_path_matches_per_sample_exponential(grid, most_exponentials,
                 for a, b in zip(row, ref))
     assert worst <= 1e-13
     assert len(exponentials) <= most_exponentials
+
+
+def test_spontaneous_path_requires_a_zero_start():
+    # The shares start at zero at t = 0, as on every grid a scenario builds.
+    c = comp.ChurnMatrix.from_rows([[0.0, 0.3], [0.5, 0.0]])
+    with pytest.raises(ParameterError, match="grid must start at t = 0"):
+        comp.spontaneous_path((1.0, 0.8), c, time_grid(1.5, 11.5, 300))
 
 
 def test_path_converges_to_equilibrium():
@@ -720,7 +731,7 @@ def test_stimulated_path_reaches_vertex():
         b=(3.0, 1.0), eps=(0, 0))
     market = comp.BassCompetition(m=(0.0, 0.0), r=(1.0, 1.0), u0=(0.6, 0.4))
     traj = comp.competitive_path_numeric(market, spec, time_grid(0.0, 30.0, 31))
-    final = traj.final()
+    final = [column[-1] for column in traj.columns]
     assert 1.0 - max(final) <= 1e-6
 
 
@@ -756,7 +767,7 @@ def test_converged_total_share_is_one():
     traj = comp.competitive_path_numeric(
         market, comp.ChurnMatrix.from_rows([[0.0, 0.2], [0.4, 0.0]]),
         time_grid(0.0, 50.0, 51))
-    final = traj.final()
+    final = [column[-1] for column in traj.columns]
     assert abs(math.fsum(final) - 1.0) <= 1e-6
 
 

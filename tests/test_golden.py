@@ -379,6 +379,19 @@ LONG_RUN_DOCS.update({
         "horizon": 10.0},
 })
 
+#: Two routes no other document reaches: the asymptotic share of an
+#: `exp_decay` schedule (the `u_asymptote` row of `metrics`) and the root of
+#: the share sum of an all-imitator market without churn (its `equilibrium`).
+#: Both digests were recorded before the reachability check by method.
+LONG_RUN_DOCS.update({
+    "scheduled_exp_decay": {"model": {
+        "kind": "scheduled", "schedule": {"kind": "exp_decay", "a0": 0.8, "beta": 0.3},
+        "u0": 0.05, "N": 1000.0}, "horizon": 20.0},
+    "bass_competition_imitators_3": {"model": {
+        "kind": "bass_competition", "m": [0.0, 0.0, 0.0], "r": [0.8, 1.2, 0.5],
+        "u0": [0.05, 0.02, 0.01]}, "horizon": 20.0},
+})
+
 LONG_RUN_GOLDEN = {
     ("simulate", "bass_competition_3"):
         "cdf1970cf6e323b9e64544ce92d2ab7e5f19ac91ab60ea8eb62327805e16809d",
@@ -617,6 +630,10 @@ LONG_RUN_GOLDEN = {
         "9ddba536a6d690139cdacd2d5d09cfd636c14beef4704a77ddae4a15993c4a60",
     ("metrics", "bass_competition_periodic_2_pair"):
         "788ab19fe0f09128181297d5e0f0a23f262f3296be304829c5aa350411edc57b",
+    ("metrics", "scheduled_exp_decay"):
+        "f44a69533e49d50adf5253ffcc1ab5a32013a66c39aca3e35d39b29b4477b229",
+    ("equilibrium", "bass_competition_imitators_3"):
+        "c924456adfad8f85a4f3967d32e04f24296776eb69d8d44fd3867c84ddfd7d7c",
 }
 
 

@@ -57,9 +57,9 @@ def work(index):
     try:
         for doc in docs:
             barrier.wait()
-            report = scenario.run_scenario(scenario.parse_scenario(doc))
-            texts.append(scenario.render_metrics(report)
-                         + scenario.render_csv(report.trajectory, report.scenario.outputs))
+            s = scenario.parse_scenario(doc)
+            texts.append(scenario.render_metrics(scenario.run_scenario(s))
+                         + scenario.render_csv(scenario.simulate_scenario(s), s.outputs))
     except Exception as exc:
         texts.append(f"{type(exc).__name__}: {exc}")
         barrier.abort()
@@ -140,9 +140,9 @@ def test_concurrent_first_use_gives_the_in_process_bytes():
     docs = [dict(doc, samples=50) for doc in CONCURRENT_DOCS]
     expected = []
     for doc in docs:
-        report = scenario.run_scenario(scenario.parse_scenario(doc))
-        expected.append(scenario.render_metrics(report)
-                        + scenario.render_csv(report.trajectory, report.scenario.outputs))
+        s = scenario.parse_scenario(doc)
+        expected.append(scenario.render_metrics(scenario.run_scenario(s))
+                        + scenario.render_csv(scenario.simulate_scenario(s), s.outputs))
     proc = _python(THREADS_RUN_DOCUMENTS, json.dumps(docs))
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout) == [expected] * 4

@@ -951,7 +951,7 @@ def test_trajectory_validation():
     traj = Trajectory((0.0, 1.0), (column,), ("u",))
     assert traj.channel("u") == (1.0, 2.0)
     assert traj.channel("u") is column
-    assert traj.final() == (2.0,)
+    assert traj.columns == (column,)
     with pytest.raises(KeyError):
         traj.channel("v")
 

@@ -322,16 +322,22 @@ def test_cli_power_kernel_reaches_saturation(tmp_path, capsys):
                          ids=["a12_huge", "a21_huge"])
 def test_cli_periodic_churn_with_an_extreme_rate(rates, tmp_path, capsys, monkeypatch):
     # The work per grid segment must not grow with the churn rate: a few
-    # quadrature panels, however narrow the weight exp(-s0 (t - x)).
+    # quadrature panels, however narrow the weight exp(-s0 (t - x)). Counted
+    # are the evaluations of the compiled modulation and its integral E(t).
     calls = [0]
-    for name in ("value", "integral"):
-        method = getattr(competition.Sinusoid, name)
+    for name in ("_modulation_kernel", "_integral_kernel"):
+        compile_kernel = getattr(competition, name)
 
-        def counted(self, t, method=method):
-            calls[0] += 1
-            return method(self, t)
+        def counted(terms, compile_kernel=compile_kernel):
+            kernel = compile_kernel(terms)
 
-        monkeypatch.setattr(competition.Sinusoid, name, counted)
+            def evaluate(t):
+                calls[0] += 1
+                return kernel(t)
+
+            return evaluate
+
+        monkeypatch.setattr(competition, name, counted)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"model": {"kind": "periodic_churn", **rates, "u1_0": 0.2,
                                           "eps12": [{"amplitude": 0.1, "period": 1.0}],
@@ -341,7 +347,7 @@ def test_cli_periodic_churn_with_an_extreme_rate(rates, tmp_path, capsys, monkey
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 50
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
-    assert calls[0] <= 100_000
+    assert 0 < calls[0] <= 100_000
 
 
 def test_cli_rejects_a_period_without_a_finite_angular_frequency(tmp_path, capsys):
@@ -396,6 +402,23 @@ def test_cli_rejects_a_power_exponent_whose_growth_integral_overflows(command, n
     out = capsys.readouterr()
     assert out.out == ""
     assert "the growth integral overflows" in out.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_power_exponent_whose_scaled_power_overflows_exits_2(command, tmp_path):
+    # From u0 just below 1/2, a^(1 - n) overflows even scaled by 2^-600: the
+    # series summed inf - inf and never stopped. The run is a subprocess
+    # with a timeout, so that a hang fails the test instead of the suite.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": {"kind": "feedback",
+                                          "kernel": {"kind": "power", "n": 1850.9600517357803},
+                                          "u0": 0.49313918263374523, "rate": 1.0},
+                                "horizon": 7.78, "samples": 20}))
+    proc = subprocess.run([sys.executable, "-m", "marketdyn", command, str(path)],
+                          capture_output=True, timeout=20)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert proc.stdout == b""
+    assert b"the growth integral overflows" in proc.stderr
 
 
 def test_cli_runs_the_largest_power_exponent_with_a_finite_growth_integral(tmp_path, capsys):
@@ -665,6 +688,27 @@ def test_cli_bpq_time_inversion_at_tiny_scales(model, horizon, code, tmp_path, c
         assert all(math.isfinite(v) for v in values)
 
 
+# Case 2 with subnormal rates: beta B / b rounds to 1, so the Newton step of
+# the final size divided by zero. Case 4 whose final-size gap lies below the
+# resolution of its start N - Q0: a step fell to 0 and its log failed. Both
+# ended in a traceback (exit 1).
+@pytest.mark.parametrize("model,horizon", [
+    ({"kind": "bpq", "case": "case2", "N": 1.3756299454551857, "b": 5e-324, "beta": 5e-324,
+      "P0": 5e-324, "Q0": 5e-324}, 1e-310),
+    ({"kind": "bpq", "case": "case4", "N": 1.1185345724037803e+177,
+      "beta": 0.0022666497430484374, "gamma": 3.8109269806519025e+86,
+      "P0": 0.017888582390094016, "Q0": 1.0798860472575559e-96}, 1009107134.3720616),
+], ids=["case2_subnormal_rates", "case4_gap_below_resolution"])
+@pytest.mark.parametrize("command", ["simulate", "metrics"])
+def test_cli_quit_clock_outside_the_double_range_exits_3(model, horizon, command, tmp_path,
+                                                        capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"model": model, "horizon": horizon, "samples": 60}))
+    assert cli.main([command, str(path)]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == ("error [numeric] the seed P0 and the rates put this game "
+                                       "outside the range of a double\n")
+
+
 def test_cli_bpq_case2_with_an_overflowing_demand_exits_3(tmp_path, capsys):
     # D = beta P B exceeds the largest double at t = 0.
     path = tmp_path / "doc.json"
@@ -871,8 +915,9 @@ def test_simulate_prints_the_trajectory_that_run_scenario_computes(doc, tmp_path
     path.write_text(json.dumps(doc))
     assert cli.main(["simulate", str(path)]) == cli.EXIT_OK
     s = scenario.parse_scenario(doc)
-    expected = scenario.render_csv(scenario.run_scenario(s).trajectory, s.outputs)
+    expected = scenario.render_csv(scenario.simulate_scenario(s), s.outputs)
     assert capsys.readouterr().out == expected
+    # A second path of the same scenario prints the same bytes.
     assert scenario.render_csv(scenario.simulate_scenario(s), s.outputs) == expected
 
 
@@ -1033,8 +1078,7 @@ def test_cli_case1_exp_decay_quit_rate_at_a_tiny_horizon(tmp_path, capsys):
 def test_csv_shape_and_values():
     s = scenario.parse_scenario({"model": {"kind": "simple", "a": math.log(2.0) / 5.0},
                                  "horizon": 10.0, "samples": 3})
-    report = scenario.run_scenario(s)
-    text = scenario.render_csv(report.trajectory)
+    text = scenario.render_csv(scenario.simulate_scenario(s))
     lines = text.split("\n")
     assert lines[0] == "t,u,D"
     assert text.endswith("\n") and "\r" not in text
@@ -1054,19 +1098,18 @@ def test_csv_significant_digits():
 def test_csv_output_channel_selection():
     s = scenario.parse_scenario({"model": {"kind": "simple", "a": 0.5},
                                  "horizon": 2.0, "samples": 3, "outputs": ["D"]})
-    report = scenario.run_scenario(s)
-    text = scenario.render_csv(report.trajectory, s.outputs)
+    traj = scenario.simulate_scenario(s)
+    text = scenario.render_csv(traj, s.outputs)
     assert text.split("\n")[0] == "t,D"
     # Channels appear in the declared order, not the trajectory's.
-    text = scenario.render_csv(report.trajectory, ["D", "u"])
+    text = scenario.render_csv(traj, ["D", "u"])
     assert text.split("\n")[0] == "t,D,u"
 
 
 def test_csv_conservation_audit():
     doc = {"model": {"kind": "bpq", "case": "case2", "beta": 0.002, "b": 0.5,
                      "N": 1000.0, "P0": 10.0}, "horizon": 30.0, "samples": 60}
-    report = scenario.run_scenario(scenario.parse_scenario(doc))
-    text = scenario.render_csv(report.trajectory)
+    text = scenario.render_csv(scenario.simulate_scenario(scenario.parse_scenario(doc)))
     header = text.split("\n")[0].split(",")
     assert header == ["t", "B", "P", "Q", "D", "C"]
     for line in text.strip().split("\n")[1:]:
@@ -1146,8 +1189,8 @@ def test_csv_with_a_percent_sign_in_the_delimiter(delimiter):
 
 def test_run_is_deterministic_in_process():
     s = scenario.parse_scenario(SIMPLE_DOC)
-    a = scenario.render_csv(scenario.run_scenario(s).trajectory)
-    b = scenario.render_csv(scenario.run_scenario(s).trajectory)
+    a = scenario.render_csv(scenario.simulate_scenario(s))
+    b = scenario.render_csv(scenario.simulate_scenario(s))
     assert a == b
 
 

@@ -106,9 +106,6 @@ class Sinusoid(namedtuple("Sinusoid", "amplitude period phase")):
             raise ParameterError("sinusoid period with a finite angular frequency 2 pi / period")
         return super().__new__(cls, amplitude, period, phase)
 
-    def value(self, t: float) -> float:
-        return self.amplitude * math.sin(2.0 * math.pi * t / self.period + self.phase)
-
 
 class PairModulation(NamedTuple):
     """Periodic modulation of one churn rate a_ij."""
@@ -116,9 +113,6 @@ class PairModulation(NamedTuple):
     i: int
     j: int
     terms: tuple[Sinusoid, ...]
-
-    def value(self, t: float) -> float:
-        return math.fsum(s.value(t) for s in self.terms)
 
     def amplitude_bound(self) -> float:
         return math.fsum(s.amplitude for s in self.terms)
@@ -141,12 +135,6 @@ class PeriodicChurnSpec(namedtuple("PeriodicChurnSpec", "a0 eps")):
     @property
     def n(self) -> int:
         return self.a0.n
-
-    def epsilon(self, i: int, j: int, t: float) -> float:
-        return math.fsum(m.value(t) for m in self.eps if m.i == i and m.j == j)
-
-    def rate(self, i: int, j: int, t: float) -> float:
-        return self.a0.a[i][j] + self.epsilon(i, j, t)
 
 
 class StimulatedChurnSpec(namedtuple("StimulatedChurnSpec", "churn b eps")):
@@ -180,13 +168,11 @@ class StimulatedChurnSpec(namedtuple("StimulatedChurnSpec", "churn b eps")):
 
 
 ChurnSpec = Union[ChurnMatrix, StimulatedChurnSpec, PeriodicChurnSpec]
-ChurnFlows = Callable[[float, Sequence[float]], list[float]]
 
 
 class StimulatedFixedPoint(NamedTuple):
     u: tuple[float, ...]
     classification: str  # winner_take_all | shared
-    vertices: tuple[tuple[float, ...], ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +186,11 @@ class StimulatedFixedPoint(NamedTuple):
 # much as the arithmetic.
 
 def _modulation_kernel(mods: Sequence[PairModulation]) -> Callable[[float], float]:
-    """``t -> fsum(m.value(t) for m in mods)`` with the records' floats read once.
+    """``t ->`` the summed modulations of one pair with the records' floats read once.
 
-    Each term is amplitude * sin((2 pi t) / period + phase), summed per
-    modulation and then over the modulations with the same ``fsum`` calls
-    as :meth:`PairModulation.value` and :meth:`PeriodicChurnSpec.epsilon`,
-    so every value is bit-identical to theirs.
+    Each term is amplitude * sin((2 pi t) / period + phase), summed by
+    ``fsum`` per modulation, and those sums by ``fsum`` over the
+    modulations in their order.
     """
     params = [[(s.amplitude, s.period, s.phase) for s in m.terms] for m in mods]
     two_pi, sin, fsum = 2.0 * math.pi, math.sin, math.fsum
@@ -249,19 +234,6 @@ def _integral_kernel(terms: Sequence[Sinusoid]) -> Callable[[float], float]:
     return integral
 
 
-def resolve_churn_flows(churn: Optional[ChurnSpec]) -> ChurnFlows:
-    """The net churn flows of a spec as one function ``flows(t, u) -> [C_i]``.
-
-    Every C_i is the ``fsum`` of a_ji u_j f_i - a_ij u_i f_j over j != i in
-    ascending j (f = 1 for spontaneous and periodic churn, f_k = b_k u_k +
-    eps_k for stimulated churn), with the rate a_ij(t) = a0_ij + fsum of the
-    pair's modulations for periodic churn; see :func:`market_field`.
-    """
-    if churn is None:
-        return lambda t, u: [0.0] * len(u)
-    return market_field(None, churn)
-
-
 #: make(m, r, a, b, eps, terms) -> rhs(t, u) per field shape; see market_field.
 _CHURN_FIELDS: dict[tuple, dict] = {}
 
@@ -271,6 +243,11 @@ def market_field(market: Optional[BassCompetition],
     """du_i/dt = (1 - sum u)(m_i + r_i u_i) + C_i(u) of a market (without the
     flows when the spec is None), or with ``market`` None the churn flows C_i
     of the spec alone.
+
+    Every C_i is the ``fsum`` of a_ji u_j f_i - a_ij u_i f_j over j != i in
+    ascending j (f = 1 for spontaneous and periodic churn, f_k = b_k u_k +
+    eps_k for stimulated churn), with the rate a_ij(t) = a0_ij + the
+    ``fsum`` of the pair's modulations for periodic churn.
 
     The function is written out once per shape: the supplier count, the
     churn's form (linear in the shares, or stimulated), whether the Bass
@@ -289,7 +266,9 @@ def market_field(market: Optional[BassCompetition],
         form, n, a = "linear", churn.n, [v for row in churn.a for v in row]
     elif isinstance(churn, PeriodicChurnSpec):
         form, n = "linear", churn.n
-        a = [churn.rate(i, j, 0.0) for i in range(n) for j in range(n)]
+        # a0_ij + 0.0 is a pair's rate without modulation (a -0.0 entry reads
+        # 0.0); the modulated pairs add theirs to the base in ``terms``.
+        a = [v + 0.0 for row in churn.a0.a for v in row]
         for mod in churn.eps:
             groups.setdefault((mod.i, mod.j), []).append(mod)
         for (i, j), mods in sorted(groups.items()):
@@ -378,40 +357,37 @@ def fixed_point_no_churn(market: BassCompetition) -> list[float]:
     if all(v == 0 for v in r):
         total_m = math.fsum(m)
         return [u0i + mi * (1.0 - s0) / total_m for u0i, mi in zip(u0, m)]
-
-    if all(v == 0 for v in m):
-        k = max(range(n), key=lambda i: u0[i])
-
-        def share(i: int, x: float) -> float:
-            if u0[i] == 0.0:
-                return 0.0
-            return u0[i] * (x / u0[k]) ** (r[i] / r[k])
-
-        def gap(x: float) -> float:
-            return math.fsum(share(i, x) for i in range(n)) - 1.0
-
-        try:
-            root = numerics.solve_root(gap, u0[k], 1.0, tol=1e-14)
-        except numerics.BracketInvalidError as exc:
-            raise InfeasibleMarketError(str(exc)) from exc
-        return [share(i, root) for i in range(n)]
-
-    if any(v == 0 for v in r):
+    if any(v == 0 for v in r):  # an all-imitator market has every r_i > 0
         raise ParameterError(
             "fixed point solve needs r_i > 0 for all suppliers (or all zero); "
             "use the numeric path for mixed markets")
 
-    k = max(range(n), key=lambda i: m[i] + r[i] * u0[i])
-    base = m[k] + r[k] * u0[k]
+    # The first integral u_i + m_i / r_i = (u0_i + m_i / r_i) (R(u_k) / R(u0_k))^(r_i / r_k),
+    # with R(x) = m_k + r_k x, or x itself in an all-imitator market.
+    imitators = all(v == 0 for v in m)
+    if imitators:
+        k = max(range(n), key=lambda i: u0[i])
+        p, q = 0.0, 1.0
+    else:
+        k = max(range(n), key=lambda i: m[i] + r[i] * u0[i])
+        p, q = m[k], r[k]
+    base = p + q * u0[k]
 
     def share(i: int, x: float) -> float:
-        grow = ((m[k] + r[k] * x) / base) ** (r[i] / r[k])
-        return (m[i] / r[i] + u0[i]) * grow - m[i] / r[i]
+        offset = m[i] / r[i]
+        c = offset + u0[i]
+        if c == 0.0:
+            return 0.0
+        try:
+            return c * ((p + q * x) / base) ** (r[i] / r[k]) - offset
+        except OverflowError:  # the power passes the double range; c may be tiny
+            log_share = math.log(c) + (r[i] / r[k]) * math.log((p + q * x) / base)
+            return math.exp(log_share) - offset if log_share < 709.0 else math.inf
 
     def gap(x: float) -> float:
         return math.fsum(share(i, x) for i in range(n)) - 1.0
 
-    if gap(u0[k]) >= 0.0:
+    if not imitators and gap(u0[k]) >= 0.0:
         return list(u0)
     try:
         root = numerics.solve_root(gap, u0[k], 1.0, tol=1e-14)
@@ -521,7 +497,7 @@ def spontaneous_path(m: Sequence[float], c: ChurnMatrix,
             rows.append(tuple(vi - di for vi, di in zip(v, decay)))
     except SingularMatrixError:
         rows = numerics.sample_ivp(lambda t, y: [
-            m[i] - math.fsum(q.entries[i][j] * y[j] for j in range(n))
+            m[i] - numerics._fsum(q.entries[i][j] * y[j] for j in range(n))
             for i in range(n)], [0.0] * n, grid)
         notes = ("matrix-exponential route unavailable (singular Q); integrated numerically",)
     channels = {f"u{i + 1}": [row[i] for row in rows] for i in range(n)}
@@ -570,11 +546,6 @@ def periodic_mean_share(spec: PeriodicChurnSpec) -> float:
     return a21_0 / (a12_0 + a21_0)
 
 
-#: Trailing-coefficient bound of the driven convolution's Chebyshev windows,
-#: relative to the modulation amplitudes.
-_WINDOW_TOL = 1e-13
-
-
 def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
                                grid: Sequence[float]) -> Trajectory:
     """Two-supplier share under periodically modulated churn rates.
@@ -619,12 +590,15 @@ def periodic_two_supplier_path(spec: PeriodicChurnSpec, u1_0: float,
             sigma, lambda y: driven(t + y) * exp(s0 * y), lambda y: s0 * y, t0, t,
             amplitude * min(t - t0, 1.0 / s0))
 
-    sigmas = [0.0] + numerics.shifted_integrals(
-        lambda lo, x: driven(lo + x) * exp(s0 * x), lambda lo, x: s0 * x, step,
-        times, 0.0, _WINDOW_TOL, amplitude)
+    try:
+        sigmas = [0.0] + numerics.shifted_integrals(
+            lambda lo, x: driven(lo + x) * exp(s0 * x), lambda lo, x: s0 * x, step,
+            times, 0.0, amplitude)
+        factors = [expm1(integral(t)) for t in times]
+    except OverflowError as exc:
+        raise DomainError("the modulation factor e^E overflows the range of a double") from exc
     u1, mean_ch, periodic_ch, decaying_ch = [], [], [], []
-    for t, sigma in zip(times, sigmas):
-        a = expm1(integral(t))
+    for t, sigma, a in zip(times, sigmas, factors):
         if a == -1.0:
             raise DomainError(f"the modulation factor e^E underflows to 0 at t = {t!r}, "
                               "and the periodic form divides by it")
@@ -677,13 +651,11 @@ def stimulated_fixed_point(spec: StimulatedChurnSpec,
             raise ParameterError("initial shares of a developed market must sum to 1")
         rates = [x for row in spec.churn.a for x in row if x > 0] + [b for b in spec.b if b > 0]
         slowest = min(rates) if rates else 1.0
-        final = numerics.sample_ivp(resolve_churn_flows(spec), list(start),
+        final = numerics.sample_ivp(market_field(None, spec), list(start),
                                     [0.0, 60.0 / slowest])[-1]
         winner = max(range(n), key=lambda i: final[i])
         vertex = tuple(1.0 if i == winner else 0.0 for i in range(n))
-        vertices = tuple(tuple(1.0 if i == k else 0.0 for i in range(n)) for k in range(n))
-        return StimulatedFixedPoint(u=vertex, classification="winner_take_all",
-                                    vertices=vertices)
+        return StimulatedFixedPoint(u=vertex, classification="winner_take_all")
 
     if n == 2:
         a12, a21 = spec.churn.a[0][1], spec.churn.a[1][0]
@@ -706,7 +678,7 @@ def _stimulated_fixed_point_newton(spec: StimulatedChurnSpec,
     steps with a forward-difference Jacobian."""
     n = spec.n
     x = list(u0[:n - 1]) if u0 is not None else [1.0 / n] * (n - 1)
-    flows = resolve_churn_flows(spec)
+    flows = market_field(None, spec)
 
     def residual(xs: Sequence[float]) -> list[float]:
         u = list(xs) + [1.0 - math.fsum(xs)]
@@ -766,9 +738,10 @@ def competitive_path_numeric(market: BassCompetition,
         if total < prev_sum - 1e-7:
             raise IntegrationInvariantError(f"total share decreased at t={t:.6g}")
         prev_sum = total
-    flows = resolve_churn_flows(churn)(grid[-1], rows[-1])
-    if abs(math.fsum(flows)) > 1e-10 * max(1.0, math.fsum(abs(c) for c in flows)):
-        raise IntegrationInvariantError(f"churn flows do not cancel at t={grid[-1]:.6g}")
+    if churn is not None:
+        flows = market_field(None, churn)(grid[-1], rows[-1])
+        if abs(math.fsum(flows)) > 1e-10 * max(1.0, math.fsum(abs(c) for c in flows)):
+            raise IntegrationInvariantError(f"churn flows do not cancel at t={grid[-1]:.6g}")
 
     channels = {f"u{i + 1}": [row[i] for row in rows] for i in range(n)}
     return from_channels(grid, channels)

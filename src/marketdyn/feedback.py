@@ -126,7 +126,6 @@ class MarketMetrics(NamedTuple):
     u_infl: float | None
     t_infl: float | None
     gradient_at_infl: float | None
-    t10_already_reached: bool = False
     #: T10/T50 by the reference catalog's own t(u), for a kernel whose
     #: catalog time formula differs from the solved one; None otherwise.
     t10_over_t50_catalog: float | None = None
@@ -574,10 +573,8 @@ def latency_metrics(m: FeedbackModel) -> MarketMetrics:
         raise ParameterError("latency metrics need u0 < 0.5")
     t50 = t_of_u(m, 0.5)
     t60_minus_t50 = _phi(m.kernel, 0.6, 0.5) / m.rate if m.kernel.limit >= 0.6 else math.nan
-    if m.u0 >= 0.1:
-        t10, reached = 0.0, True
-    else:
-        t10, reached = t_of_u(m, 0.1), False
+    reached = m.u0 >= 0.1
+    t10 = 0.0 if reached else t_of_u(m, 0.1)
     infl = inflection(m)
     catalog = _KERNELS[m.kernel.kind].catalog_ratio
     return MarketMetrics(
@@ -585,7 +582,6 @@ def latency_metrics(m: FeedbackModel) -> MarketMetrics:
         u_infl=infl.u if infl else None,
         t_infl=infl.t if infl else None,
         gradient_at_infl=infl.gradient if infl else None,
-        t10_already_reached=reached,
         t10_over_t50_catalog=catalog(m.u0) if catalog and not reached else None)
 
 

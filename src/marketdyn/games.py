@@ -223,11 +223,6 @@ def _package(grid, B, P, Q, D, C, **companion) -> Trajectory:
 _Start = Union[Sequence[float], None]
 
 
-#: Trailing-coefficient bound, relative to the integrand, of the Chebyshev
-#: windows of the case 5 and complementary convolutions.
-_WINDOW_TOL = 1e-13
-
-
 def _start(case: BpqCase, start: _Start) -> Sequence[float]:
     init = case.initial
     return start or (init.B, init.P, init.Q, 0.0)
@@ -359,8 +354,6 @@ def _case1_path(case: Case1, grid: Sequence[float], start: _Start = None) -> Tra
 #: Newton steps after which a root of t(s) or of the final-size equation keeps
 #: its last iterate; about 60 halvings take any bracket in s down to rounding.
 _MAX_NEWTON_STEPS = 200
-#: Relative accuracy asked of each increment of the time integral.
-_TIME_TOL = 1e-13
 #: Length in s of the quit clock's first window.
 _CLOCK_SPAN = 8.0
 _OUT_OF_RANGE = "the seed P0 and the rates put this game outside the range of a double"
@@ -430,8 +423,7 @@ class _QuitClock:
         # & McKendrick, 1927); in case 4, with B(Q), Q(T_m) = [beta B0
         # Q0^(beta/gamma) / gamma]^(gamma/(beta+gamma)), taken in logs and
         # clamped to [Q0, q_inf). Without an interior peak P0 at t = 0 is the top.
-        self.has_peak = beta * B0 > self.rate(Q0)
-        if not self.has_peak:
+        if not beta * B0 > self.rate(Q0):
             self.Q_Tm, self.B_Tm, self.P_Tm = Q0, B0, P0
         elif isinstance(case, Case2):
             self.B_Tm = case.b / beta
@@ -478,15 +470,14 @@ class _QuitClock:
             length = min(span, self.s_cap - s0) if s0 < self.s_cap else span
             if not length > 2.0 ** -40 * max(1.0, abs(s0)):
                 raise DomainError(_OUT_OF_RANGE)
-            window = numerics.chebyshev_window(lambda x: self.dt_ds(s0 + x), length,
-                                               _TIME_TOL, floor)
+            window = numerics.chebyshev_window(lambda x: self.dt_ds(s0 + x), length, floor)
             if window is not None:
                 break
             span *= 0.5
         rise = window.integral(length)
         if not rise > 0.0:  # dt/ds underflowed: t would stop
             raise DomainError(_OUT_OF_RANGE)
-        self._span = 2.0 * length if window.tail <= 1e-3 * _TIME_TOL else length
+        self._span = 2.0 * length if window.tail <= 1e-3 * numerics.WINDOW_TOL else length
         self._windows.append(window)
         self._starts.append(s0 + length)
         self._times.append(self._times[-1] + rise)
@@ -584,16 +575,13 @@ class SirRelations(NamedTuple):
     """
 
     B_inf: float
-    Q_Tm: float
     P_Tm: float
     B_Tm: float
-    has_interior_peak: bool
 
 
 def sir_relations(case: Case2) -> SirRelations:
     clock = _QuitClock(case)
-    return SirRelations(B_inf=clock.B_inf, Q_Tm=clock.Q_Tm, P_Tm=clock.P_Tm,
-                        B_Tm=clock.B_Tm, has_interior_peak=clock.has_peak)
+    return SirRelations(B_inf=clock.B_inf, P_Tm=clock.P_Tm, B_Tm=clock.B_Tm)
 
 
 def _sir_rows(case: Case2) -> list[tuple[str, float]]:
@@ -733,7 +721,7 @@ def _case5_path(case: Case5, grid: Sequence[float], start: _Start = None) -> Tra
 
     times = [time - grid[0] for time in grid]
     zs = [P0 / Q0 / (P0 + Q0)]  # Q0 (P0 + Q0) may underflow to 0
-    zs += numerics.shifted_integrals(weighted, rise_from, step, times, zs[0], _WINDOW_TOL)
+    zs += numerics.shifted_integrals(weighted, rise_from, step, times, zs[0])
     B, P, Q, D, C = [], [], [], [], []
     for t, z in zip(times, zs):
         e = math.exp(-a * t)
@@ -989,7 +977,7 @@ def complementary_path(spec: ComplementarySpec, grid: Sequence[float]) -> Trajec
         lambda acc, lo, hi: numerics.shifted_integral_step(
             acc, lambda y: b * exp(-(antiderivative(hi + y) - a_ref)) * exp(b * y),
             lambda y: b * y, lo, hi),
-        [t_live] + [t for t in grid if t > t_live], 0.0, _WINDOW_TOL))
+        [t_live] + [t for t in grid if t > t_live], 0.0))
     B, P, Q, D, C = [], [], [], [], []
     Bc, Pc, Qc = [], [], []
     for t in grid:

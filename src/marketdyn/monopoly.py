@@ -79,8 +79,11 @@ class ExpDecayRate(namedtuple("ExpDecayRate", "a0 beta")):
     def cumulative(self, t: float, start: float = 0.0) -> float:
         if self.beta == 0.0:
             return self.a0 * (t - start)
-        return -(self.a0 / self.beta) * math.exp(-self.beta * start) * math.expm1(
-            -self.beta * (t - start))
+        scale = self.a0 / self.beta
+        if scale == math.inf:  # a0 (1 - e^(-beta dt)) / beta, of which a0 / beta overflows
+            return self.a0 * math.exp(-self.beta * start) * (
+                -math.expm1(-self.beta * (t - start)) / self.beta)
+        return -scale * math.exp(-self.beta * start) * math.expm1(-self.beta * (t - start))
 
     def asymptotic_share(self, u0: float = 0.0) -> float:
         if self.beta == 0.0:
@@ -258,7 +261,6 @@ class LatencyTimes(NamedTuple):
 
     t50: float
     t10: float
-    t10_already_reached: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +287,20 @@ def simple_latency(m: SimpleAdoption) -> LatencyTimes:
     if m.u0 == 0.0:
         return LatencyTimes(t50=math.log(2.0) / m.a, t10=math.log(10.0 / 9.0) / m.a)
     if m.u0 >= 0.5:
-        return LatencyTimes(t50=0.0, t10=0.0, t10_already_reached=True)
+        return LatencyTimes(t50=0.0, t10=0.0)
 
     def time_to(share: float) -> float:
         return (math.log1p(-m.u0) - math.log1p(-share)) / m.a
 
     if m.u0 >= 0.1:
-        return LatencyTimes(t50=time_to(0.5), t10=0.0, t10_already_reached=True)
+        return LatencyTimes(t50=time_to(0.5), t10=0.0)
     return LatencyTimes(t50=time_to(0.5), t10=time_to(0.1))
+
+
+def _demand(d: float) -> float:
+    """A demand rate(t) N (1 - u0) e^(-int a), or 0 where it is inf * 0: a
+    rate or size past the double range times a decay factor or market that is 0."""
+    return d if d == d else 0.0
 
 
 def scheduled_path(schedule: RateSchedule, u0: float, grid: Sequence[float],
@@ -307,7 +315,7 @@ def scheduled_path(schedule: RateSchedule, u0: float, grid: Sequence[float],
     cumulative, rate, rest = schedule.cumulative, schedule.rate, 1.0 - u0
     decay = [math.exp(-cumulative(t)) for t in grid]
     u = [1.0 - rest * e for e in decay]
-    d = [rate(t) * N * rest * e for t, e in zip(grid, decay)]
+    d = [_demand(rate(t) * N * rest * e) for t, e in zip(grid, decay)]
     return from_channels(grid, {"u": u, "D": d})
 
 
@@ -322,7 +330,7 @@ def segmented_path(segments: Sequence[Segment], N: float,
         n, size, cumulative, rate = s.n, s.n * N, s.schedule.cumulative, s.schedule.rate
         decay = [math.exp(-cumulative(t)) for t in grid]
         drop = [x + n * e for x, e in zip(drop, decay)]
-        d = [x + rate(t) * size * e for x, t, e in zip(d, grid, decay)]
+        d = [x + _demand(rate(t) * size * e) for x, t, e in zip(d, grid, decay)]
     return from_channels(grid, {"u": [1.0 - x for x in drop], "D": d})
 
 

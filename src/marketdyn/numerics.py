@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     AccuracyNotReachedError,
     BracketInvalidError,
+    DomainError,
     IntegrationDivergedError,
     SingularMatrixError,
 )
@@ -68,7 +69,7 @@ class SquareMatrix(namedtuple("SquareMatrix", "n entries")):
         if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError("entries must form an n-by-n grid")
         if not all(math.isfinite(v) for r in entries for v in r):
-            raise ValueError("matrix entries must be finite")
+            raise DomainError("a matrix entry leaves the range of a double")
         return super().__new__(cls, n, entries)
 
     @staticmethod
@@ -489,6 +490,9 @@ def shifted_integral_step(acc: float, weighted: Callable[[float], float],
 
 #: Degree of the interpolant of :func:`chebyshev_window` (one more node).
 CHEB_DEGREE = 24
+#: Bound of :func:`chebyshev_window` on its two trailing coefficients,
+#: relative to the integrand.
+WINDOW_TOL = 1e-13
 
 
 @functools.cache
@@ -538,11 +542,11 @@ class ChebyshevWindow(namedtuple("ChebyshevWindow", "length values integrals tai
         return self.integrals[0] + x * b1 - b2, self.values[0] + x * c1 - c2
 
 
-def chebyshev_window(g: Callable[[float], float], length: float, tol: float,
+def chebyshev_window(g: Callable[[float], float], length: float,
                      scale: float = 0.0) -> ChebyshevWindow | None:
     """Interpolant of g(x), x in [0, length], at the CHEB_DEGREE + 1
     Chebyshev-Lobatto points, or None when it does not resolve g: when its
-    two trailing coefficients sum to more than ``tol`` times the larger of
+    two trailing coefficients sum to more than WINDOW_TOL times the larger of
     max |g| at the nodes and ``scale``, or a sample is not finite. The
     caller then halves the window. ``scale`` floors the magnitude of an
     integrand whose rounding, not its size, bounds the reachable accuracy.
@@ -555,7 +559,7 @@ def chebyshev_window(g: Callable[[float], float], length: float, tol: float,
     a = [math.fsum(map(mul, row, differences if k % 2 else sums)) for k, row in enumerate(rows)]
     size = max(max(map(abs, samples)), scale)
     tail = abs(a[n - 1]) + abs(a[n])
-    if not tail <= tol * size < math.inf:
+    if not tail <= WINDOW_TOL * size < math.inf:
         return None
     # int T_0 = T_1, int T_1 = T_2 / 4 and int T_k = T_(k+1) / 2(k+1) -
     # T_(k-1) / 2(k-1): b_k = (a_(k-1) - a_(k+1)) / 2k, with a_0 counted twice.
@@ -570,14 +574,14 @@ def chebyshev_window(g: Callable[[float], float], length: float, tol: float,
 def shifted_integrals(weighted: Callable[[float, float], float],
                       rise: Callable[[float, float], float],
                       step: Callable[[float, float, float], float], times: Sequence[float],
-                      acc: float, tol: float, scale: float = 0.0) -> list[float]:
+                      acc: float, scale: float = 0.0) -> list[float]:
     """J at each of times[1:], for J(t) = int^t f(u) e^(k(u) - k(t)) du from
     J(times[0]) = acc, with k nondecreasing.
 
     Grid steps are grouped into windows [T0, T1] over which k rises by at
     most 1. In a window, ``rise(T0, x)`` is k(T0 + x) - k(T0) >= 0 and
     ``weighted(T0, x)`` is f(T0 + x) e^rise(T0, x); the series of the latter
-    (:func:`chebyshev_window`, with ``tol`` and ``scale``) gives
+    (:func:`chebyshev_window`, with ``scale``) gives
     J(t) = e^-rise (J(T0) + its integral to t) at every grid time of the
     window. A window the series does not resolve is halved, and the next
     one may double again. A window that would hold a single step gives way
@@ -601,7 +605,7 @@ def shifted_integrals(weighted: Callable[[float, float], float],
             out.append(acc)
             i += 1
         else:
-            window = chebyshev_window(lambda x: weighted(lo, x), times[m] - lo, tol, scale)
+            window = chebyshev_window(lambda x: weighted(lo, x), times[m] - lo, scale)
             if window is None:
                 span = 0.5 * (times[m] - lo)
                 continue
@@ -619,9 +623,11 @@ def solve_root(g: Callable[[float], float], lo: float, hi: float,
 
     Newton steps use a centered finite-difference derivative; any step
     that would leave the current bracket is replaced by a bisection
-    step, so convergence is guaranteed for continuous g. The returned
-    point always lies inside the initial bracket; after 200 iterations
-    it is the midpoint of the bracket left.
+    step, and so is every step from the 100th on: from far above the
+    root of a steep power, Newton creeps down by about one e-fold of g
+    per step. So convergence is guaranteed for continuous g. The
+    returned point always lies inside the initial bracket; after 200
+    iterations it is the midpoint of the bracket left.
 
     Raises:
         BracketInvalidError: If g(lo) and g(hi) have the same sign.
@@ -638,7 +644,7 @@ def solve_root(g: Callable[[float], float], lo: float, hi: float,
             f"no sign change on [{lo:.6g}, {hi:.6g}]: g(lo)={flo:.6g}, g(hi)={fhi:.6g}")
 
     x = 0.5 * (lo + hi)
-    for _ in range(200):
+    for k in range(200):
         fx = g(x)
         if fx == 0.0:
             return x
@@ -659,7 +665,7 @@ def solve_root(g: Callable[[float], float], lo: float, hi: float,
         if abs(x_new - x) < tol:
             # Converged from one side: step tol past the root to close the bracket.
             x_new = x + tol if x == lo else x - tol
-        if not (lo < x_new < hi):
+        if not (lo < x_new < hi) or k >= 100:
             x_new = 0.5 * (lo + hi)
         x = x_new
     return 0.5 * (lo + hi)

@@ -6,9 +6,9 @@ the forms below; they live here as oracles: the three defining systems of
 the monopoly, feedback and bpq families, a feedback model's share at one
 time, the complementary games'
 six-equation system and the helpers that start it, case 5's peak balance,
-the determinant and cofactors of the churn balance matrix, the exact
-integral of one sinusoid of periodic churn, and the linear scan of a
-tabulated rate's knots.
+the determinant and cofactors of the churn balance matrix, the modulated
+rates of periodic churn and the exact integral of one sinusoid, and the
+linear scan of a tabulated rate's knots.
 """
 
 from __future__ import annotations
@@ -187,8 +187,28 @@ def spontaneous_equilibrium_cofactor(c: competition.ChurnMatrix) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Periodic churn: the exact integral of one sinusoid
+# Periodic churn: the modulated rates and the exact integral of one sinusoid
 # ---------------------------------------------------------------------------
+
+def sinusoid_value(s: competition.Sinusoid, t: float) -> float:
+    """amplitude * sin(2 pi t / period + phase)."""
+    return s.amplitude * math.sin(2.0 * math.pi * t / s.period + s.phase)
+
+
+def modulation_value(mod: competition.PairModulation, t: float) -> float:
+    """The ``fsum`` of one modulation's sinusoids at t."""
+    return math.fsum(sinusoid_value(s, t) for s in mod.terms)
+
+
+def epsilon(spec: competition.PeriodicChurnSpec, i: int, j: int, t: float) -> float:
+    """The ``fsum`` over the modulations of the pair (i, j) at t, in their order."""
+    return math.fsum(modulation_value(m, t) for m in spec.eps if m.i == i and m.j == j)
+
+
+def periodic_rate(spec: competition.PeriodicChurnSpec, i: int, j: int, t: float) -> float:
+    """a_ij(t) = a0_ij + epsilon_ij(t)."""
+    return spec.a0.a[i][j] + epsilon(spec, i, j, t)
+
 
 def sinusoid_integral(s: competition.Sinusoid, t: float) -> float:
     """Exact integral of the sinusoid s from 0 to t, one term of

@@ -154,16 +154,16 @@ def test_churn_flows_sum_to_zero(seed):
     n = rng.choice((2, 3, 4))
     c = random_churn(rng, n)
     u = [rng.uniform(0.0, 1.0) for _ in range(n)]
-    flows = comp.resolve_churn_flows(c)(0.0, u)
+    flows = comp.market_field(None, c)(0.0, u)
     assert abs(math.fsum(flows)) <= 1e-12 * max(1.0, math.fsum(abs(f) for f in flows))
     spec = comp.StimulatedChurnSpec(churn=c, b=tuple(rng.uniform(0, 2) for _ in range(n)),
                                     eps=tuple(1 for _ in range(n)))
-    flows = comp.resolve_churn_flows(spec)(0.0, u)
+    flows = comp.market_field(None, spec)(0.0, u)
     assert abs(math.fsum(flows)) <= 1e-12 * max(1.0, math.fsum(abs(f) for f in flows))
     periodic = comp.PeriodicChurnSpec(
         a0=c, eps=(comp.PairModulation(0, 1, (comp.Sinusoid(
             0.5 * c.a[0][1], rng.uniform(0.5, 2.0), rng.uniform(0, 6)),)),))
-    flows = comp.resolve_churn_flows(periodic)(rng.uniform(0, 10), u)
+    flows = comp.market_field(None, periodic)(rng.uniform(0, 10), u)
     assert abs(math.fsum(flows)) <= 1e-12 * max(1.0, math.fsum(abs(f) for f in flows))
 
 
@@ -182,8 +182,7 @@ def reference_flows(churn, t, u):
                 for i in range(n)]
 
     def rate(i, j):
-        return churn.a0.a[i][j] + math.fsum(
-            m.value(t) for m in churn.eps if m.i == i and m.j == j)
+        return reference.periodic_rate(churn, i, j, t)
 
     return [math.fsum(rate(j, i) * u[j] - rate(i, j) * u[i] for j in range(n) if j != i)
             for i in range(n)]
@@ -217,7 +216,7 @@ def churn_specs(draw, kinds=("spontaneous", "stimulated", "periodic"), min_mods=
 
 @given(churn_specs(), st.data())
 def test_resolved_flows_match_the_definition_bit_for_bit(churn, data):
-    flows = comp.resolve_churn_flows(churn)
+    flows = comp.market_field(None, churn)
     for _ in range(3):
         t = data.draw(st.floats(0.0, 50.0))
         u = data.draw(st.lists(st.floats(0.0, 1.0), min_size=churn.n, max_size=churn.n))
@@ -261,8 +260,8 @@ def test_churn_fields_are_built_once_per_shape(monkeypatch):
     rng = random.Random(5)
     for _ in range(3):
         c = random_churn(rng, 3)
-        comp.resolve_churn_flows(c)
-        comp.resolve_churn_flows(comp.PeriodicChurnSpec(a0=c, eps=(comp.PairModulation(
+        comp.market_field(None, c)
+        comp.market_field(None, comp.PeriodicChurnSpec(a0=c, eps=(comp.PairModulation(
             2, 0, (comp.Sinusoid(0.5 * c.a[2][0], rng.uniform(1.0, 2.0)),)),)))
     assert built == [(3, "linear", False, ()), (3, "linear", False, (((2, 0), (1,)),))]
 
@@ -338,13 +337,13 @@ def test_compiled_modulations_match_the_records_bit_for_bit(term_lists, times):
     per_term = [(s, comp._modulation_kernel([comp.PairModulation(0, 1, (s,))]),
                  comp._integral_kernel([s])) for s in terms]
     for t in times:
-        assert value(t).hex() == spec.epsilon(0, 1, t).hex()
+        assert value(t).hex() == reference.epsilon(spec, 0, 1, t).hex()
         assert integral(t).hex() == math.fsum(
             reference.sinusoid_integral(s, t) for s in terms).hex()
         for m, kernel in per_pair:
-            assert kernel(t).hex() == m.value(t).hex()
+            assert kernel(t).hex() == reference.modulation_value(m, t).hex()
         for s, kernel, antiderivative in per_term:  # fsum turns a -0.0 term into 0.0
-            assert kernel(t).hex() == math.fsum([s.value(t)]).hex()
+            assert kernel(t).hex() == math.fsum([reference.sinusoid_value(s, t)]).hex()
             assert antiderivative(t).hex() == math.fsum([reference.sinusoid_integral(s, t)]).hex()
 
 
@@ -465,8 +464,8 @@ def test_one_way_churn_peak_time():
 
 def two_supplier_field(spec):
     def rhs(t, y):
-        a12 = spec.rate(0, 1, t)
-        a21 = spec.rate(1, 0, t)
+        a12 = reference.periodic_rate(spec, 0, 1, t)
+        a21 = reference.periodic_rate(spec, 1, 0, t)
         return [a21 - (a12 + a21) * y[0]]
 
     return rhs
@@ -517,8 +516,7 @@ def test_periodic_coarse_steps_take_their_own_quadrature(monkeypatch):
     monkeypatch.setattr(numerics, "shifted_integral_step", counted)
     traj = comp.periodic_two_supplier_path(spec, 0.2, grid)
     assert steps == list(zip(grid, grid[1:]))
-    sol = scipy_integrate.solve_ivp(
-        lambda t, y: [spec.rate(1, 0, t) - (spec.rate(0, 1, t) + spec.rate(1, 0, t)) * y[0]],
+    sol = scipy_integrate.solve_ivp(two_supplier_field(spec),
         (0.0, grid[-1]), [0.2], method="DOP853", rtol=1e-12, atol=1e-14, t_eval=grid)
     worst = max(abs(u - r) for u, r in zip(traj.channel("u1"), sol.y[0]))
     assert worst <= 1e-10
@@ -698,7 +696,6 @@ def test_purely_stimulated_is_winner_take_all():
     fp = comp.stimulated_fixed_point(spec, u0=(0.3, 0.7))
     assert fp.classification == "winner_take_all"
     assert fp.u in ((1.0, 0.0), (0.0, 1.0))
-    assert fp.vertices == ((1.0, 0.0), (0.0, 1.0))
     # Stronger stimulation wins from any interior start here.
     assert fp.u == (1.0, 0.0)
 
@@ -710,7 +707,7 @@ def test_three_supplier_shared_root():
         b=(0.4, 0.2, 0.1), eps=(1, 1, 1))
     fp = comp.stimulated_fixed_point(spec)
     assert fp.classification == "shared"
-    flows = comp.resolve_churn_flows(spec)(0.0, fp.u)
+    flows = comp.market_field(None, spec)(0.0, fp.u)
     assert max(abs(f) for f in flows) <= 1e-10
     assert math.fsum(fp.u) == pytest.approx(1.0, abs=1e-12)
 
@@ -775,18 +772,19 @@ def test_invariant_breach_detected(monkeypatch):
     # A churn evaluation that manufactures customers must be rejected.
     leaky = comp.ChurnMatrix(((0.0, 0.1), (0.1, 0.0)))
     market = comp.BassCompetition(m=(0.5, 0.5), r=(0.0, 0.0), u0=(0.0, 0.0))
-    real_resolve = comp.resolve_churn_flows
+    real_field = comp.market_field
 
-    def fake_resolve(churn):
-        real_flows = real_resolve(churn)
+    def fake_field(market, churn=None):
+        real = real_field(market, churn)
+        if market is not None:
+            return real
 
         def fake_flows(t, u):
-            flows = real_flows(t, u)
-            if churn is leaky:
-                flows[0] += 0.05
+            flows = real(t, u)
+            flows[0] += 0.05
             return flows
         return fake_flows
 
-    monkeypatch.setattr(comp, "resolve_churn_flows", fake_resolve)
+    monkeypatch.setattr(comp, "market_field", fake_field)
     with pytest.raises(IntegrationInvariantError):
         comp.competitive_path_numeric(market, leaky, time_grid(0.0, 30.0, 31))

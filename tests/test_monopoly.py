@@ -58,7 +58,7 @@ def test_latency_with_initial_share():
     m = mono.SimpleAdoption(a=0.5, u0=0.2)
     lat = mono.simple_latency(m)
     assert 1.0 - (1.0 - m.u0) * math.exp(-m.a * lat.t50) == pytest.approx(0.5, abs=1e-10)
-    assert lat.t10_already_reached
+    assert lat.t10 == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -469,13 +469,13 @@ def test_chebyshev_window_is_exact_on_polynomials_of_its_degree(coeffs, length):
 
 
 def test_chebyshev_window_rejects_what_it_does_not_resolve():
-    assert numerics.chebyshev_window(lambda x: math.cos(60.0 * x), 1.0, 1e-13) is None
+    assert numerics.chebyshev_window(lambda x: math.cos(60.0 * x), 1.0) is None
     log = lambda x: math.log(x) if x > 0.0 else -math.inf  # noqa: E731
-    assert numerics.chebyshev_window(log, 1.0, 1e-13) is None
+    assert numerics.chebyshev_window(log, 1.0) is None
     # Rounding noise is resolved once it is measured against a floor.
     noise = lambda x: 1e-30 * math.sin(1e6 * x)  # noqa: E731
-    assert numerics.chebyshev_window(noise, 1.0, 1e-13) is None
-    assert numerics.chebyshev_window(noise, 1.0, 1e-13, 1e-10) is not None
+    assert numerics.chebyshev_window(noise, 1.0) is None
+    assert numerics.chebyshev_window(noise, 1.0, 1e-10) is not None
 
 
 def mp_cos_convolution(mp, s, omega, t):
@@ -497,14 +497,14 @@ def cos_convolution(times, s, omega, counts=None):
 
     return numerics.shifted_integrals(
         lambda lo, x: math.cos(omega * (lo + x)) * math.exp(s * x), lambda lo, x: s * x,
-        step, times, 0.0, 1e-13)
+        step, times, 0.0)
 
 
 def counting_windows(monkeypatch, counts):
     window = numerics.chebyshev_window
 
-    def counted(g, length, tol, scale=0.0):
-        series = window(g, length, tol, scale)
+    def counted(g, length, scale=0.0):
+        series = window(g, length, scale)
         key = "windows" if series is not None else "rejected"
         counts[key] = counts.get(key, 0) + 1
         return series

@@ -741,6 +741,77 @@ def test_cli_stiff_market_exits_3_without_spending_the_step_budget(model, tmp_pa
         assert err.startswith("error [numeric] problem became stiff") and "Traceback" not in err
 
 
+# Values that leave the double range in a churn market, a competition
+# market or a rate schedule. The first five ended in a traceback (exit 1):
+# exp(-Q t) of a matrix whose entries overflow, the singular-Q fallback
+# meeting -inf + inf, the stimulated balance's Jacobian, e^E of periodic
+# churn, and the power of a steep imitator's share. The last two printed
+# nan with exit 0: an exp_decay integral of inf * 0 at t = 0, and a linear
+# rate past the double range times e^(-int a) = 0.
+OVERFLOW_DOCS = {
+    "spontaneous_scaled_overflow": (
+        {"kind": "spontaneous_churn", "m": [1e308, 1e308], "a": [[0, 1e307], [1e307, 0]]},
+        10, 5, (3, 3, 3)),
+    "spontaneous_singular_fallback": (
+        {"kind": "spontaneous_churn", "m": [0.5, 0.5], "a": [[0, 1e308], [1e308, 0]]},
+        10, 5, (3, 3, 3)),
+    "stimulated_jacobian": (
+        {"kind": "stimulated_churn", "a": [[0, 1e-5, 1e-13], [0.01, 0, 5e-324],
+                                           [1.7e308, 1e-8, 0]],
+         "b": [1e8, 0, 1e-12], "eps": [0, 1, 1]},
+        1, 5, (3, 3, 3)),
+    "periodic_factor_overflow": (
+        {"kind": "periodic_churn", "a12_0": 1000, "a21_0": 1, "u1_0": 0.5,
+         "eps12": [{"amplitude": 1000, "period": 100}]},
+        50, 11, (3, 3, 0)),
+    "bass_steep_imitator": (
+        {"kind": "bass_competition", "m": [1e-10, 1e-6], "r": [1.0, 1e4], "u0": [0.5, 1e-9]},
+        1, 5, (0, 0, 0)),
+    "exp_decay_integral_overflow": (
+        {"kind": "scheduled", "schedule": {"kind": "exp_decay", "a0": 1e300, "beta": 1e-12}},
+        1, 3, (0, 0, 2)),
+    "linear_rate_overflow": (
+        {"kind": "scheduled", "schedule": {"kind": "linear", "a0": 1.0, "a1": 1.7e308}},
+        1e6, 3, (0, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_DOCS)
+@pytest.mark.parametrize("command", ["simulate", "metrics", "equilibrium"])
+def test_cli_values_past_the_double_range_exit_cleanly(name, command, tmp_path, capsys):
+    model, horizon, samples, codes = OVERFLOW_DOCS[name]
+    doc = {"model": model, "horizon": horizon, "samples": samples}
+    # An escaping exception would raise out of cli.main here.
+    code, rows, err = cli_output(command, doc, tmp_path, capsys)
+    assert code == codes[("simulate", "metrics", "equilibrium").index(command)]
+    assert "Traceback" not in err
+    if code == cli.EXIT_NUMERIC:
+        assert err.startswith("error [numeric] ") and err.count("\n") == 1
+    if code == cli.EXIT_OK:
+        numbers = []
+        for row in rows[1:]:
+            for field in row:
+                try:
+                    numbers.append(float(field))
+                except ValueError:  # a row's name
+                    pass
+        assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+def test_cli_steep_imitator_fixed_point_is_the_long_run_share(tmp_path, capsys):
+    # u2 grows as u1^1000: from its huge share sum at u1 = 1, Newton crept
+    # down by one e-fold per step, and after 200 steps the root finder
+    # returned its bracket's midpoint, u2 = 2.6e38, with exit 0.
+    doc = {"model": {"kind": "bass_competition", "m": [1e-10, 1e-6], "r": [1.0, 1000],
+                     "u0": [0.5, 1e-9]}, "horizon": 100, "samples": 5}
+    code, rows, _ = cli_output("equilibrium", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    fixed = [float(row[1]) for row in rows[1:]]
+    code, rows, _ = cli_output("simulate", doc, tmp_path, capsys)
+    assert code == cli.EXIT_OK
+    assert fixed == pytest.approx([float(v) for v in rows[-1][1:]], abs=1e-8)
+
+
 CASE5_LONG = {"kind": "bpq", "case": "case5", "a": 0.2, "gamma": 0.004, "N": 1000.0, "Q0": 10.0}
 COMPLEMENTARY = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
                             / "complementary_games.json").read_text())["model"]
